@@ -236,7 +236,7 @@ def cmd_report(args) -> int:
     generated = [f for f in result.best_features if not f["raw"]]
     headers, columns = eng.feature_matrix(d, kg, result.best_features)
     X = np.column_stack(columns)
-    X, _ = learn._impute_columns(X, X[:0])
+    X, _ = learn.impute_columns(X, X[:0])
     y = eng._target_labels(d)
     if d.task == Task.CLASSIFICATION:
         y, _ = learn.encode_labels(y)

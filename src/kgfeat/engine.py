@@ -207,7 +207,7 @@ def _prune_to_budget(pool, cfg: EngineConfig, evaluator: _Evaluator):
     if len(pool) <= cfg.feature_budget:
         return pool
     X = np.column_stack([encode_feature(e.feature) for e in pool])
-    X, _ = learn._impute_columns(X, X[:0])
+    X, _ = learn.impute_columns(X, X[:0])
     y = evaluator.y
     if evaluator.d.task == Task.CLASSIFICATION:
         y, _ = learn.encode_labels(y)

@@ -100,6 +100,152 @@ def test_decision_tree_regression():
     assert predict(model, X).tolist() == y.tolist()
 
 
+def test_decision_tree_splits_adjacent_floats():
+    # the midpoint of two adjacent floats rounds to the upper one; the
+    # threshold must stay strictly below it so that both children get a row
+    X = np.array([[np.nextafter(94.0, 0.0)], [94.0]])
+    y = np.array([0.0, 1.0])
+    model = train(LearnerSpec(kind="decision_tree", max_depth=1), X, y,
+                  Task.CLASSIFICATION)
+    assert predict(model, X).tolist() == [0.0, 1.0]
+
+
+def _tree_rows(kind, n, n_trees, seed):
+    """Training rows of each tree: all rows, or each tree's bootstrap."""
+    if kind == "decision_tree":
+        return [np.arange(n)]
+    return [np.random.default_rng(ss).integers(0, n, size=n)
+            for ss in np.random.SeedSequence(seed).spawn(n_trees)]
+
+
+_TIED = [-np.inf, -1.0, 0.0, np.nextafter(94.0, 0.0), 94.0, 1e308,
+         np.finfo(float).max, np.inf]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 3), st.integers(1, 5),
+       st.sampled_from(["decision_tree", "random_forest"]),
+       st.sampled_from([Task.CLASSIFICATION, Task.REGRESSION]),
+       st.sampled_from([1.0, 1e200]), st.integers(0, 2**31 - 1))
+def test_every_split_has_two_nonempty_children(n, p, depth, kind, task, scale,
+                                               seed):
+    rng = np.random.default_rng(seed)
+    X = rng.choice(_TIED, size=(n, p))
+    if task == Task.CLASSIFICATION:
+        y = rng.integers(0, 3, n).astype(float)
+    else:
+        y = rng.uniform(-1e3, 1e3, n) * scale
+    with np.errstate(over="ignore", invalid="ignore"):  # y * y overflows at 1e200
+        model = train(LearnerSpec(kind=kind, max_depth=depth, n_trees=3,
+                                  seed=seed), X, y, task)
+    forest = model.trees
+    for root, rows in zip(forest.roots, _tree_rows(kind, n, 3, seed)):
+        stack = [(root, rows)]
+        while stack:
+            node, at = stack.pop()
+            if forest.feature[node] < 0:
+                continue
+            go_left = X[at, forest.feature[node]] <= forest.threshold[node]
+            assert go_left.any() and not go_left.all()
+            stack += [(forest.left[node], at[go_left]),
+                      (forest.left[node] + 1, at[~go_left])]
+    pred = predict(model, X)
+    assert np.isfinite(pred).all()
+    if task == Task.CLASSIFICATION:
+        assert set(pred.tolist()) <= set(y.tolist())
+
+
+# An exact greedy tree, searching every threshold between adjacent values of
+# every feature, as the oracle for the histogram learner.
+
+def _exact_tree(X, y, task, n_classes, depth, importances, n_total):
+    n = len(y)
+    if task == Task.CLASSIFICATION:
+        counts = np.bincount(y.astype(np.int64), minlength=n_classes)
+        imp = 1.0 - np.sum((counts / n) ** 2)
+        value = float(np.argmax(counts))
+    else:
+        imp = float(np.var(y))
+        value = float(np.mean(y))
+    if n < 2 or depth == 0 or imp <= 1e-15:
+        return value
+    best = None
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xs, ys = X[order, j], y[order]
+        nl = np.arange(1, n, dtype=float)
+        nr = n - nl
+        if task == Task.CLASSIFICATION:
+            left = np.cumsum(ys[:, None] == np.arange(n_classes), axis=0)[:-1]
+            right = counts - left
+            score = (nl * (1.0 - np.sum((left / nl[:, None]) ** 2, axis=1))
+                     + nr * (1.0 - np.sum((right / nr[:, None]) ** 2, axis=1))) / n
+        else:
+            s1, s2 = np.cumsum(ys)[:-1], np.cumsum(ys * ys)[:-1]
+            t1, t2 = ys.sum(), (ys * ys).sum()
+            var_l = s2 / nl - (s1 / nl) ** 2
+            var_r = (t2 - s2) / nr - ((t1 - s1) / nr) ** 2
+            score = (nl * np.maximum(var_l, 0) + nr * np.maximum(var_r, 0)) / n
+        score = np.where(xs[:-1] < xs[1:], score, np.inf)
+        i = int(np.argmin(score))
+        if np.isfinite(score[i]) and (best is None or score[i] < best[2] - 1e-15):
+            mid = (xs[i] + xs[i + 1]) / 2.0
+            best = (j, mid if mid < xs[i + 1] else xs[i], score[i])
+    if best is None or best[2] >= imp - 1e-15:
+        return value
+    j, thr, child_imp = best
+    importances[j] += (n / n_total) * (imp - child_imp)
+    go_left = X[:, j] <= thr
+    return (j, thr,
+            _exact_tree(X[go_left], y[go_left], task, n_classes, depth - 1,
+                        importances, n_total),
+            _exact_tree(X[~go_left], y[~go_left], task, n_classes, depth - 1,
+                        importances, n_total))
+
+
+def _exact_predict(tree, x):
+    while isinstance(tree, tuple):
+        j, thr, left, right = tree
+        tree = left if x[j] <= thr else right
+    return tree
+
+
+@pytest.mark.parametrize("case", range(48))
+def test_histogram_trees_match_exact_greedy_search(case):
+    # at most 255 distinct values per column keeps one bin per value, and
+    # integer targets keep every sum exact, so both searches see equal scores
+    rng = np.random.default_rng(case)
+    kind = ["decision_tree", "random_forest"][case % 2]
+    task = [Task.CLASSIFICATION, Task.REGRESSION][case // 2 % 2]
+    n = int(rng.integers(2, 300))
+    p = int(rng.integers(1, 6))
+    levels = int(rng.integers(1, 256))
+    X = rng.integers(0, levels, (n, p)) * rng.choice([1.0, 0.37, -1e3])
+    if task == Task.CLASSIFICATION:
+        y = rng.integers(0, int(rng.integers(2, 4)), n).astype(float)
+    else:
+        y = rng.integers(-20, 50, n).astype(float)
+    depth = int(rng.integers(1, 7))
+    spec = LearnerSpec(kind=kind, max_depth=depth, n_trees=4,
+                       feature_subsample=1.0, seed=case)
+    model = train(spec, X, y, task)
+
+    n_classes = int(y.max()) + 1
+    importances = np.zeros(p)
+    trees = [_exact_tree(X[rows], y[rows], task, n_classes, depth, importances, n)
+             for rows in _tree_rows(kind, n, 4, case)]
+    leaves = np.array([[_exact_predict(t, x) for x in X] for t in trees])
+    if task == Task.REGRESSION:
+        expected = leaves.mean(axis=0)
+    else:
+        expected = np.array([np.argmax(np.bincount(col.astype(np.int64),
+                                                   minlength=n_classes))
+                             for col in leaves.T], dtype=float)
+    assert predict(model, X).tolist() == expected.tolist()
+    # node impurities are summed in another order: equal up to rounding
+    assert model.importances == pytest.approx(importances, rel=1e-9, abs=1e-9)
+
+
 def test_random_forest_deterministic_and_importance():
     rng = np.random.default_rng(2)
     X = rng.uniform(0, 1, (150, 4))
