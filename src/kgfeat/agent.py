@@ -3,8 +3,7 @@ schedule, and the TD training step."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,6 @@ class AgentConfig:
     learning_rate: float = 1e-3
     minibatch_size: int = 32
     target_sync_period: int = 50
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:

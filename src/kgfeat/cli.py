@@ -16,11 +16,10 @@ from . import engine as eng
 from . import kg as kgmod
 from . import learn
 from .agent import AgentError
-from .data import DataError, SchemaConfig, Task, load_csv
+from .data import DataError, SchemaConfig, load_csv
 from .kg import KGError, RawRef, expr_unit
 from .learn import LearnError
-from .transform import (AggNode, BinaryNode, DateNode, TransformError,
-                        UnaryNode, expr_from_json)
+from .transform import TransformError, children, expr_from_json
 
 EXIT_OK = 0
 EXIT_USER = 1
@@ -183,16 +182,9 @@ def _print_tree(expr, kg, indent=0):
         cls = entry[0] if entry else "(unmapped)"
         print(f"{pad}{expr.name.upper()}  class={cls} unit={token}")
         return
-    op = expr.op
-    print(f"{pad}{op.upper()}  unit={token}")
-    if isinstance(expr, (UnaryNode, DateNode)):
-        _print_tree(expr.child, kg, indent + 1)
-    elif isinstance(expr, BinaryNode):
-        _print_tree(expr.left, kg, indent + 1)
-        _print_tree(expr.right, kg, indent + 1)
-    elif isinstance(expr, AggNode):
-        _print_tree(expr.key, kg, indent + 1)
-        _print_tree(expr.value, kg, indent + 1)
+    print(f"{pad}{expr.op.upper()}  unit={token}")
+    for child in children(expr):
+        _print_tree(child, kg, indent + 1)
 
 
 def cmd_explain(args) -> int:
@@ -236,22 +228,16 @@ def cmd_report(args) -> int:
     generated = [f for f in result.best_features if not f["raw"]]
     headers, columns = eng.feature_matrix(d, kg, result.best_features)
     X = np.column_stack(columns)
-    X, _ = learn.impute_columns(X, X[:0])
-    y = eng._target_labels(d)
-    if d.task == Task.CLASSIFICATION:
-        y, _ = learn.encode_labels(y)
-    seed = result.config.get("seed", 0)
-    spec = learn.LearnerSpec(kind="random_forest", seed=seed)
+    y = eng.target_codes(d)
+    spec = learn.LearnerSpec(kind="random_forest", seed=result.config.get("seed", 0))
 
     # rank generated features, then rebuild raw + top-n for the report forest
-    model = learn.train(spec, X, np.asarray(y, dtype=float), d.task)
-    imp = learn.feature_importance(model)
+    imp = eng.forest_importance(spec, X, y, d.task)
     gen_idx = [i for i, f in enumerate(result.best_features) if not f["raw"]]
     gen_idx.sort(key=lambda i: (-imp[i], headers[i]))
     top_gen = gen_idx[: len(raw)] if raw else gen_idx
     keep = [i for i, f in enumerate(result.best_features) if f["raw"]] + top_gen
-    model2 = learn.train(spec, X[:, keep], np.asarray(y, dtype=float), d.task)
-    imp2 = learn.feature_importance(model2)
+    imp2 = eng.forest_importance(spec, X[:, keep], y, d.task)
     with open(os.path.join(out_dir, "importance.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature", "importance", "origin"])

@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from enum import Enum
 from typing import Optional
 
@@ -39,15 +39,13 @@ class Column:
     """A single typed column; `missing` flags cells that did not carry a value.
 
     Numeric/Boolean/Date values are stored as float64 (Boolean as 0/1, Date as
-    days since 1970-01-01); Categorical values are stored as strings. Date
-    columns keep the original text for lossless rendering.
+    days since 1970-01-01); Categorical values are stored as strings.
     """
 
     name: str
     kind: Kind
     values: np.ndarray
     missing: np.ndarray
-    raw_text: Optional[list] = None
 
     def __len__(self) -> int:
         return len(self.values)
@@ -123,7 +121,7 @@ def _infer_kind(cells: list) -> Kind:
     return Kind.CATEGORICAL
 
 
-def _build_column(name: str, cells: list, kind: Kind, overridden: bool) -> Column:
+def _build_column(name: str, cells: list, kind: Kind) -> Column:
     n = len(cells)
     missing = np.array([c == "" for c in cells], dtype=bool)
     if kind == Kind.NUMERIC:
@@ -145,7 +143,7 @@ def _build_column(name: str, cells: list, kind: Kind, overridden: bool) -> Colum
             if d is None:
                 raise DataError(f"column {name!r}: cell {c!r} is not an ISO date")
             values[i] = (d - EPOCH).days
-        return Column(name, kind, values, missing, raw_text=list(cells))
+        return Column(name, kind, values, missing)
     if kind == Kind.BOOLEAN:
         values = np.full(n, np.nan)
         for i, c in enumerate(cells):
@@ -192,9 +190,8 @@ def load_csv(path: str, schema: SchemaConfig) -> Dataset:
     columns = []
     for j, name in enumerate(header):
         cells = [r[j].strip() if j < len(r) else "" for r in rows]
-        override = schema.column_kind_overrides.get(name)
-        kind = override if override is not None else _infer_kind(cells)
-        columns.append(_build_column(name, cells, kind, override is not None))
+        kind = schema.column_kind_overrides.get(name) or _infer_kind(cells)
+        columns.append(_build_column(name, cells, kind))
 
     d = Dataset(columns=columns, target=schema.target_name, task=schema.task, n_rows=n)
     tcol = d.target_column
@@ -240,13 +237,13 @@ def kfold_indices(n: int, k: int, seed: int, labels=None):
 
 def split_kfold(d: Dataset, k: int, seed: int, stratified: bool):
     """k-fold splits of a Dataset's row indices; stratified uses the target."""
+    from .learn import encode_labels  # learn imports this module
+
     labels = None
     if stratified:
         if d.task != Task.CLASSIFICATION:
             raise DataError("stratified splits require a classification task")
-        tcol = d.target_column
-        if tcol.kind == Kind.CATEGORICAL:
-            labels = np.array([str(v) for v in tcol.values], dtype=object)
-        else:
-            labels = tcol.values.copy()
+        if d.target_column.missing.any():
+            raise DataError("target column has missing values")
+        labels = encode_labels(d.target_column.values)[0]
     return kfold_indices(d.n_rows, k, seed, labels=labels)

@@ -1,8 +1,6 @@
 """The generate / filter / evaluate / reward loop tying the pieces together."""
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -11,7 +9,7 @@ import numpy as np
 from . import agent as ag
 from . import kg as kgmod
 from . import learn
-from .data import Dataset, Kind, SchemaConfig, Task, load_csv, _MISSING_LEVEL
+from .data import Dataset, Kind, Task
 from .kg import KnowledgeGraph, Verdict, VerdictStatus, judge
 from .transform import (CandidateFeature, RawRef, catalog, expand_action,
                         expr_from_json, expr_to_json, render_name)
@@ -145,27 +143,32 @@ def encode_feature(entry: CandidateFeature) -> np.ndarray:
     """One numeric matrix column: categoricals as level codes with a dedicated
     missing level, everything else as floats with NaN at missing cells."""
     if entry.kind == Kind.CATEGORICAL:
-        levels = sorted({str(v) for v, m in zip(entry.values, entry.missing) if not m})
-        code = {lv: i for i, lv in enumerate(levels)}
+        present = ~entry.missing
+        codes, levels = learn.encode_labels(entry.values[present])
         out = np.full(len(entry.values), float(len(levels)))
-        for i, (v, m) in enumerate(zip(entry.values, entry.missing)):
-            if not m:
-                out[i] = code[str(v)]
+        out[present] = codes
         return out
     out = np.asarray(entry.values, dtype=float).copy()
     out[entry.missing] = np.nan
     return out
 
 
-def _target_labels(d: Dataset):
+def target_codes(d: Dataset) -> np.ndarray:
+    """The target as one float vector: class codes in natural label order for
+    classification, the values for regression. A missing cell is an error."""
     tcol = d.target_column
-    if tcol.kind == Kind.CATEGORICAL:
-        return np.array([_MISSING_LEVEL if m else str(v)
-                         for v, m in zip(tcol.values, tcol.missing)], dtype=object)
-    vals = tcol.values.copy()
-    if np.isnan(vals).any():
+    if tcol.missing.any():
         raise EngineError("target column has missing values")
-    return vals
+    if d.task == Task.CLASSIFICATION:
+        return learn.encode_labels(tcol.values)[0]
+    return tcol.values.astype(float)
+
+
+def forest_importance(spec: learn.LearnerSpec, X: np.ndarray, y: np.ndarray,
+                      task: Task) -> np.ndarray:
+    """Normalized importances of a random forest fit on median-imputed X."""
+    X, _ = learn.impute_columns(X, X[:0])
+    return learn.feature_importance(learn.train(spec, X, y, task))
 
 
 def raw_pool(d: Dataset, kg: KnowledgeGraph):
@@ -179,25 +182,26 @@ def raw_pool(d: Dataset, kg: KnowledgeGraph):
             display_name=render_name(RawRef(col.name)),
             unit=kgmod.expr_unit(kg, RawRef(col.name)),
         )
-        pool.append(PoolEntry(feature=feat, verdict=judge(kg, feat.expr, d), is_raw=True))
+        pool.append(PoolEntry(feature=feat, verdict=judge(kg, feat.expr), is_raw=True))
     return pool
 
 
 class _Evaluator:
-    """Cross-validated scorer with per-feature-set caching."""
+    """Cross-validated scorer with per-feature-set caching, keyed by the set
+    of the pool's expressions."""
 
-    def __init__(self, cfg: EngineConfig, d: Dataset):
+    def __init__(self, cfg: EngineConfig, task: Task, y: np.ndarray):
         self.cfg = cfg
-        self.d = d
-        self.y = _target_labels(d)
+        self.task = task
+        self.y = y
         self.cache = {}
 
     def score(self, pool) -> float:
-        key = tuple(sorted(e.feature.display_name for e in pool))
+        key = frozenset(e.feature.expr for e in pool)
         if key not in self.cache:
             X = np.column_stack([encode_feature(e.feature) for e in pool])
             self.cache[key] = learn.evaluate_cv(
-                self.cfg.learner, X, self.y, self.d.task, self.cfg.k_folds, self.cfg.seed
+                self.cfg.learner, X, self.y, self.task, self.cfg.k_folds, self.cfg.seed
             )
         return self.cache[key]
 
@@ -207,14 +211,9 @@ def _prune_to_budget(pool, cfg: EngineConfig, evaluator: _Evaluator):
     if len(pool) <= cfg.feature_budget:
         return pool
     X = np.column_stack([encode_feature(e.feature) for e in pool])
-    X, _ = learn.impute_columns(X, X[:0])
-    y = evaluator.y
-    if evaluator.d.task == Task.CLASSIFICATION:
-        y, _ = learn.encode_labels(y)
     spec = learn.LearnerSpec(kind="random_forest", n_trees=cfg.learner.n_trees,
                              max_depth=cfg.learner.max_depth, seed=cfg.seed)
-    model = learn.train(spec, X, np.asarray(y, dtype=float), evaluator.d.task)
-    imp = learn.feature_importance(model)
+    imp = forest_importance(spec, X, evaluator.y, evaluator.task)
     order = sorted(range(len(pool)),
                    key=lambda i: (imp[i], pool[i].feature.display_name))
     drop = set()
@@ -228,7 +227,7 @@ def _prune_to_budget(pool, cfg: EngineConfig, evaluator: _Evaluator):
 
 class _AgentState:
     def __init__(self, cfg: EngineConfig, n_inputs: int, n_actions: int):
-        seeds = np.random.SeedSequence(cfg.seed).spawn(4)
+        seeds = np.random.SeedSequence(cfg.seed).spawn(3)
         self.net = ag.QNetwork([n_inputs, 64, 64, n_actions],
                                seed=seeds[0].generate_state(1)[0])
         self.target = self.net.copy()
@@ -253,7 +252,7 @@ def run_episode(d: Dataset, kg: KnowledgeGraph, state: _AgentState,
     steps = []
     for i in range(cfg.steps):
         exprs = [e.feature.expr for e in pool]
-        s_vec = phi_state(kg, exprs, d).astype(float) / (1.0 + len(pool))
+        s_vec = phi_state(kg, exprs).astype(float) / (1.0 + len(pool))
         if cfg.policy == "random":
             action = int(state.action_rng.integers(0, len(ops)))
         else:
@@ -263,13 +262,11 @@ def run_episode(d: Dataset, kg: KnowledgeGraph, state: _AgentState,
         state.selections += 1
         op = ops[action]
 
-        candidates = expand_action(
-            op, [e.feature for e in pool], d, d.target_column,
-            cfg.cap, cfg.seed, cfg.max_order,
-        )
+        candidates = expand_action(op, [e.feature for e in pool], d, evaluator.y,
+                                   cfg.cap, cfg.max_order)
         kept, dropped = [], []
         for cand in candidates:
-            verdict = judge(kg, cand.expr, d)
+            verdict = judge(kg, cand.expr)
             if verdict.status == VerdictStatus.NON_INTERPRETABLE:
                 dropped.append((cand.display_name, verdict.reason))
                 discard_log.append({
@@ -291,7 +288,7 @@ def run_episode(d: Dataset, kg: KnowledgeGraph, state: _AgentState,
 
         if cfg.policy == "dqn":
             exprs_next = [e.feature.expr for e in pool]
-            s_next = phi_state(kg, exprs_next, d).astype(float) / (1.0 + len(pool))
+            s_next = phi_state(kg, exprs_next).astype(float) / (1.0 + len(pool))
             state.buffer.push(ag.Transition(s_vec, action, reward, s_next, terminal))
             if len(state.buffer) >= cfg.agent.minibatch_size:
                 batch = state.buffer.sample(cfg.agent.minibatch_size, state.sample_rng)
@@ -335,9 +332,8 @@ def _snapshot(pool):
 def run(cfg: EngineConfig, d: Dataset, kg: KnowledgeGraph) -> FEResult:
     """Full training run; stops at the episode budget or once the best score
     has not improved for `patience` episodes."""
-    n_inputs = max(1, len(kg.concept_order))
-    state = _AgentState(cfg, n_inputs, len(catalog()))
-    evaluator = _Evaluator(cfg, d)
+    state = _AgentState(cfg, len(kg.concept_order), len(catalog()))
+    evaluator = _Evaluator(cfg, d.task, target_codes(d))
     baseline_pool = raw_pool(d, kg)
     baseline = evaluator.score(baseline_pool)
     best = [baseline, _snapshot(baseline_pool)]
@@ -369,25 +365,6 @@ def run(cfg: EngineConfig, d: Dataset, kg: KnowledgeGraph) -> FEResult:
         seed=cfg.seed,
         traces=traces,
     )
-
-
-def run_paths(cfg: EngineConfig, dataset_path: str, schema_path: str,
-              kg_path: str, mapping_path: Optional[str] = None) -> FEResult:
-    """Load inputs from disk and run; the mapping path defaults to the
-    schema's concept_map_path, resolved relative to the schema file."""
-    schema = SchemaConfig.from_json(schema_path)
-    d = load_csv(dataset_path, schema)
-    if mapping_path is None and schema.concept_map_path:
-        mapping_path = os.path.join(os.path.dirname(os.path.abspath(schema_path)),
-                                    schema.concept_map_path)
-    kg = kgmod.load_kg(kg_path, mapping_path)
-    result = run(cfg, d, kg)
-    result.config["dataset_path"] = os.path.abspath(dataset_path)
-    result.config["schema_path"] = os.path.abspath(schema_path)
-    result.config["kg_path"] = os.path.abspath(kg_path)
-    result.config["mapping_path"] = (os.path.abspath(mapping_path)
-                                     if mapping_path else None)
-    return result
 
 
 def max_order_sweep(cfg: EngineConfig, d: Dataset, kg: KnowledgeGraph, orders):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .data import Dataset
-from .transform import AggNode, BinaryNode, DateNode, Expr, RawRef, UnaryNode
+from .transform import AggNode, Expr, RawRef, children
 
 BASE_DIMENSIONS = ("mass", "length", "time", "temperature", "currency", "count")
 
@@ -119,7 +119,6 @@ class KnowledgeGraph:
     subclass_edges: list              # (child, parent) pairs forming a DAG
     unit_registry: dict               # unit name -> Unit
     unit_class: dict                  # unit name -> asserted class
-    quantity_of_unit: dict            # unit name -> quantity class
     column_concepts: dict             # column -> (class, unit name or None)
     rules: list
     concept_order: list               # fixed index of classes + unit names
@@ -147,7 +146,7 @@ class KnowledgeGraph:
 
 
 def empty_kg() -> KnowledgeGraph:
-    return KnowledgeGraph([], [], {}, {}, {}, {}, [], [])
+    return KnowledgeGraph([], [], {}, {}, {}, [], [])
 
 
 def _check_dag(classes, edges):
@@ -198,13 +197,11 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
         unit_registry[name] = Unit(dims=_normalize(u.get("dims", {})), name=name)
         unit_class[name] = cls
 
-    quantity_of_unit = {}
     for name, q in doc.get("quantities", {}).items():
         if name not in unit_registry:
             raise KGError(f"quantity entry for unknown unit {name!r}")
         if q not in class_set:
             raise KGError(f"quantity entry references unknown class {q!r}")
-        quantity_of_unit[name] = q
 
     rules = []
     for i, r in enumerate(doc.get("rules", [])):
@@ -238,7 +235,6 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
         subclass_edges=edges,
         unit_registry=unit_registry,
         unit_class=unit_class,
-        quantity_of_unit=quantity_of_unit,
         column_concepts=column_concepts,
         rules=rules,
         concept_order=concept_order,
@@ -310,6 +306,11 @@ def _scale(a: Unit, factor) -> Unit:
     return Unit(dims=tuple((d, e * Fraction(factor)) for d, e in a.dims))
 
 
+def _operands(expr: Expr) -> tuple:
+    """The inputs of a transform node; an aggregation's group key is not one."""
+    return (expr.value,) if isinstance(expr, AggNode) else children(expr)
+
+
 def expr_unit(kg: KnowledgeGraph, expr: Expr) -> Optional[Unit]:
     """Propagated unit of an expression from its mapped leaf units."""
     if isinstance(expr, RawRef):
@@ -317,13 +318,7 @@ def expr_unit(kg: KnowledgeGraph, expr: Expr) -> Optional[Unit]:
         if entry is None or entry[1] is None:
             return None
         return kg.unit_registry[entry[1]]
-    if isinstance(expr, UnaryNode):
-        return propagate_unit(expr.op, [expr_unit(kg, expr.child)])
-    if isinstance(expr, BinaryNode):
-        return propagate_unit(expr.op, [expr_unit(kg, expr.left), expr_unit(kg, expr.right)])
-    if isinstance(expr, AggNode):
-        return propagate_unit(expr.op, [expr_unit(kg, expr.value)])
-    return propagate_unit(expr.op, [expr_unit(kg, expr.child)])
+    return propagate_unit(expr.op, [expr_unit(kg, c) for c in _operands(expr)])
 
 
 def _token_dims(kg: KnowledgeGraph, token: str):
@@ -413,14 +408,8 @@ def forward_chain(kg: KnowledgeGraph, facts):
 
 def _node_ids(expr: Expr, counter, out):
     """Post-order node listing as (id, expr) pairs."""
-    if isinstance(expr, (UnaryNode, DateNode)):
-        _node_ids(expr.child, counter, out)
-    elif isinstance(expr, BinaryNode):
-        _node_ids(expr.left, counter, out)
-        _node_ids(expr.right, counter, out)
-    elif isinstance(expr, AggNode):
-        _node_ids(expr.key, counter, out)
-        _node_ids(expr.value, counter, out)
+    for child in children(expr):
+        _node_ids(child, counter, out)
     nid = f"n{counter[0]}"
     counter[0] += 1
     out.append((nid, expr))
@@ -458,13 +447,7 @@ def materialize_facts(kg: KnowledgeGraph, expr: Expr):
             cls = TRANSFORM_CLASS[node.op]
             _add_class_fact(kg, facts, cls, fid)
             facts.add(("hasOutput", fid, nid))
-            if isinstance(node, (UnaryNode, DateNode)):
-                children = [node.child]
-            elif isinstance(node, BinaryNode):
-                children = [node.left, node.right]
-            else:
-                children = [node.value]
-            for child in children:
+            for child in _operands(node):
                 child_id = _find_id(nodes, child)
                 facts.add(("hasInput", fid, child_id))
             token = _unit_token(kg, expr_unit(kg, node))
@@ -481,7 +464,7 @@ def _find_id(nodes, target: Expr) -> str:
     raise KGError("child expression not found during materialization")
 
 
-def judge(kg: KnowledgeGraph, expr: Expr, d: Dataset) -> Verdict:
+def judge(kg: KnowledgeGraph, expr: Expr) -> Verdict:
     """The interpretability verdict for one feature expression.
 
     Features whose leaves are all unmapped are Uncovered (retained by the
@@ -515,11 +498,7 @@ def judge(kg: KnowledgeGraph, expr: Expr, d: Dataset) -> Verdict:
 def _leaves(expr: Expr):
     if isinstance(expr, RawRef):
         return [expr]
-    if isinstance(expr, (UnaryNode, DateNode)):
-        return _leaves(expr.child)
-    if isinstance(expr, BinaryNode):
-        return _leaves(expr.left) + _leaves(expr.right)
-    return _leaves(expr.key) + _leaves(expr.value)
+    return [leaf for c in children(expr) for leaf in _leaves(c)]
 
 
 def coverage(kg: KnowledgeGraph, d: Dataset) -> float:

@@ -300,6 +300,8 @@ def train(spec: LearnerSpec, X: np.ndarray, y: np.ndarray, task: Task) -> Model:
         raise LearnError("empty training matrix")
     if X.shape[0] != len(y):
         raise LearnError("X rows must match y length")
+    if not np.isfinite(y).all():
+        raise LearnError("target has non-finite values")
     spec.check_task(task)
     n, p = X.shape
     classes = None
@@ -429,10 +431,10 @@ def impute_columns(train_X, other_X):
 
 
 def encode_labels(y):
-    """Map raw labels to integer codes in sorted label order."""
-    labels = sorted(set(np.asarray(y).tolist()), key=str)
-    code = {lab: i for i, lab in enumerate(labels)}
-    return np.array([code[v] for v in np.asarray(y).tolist()], dtype=float), labels
+    """Integer codes (as floats) of labels in their natural sorted order, and
+    that list of labels. Codes encode to themselves."""
+    labels, codes = np.unique(np.asarray(y), return_inverse=True)
+    return codes.astype(float), labels.tolist()
 
 
 def evaluate_cv(spec: LearnerSpec, X: np.ndarray, y, task: Task, k: int,

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations_with_replacement, permutations
 from typing import Optional, Union
@@ -89,15 +89,21 @@ def catalog_op(name: str) -> TransformOp:
     raise TransformError(f"unknown transform {name!r}")
 
 
+def children(expr: Expr) -> tuple:
+    """Direct sub-expressions, left to right (an aggregation's key before its
+    value); walks that recurse over them visit a tree in post-order."""
+    if isinstance(expr, (UnaryNode, DateNode)):
+        return (expr.child,)
+    if isinstance(expr, BinaryNode):
+        return (expr.left, expr.right)
+    if isinstance(expr, AggNode):
+        return (expr.key, expr.value)
+    return ()
+
+
 def order(expr: Expr) -> int:
     """Transform nodes on the deepest path; raw references have order 0."""
-    if isinstance(expr, RawRef):
-        return 0
-    if isinstance(expr, (UnaryNode, DateNode)):
-        return 1 + order(expr.child)
-    if isinstance(expr, BinaryNode):
-        return 1 + max(order(expr.left), order(expr.right))
-    return 1 + max(order(expr.key), order(expr.value))
+    return 1 + max((order(c) for c in children(expr)), default=-1)
 
 
 def render_name(expr: Expr) -> str:
@@ -210,51 +216,34 @@ def _categorical_keys(col: Column) -> np.ndarray:
     return keys
 
 
+# Element-wise transforms. A domain violation (log or sqrt of a negative,
+# division by zero) or an overflow gives inf or NaN, which _finite flags.
+_UNARY_FNS = {"log": np.log, "sqrt": np.sqrt, "square": lambda v: v ** 2,
+              "reciprocal": lambda v: 1.0 / v}
+_BINARY_FNS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide,
+               "and": lambda a, b: ((a != 0) & (b != 0)).astype(float),
+               "or": lambda a, b: ((a != 0) | (b != 0)).astype(float)}
+
+
 def _unary_values(op: str, vals: np.ndarray, miss: np.ndarray):
-    out = np.full_like(vals, np.nan, dtype=float)
-    bad = miss.copy()
-    ok = ~miss
+    if op not in _UNARY_FNS:
+        raise TransformError(f"unknown unary op {op!r}")
     with np.errstate(all="ignore"):
-        if op == "log":
-            bad |= ok & (vals <= 0)
-            sel = ~bad
-            out[sel] = np.log(vals[sel])
-        elif op == "sqrt":
-            bad |= ok & (vals < 0)
-            sel = ~bad
-            out[sel] = np.sqrt(vals[sel])
-        elif op == "square":
-            out[ok] = vals[ok] ** 2
-        elif op == "reciprocal":
-            bad |= ok & (vals == 0)
-            sel = ~bad
-            out[sel] = 1.0 / vals[sel]
-        else:
-            raise TransformError(f"unknown unary op {op!r}")
-    return out, bad
+        return _finite(_UNARY_FNS[op](vals), miss)
 
 
 def _binary_values(op: str, lv, lm, rv, rm):
-    bad = lm | rm
-    out = np.full_like(lv, np.nan, dtype=float)
-    ok = ~bad
+    if op not in _BINARY_FNS:
+        raise TransformError(f"unknown binary op {op!r}")
     with np.errstate(all="ignore"):
-        if op == "add":
-            out[ok] = lv[ok] + rv[ok]
-        elif op == "sub":
-            out[ok] = lv[ok] - rv[ok]
-        elif op == "mul":
-            out[ok] = lv[ok] * rv[ok]
-        elif op == "div":
-            bad = bad | (ok & (rv == 0))
-            sel = ~bad
-            out[sel] = lv[sel] / rv[sel]
-        elif op == "and":
-            out[ok] = ((lv[ok] != 0) & (rv[ok] != 0)).astype(float)
-        elif op == "or":
-            out[ok] = ((lv[ok] != 0) | (rv[ok] != 0)).astype(float)
-        else:
-            raise TransformError(f"unknown binary op {op!r}")
+        return _finite(_BINARY_FNS[op](lv, rv), lm | rm)
+
+
+def _finite(out: np.ndarray, bad: np.ndarray):
+    """Flag cells that are missing on input, or came out inf or NaN, as
+    missing, with NaN values."""
+    bad = bad | ~np.isfinite(out)
+    out[bad] = np.nan
     return out, bad
 
 
@@ -263,14 +252,15 @@ def _agg_values(op: str, keys: np.ndarray, vv: np.ndarray, vm: np.ndarray):
     bad = np.zeros(len(vv), dtype=bool)
     fns = {"group_min": np.min, "group_max": np.max, "group_mean": np.mean, "group_sum": np.sum}
     fn = fns[op]
-    for key in sorted(set(keys.tolist())):
-        sel = keys == key
-        member = vv[sel & ~vm]
-        if len(member) == 0:
-            bad |= sel
-        else:
-            out[sel] = fn(member)
-    return out, bad
+    with np.errstate(all="ignore"):
+        for key in sorted(set(keys.tolist())):
+            sel = keys == key
+            member = vv[sel & ~vm]
+            if len(member) == 0:
+                bad |= sel
+            else:
+                out[sel] = fn(member)
+    return _finite(out, bad)
 
 
 def _date_values(op: str, days: np.ndarray, miss: np.ndarray):
@@ -323,15 +313,11 @@ def _eval(expr: Expr, d: Dataset):
         if not isinstance(expr.key, RawRef):
             raise TransformError("aggregation key must be a raw column")
         key_col = d.column(expr.key.name)
-        if key_col.kind not in (Kind.CATEGORICAL, Kind.BOOLEAN):
-            raise TransformError("aggregation key must be Categorical or Boolean")
+        if key_col.kind != Kind.CATEGORICAL:
+            raise TransformError("aggregation key must be Categorical")
         _require_kind(expr.value, d, Kind.NUMERIC, expr.op)
         vv, vm = _eval(expr.value, d)
-        if key_col.kind == Kind.CATEGORICAL:
-            keys = _categorical_keys(key_col)
-        else:
-            keys = np.where(key_col.missing, _MISSING_LEVEL, key_col.values.astype(str))
-        return _agg_values(expr.op, keys, vv, vm)
+        return _agg_values(expr.op, _categorical_keys(key_col), vv, vm)
     if isinstance(expr, DateNode):
         if not (isinstance(expr.child, RawRef) and d.column(expr.child.name).kind == Kind.DATE):
             raise TransformError(f"{expr.op} requires a Date column")
@@ -363,18 +349,6 @@ def apply(expr: Expr, d: Dataset) -> CandidateFeature:
         kind=result_kind(expr, d),
         display_name=render_name(expr),
     )
-
-
-def _encode_target(target: Column) -> np.ndarray:
-    if target.kind == Kind.CATEGORICAL:
-        levels = sorted({str(v) for v, m in zip(target.values, target.missing) if not m})
-        code = {lv: i for i, lv in enumerate(levels)}
-        out = np.full(len(target), np.nan)
-        for i, (v, m) in enumerate(zip(target.values, target.missing)):
-            if not m:
-                out[i] = code[str(v)]
-        return out
-    return np.where(target.missing, np.nan, target.values.astype(float))
 
 
 def _abs_pearson(vals: np.ndarray, miss: np.ndarray, tvals: np.ndarray) -> float:
@@ -428,19 +402,18 @@ def _operand_tuples(op: TransformOp, pool, d: Dataset, max_order: int):
                 yield DateNode(op.name, f.expr)
 
 
-def expand_action(op: TransformOp, pool, d: Dataset, target: Column, cap: int,
-                  seed: int, max_order: int):
+def expand_action(op: TransformOp, pool, d: Dataset, y: np.ndarray, cap: int,
+                  max_order: int):
     """Expand one action into the top-`cap` candidate features.
 
     Enumerates every applicability-valid operand tuple over the pool, skips
     expressions already present, drops candidates with more than half the
-    cells missing, and ranks by absolute Pearson correlation with the target
-    (classification targets encoded as class integers). Deterministic.
+    cells missing, and ranks by absolute Pearson correlation with the encoded
+    target `y` (class codes for classification). Deterministic.
     """
     if cap < 1:
         raise TransformError("cap must be >= 1")
     existing = {f.expr for f in pool}
-    tvals = _encode_target(target)
     seen = set()
     scored = []
     for expr in _operand_tuples(op, pool, d, max_order):
@@ -453,7 +426,7 @@ def expand_action(op: TransformOp, pool, d: Dataset, target: Column, cap: int,
             continue
         if cand.missing.mean() > MAX_MISSING_FRACTION:
             continue
-        score = _abs_pearson(cand.values, cand.missing, tvals)
+        score = _abs_pearson(cand.values, cand.missing, y)
         scored.append((score, cand))
     scored.sort(key=lambda sc: (-sc[0], sc[1].display_name))
     return [cand for _, cand in scored[:cap]]

@@ -3,13 +3,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset
-from .kg import KnowledgeGraph, RawRef, expr_unit
+from .kg import KnowledgeGraph, RawRef, _leaves, expr_unit
 from .transform import Expr
-from .kg import _leaves
 
 
-def phi_feature(kg: KnowledgeGraph, expr: Expr, d: Dataset) -> np.ndarray:
+def phi_feature(kg: KnowledgeGraph, expr: Expr) -> np.ndarray:
     """0/1 vector over the KG's concept order: each mapped leaf lights up its
     class, the class ancestors, and its unit; derived features add the
     propagated root unit when known. Unmapped leaves contribute nothing."""
@@ -34,10 +32,10 @@ def phi_feature(kg: KnowledgeGraph, expr: Expr, d: Dataset) -> np.ndarray:
     return vec
 
 
-def phi_state(kg: KnowledgeGraph, features, d: Dataset) -> np.ndarray:
+def phi_state(kg: KnowledgeGraph, features) -> np.ndarray:
     """Element-wise sum of per-feature vectors; fixed length regardless of
     how many features the state holds."""
     vec = np.zeros(len(kg.concept_order), dtype=np.int64)
     for expr in features:
-        vec += phi_feature(kg, expr, d)
+        vec += phi_feature(kg, expr)
     return vec

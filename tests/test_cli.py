@@ -143,5 +143,21 @@ def test_report_writes_importance(tmp_path, planted_paths):
     assert os.path.exists(os.path.join(out_dir, "order_sweep.csv"))
 
 
+def test_run_missing_classification_target_exits_one(tmp_path, capsys):
+    # an empty target cell is an error for classification as for regression
+    csv_path = tmp_path / "labels.csv"
+    rows = ["x,label"] + [f"{i},{'cat' if i % 2 else 'dog'}" for i in range(11)]
+    csv_path.write_text("\n".join(rows + ["11,"]) + "\n")
+    schema_path = tmp_path / "labels.schema.json"
+    schema_path.write_text(json.dumps({"target_name": "label",
+                                       "task": "classification"}))
+    code = main(["run", "--dataset", str(csv_path), "--schema", str(schema_path),
+                 "--kg", kgfeat.resource_path("default_kg.json"),
+                 "--episodes", "1", "--steps", "1", "--k", "2",
+                 "--learner", "decision_tree", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "target column has missing values" in capsys.readouterr().err
+
+
 def test_report_missing_result_exits_one(tmp_path):
     assert main(["report", str(tmp_path / "absent.json")]) == 1

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from kgfeat.data import Kind
-from kgfeat.engine import (EngineConfig, EngineError, FEResult, compute_reward,
-                           encode_feature, max_order_sweep, raw_pool, run)
-from kgfeat.kg import VerdictStatus, load_kg
+from kgfeat.agent import AgentConfig
+from kgfeat.data import Column, Dataset, Kind, Task
+from kgfeat.engine import (EngineConfig, EngineError, FEResult, _Evaluator,
+                           compute_reward, encode_feature, max_order_sweep,
+                           raw_pool, run, target_codes)
+from kgfeat.kg import VerdictStatus, empty_kg, load_kg
 from kgfeat.learn import LearnerSpec
 from kgfeat.transform import CandidateFeature, RawRef
 
@@ -128,6 +130,32 @@ def test_unmapped_kg_discards_nothing(planted, default_kg_path):
     assert result.discard_log == []
     assert all(f["verdict"] == VerdictStatus.UNCOVERED.value
                for f in result.best_features if not f["raw"])
+
+
+def test_empty_kg_runs_with_dqn(planted):
+    # an empty KG has no concepts, so the Q-net's state vector has length 0;
+    # a minibatch of 2 makes the run take TD steps on those states too
+    d, _, _ = planted
+    result = run(small_cfg(policy="dqn", agent=AgentConfig(minibatch_size=2)),
+                 d, empty_kg())
+    assert result.best_score >= result.baseline_score
+    assert np.isfinite(result.best_score)
+
+
+def test_evaluator_cache_tells_apart_columns_with_one_display_name():
+    # raw columns `a` (the signal) and `A` (noise) both render as "A"
+    rng = np.random.default_rng(0)
+    y = rng.normal(size=60)
+    no_missing = np.zeros(60, dtype=bool)
+    d = Dataset([Column("a", Kind.NUMERIC, y + rng.normal(0, 0.05, 60), no_missing),
+                 Column("A", Kind.NUMERIC, rng.normal(size=60), no_missing),
+                 Column("y", Kind.NUMERIC, y, no_missing)],
+                target="y", task=Task.REGRESSION, n_rows=60)
+    evaluator = _Evaluator(small_cfg(), d.task, target_codes(d))
+    signal, noise = raw_pool(d, empty_kg())
+    assert signal.feature.display_name == noise.feature.display_name
+    assert evaluator.score([signal]) > 0.9
+    assert evaluator.score([noise]) < 0.5
 
 
 def test_random_policy_runs(planted):

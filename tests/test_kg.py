@@ -269,7 +269,7 @@ def test_rule_head_variable_validation(tmp_path):
 
 def test_judge_body_mass_ratio_interpretable(body_kg, body_data):
     bmi = BinaryNode("div", RawRef("weight"), UnaryNode("square", RawRef("height")))
-    v = judge(body_kg, bmi, body_data)
+    v = judge(body_kg, bmi)
     assert v.status == VerdictStatus.INTERPRETABLE
     u = expr_unit(body_kg, bmi)
     assert body_kg.registered_name_for(u) == "kg_per_m2"
@@ -277,45 +277,45 @@ def test_judge_body_mass_ratio_interpretable(body_kg, body_data):
 
 def test_judge_mixed_unit_addition(body_kg, body_data):
     expr = BinaryNode("add", RawRef("weight"), RawRef("height"))
-    v = judge(body_kg, expr, body_data)
+    v = judge(body_kg, expr)
     assert v.status == VerdictStatus.NON_INTERPRETABLE
     assert v.reason == "mixed-unit addition"
 
 
 def test_judge_stock_sum(body_kg, body_data):
     expr = AggNode("group_sum", RawRef("store"), RawRef("stock"))
-    v = judge(body_kg, expr, body_data)
+    v = judge(body_kg, expr)
     assert v.status == VerdictStatus.NON_INTERPRETABLE
     assert v.reason == "inventory totals are not summable"
 
 
 def test_judge_temperature_addition(body_kg, body_data):
     expr = BinaryNode("add", RawRef("t1"), RawRef("t2"))
-    v = judge(body_kg, expr, body_data)
+    v = judge(body_kg, expr)
     assert v.status == VerdictStatus.NON_INTERPRETABLE
     assert v.reason == "temperatures are not additive"
 
 
 def test_judge_uncovered_when_no_leaf_mapped(body_kg, body_data):
     expr = UnaryNode("square", RawRef("y"))
-    assert judge(body_kg, expr, body_data).status == VerdictStatus.UNCOVERED
+    assert judge(body_kg, expr).status == VerdictStatus.UNCOVERED
 
 
 def test_judge_raw_mapped_interpretable(body_kg, body_data):
-    assert judge(body_kg, RawRef("weight"), body_data).interpretable
+    assert judge(body_kg, RawRef("weight")).interpretable
 
 
 def test_judge_unknown_unit(body_kg, body_data):
     # weight * weight * weight has mass^3, which no registered unit carries
     cube = BinaryNode("mul", BinaryNode("mul", RawRef("weight"), RawRef("weight")),
                       RawRef("weight"))
-    v = judge(body_kg, cube, body_data)
+    v = judge(body_kg, cube)
     assert v.status == VerdictStatus.NON_INTERPRETABLE
     assert v.reason == "unknown unit"
 
 
 def test_judge_log_of_dimensioned_value(body_kg, body_data):
-    v = judge(body_kg, UnaryNode("log", RawRef("weight")), body_data)
+    v = judge(body_kg, UnaryNode("log", RawRef("weight")))
     assert v.status == VerdictStatus.NON_INTERPRETABLE
     assert v.reason == "unknown unit"
 
@@ -323,7 +323,7 @@ def test_judge_log_of_dimensioned_value(body_kg, body_data):
 def test_judge_dimensionless_derivations_pass(body_kg, body_data):
     # a ratio of same-unit columns is dimensionless and needs no registry entry
     expr = BinaryNode("div", RawRef("t1"), RawRef("t2"))
-    assert judge(body_kg, expr, body_data).interpretable
+    assert judge(body_kg, expr).interpretable
 
 
 def test_coverage(body_kg, body_data, default_kg_path):

@@ -302,6 +302,17 @@ def test_predict_schema_mismatch():
         predict(model, np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("kind", ["decision_tree", "random_forest", "linear"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_train_rejects_non_finite_target(kind, bad):
+    # a tree fit on a target with one NaN used to predict NaN for every row
+    X = np.arange(8.0).reshape(-1, 1)
+    y = np.arange(8.0)
+    y[3] = bad
+    with pytest.raises(LearnError):
+        train(LearnerSpec(kind=kind, n_trees=3), X, y, Task.REGRESSION)
+
+
 def test_spec_validation():
     with pytest.raises(LearnError):
         LearnerSpec(max_depth=0)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgfeat.data import Column, Dataset, Kind, Task
+from kgfeat.engine import target_codes
 from kgfeat.transform import (AggNode, Arity, BinaryNode, DateNode, RawRef,
                               TransformError, UnaryNode, apply, catalog,
                               catalog_op, expand_action, expr_from_json,
@@ -134,6 +135,32 @@ def test_missing_propagates():
     assert s.values[0] == 3.0
 
 
+_HUGE = st.floats(-1e300, 1e300, allow_nan=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -1e200, 1e200, 1.7e308, -1.7e308])
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.lists(_HUGE, min_size=6, max_size=6),
+       b=st.lists(_HUGE, min_size=6, max_size=6))
+def test_apply_outputs_are_finite_or_missing(a, b):
+    # overflow (square of 1e200, 1e308 + 1e308, a group sum) flags the cell
+    # missing instead of leaving inf or NaN in it
+    d = make_dataset([num_col("a", a), num_col("b", b),
+                      cat_col("g", ["x", "x", "y", "y", "x", "y"]),
+                      num_col("t", range(6))], target="t")
+    x, y = RawRef("a"), RawRef("b")
+    exprs = [UnaryNode(op, x) for op in ("log", "sqrt", "square", "reciprocal")]
+    exprs += [BinaryNode(op, x, y) for op in ("add", "sub", "mul", "div")]
+    exprs += [AggNode(op, RawRef("g"), x)
+              for op in ("group_min", "group_max", "group_mean", "group_sum")]
+    exprs += [UnaryNode("square", UnaryNode("square", x)),
+              BinaryNode("sub", UnaryNode("square", x), UnaryNode("square", y)),
+              UnaryNode("reciprocal", UnaryNode("square", x))]
+    for expr in exprs:
+        f = apply(expr, d)
+        assert np.all(np.isfinite(f.values) | f.missing), render_name(expr)
+
+
 def test_logical_ops_require_boolean():
     d = make_dataset(
         [num_col("a", [1.0, 0.0]), num_col("y", [0.0, 1.0])],
@@ -178,8 +205,7 @@ def test_date_extractors():
     # 1970-01-01: Thursday; 1970-01-03: Saturday; 1970-02-01: Sunday;
     # 1971-01-01: Friday
     days = np.array([0.0, 2.0, 31.0, 365.0])
-    col = Column("when", Kind.DATE, days, np.zeros(4, dtype=bool),
-                 raw_text=["1970-01-01", "1970-01-03", "1970-02-01", "1971-01-01"])
+    col = Column("when", Kind.DATE, days, np.zeros(4, dtype=bool))
     d = make_dataset([col, num_col("y", [0, 1, 2, 3])], target="y")
     assert apply(DateNode("day", RawRef("when")), d).values.tolist() == [1, 3, 1, 1]
     assert apply(DateNode("month", RawRef("when")), d).values.tolist() == [1, 1, 2, 1]
@@ -201,18 +227,18 @@ def test_expand_action_dedup_and_cap(d):
     pool = [e.feature for e in raw_pool(d, empty_kg())]
     numeric = [f for f in pool if f.kind == Kind.NUMERIC]
     # commutative add over 2 numeric columns: pairs with replacement = 3
-    cands = expand_action(catalog_op("add"), numeric, d, d.target_column,
-                          cap=50, seed=0, max_order=5)
+    cands = expand_action(catalog_op("add"), numeric, d, target_codes(d),
+                          cap=50, max_order=5)
     assert len(cands) == 3
     names = {c.display_name for c in cands}
     assert "(WEIGHT + HEIGHT)" in names and "(HEIGHT + WEIGHT)" not in names
     # non-commutative sub: ordered distinct pairs = 2
-    cands = expand_action(catalog_op("sub"), numeric, d, d.target_column,
-                          cap=50, seed=0, max_order=5)
+    cands = expand_action(catalog_op("sub"), numeric, d, target_codes(d),
+                          cap=50, max_order=5)
     assert len(cands) == 2
     # cap respected
-    cands = expand_action(catalog_op("add"), numeric, d, d.target_column,
-                          cap=1, seed=0, max_order=5)
+    cands = expand_action(catalog_op("add"), numeric, d, target_codes(d),
+                          cap=1, max_order=5)
     assert len(cands) == 1
 
 
@@ -222,11 +248,11 @@ def test_expand_action_skips_existing(d):
 
     pool = [e.feature for e in raw_pool(d, empty_kg())]
     numeric = [f for f in pool if f.kind == Kind.NUMERIC]
-    first = expand_action(catalog_op("square"), numeric, d, d.target_column,
-                          cap=10, seed=0, max_order=5)
+    first = expand_action(catalog_op("square"), numeric, d, target_codes(d),
+                          cap=10, max_order=5)
     assert len(first) == 2
     again = expand_action(catalog_op("square"), numeric + first, d,
-                          d.target_column, cap=10, seed=0, max_order=5)
+                          target_codes(d), cap=10, max_order=5)
     assert {c.display_name for c in again}.isdisjoint(
         {c.display_name for c in first})
 
@@ -237,8 +263,8 @@ def test_expand_action_respects_max_order(d):
 
     pool = [e.feature for e in raw_pool(d, empty_kg())]
     numeric = [f for f in pool if f.kind == Kind.NUMERIC]
-    assert expand_action(catalog_op("square"), numeric, d, d.target_column,
-                         cap=10, seed=0, max_order=0) == []
+    assert expand_action(catalog_op("square"), numeric, d, target_codes(d),
+                         cap=10, max_order=0) == []
 
 
 def test_expand_action_drops_mostly_missing():
@@ -248,8 +274,8 @@ def test_expand_action_drops_mostly_missing():
         target="y",
     )
     cands = expand_action(catalog_op("log"),
-                          [apply(RawRef("a"), d)], d, d.target_column,
-                          cap=10, seed=0, max_order=5)
+                          [apply(RawRef("a"), d)], d, target_codes(d),
+                          cap=10, max_order=5)
     assert cands == []
 
 
@@ -259,10 +285,10 @@ def test_expand_action_deterministic(d):
 
     pool = [e.feature for e in raw_pool(d, empty_kg())]
     numeric = [f for f in pool if f.kind == Kind.NUMERIC]
-    a = expand_action(catalog_op("mul"), numeric, d, d.target_column,
-                      cap=4, seed=0, max_order=5)
-    b = expand_action(catalog_op("mul"), numeric, d, d.target_column,
-                      cap=4, seed=0, max_order=5)
+    a = expand_action(catalog_op("mul"), numeric, d, target_codes(d),
+                      cap=4, max_order=5)
+    b = expand_action(catalog_op("mul"), numeric, d, target_codes(d),
+                      cap=4, max_order=5)
     assert [c.display_name for c in a] == [c.display_name for c in b]
 
 

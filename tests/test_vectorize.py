@@ -24,7 +24,7 @@ def idx(kg, name):
 
 
 def test_phi_raw_feature_sets_class_ancestors_unit(kg):
-    vec = phi_feature(kg, RawRef("weight"), None)
+    vec = phi_feature(kg, RawRef("weight"))
     assert vec.shape == (len(kg.concept_order),)
     assert set(np.unique(vec)) <= {0, 1}
     for concept in ("Weight", "Mass", "PhysicalQuantity", "Quantity", "kg"):
@@ -34,20 +34,20 @@ def test_phi_raw_feature_sets_class_ancestors_unit(kg):
 
 
 def test_phi_unmapped_leaf_is_zero(kg):
-    assert phi_feature(kg, RawRef("mystery"), None).sum() == 0
+    assert phi_feature(kg, RawRef("mystery")).sum() == 0
 
 
 def test_phi_derived_feature_adds_propagated_unit(kg):
     bmi = BinaryNode("div", RawRef("weight"), UnaryNode("square", RawRef("height")))
-    vec = phi_feature(kg, bmi, None)
+    vec = phi_feature(kg, bmi)
     for concept in ("Weight", "Height", "kg", "m", "kg_per_m2"):
         assert vec[idx(kg, concept)] == 1, concept
 
 
 def test_phi_state_is_sum_of_feature_vectors(kg):
     exprs = [RawRef("weight"), RawRef("height"), RawRef("weight")]
-    total = phi_state(kg, exprs, None)
-    manual = sum(phi_feature(kg, e, None) for e in exprs)
+    total = phi_state(kg, exprs)
+    manual = sum(phi_feature(kg, e) for e in exprs)
     assert (total == manual).all()
     # repeated concepts accumulate past one
     assert total[idx(kg, "Weight")] == 2
@@ -55,4 +55,4 @@ def test_phi_state_is_sum_of_feature_vectors(kg):
 
 
 def test_phi_state_length_fixed(kg):
-    assert len(phi_state(kg, [], None)) == len(kg.concept_order)
+    assert len(phi_state(kg, [])) == len(kg.concept_order)
