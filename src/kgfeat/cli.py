@@ -89,13 +89,13 @@ def _write_result_files(result, d, kg, out_dir):
         fh.write("\n")
     headers, columns = eng.feature_matrix(d, kg, result.best_features)
     tcol = d.target_column
+    cells = [[repr(v) if v == v else "" for v in col.tolist()] for col in columns]
+    cells.append(["" if m else str(v)
+                  for v, m in zip(tcol.values.tolist(), tcol.missing.tolist())])
     with open(os.path.join(out_dir, "features.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(headers + [d.target])
-        for i in range(d.n_rows):
-            row = [_cell(col[i]) for col in columns]
-            row.append("" if tcol.missing[i] else str(tcol.values[i]))
-            writer.writerow(row)
+        writer.writerows(zip(*cells))
     with open(os.path.join(out_dir, "log.txt"), "w") as fh:
         for trace in result.traces:
             for i, s in enumerate(trace.steps):
@@ -107,12 +107,6 @@ def _write_result_files(result, d, kg, out_dir):
                 )
                 for name, reason in s.discarded_features:
                     fh.write(f"  discarded {name}: {reason}\n")
-
-
-def _cell(v):
-    if isinstance(v, float) and np.isnan(v):
-        return ""
-    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
 def cmd_run(args) -> int:

@@ -133,6 +133,9 @@ def _build_column(name: str, cells: list, kind: Kind) -> Column:
             if v is None:
                 raise DataError(f"column {name!r}: cell {c!r} is not numeric")
             values[i] = v
+        # a cell reading inf or nan is missing, the rule transform outputs follow
+        missing = ~np.isfinite(values)
+        values[missing] = np.nan
         return Column(name, kind, values, missing)
     if kind == Kind.DATE:
         values = np.full(n, np.nan)
@@ -212,27 +215,15 @@ def kfold_indices(n: int, k: int, seed: int, labels=None):
     if k < 2 or k > n:
         raise DataError(f"k={k} invalid for n={n}")
     rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(k)]
     if labels is None:
-        order = rng.permutation(n)
-        for pos, idx in enumerate(order):
-            folds[pos % k].append(int(idx))
+        dealt = rng.permutation(n)
     else:
         labels = np.asarray(labels)
-        pos = 0
-        for lab in sorted(set(labels.tolist()), key=str):
-            idx = np.flatnonzero(labels == lab)
-            idx = idx[rng.permutation(len(idx))]
-            for i in idx:
-                folds[pos % k].append(int(i))
-                pos += 1
-    out = []
-    all_idx = set(range(n))
-    for f in folds:
-        valid = np.array(sorted(f), dtype=np.int64)
-        train = np.array(sorted(all_idx - set(f)), dtype=np.int64)
-        out.append((train, valid))
-    return out
+        dealt = np.concatenate([rng.permutation(np.flatnonzero(labels == lab))
+                                for lab in sorted(set(labels.tolist()), key=str)])
+    fold = np.empty(n, dtype=np.int64)
+    fold[dealt] = np.arange(n) % k
+    return [(np.flatnonzero(fold != f), np.flatnonzero(fold == f)) for f in range(k)]
 
 
 def split_kfold(d: Dataset, k: int, seed: int, stratified: bool):

@@ -238,6 +238,11 @@ class _AgentState:
         self.train_steps = 0
 
 
+def _state(kg: KnowledgeGraph, pool) -> np.ndarray:
+    """The agent's view of a pool: its concept vector over 1 + pool size."""
+    return phi_state(kg, [e.feature.expr for e in pool]).astype(float) / (1.0 + len(pool))
+
+
 def run_episode(d: Dataset, kg: KnowledgeGraph, state: _AgentState,
                 cfg: EngineConfig, evaluator: _Evaluator, episode_index: int,
                 discard_log, best):
@@ -249,10 +254,9 @@ def run_episode(d: Dataset, kg: KnowledgeGraph, state: _AgentState,
     ops = catalog()
     pool = raw_pool(d, kg)
     score = evaluator.score(pool)
+    s_vec = _state(kg, pool)
     steps = []
     for i in range(cfg.steps):
-        exprs = [e.feature.expr for e in pool]
-        s_vec = phi_state(kg, exprs).astype(float) / (1.0 + len(pool))
         if cfg.policy == "random":
             action = int(state.action_rng.integers(0, len(ops)))
         else:
@@ -262,7 +266,7 @@ def run_episode(d: Dataset, kg: KnowledgeGraph, state: _AgentState,
         state.selections += 1
         op = ops[action]
 
-        candidates = expand_action(op, [e.feature for e in pool], d, evaluator.y,
+        candidates = expand_action(op, [e.feature for e in pool], evaluator.y,
                                    cfg.cap, cfg.max_order)
         kept, dropped = [], []
         for cand in candidates:
@@ -285,10 +289,9 @@ def run_episode(d: Dataset, kg: KnowledgeGraph, state: _AgentState,
         new_score = evaluator.score(pool)
         reward = compute_reward(score, new_score)
         terminal = i == cfg.steps - 1
+        s_next = _state(kg, pool)
 
         if cfg.policy == "dqn":
-            exprs_next = [e.feature.expr for e in pool]
-            s_next = phi_state(kg, exprs_next).astype(float) / (1.0 + len(pool))
             state.buffer.push(ag.Transition(s_vec, action, reward, s_next, terminal))
             if len(state.buffer) >= cfg.agent.minibatch_size:
                 batch = state.buffer.sample(cfg.agent.minibatch_size, state.sample_rng)
@@ -307,7 +310,7 @@ def run_episode(d: Dataset, kg: KnowledgeGraph, state: _AgentState,
             score_after=new_score,
             reward=reward,
         ))
-        score = new_score
+        score, s_vec = new_score, s_next
         if score > best[0]:
             best[0] = score
             best[1] = _snapshot(pool)

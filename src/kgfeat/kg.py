@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import count
 from typing import Optional
 
 from .data import Dataset
@@ -406,16 +407,6 @@ def forward_chain(kg: KnowledgeGraph, facts):
     return result
 
 
-def _node_ids(expr: Expr, counter, out):
-    """Post-order node listing as (id, expr) pairs."""
-    for child in children(expr):
-        _node_ids(child, counter, out)
-    nid = f"n{counter[0]}"
-    counter[0] += 1
-    out.append((nid, expr))
-    return nid
-
-
 def _unit_token(kg: KnowledgeGraph, unit: Optional[Unit]):
     if unit is None:
         return None
@@ -426,42 +417,41 @@ def _unit_token(kg: KnowledgeGraph, unit: Optional[Unit]):
 def materialize_facts(kg: KnowledgeGraph, expr: Expr):
     """Ground atoms describing every sub-expression of a feature.
 
-    Returns (facts, root id, node-id map). Leaves contribute their mapped
-    class and unit; each transform application contributes hasInput/hasOutput
-    and its transform-class atom; propagated units attach to derived nodes.
+    One post-order walk numbers the nodes n0, n1, ... and propagates units
+    bottom-up; it returns (facts, root id, root unit). Leaves contribute their
+    mapped class and unit; each transform application contributes
+    hasInput/hasOutput and its transform-class atom; propagated units attach
+    to derived nodes. A repeated input refers to the id of its first node.
     """
-    nodes = []
-    _node_ids(expr, [0], nodes)
-    facts = set()
-    for nid, node in nodes:
+    facts, seen, ids = set(), {}, count()   # seen: node -> (first id, unit)
+
+    def walk(node):
+        for child in children(node):
+            walk(child)
+        nid = f"n{next(ids)}"
         facts.add(("Feature", nid))
         if isinstance(node, RawRef):
-            entry = kg.column_concepts.get(node.name)
-            if entry is not None:
-                cls, unit_name = entry
+            cls, unit_name = kg.column_concepts.get(node.name, (None, None))
+            if cls is not None:
                 _add_class_fact(kg, facts, cls, nid)
-                if unit_name is not None:
-                    facts.add(("hasUnit", nid, unit_name))
+            if unit_name is not None:
+                facts.add(("hasUnit", nid, unit_name))
+            unit = kg.unit_registry.get(unit_name)
         else:
             fid = f"t_{nid}"
-            cls = TRANSFORM_CLASS[node.op]
-            _add_class_fact(kg, facts, cls, fid)
+            _add_class_fact(kg, facts, TRANSFORM_CLASS[node.op], fid)
             facts.add(("hasOutput", fid, nid))
             for child in _operands(node):
-                child_id = _find_id(nodes, child)
-                facts.add(("hasInput", fid, child_id))
-            token = _unit_token(kg, expr_unit(kg, node))
+                facts.add(("hasInput", fid, seen[child][0]))
+            unit = propagate_unit(node.op, [seen[c][1] for c in _operands(node)])
+            token = _unit_token(kg, unit)
             if token is not None:
                 facts.add(("hasUnit", nid, token))
-    root_id = nodes[-1][0]
-    return facts, root_id
+        seen.setdefault(node, (nid, unit))
 
-
-def _find_id(nodes, target: Expr) -> str:
-    for nid, node in nodes:
-        if node == target:
-            return nid
-    raise KGError("child expression not found during materialization")
+    walk(expr)
+    root_id, root_unit = seen[expr]
+    return facts, root_id, root_unit
 
 
 def judge(kg: KnowledgeGraph, expr: Expr) -> Verdict:
@@ -477,7 +467,7 @@ def judge(kg: KnowledgeGraph, expr: Expr) -> Verdict:
         return UNCOVERED
     if isinstance(expr, RawRef):
         return INTERPRETABLE
-    facts, root_id = materialize_facts(kg, expr)
+    facts, root_id, unit = materialize_facts(kg, expr)
     fixpoint, provenance = _forward_chain(kg, facts)
     bad = ("nonInterpretable", root_id)
     if bad in fixpoint:
@@ -487,7 +477,6 @@ def judge(kg: KnowledgeGraph, expr: Expr) -> Verdict:
     for fact in sorted(provenance):
         if fact[0] == "nonInterpretable":
             return Verdict(VerdictStatus.NON_INTERPRETABLE, reason=provenance[fact])
-    unit = expr_unit(kg, expr)
     if unit is None:
         return Verdict(VerdictStatus.NON_INTERPRETABLE, reason="unknown unit")
     if not unit.dimensionless and kg.registered_name_for(unit) is None:

@@ -438,7 +438,7 @@ def encode_labels(y):
 
 
 def evaluate_cv(spec: LearnerSpec, X: np.ndarray, y, task: Task, k: int,
-                seed: int, positive=None) -> float:
+                seed: int) -> float:
     """Mean k-fold score: F1 for classification, 1-rae for regression.
 
     Missing cells are median-imputed per training fold; degenerate folds
@@ -447,7 +447,6 @@ def evaluate_cv(spec: LearnerSpec, X: np.ndarray, y, task: Task, k: int,
     X = np.asarray(X, dtype=float)
     if task == Task.CLASSIFICATION:
         y_codes, labels = encode_labels(y)
-        pos_code = labels.index(positive) if positive is not None else len(labels) - 1
         folds = kfold_indices(len(y_codes), k, seed, labels=y_codes)
     else:
         y_codes = np.asarray(y, dtype=float)
@@ -461,7 +460,7 @@ def evaluate_cv(spec: LearnerSpec, X: np.ndarray, y, task: Task, k: int,
                 pred = np.full(len(yva), ytr[0])
             else:
                 pred = predict(train(spec, Xtr, ytr, task), Xva)
-            scores.append(metric_f1(yva, pred, positive=float(pos_code)))
+            scores.append(metric_f1(yva, pred, positive=float(len(labels) - 1)))
         else:
             if np.abs(yva - yva.mean()).sum() == 0:
                 scores.append(0.0)

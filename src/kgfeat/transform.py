@@ -4,12 +4,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import Optional, Union
 
 import numpy as np
 
-from .data import Column, Dataset, Kind, _MISSING_LEVEL, _OTHER_LEVEL
+from .data import Dataset, Kind, _MISSING_LEVEL, _OTHER_LEVEL
 
 
 class Arity(str, Enum):
@@ -23,6 +23,8 @@ class Arity(str, Enum):
 class TransformOp:
     name: str
     arity: Arity
+    inputs: tuple                     # operand kinds, an aggregation's key first
+    output: Kind
 
 
 @dataclass(frozen=True)
@@ -59,15 +61,27 @@ class DateNode:
 
 Expr = Union[RawRef, UnaryNode, BinaryNode, AggNode, DateNode]
 
+_N, _B, _C, _D = Kind.NUMERIC, Kind.BOOLEAN, Kind.CATEGORICAL, Kind.DATE
+# No operator returns a Categorical or Date result, so a feature of either
+# kind is always a raw column.
 _CATALOG = (
-    [TransformOp(n, Arity.UNARY) for n in ("log", "sqrt", "square", "reciprocal", "one_hot")]
-    + [TransformOp(n, Arity.BINARY) for n in ("add", "sub", "mul", "div", "and", "or")]
-    + [TransformOp(n, Arity.AGGREGATION) for n in ("group_min", "group_max", "group_mean", "group_sum")]
-    + [TransformOp(n, Arity.DATE) for n in ("day", "month", "year", "is_weekend")]
+    [TransformOp(n, Arity.UNARY, (_N,), _N) for n in ("log", "sqrt", "square", "reciprocal")]
+    + [TransformOp("one_hot", Arity.UNARY, (_C,), _B)]
+    + [TransformOp(n, Arity.BINARY, (_N, _N), _N) for n in ("add", "sub", "mul", "div")]
+    + [TransformOp(n, Arity.BINARY, (_B, _B), _B) for n in ("and", "or")]
+    + [TransformOp(n, Arity.AGGREGATION, (_C, _N), _N)
+       for n in ("group_min", "group_max", "group_mean", "group_sum")]
+    + [TransformOp(n, Arity.DATE, (_D,), _N) for n in ("day", "month", "year")]
+    + [TransformOp("is_weekend", Arity.DATE, (_D,), _B)]
 )
+_NODE = {Arity.UNARY: UnaryNode, Arity.BINARY: BinaryNode,
+         Arity.AGGREGATION: AggNode, Arity.DATE: DateNode}
 
 _BINARY_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/", "and": "AND", "or": "OR"}
-_COMMUTATIVE = {"add", "mul", "and", "or"}
+# Operand pairs per binary op: a commutative op takes each unordered pair once,
+# and a logical one never pairs a feature with itself.
+_PAIRS = {"add": combinations_with_replacement, "mul": combinations_with_replacement,
+          "and": combinations, "or": combinations}
 
 ONE_HOT_MAX_LEVELS = 20
 MAX_MISSING_FRACTION = 0.5
@@ -177,23 +191,12 @@ class CandidateFeature:
     unit: object = None
 
 
-def result_kind(expr: Expr, d: Dataset) -> Kind:
-    if isinstance(expr, RawRef):
-        return d.column(expr.name).kind
-    if isinstance(expr, UnaryNode):
-        return Kind.BOOLEAN if expr.op == "one_hot" else Kind.NUMERIC
-    if isinstance(expr, BinaryNode):
-        return Kind.BOOLEAN if expr.op in ("and", "or") else Kind.NUMERIC
-    if isinstance(expr, DateNode):
-        return Kind.BOOLEAN if expr.op == "is_weekend" else Kind.NUMERIC
-    return Kind.NUMERIC
-
-
-def categorical_levels(col: Column):
-    """Distinct levels kept for one-hot / grouping; rare levels fold into
-    a shared bucket once the cap of ONE_HOT_MAX_LEVELS is exceeded."""
+def categorical_levels(f):
+    """Distinct levels of a categorical feature (a Column or CandidateFeature)
+    kept for one-hot / grouping; rare levels fold into a shared bucket once
+    the cap of ONE_HOT_MAX_LEVELS is exceeded."""
     counts = {}
-    for v, m in zip(col.values, col.missing):
+    for v, m in zip(f.values, f.missing):
         if m:
             continue
         counts[str(v)] = counts.get(str(v), 0) + 1
@@ -203,11 +206,11 @@ def categorical_levels(col: Column):
     return ordered[: ONE_HOT_MAX_LEVELS - 1] + [_OTHER_LEVEL]
 
 
-def _categorical_keys(col: Column) -> np.ndarray:
+def _categorical_keys(f) -> np.ndarray:
     """Group keys as strings with rare-level folding and a missing level."""
-    kept = set(categorical_levels(col))
-    keys = np.empty(len(col), dtype=object)
-    for i, (v, m) in enumerate(zip(col.values, col.missing)):
+    kept = set(categorical_levels(f))
+    keys = np.empty(len(f.values), dtype=object)
+    for i, (v, m) in enumerate(zip(f.values, f.missing)):
         if m:
             keys[i] = _MISSING_LEVEL
         else:
@@ -226,15 +229,11 @@ _BINARY_FNS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.
 
 
 def _unary_values(op: str, vals: np.ndarray, miss: np.ndarray):
-    if op not in _UNARY_FNS:
-        raise TransformError(f"unknown unary op {op!r}")
     with np.errstate(all="ignore"):
         return _finite(_UNARY_FNS[op](vals), miss)
 
 
 def _binary_values(op: str, lv, lm, rv, rm):
-    if op not in _BINARY_FNS:
-        raise TransformError(f"unknown binary op {op!r}")
     with np.errstate(all="ignore"):
         return _finite(_BINARY_FNS[op](lv, rv), lm | rm)
 
@@ -273,82 +272,53 @@ def _date_values(op: str, days: np.ndarray, miss: np.ndarray):
         out[ok] = d64.astype("datetime64[M]").astype(int) % 12 + 1
     elif op == "year":
         out[ok] = d64.astype("datetime64[Y]").astype(int) + 1970
-    elif op == "is_weekend":
-        # 1970-01-01 was a Thursday (weekday index 3, Monday = 0)
+    else:  # is_weekend; 1970-01-01 was a Thursday (weekday index 3, Monday = 0)
         out[ok] = (((days[ok].astype("int64") + 3) % 7) >= 5).astype(float)
-    else:
-        raise TransformError(f"unknown date op {op!r}")
     return out, miss.copy()
 
 
-def _eval(expr: Expr, d: Dataset):
-    """Evaluate an expression to (values, missing); values are float64."""
+def _derive(expr: Expr, operands) -> CandidateFeature:
+    """Compute one expression node from its operands' features (values,
+    missing, kind), given in `children(expr)` order."""
+    op = catalog_op(expr.op)
+    kinds = tuple(f.kind for f in operands)
+    if not isinstance(expr, _NODE[op.arity]) or kinds != op.inputs:
+        raise TransformError(f"{op.name} takes {[k.value for k in op.inputs]} "
+                             f"input, got {[k.value for k in kinds]}")
+    if op.name == "one_hot":
+        (f,) = operands
+        values = (_categorical_keys(f) == expr.level).astype(float)
+        values[f.missing] = np.nan
+        missing = f.missing.copy()
+    elif op.arity == Arity.UNARY:
+        values, missing = _unary_values(op.name, operands[0].values, operands[0].missing)
+    elif op.arity == Arity.BINARY:
+        a, b = operands
+        values, missing = _binary_values(op.name, a.values, a.missing, b.values, b.missing)
+    elif op.arity == Arity.AGGREGATION:
+        k, v = operands
+        values, missing = _agg_values(op.name, _categorical_keys(k), v.values, v.missing)
+    else:
+        (f,) = operands
+        values, missing = _date_values(op.name, np.where(f.missing, 0, f.values), f.missing)
+    return CandidateFeature(expr, values, missing, op.output, render_name(expr))
+
+
+def apply(expr: Expr, d: Dataset) -> CandidateFeature:
+    """Evaluate an expression row-wise from the dataset's raw columns.
+
+    Domain violations on individual cells (log of non-positives, division by
+    zero) flag the cell missing rather than inventing a value. A raw
+    Categorical column has no numeric value of its own.
+    """
     if isinstance(expr, RawRef):
         col = d.column(expr.name)
         if col.kind == Kind.CATEGORICAL:
             raise TransformError(f"categorical column {expr.name!r} has no numeric value")
-        return col.values.astype(float), col.missing.copy()
-    if isinstance(expr, UnaryNode):
-        if expr.op == "one_hot":
-            if not isinstance(expr.child, RawRef):
-                raise TransformError("one_hot applies to a raw categorical column")
-            col = d.column(expr.child.name)
-            if col.kind != Kind.CATEGORICAL:
-                raise TransformError("one_hot requires a Categorical column")
-            keys = _categorical_keys(col)
-            vals = (keys == expr.level).astype(float)
-            vals[col.missing] = np.nan
-            return vals, col.missing.copy()
-        _require_kind(expr.child, d, Kind.NUMERIC, expr.op)
-        cv, cm = _eval(expr.child, d)
-        return _unary_values(expr.op, cv, cm)
-    if isinstance(expr, BinaryNode):
-        want = Kind.BOOLEAN if expr.op in ("and", "or") else Kind.NUMERIC
-        _require_kind(expr.left, d, want, expr.op)
-        _require_kind(expr.right, d, want, expr.op)
-        lv, lm = _eval(expr.left, d)
-        rv, rm = _eval(expr.right, d)
-        return _binary_values(expr.op, lv, lm, rv, rm)
-    if isinstance(expr, AggNode):
-        if not isinstance(expr.key, RawRef):
-            raise TransformError("aggregation key must be a raw column")
-        key_col = d.column(expr.key.name)
-        if key_col.kind != Kind.CATEGORICAL:
-            raise TransformError("aggregation key must be Categorical")
-        _require_kind(expr.value, d, Kind.NUMERIC, expr.op)
-        vv, vm = _eval(expr.value, d)
-        return _agg_values(expr.op, _categorical_keys(key_col), vv, vm)
-    if isinstance(expr, DateNode):
-        if not (isinstance(expr.child, RawRef) and d.column(expr.child.name).kind == Kind.DATE):
-            raise TransformError(f"{expr.op} requires a Date column")
-        col = d.column(expr.child.name)
-        days = np.where(col.missing, 0, col.values)
-        return _date_values(expr.op, days, col.missing)
-    raise TransformError(f"unknown expression node {expr!r}")
-
-
-def _require_kind(expr: Expr, d: Dataset, want: Kind, op: str):
-    got = result_kind(expr, d)
-    if want == Kind.NUMERIC and got != Kind.NUMERIC:
-        raise TransformError(f"{op} requires Numeric input, got {got.value}")
-    if want == Kind.BOOLEAN and got != Kind.BOOLEAN:
-        raise TransformError(f"{op} requires Boolean input, got {got.value}")
-
-
-def apply(expr: Expr, d: Dataset) -> CandidateFeature:
-    """Evaluate an expression row-wise against a dataset.
-
-    Domain violations on individual cells (log of non-positives, division by
-    zero) flag the cell missing rather than inventing a value.
-    """
-    values, missing = _eval(expr, d)
-    return CandidateFeature(
-        expr=expr,
-        values=values,
-        missing=missing,
-        kind=result_kind(expr, d),
-        display_name=render_name(expr),
-    )
+        return CandidateFeature(expr, col.values.astype(float), col.missing.copy(),
+                                col.kind, render_name(expr))
+    return _derive(expr, [d.column(c.name) if isinstance(c, RawRef) else apply(c, d)
+                          for c in children(expr)])
 
 
 def _abs_pearson(vals: np.ndarray, miss: np.ndarray, tvals: np.ndarray) -> float:
@@ -364,51 +334,33 @@ def _abs_pearson(vals: np.ndarray, miss: np.ndarray, tvals: np.ndarray) -> float
     return abs(c) if np.isfinite(c) else 0.0
 
 
-def _operand_tuples(op: TransformOp, pool, d: Dataset, max_order: int):
-    """Yield candidate expressions for one transform over the current pool."""
-    if op.arity == Arity.UNARY:
-        if op.name == "one_hot":
-            for f in pool:
-                if f.kind == Kind.CATEGORICAL and isinstance(f.expr, RawRef) and order(f.expr) + 1 <= max_order:
-                    for level in categorical_levels(d.column(f.expr.name)):
-                        yield UnaryNode("one_hot", f.expr, level)
-        else:
-            for f in pool:
-                if f.kind == Kind.NUMERIC and order(f.expr) + 1 <= max_order:
-                    yield UnaryNode(op.name, f.expr)
-    elif op.arity == Arity.BINARY:
-        want = Kind.BOOLEAN if op.name in ("and", "or") else Kind.NUMERIC
-        eligible = [f for f in pool if f.kind == want]
-        if op.name in _COMMUTATIVE:
-            pairs = combinations_with_replacement(range(len(eligible)), 2)
-            if op.name in ("and", "or"):
-                pairs = (p for p in pairs if p[0] != p[1])
-        else:
-            pairs = permutations(range(len(eligible)), 2)
-        for i, j in pairs:
-            a, b = eligible[i], eligible[j]
-            if max(order(a.expr), order(b.expr)) + 1 <= max_order:
-                yield BinaryNode(op.name, a.expr, b.expr)
+def _operand_tuples(op: TransformOp, pool, max_order: int):
+    """Yield (expression, operand features) for one transform over the pool,
+    taking operands of the kinds in `op.inputs`."""
+    eligible = [[f for f in pool if f.kind == k and order(f.expr) < max_order]
+                for k in op.inputs]
+    if op.arity == Arity.BINARY:
+        for a, b in _PAIRS.get(op.name, permutations)(eligible[0], 2):
+            yield BinaryNode(op.name, a.expr, b.expr), (a, b)
     elif op.arity == Arity.AGGREGATION:
-        keys = [f for f in pool if f.kind == Kind.CATEGORICAL and isinstance(f.expr, RawRef)]
-        values = [f for f in pool if f.kind == Kind.NUMERIC]
-        for kf in keys:
-            for vf in values:
-                if max(order(kf.expr), order(vf.expr)) + 1 <= max_order:
-                    yield AggNode(op.name, kf.expr, vf.expr)
+        for k, v in product(*eligible):
+            yield AggNode(op.name, k.expr, v.expr), (k, v)
+    elif op.name == "one_hot":
+        for f in eligible[0]:
+            for level in categorical_levels(f):
+                yield UnaryNode("one_hot", f.expr, level), (f,)
     else:
-        for f in pool:
-            if f.kind == Kind.DATE and isinstance(f.expr, RawRef) and order(f.expr) + 1 <= max_order:
-                yield DateNode(op.name, f.expr)
+        for f in eligible[0]:
+            yield _NODE[op.arity](op.name, f.expr), (f,)
 
 
-def expand_action(op: TransformOp, pool, d: Dataset, y: np.ndarray, cap: int,
-                  max_order: int):
+def expand_action(op: TransformOp, pool, y: np.ndarray, cap: int, max_order: int):
     """Expand one action into the top-`cap` candidate features.
 
     Enumerates every applicability-valid operand tuple over the pool, skips
-    expressions already present, drops candidates with more than half the
-    cells missing, and ranks by absolute Pearson correlation with the encoded
+    expressions already present, computes each candidate from its operands'
+    values in the pool, drops candidates with more than half the cells
+    missing, and ranks by absolute Pearson correlation with the encoded
     target `y` (class codes for classification). Deterministic.
     """
     if cap < 1:
@@ -416,18 +368,14 @@ def expand_action(op: TransformOp, pool, d: Dataset, y: np.ndarray, cap: int,
     existing = {f.expr for f in pool}
     seen = set()
     scored = []
-    for expr in _operand_tuples(op, pool, d, max_order):
+    for expr, operands in _operand_tuples(op, pool, max_order):
         if expr in existing or expr in seen:
             continue
         seen.add(expr)
-        try:
-            cand = apply(expr, d)
-        except TransformError:
-            continue
+        cand = _derive(expr, operands)
         if cand.missing.mean() > MAX_MISSING_FRACTION:
             continue
-        score = _abs_pearson(cand.values, cand.missing, y)
-        scored.append((score, cand))
+        scored.append((_abs_pearson(cand.values, cand.missing, y), cand))
     scored.sort(key=lambda sc: (-sc[0], sc[1].display_name))
     return [cand for _, cand in scored[:cap]]
 

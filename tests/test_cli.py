@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -161,3 +162,36 @@ def test_run_missing_classification_target_exits_one(tmp_path, capsys):
 
 def test_report_missing_result_exits_one(tmp_path):
     assert main(["report", str(tmp_path / "absent.json")]) == 1
+
+
+def write_regression(tmp_path, feature_cells, target_cells):
+    csv_path = tmp_path / "reg.csv"
+    rows = ["x,z,y"] + [f"{i},{f},{t}" for i, (f, t) in
+                        enumerate(zip(feature_cells, target_cells))]
+    csv_path.write_text("\n".join(rows) + "\n")
+    schema_path = tmp_path / "reg.schema.json"
+    schema_path.write_text(json.dumps({"target_name": "y", "task": "regression"}))
+    return ["run", "--dataset", str(csv_path), "--schema", str(schema_path),
+            "--kg", kgfeat.resource_path("default_kg.json"),
+            "--episodes", "1", "--steps", "2", "--k", "2",
+            "--learner", "linear", "--out", str(tmp_path / "out")]
+
+
+def test_run_inf_feature_cell_gives_finite_scores(tmp_path):
+    # an inf cell is missing, so it is imputed rather than reaching the learner
+    z = [str(0.5 * i) for i in range(40)]
+    z[7] = "inf"
+    argv = write_regression(tmp_path, z, [str(1.5 * i + (i % 3)) for i in range(40)])
+    assert main(argv) == 0
+    with open(tmp_path / "out" / "result.json") as fh:
+        result = json.load(fh)
+    assert math.isfinite(result["baseline_score"])
+    assert math.isfinite(result["best_score"])
+
+
+def test_run_nan_regression_target_exits_one(tmp_path, capsys):
+    y = [str(float(i)) for i in range(12)]
+    y[5] = "nan"
+    argv = write_regression(tmp_path, [str(i % 4) for i in range(12)], y)
+    assert main(argv) == 1
+    assert "target column has missing values" in capsys.readouterr().err

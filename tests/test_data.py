@@ -150,3 +150,58 @@ def test_kfold_partition_property(n, k, seed):
     assert sorted(valid.tolist()) == list(range(n))
     sizes = [len(v) for _, v in folds]
     assert max(sizes) - min(sizes) <= 1
+
+
+def test_non_finite_numeric_cells_flagged_missing(tmp_path):
+    path = write_csv(
+        tmp_path / "t.csv",
+        ["a", "y"],
+        [["1", "0"], ["inf", "1"], ["-inf", "0"], ["nan", "1"], ["3", "0"]],
+    )
+    d = load_csv(path, SchemaConfig(target_name="y", task=Task.REGRESSION))
+    col = d.column("a")
+    assert col.kind == Kind.NUMERIC
+    assert col.missing.tolist() == [False, True, True, True, False]
+    assert np.isnan(col.values[1:4]).all()
+
+
+def dealt_folds(n, k, seed, labels=None):
+    """Oracle: the row-by-row dealing loop kfold_indices replaced."""
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(k)]
+    if labels is None:
+        order = rng.permutation(n)
+        for pos, idx in enumerate(order):
+            folds[pos % k].append(int(idx))
+    else:
+        labels = np.asarray(labels)
+        pos = 0
+        for lab in sorted(set(labels.tolist()), key=str):
+            idx = np.flatnonzero(labels == lab)
+            idx = idx[rng.permutation(len(idx))]
+            for i in idx:
+                folds[pos % k].append(int(i))
+                pos += 1
+    out = []
+    all_idx = set(range(n))
+    for f in folds:
+        valid = np.array(sorted(f), dtype=np.int64)
+        train = np.array(sorted(all_idx - set(f)), dtype=np.int64)
+        out.append((train, valid))
+    return out
+
+
+def test_kfold_matches_the_dealing_loop():
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        n = int(rng.integers(2, 60))
+        k = int(rng.integers(2, n + 1))
+        seed = int(rng.integers(0, 10_000))
+        labels = None
+        if rng.random() < 0.5:
+            labels = rng.integers(0, int(rng.integers(1, 5)), n).astype(float)
+        got = kfold_indices(n, k, seed, labels=labels)
+        want = dealt_folds(n, k, seed, labels=labels)
+        assert len(got) == len(want)
+        for (gt, gv), (wt, wv) in zip(got, want):
+            assert gt.tolist() == wt.tolist() and gv.tolist() == wv.tolist()

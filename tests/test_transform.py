@@ -227,17 +227,17 @@ def test_expand_action_dedup_and_cap(d):
     pool = [e.feature for e in raw_pool(d, empty_kg())]
     numeric = [f for f in pool if f.kind == Kind.NUMERIC]
     # commutative add over 2 numeric columns: pairs with replacement = 3
-    cands = expand_action(catalog_op("add"), numeric, d, target_codes(d),
+    cands = expand_action(catalog_op("add"), numeric, target_codes(d),
                           cap=50, max_order=5)
     assert len(cands) == 3
     names = {c.display_name for c in cands}
     assert "(WEIGHT + HEIGHT)" in names and "(HEIGHT + WEIGHT)" not in names
     # non-commutative sub: ordered distinct pairs = 2
-    cands = expand_action(catalog_op("sub"), numeric, d, target_codes(d),
+    cands = expand_action(catalog_op("sub"), numeric, target_codes(d),
                           cap=50, max_order=5)
     assert len(cands) == 2
     # cap respected
-    cands = expand_action(catalog_op("add"), numeric, d, target_codes(d),
+    cands = expand_action(catalog_op("add"), numeric, target_codes(d),
                           cap=1, max_order=5)
     assert len(cands) == 1
 
@@ -248,10 +248,10 @@ def test_expand_action_skips_existing(d):
 
     pool = [e.feature for e in raw_pool(d, empty_kg())]
     numeric = [f for f in pool if f.kind == Kind.NUMERIC]
-    first = expand_action(catalog_op("square"), numeric, d, target_codes(d),
+    first = expand_action(catalog_op("square"), numeric, target_codes(d),
                           cap=10, max_order=5)
     assert len(first) == 2
-    again = expand_action(catalog_op("square"), numeric + first, d,
+    again = expand_action(catalog_op("square"), numeric + first,
                           target_codes(d), cap=10, max_order=5)
     assert {c.display_name for c in again}.isdisjoint(
         {c.display_name for c in first})
@@ -263,7 +263,7 @@ def test_expand_action_respects_max_order(d):
 
     pool = [e.feature for e in raw_pool(d, empty_kg())]
     numeric = [f for f in pool if f.kind == Kind.NUMERIC]
-    assert expand_action(catalog_op("square"), numeric, d, target_codes(d),
+    assert expand_action(catalog_op("square"), numeric, target_codes(d),
                          cap=10, max_order=0) == []
 
 
@@ -274,7 +274,7 @@ def test_expand_action_drops_mostly_missing():
         target="y",
     )
     cands = expand_action(catalog_op("log"),
-                          [apply(RawRef("a"), d)], d, target_codes(d),
+                          [apply(RawRef("a"), d)], target_codes(d),
                           cap=10, max_order=5)
     assert cands == []
 
@@ -285,9 +285,9 @@ def test_expand_action_deterministic(d):
 
     pool = [e.feature for e in raw_pool(d, empty_kg())]
     numeric = [f for f in pool if f.kind == Kind.NUMERIC]
-    a = expand_action(catalog_op("mul"), numeric, d, target_codes(d),
+    a = expand_action(catalog_op("mul"), numeric, target_codes(d),
                       cap=4, max_order=5)
-    b = expand_action(catalog_op("mul"), numeric, d, target_codes(d),
+    b = expand_action(catalog_op("mul"), numeric, target_codes(d),
                       cap=4, max_order=5)
     assert [c.display_name for c in a] == [c.display_name for c in b]
 
@@ -330,3 +330,68 @@ def test_search_space_size_property(p, n1, n2):
         arities[2] = n2
     expected = sum(math.perm(p, i) * c for i, c in arities.items() if i <= p)
     assert search_space_size(p, arities) == expected
+
+
+def mixed_dataset():
+    """Numeric, Boolean, Categorical and Date columns with a few missing cells."""
+    rng = np.random.default_rng(0)
+    n = 12
+    one_missing = np.arange(n) == 3
+
+    def bool_col(name, p):
+        return Column(name, Kind.BOOLEAN, (rng.random(n) < p).astype(float),
+                      np.zeros(n, dtype=bool))
+
+    return make_dataset(
+        [num_col("a", rng.normal(size=n)),
+         num_col("b", np.where(one_missing, np.nan, rng.uniform(0.5, 3.0, n)),
+                 missing=one_missing),
+         bool_col("f1", 0.5),
+         bool_col("f2", 0.3),
+         cat_col("city", np.where(one_missing, "", rng.choice(["oslo", "rome", "lima"], n)),
+                 missing=one_missing),
+         Column("when", Kind.DATE, rng.integers(0, 20000, n).astype(float),
+                np.zeros(n, dtype=bool)),
+         num_col("y", rng.normal(size=n))],
+        target="y",
+    )
+
+
+def test_incremental_evaluation_matches_cold_apply():
+    from kgfeat.engine import raw_pool
+    from kgfeat.kg import empty_kg
+
+    d = mixed_dataset()
+    y = target_codes(d)
+    pool = [e.feature for e in raw_pool(d, empty_kg())]
+    first = [c for op in catalog() for c in expand_action(op, pool, y, cap=1000, max_order=5)]
+    second = [c for op in catalog()
+              for c in expand_action(op, pool + first, y, cap=1000, max_order=5)]
+    assert {catalog_op(c.expr.op).arity for c in first} == set(Arity)
+    assert any(order(c.expr) == 2 for c in second)
+    for cand in first + second:
+        cold = apply(cand.expr, d)
+        assert cand.kind == cold.kind, render_name(cand.expr)
+        assert cand.display_name == cold.display_name
+        assert cand.missing.tolist() == cold.missing.tolist(), render_name(cand.expr)
+        np.testing.assert_array_equal(cand.values, cold.values)  # NaN equals NaN
+
+
+@pytest.mark.parametrize("expr", [
+    UnaryNode("one_hot", RawRef("a"), "x"),
+    AggNode("group_mean", RawRef("a"), RawRef("b")),
+    DateNode("day", RawRef("a")),
+])
+def test_apply_rejects_operands_of_the_wrong_kind(expr):
+    with pytest.raises(TransformError):
+        apply(expr, mixed_dataset())
+
+
+def test_kg_tables_cover_the_catalog():
+    from kgfeat import kg
+
+    assert set(kg.TRANSFORM_CLASS) == {op.name for op in catalog()}
+    for op in catalog():
+        # an aggregation's group key carries no unit into the result
+        n_units = 1 if op.arity == Arity.AGGREGATION else len(op.inputs)
+        kg.propagate_unit(op.name, [kg.DIMENSIONLESS] * n_units)
