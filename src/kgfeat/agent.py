@@ -2,7 +2,6 @@
 schedule, and the TD training step."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,29 +104,6 @@ class QNetwork:
             raise AgentError("architecture mismatch")
         self.weights = [w.copy() for w in src.weights]
         self.biases = [b.copy() for b in src.biases]
-
-    def to_json(self) -> dict:
-        return {
-            "layer_sizes": self.layer_sizes,
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "QNetwork":
-        net = cls(doc["layer_sizes"])
-        net.weights = [np.array(w, dtype=float) for w in doc["weights"]]
-        net.biases = [np.array(b, dtype=float) for b in doc["biases"]]
-        return net
-
-    def save(self, path: str):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path: str) -> "QNetwork":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 def _forward_cached(net: QNetwork, X: np.ndarray):

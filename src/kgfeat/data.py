@@ -12,8 +12,7 @@ import numpy as np
 
 EPOCH = date(1970, 1, 1)
 
-_BOOL_TRUE = {"true", "1", "yes"}
-_BOOL_FALSE = {"false", "0", "no"}
+_BOOL_TOKENS = {"true": 1.0, "1": 1.0, "yes": 1.0, "false": 0.0, "0": 0.0, "no": 0.0}
 _MISSING_LEVEL = "⟂missing"
 _OTHER_LEVEL = "⟂other"
 
@@ -93,75 +92,62 @@ class SchemaConfig:
         )
 
 
-def _parse_float(text: str):
+def _parse_date(text: str) -> int:
+    return (date.fromisoformat(text) - EPOCH).days
+
+
+# kind -> (cell parser, what a cell that fails to parse "is not"); a parser
+# raises ValueError or KeyError. Inference tries the kinds in this order.
+_PARSERS = {
+    Kind.NUMERIC: (float, "numeric"),
+    Kind.DATE: (_parse_date, "an ISO date"),
+    Kind.BOOLEAN: (lambda text: _BOOL_TOKENS[text.lower()], "boolean"),
+}
+
+
+def _parse(kind: Kind, present: list):
+    """(values, None) when every present cell parses as `kind`, else
+    (None, the first cell that does not)."""
+    parse, values = _PARSERS[kind][0], np.empty(len(present))
     try:
-        return float(text)
-    except ValueError:
-        return None
+        for i, cell in enumerate(present):
+            values[i] = parse(cell)
+    except (ValueError, KeyError):
+        return None, cell
+    return values, None
 
 
-def _parse_date(text: str):
-    try:
-        return date.fromisoformat(text)
-    except ValueError:
-        return None
+def _build_column(name: str, cells: list, kind: Optional[Kind]) -> Column:
+    """A typed column from stripped cells; empty cells are missing.
 
-
-def _infer_kind(cells: list) -> Kind:
-    present = [c for c in cells if c != ""]
-    if not present:
-        return Kind.CATEGORICAL
-    if all(_parse_float(c) is not None for c in present):
-        return Kind.NUMERIC
-    if all(_parse_date(c) is not None for c in present):
-        return Kind.DATE
-    lowered = {c.lower() for c in present}
-    if len(lowered) <= 2 and lowered <= (_BOOL_TRUE | _BOOL_FALSE):
-        return Kind.BOOLEAN
-    return Kind.CATEGORICAL
-
-
-def _build_column(name: str, cells: list, kind: Kind) -> Column:
-    n = len(cells)
+    With no `kind`, the column takes the first of Numeric, Date and Boolean
+    (at most two distinct tokens) that every present cell parses as, else
+    Categorical; an all-empty column is Categorical.
+    """
     missing = np.array([c == "" for c in cells], dtype=bool)
+    present = [c for c in cells if c != ""]
+    parsed = None
+    if kind is None:
+        kind = Kind.CATEGORICAL
+        for k in _PARSERS if present else ():
+            parsed, _ = _parse(k, present)
+            if parsed is not None and (k != Kind.BOOLEAN
+                                       or len({c.lower() for c in present}) <= 2):
+                kind = k
+                break
+    elif kind != Kind.CATEGORICAL:
+        parsed, bad = _parse(kind, present)
+        if parsed is None:
+            raise DataError(f"column {name!r}: cell {bad!r} is not {_PARSERS[kind][1]}")
+    if kind == Kind.CATEGORICAL:
+        return Column(name, kind, np.array(cells, dtype=object), missing)
+    values = np.full(len(cells), np.nan)
+    values[~missing] = parsed
     if kind == Kind.NUMERIC:
-        values = np.full(n, np.nan)
-        for i, c in enumerate(cells):
-            if missing[i]:
-                continue
-            v = _parse_float(c)
-            if v is None:
-                raise DataError(f"column {name!r}: cell {c!r} is not numeric")
-            values[i] = v
         # a cell reading inf or nan is missing, the rule transform outputs follow
         missing = ~np.isfinite(values)
         values[missing] = np.nan
-        return Column(name, kind, values, missing)
-    if kind == Kind.DATE:
-        values = np.full(n, np.nan)
-        for i, c in enumerate(cells):
-            if missing[i]:
-                continue
-            d = _parse_date(c)
-            if d is None:
-                raise DataError(f"column {name!r}: cell {c!r} is not an ISO date")
-            values[i] = (d - EPOCH).days
-        return Column(name, kind, values, missing)
-    if kind == Kind.BOOLEAN:
-        values = np.full(n, np.nan)
-        for i, c in enumerate(cells):
-            if missing[i]:
-                continue
-            low = c.lower()
-            if low in _BOOL_TRUE:
-                values[i] = 1.0
-            elif low in _BOOL_FALSE:
-                values[i] = 0.0
-            else:
-                raise DataError(f"column {name!r}: cell {c!r} is not boolean")
-        return Column(name, kind, values, missing)
-    values = np.array(cells, dtype=object)
-    return Column(name, Kind.CATEGORICAL, values, missing)
+    return Column(name, kind, values, missing)
 
 
 def load_csv(path: str, schema: SchemaConfig) -> Dataset:
@@ -193,8 +179,7 @@ def load_csv(path: str, schema: SchemaConfig) -> Dataset:
     columns = []
     for j, name in enumerate(header):
         cells = [r[j].strip() if j < len(r) else "" for r in rows]
-        kind = schema.column_kind_overrides.get(name) or _infer_kind(cells)
-        columns.append(_build_column(name, cells, kind))
+        columns.append(_build_column(name, cells, schema.column_kind_overrides.get(name)))
 
     d = Dataset(columns=columns, target=schema.target_name, task=schema.task, n_rows=n)
     tcol = d.target_column

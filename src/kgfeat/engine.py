@@ -7,7 +7,6 @@ from typing import Optional
 import numpy as np
 
 from . import agent as ag
-from . import kg as kgmod
 from . import learn
 from .data import Dataset, Kind, Task
 from .kg import KnowledgeGraph, Verdict, VerdictStatus, judge
@@ -180,7 +179,6 @@ def raw_pool(d: Dataset, kg: KnowledgeGraph):
             missing=col.missing,
             kind=col.kind,
             display_name=render_name(RawRef(col.name)),
-            unit=kgmod.expr_unit(kg, RawRef(col.name)),
         )
         pool.append(PoolEntry(feature=feat, verdict=judge(kg, feat.expr), is_raw=True))
     return pool
@@ -243,16 +241,16 @@ def _state(kg: KnowledgeGraph, pool) -> np.ndarray:
     return phi_state(kg, [e.feature.expr for e in pool]).astype(float) / (1.0 + len(pool))
 
 
-def run_episode(d: Dataset, kg: KnowledgeGraph, state: _AgentState,
+def run_episode(raw, kg: KnowledgeGraph, state: _AgentState,
                 cfg: EngineConfig, evaluator: _Evaluator, episode_index: int,
                 discard_log, best):
-    """One pass of the generation loop starting from the raw features.
+    """One pass of the generation loop starting from the judged raw pool.
 
     `best` is a mutable [score, snapshot] pair updated whenever a state beats
     the best score seen so far.
     """
     ops = catalog()
-    pool = raw_pool(d, kg)
+    pool = raw
     score = evaluator.score(pool)
     s_vec = _state(kg, pool)
     steps = []
@@ -281,7 +279,6 @@ def run_episode(d: Dataset, kg: KnowledgeGraph, state: _AgentState,
                     "reason": verdict.reason,
                 })
             else:
-                cand.unit = kgmod.expr_unit(kg, cand.expr)
                 kept.append(PoolEntry(feature=cand, verdict=verdict, is_raw=False))
         pool = pool + kept
         pool = _prune_to_budget(pool, cfg, evaluator)
@@ -320,7 +317,7 @@ def run_episode(d: Dataset, kg: KnowledgeGraph, state: _AgentState,
 def _snapshot(pool):
     out = []
     for e in pool:
-        unit = e.feature.unit
+        unit = e.verdict.unit
         out.append({
             "display_name": e.feature.display_name,
             "expr": expr_to_json(e.feature.expr),
@@ -337,9 +334,9 @@ def run(cfg: EngineConfig, d: Dataset, kg: KnowledgeGraph) -> FEResult:
     has not improved for `patience` episodes."""
     state = _AgentState(cfg, len(kg.concept_order), len(catalog()))
     evaluator = _Evaluator(cfg, d.task, target_codes(d))
-    baseline_pool = raw_pool(d, kg)
-    baseline = evaluator.score(baseline_pool)
-    best = [baseline, _snapshot(baseline_pool)]
+    raw = raw_pool(d, kg)
+    baseline = evaluator.score(raw)
+    best = [baseline, _snapshot(raw)]
     discard_log = []
     episode_scores = []
     best_trajectory = []
@@ -347,7 +344,7 @@ def run(cfg: EngineConfig, d: Dataset, kg: KnowledgeGraph) -> FEResult:
     stale = 0
     for ep in range(cfg.episodes):
         before = best[0]
-        trace = run_episode(d, kg, state, cfg, evaluator, ep, discard_log, best)
+        trace = run_episode(raw, kg, state, cfg, evaluator, ep, discard_log, best)
         traces.append(trace)
         episode_scores.append(trace.end_score)
         best_trajectory.append(best[0])

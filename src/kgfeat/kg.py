@@ -79,16 +79,16 @@ class VerdictStatus(str, Enum):
 
 @dataclass(frozen=True)
 class Verdict:
+    """A feature's status, the rule or check behind a discard, and the unit
+    propagated to its root (None when unknown)."""
     status: VerdictStatus
     reason: Optional[str] = None
+    unit: Optional[Unit] = None
 
     @property
     def interpretable(self) -> bool:
         return self.status == VerdictStatus.INTERPRETABLE
 
-
-INTERPRETABLE = Verdict(VerdictStatus.INTERPRETABLE)
-UNCOVERED = Verdict(VerdictStatus.UNCOVERED)
 
 # Class asserted for each transform application node when rules are matched.
 TRANSFORM_CLASS = {
@@ -459,29 +459,26 @@ def judge(kg: KnowledgeGraph, expr: Expr) -> Verdict:
 
     Features whose leaves are all unmapped are Uncovered (retained by the
     fallback rule); rule-derived non-interpretability and unknown units are
-    discarded; everything else is Interpretable.
+    discarded; everything else is Interpretable. Every verdict carries the
+    root unit.
     """
-    leaves = _leaves(expr)
-    mapped = [l for l in leaves if l.name in kg.column_concepts]
-    if not mapped:
-        return UNCOVERED
-    if isinstance(expr, RawRef):
-        return INTERPRETABLE
     facts, root_id, unit = materialize_facts(kg, expr)
+    if not any(leaf.name in kg.column_concepts for leaf in _leaves(expr)):
+        return Verdict(VerdictStatus.UNCOVERED, unit=unit)
+    if isinstance(expr, RawRef):
+        return Verdict(VerdictStatus.INTERPRETABLE, unit=unit)
     fixpoint, provenance = _forward_chain(kg, facts)
     bad = ("nonInterpretable", root_id)
     if bad in fixpoint:
         reason = provenance.get(bad, "rule")
-        return Verdict(VerdictStatus.NON_INTERPRETABLE, reason=reason)
+        return Verdict(VerdictStatus.NON_INTERPRETABLE, reason, unit)
     # Any derived node judged non-interpretable taints the whole feature.
     for fact in sorted(provenance):
         if fact[0] == "nonInterpretable":
-            return Verdict(VerdictStatus.NON_INTERPRETABLE, reason=provenance[fact])
-    if unit is None:
-        return Verdict(VerdictStatus.NON_INTERPRETABLE, reason="unknown unit")
-    if not unit.dimensionless and kg.registered_name_for(unit) is None:
-        return Verdict(VerdictStatus.NON_INTERPRETABLE, reason="unknown unit")
-    return INTERPRETABLE
+            return Verdict(VerdictStatus.NON_INTERPRETABLE, provenance[fact], unit)
+    if unit is None or (not unit.dimensionless and kg.registered_name_for(unit) is None):
+        return Verdict(VerdictStatus.NON_INTERPRETABLE, "unknown unit", unit)
+    return Verdict(VerdictStatus.INTERPRETABLE, unit=unit)
 
 
 def _leaves(expr: Expr):

@@ -15,21 +15,21 @@ class LearnError(ValueError):
     pass
 
 
+RIDGE_LAMBDA = 1e-6      # L2 penalty of the linear and logistic learners
+LOGISTIC_ITERS = 200     # gradient steps per class of the logistic learner
+
+
 @dataclass
 class LearnerSpec:
     kind: str = "random_forest"  # decision_tree | random_forest | linear | logistic
     max_depth: int = 6
     n_trees: int = 50
     feature_subsample: Optional[float] = None  # None -> sqrt(p)/p
-    ridge_lambda: float = 1e-6
-    logistic_iters: int = 200
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_depth < 1 or self.n_trees < 1 or self.logistic_iters < 1:
+        if self.max_depth < 1 or self.n_trees < 1:
             raise LearnError("hyperparameters must be positive")
-        if self.ridge_lambda <= 0:
-            raise LearnError("ridge lambda must be positive")
 
     def check_task(self, task: Task):
         if self.kind == "linear" and task != Task.REGRESSION:
@@ -325,9 +325,10 @@ def train(spec: LearnerSpec, X: np.ndarray, y: np.ndarray, task: Task) -> Model:
 
     if spec.kind == "linear":
         A = np.hstack([X, np.ones((n, 1))])
-        reg = spec.ridge_lambda * np.eye(p + 1)
+        reg = RIDGE_LAMBDA * np.eye(p + 1)
         reg[p, p] = 0.0  # leave the intercept unregularized
-        coef = np.linalg.solve(A.T @ A + reg, A.T @ y)
+        # least squares, so a singular system (collinear columns) still solves
+        coef = np.linalg.lstsq(A.T @ A + reg, A.T @ y, rcond=None)[0]
         return Model("linear", task, p, coef=coef)
 
     if spec.kind == "logistic":
@@ -341,9 +342,9 @@ def train(spec: LearnerSpec, X: np.ndarray, y: np.ndarray, task: Task) -> Model:
         for c in classes:
             t = (y == c).astype(float)
             w = np.zeros(p + 1)
-            for _ in range(spec.logistic_iters):
+            for _ in range(LOGISTIC_ITERS):
                 prob = 1.0 / (1.0 + np.exp(-(Z @ w)))
-                grad = Z.T @ (t - prob) / n - spec.ridge_lambda * w
+                grad = Z.T @ (t - prob) / n - RIDGE_LAMBDA * w
                 w = w + 0.5 * grad
             coefs.append(w)
         return Model("logistic", task, p, coef=np.array(coefs), classes=classes,

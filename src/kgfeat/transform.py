@@ -179,8 +179,7 @@ class CandidateFeature:
     """A concrete feature: an expression plus its evaluated column.
 
     Numeric values with a missing mask; `kind` is the result kind (Boolean for
-    logical/one-hot/is_weekend results). `unit` is filled in by the knowledge
-    module when a KG is available (None means unknown).
+    logical/one-hot/is_weekend results).
     """
 
     expr: Expr
@@ -188,7 +187,6 @@ class CandidateFeature:
     missing: np.ndarray
     kind: Kind
     display_name: str
-    unit: object = None
 
 
 def categorical_levels(f):

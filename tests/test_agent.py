@@ -99,16 +99,6 @@ def test_network_copy_and_sync():
         assert (w1 == w2).all()
 
 
-def test_network_save_load_round_trip(tmp_path):
-    net = QNetwork([3, 4, 2], seed=7)
-    path = str(tmp_path / "net.json")
-    net.save(path)
-    loaded = QNetwork.load(path)
-    assert loaded.layer_sizes == net.layer_sizes
-    s = np.array([0.1, -0.2, 0.3])
-    assert q_forward(loaded, s) == pytest.approx(q_forward(net, s), abs=0)
-
-
 # ---------------------------------------------------------------- training
 
 def test_td_gradients_match_finite_differences():

@@ -43,6 +43,18 @@ def test_run_writes_outputs(tmp_path, planted_paths, capsys):
     assert "best score" in capsys.readouterr().out
 
 
+def test_run_sales_linear_with_near_singular_normal_matrix(tmp_path):
+    # the sales columns are collinear and badly scaled (condition about 4e25)
+    out_dir = tmp_path / "out"
+    code = main(["run", "--manifest", kgfeat.resource_path("sales.manifest.json"),
+                 "--learner", "linear", "--episodes", "5", "--steps", "10",
+                 "--out", str(out_dir)])
+    assert code == 0
+    doc = json.loads((out_dir / "result.json").read_text())
+    assert math.isfinite(doc["baseline_score"])
+    assert doc["best_score"] >= doc["baseline_score"]
+
+
 def test_run_flags_override_manifest(tmp_path, planted_paths):
     code, out_dir = run_manifest(tmp_path, planted_paths, "flagged",
                                  extra=["--episodes", "1", "--seed", "3"])

@@ -1,12 +1,13 @@
 import csv
+from datetime import date
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgfeat.data import (DataError, Kind, SchemaConfig, Task, kfold_indices,
-                         load_csv, split_kfold)
+from kgfeat.data import (Column, DataError, Kind, SchemaConfig, Task, _build_column,
+                         kfold_indices, load_csv, split_kfold)
 
 
 def write_csv(path, header, rows):
@@ -163,6 +164,101 @@ def test_non_finite_numeric_cells_flagged_missing(tmp_path):
     assert col.kind == Kind.NUMERIC
     assert col.missing.tolist() == [False, True, True, True, False]
     assert np.isnan(col.values[1:4]).all()
+
+
+# Oracle: column typing as two passes, kind inference then a parse per kind.
+_ORACLE_TRUE = {"true", "1", "yes"}
+_ORACLE_FALSE = {"false", "0", "no"}
+
+
+def _oracle_float(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _oracle_date(text):
+    try:
+        return date.fromisoformat(text)
+    except ValueError:
+        return None
+
+
+def oracle_kind(cells):
+    present = [c for c in cells if c != ""]
+    if not present:
+        return Kind.CATEGORICAL
+    if all(_oracle_float(c) is not None for c in present):
+        return Kind.NUMERIC
+    if all(_oracle_date(c) is not None for c in present):
+        return Kind.DATE
+    lowered = {c.lower() for c in present}
+    if len(lowered) <= 2 and lowered <= (_ORACLE_TRUE | _ORACLE_FALSE):
+        return Kind.BOOLEAN
+    return Kind.CATEGORICAL
+
+
+def oracle_column(name, cells, kind):
+    missing = np.array([c == "" for c in cells], dtype=bool)
+    values = np.full(len(cells), np.nan)
+    if kind == Kind.NUMERIC:
+        for i, c in enumerate(cells):
+            if not missing[i]:
+                if _oracle_float(c) is None:
+                    raise DataError(f"column {name!r}: cell {c!r} is not numeric")
+                values[i] = _oracle_float(c)
+        missing = ~np.isfinite(values)
+        values[missing] = np.nan
+    elif kind == Kind.DATE:
+        for i, c in enumerate(cells):
+            if not missing[i]:
+                if _oracle_date(c) is None:
+                    raise DataError(f"column {name!r}: cell {c!r} is not an ISO date")
+                values[i] = (_oracle_date(c) - date(1970, 1, 1)).days
+    elif kind == Kind.BOOLEAN:
+        for i, c in enumerate(cells):
+            if not missing[i]:
+                if c.lower() not in _ORACLE_TRUE | _ORACLE_FALSE:
+                    raise DataError(f"column {name!r}: cell {c!r} is not boolean")
+                values[i] = 1.0 if c.lower() in _ORACLE_TRUE else 0.0
+    else:
+        values = np.array(cells, dtype=object)
+    return Column(name, kind, values, missing)
+
+
+NUMBER_CELLS = ["0", "1", "-0", "2.5", "1e3", "-3E-2", "1_000", "20210301",
+                "inf", "-inf", "nan", "NaN", "1e400"]
+DATE_CELLS = ["1970-01-01", "2021-03-01", "2020-02-29", "1969-12-31", "2021-W09-1"]
+BOOL_CELLS = ["true", "True", "FALSE", "yes", "No", "YES", "0", "1"]
+JUNK_CELLS = ["red", "2021-13-01", "1.2.3", "yes!", "tru", "ø", "1,5"]
+
+
+@st.composite
+def typed_cells(draw):
+    family = draw(st.sampled_from([NUMBER_CELLS, DATE_CELLS, BOOL_CELLS,
+                                   NUMBER_CELLS + DATE_CELLS, BOOL_CELLS + NUMBER_CELLS]))
+    pool = family + [""] + (JUNK_CELLS if draw(st.booleans()) else [])
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(cells=typed_cells(), override=st.one_of(st.none(), st.sampled_from(list(Kind))))
+def test_column_typing_matches_inference_then_parse(cells, override):
+    try:
+        want = oracle_column("c", cells, override or oracle_kind(cells))
+    except DataError as err:
+        with pytest.raises(DataError) as got:
+            _build_column("c", cells, override)
+        assert str(got.value) == str(err)
+        return
+    got = _build_column("c", cells, override)
+    assert got.kind == want.kind
+    assert got.missing.tolist() == want.missing.tolist()
+    if want.kind == Kind.CATEGORICAL:
+        assert got.values.tolist() == want.values.tolist()
+    else:
+        np.testing.assert_array_equal(got.values, want.values)  # NaN equals NaN
 
 
 def dealt_folds(n, k, seed, labels=None):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from kgfeat import engine
 from kgfeat.agent import AgentConfig
 from kgfeat.data import Column, Dataset, Kind, Task
 from kgfeat.engine import (EngineConfig, EngineError, FEResult, _Evaluator,
@@ -58,9 +59,24 @@ def test_raw_pool_marks_raw_and_units(planted):
     assert len(pool) == 5
     assert all(e.is_raw for e in pool)
     by_name = {e.feature.display_name: e for e in pool}
-    assert by_name["X1"].feature.unit.name == "kg"
-    assert by_name["X3"].feature.unit is None
+    assert by_name["X1"].verdict.unit.name == "kg"
+    assert by_name["X3"].verdict.unit is None
     assert by_name["X3"].verdict.status == VerdictStatus.UNCOVERED
+
+
+def test_each_raw_column_is_judged_once_per_run(planted, monkeypatch):
+    d, kg, _ = planted
+    judged, real_judge = [], engine.judge
+
+    def counting_judge(kg, expr):
+        if isinstance(expr, RawRef):
+            judged.append(expr.name)
+        return real_judge(kg, expr)
+
+    monkeypatch.setattr(engine, "judge", counting_judge)
+    result = run(small_cfg(episodes=4), d, kg)
+    assert len(result.episode_scores) == 4
+    assert sorted(judged) == sorted(c.name for c in d.feature_columns)
 
 
 def test_run_telescoping_rewards(planted):

@@ -12,7 +12,8 @@ from kgfeat.data import Column, Dataset, Kind, Task
 from kgfeat.kg import (DIMENSIONLESS, KGError, Unit, VerdictStatus, coverage,
                        expr_unit, forward_chain, is_instance, judge, load_kg,
                        propagate_unit, subsumes)
-from kgfeat.transform import AggNode, BinaryNode, RawRef, UnaryNode
+from kgfeat.transform import (AggNode, Arity, BinaryNode, DateNode, RawRef, UnaryNode,
+                              catalog)
 
 
 def num_col(name, vals):
@@ -329,3 +330,29 @@ def test_judge_dimensionless_derivations_pass(body_kg, body_data):
 def test_coverage(body_kg, body_data, default_kg_path):
     assert coverage(body_kg, body_data) == pytest.approx(1.0)
     assert coverage(load_kg(default_kg_path), body_data) == 0.0
+
+
+def op_names(arity):
+    return st.sampled_from([op.name for op in catalog() if op.arity == arity])
+
+
+def expressions(columns):
+    """Random expressions over every catalog operator, with no kind checks;
+    some binary nodes take one sub-expression twice."""
+    def extend(sub):
+        return st.one_of(
+            st.builds(UnaryNode, op_names(Arity.UNARY), sub),
+            st.builds(DateNode, op_names(Arity.DATE), sub),
+            st.builds(BinaryNode, op_names(Arity.BINARY), sub, sub),
+            st.builds(lambda op, e: BinaryNode(op, e, e), op_names(Arity.BINARY), sub),
+            st.builds(AggNode, op_names(Arity.AGGREGATION), sub, sub),
+        )
+    return st.recursive(st.sampled_from(columns).map(RawRef), extend, max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_judge_unit_is_the_expression_unit(diabetes_kg, sales_kg, data):
+    kg = data.draw(st.sampled_from([diabetes_kg, sales_kg]))
+    expr = data.draw(expressions(sorted(kg.column_concepts) + ["UNMAPPED"]))
+    assert judge(kg, expr).unit == expr_unit(kg, expr)
