@@ -403,30 +403,43 @@ def _binary_f1(y_true, y_pred, positive) -> float:
     return 2 * tp / (2 * tp + fp + fn)
 
 
+def _rae_denominator(y_true):
+    """Sum of |y - mean(y)|, or None where the relative absolute error is
+    undefined: the sum is zero (a constant target) or subnormal, where
+    dividing by it overflows."""
+    denom = np.abs(y_true - y_true.mean()).sum()
+    return None if denom < np.finfo(float).tiny else denom
+
+
 def metric_one_minus_rae(y_true, y_pred) -> float:
     """1 - (sum |err|) / (sum |deviation from the mean|)."""
     y_true = np.asarray(y_true, dtype=float)
     y_pred = np.asarray(y_pred, dtype=float)
     if len(y_true) != len(y_pred):
         raise LearnError("length mismatch")
-    denom = np.abs(y_true - y_true.mean()).sum()
-    if denom == 0:
+    denom = _rae_denominator(y_true)
+    if denom is None:
         raise LearnError("constant target: relative absolute error undefined")
     return float(1.0 - np.abs(y_pred - y_true).sum() / denom)
 
 
 def impute_columns(train_X, other_X):
-    """Median-impute both matrices using training-fold medians."""
+    """Median-impute both matrices using training-fold medians (0 for a
+    column with no value in the training fold).
+
+    Only columns with a gap in either matrix get a median, and only a matrix
+    with a gap is copied: a gapless one comes back as given.
+    """
+    masks = [np.isnan(M) for M in (train_X, other_X)]
     med = np.zeros(train_X.shape[1])
-    for j in range(train_X.shape[1]):
-        col = train_X[:, j]
-        finite = col[~np.isnan(col)]
+    for j in np.flatnonzero(masks[0].any(axis=0) | masks[1].any(axis=0)):
+        finite = train_X[~masks[0][:, j], j]
         med[j] = np.median(finite) if len(finite) else 0.0
     out = []
-    for M in (train_X, other_X):
-        M = M.copy()
-        nanmask = np.isnan(M)
-        M[nanmask] = np.take(med, np.nonzero(nanmask)[1])
+    for M, nanmask in zip((train_X, other_X), masks):
+        if nanmask.any():
+            M = M.copy()
+            M[nanmask] = np.take(med, np.nonzero(nanmask)[1])
         out.append(M)
     return out
 
@@ -443,7 +456,8 @@ def evaluate_cv(spec: LearnerSpec, X: np.ndarray, y, task: Task, k: int,
     """Mean k-fold score: F1 for classification, 1-rae for regression.
 
     Missing cells are median-imputed per training fold; degenerate folds
-    (constant target) contribute 0.
+    (a constant target, or one whose deviations sum to a subnormal) contribute
+    0.
     """
     X = np.asarray(X, dtype=float)
     if task == Task.CLASSIFICATION:
@@ -463,7 +477,7 @@ def evaluate_cv(spec: LearnerSpec, X: np.ndarray, y, task: Task, k: int,
                 pred = predict(train(spec, Xtr, ytr, task), Xva)
             scores.append(metric_f1(yva, pred, positive=float(len(labels) - 1)))
         else:
-            if np.abs(yva - yva.mean()).sum() == 0:
+            if _rae_denominator(yva) is None:
                 scores.append(0.0)
                 continue
             pred = predict(train(spec, Xtr, ytr, task), Xva)

@@ -319,16 +319,24 @@ def apply(expr: Expr, d: Dataset) -> CandidateFeature:
                           for c in children(expr)])
 
 
-def _abs_pearson(vals: np.ndarray, miss: np.ndarray, tvals: np.ndarray) -> float:
-    sel = ~miss & ~np.isnan(tvals)
-    if sel.sum() < 2:
+def _abs_pearson(vals: np.ndarray, miss: np.ndarray, y: np.ndarray,
+                 yc: np.ndarray, sy: float) -> float:
+    """|Pearson r| of a candidate with the finite target `y`, given `y`
+    centred (`yc`) and its standard deviation (`sy`). A candidate with gaps
+    is correlated on its own rows, with the target's moments over those rows.
+    0 where either side is constant or a moment is not finite."""
+    if miss.any():
+        vals, y = vals[~miss], y[~miss]
+        if len(vals) < 2:
+            return 0.0
+        yc, sy = y - y.mean(), y.std()
+    elif len(vals) < 2:
         return 0.0
-    a = vals[sel]
-    b = tvals[sel]
-    sa, sb = a.std(), b.std()
-    if sa == 0 or sb == 0 or not np.isfinite(sa):
+    d = vals - vals.mean()
+    sa = np.sqrt(np.mean(d * d))  # bit-identical to vals.std()
+    if sa == 0 or sy == 0 or not np.isfinite(sa):
         return 0.0
-    c = float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+    c = float(np.mean(d * yc) / (sa * sy))
     return abs(c) if np.isfinite(c) else 0.0
 
 
@@ -359,21 +367,24 @@ def expand_action(op: TransformOp, pool, y: np.ndarray, cap: int, max_order: int
     expressions already present, computes each candidate from its operands'
     values in the pool, drops candidates with more than half the cells
     missing, and ranks by absolute Pearson correlation with the encoded
-    target `y` (class codes for classification). Deterministic.
+    target `y` (class codes for classification, finite), on the rows where
+    the candidate has a value. Deterministic.
     """
     if cap < 1:
         raise TransformError("cap must be >= 1")
     existing = {f.expr for f in pool}
     seen = set()
     scored = []
-    for expr, operands in _operand_tuples(op, pool, max_order):
-        if expr in existing or expr in seen:
-            continue
-        seen.add(expr)
-        cand = _derive(expr, operands)
-        if cand.missing.mean() > MAX_MISSING_FRACTION:
-            continue
-        scored.append((_abs_pearson(cand.values, cand.missing, y), cand))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ranks 0
+        yc, sy = y - y.mean(), y.std()
+        for expr, operands in _operand_tuples(op, pool, max_order):
+            if expr in existing or expr in seen:
+                continue
+            seen.add(expr)
+            cand = _derive(expr, operands)
+            if cand.missing.mean() > MAX_MISSING_FRACTION:
+                continue
+            scored.append((_abs_pearson(cand.values, cand.missing, y, yc, sy), cand))
     scored.sort(key=lambda sc: (-sc[0], sc[1].display_name))
     return [cand for _, cand in scored[:cap]]
 

@@ -1,11 +1,17 @@
+import csv
 import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 import kgfeat
-from kgfeat.cli import main
+from kgfeat.cli import _write_result_files, main
+from kgfeat.data import Column, Dataset, Kind, Task
+from kgfeat.engine import FEResult
+from kgfeat.kg import empty_kg
+from kgfeat.transform import RawRef, expr_to_json
 
 from conftest import make_planted_dataset
 
@@ -207,3 +213,23 @@ def test_run_nan_regression_target_exits_one(tmp_path, capsys):
     argv = write_regression(tmp_path, [str(i % 4) for i in range(12)], y)
     assert main(argv) == 1
     assert "target column has missing values" in capsys.readouterr().err
+
+
+def test_features_csv_cells_are_repr_or_empty(tmp_path):
+    vals = [math.nan, -0.0, 0.1, 1e-310, 1e300, 3.0]
+    d = Dataset(columns=[Column("v", Kind.NUMERIC, np.array(vals), np.isnan(vals)),
+                         Column("y", Kind.NUMERIC, np.arange(6.0), np.zeros(6, bool))],
+                target="y", task=Task.REGRESSION, n_rows=6)
+    result = FEResult(best_features=[{"display_name": "V",
+                                      "expr": expr_to_json(RawRef("v"))}],
+                      best_score=0.0, baseline_score=0.0, episode_scores=[],
+                      best_trajectory=[], discard_log=[], config={}, seed=0)
+    _write_result_files(result, d, empty_kg(), str(tmp_path))
+    with open(tmp_path / "features.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["V", "y"]
+    cells = [row[0] for row in rows[1:]]
+    assert cells == [repr(v) if v == v else "" for v in vals]
+    for cell, v in zip(cells, vals):
+        if cell:
+            assert float(cell).hex() == v.hex()  # the same float, sign of 0 too

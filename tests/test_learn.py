@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kgfeat.data import Task
 from kgfeat.learn import (LearnError, LearnerSpec, encode_labels, evaluate_cv,
-                          feature_importance, metric_f1, metric_one_minus_rae,
-                          predict, train)
+                          feature_importance, impute_columns, metric_f1,
+                          metric_one_minus_rae, predict, train)
 
 
 # ---------------------------------------------------------------- metrics
@@ -50,6 +51,24 @@ def test_one_minus_rae_perfect():
 def test_one_minus_rae_constant_target_raises():
     with pytest.raises(LearnError):
         metric_one_minus_rae([2.0, 2.0], [1.0, 3.0])
+
+
+def test_one_minus_rae_subnormal_deviation_raises():
+    # the deviations sum to 1e-320, a subnormal: the error sum divided by it
+    # overflowed to inf, and the score was -inf
+    with pytest.raises(LearnError):
+        metric_one_minus_rae([0.0, 1e-320], [1.0, 1.0])
+    with pytest.raises(LearnError):
+        metric_one_minus_rae([0.0, 1e-320], [0.0, 1e-320])
+
+
+def test_evaluate_cv_subnormal_target_folds_score_zero():
+    # every validation fold's deviations sum to zero or a subnormal, so each
+    # fold is degenerate and scores 0 instead of aborting the run
+    y = np.array([0.0, 1e-320] * 6)
+    X = np.arange(12.0)[:, None]
+    assert evaluate_cv(LearnerSpec(kind="linear"), X, y, Task.REGRESSION,
+                       k=3, seed=0) == 0.0
 
 
 def test_metric_length_mismatch():
@@ -373,3 +392,48 @@ def test_evaluate_cv_deterministic():
     a = evaluate_cv(spec, X, y, Task.REGRESSION, k=3, seed=2)
     b = evaluate_cv(spec, X, y, Task.REGRESSION, k=3, seed=2)
     assert a == b
+
+
+def _impute_columns_oracle(train_X, other_X):
+    """impute_columns as it was before it skipped gapless columns and
+    matrices: a median for every column, a copy of both matrices."""
+    med = np.zeros(train_X.shape[1])
+    for j in range(train_X.shape[1]):
+        col = train_X[:, j]
+        finite = col[~np.isnan(col)]
+        med[j] = np.median(finite) if len(finite) else 0.0
+    out = []
+    for M in (train_X, other_X):
+        M = M.copy()
+        nanmask = np.isnan(M)
+        M[nanmask] = np.take(med, np.nonzero(nanmask)[1])
+        out.append(M)
+    return out
+
+
+@st.composite
+def gappy_matrices(draw):
+    """A training and an other matrix with random gaps, some training
+    columns all NaN, and an other matrix that may have no rows."""
+    p = draw(st.integers(1, 5))
+    cells = st.floats(-1e6, 1e6) | st.just(np.nan)
+    train_X = draw(arrays(float, (draw(st.integers(1, 12)), p), elements=cells))
+    other_X = draw(arrays(float, (draw(st.integers(0, 6)), p), elements=cells))
+    for j in draw(st.sets(st.integers(0, p - 1), max_size=p)):
+        train_X[:, j] = np.nan
+    return train_X, other_X
+
+
+@settings(max_examples=200, deadline=None)
+@given(gappy_matrices())
+def test_impute_columns_matches_oracle(mats):
+    train_X, other_X = mats
+    before = [M.tobytes() for M in mats]
+    got = impute_columns(train_X, other_X)
+    want = _impute_columns_oracle(train_X, other_X)
+    for g, w, M in zip(got, want, mats):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+        if not np.isnan(M).any():
+            assert g is M  # a gapless matrix is not copied
+    assert [M.tobytes() for M in mats] == before

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from kgfeat.data import Column, Dataset, Kind, Task
 from kgfeat.engine import target_codes
 from kgfeat.transform import (AggNode, Arity, BinaryNode, DateNode, RawRef,
-                              TransformError, UnaryNode, apply, catalog,
-                              catalog_op, expand_action, expr_from_json,
-                              expr_to_json, order, render_name,
-                              search_space_size)
+                              TransformError, UnaryNode, _abs_pearson, apply,
+                              catalog, catalog_op, expand_action,
+                              expr_from_json, expr_to_json, order,
+                              render_name, search_space_size)
 
 
 def num_col(name, vals, missing=None):
@@ -375,6 +375,57 @@ def test_incremental_evaluation_matches_cold_apply():
         assert cand.display_name == cold.display_name
         assert cand.missing.tolist() == cold.missing.tolist(), render_name(cand.expr)
         np.testing.assert_array_equal(cand.values, cold.values)  # NaN equals NaN
+
+
+def _abs_pearson_oracle(vals, miss, tvals):
+    """The ranking score as it was before the target's moments were computed
+    once per expansion: target masked, copied and reduced per candidate."""
+    sel = ~miss & ~np.isnan(tvals)
+    if sel.sum() < 2:
+        return 0.0
+    a = vals[sel]
+    b = tvals[sel]
+    sa, sb = a.std(), b.std()
+    if sa == 0 or sb == 0 or not np.isfinite(sa):
+        return 0.0
+    c = float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+    return abs(c) if np.isfinite(c) else 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.0, 1e-300, 1e-150, 1.0, 1e150]),
+       tscale=st.sampled_from([0.0, 1e-150, 1.0, 1e150]),
+       offset=st.sampled_from([0.0, 0.1, -3.0]), gaps=st.booleans())
+def test_abs_pearson_matches_oracle(n, seed, scale, tscale, offset, gaps):
+    # scale 0 gives a constant column, tscale 0 a constant target
+    rng = np.random.default_rng(seed)
+    vals = offset + scale * rng.standard_normal(n)
+    y = offset + tscale * rng.standard_normal(n)
+    miss = rng.random(n) < 0.3 if gaps else np.zeros(n, dtype=bool)
+    vals[miss] = np.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _abs_pearson(vals, miss, y, y - y.mean(), y.std())
+        want = _abs_pearson_oracle(vals, miss, y)
+    assert got == want
+
+
+def test_expand_action_ranks_as_the_oracle_on_planted_data(planted):
+    # SQRT(SQUARE(X2)) near-ties X2, so a rounding change in the score
+    # reorders the div and mul candidates built from them
+    from kgfeat.engine import raw_pool
+
+    d, kg, _ = planted
+    y = target_codes(d)
+    pool = [e.feature for e in raw_pool(d, kg)]
+    for name in ("square", "sqrt", "div", "mul"):
+        cands = expand_action(catalog_op(name), pool, y, cap=10_000, max_order=5)
+        want = sorted(cands, key=lambda c: (
+            -_abs_pearson_oracle(c.values, c.missing, y), c.display_name))
+        assert [c.display_name for c in cands] == [c.display_name for c in want]
+        if name in ("square", "sqrt"):
+            pool = pool + cands
+    assert "SQRT(SQUARE(X2))" in {f.display_name for f in pool}
 
 
 @pytest.mark.parametrize("expr", [
