@@ -89,8 +89,7 @@ def _write_result_files(result, d, kg, out_dir):
         fh.write("\n")
     headers, columns = eng.feature_matrix(d, kg, result.best_features)
     tcol = d.target_column
-    # csv.writer writes a Python float with repr and None as an empty cell
-    cells = [np.where(np.isnan(col), None, col.astype(object)) for col in columns]
+    cells = [[repr(v) if v == v else "" for v in col.tolist()] for col in columns]
     cells.append(["" if m else str(v)
                   for v, m in zip(tcol.values.tolist(), tcol.missing.tolist())])
     with open(os.path.join(out_dir, "features.csv"), "w", newline="") as fh:

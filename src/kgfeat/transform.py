@@ -319,24 +319,32 @@ def apply(expr: Expr, d: Dataset) -> CandidateFeature:
                           for c in children(expr)])
 
 
+def _centred(v: np.ndarray):
+    """`v` minus its mean, and its standard deviation (bit-identical to
+    `v.std()`). An overflow gives a non-finite moment, which ranks 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = v - v.mean()
+        return d, np.sqrt(np.mean(d * d))
+
+
 def _abs_pearson(vals: np.ndarray, miss: np.ndarray, y: np.ndarray,
                  yc: np.ndarray, sy: float) -> float:
-    """|Pearson r| of a candidate with the finite target `y`, given `y`
-    centred (`yc`) and its standard deviation (`sy`). A candidate with gaps
-    is correlated on its own rows, with the target's moments over those rows.
-    0 where either side is constant or a moment is not finite."""
+    """|Pearson r| of a candidate with the finite target `y`, given
+    `_centred(y)` as `yc, sy`. A candidate with gaps is correlated on its own
+    rows, with the target's moments over those rows. 0 where either side is
+    constant or a moment is not finite."""
     if miss.any():
         vals, y = vals[~miss], y[~miss]
         if len(vals) < 2:
             return 0.0
-        yc, sy = y - y.mean(), y.std()
+        yc, sy = _centred(y)
     elif len(vals) < 2:
         return 0.0
-    d = vals - vals.mean()
-    sa = np.sqrt(np.mean(d * d))  # bit-identical to vals.std()
+    d, sa = _centred(vals)
     if sa == 0 or sy == 0 or not np.isfinite(sa):
         return 0.0
-    c = float(np.mean(d * yc) / (sa * sy))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = float(np.mean(d * yc) / (sa * sy))
     return abs(c) if np.isfinite(c) else 0.0
 
 
@@ -375,16 +383,15 @@ def expand_action(op: TransformOp, pool, y: np.ndarray, cap: int, max_order: int
     existing = {f.expr for f in pool}
     seen = set()
     scored = []
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ranks 0
-        yc, sy = y - y.mean(), y.std()
-        for expr, operands in _operand_tuples(op, pool, max_order):
-            if expr in existing or expr in seen:
-                continue
-            seen.add(expr)
-            cand = _derive(expr, operands)
-            if cand.missing.mean() > MAX_MISSING_FRACTION:
-                continue
-            scored.append((_abs_pearson(cand.values, cand.missing, y, yc, sy), cand))
+    yc, sy = _centred(y)
+    for expr, operands in _operand_tuples(op, pool, max_order):
+        if expr in existing or expr in seen:
+            continue
+        seen.add(expr)
+        cand = _derive(expr, operands)
+        if cand.missing.mean() > MAX_MISSING_FRACTION:
+            continue
+        scored.append((_abs_pearson(cand.values, cand.missing, y, yc, sy), cand))
     scored.sort(key=lambda sc: (-sc[0], sc[1].display_name))
     return [cand for _, cand in scored[:cap]]
 

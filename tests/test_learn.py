@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kgfeat.data import Task
-from kgfeat.learn import (LearnError, LearnerSpec, encode_labels, evaluate_cv,
-                          feature_importance, impute_columns, metric_f1,
-                          metric_one_minus_rae, predict, train)
+from kgfeat.learn import (LearnError, LearnerSpec, _rae_denominator,
+                          encode_labels, evaluate_cv, feature_importance,
+                          impute_columns, metric_f1, metric_one_minus_rae,
+                          predict, train)
 
 
 # ---------------------------------------------------------------- metrics
@@ -80,9 +81,13 @@ def test_metric_length_mismatch():
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-100, 100), min_size=3, max_size=20))
+@example([0.0, 0.0, 5e-324])
 def test_one_minus_rae_upper_bound(ys):
     ys = np.asarray(ys)
-    if np.abs(ys - ys.mean()).sum() == 0:
+    if _rae_denominator(ys) is None:
+        # deviations summing to zero or a subnormal (hypothesis draws 5e-324)
+        with pytest.raises(LearnError):
+            metric_one_minus_rae(ys, ys)
         return
     noise = ys + 1.0
     assert metric_one_minus_rae(ys, noise) <= 1.0
