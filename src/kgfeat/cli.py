@@ -17,7 +17,7 @@ from . import kg as kgmod
 from . import learn
 from .agent import AgentError
 from .data import DataError, SchemaConfig, load_csv
-from .kg import KGError, RawRef, expr_unit
+from .kg import KGError, RawRef
 from .learn import LearnError
 from .transform import TransformError, children, expr_from_json
 
@@ -122,6 +122,11 @@ def cmd_run(args) -> int:
     if mapping_path is not None:
         _check_exists(mapping_path, "mapping")
     cfg = _build_config(doc, args)
+    try:
+        orders = [int(x) for x in args.sweep.split(",")] if args.sweep else []
+    except ValueError:
+        raise eng.EngineError(f"invalid --sweep value {args.sweep!r}") from None
+    eng.sweep_configs(cfg, orders)  # a bad list fails before the run
 
     schema = SchemaConfig.from_json(schema_path)
     d = load_csv(dataset_path, schema)
@@ -135,8 +140,7 @@ def cmd_run(args) -> int:
     result.config["kg_path"] = os.path.abspath(kg_path)
     result.config["mapping_path"] = (os.path.abspath(mapping_path)
                                      if mapping_path else None)
-    if args.sweep:
-        orders = [int(x) for x in args.sweep.split(",")]
+    if orders:
         result.order_sweep = [[o, s] for o, s in eng.max_order_sweep(cfg, d, kg, orders)]
     _write_result_files(result, d, kg, out_dir)
     print(f"best score {result.best_score:.6f} (baseline {result.baseline_score:.6f}); "
@@ -167,9 +171,11 @@ def cmd_kg_check(args) -> int:
     return EXIT_OK
 
 
-def _print_tree(expr, kg, indent=0):
+def _print_tree(expr, kg, nodes, indent=1):
+    """One line per node; `nodes` holds each node's (id, unit) as the verdict
+    computed them (kg.materialize_facts)."""
     pad = "  " * indent
-    unit = expr_unit(kg, expr)
+    unit = nodes[expr][1]
     token = unit.name or unit.dims_token() if unit is not None else "unknown"
     if isinstance(expr, RawRef):
         entry = kg.column_concepts.get(expr.name)
@@ -178,7 +184,7 @@ def _print_tree(expr, kg, indent=0):
         return
     print(f"{pad}{expr.op.upper()}  unit={token}")
     for child in children(expr):
-        _print_tree(child, kg, indent + 1)
+        _print_tree(child, kg, nodes, indent + 1)
 
 
 def cmd_explain(args) -> int:
@@ -203,7 +209,8 @@ def cmd_explain(args) -> int:
         print(f"{name}")
         print(f"verdict: non_interpretable (discarded during the run)")
         print(f"rule: {doc['reason']}")
-    _print_tree(expr_from_json(doc["expr"]), kg, indent=1)
+    expr = expr_from_json(doc["expr"])
+    _print_tree(expr, kg, kgmod.materialize_facts(kg, expr)[1])
     return EXIT_OK
 
 

@@ -210,16 +210,3 @@ def kfold_indices(n: int, k: int, seed: int, labels=None):
     fold[dealt] = np.arange(n) % k
     return [(np.flatnonzero(fold != f), np.flatnonzero(fold == f)) for f in range(k)]
 
-
-def split_kfold(d: Dataset, k: int, seed: int, stratified: bool):
-    """k-fold splits of a Dataset's row indices; stratified uses the target."""
-    from .learn import encode_labels  # learn imports this module
-
-    labels = None
-    if stratified:
-        if d.task != Task.CLASSIFICATION:
-            raise DataError("stratified splits require a classification task")
-        if d.target_column.missing.any():
-            raise DataError("target column has missing values")
-        labels = encode_labels(d.target_column.values)[0]
-    return kfold_indices(d.n_rows, k, seed, labels=labels)

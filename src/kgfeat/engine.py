@@ -9,10 +9,9 @@ import numpy as np
 from . import agent as ag
 from . import learn
 from .data import Dataset, Kind, Task
-from .kg import KnowledgeGraph, Verdict, VerdictStatus, judge
-from .transform import (CandidateFeature, RawRef, catalog, expand_action,
-                        expr_from_json, expr_to_json, render_name)
-from .vectorize import phi_state
+from .kg import KnowledgeGraph, Unit, Verdict, VerdictStatus, judge
+from .transform import (CandidateFeature, Expr, RawRef, catalog, expand_action,
+                        expr_from_json, expr_to_json, leaves, render_name)
 
 MAX_STEPS_PER_EPISODE = 20
 
@@ -38,8 +37,9 @@ class EngineConfig:
     def __post_init__(self):
         for name in ("episodes", "steps", "cap", "feature_budget", "max_order",
                      "k_folds", "patience"):
-            if getattr(self, name) < (0 if name == "max_order" else 1):
-                raise EngineError(f"{name} must be positive")
+            low = 0 if name == "max_order" else 1
+            if getattr(self, name) < low:
+                raise EngineError(f"{name} must be at least {low}")
         if self.steps > MAX_STEPS_PER_EPISODE:
             raise EngineError(f"steps per episode capped at {MAX_STEPS_PER_EPISODE}")
         if self.policy not in ("dqn", "random"):
@@ -71,6 +71,34 @@ class PoolEntry:
     feature: CandidateFeature
     verdict: Verdict
     is_raw: bool
+    concepts: np.ndarray              # phi_feature, built when the entry is made
+
+
+def phi_feature(kg: KnowledgeGraph, expr: Expr, unit: Optional[Unit]) -> np.ndarray:
+    """0/1 vector over the KG's concept order: each mapped leaf lights up its
+    class, the class ancestors, and its unit; a derived feature adds the
+    registered name of its root unit (the verdict's), when there is one.
+    Unmapped leaves contribute nothing."""
+    index = {name: i for i, name in enumerate(kg.concept_order)}
+    vec = np.zeros(len(kg.concept_order), dtype=np.int64)
+    for leaf in leaves(expr):
+        if leaf.name in kg.column_concepts:
+            cls, unit_name = kg.column_concepts[leaf.name]
+            for concept in [cls, unit_name] + kg.ancestors(cls):
+                if concept in index:
+                    vec[index[concept]] = 1
+    # a raw leaf shows only its mapped unit: `mm` must not light up `m`
+    if not isinstance(expr, RawRef) and unit is not None:
+        name = kg.registered_name_for(unit)
+        if name in index:
+            vec[index[name]] = 1
+    return vec
+
+
+def phi_state(kg: KnowledgeGraph, pool) -> np.ndarray:
+    """Element-wise sum of the entries' concept vectors; fixed length
+    regardless of how many entries the pool holds."""
+    return sum((e.concepts for e in pool), np.zeros(len(kg.concept_order), dtype=np.int64))
 
 
 @dataclass
@@ -180,7 +208,8 @@ def raw_pool(d: Dataset, kg: KnowledgeGraph):
             kind=col.kind,
             display_name=render_name(RawRef(col.name)),
         )
-        pool.append(PoolEntry(feature=feat, verdict=judge(kg, feat.expr), is_raw=True))
+        verdict = judge(kg, feat.expr)
+        pool.append(PoolEntry(feat, verdict, True, phi_feature(kg, feat.expr, verdict.unit)))
     return pool
 
 
@@ -238,7 +267,7 @@ class _AgentState:
 
 def _state(kg: KnowledgeGraph, pool) -> np.ndarray:
     """The agent's view of a pool: its concept vector over 1 + pool size."""
-    return phi_state(kg, [e.feature.expr for e in pool]).astype(float) / (1.0 + len(pool))
+    return phi_state(kg, pool).astype(float) / (1.0 + len(pool))
 
 
 def run_episode(raw, kg: KnowledgeGraph, state: _AgentState,
@@ -279,7 +308,8 @@ def run_episode(raw, kg: KnowledgeGraph, state: _AgentState,
                     "reason": verdict.reason,
                 })
             else:
-                kept.append(PoolEntry(feature=cand, verdict=verdict, is_raw=False))
+                kept.append(PoolEntry(cand, verdict, False,
+                                      phi_feature(kg, cand.expr, verdict.unit)))
         pool = pool + kept
         pool = _prune_to_budget(pool, cfg, evaluator)
 
@@ -367,15 +397,16 @@ def run(cfg: EngineConfig, d: Dataset, kg: KnowledgeGraph) -> FEResult:
     )
 
 
-def max_order_sweep(cfg: EngineConfig, d: Dataset, kg: KnowledgeGraph, orders):
-    """Independent runs per max_order value with a shared seed."""
+def sweep_configs(cfg: EngineConfig, orders):
+    """One config per max_order value; the values must ascend."""
     if list(orders) != sorted(orders):
         raise EngineError("orders must be ascending")
-    out = []
-    for order in orders:
-        result = run(replace(cfg, max_order=order), d, kg)
-        out.append((order, result.best_score))
-    return out
+    return [replace(cfg, max_order=order) for order in orders]
+
+
+def max_order_sweep(cfg: EngineConfig, d: Dataset, kg: KnowledgeGraph, orders):
+    """Independent runs per max_order value with a shared seed."""
+    return [(c.max_order, run(c, d, kg).best_score) for c in sweep_configs(cfg, orders)]
 
 
 def feature_matrix(d: Dataset, kg: KnowledgeGraph, feature_docs):

@@ -10,7 +10,7 @@ from itertools import count
 from typing import Optional
 
 from .data import Dataset
-from .transform import AggNode, Expr, RawRef, children
+from .transform import AggNode, Expr, RawRef, children, leaves
 
 BASE_DIMENSIONS = ("mass", "length", "time", "temperature", "currency", "count")
 
@@ -312,16 +312,6 @@ def _operands(expr: Expr) -> tuple:
     return (expr.value,) if isinstance(expr, AggNode) else children(expr)
 
 
-def expr_unit(kg: KnowledgeGraph, expr: Expr) -> Optional[Unit]:
-    """Propagated unit of an expression from its mapped leaf units."""
-    if isinstance(expr, RawRef):
-        entry = kg.column_concepts.get(expr.name)
-        if entry is None or entry[1] is None:
-            return None
-        return kg.unit_registry[entry[1]]
-    return propagate_unit(expr.op, [expr_unit(kg, c) for c in _operands(expr)])
-
-
 def _token_dims(kg: KnowledgeGraph, token: str):
     """Dims behind a unit token; unresolvable tokens compare as themselves."""
     if token in kg.unit_registry:
@@ -374,8 +364,10 @@ def _match_body(kg, facts, body, binding, i=0):
             yield from _match_body(kg, facts, body, new, i + 1)
 
 
-def _forward_chain(kg: KnowledgeGraph, facts):
-    """Naive fixpoint over the KG's Horn rules; returns (facts, provenance)."""
+def forward_chain(kg: KnowledgeGraph, facts):
+    """Naive fixpoint over the KG's Horn rules on a set of ground atoms
+    (tuples of pred + args); returns (facts, provenance), where provenance
+    maps each rule-derived fact to the name of the rule that derived it."""
     facts = set(facts)
     closed = set()
     for fact in list(facts):
@@ -401,12 +393,6 @@ def _forward_chain(kg: KnowledgeGraph, facts):
     return facts, provenance
 
 
-def forward_chain(kg: KnowledgeGraph, facts):
-    """Rule fixpoint over a set of ground atoms (tuples of pred + args)."""
-    result, _ = _forward_chain(kg, facts)
-    return result
-
-
 def _unit_token(kg: KnowledgeGraph, unit: Optional[Unit]):
     if unit is None:
         return None
@@ -418,12 +404,14 @@ def materialize_facts(kg: KnowledgeGraph, expr: Expr):
     """Ground atoms describing every sub-expression of a feature.
 
     One post-order walk numbers the nodes n0, n1, ... and propagates units
-    bottom-up; it returns (facts, root id, root unit). Leaves contribute their
-    mapped class and unit; each transform application contributes
-    hasInput/hasOutput and its transform-class atom; propagated units attach
-    to derived nodes. A repeated input refers to the id of its first node.
+    bottom-up; it returns the facts and a map from each distinct node to its
+    (first id, unit). It is the only unit walk: verdicts and `explain` read
+    their units from that map. Leaves contribute their mapped class and unit;
+    each transform application contributes hasInput/hasOutput and its
+    transform-class atom; propagated units attach to derived nodes. A repeated
+    input refers to the id of its first node.
     """
-    facts, seen, ids = set(), {}, count()   # seen: node -> (first id, unit)
+    facts, seen, ids = set(), {}, count()
 
     def walk(node):
         for child in children(node):
@@ -450,8 +438,7 @@ def materialize_facts(kg: KnowledgeGraph, expr: Expr):
         seen.setdefault(node, (nid, unit))
 
     walk(expr)
-    root_id, root_unit = seen[expr]
-    return facts, root_id, root_unit
+    return facts, seen
 
 
 def judge(kg: KnowledgeGraph, expr: Expr) -> Verdict:
@@ -462,12 +449,13 @@ def judge(kg: KnowledgeGraph, expr: Expr) -> Verdict:
     discarded; everything else is Interpretable. Every verdict carries the
     root unit.
     """
-    facts, root_id, unit = materialize_facts(kg, expr)
-    if not any(leaf.name in kg.column_concepts for leaf in _leaves(expr)):
+    facts, nodes = materialize_facts(kg, expr)
+    root_id, unit = nodes[expr]
+    if not any(leaf.name in kg.column_concepts for leaf in leaves(expr)):
         return Verdict(VerdictStatus.UNCOVERED, unit=unit)
     if isinstance(expr, RawRef):
         return Verdict(VerdictStatus.INTERPRETABLE, unit=unit)
-    fixpoint, provenance = _forward_chain(kg, facts)
+    fixpoint, provenance = forward_chain(kg, facts)
     bad = ("nonInterpretable", root_id)
     if bad in fixpoint:
         reason = provenance.get(bad, "rule")
@@ -479,12 +467,6 @@ def judge(kg: KnowledgeGraph, expr: Expr) -> Verdict:
     if unit is None or (not unit.dimensionless and kg.registered_name_for(unit) is None):
         return Verdict(VerdictStatus.NON_INTERPRETABLE, "unknown unit", unit)
     return Verdict(VerdictStatus.INTERPRETABLE, unit=unit)
-
-
-def _leaves(expr: Expr):
-    if isinstance(expr, RawRef):
-        return [expr]
-    return [leaf for c in children(expr) for leaf in _leaves(c)]
 
 
 def coverage(kg: KnowledgeGraph, d: Dataset) -> float:

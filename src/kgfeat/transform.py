@@ -115,6 +115,13 @@ def children(expr: Expr) -> tuple:
     return ()
 
 
+def leaves(expr: Expr) -> list:
+    """The raw references of an expression, left to right, repeats included."""
+    if isinstance(expr, RawRef):
+        return [expr]
+    return [leaf for c in children(expr) for leaf in leaves(c)]
+
+
 def order(expr: Expr) -> int:
     """Transform nodes on the deepest path; raw references have order 0."""
     return 1 + max((order(c) for c in children(expr)), default=-1)

@@ -11,7 +11,9 @@ from kgfeat.cli import _write_result_files, main
 from kgfeat.data import Column, Dataset, Kind, Task
 from kgfeat.engine import FEResult
 from kgfeat.kg import empty_kg
-from kgfeat.transform import RawRef, expr_to_json
+from kgfeat import engine as eng
+from kgfeat.transform import (AggNode, BinaryNode, RawRef, UnaryNode,
+                              expr_to_json)
 
 from conftest import make_planted_dataset
 
@@ -90,6 +92,22 @@ def test_run_sweep_recorded(tmp_path, planted_paths):
     assert [o for o, _ in doc["order_sweep"]] == [0, 1]
 
 
+@pytest.mark.parametrize("sweep, message", [
+    ("x", "invalid --sweep value 'x'"),
+    ("2,1", "orders must be ascending"),
+    ("-1", "max_order must be at least 0"),
+])
+def test_run_bad_sweep_exits_one_before_the_run(tmp_path, planted_paths, capsys,
+                                                monkeypatch, sweep, message):
+    def no_run(*args):
+        raise AssertionError("the run started before --sweep was checked")
+    monkeypatch.setattr(eng, "run", no_run)
+    code, out_dir = run_manifest(tmp_path, planted_paths, extra=["--sweep", sweep])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
+
+
 def test_run_missing_dataset_exits_one(tmp_path, capsys):
     code = main(["run", "--dataset", str(tmp_path / "nope.csv"),
                  "--schema", str(tmp_path / "nope.json"),
@@ -146,6 +164,34 @@ def test_explain_known_and_unknown_feature(tmp_path, planted_paths, capsys):
     code = main(["explain", result_path, "X1 PLUS X2"])
     assert code == 1
     assert "unknown feature" in capsys.readouterr().err
+
+
+def test_explain_derived_feature_tree(tmp_path, capsys):
+    # a leaf prints its mapped unit, a derived node its dims token, an unmapped
+    # leaf "unknown"; an aggregation's key is printed before its value
+    mapping = tmp_path / "mapping.json"
+    mapping.write_text(json.dumps({"weight": {"class": "Weight", "unit": "kg"},
+                                   "height": {"class": "Height", "unit": "m"}}))
+    bmi = BinaryNode("div", RawRef("weight"), UnaryNode("square", RawRef("height")))
+    feature = {"display_name": "BMI BY STORE", "verdict": "interpretable",
+               "expr": expr_to_json(AggNode("group_mean", RawRef("store"), bmi))}
+    result = FEResult(best_features=[feature], best_score=0.0, baseline_score=0.0,
+                      episode_scores=[], best_trajectory=[], discard_log=[],
+                      config={"kg_path": kgfeat.resource_path("default_kg.json"),
+                              "mapping_path": str(mapping)}, seed=0)
+    result_path = tmp_path / "result.json"
+    result_path.write_text(json.dumps(result.to_json()))
+    assert main(["explain", str(result_path), "BMI BY STORE"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "BMI BY STORE",
+        "verdict: interpretable",
+        "  GROUP_MEAN  unit=dim:length=-2,mass=1",
+        "    STORE  class=(unmapped) unit=unknown",
+        "    DIV  unit=dim:length=-2,mass=1",
+        "      WEIGHT  class=Weight unit=kg",
+        "      SQUARE  unit=dim:length=2",
+        "        HEIGHT  class=Height unit=m",
+    ]
 
 
 def test_report_writes_importance(tmp_path, planted_paths):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgfeat.data import (Column, DataError, Kind, SchemaConfig, Task, _build_column,
-                         kfold_indices, load_csv, split_kfold)
+                         kfold_indices, load_csv)
 
 
 def write_csv(path, header, rows):
@@ -133,13 +133,6 @@ def test_kfold_invalid_k():
         kfold_indices(10, 1, seed=0)
     with pytest.raises(DataError):
         kfold_indices(3, 4, seed=0)
-
-
-def test_split_kfold_stratified_requires_classification(tmp_path):
-    path = write_csv(tmp_path / "t.csv", ["a", "y"], [["1", "0.5"], ["2", "1.5"]])
-    d = load_csv(path, SchemaConfig(target_name="y", task=Task.REGRESSION))
-    with pytest.raises(DataError):
-        split_kfold(d, 2, seed=0, stratified=True)
 
 
 @settings(max_examples=40, deadline=None)

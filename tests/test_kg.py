@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 import kgfeat
 from kgfeat import kg as kgmod
 from kgfeat.data import Column, Dataset, Kind, Task
+from kgfeat.engine import phi_feature
 from kgfeat.kg import (DIMENSIONLESS, KGError, Unit, VerdictStatus, coverage,
-                       expr_unit, forward_chain, is_instance, judge, load_kg,
-                       propagate_unit, subsumes)
+                       forward_chain, is_instance, judge, load_kg, propagate_unit,
+                       subsumes)
 from kgfeat.transform import (AggNode, Arity, BinaryNode, DateNode, RawRef, UnaryNode,
-                              catalog)
+                              catalog, children, leaves)
 
 
 def num_col(name, vals):
@@ -226,7 +227,7 @@ def test_forward_chain_simple_rule(tmp_path):
     path = tmp_path / "kg.json"
     path.write_text(json.dumps(doc))
     kg = load_kg(str(path))
-    facts = forward_chain(kg, {("P", "a"), ("P", "b")})
+    facts, _ = forward_chain(kg, {("P", "a"), ("P", "b")})
     assert ("Q", "a") in facts and ("Q", "b") in facts
 
 
@@ -244,12 +245,12 @@ def test_forward_chain_reaches_fixpoint(tmp_path):
     path = tmp_path / "kg.json"
     path.write_text(json.dumps(doc))
     kg = load_kg(str(path))
-    facts = forward_chain(kg, {("A", "a")})
+    facts, _ = forward_chain(kg, {("A", "a")})
     assert ("C", "a") in facts
 
 
 def test_class_facts_close_upward(body_kg):
-    facts = forward_chain(body_kg, {("Weight", "n0")})
+    facts, _ = forward_chain(body_kg, {("Weight", "n0")})
     assert ("Mass", "n0") in facts
     assert ("PhysicalQuantity", "n0") in facts
 
@@ -272,8 +273,7 @@ def test_judge_body_mass_ratio_interpretable(body_kg, body_data):
     bmi = BinaryNode("div", RawRef("weight"), UnaryNode("square", RawRef("height")))
     v = judge(body_kg, bmi)
     assert v.status == VerdictStatus.INTERPRETABLE
-    u = expr_unit(body_kg, bmi)
-    assert body_kg.registered_name_for(u) == "kg_per_m2"
+    assert body_kg.registered_name_for(v.unit) == "kg_per_m2"
 
 
 def test_judge_mixed_unit_addition(body_kg, body_data):
@@ -350,9 +350,56 @@ def expressions(columns):
     return st.recursive(st.sampled_from(columns).map(RawRef), extend, max_leaves=8)
 
 
+def expr_unit(kg, expr):
+    """Oracle: the unit of an expression by its own recursive walk."""
+    if isinstance(expr, RawRef):
+        entry = kg.column_concepts.get(expr.name)
+        if entry is None or entry[1] is None:
+            return None
+        return kg.unit_registry[entry[1]]
+    operands = (expr.value,) if isinstance(expr, AggNode) else children(expr)
+    return propagate_unit(expr.op, [expr_unit(kg, c) for c in operands])
+
+
+def oracle_phi_feature(kg, expr):
+    """Oracle: a feature's concept vector with the unit from expr_unit."""
+    index = {name: i for i, name in enumerate(kg.concept_order)}
+    vec = np.zeros(len(kg.concept_order), dtype=np.int64)
+    for leaf in leaves(expr):
+        entry = kg.column_concepts.get(leaf.name)
+        if entry is None:
+            continue
+        cls, unit_name = entry
+        for concept in [cls] + kg.ancestors(cls):
+            if concept in index:
+                vec[index[concept]] = 1
+        if unit_name is not None and unit_name in index:
+            vec[index[unit_name]] = 1
+    if not isinstance(expr, RawRef):
+        unit = expr_unit(kg, expr)
+        if unit is not None:
+            name = kg.registered_name_for(unit)
+            if name is not None and name in index:
+                vec[index[name]] = 1
+    return vec
+
+
+def draw_kg_and_expression(data, diabetes_kg, sales_kg):
+    kg = data.draw(st.sampled_from([diabetes_kg, sales_kg]))
+    return kg, data.draw(expressions(sorted(kg.column_concepts) + ["UNMAPPED"]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_judge_unit_is_the_expression_unit(diabetes_kg, sales_kg, data):
-    kg = data.draw(st.sampled_from([diabetes_kg, sales_kg]))
-    expr = data.draw(expressions(sorted(kg.column_concepts) + ["UNMAPPED"]))
+    kg, expr = draw_kg_and_expression(data, diabetes_kg, sales_kg)
     assert judge(kg, expr).unit == expr_unit(kg, expr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_concept_vector_from_the_verdict_unit_matches_the_oracle(diabetes_kg, sales_kg,
+                                                                 data):
+    kg, expr = draw_kg_and_expression(data, diabetes_kg, sales_kg)
+    expected = oracle_phi_feature(kg, expr)
+    assert (phi_feature(kg, expr, judge(kg, expr).unit) == expected).all()

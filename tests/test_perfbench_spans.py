@@ -26,3 +26,24 @@ def test_judge_takes_the_expression_second():
     # the tracer tags each judge span from its second positional argument
     from kgfeat import engine
     assert list(inspect.signature(engine.judge).parameters)[1] == "expr"
+
+
+def test_phi_state_runs_once_per_step_and_once_per_episode(tmp_path, monkeypatch):
+    # the count the benchmark reports as vectorize.phi_state.calls
+    from kgfeat import engine
+    from kgfeat.learn import LearnerSpec
+    from conftest import make_planted_dataset
+
+    d, kg, _ = make_planted_dataset(tmp_path, n=60)
+    calls = []
+    phi_state = engine.phi_state
+
+    def counted(*args):
+        calls.append(1)
+        return phi_state(*args)
+    monkeypatch.setattr(engine, "phi_state", counted)
+    cfg = engine.EngineConfig(episodes=2, steps=3, cap=4, k_folds=2,
+                              learner=LearnerSpec(kind="linear"))
+    result = engine.run(cfg, d, kg)
+    assert len(result.traces) == 2
+    assert len(calls) == 2 * (3 + 1)

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from kgfeat.kg import load_kg
+from kgfeat.data import Column, Dataset, Kind, Task
+from kgfeat.engine import phi_feature, phi_state, raw_pool
+from kgfeat.kg import judge, load_kg
 from kgfeat.transform import BinaryNode, RawRef, UnaryNode
-from kgfeat.vectorize import phi_feature, phi_state
 
 
 @pytest.fixture()
@@ -23,8 +24,12 @@ def idx(kg, name):
     return kg.concept_order.index(name)
 
 
+def phi(kg, expr):
+    return phi_feature(kg, expr, judge(kg, expr).unit)
+
+
 def test_phi_raw_feature_sets_class_ancestors_unit(kg):
-    vec = phi_feature(kg, RawRef("weight"))
+    vec = phi(kg, RawRef("weight"))
     assert vec.shape == (len(kg.concept_order),)
     assert set(np.unique(vec)) <= {0, 1}
     for concept in ("Weight", "Mass", "PhysicalQuantity", "Quantity", "kg"):
@@ -34,20 +39,22 @@ def test_phi_raw_feature_sets_class_ancestors_unit(kg):
 
 
 def test_phi_unmapped_leaf_is_zero(kg):
-    assert phi_feature(kg, RawRef("mystery")).sum() == 0
+    assert phi(kg, RawRef("mystery")).sum() == 0
 
 
 def test_phi_derived_feature_adds_propagated_unit(kg):
     bmi = BinaryNode("div", RawRef("weight"), UnaryNode("square", RawRef("height")))
-    vec = phi_feature(kg, bmi)
+    vec = phi(kg, bmi)
     for concept in ("Weight", "Height", "kg", "m", "kg_per_m2"):
         assert vec[idx(kg, concept)] == 1, concept
 
 
 def test_phi_state_is_sum_of_feature_vectors(kg):
-    exprs = [RawRef("weight"), RawRef("height"), RawRef("weight")]
-    total = phi_state(kg, exprs)
-    manual = sum(phi_feature(kg, e) for e in exprs)
+    cols = [Column(name, Kind.NUMERIC, np.ones(3), np.zeros(3, dtype=bool))
+            for name in ("weight", "height", "y")]
+    weight, height = raw_pool(Dataset(cols, "y", Task.REGRESSION, 3), kg)
+    total = phi_state(kg, [weight, height, weight])
+    manual = sum(phi(kg, RawRef(name)) for name in ("weight", "height", "weight"))
     assert (total == manual).all()
     # repeated concepts accumulate past one
     assert total[idx(kg, "Weight")] == 2
