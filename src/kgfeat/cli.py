@@ -64,9 +64,7 @@ def _build_config(doc, args):
     manifest_learner = overrides.pop("learner", None)
     learner_kind = args.learner or manifest_learner
     cfg = eng.EngineConfig()
-    known = {"episodes", "steps", "cap", "feature_budget", "max_order",
-             "k_folds", "seed", "patience", "policy"}
-    bad = set(overrides) - known
+    bad = set(overrides) - set(eng.ENGINE_OPTIONS)
     if bad:
         raise eng.EngineError(f"unknown engine options: {sorted(bad)}")
     cfg = replace(cfg, **overrides)
@@ -200,16 +198,14 @@ def cmd_explain(args) -> int:
         print(f"error: unknown feature {name!r}{hint}", file=sys.stderr)
         return EXIT_USER
     kg = kgmod.load_kg(result.config["kg_path"], result.config.get("mapping_path"))
+    doc = known.get(name) or discarded[name]
+    expr = expr_from_json(doc["expr"])
+    print(f"{name}")
     if name in known:
-        doc = known[name]
-        print(f"{name}")
         print(f"verdict: {doc['verdict']}")
     else:
-        doc = discarded[name]
-        print(f"{name}")
         print(f"verdict: non_interpretable (discarded during the run)")
         print(f"rule: {doc['reason']}")
-    expr = expr_from_json(doc["expr"])
     _print_tree(expr, kg, kgmod.materialize_facts(kg, expr)[1])
     return EXIT_OK
 

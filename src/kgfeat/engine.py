@@ -1,17 +1,17 @@
 """The generate / filter / evaluate / reward loop tying the pieces together."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
 
 from . import agent as ag
-from . import learn
+from . import learn, transform
 from .data import Dataset, Kind, Task
 from .kg import KnowledgeGraph, Unit, Verdict, VerdictStatus, judge
 from .transform import (CandidateFeature, Expr, RawRef, catalog, expand_action,
-                        expr_from_json, expr_to_json, leaves, render_name)
+                        expr_from_json, expr_to_json, leaves)
 
 MAX_STEPS_PER_EPISODE = 20
 
@@ -46,24 +46,19 @@ class EngineConfig:
             raise EngineError("policy must be 'dqn' or 'random'")
 
     def to_json(self) -> dict:
-        doc = {
-            "episodes": self.episodes,
-            "steps": self.steps,
-            "cap": self.cap,
-            "feature_budget": self.feature_budget,
-            "max_order": self.max_order,
-            "k_folds": self.k_folds,
-            "seed": self.seed,
-            "patience": self.patience,
-            "policy": self.policy,
-            "learner": {
-                "kind": self.learner.kind,
-                "max_depth": self.learner.max_depth,
-                "n_trees": self.learner.n_trees,
-                "seed": self.learner.seed,
-            },
+        doc = {name: getattr(self, name) for name in ENGINE_OPTIONS}
+        doc["learner"] = {
+            "kind": self.learner.kind,
+            "max_depth": self.learner.max_depth,
+            "n_trees": self.learner.n_trees,
+            "seed": self.learner.seed,
         }
         return doc
+
+
+# The scalar options a manifest's `engine` block may set.
+ENGINE_OPTIONS = tuple(f.name for f in fields(EngineConfig)
+                       if f.name not in ("learner", "agent"))
 
 
 @dataclass
@@ -201,13 +196,7 @@ def forest_importance(spec: learn.LearnerSpec, X: np.ndarray, y: np.ndarray,
 def raw_pool(d: Dataset, kg: KnowledgeGraph):
     pool = []
     for col in d.feature_columns:
-        feat = CandidateFeature(
-            expr=RawRef(col.name),
-            values=col.values,
-            missing=col.missing,
-            kind=col.kind,
-            display_name=render_name(RawRef(col.name)),
-        )
+        feat = transform.apply(RawRef(col.name), d)
         verdict = judge(kg, feat.expr)
         pool.append(PoolEntry(feat, verdict, True, phi_feature(kg, feat.expr, verdict.unit)))
     return pool
@@ -411,17 +400,6 @@ def max_order_sweep(cfg: EngineConfig, d: Dataset, kg: KnowledgeGraph, orders):
 
 def feature_matrix(d: Dataset, kg: KnowledgeGraph, feature_docs):
     """Re-evaluate a serialized feature set into (headers, columns)."""
-    from .transform import apply
-
-    headers, columns = [], []
-    for doc in feature_docs:
-        expr = expr_from_json(doc["expr"])
-        if isinstance(expr, RawRef):
-            col = d.column(expr.name)
-            entry = CandidateFeature(expr, col.values, col.missing, col.kind,
-                                     doc["display_name"])
-        else:
-            entry = apply(expr, d)
-        headers.append(doc["display_name"])
-        columns.append(encode_feature(entry))
-    return headers, columns
+    return ([doc["display_name"] for doc in feature_docs],
+            [encode_feature(transform.apply(expr_from_json(doc["expr"]), d))
+             for doc in feature_docs])

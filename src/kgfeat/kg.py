@@ -10,7 +10,7 @@ from itertools import count
 from typing import Optional
 
 from .data import Dataset
-from .transform import AggNode, Expr, RawRef, children, leaves
+from .transform import Arity, Expr, RawRef, catalog_op, children, leaves
 
 BASE_DIMENSIONS = ("mass", "length", "time", "temperature", "currency", "count")
 
@@ -309,7 +309,7 @@ def _scale(a: Unit, factor) -> Unit:
 
 def _operands(expr: Expr) -> tuple:
     """The inputs of a transform node; an aggregation's group key is not one."""
-    return (expr.value,) if isinstance(expr, AggNode) else children(expr)
+    return expr.args[1:] if catalog_op(expr.op).arity == Arity.AGGREGATION else expr.args
 
 
 def _token_dims(kg: KnowledgeGraph, token: str):

@@ -33,38 +33,21 @@ class RawRef:
 
 
 @dataclass(frozen=True)
-class UnaryNode:
+class Node:
+    """One transform applied to its operands, given in the order of the op's
+    `inputs` (an aggregation's key first); `level` is the category a one-hot
+    node encodes."""
     op: str
-    child: "Expr"
-    level: Optional[str] = None  # one_hot only: the encoded category level
+    args: tuple
+    level: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class BinaryNode:
-    op: str
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class AggNode:
-    op: str
-    key: "Expr"
-    value: "Expr"
-
-
-@dataclass(frozen=True)
-class DateNode:
-    op: str
-    child: "Expr"
-
-
-Expr = Union[RawRef, UnaryNode, BinaryNode, AggNode, DateNode]
+Expr = Union[RawRef, Node]
 
 _N, _B, _C, _D = Kind.NUMERIC, Kind.BOOLEAN, Kind.CATEGORICAL, Kind.DATE
 # No operator returns a Categorical or Date result, so a feature of either
 # kind is always a raw column.
-_CATALOG = (
+_CATALOG = {op.name: op for op in (
     [TransformOp(n, Arity.UNARY, (_N,), _N) for n in ("log", "sqrt", "square", "reciprocal")]
     + [TransformOp("one_hot", Arity.UNARY, (_C,), _B)]
     + [TransformOp(n, Arity.BINARY, (_N, _N), _N) for n in ("add", "sub", "mul", "div")]
@@ -73,9 +56,10 @@ _CATALOG = (
        for n in ("group_min", "group_max", "group_mean", "group_sum")]
     + [TransformOp(n, Arity.DATE, (_D,), _N) for n in ("day", "month", "year")]
     + [TransformOp("is_weekend", Arity.DATE, (_D,), _B)]
-)
-_NODE = {Arity.UNARY: UnaryNode, Arity.BINARY: BinaryNode,
-         Arity.AGGREGATION: AggNode, Arity.DATE: DateNode}
+)}
+# A node's `type` and operand fields in result.json, per arity.
+_JSON_FIELDS = {Arity.UNARY: ("unary", ("child",)), Arity.BINARY: ("binary", ("left", "right")),
+                Arity.AGGREGATION: ("agg", ("key", "value")), Arity.DATE: ("date", ("child",))}
 
 _BINARY_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/", "and": "AND", "or": "OR"}
 # Operand pairs per binary op: a commutative op takes each unordered pair once,
@@ -93,26 +77,19 @@ class TransformError(ValueError):
 
 def catalog():
     """The fixed transformation catalog (19 operators)."""
-    return list(_CATALOG)
+    return list(_CATALOG.values())
 
 
 def catalog_op(name: str) -> TransformOp:
-    for op in _CATALOG:
-        if op.name == name:
-            return op
-    raise TransformError(f"unknown transform {name!r}")
+    if name not in _CATALOG:
+        raise TransformError(f"unknown transform {name!r}")
+    return _CATALOG[name]
 
 
 def children(expr: Expr) -> tuple:
     """Direct sub-expressions, left to right (an aggregation's key before its
     value); walks that recurse over them visit a tree in post-order."""
-    if isinstance(expr, (UnaryNode, DateNode)):
-        return (expr.child,)
-    if isinstance(expr, BinaryNode):
-        return (expr.left, expr.right)
-    if isinstance(expr, AggNode):
-        return (expr.key, expr.value)
-    return ()
+    return () if isinstance(expr, RawRef) else expr.args
 
 
 def leaves(expr: Expr) -> list:
@@ -131,54 +108,42 @@ def render_name(expr: Expr) -> str:
     """Humanly readable infix rendering, fully parenthesized for binary ops."""
     if isinstance(expr, RawRef):
         return expr.name.upper()
-    if isinstance(expr, UnaryNode):
-        if expr.op == "one_hot":
-            return f"ONE_HOT({render_name(expr.child)}={expr.level.upper()})"
-        return f"{expr.op.upper()}({render_name(expr.child)})"
-    if isinstance(expr, BinaryNode):
-        sym = _BINARY_SYMBOL[expr.op]
-        return f"({render_name(expr.left)} {sym} {render_name(expr.right)})"
-    if isinstance(expr, AggNode):
-        return f"{expr.op.upper()}({render_name(expr.value)} BY {render_name(expr.key)})"
-    return f"{expr.op.upper()}({render_name(expr.child)})"
+    names = [render_name(c) for c in expr.args]
+    if expr.op == "one_hot":
+        return f"ONE_HOT({names[0]}={expr.level.upper()})"
+    if expr.op in _BINARY_SYMBOL:
+        return f"({names[0]} {_BINARY_SYMBOL[expr.op]} {names[1]})"
+    if catalog_op(expr.op).arity == Arity.AGGREGATION:
+        return f"{expr.op.upper()}({names[1]} BY {names[0]})"
+    return f"{expr.op.upper()}({names[0]})"
 
 
 def expr_to_json(expr: Expr) -> dict:
     if isinstance(expr, RawRef):
         return {"type": "raw", "name": expr.name}
-    if isinstance(expr, UnaryNode):
-        doc = {"type": "unary", "op": expr.op, "child": expr_to_json(expr.child)}
-        if expr.level is not None:
-            doc["level"] = expr.level
-        return doc
-    if isinstance(expr, BinaryNode):
-        return {
-            "type": "binary",
-            "op": expr.op,
-            "left": expr_to_json(expr.left),
-            "right": expr_to_json(expr.right),
-        }
-    if isinstance(expr, AggNode):
-        return {
-            "type": "agg",
-            "op": expr.op,
-            "key": expr_to_json(expr.key),
-            "value": expr_to_json(expr.value),
-        }
-    return {"type": "date", "op": expr.op, "child": expr_to_json(expr.child)}
+    node_type, fields = _JSON_FIELDS[catalog_op(expr.op).arity]
+    doc = {"type": node_type, "op": expr.op}
+    doc.update((f, expr_to_json(c)) for f, c in zip(fields, expr.args))
+    if expr.level is not None:
+        doc["level"] = expr.level
+    return doc
 
 
 def expr_from_json(doc: dict) -> Expr:
-    t = doc["type"]
-    if t == "raw":
+    """Parse a serialized expression; an unknown op, a `type` that is not
+    its op's, or a `level` missing on a one-hot node or present on another
+    is an error."""
+    if doc["type"] == "raw":
         return RawRef(doc["name"])
-    if t == "unary":
-        return UnaryNode(doc["op"], expr_from_json(doc["child"]), doc.get("level"))
-    if t == "binary":
-        return BinaryNode(doc["op"], expr_from_json(doc["left"]), expr_from_json(doc["right"]))
-    if t == "agg":
-        return AggNode(doc["op"], expr_from_json(doc["key"]), expr_from_json(doc["value"]))
-    return DateNode(doc["op"], expr_from_json(doc["child"]))
+    op = catalog_op(doc["op"])
+    node_type, fields = _JSON_FIELDS[op.arity]
+    if doc["type"] != node_type:
+        raise TransformError(f"transform {op.name!r} has node type {node_type!r}, "
+                             f"not {doc['type']!r}")
+    level = doc.get("level")
+    if (op.name == "one_hot") != (level is not None):
+        raise TransformError(f"level {level!r} does not fit transform {op.name!r}")
+    return Node(op.name, tuple(expr_from_json(doc[f]) for f in fields), level)
 
 
 @dataclass
@@ -287,7 +252,7 @@ def _derive(expr: Expr, operands) -> CandidateFeature:
     missing, kind), given in `children(expr)` order."""
     op = catalog_op(expr.op)
     kinds = tuple(f.kind for f in operands)
-    if not isinstance(expr, _NODE[op.arity]) or kinds != op.inputs:
+    if kinds != op.inputs:
         raise TransformError(f"{op.name} takes {[k.value for k in op.inputs]} "
                              f"input, got {[k.value for k in kinds]}")
     if op.name == "one_hot":
@@ -312,18 +277,14 @@ def _derive(expr: Expr, operands) -> CandidateFeature:
 def apply(expr: Expr, d: Dataset) -> CandidateFeature:
     """Evaluate an expression row-wise from the dataset's raw columns.
 
+    A raw reference is its column, of the column's kind, sharing its arrays.
     Domain violations on individual cells (log of non-positives, division by
-    zero) flag the cell missing rather than inventing a value. A raw
-    Categorical column has no numeric value of its own.
+    zero) flag the cell missing rather than inventing a value.
     """
     if isinstance(expr, RawRef):
         col = d.column(expr.name)
-        if col.kind == Kind.CATEGORICAL:
-            raise TransformError(f"categorical column {expr.name!r} has no numeric value")
-        return CandidateFeature(expr, col.values.astype(float), col.missing.copy(),
-                                col.kind, render_name(expr))
-    return _derive(expr, [d.column(c.name) if isinstance(c, RawRef) else apply(c, d)
-                          for c in children(expr)])
+        return CandidateFeature(expr, col.values, col.missing, col.kind, render_name(expr))
+    return _derive(expr, [apply(c, d) for c in expr.args])
 
 
 def _centred(v: np.ndarray):
@@ -361,18 +322,13 @@ def _operand_tuples(op: TransformOp, pool, max_order: int):
     eligible = [[f for f in pool if f.kind == k and order(f.expr) < max_order]
                 for k in op.inputs]
     if op.arity == Arity.BINARY:
-        for a, b in _PAIRS.get(op.name, permutations)(eligible[0], 2):
-            yield BinaryNode(op.name, a.expr, b.expr), (a, b)
-    elif op.arity == Arity.AGGREGATION:
-        for k, v in product(*eligible):
-            yield AggNode(op.name, k.expr, v.expr), (k, v)
-    elif op.name == "one_hot":
-        for f in eligible[0]:
-            for level in categorical_levels(f):
-                yield UnaryNode("one_hot", f.expr, level), (f,)
+        tuples = _PAIRS.get(op.name, permutations)(eligible[0], 2)
     else:
-        for f in eligible[0]:
-            yield _NODE[op.arity](op.name, f.expr), (f,)
+        tuples = product(*eligible)
+    for operands in tuples:
+        args = tuple(f.expr for f in operands)
+        for level in categorical_levels(operands[0]) if op.name == "one_hot" else [None]:
+            yield Node(op.name, args, level), operands
 
 
 def expand_action(op: TransformOp, pool, y: np.ndarray, cap: int, max_order: int):

@@ -24,8 +24,7 @@ from kgfeat.engine import EngineConfig, max_order_sweep, run
 from kgfeat.kg import VerdictStatus, judge, load_kg
 from kgfeat.learn import (LearnerSpec, evaluate_cv, metric_f1,
                           metric_one_minus_rae)
-from kgfeat.transform import (AggNode, BinaryNode, RawRef, UnaryNode,
-                              search_space_size)
+from kgfeat.transform import Node, RawRef, search_space_size
 
 from conftest import make_planted_dataset
 
@@ -84,23 +83,22 @@ def test_criterion_02_rule_fixpoint(tmp_path):
         map_path.write_text(json.dumps(mapping))
         kg = load_kg(kgfeat.resource_path("default_kg.json"), str(map_path))
 
-        mixed = BinaryNode("add", RawRef("weight"), RawRef("height"))
+        mixed = Node("add", (RawRef("weight"), RawRef("height")))
         v = judge(kg, mixed)
         assert v.status == VerdictStatus.NON_INTERPRETABLE
         assert v.reason == "mixed-unit addition"
 
-        stock_sum = AggNode("group_sum", RawRef("store"), RawRef("stock"))
+        stock_sum = Node("group_sum", (RawRef("store"), RawRef("stock")))
         v = judge(kg, stock_sum)
         assert v.status == VerdictStatus.NON_INTERPRETABLE
         assert v.reason == "inventory totals are not summable"
 
-        temps = BinaryNode("add", RawRef("t1"), RawRef("t2"))
+        temps = Node("add", (RawRef("t1"), RawRef("t2")))
         v = judge(kg, temps)
         assert v.status == VerdictStatus.NON_INTERPRETABLE
         assert v.reason == "temperatures are not additive"
 
-        bmi = BinaryNode("div", RawRef("weight"),
-                         UnaryNode("square", RawRef("height")))
+        bmi = Node("div", (RawRef("weight"), Node("square", (RawRef("height"),))))
         assert judge(kg, bmi).status == VerdictStatus.INTERPRETABLE
 
 

@@ -12,8 +12,7 @@ from kgfeat.data import Column, Dataset, Kind, Task
 from kgfeat.engine import FEResult
 from kgfeat.kg import empty_kg
 from kgfeat import engine as eng
-from kgfeat.transform import (AggNode, BinaryNode, RawRef, UnaryNode,
-                              expr_to_json)
+from kgfeat.transform import Node, RawRef, expr_to_json
 
 from conftest import make_planted_dataset
 
@@ -130,6 +129,24 @@ def test_run_unknown_engine_option_exits_one(tmp_path, planted_paths, capsys):
     assert "unknown engine options" in capsys.readouterr().err
 
 
+def test_run_sets_every_engine_option_from_the_manifest(tmp_path, planted_paths):
+    options = {"episodes": 2, "steps": 2, "cap": 3, "feature_budget": 7, "max_order": 2,
+               "k_folds": 3, "seed": 5, "patience": 4, "policy": "random"}
+    manifest = {
+        "dataset": planted_paths["csv"],
+        "schema": planted_paths["schema"],
+        "kg": kgfeat.resource_path("default_kg.json"),
+        "engine": dict(options, learner="linear"),
+        "out": str(tmp_path / "out"),
+    }
+    path = tmp_path / "all.manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["run", "--manifest", str(path)]) == 0
+    config = json.loads((tmp_path / "out" / "result.json").read_text())["config"]
+    assert {k: config[k] for k in options} == options
+    assert config["learner"]["kind"] == "linear"
+
+
 def test_kg_check_output(planted_paths, capsys):
     code = main(["kg-check",
                  "--kg", kgfeat.resource_path("default_kg.json"),
@@ -172,9 +189,9 @@ def test_explain_derived_feature_tree(tmp_path, capsys):
     mapping = tmp_path / "mapping.json"
     mapping.write_text(json.dumps({"weight": {"class": "Weight", "unit": "kg"},
                                    "height": {"class": "Height", "unit": "m"}}))
-    bmi = BinaryNode("div", RawRef("weight"), UnaryNode("square", RawRef("height")))
+    bmi = Node("div", (RawRef("weight"), Node("square", (RawRef("height"),))))
     feature = {"display_name": "BMI BY STORE", "verdict": "interpretable",
-               "expr": expr_to_json(AggNode("group_mean", RawRef("store"), bmi))}
+               "expr": expr_to_json(Node("group_mean", (RawRef("store"), bmi)))}
     result = FEResult(best_features=[feature], best_score=0.0, baseline_score=0.0,
                       episode_scores=[], best_trajectory=[], discard_log=[],
                       config={"kg_path": kgfeat.resource_path("default_kg.json"),
@@ -192,6 +209,22 @@ def test_explain_derived_feature_tree(tmp_path, capsys):
         "      SQUARE  unit=dim:length=2",
         "        HEIGHT  class=Height unit=m",
     ]
+
+
+def test_explain_malformed_expression_exits_one(tmp_path, capsys):
+    # a hand-edited result.json whose node type disagrees with its op
+    feature = {"display_name": "LOG(WEIGHT)", "verdict": "interpretable",
+               "expr": {"type": "date", "op": "log",
+                        "child": {"type": "raw", "name": "weight"}}}
+    result = FEResult(best_features=[feature], best_score=0.0, baseline_score=0.0,
+                      episode_scores=[], best_trajectory=[], discard_log=[],
+                      config={"kg_path": kgfeat.resource_path("default_kg.json")}, seed=0)
+    result_path = tmp_path / "result.json"
+    result_path.write_text(json.dumps(result.to_json()))
+    assert main(["explain", str(result_path), "LOG(WEIGHT)"]) == 1
+    captured = capsys.readouterr()
+    assert "error: transform 'log' has node type 'unary', not 'date'" in captured.err
+    assert captured.out == ""
 
 
 def test_report_writes_importance(tmp_path, planted_paths):

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a kgfeat module imports is used in it."""
+"""Source hygiene: every name a kgfeat module imports is used in it, and
+every module-level private name is read somewhere in the package."""
 import ast
 import glob
 import os
@@ -32,3 +33,44 @@ def test_no_module_imports_an_unused_name():
         with open(path) as fh:
             unused = unused_imports(fh.read())
         assert not unused, f"{os.path.basename(path)} never uses {unused}"
+
+
+def private_definitions(source):
+    """Module-level names starting with one underscore that the module binds
+    by assignment, `def` or `class`."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def reads(source):
+    """Names the source reads, as bare names or as module attributes."""
+    tree = ast.parse(source)
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+             and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def unread_private_names(sources):
+    defined = set().union(*(private_definitions(s) for s in sources))
+    read = set().union(*(reads(s) for s in sources))
+    return sorted(defined - read)
+
+
+def test_unread_private_names_are_found():
+    a = "_T = {1: 2}\n_U, _V = 1, 2\ndef _f():\n    return _U\nclass _C:\n    pass\n"
+    b = "from . import a\nx = a._f() + _V\n__all__ = []\n"
+    assert unread_private_names([a, b]) == ["_C", "_T"]
+
+
+def test_every_private_name_is_read():
+    sources = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            sources.append(fh.read())
+    assert unread_private_names(sources) == []

@@ -13,8 +13,7 @@ from kgfeat.engine import phi_feature
 from kgfeat.kg import (DIMENSIONLESS, KGError, Unit, VerdictStatus, coverage,
                        forward_chain, is_instance, judge, load_kg, propagate_unit,
                        subsumes)
-from kgfeat.transform import (AggNode, Arity, BinaryNode, DateNode, RawRef, UnaryNode,
-                              catalog, children, leaves)
+from kgfeat.transform import Arity, Node, RawRef, catalog, catalog_op, leaves
 
 
 def num_col(name, vals):
@@ -270,35 +269,35 @@ def test_rule_head_variable_validation(tmp_path):
 # ---------------------------------------------------------------- verdicts
 
 def test_judge_body_mass_ratio_interpretable(body_kg, body_data):
-    bmi = BinaryNode("div", RawRef("weight"), UnaryNode("square", RawRef("height")))
+    bmi = Node("div", (RawRef("weight"), Node("square", (RawRef("height"),))))
     v = judge(body_kg, bmi)
     assert v.status == VerdictStatus.INTERPRETABLE
     assert body_kg.registered_name_for(v.unit) == "kg_per_m2"
 
 
 def test_judge_mixed_unit_addition(body_kg, body_data):
-    expr = BinaryNode("add", RawRef("weight"), RawRef("height"))
+    expr = Node("add", (RawRef("weight"), RawRef("height")))
     v = judge(body_kg, expr)
     assert v.status == VerdictStatus.NON_INTERPRETABLE
     assert v.reason == "mixed-unit addition"
 
 
 def test_judge_stock_sum(body_kg, body_data):
-    expr = AggNode("group_sum", RawRef("store"), RawRef("stock"))
+    expr = Node("group_sum", (RawRef("store"), RawRef("stock")))
     v = judge(body_kg, expr)
     assert v.status == VerdictStatus.NON_INTERPRETABLE
     assert v.reason == "inventory totals are not summable"
 
 
 def test_judge_temperature_addition(body_kg, body_data):
-    expr = BinaryNode("add", RawRef("t1"), RawRef("t2"))
+    expr = Node("add", (RawRef("t1"), RawRef("t2")))
     v = judge(body_kg, expr)
     assert v.status == VerdictStatus.NON_INTERPRETABLE
     assert v.reason == "temperatures are not additive"
 
 
 def test_judge_uncovered_when_no_leaf_mapped(body_kg, body_data):
-    expr = UnaryNode("square", RawRef("y"))
+    expr = Node("square", (RawRef("y"),))
     assert judge(body_kg, expr).status == VerdictStatus.UNCOVERED
 
 
@@ -308,22 +307,21 @@ def test_judge_raw_mapped_interpretable(body_kg, body_data):
 
 def test_judge_unknown_unit(body_kg, body_data):
     # weight * weight * weight has mass^3, which no registered unit carries
-    cube = BinaryNode("mul", BinaryNode("mul", RawRef("weight"), RawRef("weight")),
-                      RawRef("weight"))
+    cube = Node("mul", (Node("mul", (RawRef("weight"), RawRef("weight"))), RawRef("weight")))
     v = judge(body_kg, cube)
     assert v.status == VerdictStatus.NON_INTERPRETABLE
     assert v.reason == "unknown unit"
 
 
 def test_judge_log_of_dimensioned_value(body_kg, body_data):
-    v = judge(body_kg, UnaryNode("log", RawRef("weight")))
+    v = judge(body_kg, Node("log", (RawRef("weight"),)))
     assert v.status == VerdictStatus.NON_INTERPRETABLE
     assert v.reason == "unknown unit"
 
 
 def test_judge_dimensionless_derivations_pass(body_kg, body_data):
     # a ratio of same-unit columns is dimensionless and needs no registry entry
-    expr = BinaryNode("div", RawRef("t1"), RawRef("t2"))
+    expr = Node("div", (RawRef("t1"), RawRef("t2")))
     assert judge(body_kg, expr).interpretable
 
 
@@ -341,11 +339,11 @@ def expressions(columns):
     some binary nodes take one sub-expression twice."""
     def extend(sub):
         return st.one_of(
-            st.builds(UnaryNode, op_names(Arity.UNARY), sub),
-            st.builds(DateNode, op_names(Arity.DATE), sub),
-            st.builds(BinaryNode, op_names(Arity.BINARY), sub, sub),
-            st.builds(lambda op, e: BinaryNode(op, e, e), op_names(Arity.BINARY), sub),
-            st.builds(AggNode, op_names(Arity.AGGREGATION), sub, sub),
+            st.builds(Node, op_names(Arity.UNARY), st.tuples(sub)),
+            st.builds(Node, op_names(Arity.DATE), st.tuples(sub)),
+            st.builds(Node, op_names(Arity.BINARY), st.tuples(sub, sub)),
+            st.builds(Node, op_names(Arity.BINARY), sub.map(lambda e: (e, e))),
+            st.builds(Node, op_names(Arity.AGGREGATION), st.tuples(sub, sub)),
         )
     return st.recursive(st.sampled_from(columns).map(RawRef), extend, max_leaves=8)
 
@@ -357,7 +355,7 @@ def expr_unit(kg, expr):
         if entry is None or entry[1] is None:
             return None
         return kg.unit_registry[entry[1]]
-    operands = (expr.value,) if isinstance(expr, AggNode) else children(expr)
+    operands = expr.args[1:] if catalog_op(expr.op).arity == Arity.AGGREGATION else expr.args
     return propagate_unit(expr.op, [expr_unit(kg, c) for c in operands])
 
 

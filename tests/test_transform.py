@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from kgfeat.data import Column, Dataset, Kind, Task
 from kgfeat.engine import target_codes
-from kgfeat.transform import (AggNode, Arity, BinaryNode, DateNode, RawRef,
-                              TransformError, UnaryNode, _abs_pearson,
+from kgfeat.transform import (Arity, Node, RawRef, TransformError, _abs_pearson,
                               _centred, apply, catalog, catalog_op,
                               expand_action, expr_from_json, expr_to_json,
                               order, render_name, search_space_size)
@@ -67,39 +66,78 @@ def test_order():
     w = RawRef("weight")
     h = RawRef("height")
     assert order(w) == 0
-    assert order(UnaryNode("log", w)) == 1
-    bmi = BinaryNode("div", w, UnaryNode("square", h))
+    assert order(Node("log", (w,))) == 1
+    bmi = Node("div", (w, Node("square", (h,))))
     assert order(bmi) == 2
-    assert order(AggNode("group_mean", RawRef("city"), bmi)) == 3
+    assert order(Node("group_mean", (RawRef("city"), bmi))) == 3
 
 
 def test_render_name():
     w = RawRef("weight")
     h = RawRef("height")
-    bmi = BinaryNode("div", w, UnaryNode("square", h))
+    bmi = Node("div", (w, Node("square", (h,))))
     assert render_name(bmi) == "(WEIGHT / SQUARE(HEIGHT))"
-    assert render_name(AggNode("group_mean", RawRef("city"), w)) == \
+    assert render_name(Node("group_mean", (RawRef("city"), w))) == \
         "GROUP_MEAN(WEIGHT BY CITY)"
-    assert render_name(UnaryNode("one_hot", RawRef("city"), "paris")) == \
+    assert render_name(Node("one_hot", (RawRef("city"),), "paris")) == \
         "ONE_HOT(CITY=PARIS)"
-    assert render_name(DateNode("is_weekend", RawRef("when"))) == "IS_WEEKEND(WHEN)"
+    assert render_name(Node("is_weekend", (RawRef("when"),))) == "IS_WEEKEND(WHEN)"
 
 
 def test_json_round_trip():
     exprs = [
         RawRef("a"),
-        UnaryNode("one_hot", RawRef("c"), "x"),
-        BinaryNode("div", RawRef("a"), UnaryNode("square", RawRef("b"))),
-        AggNode("group_sum", RawRef("c"), RawRef("a")),
-        DateNode("year", RawRef("d")),
+        Node("one_hot", (RawRef("c"),), "x"),
+        Node("div", (RawRef("a"), Node("square", (RawRef("b"),)))),
+        Node("group_sum", (RawRef("c"), RawRef("a"))),
+        Node("year", (RawRef("d"),)),
     ]
     for e in exprs:
         assert expr_from_json(expr_to_json(e)) == e
 
 
+_RAW_A = {"type": "raw", "name": "a"}
+_PINNED_DOCS = [
+    (_RAW_A, "A"),
+    ({"type": "unary", "op": "log", "child": _RAW_A}, "LOG(A)"),
+    ({"type": "unary", "op": "one_hot", "child": {"type": "raw", "name": "c"},
+      "level": "x"}, "ONE_HOT(C=X)"),
+    ({"type": "binary", "op": "sub", "left": _RAW_A,
+      "right": {"type": "raw", "name": "b"}}, "(A - B)"),
+    ({"type": "agg", "op": "group_max", "key": {"type": "raw", "name": "c"},
+      "value": {"type": "binary", "op": "mul", "left": _RAW_A, "right": _RAW_A}},
+     "GROUP_MAX((A * A) BY C)"),
+    ({"type": "date", "op": "month", "child": {"type": "raw", "name": "d"}}, "MONTH(D)"),
+]
+
+
+def test_expression_json_format_is_pinned():
+    # result.json files written by earlier versions must keep loading
+    for doc, name in _PINNED_DOCS:
+        expr = expr_from_json(doc)
+        assert expr_to_json(expr) == doc
+        assert render_name(expr) == name
+
+
+@pytest.mark.parametrize("doc", [
+    {"type": "cube", "op": "log", "child": _RAW_A},
+    {"type": "date", "op": "log", "child": _RAW_A},
+    {"type": "unary", "op": "cube", "child": _RAW_A},
+    {"type": "binary", "op": "group_sum", "left": _RAW_A, "right": _RAW_A},
+    {"type": "agg", "op": "div", "key": _RAW_A, "value": _RAW_A},
+    {"type": "unary", "op": "square", "child": {"type": "date", "op": "sqrt",
+                                                 "child": _RAW_A}},
+    {"type": "unary", "op": "one_hot", "child": _RAW_A},
+    {"type": "unary", "op": "log", "child": _RAW_A, "level": "x"},
+])
+def test_malformed_expression_docs_are_rejected(doc):
+    with pytest.raises(TransformError):
+        expr_from_json(doc)
+
+
 def test_apply_ratio_of_square(d):
     # 70 / 1.75^2 = 22.857142857...
-    bmi = BinaryNode("div", RawRef("weight"), UnaryNode("square", RawRef("height")))
+    bmi = Node("div", (RawRef("weight"), Node("square", (RawRef("height"),))))
     feat = apply(bmi, d)
     assert feat.values[0] == pytest.approx(70.0 / 1.75 ** 2, abs=1e-12)
     assert feat.values[0] == pytest.approx(22.857142857142858, abs=1e-9)
@@ -112,13 +150,13 @@ def test_domain_violations_become_missing():
         [num_col("a", [1.0, 0.0, -2.0]), num_col("y", [1.0, 2.0, 3.0])],
         target="y",
     )
-    log = apply(UnaryNode("log", RawRef("a")), d)
+    log = apply(Node("log", (RawRef("a"),)), d)
     assert log.missing.tolist() == [False, True, True]
-    sqrt = apply(UnaryNode("sqrt", RawRef("a")), d)
+    sqrt = apply(Node("sqrt", (RawRef("a"),)), d)
     assert sqrt.missing.tolist() == [False, False, True]
-    rec = apply(UnaryNode("reciprocal", RawRef("a")), d)
+    rec = apply(Node("reciprocal", (RawRef("a"),)), d)
     assert rec.missing.tolist() == [False, True, False]
-    div = apply(BinaryNode("div", RawRef("y"), RawRef("a")), d)
+    div = apply(Node("div", (RawRef("y"), RawRef("a"))), d)
     assert div.missing.tolist() == [False, True, False]
     assert div.values[2] == pytest.approx(-1.5)
 
@@ -130,7 +168,7 @@ def test_missing_propagates():
          num_col("y", [0.0, 1.0])],
         target="y",
     )
-    s = apply(BinaryNode("add", RawRef("a"), RawRef("b")), d)
+    s = apply(Node("add", (RawRef("a"), RawRef("b"))), d)
     assert s.missing.tolist() == [False, True]
     assert s.values[0] == 3.0
 
@@ -149,13 +187,13 @@ def test_apply_outputs_are_finite_or_missing(a, b):
                       cat_col("g", ["x", "x", "y", "y", "x", "y"]),
                       num_col("t", range(6))], target="t")
     x, y = RawRef("a"), RawRef("b")
-    exprs = [UnaryNode(op, x) for op in ("log", "sqrt", "square", "reciprocal")]
-    exprs += [BinaryNode(op, x, y) for op in ("add", "sub", "mul", "div")]
-    exprs += [AggNode(op, RawRef("g"), x)
+    exprs = [Node(op, (x,)) for op in ("log", "sqrt", "square", "reciprocal")]
+    exprs += [Node(op, (x, y)) for op in ("add", "sub", "mul", "div")]
+    exprs += [Node(op, (RawRef("g"), x))
               for op in ("group_min", "group_max", "group_mean", "group_sum")]
-    exprs += [UnaryNode("square", UnaryNode("square", x)),
-              BinaryNode("sub", UnaryNode("square", x), UnaryNode("square", y)),
-              UnaryNode("reciprocal", UnaryNode("square", x))]
+    exprs += [Node("square", (Node("square", (x,)),)),
+              Node("sub", (Node("square", (x,)), Node("square", (y,)))),
+              Node("reciprocal", (Node("square", (x,)),))]
     for expr in exprs:
         f = apply(expr, d)
         assert np.all(np.isfinite(f.values) | f.missing), render_name(expr)
@@ -167,7 +205,7 @@ def test_logical_ops_require_boolean():
         target="y",
     )
     with pytest.raises(TransformError):
-        apply(BinaryNode("and", RawRef("a"), RawRef("a")), d)
+        apply(Node("and", (RawRef("a"), RawRef("a"))), d)
 
 
 def test_logical_ops_on_booleans():
@@ -176,8 +214,8 @@ def test_logical_ops_on_booleans():
     f2 = Column("f2", Kind.BOOLEAN, np.array([1.0, 0.0, 1.0, 0.0]),
                 np.zeros(4, dtype=bool))
     d = make_dataset([f1, f2, num_col("y", [0, 1, 2, 3])], target="y")
-    a = apply(BinaryNode("and", RawRef("f1"), RawRef("f2")), d)
-    o = apply(BinaryNode("or", RawRef("f1"), RawRef("f2")), d)
+    a = apply(Node("and", (RawRef("f1"), RawRef("f2"))), d)
+    o = apply(Node("or", (RawRef("f1"), RawRef("f2"))), d)
     assert a.values.tolist() == [1.0, 0.0, 0.0, 0.0]
     assert o.values.tolist() == [1.0, 1.0, 1.0, 0.0]
     assert a.kind == Kind.BOOLEAN
@@ -185,18 +223,18 @@ def test_logical_ops_on_booleans():
 
 def test_group_aggregations(d):
     # paris rows: weights 70, 60; rome rows: 80, 90
-    mean = apply(AggNode("group_mean", RawRef("city"), RawRef("weight")), d)
+    mean = apply(Node("group_mean", (RawRef("city"), RawRef("weight"))), d)
     assert mean.values.tolist() == [65.0, 85.0, 65.0, 85.0]
-    mx = apply(AggNode("group_max", RawRef("city"), RawRef("weight")), d)
+    mx = apply(Node("group_max", (RawRef("city"), RawRef("weight"))), d)
     assert mx.values.tolist() == [70.0, 90.0, 70.0, 90.0]
-    mn = apply(AggNode("group_min", RawRef("city"), RawRef("weight")), d)
+    mn = apply(Node("group_min", (RawRef("city"), RawRef("weight"))), d)
     assert mn.values.tolist() == [60.0, 80.0, 60.0, 80.0]
-    sm = apply(AggNode("group_sum", RawRef("city"), RawRef("weight")), d)
+    sm = apply(Node("group_sum", (RawRef("city"), RawRef("weight"))), d)
     assert sm.values.tolist() == [130.0, 170.0, 130.0, 170.0]
 
 
 def test_one_hot(d):
-    f = apply(UnaryNode("one_hot", RawRef("city"), "paris"), d)
+    f = apply(Node("one_hot", (RawRef("city"),), "paris"), d)
     assert f.values.tolist() == [1.0, 0.0, 1.0, 0.0]
     assert f.kind == Kind.BOOLEAN
 
@@ -207,17 +245,21 @@ def test_date_extractors():
     days = np.array([0.0, 2.0, 31.0, 365.0])
     col = Column("when", Kind.DATE, days, np.zeros(4, dtype=bool))
     d = make_dataset([col, num_col("y", [0, 1, 2, 3])], target="y")
-    assert apply(DateNode("day", RawRef("when")), d).values.tolist() == [1, 3, 1, 1]
-    assert apply(DateNode("month", RawRef("when")), d).values.tolist() == [1, 1, 2, 1]
-    assert apply(DateNode("year", RawRef("when")), d).values.tolist() == \
+    assert apply(Node("day", (RawRef("when"),)), d).values.tolist() == [1, 3, 1, 1]
+    assert apply(Node("month", (RawRef("when"),)), d).values.tolist() == [1, 1, 2, 1]
+    assert apply(Node("year", (RawRef("when"),)), d).values.tolist() == \
         [1970, 1970, 1970, 1971]
-    assert apply(DateNode("is_weekend", RawRef("when")), d).values.tolist() == \
+    assert apply(Node("is_weekend", (RawRef("when"),)), d).values.tolist() == \
         [0.0, 1.0, 1.0, 0.0]
 
 
-def test_categorical_raw_has_no_numeric_value(d):
-    with pytest.raises(TransformError):
-        apply(RawRef("city"), d)
+def test_raw_reference_is_its_column_of_its_own_kind(d):
+    # a categorical column comes back categorical, sharing the column's arrays
+    col = d.column("city")
+    f = apply(RawRef("city"), d)
+    assert f.kind == Kind.CATEGORICAL
+    assert f.values is col.values and f.missing is col.missing
+    assert f.display_name == "CITY"
 
 
 def test_expand_action_dedup_and_cap(d):
@@ -426,9 +468,11 @@ def test_expand_action_ranks_as_the_oracle_on_planted_data(planted):
 
 
 @pytest.mark.parametrize("expr", [
-    UnaryNode("one_hot", RawRef("a"), "x"),
-    AggNode("group_mean", RawRef("a"), RawRef("b")),
-    DateNode("day", RawRef("a")),
+    Node("one_hot", (RawRef("a"),), "x"),
+    Node("group_mean", (RawRef("a"), RawRef("b"))),
+    Node("day", (RawRef("a"),)),
+    Node("log", (RawRef("a"), RawRef("a"))),
+    Node("group_mean", (RawRef("a"),)),
 ])
 def test_apply_rejects_operands_of_the_wrong_kind(expr):
     with pytest.raises(TransformError):

@@ -6,7 +6,7 @@ import pytest
 from kgfeat.data import Column, Dataset, Kind, Task
 from kgfeat.engine import phi_feature, phi_state, raw_pool
 from kgfeat.kg import judge, load_kg
-from kgfeat.transform import BinaryNode, RawRef, UnaryNode
+from kgfeat.transform import Node, RawRef
 
 
 @pytest.fixture()
@@ -43,7 +43,7 @@ def test_phi_unmapped_leaf_is_zero(kg):
 
 
 def test_phi_derived_feature_adds_propagated_unit(kg):
-    bmi = BinaryNode("div", RawRef("weight"), UnaryNode("square", RawRef("height")))
+    bmi = Node("div", (RawRef("weight"), Node("square", (RawRef("height"),))))
     vec = phi(kg, bmi)
     for concept in ("Weight", "Height", "kg", "m", "kg_per_m2"):
         assert vec[idx(kg, concept)] == 1, concept
