@@ -39,28 +39,17 @@ def _load_manifest(path):
     with open(path) as fh:
         doc = json.load(fh)
     base = os.path.dirname(os.path.abspath(path))
-    for key in ("dataset", "schema", "kg", "mapping"):
+    for key in ("dataset", "schema", "kg", "mapping", "out"):
         if doc.get(key):
             doc[key] = _resolve(base, doc[key])
-    if doc.get("out"):
-        doc["out"] = _resolve(base, doc["out"])
     return doc
 
 
 def _build_config(doc, args):
     overrides = dict(doc.get("engine", {}))
-    flag_map = {
-        "episodes": args.episodes,
-        "steps": args.steps,
-        "cap": args.cap,
-        "feature_budget": args.budget,
-        "max_order": args.max_order,
-        "k_folds": args.k,
-        "seed": args.seed,
-    }
-    for key, val in flag_map.items():
-        if val is not None:
-            overrides[key] = val
+    for key in eng.ENGINE_OPTIONS:
+        if getattr(args, key, None) is not None:
+            overrides[key] = getattr(args, key)
     manifest_learner = overrides.pop("learner", None)
     learner_kind = args.learner or manifest_learner
     cfg = eng.EngineConfig()
@@ -80,12 +69,12 @@ def _check_exists(path, what):
         raise FileNotFoundError(f"{what} not found: {path}")
 
 
-def _write_result_files(result, d, kg, out_dir):
+def _write_result_files(result, d, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "result.json"), "w") as fh:
         json.dump(result.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    headers, columns = eng.feature_matrix(d, kg, result.best_features)
+    headers, columns = eng.feature_matrix(d, result.best_features)
     tcol = d.target_column
     cells = [[repr(v) if v == v else "" for v in col.tolist()] for col in columns]
     cells.append(["" if m else str(v)
@@ -99,12 +88,12 @@ def _write_result_files(result, d, kg, out_dir):
             for i, s in enumerate(trace.steps):
                 fh.write(
                     f"episode={trace.index} step={i} action={s.action} "
-                    f"generated={s.generated} kept={s.kept} discarded={s.discarded} "
+                    f"generated={s.generated} kept={s.kept} discarded={len(s.discarded)} "
                     f"score {s.score_before:.6f} -> {s.score_after:.6f} "
                     f"reward={s.reward:+.6f}\n"
                 )
-                for name, reason in s.discarded_features:
-                    fh.write(f"  discarded {name}: {reason}\n")
+                for entry in s.discarded:
+                    fh.write(f"  discarded {entry['display_name']}: {entry['reason']}\n")
 
 
 def cmd_run(args) -> int:
@@ -140,7 +129,7 @@ def cmd_run(args) -> int:
                                      if mapping_path else None)
     if orders:
         result.order_sweep = [[o, s] for o, s in eng.max_order_sweep(cfg, d, kg, orders)]
-    _write_result_files(result, d, kg, out_dir)
+    _write_result_files(result, d, out_dir)
     print(f"best score {result.best_score:.6f} (baseline {result.baseline_score:.6f}); "
           f"outputs in {out_dir}")
     return EXIT_OK
@@ -158,9 +147,7 @@ def cmd_kg_check(args) -> int:
     if args.schema:
         target = SchemaConfig.from_json(args.schema).target_name
     cols = [c for c in header if c != target]
-    mapped = [c for c in cols if c in kg.column_concepts]
-    frac = len(mapped) / len(cols) if cols else 0.0
-    print(f"coverage: {frac:.2f}")
+    print(f"coverage: {kgmod.coverage(kg, cols):.2f}")
     unmapped = [c for c in cols if c not in kg.column_concepts]
     if unmapped:
         print("unmapped columns: " + ", ".join(unmapped))
@@ -219,11 +206,9 @@ def cmd_report(args) -> int:
 
     schema = SchemaConfig.from_json(result.config["schema_path"])
     d = load_csv(result.config["dataset_path"], schema)
-    kg = kgmod.load_kg(result.config["kg_path"], result.config.get("mapping_path"))
 
     raw = [f for f in result.best_features if f["raw"]]
-    generated = [f for f in result.best_features if not f["raw"]]
-    headers, columns = eng.feature_matrix(d, kg, result.best_features)
+    headers, columns = eng.feature_matrix(d, result.best_features)
     X = np.column_stack(columns)
     y = eng.target_codes(d)
     spec = learn.LearnerSpec(kind="random_forest", seed=result.config.get("seed", 0))
@@ -266,9 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--episodes", type=int)
     p_run.add_argument("--steps", type=int)
     p_run.add_argument("--cap", type=int)
-    p_run.add_argument("--budget", type=int)
+    p_run.add_argument("--budget", type=int, dest="feature_budget")
     p_run.add_argument("--max-order", type=int, dest="max_order")
-    p_run.add_argument("--k", type=int)
+    p_run.add_argument("--k", type=int, dest="k_folds")
     p_run.add_argument("--learner",
                        choices=["decision_tree", "random_forest", "linear", "logistic"])
     p_run.add_argument("--seed", type=int)

@@ -101,8 +101,7 @@ class StepRecord:
     action: str
     generated: int
     kept: int
-    discarded: int
-    discarded_features: list          # (display_name, reason) pairs
+    discarded: list                   # discard_log entries, in candidate order
     score_before: float
     score_after: float
     reward: float
@@ -129,31 +128,16 @@ class FEResult:
     traces: list = field(default_factory=list, repr=False)  # not serialized
 
     def to_json(self) -> dict:
-        return {
-            "best_features": self.best_features,
-            "best_score": self.best_score,
-            "baseline_score": self.baseline_score,
-            "episode_scores": self.episode_scores,
-            "best_trajectory": self.best_trajectory,
-            "discard_log": self.discard_log,
-            "config": self.config,
-            "seed": self.seed,
-            "order_sweep": self.order_sweep,
-        }
+        return {key: getattr(self, key) for key in _RESULT_KEYS}
 
     @classmethod
     def from_json(cls, doc: dict) -> "FEResult":
-        return cls(
-            best_features=doc["best_features"],
-            best_score=doc["best_score"],
-            baseline_score=doc["baseline_score"],
-            episode_scores=doc["episode_scores"],
-            best_trajectory=doc["best_trajectory"],
-            discard_log=doc["discard_log"],
-            config=doc["config"],
-            seed=doc["seed"],
-            order_sweep=doc.get("order_sweep"),
-        )
+        return cls(**{key: doc[key] for key in _RESULT_KEYS if key != "order_sweep"},
+                   order_sweep=doc.get("order_sweep"))
+
+
+# The keys of result.json: every FEResult field but the in-memory traces.
+_RESULT_KEYS = tuple(f.name for f in fields(FEResult) if f.name != "traces")
 
 
 def compute_reward(prev: float, new: float) -> float:
@@ -260,8 +244,7 @@ def _state(kg: KnowledgeGraph, pool) -> np.ndarray:
 
 
 def run_episode(raw, kg: KnowledgeGraph, state: _AgentState,
-                cfg: EngineConfig, evaluator: _Evaluator, episode_index: int,
-                discard_log, best):
+                cfg: EngineConfig, evaluator: _Evaluator, episode_index: int, best):
     """One pass of the generation loop starting from the judged raw pool.
 
     `best` is a mutable [score, snapshot] pair updated whenever a state beats
@@ -284,12 +267,11 @@ def run_episode(raw, kg: KnowledgeGraph, state: _AgentState,
 
         candidates = expand_action(op, [e.feature for e in pool], evaluator.y,
                                    cfg.cap, cfg.max_order)
-        kept, dropped = [], []
+        kept, discarded = [], []
         for cand in candidates:
             verdict = judge(kg, cand.expr)
             if verdict.status == VerdictStatus.NON_INTERPRETABLE:
-                dropped.append((cand.display_name, verdict.reason))
-                discard_log.append({
+                discarded.append({
                     "episode": episode_index,
                     "step": i,
                     "display_name": cand.display_name,
@@ -320,8 +302,7 @@ def run_episode(raw, kg: KnowledgeGraph, state: _AgentState,
             action=op.name,
             generated=len(candidates),
             kept=len(kept),
-            discarded=len(dropped),
-            discarded_features=dropped,
+            discarded=discarded,
             score_before=score,
             score_after=new_score,
             reward=reward,
@@ -356,16 +337,12 @@ def run(cfg: EngineConfig, d: Dataset, kg: KnowledgeGraph) -> FEResult:
     raw = raw_pool(d, kg)
     baseline = evaluator.score(raw)
     best = [baseline, _snapshot(raw)]
-    discard_log = []
-    episode_scores = []
     best_trajectory = []
     traces = []
     stale = 0
     for ep in range(cfg.episodes):
         before = best[0]
-        trace = run_episode(raw, kg, state, cfg, evaluator, ep, discard_log, best)
-        traces.append(trace)
-        episode_scores.append(trace.end_score)
+        traces.append(run_episode(raw, kg, state, cfg, evaluator, ep, best))
         best_trajectory.append(best[0])
         if best[0] > before + 1e-12:
             stale = 0
@@ -377,9 +354,9 @@ def run(cfg: EngineConfig, d: Dataset, kg: KnowledgeGraph) -> FEResult:
         best_features=best[1],
         best_score=best[0],
         baseline_score=baseline,
-        episode_scores=episode_scores,
+        episode_scores=[t.end_score for t in traces],
         best_trajectory=best_trajectory,
-        discard_log=discard_log,
+        discard_log=[entry for t in traces for s in t.steps for entry in s.discarded],
         config=cfg.to_json(),
         seed=cfg.seed,
         traces=traces,
@@ -398,7 +375,7 @@ def max_order_sweep(cfg: EngineConfig, d: Dataset, kg: KnowledgeGraph, orders):
     return [(c.max_order, run(c, d, kg).best_score) for c in sweep_configs(cfg, orders)]
 
 
-def feature_matrix(d: Dataset, kg: KnowledgeGraph, feature_docs):
+def feature_matrix(d: Dataset, feature_docs):
     """Re-evaluate a serialized feature set into (headers, columns)."""
     return ([doc["display_name"] for doc in feature_docs],
             [encode_feature(transform.apply(expr_from_json(doc["expr"]), d))

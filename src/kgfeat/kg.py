@@ -2,6 +2,7 @@
 interpretability verdict used to filter generated features."""
 from __future__ import annotations
 
+import graphlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -9,7 +10,6 @@ from fractions import Fraction
 from itertools import count
 from typing import Optional
 
-from .data import Dataset
 from .transform import Arity, Expr, RawRef, catalog_op, children, leaves
 
 BASE_DIMENSIONS = ("mass", "length", "time", "temperature", "currency", "count")
@@ -150,26 +150,6 @@ def empty_kg() -> KnowledgeGraph:
     return KnowledgeGraph([], [], {}, {}, {}, [], [])
 
 
-def _check_dag(classes, edges):
-    children = {}
-    for child, parent in edges:
-        children.setdefault(parent, []).append(child)
-    state = {}
-
-    def visit(c):
-        if state.get(c) == 1:
-            raise KGError(f"cycle in subclass edges at {c!r}")
-        if state.get(c) == 2:
-            return
-        state[c] = 1
-        for ch in children.get(c, ()):
-            visit(ch)
-        state[c] = 2
-
-    for c in classes:
-        visit(c)
-
-
 def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
     """Load a KG document (classes, subclass_of, units, quantities, rules)
     plus an optional column-to-concept mapping document."""
@@ -184,7 +164,13 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
             if c not in class_set:
                 raise KGError(f"subclass edge references unknown class {c!r}")
         edges.append((child, parent))
-    _check_dag(classes, edges)
+    parents = {}
+    for child, parent in edges:
+        parents.setdefault(child, []).append(parent)
+    try:
+        graphlib.TopologicalSorter(parents).prepare()
+    except graphlib.CycleError as exc:
+        raise KGError(f"cycle in subclass edges at {exc.args[1][0]!r}") from None
 
     unit_registry = {}
     unit_class = {}
@@ -228,9 +214,6 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
             column_concepts[col] = (cls, unit)
 
     concept_order = classes + list(unit_registry)
-    parents = {}
-    for child, parent in edges:
-        parents.setdefault(child, []).append(parent)
     return KnowledgeGraph(
         classes=classes,
         subclass_edges=edges,
@@ -469,10 +452,8 @@ def judge(kg: KnowledgeGraph, expr: Expr) -> Verdict:
     return Verdict(VerdictStatus.INTERPRETABLE, unit=unit)
 
 
-def coverage(kg: KnowledgeGraph, d: Dataset) -> float:
-    """Fraction of non-target columns with a concept mapping."""
-    cols = [c.name for c in d.feature_columns]
-    if not cols:
+def coverage(kg: KnowledgeGraph, columns) -> float:
+    """Fraction of the named (non-target) columns with a concept mapping."""
+    if not columns:
         return 0.0
-    mapped = sum(1 for c in cols if c in kg.column_concepts)
-    return mapped / len(cols)
+    return sum(1 for c in columns if c in kg.column_concepts) / len(columns)

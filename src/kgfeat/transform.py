@@ -129,13 +129,21 @@ def expr_to_json(expr: Expr) -> dict:
     return doc
 
 
+def _json_field(doc: dict, name: str):
+    if name not in doc:
+        raise TransformError(f"expression node has no {name!r} field")
+    return doc[name]
+
+
 def expr_from_json(doc: dict) -> Expr:
-    """Parse a serialized expression; an unknown op, a `type` that is not
-    its op's, or a `level` missing on a one-hot node or present on another
-    is an error."""
-    if doc["type"] == "raw":
-        return RawRef(doc["name"])
-    op = catalog_op(doc["op"])
+    """Parse a serialized expression; a node that is not a JSON object or
+    lacks a field, an unknown op, a `type` that is not its op's, or a `level`
+    missing on a one-hot node or present on another is an error."""
+    if not isinstance(doc, dict):
+        raise TransformError(f"expression node must be a JSON object, not {doc!r}")
+    if _json_field(doc, "type") == "raw":
+        return RawRef(_json_field(doc, "name"))
+    op = catalog_op(_json_field(doc, "op"))
     node_type, fields = _JSON_FIELDS[op.arity]
     if doc["type"] != node_type:
         raise TransformError(f"transform {op.name!r} has node type {node_type!r}, "
@@ -143,7 +151,7 @@ def expr_from_json(doc: dict) -> Expr:
     level = doc.get("level")
     if (op.name == "one_hot") != (level is not None):
         raise TransformError(f"level {level!r} does not fit transform {op.name!r}")
-    return Node(op.name, tuple(expr_from_json(doc[f]) for f in fields), level)
+    return Node(op.name, tuple(expr_from_json(_json_field(doc, f)) for f in fields), level)
 
 
 @dataclass

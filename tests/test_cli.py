@@ -10,7 +10,6 @@ import kgfeat
 from kgfeat.cli import _write_result_files, main
 from kgfeat.data import Column, Dataset, Kind, Task
 from kgfeat.engine import FEResult
-from kgfeat.kg import empty_kg
 from kgfeat import engine as eng
 from kgfeat.transform import Node, RawRef, expr_to_json
 
@@ -64,11 +63,14 @@ def test_run_sales_linear_with_near_singular_normal_matrix(tmp_path):
 
 def test_run_flags_override_manifest(tmp_path, planted_paths):
     code, out_dir = run_manifest(tmp_path, planted_paths, "flagged",
-                                 extra=["--episodes", "1", "--seed", "3"])
+                                 extra=["--episodes", "1", "--seed", "3",
+                                        "--budget", "9", "--k", "2"])
     assert code == 0
     with open(os.path.join(out_dir, "result.json")) as fh:
         doc = json.load(fh)
     assert doc["config"]["episodes"] == 1
+    assert doc["config"]["feature_budget"] == 9
+    assert doc["config"]["k_folds"] == 2
     assert doc["seed"] == 3
 
 
@@ -170,6 +172,17 @@ def test_kg_check_bundled_diabetes(capsys):
     assert "coverage: 1.00" in capsys.readouterr().out
 
 
+def test_kg_check_deep_subclass_chain(tmp_path, capsys):
+    n = 1500
+    kg = {"classes": [f"C{i}" for i in range(n)],
+          "subclass_of": [[f"C{i + 1}", f"C{i}"] for i in range(n - 1)]}
+    (tmp_path / "kg.json").write_text(json.dumps(kg))
+    (tmp_path / "data.csv").write_text("a,b\n1,2\n")
+    assert main(["kg-check", "--kg", str(tmp_path / "kg.json"),
+                 "--dataset", str(tmp_path / "data.csv")]) == 0
+    assert f"classes: {n}" in capsys.readouterr().out
+
+
 def test_explain_known_and_unknown_feature(tmp_path, planted_paths, capsys):
     _, out_dir = run_manifest(tmp_path, planted_paths)
     result_path = os.path.join(out_dir, "result.json")
@@ -225,6 +238,32 @@ def test_explain_malformed_expression_exits_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "error: transform 'log' has node type 'unary', not 'date'" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("expr, message", [
+    (5, "expression node must be a JSON object, not 5"),
+    ({"type": "unary", "op": "log"}, "expression node has no 'child' field"),
+])
+def test_explain_incomplete_expression_exits_one(tmp_path, capsys, expr, message):
+    feature = {"display_name": "LOG(WEIGHT)", "verdict": "interpretable", "expr": expr}
+    result = FEResult(best_features=[feature], best_score=0.0, baseline_score=0.0,
+                      episode_scores=[], best_trajectory=[], discard_log=[],
+                      config={"kg_path": kgfeat.resource_path("default_kg.json")}, seed=0)
+    result_path = tmp_path / "result.json"
+    result_path.write_text(json.dumps(result.to_json()))
+    assert main(["explain", str(result_path), "LOG(WEIGHT)"]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_report_does_not_read_the_kg(tmp_path, planted_paths):
+    _, out_dir = run_manifest(tmp_path, planted_paths)
+    result_path = os.path.join(out_dir, "result.json")
+    doc = json.loads(open(result_path).read())
+    doc["config"]["kg_path"] = str(tmp_path / "moved_kg.json")
+    with open(result_path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["report", result_path]) == 0
+    assert os.path.exists(os.path.join(out_dir, "importance.csv"))
 
 
 def test_report_writes_importance(tmp_path, planted_paths):
@@ -303,7 +342,7 @@ def test_features_csv_cells_are_repr_or_empty(tmp_path):
                                       "expr": expr_to_json(RawRef("v"))}],
                       best_score=0.0, baseline_score=0.0, episode_scores=[],
                       best_trajectory=[], discard_log=[], config={}, seed=0)
-    _write_result_files(result, d, empty_kg(), str(tmp_path))
+    _write_result_files(result, d, str(tmp_path))
     with open(tmp_path / "features.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["V", "y"]

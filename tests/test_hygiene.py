@@ -1,5 +1,6 @@
-"""Source hygiene: every name a kgfeat module imports is used in it, and
-every module-level private name is read somewhere in the package."""
+"""Source hygiene: every name a kgfeat module imports is used in it, every
+module-level private name is read somewhere in the package, and every local
+a function assigns is read in it."""
 import ast
 import glob
 import os
@@ -74,3 +75,35 @@ def test_every_private_name_is_read():
         with open(path) as fh:
             sources.append(fh.read())
     assert unread_private_names(sources) == []
+
+
+def unread_locals(source):
+    """`function.name` for each name a function assigns but never reads,
+    counting reads in its nested functions; names starting with `_` and names
+    declared `global` or `nonlocal` are exempt."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = [n for n in ast.walk(fn) if isinstance(n, ast.Name)]
+        stored = {n.id for n in names if isinstance(n.ctx, ast.Store)}
+        read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+        shared = {g for n in ast.walk(fn) if isinstance(n, (ast.Global, ast.Nonlocal))
+                  for g in n.names}
+        found += [f"{fn.name}.{name}" for name in sorted(stored - read - shared)
+                  if not name.startswith("_")]
+    return found
+
+
+def test_unread_locals_are_found():
+    source = ("def f(a):\n    b, _c = a\n    d = 1\n    for e in b:\n        d += 1\n"
+              "    def g():\n        return d\n    return g\n"
+              "def h():\n    global G\n    G = 1\n    x = 2\n    x += 1\n")
+    assert unread_locals(source) == ["f.e", "h.x"]
+
+
+def test_no_function_assigns_an_unread_local():
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            unread = unread_locals(fh.read())
+        assert not unread, f"{os.path.basename(path)} never reads {unread}"

@@ -188,8 +188,18 @@ def test_cycle_detection(tmp_path):
     doc = {"classes": ["A", "B"], "subclass_of": [["A", "B"], ["B", "A"]]}
     path = tmp_path / "kg.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(KGError):
+    with pytest.raises(KGError, match="cycle in subclass edges at '[AB]'"):
         load_kg(str(path))
+
+
+def test_deep_subclass_chain_loads(tmp_path):
+    n = 1500
+    doc = {"classes": [f"C{i}" for i in range(n)],
+           "subclass_of": [[f"C{i + 1}", f"C{i}"] for i in range(n - 1)]}
+    path = tmp_path / "kg.json"
+    path.write_text(json.dumps(doc))
+    kg = load_kg(str(path))
+    assert subsumes(kg, f"C{n - 1}", "C0")
 
 
 def test_load_kg_validates_references(tmp_path):
@@ -326,8 +336,9 @@ def test_judge_dimensionless_derivations_pass(body_kg, body_data):
 
 
 def test_coverage(body_kg, body_data, default_kg_path):
-    assert coverage(body_kg, body_data) == pytest.approx(1.0)
-    assert coverage(load_kg(default_kg_path), body_data) == 0.0
+    names = [c.name for c in body_data.feature_columns]
+    assert coverage(body_kg, names) == pytest.approx(1.0)
+    assert coverage(load_kg(default_kg_path), names) == 0.0
 
 
 def op_names(arity):

@@ -129,9 +129,29 @@ def test_expression_json_format_is_pinned():
                                                  "child": _RAW_A}},
     {"type": "unary", "op": "one_hot", "child": _RAW_A},
     {"type": "unary", "op": "log", "child": _RAW_A, "level": "x"},
+    5,
+    ["raw", "a"],
+    {"op": "log", "child": _RAW_A},
+    {"type": "raw"},
+    {"type": "unary", "child": _RAW_A},
+    {"type": "unary", "op": "log"},
+    {"type": "binary", "op": "add", "left": _RAW_A},
+    {"type": "unary", "op": "log", "child": "a"},
 ])
 def test_malformed_expression_docs_are_rejected(doc):
     with pytest.raises(TransformError):
+        expr_from_json(doc)
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"op": "log", "child": _RAW_A}, "type"),
+    ({"type": "raw"}, "name"),
+    ({"type": "unary", "child": _RAW_A}, "op"),
+    ({"type": "unary", "op": "log"}, "child"),
+    ({"type": "agg", "op": "group_sum", "key": _RAW_A}, "value"),
+])
+def test_missing_expression_field_is_named(doc, field):
+    with pytest.raises(TransformError, match=f"no '{field}' field"):
         expr_from_json(doc)
 
 
