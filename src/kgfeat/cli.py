@@ -7,6 +7,7 @@ import csv
 import difflib
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -69,6 +70,21 @@ def _check_exists(path, what):
         raise FileNotFoundError(f"{what} not found: {path}")
 
 
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
+
+
+def _csv_field(s: str) -> str:
+    """`s` quoted as csv.writer's default dialect (QUOTE_MINIMAL) quotes it."""
+    return '"' + s.replace('"', '""') + '"' if _CSV_SPECIAL.search(s) else s
+
+
+def _csv_line(fields) -> str:
+    """One CSV row, as csv.writer writes it, from fields already passed
+    through `_csv_field` (a float's repr never needs quoting)."""
+    # csv.writer quotes a row's only field when it is empty, so no line is blank
+    return (",".join(fields) or '""' * (len(fields) == 1)) + "\r\n"
+
+
 def _write_result_files(result, d, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "result.json"), "w") as fh:
@@ -77,12 +93,11 @@ def _write_result_files(result, d, out_dir):
     headers, columns = eng.feature_matrix(d, result.best_features)
     tcol = d.target_column
     cells = [[repr(v) if v == v else "" for v in col.tolist()] for col in columns]
-    cells.append(["" if m else str(v)
+    cells.append(["" if m else _csv_field(str(v))
                   for v, m in zip(tcol.values.tolist(), tcol.missing.tolist())])
     with open(os.path.join(out_dir, "features.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(headers + [d.target])
-        writer.writerows(zip(*cells))
+        fh.write(_csv_line([_csv_field(h) for h in headers + [d.target]]))
+        fh.writelines(_csv_line(row) for row in zip(*cells))
     with open(os.path.join(out_dir, "log.txt"), "w") as fh:
         for trace in result.traces:
             for i, s in enumerate(trace.steps):
@@ -158,16 +173,15 @@ def cmd_kg_check(args) -> int:
 
 def _print_tree(expr, kg, nodes, indent=1):
     """One line per node; `nodes` holds each node's (id, unit) as the verdict
-    computed them (kg.materialize_facts)."""
+    computed them (kg.materialize_facts). A leaf prints its mapped unit, a
+    derived node the unit token its hasUnit fact names."""
     pad = "  " * indent
-    unit = nodes[expr][1]
-    token = unit.name or unit.dims_token() if unit is not None else "unknown"
     if isinstance(expr, RawRef):
         entry = kg.column_concepts.get(expr.name)
-        cls = entry[0] if entry else "(unmapped)"
-        print(f"{pad}{expr.name.upper()}  class={cls} unit={token}")
+        cls, token = entry if entry else ("(unmapped)", None)
+        print(f"{pad}{expr.name.upper()}  class={cls} unit={token or 'unknown'}")
         return
-    print(f"{pad}{expr.op.upper()}  unit={token}")
+    print(f"{pad}{expr.op.upper()}  unit={kgmod.unit_token(kg, nodes[expr][1]) or 'unknown'}")
     for child in children(expr):
         _print_tree(child, kg, nodes, indent + 1)
 

@@ -125,19 +125,29 @@ class KnowledgeGraph:
     concept_order: list               # fixed index of classes + unit names
     _parents: dict = field(default_factory=dict)
     _ancestors: dict = field(default_factory=dict)
+    class_set: frozenset = field(init=False)  # `classes`, for membership tests
 
-    def ancestors(self, cls: str):
-        """All classes reachable upward from cls, excluding cls itself."""
+    def __post_init__(self):
+        self.class_set = frozenset(self.classes)
+
+    def _ancestor_walk(self, cls: str) -> dict:
+        """cls's ancestors as the keys of a dict, in depth-first order; the
+        dict gives both the order and O(1) membership."""
         if cls not in self._ancestors:
-            seen = []
+            seen = {}
             stack = list(self._parents.get(cls, ()))
             while stack:
                 c = stack.pop()
                 if c not in seen:
-                    seen.append(c)
+                    seen[c] = None
                     stack.extend(self._parents.get(c, ()))
             self._ancestors[cls] = seen
-        return list(self._ancestors[cls])
+        return self._ancestors[cls]
+
+    def ancestors(self, cls: str):
+        """All classes reachable upward from cls, excluding cls itself, in
+        depth-first order."""
+        return list(self._ancestor_walk(cls))
 
     def registered_name_for(self, unit: Unit):
         for name, u in self.unit_registry.items():
@@ -229,14 +239,14 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
 def subsumes(kg: KnowledgeGraph, sub: str, sup: str) -> bool:
     """True iff sup is reachable from sub through subclass edges (reflexive)."""
     for c in (sub, sup):
-        if c not in kg.classes:
+        if c not in kg.class_set:
             raise KGError(f"unknown class {c!r}")
-    return sub == sup or sup in kg.ancestors(sub)
+    return sub == sup or sup in kg._ancestor_walk(sub)
 
 
 def is_instance(kg: KnowledgeGraph, unit_name: str, cls: str) -> bool:
     """Instance check: the unit's asserted class, or any ancestor, equals cls."""
-    if cls not in kg.classes:
+    if cls not in kg.class_set:
         raise KGError(f"unknown class {cls!r}")
     if unit_name not in kg.unit_registry:
         return False
@@ -312,7 +322,7 @@ def _token_dims(kg: KnowledgeGraph, token: str):
 
 def _add_class_fact(kg: KnowledgeGraph, facts: set, cls: str, individual):
     facts.add((cls, individual))
-    for anc in kg.ancestors(cls) if cls in kg.classes else ():
+    for anc in kg._ancestor_walk(cls) if cls in kg.class_set else ():
         facts.add((anc, individual))
 
 
@@ -354,7 +364,7 @@ def forward_chain(kg: KnowledgeGraph, facts):
     facts = set(facts)
     closed = set()
     for fact in list(facts):
-        if len(fact) == 2 and fact[0] in kg.classes:
+        if len(fact) == 2 and fact[0] in kg.class_set:
             _add_class_fact(kg, closed, fact[0], fact[1])
     facts |= closed
     provenance = {}
@@ -370,13 +380,13 @@ def forward_chain(kg: KnowledgeGraph, facts):
                 if head not in facts:
                     facts.add(head)
                     provenance[head] = rule.name
-                    if rule.head.pred in kg.classes:
+                    if rule.head.pred in kg.class_set:
                         _add_class_fact(kg, facts, head[0], head[1])
                     changed = True
     return facts, provenance
 
 
-def _unit_token(kg: KnowledgeGraph, unit: Optional[Unit]):
+def unit_token(kg: KnowledgeGraph, unit: Optional[Unit]):
     if unit is None:
         return None
     name = kg.registered_name_for(unit)
@@ -415,7 +425,7 @@ def materialize_facts(kg: KnowledgeGraph, expr: Expr):
             for child in _operands(node):
                 facts.add(("hasInput", fid, seen[child][0]))
             unit = propagate_unit(node.op, [seen[c][1] for c in _operands(node)])
-            token = _unit_token(kg, unit)
+            token = unit_token(kg, unit)
             if token is not None:
                 facts.add(("hasUnit", nid, token))
         seen.setdefault(node, (nid, unit))

@@ -1,6 +1,7 @@
 """Transformation catalog, feature-expression algebra, and candidate expansion."""
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -352,19 +353,22 @@ def expand_action(op: TransformOp, pool, y: np.ndarray, cap: int, max_order: int
     if cap < 1:
         raise TransformError("cap must be >= 1")
     existing = {f.expr for f in pool}
-    seen = set()
-    scored = []
     yc, sy = _centred(y)
-    for expr, operands in _operand_tuples(op, pool, max_order):
-        if expr in existing or expr in seen:
-            continue
-        seen.add(expr)
-        cand = _derive(expr, operands)
-        if cand.missing.mean() > MAX_MISSING_FRACTION:
-            continue
-        scored.append((_abs_pearson(cand.values, cand.missing, y, yc, sy), cand))
-    scored.sort(key=lambda sc: (-sc[0], sc[1].display_name))
-    return [cand for _, cand in scored[:cap]]
+
+    def scored():
+        seen = set()
+        for expr, operands in _operand_tuples(op, pool, max_order):
+            if expr in existing or expr in seen:
+                continue
+            seen.add(expr)
+            cand = _derive(expr, operands)
+            if cand.missing.mean() > MAX_MISSING_FRACTION:
+                continue
+            yield _abs_pearson(cand.values, cand.missing, y, yc, sy), cand
+
+    # nsmallest is a stable sorted()[:cap] that holds only `cap` candidates.
+    best = heapq.nsmallest(cap, scored(), key=lambda sc: (-sc[0], sc[1].display_name))
+    return [cand for _, cand in best]
 
 
 def search_space_size(p: int, arities: dict) -> int:

@@ -1,13 +1,16 @@
 import csv
+import io
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kgfeat
-from kgfeat.cli import _write_result_files, main
+from kgfeat.cli import _csv_field, _csv_line, _write_result_files, main
 from kgfeat.data import Column, Dataset, Kind, Task
 from kgfeat.engine import FEResult
 from kgfeat import engine as eng
@@ -197,8 +200,9 @@ def test_explain_known_and_unknown_feature(tmp_path, planted_paths, capsys):
 
 
 def test_explain_derived_feature_tree(tmp_path, capsys):
-    # a leaf prints its mapped unit, a derived node its dims token, an unmapped
-    # leaf "unknown"; an aggregation's key is printed before its value
+    # a leaf prints its mapped unit, a derived node the unit its hasUnit fact
+    # names (the registered name for its dims, else the dims token), an
+    # unmapped leaf "unknown"; an aggregation's key is printed before its value
     mapping = tmp_path / "mapping.json"
     mapping.write_text(json.dumps({"weight": {"class": "Weight", "unit": "kg"},
                                    "height": {"class": "Height", "unit": "m"}}))
@@ -215,11 +219,11 @@ def test_explain_derived_feature_tree(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "BMI BY STORE",
         "verdict: interpretable",
-        "  GROUP_MEAN  unit=dim:length=-2,mass=1",
+        "  GROUP_MEAN  unit=kg_per_m2",
         "    STORE  class=(unmapped) unit=unknown",
-        "    DIV  unit=dim:length=-2,mass=1",
+        "    DIV  unit=kg_per_m2",
         "      WEIGHT  class=Weight unit=kg",
-        "      SQUARE  unit=dim:length=2",
+        "      SQUARE  unit=m2",
         "        HEIGHT  class=Height unit=m",
     ]
 
@@ -351,3 +355,29 @@ def test_features_csv_cells_are_repr_or_empty(tmp_path):
     for cell, v in zip(cells, vals):
         if cell:
             assert float(cell).hex() == v.hex()  # the same float, sign of 0 too
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=st.lists(st.text(alphabet=',"\r\n a1é', max_size=5), min_size=1, max_size=4))
+def test_csv_line_matches_csv_writer(row):
+    # an empty string is a missing cell; a row's only empty field is quoted
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerow(row)
+    assert _csv_line([_csv_field(s) for s in row]) == buf.getvalue()
+
+
+def test_features_csv_quotes_header_and_categorical_target(tmp_path):
+    labels = ["a,b", 'say "hi"', "two\nlines", "", "plain"]
+    d = Dataset(columns=[Column("v", Kind.NUMERIC, np.arange(5.0), np.zeros(5, bool)),
+                         Column("lab,el", Kind.CATEGORICAL, np.array(labels, dtype=object),
+                                np.array([False, False, False, True, False]))],
+                target="lab,el", task=Task.CLASSIFICATION, n_rows=5)
+    result = FEResult(best_features=[{"display_name": 'V "1"',
+                                      "expr": expr_to_json(RawRef("v"))}],
+                      best_score=0.0, baseline_score=0.0, episode_scores=[],
+                      best_trajectory=[], discard_log=[], config={}, seed=0)
+    _write_result_files(result, d, str(tmp_path))
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([['V "1"', "lab,el"]]
+                              + [[repr(float(i)), lab] for i, lab in enumerate(labels)])
+    assert (tmp_path / "features.csv").read_bytes() == buf.getvalue().encode()

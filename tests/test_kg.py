@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -200,6 +201,20 @@ def test_deep_subclass_chain_loads(tmp_path):
     path.write_text(json.dumps(doc))
     kg = load_kg(str(path))
     assert subsumes(kg, f"C{n - 1}", "C0")
+
+
+def test_subsumes_on_a_long_chain_is_fast(tmp_path):
+    # ancestors are tested against a set: one lookup is linear in the depth
+    n = 20_000
+    doc = {"classes": [f"C{i}" for i in range(n)],
+           "subclass_of": [[f"C{i + 1}", f"C{i}"] for i in range(n - 1)]}
+    path = tmp_path / "kg.json"
+    path.write_text(json.dumps(doc))
+    kg = load_kg(str(path))
+    start = time.perf_counter()
+    assert subsumes(kg, f"C{n - 1}", "C0")
+    assert time.perf_counter() - start < 1.0
+    assert kg.ancestors(f"C{n - 1}")[:2] == [f"C{n - 2}", f"C{n - 3}"]
 
 
 def test_load_kg_validates_references(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 
 from kgfeat.data import Column, Dataset, Kind, Task
 from kgfeat.engine import target_codes
-from kgfeat.transform import (Arity, Node, RawRef, TransformError, _abs_pearson,
-                              _centred, apply, catalog, catalog_op,
-                              expand_action, expr_from_json, expr_to_json,
-                              order, render_name, search_space_size)
+from kgfeat.transform import (MAX_MISSING_FRACTION, Arity, Node, RawRef, TransformError,
+                              _abs_pearson, _centred, _derive, _operand_tuples, apply,
+                              catalog, catalog_op, expand_action, expr_from_json,
+                              expr_to_json, order, render_name, search_space_size)
 
 
 def num_col(name, vals, missing=None):
@@ -485,6 +486,80 @@ def test_expand_action_ranks_as_the_oracle_on_planted_data(planted):
         if name in ("square", "sqrt"):
             pool = pool + cands
     assert "SQRT(SQUARE(X2))" in {f.display_name for f in pool}
+
+
+def _expand_action_oracle(op, pool, y, cap, max_order):
+    """expand_action as it was before it kept only the top `cap` while
+    ranking: derive and score every candidate, then sort them all."""
+    existing = {f.expr for f in pool}
+    seen, scored = set(), []
+    yc, sy = _centred(y)
+    for expr, operands in _operand_tuples(op, pool, max_order):
+        if expr in existing or expr in seen:
+            continue
+        seen.add(expr)
+        cand = _derive(expr, operands)
+        if cand.missing.mean() > MAX_MISSING_FRACTION:
+            continue
+        scored.append((_abs_pearson(cand.values, cand.missing, y, yc, sy), cand))
+    scored.sort(key=lambda sc: (-sc[0], sc[1].display_name))
+    return [cand for _, cand in scored[:cap]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1),
+       n_num=st.integers(1, 3), dup=st.booleans(), const=st.booleans(),
+       sparse=st.booleans(), op=st.sampled_from(catalog()), data=st.data())
+def test_expand_action_matches_the_sort_all_oracle(n, seed, n_num, dup, const, sparse, op,
+                                                   data):
+    # a duplicated column ties its twin exactly (broken by name), a constant
+    # one scores 0, a sparse one is missing on more than half of the rows
+    rng = np.random.default_rng(seed)
+    cols = [num_col(f"x{i}", rng.normal(size=n).round(1)) for i in range(n_num)]
+    if dup:
+        cols.append(num_col("dup", cols[0].values.copy()))
+    if const:
+        cols.append(num_col("const", np.full(n, 2.0)))
+    if sparse:
+        miss = np.arange(n) < n // 2 + 1
+        cols.append(num_col("sparse", np.where(miss, np.nan, rng.uniform(1, 2, n)), miss))
+    cols += [cat_col("city", rng.choice(["oslo", "rome", "lima"], n)),
+             Column("f1", Kind.BOOLEAN, (rng.random(n) < 0.5).astype(float),
+                    np.zeros(n, dtype=bool)),
+             Column("f2", Kind.BOOLEAN, (rng.random(n) < 0.5).astype(float),
+                    np.zeros(n, dtype=bool)),
+             Column("when", Kind.DATE, rng.integers(0, 20000, n).astype(float),
+                    np.zeros(n, dtype=bool)),
+             num_col("y", rng.normal(size=n).round(1))]
+    d = make_dataset(cols, target="y")
+    y = target_codes(d)
+    pool = [apply(RawRef(c.name), d) for c in d.feature_columns]
+    every = _expand_action_oracle(op, pool, y, cap=10_000, max_order=5)
+    cap = data.draw(st.integers(1, len(every) + 2), label="cap")
+    got = expand_action(op, pool, y, cap=cap, max_order=5)
+    want = every[:cap]
+    assert [c.display_name for c in got] == [c.display_name for c in want]
+    for g, w in zip(got, want):
+        assert np.array_equal(g.values, w.values, equal_nan=True), g.display_name
+        assert np.array_equal(g.missing, w.missing), g.display_name
+
+
+def test_expand_action_holds_only_the_top_candidates():
+    # 870 `sub` candidates of 5,000 rows; each holds n floats and an n-byte mask
+    n, cap = 5000, 8
+    rng = np.random.default_rng(0)
+    d = make_dataset([num_col(f"x{i}", rng.normal(size=n)) for i in range(30)]
+                     + [num_col("y", rng.normal(size=n))], target="y")
+    y = target_codes(d)
+    pool = [apply(RawRef(c.name), d) for c in d.feature_columns]
+    tracemalloc.start()
+    try:
+        cands = expand_action(catalog_op("sub"), pool, y, cap=cap, max_order=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cands) == cap
+    assert peak < 40 * n * 9, f"peak {peak / (n * 9):.0f} candidate columns"
 
 
 @pytest.mark.parametrize("expr", [
