@@ -65,13 +65,16 @@ class Model:
 
 # The trees use histogram split search (LightGBM, Ke et al., NeurIPS 2017;
 # scikit-learn's histogram gradient boosting). Each train call bins every
-# column once into rank codes. The trees of a batch grow together, one depth
-# level per pass: a few numpy calls build the histograms of every open node
-# and score all their thresholds. A column with at most _MAX_BINS distinct
-# values keeps one bin per value, so its splits are those of an exact greedy
-# search.
+# column once into rank codes. A tree trains on the distinct rows of its
+# bootstrap, each weighted by the number of times it was drawn, as
+# scikit-learn's forests turn bootstrap indices into sample weights. Integer
+# weights sum exactly, so the counts are those of the repeated rows.
+# The trees of a batch grow together, one depth level per pass: one sort of
+# the open nodes' (node, feature, bin) keys, and prefix sums over it, score
+# all their thresholds. A column with at most _MAX_BINS distinct values keeps
+# one bin per value, so its splits are those of an exact greedy search.
 _MAX_BINS = 255
-_BATCH_ROWS = 2048  # bootstrap rows grown in one pass; bounds peak memory
+_BATCH_ROWS = 4096  # distinct rows grown in one pass; bounds peak memory
 
 
 def _bin_columns(X):
@@ -101,82 +104,123 @@ def _bin_columns(X):
     return codes, lo, hi
 
 
-def _segment_cumsum(a, starts, seg):
-    """Inclusive prefix sums of `a` restarted at each segment start."""
-    c = np.cumsum(a, axis=0)
-    before = np.concatenate([np.zeros_like(c[:1]), c[:-1]])[starts]
-    return c - before[seg]
+def _scaled_target(y):
+    """A regression target in [-1, 1]: (ldexp(ldexp(y, -e0) - c, -e1), c,
+    e0, e1), so that no sum of it or of its square overflows.
+
+    A target whose values spread over less than 1/1024 of their magnitude
+    is centred on its mean, rounded to a multiple of the largest power of
+    two below its spread (so an integer target stays integer), as its
+    squares would cancel in the variances. Any other target keeps c = 0:
+    scaling by powers of two rounds nothing, so its sums, and its splits,
+    are those of the unscaled target.
+    """
+    e0 = int(np.frexp(np.abs(y).max())[1])
+    z = np.ldexp(y, -e0)
+    grid = np.ldexp(1.0, int(np.frexp(z.max() - z.min())[1]) - 1)
+    c = float(np.round(z.mean() / grid) * grid) if grid < 2.0 ** -10 else 0.0
+    e1 = int(np.frexp(np.abs(z - c).max())[1])
+    return np.ldexp(z - c, -e1), c, e0, e1
 
 
 def _draw_features(tree, rngs, n_sub, p):
     """Sorted feature subsets (len(tree), n_sub), one per open node; tree[i]
-    is the tree of node i, nodes of one tree are adjacent, and the tree's
-    generator draws their subsets in node order."""
+    is the tree of node i, nodes of one tree are adjacent and in tree order,
+    and the tree's generator draws their subsets in node order."""
     if n_sub >= p:
         return np.broadcast_to(np.arange(p), (len(tree), p))
-    F = np.empty((len(tree), n_sub), dtype=np.int64)
-    trees, starts = np.unique(tree, return_index=True)
-    for t, a, b in zip(trees, starts, np.append(starts[1:], len(tree))):
-        keys = rngs[t].random((b - a, p))
-        F[a:b] = np.sort(np.argsort(keys, axis=1)[:, :n_sub], axis=1)
-    return F
+    keys = np.concatenate([rngs[t].random((c, p))
+                           for t, c in enumerate(np.bincount(tree)) if c])
+    return np.sort(np.argsort(keys, axis=1)[:, :n_sub], axis=1)
 
 
-def _best_splits(codes, lo, hi, rows, ys, sk, F, stats, task, n_classes):
+def _best_splits(codes, lo, hi, rows, ys, w, sk, F, stats, task, n_classes, tol):
     """Best split of each open node over its features F (m, f).
 
-    Samples are (rows, ys) in open node sk. stats holds the nodes' sample
-    counts and class counts, or counts, sums of y and sums of y**2. Ties
-    break toward the lowest feature unless a later one is better by more
-    than 1e-15, then toward the lowest threshold. Returns (weighted child
-    impurity, feature, threshold, last left bin); the impurity is inf where
-    a node has no split.
+    Distinct samples (rows, ys) of weight w are in open node sk. stats holds
+    the nodes' weighted counts and class counts, or counts, sums of y and
+    sums of y**2. Ties break toward the lowest feature unless a later one is
+    better by more than tol, then toward the lowest threshold. Returns
+    (weighted child impurity, feature, threshold, last left bin); the
+    impurity is inf where a node has no split.
     """
     m, f = F.shape
-    b = codes[F[sk], rows[:, None]]
-    cell = ((sk[:, None] * f + np.arange(f)) << 8) + b
-    cells, inv = np.unique(cell.ravel(), return_inverse=True)
-    U = len(cells)
-    seg, bins = cells >> 8, cells & 255
-    starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
-    v = np.flatnonzero(np.r_[seg[1:] == seg[:-1], False])  # a bin follows
-    node = seg[v] // f
-    nl = _segment_cumsum(np.bincount(inv, minlength=U), starts, seg)[v]
+    N = len(rows)
+    size = np.bincount(sk, minlength=m)
+    # One sort of (segment, bin, sample) keys, a segment being a (node,
+    # feature) pair: it holds its node's samples once, ordered by bin, and
+    # starts at position seg_start. The keys fit 63 bits while m * f * N
+    # stays below 2**53.
+    shift = max(1, (N - 1).bit_length())
+    key = (F * codes.shape[1]).take(sk, axis=0)
+    key += rows[:, None]
+    key = codes.ravel().take(key).astype(np.int64)
+    key <<= shift
+    key += ((np.arange(m * f) << 8 << shift).reshape(m, f)).take(sk, axis=0)
+    key += np.arange(N)[:, None]
+    key = key.ravel()
+    key.sort()
+    smp = key & ((1 << shift) - 1)
+    key >>= shift
+    seg_start = (f * (np.cumsum(size) - size))[:, None] + np.arange(f) * size[:, None]
+    # a split candidate is the last sample of a bin followed by another bin
+    # of its segment; its left side is the segment's prefix up to it
+    v = key[1:] ^ key[:-1]  # below 256 within a segment
+    v = np.flatnonzero((v > 0) & (v < 256))
+    if not len(v):
+        return np.full(m, np.inf), F[:, 0], np.zeros(m), np.zeros(m, dtype=np.int64)
+    g = key[v] >> 8
+    start = seg_start.ravel()[g]
+    prefix = np.zeros(len(key) + 1)
+
+    def left_sum(a):
+        """Sum of the per-sample values a over each candidate's left side."""
+        np.cumsum(a.take(smp), out=prefix[1:])
+        return prefix[v + 1] - prefix[start]
+
+    nl = left_sum(w)
+    node = g // f
     n = stats[0][node]
     nr = n - nl
     if task == Task.CLASSIFICATION:
-        onehot = inv * n_classes + np.repeat(ys.astype(np.int64), f)
-        hist = np.bincount(onehot, minlength=U * n_classes).reshape(U, n_classes)
-        left = _segment_cumsum(hist, starts, seg)[v]
-        right = stats[1][node] - left
-        gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
-        gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
-        score_v = (nl * gini_l + nr * gini_r) / n
+        # 1 - sum over classes of (count / n)**2, summed class by class: the
+        # order of the node impurity's np.sum for fewer than 8 classes
+        left = [left_sum(w * (ys == c)) for c in range(n_classes - 1)]
+        left.append(nl - sum(left))  # integer weights: exact
+        sq_l = sq_r = 0.0
+        for c, lc in enumerate(left):
+            sq_l = sq_l + (lc / nl) ** 2
+            sq_r = sq_r + ((stats[1][node, c] - lc) / nr) ** 2
+        score = (nl * (1.0 - sq_l) + nr * (1.0 - sq_r)) / n
     else:
-        s1 = _segment_cumsum(np.bincount(inv, np.repeat(ys, f), U), starts, seg)[v]
-        s2 = _segment_cumsum(np.bincount(inv, np.repeat(ys * ys, f), U), starts, seg)[v]
-        t1, t2 = stats[1][node], stats[2][node]
-        var_l = s2 / nl - (s1 / nl) ** 2
-        var_r = (t2 - s2) / nr - ((t1 - s1) / nr) ** 2
-        score_v = (nl * np.maximum(var_l, 0) + nr * np.maximum(var_r, 0)) / n
-    score = np.full(U, np.inf)
-    score[v] = np.where(np.isnan(score_v), np.inf, score_v)  # y*y overflowed
-    # lowest threshold of each (node, feature) segment reaching its minimum
-    seg_min = np.minimum.reduceat(score, starts)
-    hit = np.flatnonzero(score == seg_min[seg])
-    seg_cell = hit[np.r_[True, seg[hit][1:] != seg[hit][:-1]]].reshape(m, f)
-    seg_min = seg_min.reshape(m, f)
+        # (nl * var_l + nr * var_r) / n, each variance at least 0
+        wy = w * ys
+        s1 = left_sum(wy)
+        s2 = left_sum(wy * ys)
+        score = nl * np.maximum(s2 / nl - (s1 / nl) ** 2, 0)
+        s1, s2 = stats[1][node] - s1, stats[2][node] - s2  # the right side's
+        score += nr * np.maximum(s2 / nr - (s1 / nr) ** 2, 0)
+        score /= n
+    # the lowest threshold of each (node, feature) segment reaching its minimum
+    first = np.flatnonzero(np.concatenate([[True], g[1:] != g[:-1]]))
+    seg_min = np.full(m * f, np.inf)
+    seg_min[g[first]] = np.minimum.reduceat(score, first)
+    hit = np.flatnonzero(score == seg_min[g])
+    hit = hit[np.concatenate([[True], g[hit][1:] != g[hit][:-1]])]
+    seg_cell = np.zeros(m * f, dtype=np.int64)
+    seg_cell[g[hit]] = hit
+    seg_min, seg_cell = seg_min.reshape(m, f), seg_cell.reshape(m, f)
     best, cell_at = seg_min[:, 0].copy(), seg_cell[:, 0].copy()
     slot = np.zeros(m, dtype=np.int64)
     for k in range(1, f):
-        better = seg_min[:, k] < best - 1e-15
+        better = seg_min[:, k] < best - tol
         best[better] = seg_min[better, k]
         cell_at[better] = seg_cell[better, k]
         slot[better] = k
     j = F[np.arange(m), slot]
-    split_bin = bins[cell_at]
+    split_bin = key[v[cell_at]] & 255
     below = hi[j, split_bin]
-    above = lo[j, bins[np.minimum(cell_at + 1, U - 1)]]  # any bin where no split
+    above = lo[j, key[v[cell_at] + 1] & 255]  # any bin where no split
     # strictly below the right value: where the midpoint rounds up to it,
     # overflows or is inf - inf, the threshold is the left value
     with np.errstate(over="ignore", invalid="ignore"):
@@ -191,81 +235,112 @@ def _positions(subset, K):
     return pos
 
 
-def _grow(codes, lo, hi, y, task, n_classes, boots, rngs, n_sub, max_depth,
+def _grow(codes, lo, hi, y, frame, task, n_classes, batch, n_sub, max_depth,
           importances, n_total):
-    """Grow one tree on the rows of each of `boots`, all together, one depth
-    level per pass; rngs[t] draws tree t's per-node feature subsets.
+    """Grow one tree on each (generator, distinct rows, weights) of `batch`,
+    all together, one depth level per pass; tree t's generator draws its
+    per-node feature subsets. y is the class codes, or the regression target
+    scaled as _scaled_target returns it with frame (c, e0, e1).
 
     Returns the batch's node arrays (feature, threshold, left, value) in
-    level order, with tree t's root at node t.
+    level order, with tree t's root at node t. Leaf values, impurity
+    decreases and the 1e-15 impurity tolerance are in the target's units.
     """
+    c, e0, e1 = frame
+    # the 1e-15 impurity tolerance in the scaled target's units, and the
+    # factor taking impurities back to the target's; 0 or inf beyond the
+    # float range
+    with np.errstate(over="ignore"):
+        tol, unit = np.ldexp([1e-15, 1.0], [-2 * (e0 + e1), 2 * (e0 + e1)])
     p = codes.shape[0]
-    rows = np.concatenate(boots)
-    node = np.repeat(np.arange(len(boots)), [len(b) for b in boots])
+    rngs, rows, w = zip(*batch)
+    k = np.repeat(np.arange(len(batch)), [len(r) for r in rows])
+    rows, w = np.concatenate(rows), np.concatenate(w).astype(float)
     ys = y[rows]
-    tree = np.arange(len(boots))  # tree of each node of this level
+    tree = np.arange(len(batch))  # tree of each node of this level
     base = 0                      # id of this level's first node
     levels = []
     for depth in range(max_depth + 1):
         K = len(tree)
-        k = node - base
-        cnt = np.bincount(k, minlength=K).astype(float)
+        cnt = np.bincount(k, w, K)
         if task == Task.CLASSIFICATION:
-            counts = np.bincount(k * n_classes + ys.astype(np.int64),
-                                 minlength=K * n_classes).reshape(K, n_classes)
+            counts = np.bincount(k * n_classes + ys, w,
+                                 K * n_classes).reshape(K, n_classes)
             imp = 1.0 - np.sum((counts / cnt[:, None]) ** 2, axis=1)
             value = np.argmax(counts, axis=1).astype(float)  # lowest code on ties
             stats = (cnt, counts)
         else:
-            t1 = np.bincount(k, ys, K)
-            value = t1 / cnt
-            imp = np.bincount(k, (ys - value[k]) ** 2, K) / cnt
-            stats = (cnt, t1, np.bincount(k, ys * ys, K))
+            wy = w * ys
+            t1 = np.bincount(k, wy, K)
+            mean = t1 / cnt
+            imp = np.bincount(k, w * (ys - mean[k]) ** 2, K) / cnt
+            # sum(y) / count, exact for an integer target
+            value = np.ldexp((np.ldexp(t1, e1) + c * cnt) / cnt, e0)
+            stats = (cnt, t1, np.bincount(k, wy * ys, K))
         feature = np.full(K, -1)
         threshold = np.zeros(K)
         left = np.full(K, -1)
         levels.append((feature, threshold, left, value))
-        open_ = np.flatnonzero((cnt >= 2) & (imp > 1e-15))
+        open_ = np.flatnonzero((cnt >= 2) & (imp > tol))
         if depth == max_depth or not len(open_):
             break
         s = _positions(open_, K)[k]
         inside = s >= 0
+        rows, ys, w, s = rows[inside], ys[inside], w[inside], s[inside]
         F = _draw_features(tree[open_], rngs, n_sub, p)
         best, j, thr, split_bin = _best_splits(
-            codes, lo, hi, rows[inside], ys[inside], s[inside], F,
-            tuple(a[open_] for a in stats), task, n_classes)
-        gain = best < imp[open_] - 1e-15
+            codes, lo, hi, rows, ys, w, s, F, tuple(a[open_] for a in stats),
+            task, n_classes, tol)
+        gain = best < imp[open_] - tol
         split = open_[gain]
         j, split_bin = j[gain], split_bin[gain]
         feature[split] = j
         threshold[split] = thr[gain]
         left[split] = base + K + 2 * np.arange(len(split))
-        np.add.at(importances, j, (cnt[split] / n_total) * (imp[split] - best[gain]))
-        s = _positions(split, K)[k]
+        np.add.at(importances, j, (cnt[split] / n_total) * (imp[split] - best[gain]) * unit)
+        s = _positions(np.flatnonzero(gain), len(open_))[s]
         inside = s >= 0
-        rows, ys, s = rows[inside], ys[inside], s[inside]
-        node = base + K + 2 * s + (codes[j[s], rows] > split_bin[s])
+        rows, ys, w, s = rows[inside], ys[inside], w[inside], s[inside]
+        k = 2 * s + (codes[j[s], rows] > split_bin[s])
         tree = np.repeat(tree[split], 2)
         base += K
     return tuple(np.concatenate(a) for a in zip(*levels))
 
 
+def _bootstraps(rngs, n):
+    """Batches of (generator, distinct rows, weights): one tree per generator
+    in `rngs`, on a bootstrap of the n rows drawn from it, each distinct row
+    weighted by its number of draws, or on all rows where it is None. A batch
+    holds at most _BATCH_ROWS distinct rows, or one tree."""
+    batch, size = [], 0
+    for r in rngs:
+        draws = (np.ones(n, dtype=np.int64) if r is None
+                 else np.bincount(r.integers(0, n, size=n), minlength=n))
+        rows = np.flatnonzero(draws)
+        if batch and size + len(rows) > _BATCH_ROWS:
+            yield batch
+            batch, size = [], 0
+        batch.append((r, rows, draws[rows]))
+        size += len(rows)
+    yield batch
+
+
 def _fit_trees(X, y, task, n_classes, rngs, n_sub, max_depth):
-    """One tree per generator in `rngs`: on a bootstrap of the rows drawn
-    from it, or on all rows where it is None. Each node searches a subset of
-    n_sub features drawn from its tree's generator, or all of them when
-    n_sub >= p. Returns the forest and its summed impurity decreases."""
+    """One tree per generator in `rngs` (see _bootstraps). Each node searches
+    a subset of n_sub features drawn from its tree's generator, or all of
+    them when n_sub >= p. Returns the forest and its summed impurity
+    decreases."""
     n, p = X.shape
     codes, lo, hi = _bin_columns(X)
+    if task == Task.CLASSIFICATION:
+        y, frame = y.astype(np.int64), (0.0, 0, 0)
+    else:
+        y, *frame = _scaled_target(y)
     importances = np.zeros(p)
-    per_batch = max(1, _BATCH_ROWS // n)
     roots, parts, n_nodes = [], [], 0
-    for a in range(0, len(rngs), per_batch):
-        batch = rngs[a:a + per_batch]
-        boots = [np.arange(n) if r is None else r.integers(0, n, size=n)
-                 for r in batch]
+    for batch in _bootstraps(rngs, n):
         feature, threshold, left, value = _grow(
-            codes, lo, hi, y, task, n_classes, boots, batch, n_sub, max_depth,
+            codes, lo, hi, y, frame, task, n_classes, batch, n_sub, max_depth,
             importances, n)
         roots.append(n_nodes + np.arange(len(batch)))
         parts.append((feature, threshold, np.where(left >= 0, left + n_nodes, -1),
@@ -412,7 +487,8 @@ def _rae_denominator(y_true):
 
 
 def metric_one_minus_rae(y_true, y_pred) -> float:
-    """1 - (sum |err|) / (sum |deviation from the mean|)."""
+    """1 - (sum |err|) / (sum |deviation from the mean|); -inf where the
+    error sum overflows."""
     y_true = np.asarray(y_true, dtype=float)
     y_pred = np.asarray(y_pred, dtype=float)
     if len(y_true) != len(y_pred):
@@ -455,9 +531,9 @@ def evaluate_cv(spec: LearnerSpec, X: np.ndarray, y, task: Task, k: int,
                 seed: int) -> float:
     """Mean k-fold score: F1 for classification, 1-rae for regression.
 
-    Missing cells are median-imputed per training fold; degenerate folds
-    (a constant target, or one whose deviations sum to a subnormal) contribute
-    0.
+    Missing cells are median-imputed per training fold. Degenerate folds (a
+    constant target, or one whose deviations sum to a subnormal) contribute
+    0, as do folds whose absolute errors overflow, where 1-rae is -inf.
     """
     X = np.asarray(X, dtype=float)
     if task == Task.CLASSIFICATION:
@@ -481,7 +557,9 @@ def evaluate_cv(spec: LearnerSpec, X: np.ndarray, y, task: Task, k: int,
                 scores.append(0.0)
                 continue
             pred = predict(train(spec, Xtr, ytr, task), Xva)
-            scores.append(metric_one_minus_rae(yva, pred))
+            with np.errstate(over="ignore", invalid="ignore"):
+                score = metric_one_minus_rae(yva, pred)
+            scores.append(score if math.isfinite(score) else 0.0)
     return float(np.mean(scores))
 
 
@@ -490,6 +568,8 @@ def feature_importance(model: Model) -> np.ndarray:
     if model.kind != "random_forest":
         raise LearnError("feature importance requires a random forest model")
     imp = model.importances.copy()
+    if np.isinf(imp).any():  # a target beyond about 1e154: the inf ones count
+        imp = np.isinf(imp).astype(float)
     total = imp.sum()
     if total <= 0:
         return np.full(len(imp), 1.0 / len(imp))

@@ -1,14 +1,18 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from kgfeat import learn
 from kgfeat.data import Task
-from kgfeat.learn import (LearnError, LearnerSpec, _rae_denominator,
-                          encode_labels, evaluate_cv, feature_importance,
-                          impute_columns, metric_f1, metric_one_minus_rae,
-                          predict, train)
+from kgfeat.learn import (LearnError, LearnerSpec, Model, _bin_columns, _Forest,
+                          _positions, _rae_denominator, encode_labels,
+                          evaluate_cv, feature_importance, impute_columns,
+                          metric_f1, metric_one_minus_rae, predict, train)
 
 
 # ---------------------------------------------------------------- metrics
@@ -168,9 +172,8 @@ def test_every_split_has_two_nonempty_children(n, p, depth, kind, task, scale,
         y = rng.integers(0, 3, n).astype(float)
     else:
         y = rng.uniform(-1e3, 1e3, n) * scale
-    with np.errstate(over="ignore", invalid="ignore"):  # y * y overflows at 1e200
-        model = train(LearnerSpec(kind=kind, max_depth=depth, n_trees=3,
-                                  seed=seed), X, y, task)
+    model = train(LearnerSpec(kind=kind, max_depth=depth, n_trees=3, seed=seed),
+                  X, y, task)
     forest = model.trees
     for root, rows in zip(forest.roots, _tree_rows(kind, n, 3, seed)):
         stack = [(root, rows)]
@@ -277,6 +280,250 @@ def test_histogram_trees_match_exact_greedy_search(case):
     assert predict(model, X).tolist() == expected.tolist()
     # node impurities are summed in another order: equal up to rounding
     assert model.importances == pytest.approx(importances, rel=1e-9, abs=1e-9)
+
+
+# The learner as it was before it grew trees on distinct bootstrap rows with
+# weights and scored splits from one sort: every draw of a bootstrap is a
+# sample, and the split search bins cells with np.unique. It is the oracle of
+# the weighted one-sort learner.
+
+def _rr_segment_cumsum(a, starts, seg):
+    """Inclusive prefix sums of `a` restarted at each segment start."""
+    c = np.cumsum(a, axis=0)
+    before = np.concatenate([np.zeros_like(c[:1]), c[:-1]])[starts]
+    return c - before[seg]
+
+
+def _rr_draw_features(tree, rngs, n_sub, p):
+    if n_sub >= p:
+        return np.broadcast_to(np.arange(p), (len(tree), p))
+    F = np.empty((len(tree), n_sub), dtype=np.int64)
+    trees, starts = np.unique(tree, return_index=True)
+    for t, a, b in zip(trees, starts, np.append(starts[1:], len(tree))):
+        keys = rngs[t].random((b - a, p))
+        F[a:b] = np.sort(np.argsort(keys, axis=1)[:, :n_sub], axis=1)
+    return F
+
+
+def _rr_best_splits(codes, lo, hi, rows, ys, sk, F, stats, task, n_classes):
+    m, f = F.shape
+    b = codes[F[sk], rows[:, None]]
+    cell = ((sk[:, None] * f + np.arange(f)) << 8) + b
+    cells, inv = np.unique(cell.ravel(), return_inverse=True)
+    U = len(cells)
+    seg, bins = cells >> 8, cells & 255
+    starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
+    v = np.flatnonzero(np.r_[seg[1:] == seg[:-1], False])  # a bin follows
+    node = seg[v] // f
+    nl = _rr_segment_cumsum(np.bincount(inv, minlength=U), starts, seg)[v]
+    n = stats[0][node]
+    nr = n - nl
+    if task == Task.CLASSIFICATION:
+        onehot = inv * n_classes + np.repeat(ys.astype(np.int64), f)
+        hist = np.bincount(onehot, minlength=U * n_classes).reshape(U, n_classes)
+        left = _rr_segment_cumsum(hist, starts, seg)[v]
+        right = stats[1][node] - left
+        gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
+        gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
+        score_v = (nl * gini_l + nr * gini_r) / n
+    else:
+        s1 = _rr_segment_cumsum(np.bincount(inv, np.repeat(ys, f), U), starts, seg)[v]
+        s2 = _rr_segment_cumsum(np.bincount(inv, np.repeat(ys * ys, f), U), starts, seg)[v]
+        t1, t2 = stats[1][node], stats[2][node]
+        var_l = s2 / nl - (s1 / nl) ** 2
+        var_r = (t2 - s2) / nr - ((t1 - s1) / nr) ** 2
+        score_v = (nl * np.maximum(var_l, 0) + nr * np.maximum(var_r, 0)) / n
+    score = np.full(U, np.inf)
+    score[v] = np.where(np.isnan(score_v), np.inf, score_v)
+    seg_min = np.minimum.reduceat(score, starts)
+    hit = np.flatnonzero(score == seg_min[seg])
+    seg_cell = hit[np.r_[True, seg[hit][1:] != seg[hit][:-1]]].reshape(m, f)
+    seg_min = seg_min.reshape(m, f)
+    best, cell_at = seg_min[:, 0].copy(), seg_cell[:, 0].copy()
+    slot = np.zeros(m, dtype=np.int64)
+    for k in range(1, f):
+        better = seg_min[:, k] < best - 1e-15
+        best[better] = seg_min[better, k]
+        cell_at[better] = seg_cell[better, k]
+        slot[better] = k
+    j = F[np.arange(m), slot]
+    split_bin = bins[cell_at]
+    below = hi[j, split_bin]
+    above = lo[j, bins[np.minimum(cell_at + 1, U - 1)]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = (below + above) / 2.0
+    return best, j, np.where(mid < above, mid, below), split_bin
+
+
+def _rr_grow(codes, lo, hi, y, task, n_classes, boots, rngs, n_sub, max_depth,
+             importances, n_total):
+    p = codes.shape[0]
+    rows = np.concatenate(boots)
+    node = np.repeat(np.arange(len(boots)), [len(b) for b in boots])
+    ys = y[rows]
+    tree = np.arange(len(boots))
+    base = 0
+    levels = []
+    for depth in range(max_depth + 1):
+        K = len(tree)
+        k = node - base
+        cnt = np.bincount(k, minlength=K).astype(float)
+        if task == Task.CLASSIFICATION:
+            counts = np.bincount(k * n_classes + ys.astype(np.int64),
+                                 minlength=K * n_classes).reshape(K, n_classes)
+            imp = 1.0 - np.sum((counts / cnt[:, None]) ** 2, axis=1)
+            value = np.argmax(counts, axis=1).astype(float)
+            stats = (cnt, counts)
+        else:
+            t1 = np.bincount(k, ys, K)
+            value = t1 / cnt
+            imp = np.bincount(k, (ys - value[k]) ** 2, K) / cnt
+            stats = (cnt, t1, np.bincount(k, ys * ys, K))
+        feature = np.full(K, -1)
+        threshold = np.zeros(K)
+        left = np.full(K, -1)
+        levels.append((feature, threshold, left, value))
+        open_ = np.flatnonzero((cnt >= 2) & (imp > 1e-15))
+        if depth == max_depth or not len(open_):
+            break
+        s = _positions(open_, K)[k]
+        inside = s >= 0
+        F = _rr_draw_features(tree[open_], rngs, n_sub, p)
+        best, j, thr, split_bin = _rr_best_splits(
+            codes, lo, hi, rows[inside], ys[inside], s[inside], F,
+            tuple(a[open_] for a in stats), task, n_classes)
+        gain = best < imp[open_] - 1e-15
+        split = open_[gain]
+        j, split_bin = j[gain], split_bin[gain]
+        feature[split] = j
+        threshold[split] = thr[gain]
+        left[split] = base + K + 2 * np.arange(len(split))
+        np.add.at(importances, j, (cnt[split] / n_total) * (imp[split] - best[gain]))
+        s = _positions(split, K)[k]
+        inside = s >= 0
+        rows, ys, s = rows[inside], ys[inside], s[inside]
+        node = base + K + 2 * s + (codes[j[s], rows] > split_bin[s])
+        tree = np.repeat(tree[split], 2)
+        base += K
+    return tuple(np.concatenate(a) for a in zip(*levels))
+
+
+def _rr_fit(spec, X, y, task, batch_rows):
+    """The repeated-row forest of `train`, its trees batched as the learner
+    batches them: up to batch_rows distinct rows, or one tree."""
+    n, p = X.shape
+    n_classes = int(y.max()) + 1 if task == Task.CLASSIFICATION else 0
+    if spec.kind == "decision_tree":
+        rngs, n_sub = [None], p
+    else:
+        frac = spec.feature_subsample
+        n_sub = max(1, int(round(frac * p))) if frac is not None else max(1, math.isqrt(p))
+        rngs = [np.random.default_rng(ss)
+                for ss in np.random.SeedSequence(spec.seed).spawn(spec.n_trees)]
+    boots = [np.arange(n) if r is None else r.integers(0, n, size=n) for r in rngs]
+    batches, size = [[]], 0
+    for t, boot in enumerate(boots):
+        distinct = len(np.unique(boot))
+        if batches[-1] and size + distinct > batch_rows:
+            batches.append([])
+            size = 0
+        batches[-1].append(t)
+        size += distinct
+    codes, lo, hi = _bin_columns(X)
+    importances = np.zeros(p)
+    roots, parts, n_nodes = [], [], 0
+    for batch in batches:
+        feature, threshold, left, value = _rr_grow(
+            codes, lo, hi, y, task, n_classes, [boots[t] for t in batch],
+            [rngs[t] for t in batch], n_sub, spec.max_depth, importances, n)
+        roots.append(n_nodes + np.arange(len(batch)))
+        parts.append((feature, threshold, np.where(left >= 0, left + n_nodes, -1),
+                      value))
+        n_nodes += len(feature)
+    forest = _Forest(np.concatenate(roots), *(np.concatenate(a) for a in zip(*parts)))
+    return forest, importances
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 400), p=st.integers(1, 5),
+       levels=st.sampled_from([1, 2, 7, 255, 256, 100_000]),
+       ties=st.sampled_from(["none", "copy", "negate"]),
+       target=st.sampled_from(["2 classes", "3 classes", "integers"]),
+       kind=st.sampled_from(["decision_tree", "random_forest"]),
+       depth=st.integers(1, 7), n_trees=st.integers(1, 6),
+       subsample=st.sampled_from([None, 0.5, 1.0]),
+       batch_rows=st.sampled_from([1, 64, learn._BATCH_ROWS]))
+def test_weighted_trees_match_repeated_row_trees(seed, n, p, levels, ties, target,
+                                                 kind, depth, n_trees, subsample,
+                                                 batch_rows):
+    # Columns of up to 255 distinct values keep one bin per value, more merge
+    # bins; copied and negated columns and few levels tie cells. Counts and
+    # integer targets sum exactly in any order, so weighting the distinct
+    # rows must grow the very trees the repeated rows grew.
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, (n, p)) * 0.37
+    if p > 1 and ties == "copy":
+        X[:, 1] = X[:, 0]
+    elif p > 1 and ties == "negate":
+        X[:, 1] = -X[:, 0]
+    if target == "integers":
+        task, y = Task.REGRESSION, rng.integers(-40, 60, n).astype(float)
+    else:
+        task, y = Task.CLASSIFICATION, rng.integers(0, int(target[0]), n).astype(float)
+    spec = LearnerSpec(kind=kind, max_depth=depth, n_trees=n_trees,
+                       feature_subsample=subsample, seed=seed)
+    with mock.patch.object(learn, "_BATCH_ROWS", batch_rows):
+        model = train(spec, X, y, task)
+    forest, importances = _rr_fit(spec, X, y, task, batch_rows)
+    for name in ("roots", "feature", "threshold", "left", "value"):
+        got, want = getattr(model.trees, name), getattr(forest, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    oracle = Model(kind, task, p, trees=forest, classes=model.classes)
+    assert predict(model, X).tobytes() == predict(oracle, X).tobytes()
+    # decreases are summed in the same order but from weighted sums
+    assert model.importances == pytest.approx(importances, rel=1e-9, abs=1e-9)
+
+
+def test_root_level_scores_each_distinct_bootstrap_row_once(monkeypatch):
+    # the repeated-row learner scored every draw: about 1.58 samples per
+    # distinct row of a bootstrap
+    rng = np.random.default_rng(8)
+    n, n_trees, seed = 200, 5, 3
+    X = rng.uniform(size=(n, 3))
+    y = (X[:, 0] > 0.5).astype(float)
+    calls = []
+    best_splits = learn._best_splits
+
+    def spy(codes, lo, hi, rows, ys, w, sk, *rest):
+        calls.append((rows, w, sk))
+        return best_splits(codes, lo, hi, rows, ys, w, sk, *rest)
+
+    monkeypatch.setattr(learn, "_best_splits", spy)
+    train(LearnerSpec(kind="random_forest", n_trees=n_trees, seed=seed), X, y,
+          Task.CLASSIFICATION)
+    rows, w, sk = calls[0]  # the root level of the only batch
+    boots = [np.random.default_rng(ss).integers(0, n, size=n)
+             for ss in np.random.SeedSequence(seed).spawn(n_trees)]
+    assert len(rows) == sum(len(np.unique(b)) for b in boots) < n * n_trees
+    for t, boot in enumerate(boots):
+        distinct, draws = np.unique(boot, return_counts=True)
+        assert sorted(rows[sk == t].tolist()) == distinct.tolist()
+        assert w[sk == t][np.argsort(rows[sk == t])].tolist() == draws.tolist()
+
+
+def test_regression_tree_splits_a_target_near_1e200():
+    # sums of y**2 overflowed past |y| of about 1e154, so no split ever
+    # lowered the impurity and every tree was one leaf
+    X = np.linspace(0.0, 1.0, 20)[:, None]
+    y = 1e200 * (X[:, 0] > 0.5)
+    model = train(LearnerSpec(kind="decision_tree", max_depth=2), X, y,
+                  Task.REGRESSION)
+    assert model.trees.feature[0] == 0
+    assert predict(model, X) == pytest.approx(y, rel=1e-12)
+    assert model.importances[0] > 0
+    forest = train(LearnerSpec(kind="random_forest", n_trees=5),
+                   np.column_stack([X, np.zeros(20)]), y, Task.REGRESSION)
+    assert feature_importance(forest).tolist() == [1.0, 0.0]
 
 
 def test_random_forest_deterministic_and_importance():
@@ -397,6 +644,30 @@ def test_evaluate_cv_deterministic():
     a = evaluate_cv(spec, X, y, Task.REGRESSION, k=3, seed=2)
     b = evaluate_cv(spec, X, y, Task.REGRESSION, k=3, seed=2)
     assert a == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["linear", "decision_tree", "random_forest"]), st.data())
+def test_evaluate_cv_score_is_finite(kind, data):
+    # targets near the float limit make a fold's absolute errors, or its
+    # deviations, overflow (numpy warns); 1 - rae was then -inf or nan
+    n = data.draw(st.integers(4, 16))
+    y = data.draw(arrays(float, n, elements=st.floats(-1e308, 1e308)))
+    X = data.draw(arrays(float, (n, 2), elements=st.floats(-1e6, 1e6) | st.just(np.nan)))
+    with np.errstate(all="ignore"):
+        score = evaluate_cv(LearnerSpec(kind=kind, n_trees=3, max_depth=3), X, y,
+                            Task.REGRESSION, k=2, seed=0)
+    assert math.isfinite(score)
+
+
+def test_evaluate_cv_scores_an_overflowing_fold_zero():
+    X = np.arange(6.0)[:, None]
+    y = np.array([0.0, 1.0, 1e308, -1e308, 2.0, 3.0])
+    with np.errstate(all="ignore"):
+        assert metric_one_minus_rae([0.0, 1.0], [1e308, -1e308]) == -np.inf
+        for kind in ("linear", "decision_tree", "random_forest"):
+            assert evaluate_cv(LearnerSpec(kind=kind, n_trees=3), X, y,
+                               Task.REGRESSION, k=2, seed=0) == 0.0
 
 
 def _impute_columns_oracle(train_X, other_X):
