@@ -105,22 +105,12 @@ def _bin_columns(X):
 
 
 def _scaled_target(y):
-    """A regression target in [-1, 1]: (ldexp(ldexp(y, -e0) - c, -e1), c,
-    e0, e1), so that no sum of it or of its square overflows.
-
-    A target whose values spread over less than 1/1024 of their magnitude
-    is centred on its mean, rounded to a multiple of the largest power of
-    two below its spread (so an integer target stays integer), as its
-    squares would cancel in the variances. Any other target keeps c = 0:
-    scaling by powers of two rounds nothing, so its sums, and its splits,
-    are those of the unscaled target.
-    """
-    e0 = int(np.frexp(np.abs(y).max())[1])
-    z = np.ldexp(y, -e0)
-    grid = np.ldexp(1.0, int(np.frexp(z.max() - z.min())[1]) - 1)
-    c = float(np.round(z.mean() / grid) * grid) if grid < 2.0 ** -10 else 0.0
-    e1 = int(np.frexp(np.abs(z - c).max())[1])
-    return np.ldexp(z - c, -e1), c, e0, e1
+    """A regression target scaled by a power of two into [-1, 1], and that
+    power's exponent e: ldexp(y, -e), so that no sum of it or of its square
+    overflows. Scaling by a power of two rounds nothing, so the sums, and
+    the splits, are those of the unscaled target."""
+    e = int(np.frexp(np.abs(y).max())[1])
+    return np.ldexp(y, -e), e
 
 
 def _draw_features(tree, rngs, n_sub, p):
@@ -132,6 +122,24 @@ def _draw_features(tree, rngs, n_sub, p):
     keys = np.concatenate([rngs[t].random((c, p))
                            for t, c in enumerate(np.bincount(tree)) if c])
     return np.sort(np.argsort(keys, axis=1)[:, :n_sub], axis=1)
+
+
+def _row_sums(cols):
+    """Sum of the equal-length arrays `cols`, added in the order numpy's
+    pairwise summation adds a row, so it equals
+    np.sum(np.column_stack(cols), axis=1) bit for bit. Over a few columns
+    that reduction takes about 50 times as long as these additions."""
+    n = len(cols)
+    if n > 128:  # numpy's block size: halves, the first a multiple of 8
+        h = n // 2 - n // 2 % 8
+        return _row_sums(cols[:h]) + _row_sums(cols[h:])
+    if n < 8:
+        return sum(cols)
+    r = list(cols[:8])  # eight accumulators, then the tail in order
+    for i in range(8, n - n % 8):
+        r[i % 8] = r[i % 8] + cols[i]
+    return sum(cols[n - n % 8:], ((r[0] + r[1]) + (r[2] + r[3]))
+               + ((r[4] + r[5]) + (r[6] + r[7])))
 
 
 def _best_splits(codes, lo, hi, rows, ys, w, sk, F, stats, task, n_classes, tol):
@@ -183,15 +191,14 @@ def _best_splits(codes, lo, hi, rows, ys, w, sk, F, stats, task, n_classes, tol)
     n = stats[0][node]
     nr = n - nl
     if task == Task.CLASSIFICATION:
-        # 1 - sum over classes of (count / n)**2, summed class by class: the
-        # order of the node impurity's np.sum for fewer than 8 classes
+        # 1 - sum over classes of (weight / n)**2, the node impurity's np.sum
+        # order; the count completes the last class exactly (integer weights)
         left = [left_sum(w * (ys == c)) for c in range(n_classes - 1)]
-        left.append(nl - sum(left))  # integer weights: exact
-        sq_l = sq_r = 0.0
-        for c, lc in enumerate(left):
-            sq_l = sq_l + (lc / nl) ** 2
-            sq_r = sq_r + ((stats[1][node, c] - lc) / nr) ** 2
-        score = (nl * (1.0 - sq_l) + nr * (1.0 - sq_r)) / n
+        left.append(nl - sum(left))
+        gini_l = 1.0 - _row_sums([(lc / nl) ** 2 for lc in left])
+        gini_r = 1.0 - _row_sums([((stats[1][node, c] - lc) / nr) ** 2
+                                  for c, lc in enumerate(left)])
+        score = (nl * gini_l + nr * gini_r) / n
     else:
         # (nl * var_l + nr * var_r) / n, each variance at least 0
         wy = w * ys
@@ -235,23 +242,22 @@ def _positions(subset, K):
     return pos
 
 
-def _grow(codes, lo, hi, y, frame, task, n_classes, batch, n_sub, max_depth,
+def _grow(codes, lo, hi, y, e, task, n_classes, batch, n_sub, max_depth,
           importances, n_total):
     """Grow one tree on each (generator, distinct rows, weights) of `batch`,
     all together, one depth level per pass; tree t's generator draws its
-    per-node feature subsets. y is the class codes, or the regression target
-    scaled as _scaled_target returns it with frame (c, e0, e1).
+    per-node feature subsets. y is the class codes (e = 0), or the
+    regression target scaled by 2**-e as _scaled_target returns it.
 
     Returns the batch's node arrays (feature, threshold, left, value) in
-    level order, with tree t's root at node t. Leaf values, impurity
-    decreases and the 1e-15 impurity tolerance are in the target's units.
+    level order, with tree t's root at node t. Leaf values are in the
+    target's units; the impurity decreases added to `importances` are in
+    the scaled target's, and the 1e-15 impurity tolerance in the target's.
     """
-    c, e0, e1 = frame
-    # the 1e-15 impurity tolerance in the scaled target's units, and the
-    # factor taking impurities back to the target's; 0 or inf beyond the
-    # float range
+    # the 1e-15 tolerance in the scaled target's units; inf for a target
+    # below about 2e-162, which never splits
     with np.errstate(over="ignore"):
-        tol, unit = np.ldexp([1e-15, 1.0], [-2 * (e0 + e1), 2 * (e0 + e1)])
+        tol = np.ldexp(1e-15, -2 * e)
     p = codes.shape[0]
     rngs, rows, w = zip(*batch)
     k = np.repeat(np.arange(len(batch)), [len(r) for r in rows])
@@ -274,8 +280,7 @@ def _grow(codes, lo, hi, y, frame, task, n_classes, batch, n_sub, max_depth,
             t1 = np.bincount(k, wy, K)
             mean = t1 / cnt
             imp = np.bincount(k, w * (ys - mean[k]) ** 2, K) / cnt
-            # sum(y) / count, exact for an integer target
-            value = np.ldexp((np.ldexp(t1, e1) + c * cnt) / cnt, e0)
+            value = np.ldexp(mean, e)
             stats = (cnt, t1, np.bincount(k, wy * ys, K))
         feature = np.full(K, -1)
         threshold = np.zeros(K)
@@ -297,7 +302,7 @@ def _grow(codes, lo, hi, y, frame, task, n_classes, batch, n_sub, max_depth,
         feature[split] = j
         threshold[split] = thr[gain]
         left[split] = base + K + 2 * np.arange(len(split))
-        np.add.at(importances, j, (cnt[split] / n_total) * (imp[split] - best[gain]) * unit)
+        np.add.at(importances, j, (cnt[split] / n_total) * (imp[split] - best[gain]))
         s = _positions(np.flatnonzero(gain), len(open_))[s]
         inside = s >= 0
         rows, ys, w, s = rows[inside], ys[inside], w[inside], s[inside]
@@ -329,18 +334,19 @@ def _fit_trees(X, y, task, n_classes, rngs, n_sub, max_depth):
     """One tree per generator in `rngs` (see _bootstraps). Each node searches
     a subset of n_sub features drawn from its tree's generator, or all of
     them when n_sub >= p. Returns the forest and its summed impurity
-    decreases."""
+    decreases, in the target's units; where those overflow (a target beyond
+    about 1e154), in the scaled target's, which keeps their ratios."""
     n, p = X.shape
     codes, lo, hi = _bin_columns(X)
     if task == Task.CLASSIFICATION:
-        y, frame = y.astype(np.int64), (0.0, 0, 0)
+        y, e = y.astype(np.int64), 0
     else:
-        y, *frame = _scaled_target(y)
+        y, e = _scaled_target(y)
     importances = np.zeros(p)
     roots, parts, n_nodes = [], [], 0
     for batch in _bootstraps(rngs, n):
         feature, threshold, left, value = _grow(
-            codes, lo, hi, y, frame, task, n_classes, batch, n_sub, max_depth,
+            codes, lo, hi, y, e, task, n_classes, batch, n_sub, max_depth,
             importances, n)
         roots.append(n_nodes + np.arange(len(batch)))
         parts.append((feature, threshold, np.where(left >= 0, left + n_nodes, -1),
@@ -348,7 +354,9 @@ def _fit_trees(X, y, task, n_classes, rngs, n_sub, max_depth):
         n_nodes += len(feature)
     forest = _Forest(np.concatenate(roots),
                      *(np.concatenate(a) for a in zip(*parts)))
-    return forest, importances
+    with np.errstate(over="ignore"):
+        unscaled = np.ldexp(importances, 2 * e)
+    return forest, unscaled if np.isfinite(unscaled).all() else importances
 
 
 def _forest_leaves(forest: _Forest, X) -> np.ndarray:
@@ -480,10 +488,12 @@ def _binary_f1(y_true, y_pred, positive) -> float:
 
 def _rae_denominator(y_true):
     """Sum of |y - mean(y)|, or None where the relative absolute error is
-    undefined: the sum is zero (a constant target) or subnormal, where
-    dividing by it overflows."""
-    denom = np.abs(y_true - y_true.mean()).sum()
-    return None if denom < np.finfo(float).tiny else denom
+    undefined: the sum is zero (a constant target), subnormal, where
+    dividing by it overflows, or not finite, where the target's mean or
+    deviations overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = np.abs(y_true - y_true.mean()).sum()
+    return denom if np.finfo(float).tiny <= denom < np.inf else None
 
 
 def metric_one_minus_rae(y_true, y_pred) -> float:
@@ -495,7 +505,8 @@ def metric_one_minus_rae(y_true, y_pred) -> float:
         raise LearnError("length mismatch")
     denom = _rae_denominator(y_true)
     if denom is None:
-        raise LearnError("constant target: relative absolute error undefined")
+        raise LearnError("relative absolute error undefined: the target's "
+                         "deviations sum to zero, a subnormal or an overflow")
     return float(1.0 - np.abs(y_pred - y_true).sum() / denom)
 
 
@@ -531,9 +542,10 @@ def evaluate_cv(spec: LearnerSpec, X: np.ndarray, y, task: Task, k: int,
                 seed: int) -> float:
     """Mean k-fold score: F1 for classification, 1-rae for regression.
 
-    Missing cells are median-imputed per training fold. Degenerate folds (a
-    constant target, or one whose deviations sum to a subnormal) contribute
-    0, as do folds whose absolute errors overflow, where 1-rae is -inf.
+    Missing cells are median-imputed per training fold. Degenerate folds,
+    where 1-rae is undefined (see _rae_denominator), contribute 0, as do
+    folds whose absolute errors overflow, where 1-rae is -inf. A learner
+    that predicts NaN raises LearnError.
     """
     X = np.asarray(X, dtype=float)
     if task == Task.CLASSIFICATION:
@@ -557,9 +569,11 @@ def evaluate_cv(spec: LearnerSpec, X: np.ndarray, y, task: Task, k: int,
                 scores.append(0.0)
                 continue
             pred = predict(train(spec, Xtr, ytr, task), Xva)
-            with np.errstate(over="ignore", invalid="ignore"):
+            if np.isnan(pred).any():
+                raise LearnError(f"the {spec.kind} learner predicted NaN")
+            with np.errstate(over="ignore"):
                 score = metric_one_minus_rae(yva, pred)
-            scores.append(score if math.isfinite(score) else 0.0)
+            scores.append(0.0 if score == -math.inf else score)
     return float(np.mean(scores))
 
 
@@ -567,9 +581,7 @@ def feature_importance(model: Model) -> np.ndarray:
     """Normalized mean-decrease-in-impurity importances of a forest."""
     if model.kind != "random_forest":
         raise LearnError("feature importance requires a random forest model")
-    imp = model.importances.copy()
-    if np.isinf(imp).any():  # a target beyond about 1e154: the inf ones count
-        imp = np.isinf(imp).astype(float)
+    imp = model.importances
     total = imp.sum()
     if total <= 0:
         return np.full(len(imp), 1.0 / len(imp))

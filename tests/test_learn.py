@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from kgfeat import learn
 from kgfeat.data import Task
 from kgfeat.learn import (LearnError, LearnerSpec, Model, _bin_columns, _Forest,
-                          _positions, _rae_denominator, encode_labels,
+                          _positions, _rae_denominator, _row_sums, encode_labels,
                           evaluate_cv, feature_importance, impute_columns,
                           metric_f1, metric_one_minus_rae, predict, train)
 
@@ -448,18 +448,23 @@ def _rr_fit(spec, X, y, task, batch_rows):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 400), p=st.integers(1, 5),
        levels=st.sampled_from([1, 2, 7, 255, 256, 100_000]),
        ties=st.sampled_from(["none", "copy", "negate"]),
-       target=st.sampled_from(["2 classes", "3 classes", "integers"]),
+       target=st.sampled_from(["2 classes", "3 classes", "8 classes", "11 classes",
+                               "integers"]),
        kind=st.sampled_from(["decision_tree", "random_forest"]),
        depth=st.integers(1, 7), n_trees=st.integers(1, 6),
        subsample=st.sampled_from([None, 0.5, 1.0]),
        batch_rows=st.sampled_from([1, 64, learn._BATCH_ROWS]))
+@example(seed=109, n=309, p=3, levels=7, ties="none", target="8 classes",
+         kind="random_forest", depth=6, n_trees=4, subsample=None,
+         batch_rows=learn._BATCH_ROWS)  # class-order sums split elsewhere
 def test_weighted_trees_match_repeated_row_trees(seed, n, p, levels, ties, target,
                                                  kind, depth, n_trees, subsample,
                                                  batch_rows):
     # Columns of up to 255 distinct values keep one bin per value, more merge
     # bins; copied and negated columns and few levels tie cells. Counts and
     # integer targets sum exactly in any order, so weighting the distinct
-    # rows must grow the very trees the repeated rows grew.
+    # rows must grow the very trees the repeated rows grew. From 8 classes
+    # on, numpy's np.sum adds a row's squares pairwise, not in class order.
     rng = np.random.default_rng(seed)
     X = rng.integers(0, levels, (n, p)) * 0.37
     if p > 1 and ties == "copy":
@@ -469,7 +474,8 @@ def test_weighted_trees_match_repeated_row_trees(seed, n, p, levels, ties, targe
     if target == "integers":
         task, y = Task.REGRESSION, rng.integers(-40, 60, n).astype(float)
     else:
-        task, y = Task.CLASSIFICATION, rng.integers(0, int(target[0]), n).astype(float)
+        n_classes = int(target.split()[0])
+        task, y = Task.CLASSIFICATION, rng.integers(0, n_classes, n).astype(float)
     spec = LearnerSpec(kind=kind, max_depth=depth, n_trees=n_trees,
                        feature_subsample=subsample, seed=seed)
     with mock.patch.object(learn, "_BATCH_ROWS", batch_rows):
@@ -521,9 +527,27 @@ def test_regression_tree_splits_a_target_near_1e200():
     assert model.trees.feature[0] == 0
     assert predict(model, X) == pytest.approx(y, rel=1e-12)
     assert model.importances[0] > 0
-    forest = train(LearnerSpec(kind="random_forest", n_trees=5),
-                   np.column_stack([X, np.zeros(20)]), y, Task.REGRESSION)
-    assert feature_importance(forest).tolist() == [1.0, 0.0]
+
+
+def test_importance_shares_do_not_depend_on_the_target_scale():
+    # the impurity decreases of a target near 1e200 overflow; their shares
+    # must still be those of the same target near 1
+    rng = np.random.default_rng(4)
+    X = rng.uniform(size=(200, 3))
+    y = 3.0 * (X[:, 0] > 0.5) + (X[:, 1] > 0.3) + 0.1 * rng.normal(size=200)
+    spec = LearnerSpec(kind="random_forest", n_trees=8, max_depth=4, seed=2)
+    small = feature_importance(train(spec, X, y, Task.REGRESSION))
+    big = feature_importance(train(spec, X, 1e200 * y, Task.REGRESSION))
+    assert small[0] > small[1] > small[2] > 0
+    assert big == pytest.approx(small, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [*range(1, 20), 64, 127, 128, 129, 200, 300])
+def test_row_sums_add_in_numpy_order(n):
+    # the split search sums class columns as np.sum sums a node's row
+    rng = np.random.default_rng(n)
+    A = rng.uniform(size=(50, n)) ** 3 * rng.choice([1.0, 1e-8, 1e8, -1.0], (50, n))
+    assert _row_sums(list(A.T)).tobytes() == np.sum(A, axis=1).tobytes()
 
 
 def test_random_forest_deterministic_and_importance():
@@ -650,13 +674,21 @@ def test_evaluate_cv_deterministic():
 @given(st.sampled_from(["linear", "decision_tree", "random_forest"]), st.data())
 def test_evaluate_cv_score_is_finite(kind, data):
     # targets near the float limit make a fold's absolute errors, or its
-    # deviations, overflow (numpy warns); 1 - rae was then -inf or nan
+    # deviations, overflow (numpy warns); 1 - rae was then -inf or nan. The
+    # linear learner's Aᵀy overflows on such targets, and it predicts NaN;
+    # features beyond about 1e154 can keep its solve running for minutes.
     n = data.draw(st.integers(4, 16))
     y = data.draw(arrays(float, n, elements=st.floats(-1e308, 1e308)))
-    X = data.draw(arrays(float, (n, 2), elements=st.floats(-1e6, 1e6) | st.just(np.nan)))
+    bound = 1e6 if kind == "linear" else 1e308
+    X = data.draw(arrays(float, (n, 2),
+                         elements=st.floats(-bound, bound) | st.just(np.nan)))
+    spec = LearnerSpec(kind=kind, n_trees=3, max_depth=3)
     with np.errstate(all="ignore"):
-        score = evaluate_cv(LearnerSpec(kind=kind, n_trees=3, max_depth=3), X, y,
-                            Task.REGRESSION, k=2, seed=0)
+        try:
+            score = evaluate_cv(spec, X, y, Task.REGRESSION, k=2, seed=0)
+        except LearnError as e:
+            assert kind == "linear" and "predicted NaN" in str(e)
+            return
     assert math.isfinite(score)
 
 
@@ -665,9 +697,26 @@ def test_evaluate_cv_scores_an_overflowing_fold_zero():
     y = np.array([0.0, 1.0, 1e308, -1e308, 2.0, 3.0])
     with np.errstate(all="ignore"):
         assert metric_one_minus_rae([0.0, 1.0], [1e308, -1e308]) == -np.inf
-        for kind in ("linear", "decision_tree", "random_forest"):
+        for kind in ("decision_tree", "random_forest"):
             assert evaluate_cv(LearnerSpec(kind=kind, n_trees=3), X, y,
                                Task.REGRESSION, k=2, seed=0) == 0.0
+
+
+def test_one_minus_rae_overflowing_deviations_raise():
+    # the deviations sum past the float range: the score was nan
+    with pytest.raises(LearnError):
+        metric_one_minus_rae([1e308, -1e308, 1e308], [0.0, 0.0, 0.0])
+    y = np.array([1e308, -1e308, 1e308] * 4)
+    assert evaluate_cv(LearnerSpec(kind="decision_tree"), np.arange(12.0)[:, None],
+                       y, Task.REGRESSION, k=3, seed=0) == 0.0
+
+
+def test_evaluate_cv_raises_where_the_learner_predicts_nan():
+    # Aᵀy overflows, so the linear fit is NaN; that is not a score of 0
+    X = np.arange(8.0)[:, None]
+    y = np.array([1e308, 1e308, 1e308, 0.0, 1.0, 2.0, 3.0, 4.0])
+    with np.errstate(all="ignore"), pytest.raises(LearnError, match="NaN"):
+        evaluate_cv(LearnerSpec(kind="linear"), X, y, Task.REGRESSION, k=2, seed=0)
 
 
 def _impute_columns_oracle(train_X, other_X):
