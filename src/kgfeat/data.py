@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
@@ -108,13 +109,16 @@ _PARSERS = {
 def _parse(kind: Kind, present: list):
     """(values, None) when every present cell parses as `kind`, else
     (None, the first cell that does not)."""
-    parse, values = _PARSERS[kind][0], np.empty(len(present))
+    parse = _PARSERS[kind][0]
     try:
-        for i, cell in enumerate(present):
-            values[i] = parse(cell)
+        return np.fromiter(map(parse, present), float, len(present)), None
     except (ValueError, KeyError):
-        return None, cell
-    return values, None
+        for cell in present:
+            try:
+                parse(cell)
+            except (ValueError, KeyError):
+                return None, cell
+        raise
 
 
 def _build_column(name: str, cells: list, kind: Optional[Kind]) -> Column:
@@ -124,8 +128,8 @@ def _build_column(name: str, cells: list, kind: Optional[Kind]) -> Column:
     (at most two distinct tokens) that every present cell parses as, else
     Categorical; an all-empty column is Categorical.
     """
-    missing = np.array([c == "" for c in cells], dtype=bool)
-    present = [c for c in cells if c != ""]
+    missing = np.fromiter(map(operator.not_, cells), bool, len(cells))
+    present = list(filter(None, cells))
     parsed = None
     if kind is None:
         kind = Kind.CATEGORICAL
@@ -177,8 +181,11 @@ def load_csv(path: str, schema: SchemaConfig) -> Dataset:
 
     n = len(rows)
     columns = []
-    for j, name in enumerate(header):
-        cells = [r[j].strip() if j < len(r) else "" for r in rows]
+    # a short row reads "" in the columns it lacks
+    width = len(header)
+    rows = [r if len(r) >= width else r + [""] * (width - len(r)) for r in rows]
+    for name, cells in zip(header, zip(*rows)):
+        cells = list(map(str.strip, cells))
         columns.append(_build_column(name, cells, schema.column_kind_overrides.get(name)))
 
     d = Dataset(columns=columns, target=schema.target_name, task=schema.task, n_rows=n)

@@ -326,7 +326,20 @@ def _add_class_fact(kg: KnowledgeGraph, facts: set, cls: str, individual):
         facts.add((anc, individual))
 
 
-def _match_body(kg, facts, body, binding, i=0):
+def _index(facts) -> dict:
+    """Facts under their predicate and under (predicate, first argument)."""
+    index = {}
+    for fact in facts:
+        index.setdefault(fact[0], []).append(fact)
+        if len(fact) > 1:
+            index.setdefault(fact[:2], []).append(fact)
+    return index
+
+
+def _match_body(kg, index, body, binding, i=0):
+    """Bindings that extend `binding` to match body[i:] against the indexed
+    facts; an atom whose first argument is bound looks up only the facts
+    with that argument."""
     if i == len(body):
         yield dict(binding)
         return
@@ -337,10 +350,12 @@ def _match_body(kg, facts, body, binding, i=0):
             isinstance(v, str) and v.startswith("?")
         ):
             if _token_dims(kg, u) != _token_dims(kg, v):
-                yield from _match_body(kg, facts, body, binding, i + 1)
+                yield from _match_body(kg, index, body, binding, i + 1)
         return
-    for fact in facts:
-        if fact[0] != atom.pred or len(fact) - 1 != len(atom.args):
+    first = binding.get(atom.args[0], atom.args[0]) if atom.args else "?"
+    key = atom.pred if first.startswith("?") else (atom.pred, first)
+    for fact in index.get(key, ()):
+        if len(fact) - 1 != len(atom.args):
             continue
         new = dict(binding)
         ok = True
@@ -354,13 +369,15 @@ def _match_body(kg, facts, body, binding, i=0):
                 ok = False
                 break
         if ok:
-            yield from _match_body(kg, facts, body, new, i + 1)
+            yield from _match_body(kg, index, body, new, i + 1)
 
 
 def forward_chain(kg: KnowledgeGraph, facts):
     """Naive fixpoint over the KG's Horn rules on a set of ground atoms
     (tuples of pred + args); returns (facts, provenance), where provenance
-    maps each rule-derived fact to the name of the rule that derived it."""
+    maps each rule-derived fact to the name of the rule that derived it.
+    Each round matches the rules, in order, against an index of the facts
+    the previous round ended with."""
     facts = set(facts)
     closed = set()
     for fact in list(facts):
@@ -371,9 +388,9 @@ def forward_chain(kg: KnowledgeGraph, facts):
     changed = True
     while changed:
         changed = False
-        snapshot = frozenset(facts)
+        index = _index(facts)
         for rule in kg.rules:
-            for binding in _match_body(kg, snapshot, rule.body, {}):
+            for binding in _match_body(kg, index, rule.body, {}):
                 head = (rule.head.pred,) + tuple(
                     binding.get(a, a) for a in rule.head.args
                 )
@@ -387,9 +404,11 @@ def forward_chain(kg: KnowledgeGraph, facts):
 
 
 def unit_token(kg: KnowledgeGraph, unit: Optional[Unit]):
+    """The token a derived node's hasUnit fact names: the registered name of
+    its dims, else its dims token; `dim:1` when it is dimensionless."""
     if unit is None:
         return None
-    name = kg.registered_name_for(unit)
+    name = kg.registered_name_for(unit) if unit.dims else None
     return name if name is not None else unit.dims_token()
 
 

@@ -410,8 +410,14 @@ def train(spec: LearnerSpec, X: np.ndarray, y: np.ndarray, task: Task) -> Model:
         A = np.hstack([X, np.ones((n, 1))])
         reg = RIDGE_LAMBDA * np.eye(p + 1)
         reg[p, p] = 0.0  # leave the intercept unregularized
+        with np.errstate(over="ignore", invalid="ignore"):
+            normal = A.T @ A + reg
+        # lstsq on an inf or NaN matrix raises or never returns
+        if not np.isfinite(normal).all():
+            raise LearnError("the linear learner cannot fit: a feature's sum of "
+                             "squares overflows")
         # least squares, so a singular system (collinear columns) still solves
-        coef = np.linalg.lstsq(A.T @ A + reg, A.T @ y, rcond=None)[0]
+        coef = np.linalg.lstsq(normal, A.T @ y, rcond=None)[0]
         return Model("linear", task, p, coef=coef)
 
     if spec.kind == "logistic":
@@ -542,10 +548,11 @@ def evaluate_cv(spec: LearnerSpec, X: np.ndarray, y, task: Task, k: int,
                 seed: int) -> float:
     """Mean k-fold score: F1 for classification, 1-rae for regression.
 
-    Missing cells are median-imputed per training fold. Degenerate folds,
-    where 1-rae is undefined (see _rae_denominator), contribute 0, as do
-    folds whose absolute errors overflow, where 1-rae is -inf. A learner
-    that predicts NaN raises LearnError.
+    Missing cells are median-imputed per training fold; a matrix without
+    gaps skips imputation. Degenerate folds, where 1-rae is undefined (see
+    _rae_denominator), contribute 0, as do folds whose absolute errors
+    overflow, where 1-rae is -inf. A learner that predicts NaN raises
+    LearnError.
     """
     X = np.asarray(X, dtype=float)
     if task == Task.CLASSIFICATION:
@@ -554,9 +561,12 @@ def evaluate_cv(spec: LearnerSpec, X: np.ndarray, y, task: Task, k: int,
     else:
         y_codes = np.asarray(y, dtype=float)
         folds = kfold_indices(len(y_codes), k, seed)
+    gaps = np.isnan(X).any()
     scores = []
     for train_idx, valid_idx in folds:
-        Xtr, Xva = impute_columns(X[train_idx], X[valid_idx])
+        Xtr, Xva = X[train_idx], X[valid_idx]
+        if gaps:
+            Xtr, Xva = impute_columns(Xtr, Xva)
         ytr, yva = y_codes[train_idx], y_codes[valid_idx]
         if task == Task.CLASSIFICATION:
             if len(np.unique(ytr)) < 2:

@@ -5,6 +5,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import Optional, Union
 
@@ -37,10 +38,21 @@ class RawRef:
 class Node:
     """One transform applied to its operands, given in the order of the op's
     `inputs` (an aggregation's key first); `level` is the category a one-hot
-    node encodes."""
+    node encodes. Its hash is computed once and kept in the instance; a
+    pickle carries the fields only, so another process hashes it afresh."""
     op: str
     args: tuple
     level: Optional[str] = None
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        return hash((self.op, self.args, self.level))
+
+    def __reduce__(self):
+        return Node, (self.op, self.args, self.level)
 
 
 Expr = Union[RawRef, Node]
@@ -109,7 +121,11 @@ def render_name(expr: Expr) -> str:
     """Humanly readable infix rendering, fully parenthesized for binary ops."""
     if isinstance(expr, RawRef):
         return expr.name.upper()
-    names = [render_name(c) for c in expr.args]
+    return _node_name(expr, [render_name(c) for c in expr.args])
+
+
+def _node_name(expr: Node, names: list) -> str:
+    """`render_name` of a node whose operands render as `names`."""
     if expr.op == "one_hot":
         return f"ONE_HOT({names[0]}={expr.level.upper()})"
     if expr.op in _BINARY_SYMBOL:
@@ -200,6 +216,7 @@ def _categorical_keys(f) -> np.ndarray:
 
 # Element-wise transforms. A domain violation (log or sqrt of a negative,
 # division by zero) or an overflow gives inf or NaN, which _finite flags.
+# `_derive` computes them under one np.errstate(all="ignore").
 _UNARY_FNS = {"log": np.log, "sqrt": np.sqrt, "square": lambda v: v ** 2,
               "reciprocal": lambda v: 1.0 / v}
 _BINARY_FNS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide,
@@ -207,21 +224,12 @@ _BINARY_FNS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.
                "or": lambda a, b: ((a != 0) | (b != 0)).astype(float)}
 
 
-def _unary_values(op: str, vals: np.ndarray, miss: np.ndarray):
-    with np.errstate(all="ignore"):
-        return _finite(_UNARY_FNS[op](vals), miss)
-
-
-def _binary_values(op: str, lv, lm, rv, rm):
-    with np.errstate(all="ignore"):
-        return _finite(_BINARY_FNS[op](lv, rv), lm | rm)
-
-
 def _finite(out: np.ndarray, bad: np.ndarray):
     """Flag cells that are missing on input, or came out inf or NaN, as
     missing, with NaN values."""
     bad = bad | ~np.isfinite(out)
-    out[bad] = np.nan
+    if bad.any():
+        out[bad] = np.nan
     return out, bad
 
 
@@ -230,14 +238,13 @@ def _agg_values(op: str, keys: np.ndarray, vv: np.ndarray, vm: np.ndarray):
     bad = np.zeros(len(vv), dtype=bool)
     fns = {"group_min": np.min, "group_max": np.max, "group_mean": np.mean, "group_sum": np.sum}
     fn = fns[op]
-    with np.errstate(all="ignore"):
-        for key in sorted(set(keys.tolist())):
-            sel = keys == key
-            member = vv[sel & ~vm]
-            if len(member) == 0:
-                bad |= sel
-            else:
-                out[sel] = fn(member)
+    for key in sorted(set(keys.tolist())):
+        sel = keys == key
+        member = vv[sel & ~vm]
+        if len(member) == 0:
+            bad |= sel
+        else:
+            out[sel] = fn(member)
     return _finite(out, bad)
 
 
@@ -258,29 +265,34 @@ def _date_values(op: str, days: np.ndarray, miss: np.ndarray):
 
 def _derive(expr: Expr, operands) -> CandidateFeature:
     """Compute one expression node from its operands' features (values,
-    missing, kind), given in `children(expr)` order."""
+    missing, kind, display name), given in `children(expr)` order."""
     op = catalog_op(expr.op)
     kinds = tuple(f.kind for f in operands)
     if kinds != op.inputs:
         raise TransformError(f"{op.name} takes {[k.value for k in op.inputs]} "
                              f"input, got {[k.value for k in kinds]}")
-    if op.name == "one_hot":
-        (f,) = operands
-        values = (_categorical_keys(f) == expr.level).astype(float)
-        values[f.missing] = np.nan
-        missing = f.missing.copy()
-    elif op.arity == Arity.UNARY:
-        values, missing = _unary_values(op.name, operands[0].values, operands[0].missing)
-    elif op.arity == Arity.BINARY:
-        a, b = operands
-        values, missing = _binary_values(op.name, a.values, a.missing, b.values, b.missing)
-    elif op.arity == Arity.AGGREGATION:
-        k, v = operands
-        values, missing = _agg_values(op.name, _categorical_keys(k), v.values, v.missing)
-    else:
-        (f,) = operands
-        values, missing = _date_values(op.name, np.where(f.missing, 0, f.values), f.missing)
-    return CandidateFeature(expr, values, missing, op.output, render_name(expr))
+    with np.errstate(all="ignore"):
+        if op.name == "one_hot":
+            (f,) = operands
+            values = (_categorical_keys(f) == expr.level).astype(float)
+            values[f.missing] = np.nan
+            missing = f.missing.copy()
+        elif op.arity == Arity.UNARY:
+            (f,) = operands
+            values, missing = _finite(_UNARY_FNS[op.name](f.values), f.missing)
+        elif op.arity == Arity.BINARY:
+            a, b = operands
+            values, missing = _finite(_BINARY_FNS[op.name](a.values, b.values),
+                                      a.missing | b.missing)
+        elif op.arity == Arity.AGGREGATION:
+            k, v = operands
+            values, missing = _agg_values(op.name, _categorical_keys(k), v.values, v.missing)
+        else:
+            (f,) = operands
+            values, missing = _date_values(op.name, np.where(f.missing, 0, f.values),
+                                           f.missing)
+    return CandidateFeature(expr, values, missing, op.output,
+                            _node_name(expr, [f.display_name for f in operands]))
 
 
 def apply(expr: Expr, d: Dataset) -> CandidateFeature:
@@ -296,12 +308,17 @@ def apply(expr: Expr, d: Dataset) -> CandidateFeature:
     return _derive(expr, [apply(c, d) for c in expr.args])
 
 
+def _mean(x: np.ndarray):
+    """`x.mean()` of a 1-D float64 array, bit for bit, without its overhead."""
+    return np.add.reduce(x) / len(x)
+
+
 def _centred(v: np.ndarray):
     """`v` minus its mean, and its standard deviation (bit-identical to
-    `v.std()`). An overflow gives a non-finite moment, which ranks 0."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = v - v.mean()
-        return d, np.sqrt(np.mean(d * d))
+    `v.std()`). An overflow gives a non-finite moment, which ranks 0; the
+    caller ignores floating-point errors."""
+    d = v - _mean(v)
+    return d, np.sqrt(_mean(d * d))
 
 
 def _abs_pearson(vals: np.ndarray, miss: np.ndarray, y: np.ndarray,
@@ -310,18 +327,18 @@ def _abs_pearson(vals: np.ndarray, miss: np.ndarray, y: np.ndarray,
     `_centred(y)` as `yc, sy`. A candidate with gaps is correlated on its own
     rows, with the target's moments over those rows. 0 where either side is
     constant or a moment is not finite."""
-    if miss.any():
-        vals, y = vals[~miss], y[~miss]
-        if len(vals) < 2:
+    with np.errstate(all="ignore"):
+        if miss.any():
+            vals, y = vals[~miss], y[~miss]
+            if len(vals) < 2:
+                return 0.0
+            yc, sy = _centred(y)
+        elif len(vals) < 2:
             return 0.0
-        yc, sy = _centred(y)
-    elif len(vals) < 2:
-        return 0.0
-    d, sa = _centred(vals)
-    if sa == 0 or sy == 0 or not np.isfinite(sa):
-        return 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = float(np.mean(d * yc) / (sa * sy))
+        d, sa = _centred(vals)
+        if sa == 0 or sy == 0 or not np.isfinite(sa):
+            return 0.0
+        c = float(_mean(d * yc) / (sa * sy))
     return abs(c) if np.isfinite(c) else 0.0
 
 
@@ -353,7 +370,8 @@ def expand_action(op: TransformOp, pool, y: np.ndarray, cap: int, max_order: int
     if cap < 1:
         raise TransformError("cap must be >= 1")
     existing = {f.expr for f in pool}
-    yc, sy = _centred(y)
+    with np.errstate(all="ignore"):
+        yc, sy = _centred(y)
 
     def scored():
         seen = set()
@@ -362,7 +380,7 @@ def expand_action(op: TransformOp, pool, y: np.ndarray, cap: int, max_order: int
                 continue
             seen.add(expr)
             cand = _derive(expr, operands)
-            if cand.missing.mean() > MAX_MISSING_FRACTION:
+            if np.count_nonzero(cand.missing) > MAX_MISSING_FRACTION * len(cand.missing):
                 continue
             yield _abs_pearson(cand.values, cand.missing, y, yc, sy), cand
 

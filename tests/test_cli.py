@@ -381,3 +381,11 @@ def test_features_csv_quotes_header_and_categorical_target(tmp_path):
     csv.writer(buf).writerows([['V "1"', "lab,el"]]
                               + [[repr(float(i)), lab] for i, lab in enumerate(labels)])
     assert (tmp_path / "features.csv").read_bytes() == buf.getvalue().encode()
+
+
+def test_run_linear_on_a_feature_whose_square_overflows_exits_one(tmp_path, capsys):
+    z = [str(0.5 * i) for i in range(40)]
+    z[7] = "1e200"
+    argv = write_regression(tmp_path, z, [str(1.5 * i + (i % 3)) for i in range(40)])
+    assert main(argv) == 1
+    assert "sum of squares overflows" in capsys.readouterr().err

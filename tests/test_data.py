@@ -254,6 +254,30 @@ def test_column_typing_matches_inference_then_parse(cells, override):
         np.testing.assert_array_equal(got.values, want.values)  # NaN equals NaN
 
 
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.lists(st.sampled_from(NUMBER_CELLS + BOOL_CELLS + ["", " 2 ", "x"]),
+                              max_size=5), min_size=1, max_size=12))
+def test_load_csv_reads_ragged_rows_as_the_row_loop(tmp_path_factory, rows):
+    # short rows read "" in the columns they lack, extra cells are ignored,
+    # and each cell is stripped, as a loop over the rows reads them
+    header = ["a", "b", "c", "y"]
+    path = write_csv(tmp_path_factory.mktemp("csv") / "t.csv", header, rows)
+    d = load_csv(path, SchemaConfig(target_name="y", task=Task.CLASSIFICATION,
+                                    column_kind_overrides={"y": Kind.CATEGORICAL}))
+    with open(path, newline="") as fh:
+        read = list(csv.reader(fh))[1:]
+    for j, name in enumerate(header):
+        cells = [r[j].strip() if j < len(r) else "" for r in read]
+        want = oracle_column(name, cells, Kind.CATEGORICAL if name == "y"
+                             else oracle_kind(cells))
+        got = d.column(name)
+        assert got.kind == want.kind and got.missing.tolist() == want.missing.tolist()
+        if want.kind == Kind.CATEGORICAL:
+            assert got.values.tolist() == want.values.tolist()
+        else:
+            assert got.values.tobytes() == want.values.tobytes()
+
+
 def dealt_folds(n, k, seed, labels=None):
     """Oracle: the row-by-row dealing loop kfold_indices replaced."""
     rng = np.random.default_rng(seed)

@@ -427,3 +427,191 @@ def test_concept_vector_from_the_verdict_unit_matches_the_oracle(diabetes_kg, sa
     kg, expr = draw_kg_and_expression(data, diabetes_kg, sales_kg)
     expected = oracle_phi_feature(kg, expr)
     assert (phi_feature(kg, expr, judge(kg, expr).unit) == expected).all()
+
+
+# ------------------------------------------- the rule join against a scan
+
+def _match_body_scan(kg, facts, body, binding, i=0):
+    """Oracle: the rule join as it was before the facts were indexed; every
+    body atom scans every fact."""
+    if i == len(body):
+        yield dict(binding)
+        return
+    atom = body[i]
+    if atom.pred == "Different":
+        u, v = (binding.get(a, a) for a in atom.args)
+        if not (isinstance(u, str) and u.startswith("?")) and not (
+            isinstance(v, str) and v.startswith("?")
+        ):
+            if kgmod._token_dims(kg, u) != kgmod._token_dims(kg, v):
+                yield from _match_body_scan(kg, facts, body, binding, i + 1)
+        return
+    for fact in facts:
+        if fact[0] != atom.pred or len(fact) - 1 != len(atom.args):
+            continue
+        new = dict(binding)
+        ok = True
+        for pat, val in zip(atom.args, fact[1:]):
+            if pat.startswith("?"):
+                if pat in new and new[pat] != val:
+                    ok = False
+                    break
+                new[pat] = val
+            elif pat != val:
+                ok = False
+                break
+        if ok:
+            yield from _match_body_scan(kg, facts, body, new, i + 1)
+
+
+def forward_chain_scan(kg, facts):
+    """Oracle: forward_chain as it was before the facts were indexed."""
+    facts = set(facts)
+    closed = set()
+    for fact in list(facts):
+        if len(fact) == 2 and fact[0] in kg.class_set:
+            kgmod._add_class_fact(kg, closed, fact[0], fact[1])
+    facts |= closed
+    provenance = {}
+    changed = True
+    while changed:
+        changed = False
+        snapshot = frozenset(facts)
+        for rule in kg.rules:
+            for binding in _match_body_scan(kg, snapshot, rule.body, {}):
+                head = (rule.head.pred,) + tuple(binding.get(a, a) for a in rule.head.args)
+                if head not in facts:
+                    facts.add(head)
+                    provenance[head] = rule.name
+                    if rule.head.pred in kg.class_set:
+                        kgmod._add_class_fact(kg, facts, head[0], head[1])
+                    changed = True
+    return facts, provenance
+
+
+def judge_scan(kg, expr):
+    """Oracle: judge as it was before the facts were indexed and before a
+    dimensionless derived node's hasUnit fact named `dim:1` instead of the
+    first registered unit without dims."""
+    facts, nodes = kgmod.materialize_facts(kg, expr)
+    named = kg.registered_name_for(DIMENSIONLESS) or "dim:1"
+    facts = {(f[0], f[1], named) if f[0] == "hasUnit" and f[2] == "dim:1" else f
+             for f in facts}
+    root_id, unit = nodes[expr]
+    if not any(leaf.name in kg.column_concepts for leaf in leaves(expr)):
+        return kgmod.Verdict(VerdictStatus.UNCOVERED, unit=unit)
+    if isinstance(expr, RawRef):
+        return kgmod.Verdict(VerdictStatus.INTERPRETABLE, unit=unit)
+    fixpoint, provenance = forward_chain_scan(kg, facts)
+    bad = ("nonInterpretable", root_id)
+    if bad in fixpoint:
+        return kgmod.Verdict(VerdictStatus.NON_INTERPRETABLE,
+                             provenance.get(bad, "rule"), unit)
+    for fact in sorted(provenance):
+        if fact[0] == "nonInterpretable":
+            return kgmod.Verdict(VerdictStatus.NON_INTERPRETABLE, provenance[fact], unit)
+    if unit is None or (not unit.dimensionless and kg.registered_name_for(unit) is None):
+        return kgmod.Verdict(VerdictStatus.NON_INTERPRETABLE, "unknown unit", unit)
+    return kgmod.Verdict(VerdictStatus.INTERPRETABLE, unit=unit)
+
+
+@pytest.fixture(scope="module")
+def temperature_kg(tmp_path_factory, default_kg_path):
+    """The shipped KG with two temperatures and a stock, so every shipped
+    rule can fire."""
+    mapping = {"T1": {"class": "Temperature", "unit": "celsius"},
+               "T2": {"class": "Temperature", "unit": "celsius"},
+               "STOCK": {"class": "Stock", "unit": "count"},
+               "WEIGHT": {"class": "Weight", "unit": "kg"}}
+    path = tmp_path_factory.mktemp("kg") / "mapping.json"
+    path.write_text(json.dumps(mapping))
+    return load_kg(default_kg_path, str(path))
+
+
+_LEAF = None
+_STEPS = [_LEAF] * 4 + catalog()
+
+
+def decode_expression(columns, codes):
+    """A postfix program of integers as an expression of at most 8 leaves,
+    with no kind checks: each code pushes a leaf or applies an operator to the
+    top of the stack; an odd code hands a binary operator one sub-expression
+    twice. Drawing integers is far cheaper for hypothesis than `expressions`."""
+    stack = []                        # (expression, its number of leaves)
+    for code in codes:
+        step, arg = _STEPS[code % len(_STEPS)], code // len(_STEPS)
+        if step is _LEAF or not stack:
+            stack.append((RawRef(columns[arg % len(columns)]), 1))
+        elif step.arity in (Arity.UNARY, Arity.DATE):
+            top, n = stack.pop()
+            stack.append((Node(step.name, (top,)), n))
+        elif (arg % 2 or len(stack) < 2) and 2 * stack[-1][1] <= 8:
+            top, n = stack.pop()
+            stack.append((Node(step.name, (top, top)), 2 * n))
+        elif len(stack) >= 2 and stack[-1][1] + stack[-2][1] <= 8:
+            (right, m), (left, n) = stack.pop(), stack.pop()
+            stack.append((Node(step.name, (left, right)), n + m))
+    return stack[-1][0]
+
+
+# 3,000 examples, one expression each: the indexed join must agree with the
+# scan on every rule, binding and provenance the shipped KG produces
+@settings(max_examples=3000, deadline=None)
+@given(which=st.integers(0, 2), codes=st.lists(st.integers(0, 2**16), min_size=1,
+                                               max_size=16))
+def test_indexed_join_matches_the_scan_oracle(diabetes_kg, sales_kg, temperature_kg,
+                                              which, codes):
+    kg = [diabetes_kg, sales_kg, temperature_kg][which]
+    expr = decode_expression(sorted(kg.column_concepts) + ["UNMAPPED"], codes)
+    facts, _ = kgmod.materialize_facts(kg, expr)
+    assert forward_chain(kg, facts) == forward_chain_scan(kg, facts)
+    got, want = judge(kg, expr), judge_scan(kg, expr)
+    assert (got.status, got.reason, got.unit) == (want.status, want.reason, want.unit)
+
+
+def test_indexed_join_matches_the_scan_on_constants_and_repeats(tmp_path):
+    # constant and repeated arguments, a predicate used at two arities, a
+    # zero-argument atom, and a rule that feeds the next round
+    doc = {
+        "classes": ["A", "B"],
+        "rules": [
+            {"name": "const", "body": [{"pred": "R", "args": ["k", "?y"]},
+                                       {"pred": "R", "args": ["?y", "?y"]}],
+             "head": {"pred": "A", "args": ["?y"]}},
+            {"name": "chain", "body": [{"pred": "A", "args": ["?x"]},
+                                       {"pred": "R", "args": ["?x"]},
+                                       {"pred": "Go", "args": []}],
+             "head": {"pred": "S", "args": ["?x", "k"]}},
+            {"name": "back", "body": [{"pred": "S", "args": ["?x", "?c"]},
+                                      {"pred": "R", "args": ["?c", "?x"]}],
+             "head": {"pred": "B", "args": ["?x"]}},
+        ],
+    }
+    path = tmp_path / "kg.json"
+    path.write_text(json.dumps(doc))
+    kg = load_kg(str(path))
+    facts = {("R", "k", "a"), ("R", "a", "a"), ("R", "k", "b"), ("R", "b", "c"),
+             ("R", "a"), ("Go",), ("R", "c", "c"), ("R", "k", "c")}
+    got = forward_chain(kg, facts)
+    assert got == forward_chain_scan(kg, facts)
+    assert {("A", "a"), ("A", "c"), ("S", "a", "k"), ("B", "a")} <= got[0]
+    assert ("B", "c") not in got[0]
+
+
+def test_dimensionless_derived_nodes_name_dim_1(sales_kg):
+    # a day of the month and a usd/usd ratio have no dims; `count` is the
+    # registered unit without dims, but naming it claimed a count
+    day = Node("day", (RawRef("DATE"),))
+    ratio = Node("div", (RawRef("PRICE"), RawRef("PRICE")))
+    for expr in (day, ratio):
+        facts, nodes = kgmod.materialize_facts(sales_kg, expr)
+        root_id, unit = nodes[expr]
+        assert unit == DIMENSIONLESS
+        assert kgmod.unit_token(sales_kg, unit) == "dim:1"
+        assert ("hasUnit", root_id, "dim:1") in facts
+        assert judge(sales_kg, expr).status == VerdictStatus.INTERPRETABLE
+    squared = Node("mul", (RawRef("PRICE"), RawRef("PRICE")))
+    assert kgmod.unit_token(sales_kg, judge(sales_kg, squared).unit) == "usd2"
+    # a leaf keeps its mapped name, `count` included
+    facts, nodes = kgmod.materialize_facts(sales_kg, RawRef("UNITS_SOLD"))
+    assert ("hasUnit", nodes[RawRef("UNITS_SOLD")][0], "count") in facts

@@ -1,4 +1,5 @@
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -676,18 +677,18 @@ def test_evaluate_cv_score_is_finite(kind, data):
     # targets near the float limit make a fold's absolute errors, or its
     # deviations, overflow (numpy warns); 1 - rae was then -inf or nan. The
     # linear learner's Aᵀy overflows on such targets, and it predicts NaN;
-    # features beyond about 1e154 can keep its solve running for minutes.
+    # features beyond about 1e154 overflow its AᵀA, and it cannot fit.
     n = data.draw(st.integers(4, 16))
     y = data.draw(arrays(float, n, elements=st.floats(-1e308, 1e308)))
-    bound = 1e6 if kind == "linear" else 1e308
     X = data.draw(arrays(float, (n, 2),
-                         elements=st.floats(-bound, bound) | st.just(np.nan)))
+                         elements=st.floats(-1e308, 1e308) | st.just(np.nan)))
     spec = LearnerSpec(kind=kind, n_trees=3, max_depth=3)
     with np.errstate(all="ignore"):
         try:
             score = evaluate_cv(spec, X, y, Task.REGRESSION, k=2, seed=0)
         except LearnError as e:
-            assert kind == "linear" and "predicted NaN" in str(e)
+            assert kind == "linear"
+            assert "predicted NaN" in str(e) or "sum of squares overflows" in str(e)
             return
     assert math.isfinite(score)
 
@@ -762,3 +763,30 @@ def test_impute_columns_matches_oracle(mats):
         if not np.isnan(M).any():
             assert g is M  # a gapless matrix is not copied
     assert [M.tobytes() for M in mats] == before
+
+
+def test_evaluate_cv_raises_on_a_feature_whose_square_overflows():
+    # AᵀA holds inf; lstsq on it raised LinAlgError or ran for minutes
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(40, 2))
+    X[3, 0] = 1e200
+    y = rng.normal(size=40)
+    start = time.perf_counter()
+    with pytest.raises(LearnError, match="sum of squares overflows"):
+        evaluate_cv(LearnerSpec(kind="linear"), X, y, Task.REGRESSION, k=5, seed=0)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_evaluate_cv_skips_imputation_without_gaps(monkeypatch):
+    calls = []
+    monkeypatch.setattr(learn, "impute_columns",
+                        lambda *m: calls.append(1) or impute_columns(*m))
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(30, 3))
+    y = X[:, 0] + rng.normal(size=30)
+    spec = LearnerSpec(kind="linear")
+    clean = evaluate_cv(spec, X, y, Task.REGRESSION, k=3, seed=0)
+    assert calls == []
+    X[4, 1] = np.nan
+    gappy = evaluate_cv(spec, X, y, Task.REGRESSION, k=3, seed=0)
+    assert len(calls) == 3 and gappy != clean

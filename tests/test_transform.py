@@ -582,3 +582,54 @@ def test_kg_tables_cover_the_catalog():
         # an aggregation's group key carries no unit into the result
         n_units = 1 if op.arity == Arity.AGGREGATION else len(op.inputs)
         kg.propagate_unit(op.name, [kg.DIMENSIONLESS] * n_units)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=st.lists(st.sampled_from(catalog()), min_size=1, max_size=3),
+       cap=st.integers(1, 50))
+def test_derived_display_name_is_the_rendered_name(ops, cap):
+    # _derive builds a name from its operands' names; render_name walks the tree
+    d = mixed_dataset()
+    y = target_codes(d)
+    pool = [apply(RawRef(c.name), d) for c in d.feature_columns]
+    for op in ops + ops:
+        cands = expand_action(op, pool, y, cap=cap, max_order=5)
+        for cand in cands:
+            assert cand.display_name == render_name(cand.expr)
+            assert apply(cand.expr, d).display_name == cand.display_name
+        pool = pool + cands
+
+
+def rebuilt(expr):
+    """An equal expression that shares no object with `expr`, strings included."""
+    if isinstance(expr, RawRef):
+        return RawRef(expr.name.encode().decode())
+    level = None if expr.level is None else expr.level.encode().decode()
+    return Node(expr.op.encode().decode(), tuple(rebuilt(c) for c in expr.args), level)
+
+
+node_trees = st.recursive(
+    st.sampled_from(["a", "b", "c"]).map(RawRef),
+    lambda sub: st.builds(Node, st.sampled_from(["log", "add", "group_sum", "one_hot"]),
+                          st.lists(sub, min_size=1, max_size=2).map(tuple),
+                          st.none() | st.sampled_from(["x", "y"])),
+    max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(expr=node_trees)
+def test_equal_nodes_hash_equal_before_and_after_pickling(expr):
+    import pickle
+
+    twin = rebuilt(expr)
+    assert twin is not expr and twin == expr and hash(twin) == hash(expr)
+    assert twin in {expr} and expr in {twin}
+    # the hash cached in a node is not pickled: the bytes do not change
+    fresh = rebuilt(expr)
+    before = pickle.dumps(fresh)
+    hash(fresh)
+    assert pickle.dumps(fresh) == before
+    back = pickle.loads(pickle.dumps(expr))
+    assert back == expr and hash(back) == hash(expr)
+    assert back in {twin} and {back: 1}[rebuilt(expr)] == 1
+    assert hash(Node("add", (twin, back))) == hash(Node("add", (expr, expr)))
