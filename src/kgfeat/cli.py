@@ -51,18 +51,13 @@ def _build_config(doc, args):
     for key in eng.ENGINE_OPTIONS:
         if getattr(args, key, None) is not None:
             overrides[key] = getattr(args, key)
-    manifest_learner = overrides.pop("learner", None)
-    learner_kind = args.learner or manifest_learner
-    cfg = eng.EngineConfig()
+    learner_kind = overrides.pop("learner", None)
     bad = set(overrides) - set(eng.ENGINE_OPTIONS)
     if bad:
         raise eng.EngineError(f"unknown engine options: {sorted(bad)}")
-    cfg = replace(cfg, **overrides)
-    if learner_kind:
-        cfg = replace(cfg, learner=learn.LearnerSpec(kind=learner_kind, seed=cfg.seed))
-    else:
-        cfg = replace(cfg, learner=replace(cfg.learner, seed=cfg.seed))
-    return cfg
+    cfg = replace(eng.EngineConfig(), **overrides)
+    kind = args.learner or learner_kind or cfg.learner.kind
+    return replace(cfg, learner=replace(cfg.learner, kind=kind, seed=cfg.seed))
 
 
 def _check_exists(path, what):
@@ -228,12 +223,12 @@ def cmd_report(args) -> int:
     spec = learn.LearnerSpec(kind="random_forest", seed=result.config.get("seed", 0))
 
     # rank generated features, then rebuild raw + top-n for the report forest
-    imp = eng.forest_importance(spec, X, y, d.task)
+    imp = eng.importance(spec, X, y, d.task)
     gen_idx = [i for i, f in enumerate(result.best_features) if not f["raw"]]
     gen_idx.sort(key=lambda i: (-imp[i], headers[i]))
     top_gen = gen_idx[: len(raw)] if raw else gen_idx
     keep = [i for i, f in enumerate(result.best_features) if f["raw"]] + top_gen
-    imp2 = eng.forest_importance(spec, X[:, keep], y, d.task)
+    imp2 = eng.importance(spec, X[:, keep], y, d.task)
     with open(os.path.join(out_dir, "importance.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature", "importance", "origin"])

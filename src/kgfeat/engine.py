@@ -9,7 +9,7 @@ import numpy as np
 from . import agent as ag
 from . import learn, transform
 from .data import Dataset, Kind, Task
-from .kg import KnowledgeGraph, Unit, Verdict, VerdictStatus, judge
+from .kg import KnowledgeGraph, Unit, Verdict, VerdictStatus, judge, unit_token
 from .transform import (CandidateFeature, Expr, RawRef, catalog, expand_action,
                         expr_from_json, expr_to_json, leaves)
 
@@ -71,9 +71,9 @@ class PoolEntry:
 
 def phi_feature(kg: KnowledgeGraph, expr: Expr, unit: Optional[Unit]) -> np.ndarray:
     """0/1 vector over the KG's concept order: each mapped leaf lights up its
-    class, the class ancestors, and its unit; a derived feature adds the
-    registered name of its root unit (the verdict's), when there is one.
-    Unmapped leaves contribute nothing."""
+    class, the class ancestors, and its unit; a derived feature adds its root
+    unit's (the verdict's) kg.unit_token when that names a concept, so a
+    dimensionless one lights no `count`. Unmapped leaves contribute nothing."""
     index = {name: i for i, name in enumerate(kg.concept_order)}
     vec = np.zeros(len(kg.concept_order), dtype=np.int64)
     for leaf in leaves(expr):
@@ -83,8 +83,8 @@ def phi_feature(kg: KnowledgeGraph, expr: Expr, unit: Optional[Unit]) -> np.ndar
                 if concept in index:
                     vec[index[concept]] = 1
     # a raw leaf shows only its mapped unit: `mm` must not light up `m`
-    if not isinstance(expr, RawRef) and unit is not None:
-        name = kg.registered_name_for(unit)
+    if not isinstance(expr, RawRef):
+        name = unit_token(kg, unit)
         if name in index:
             vec[index[name]] = 1
     return vec
@@ -170,9 +170,9 @@ def target_codes(d: Dataset) -> np.ndarray:
     return tcol.values.astype(float)
 
 
-def forest_importance(spec: learn.LearnerSpec, X: np.ndarray, y: np.ndarray,
-                      task: Task) -> np.ndarray:
-    """Normalized importances of a random forest fit on median-imputed X."""
+def importance(spec: learn.LearnerSpec, X: np.ndarray, y: np.ndarray,
+               task: Task) -> np.ndarray:
+    """Normalized importances of a `spec` model fit on median-imputed X."""
     X, _ = learn.impute_columns(X, X[:0])
     return learn.feature_importance(learn.train(spec, X, y, task))
 
@@ -207,13 +207,11 @@ class _Evaluator:
 
 
 def _prune_to_budget(pool, cfg: EngineConfig, evaluator: _Evaluator):
-    """Drop lowest-importance generated features until the budget holds."""
+    """Drop the generated features cfg.learner ranks lowest until the budget holds."""
     if len(pool) <= cfg.feature_budget:
         return pool
     X = np.column_stack([encode_feature(e.feature) for e in pool])
-    spec = learn.LearnerSpec(kind="random_forest", n_trees=cfg.learner.n_trees,
-                             max_depth=cfg.learner.max_depth, seed=cfg.seed)
-    imp = forest_importance(spec, X, evaluator.y, evaluator.task)
+    imp = importance(cfg.learner, X, evaluator.y, evaluator.task)
     order = sorted(range(len(pool)),
                    key=lambda i: (imp[i], pool[i].feature.display_name))
     drop = set()

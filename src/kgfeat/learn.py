@@ -1,5 +1,5 @@
 """Built-in learners, task metrics, cross-validated evaluation, and
-impurity-based feature importance."""
+feature importance."""
 from __future__ import annotations
 
 import math
@@ -334,8 +334,8 @@ def _fit_trees(X, y, task, n_classes, rngs, n_sub, max_depth):
     """One tree per generator in `rngs` (see _bootstraps). Each node searches
     a subset of n_sub features drawn from its tree's generator, or all of
     them when n_sub >= p. Returns the forest and its summed impurity
-    decreases, in the target's units; where those overflow (a target beyond
-    about 1e154), in the scaled target's, which keeps their ratios."""
+    decreases in the target's units, or, where their sum overflows (a target
+    beyond about 1e153), in the scaled target's, which keeps their ratios."""
     n, p = X.shape
     codes, lo, hi = _bin_columns(X)
     if task == Task.CLASSIFICATION:
@@ -356,7 +356,7 @@ def _fit_trees(X, y, task, n_classes, rngs, n_sub, max_depth):
                      *(np.concatenate(a) for a in zip(*parts)))
     with np.errstate(over="ignore"):
         unscaled = np.ldexp(importances, 2 * e)
-    return forest, unscaled if np.isfinite(unscaled).all() else importances
+        return forest, unscaled if np.isfinite(unscaled.sum()) else importances
 
 
 def _forest_leaves(forest: _Forest, X) -> np.ndarray:
@@ -411,18 +411,19 @@ def train(spec: LearnerSpec, X: np.ndarray, y: np.ndarray, task: Task) -> Model:
         reg = RIDGE_LAMBDA * np.eye(p + 1)
         reg[p, p] = 0.0  # leave the intercept unregularized
         with np.errstate(over="ignore", invalid="ignore"):
-            normal = A.T @ A + reg
+            gram = A.T @ A
+            normal = gram + reg
+            # |coef_j|·std(x_j) ranks the features; std from the fit's Σx_j² and Σx_j
+            std = np.sqrt(np.maximum(gram.diagonal()[:p] / n - (gram[p, :p] / n) ** 2, 0))
         # lstsq on an inf or NaN matrix raises or never returns
         if not np.isfinite(normal).all():
             raise LearnError("the linear learner cannot fit: a feature's sum of "
                              "squares overflows")
         # least squares, so a singular system (collinear columns) still solves
         coef = np.linalg.lstsq(normal, A.T @ y, rcond=None)[0]
-        return Model("linear", task, p, coef=coef)
+        return Model("linear", task, p, coef=coef, importances=np.abs(coef[:p]) * std)
 
     if spec.kind == "logistic":
-        if len(classes) < 2:
-            raise LearnError("logistic requires at least two classes in y")
         mean = X.mean(axis=0)
         std = X.std(axis=0)
         std[std == 0] = 1.0
@@ -437,7 +438,7 @@ def train(spec: LearnerSpec, X: np.ndarray, y: np.ndarray, task: Task) -> Model:
                 w = w + 0.5 * grad
             coefs.append(w)
         return Model("logistic", task, p, coef=np.array(coefs), classes=classes,
-                     scaler=(mean, std))
+                     scaler=(mean, std), importances=sum(abs(w[:p]) for w in coefs))
 
     raise LearnError(f"unknown learner {spec.kind!r}")
 
@@ -569,10 +570,7 @@ def evaluate_cv(spec: LearnerSpec, X: np.ndarray, y, task: Task, k: int,
             Xtr, Xva = impute_columns(Xtr, Xva)
         ytr, yva = y_codes[train_idx], y_codes[valid_idx]
         if task == Task.CLASSIFICATION:
-            if len(np.unique(ytr)) < 2:
-                pred = np.full(len(yva), ytr[0])
-            else:
-                pred = predict(train(spec, Xtr, ytr, task), Xva)
+            pred = predict(train(spec, Xtr, ytr, task), Xva)
             scores.append(metric_f1(yva, pred, positive=float(len(labels) - 1)))
         else:
             if _rae_denominator(yva) is None:
@@ -588,11 +586,15 @@ def evaluate_cv(spec: LearnerSpec, X: np.ndarray, y, task: Task, k: int,
 
 
 def feature_importance(model: Model) -> np.ndarray:
-    """Normalized mean-decrease-in-impurity importances of a forest."""
-    if model.kind != "random_forest":
-        raise LearnError("feature importance requires a random forest model")
+    """A model's importances scaled to sum to 1 (uniform where all are 0): the
+    trees' decrease in impurity, |coef_j|·std(x_j) of a linear model, and the
+    sum over classes of a logistic one's |coef_j| (its columns standardised).
+    Raises LearnError where they or their sum are not finite."""
     imp = model.importances
-    total = imp.sum()
+    with np.errstate(over="ignore"):
+        total = imp.sum()
+    if not np.isfinite(total):
+        raise LearnError(f"the {model.kind} learner's importances are not finite")
     if total <= 0:
         return np.full(len(imp), 1.0 / len(imp))
     return imp / total

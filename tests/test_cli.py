@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kgfeat
-from kgfeat.cli import _csv_field, _csv_line, _write_result_files, main
+from kgfeat.cli import (_build_config, _csv_field, _csv_line, _write_result_files,
+                        build_parser, main)
 from kgfeat.data import Column, Dataset, Kind, Task
 from kgfeat.engine import FEResult
+from kgfeat.learn import LearnerSpec
 from kgfeat import engine as eng
 from kgfeat.transform import Node, RawRef, expr_to_json
 
@@ -150,6 +152,20 @@ def test_run_sets_every_engine_option_from_the_manifest(tmp_path, planted_paths)
     config = json.loads((tmp_path / "out" / "result.json").read_text())["config"]
     assert {k: config[k] for k in options} == options
     assert config["learner"]["kind"] == "linear"
+
+
+@pytest.mark.parametrize("in_manifest, flag, kind", [
+    (None, None, "random_forest"),
+    ("linear", None, "linear"),
+    ("linear", "decision_tree", "decision_tree"),
+    (None, "logistic", "logistic"),
+])
+def test_the_learner_is_the_default_spec_of_its_kind_on_the_run_seed(in_manifest, flag,
+                                                                      kind):
+    engine_doc = {"seed": 4, **({"learner": in_manifest} if in_manifest else {})}
+    args = build_parser().parse_args(["run"] + (["--learner", flag] if flag else []))
+    cfg = _build_config({"engine": engine_doc}, args)
+    assert cfg.learner == LearnerSpec(kind=kind, seed=4)
 
 
 def test_kg_check_output(planted_paths, capsys):

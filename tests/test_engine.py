@@ -3,15 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from kgfeat import engine
+from kgfeat import engine, learn, transform
 from kgfeat.agent import AgentConfig
 from kgfeat.data import Column, Dataset, Kind, Task
-from kgfeat.engine import (EngineConfig, EngineError, FEResult, _Evaluator,
+from kgfeat.engine import (EngineConfig, EngineError, FEResult, PoolEntry, _Evaluator,
                            compute_reward, encode_feature, max_order_sweep,
-                           raw_pool, run, target_codes)
-from kgfeat.kg import VerdictStatus, empty_kg, load_kg
+                           phi_feature, raw_pool, run, target_codes)
+from kgfeat.kg import VerdictStatus, empty_kg, judge, load_kg
 from kgfeat.learn import LearnerSpec
-from kgfeat.transform import CandidateFeature, RawRef
+from kgfeat.transform import CandidateFeature, Node, RawRef
 
 
 def small_cfg(**kw):
@@ -115,13 +115,54 @@ def test_best_score_never_below_baseline(planted):
     assert result.best_trajectory == sorted(result.best_trajectory)
 
 
-def test_feature_budget_enforced(planted):
+def classified(d):
+    """The planted data with its target split at the median into two classes."""
+    y = d.target_column
+    label = Column("y", Kind.NUMERIC, (y.values > np.median(y.values)).astype(float),
+                   y.missing)
+    return Dataset(d.feature_columns + [label], target="y", task=Task.CLASSIFICATION,
+                   n_rows=d.n_rows)
+
+
+def test_feature_budget_enforced(planted, monkeypatch):
     d, kg, _ = planted
-    result = run(small_cfg(feature_budget=6), d, kg)
-    assert len(result.best_features) <= 6
-    # raw features always survive pruning
-    raw_names = {f["display_name"] for f in result.best_features if f["raw"]}
-    assert raw_names == {"X1", "X2", "X3", "X4", "X5"}
+    pruned_with = []
+    importance = engine.importance
+    monkeypatch.setattr(engine, "importance",
+                        lambda spec, *a: pruned_with.append(spec.kind) or importance(spec, *a))
+    # three episodes keep no candidate on this data, so they never prune
+    for kind in ("decision_tree", "random_forest", "linear", "logistic"):
+        data = classified(d) if kind == "logistic" else d
+        result = run(small_cfg(episodes=5, feature_budget=6,
+                               learner=LearnerSpec(kind=kind)), data, kg)
+        assert kind in pruned_with  # the run's own learner pruned the pool
+        assert len(result.best_features) <= 6
+        # raw features always survive pruning
+        raw_names = {f["display_name"] for f in result.best_features if f["raw"]}
+        assert raw_names == {"X1", "X2", "X3", "X4", "X5"}
+
+
+@pytest.mark.parametrize("spec", [
+    LearnerSpec(kind="linear"),
+    LearnerSpec(kind="random_forest", max_depth=4, n_trees=7, seed=3),
+], ids=["linear", "random_forest"])
+def test_prune_trains_the_run_learner_once(planted, monkeypatch, spec):
+    d, kg, _ = planted
+    cfg = small_cfg(feature_budget=6, learner=spec)
+    signal = Node("div", (RawRef("x1"), Node("square", (RawRef("x2"),))))
+    pool = raw_pool(d, kg)
+    for expr in (Node("square", (RawRef("x3"),)), signal,
+                 Node("square", (RawRef("x4"),))):
+        feat = transform.apply(expr, d)
+        verdict = judge(kg, expr)
+        pool.append(PoolEntry(feat, verdict, False, phi_feature(kg, expr, verdict.unit)))
+    trained = []
+    train = learn.train
+    monkeypatch.setattr(learn, "train", lambda s, *a: trained.append(s) or train(s, *a))
+    kept = engine._prune_to_budget(pool, cfg, _Evaluator(cfg, d.task, target_codes(d)))
+    assert len(trained) == 1 and trained[0] is cfg.learner  # no second model kind
+    # the five raw columns and the planted x1 / x2**2
+    assert [e.feature.expr for e in kept] == [e.feature.expr for e in pool[:5]] + [signal]
 
 
 def test_discard_log_reasons(planted):

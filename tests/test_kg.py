@@ -400,12 +400,23 @@ def oracle_phi_feature(kg, expr):
         if unit_name is not None and unit_name in index:
             vec[index[unit_name]] = 1
     if not isinstance(expr, RawRef):
-        unit = expr_unit(kg, expr)
-        if unit is not None:
-            name = kg.registered_name_for(unit)
-            if name is not None and name in index:
-                vec[index[name]] = 1
+        name = kgmod.unit_token(kg, expr_unit(kg, expr))
+        if name is not None and name in index:
+            vec[index[name]] = 1
     return vec
+
+
+def test_dimensionless_derived_features_light_no_count(sales_kg):
+    # `count` is the first registered unit without dims, but a ratio of
+    # prices or a day of the month is not a count
+    count = sales_kg.concept_order.index("count")
+    sold = RawRef("UNITS_SOLD")
+    assert phi_feature(sales_kg, sold, judge(sales_kg, sold).unit)[count] == 1
+    for expr in (Node("day", (RawRef("DATE"),)),
+                 Node("div", (RawRef("PRICE"), RawRef("PRICE")))):
+        unit = judge(sales_kg, expr).unit
+        assert unit is not None and unit.dimensionless
+        assert phi_feature(sales_kg, expr, unit)[count] == 0
 
 
 def draw_kg_and_expression(data, diabetes_kg, sales_kg):

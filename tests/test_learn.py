@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -565,12 +566,70 @@ def test_random_forest_deterministic_and_importance():
     assert int(np.argmax(imp)) == 2  # the informative column dominates
 
 
-def test_feature_importance_requires_forest():
-    X = np.array([[0.0], [1.0]])
-    model = train(LearnerSpec(kind="linear"), X, np.array([0.0, 1.0]),
-                  Task.REGRESSION)
-    with pytest.raises(LearnError):
-        feature_importance(model)
+@pytest.mark.parametrize("kind", ["decision_tree", "random_forest", "linear",
+                                  "logistic"])
+def test_feature_importance_ranks_the_signal_first_for_every_kind(kind):
+    # y = 3·x0 plus noise; x1 is noise on a scale of 1e6, x2 noise on 1
+    rng = np.random.default_rng(7)
+    X = np.column_stack([rng.normal(size=300), 1e6 * rng.normal(size=300),
+                         rng.normal(size=300)])
+    y = 3.0 * X[:, 0] + 0.3 * rng.normal(size=300)
+    task = Task.REGRESSION
+    if kind == "logistic":
+        y, task = (y > 0).astype(float), Task.CLASSIFICATION
+    model = train(LearnerSpec(kind=kind, n_trees=10, seed=1), X, y, task)
+    imp = feature_importance(model)
+    assert imp.sum() == pytest.approx(1.0, abs=1e-12)
+    assert int(np.argmax(imp)) == 0
+    assert imp[0] > 2 * max(imp[1], imp[2])
+    if kind == "linear":  # |coef_j|·std(x_j)
+        want = np.abs(model.coef[:3]) * X.std(axis=0)
+        assert model.importances == pytest.approx(want, rel=1e-9)
+    if kind == "logistic":  # the sum over classes of |coef_j|
+        want = np.abs(model.coef[:, :3]).sum(axis=0)
+        assert model.importances == pytest.approx(want, rel=1e-12)
+
+
+def test_feature_importance_rejects_non_finite_importances():
+    # Aᵀy overflows, so the linear fit's coefficients, and importances, are NaN
+    X = np.arange(8.0)[:, None]
+    y = np.array([1e308, 1e308, 1e308, 0.0, 1.0, 2.0, 3.0, 4.0])
+    with np.errstate(over="ignore"):
+        model = train(LearnerSpec(kind="linear"), X, y, Task.REGRESSION)
+    assert np.isnan(model.importances).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LearnError, match="importances are not finite"):
+            feature_importance(model)
+        model.importances = np.array([1e308, 1e308])  # finite, but the sum is not
+        with pytest.raises(LearnError, match="importances are not finite"):
+            feature_importance(model)
+
+
+def test_forest_importances_whose_sum_overflows_keep_their_shares():
+    # each impurity decrease of a target near 6e153 is finite but their sum
+    # overflows; the shares were all 0. A power of two leaves the splits, and
+    # so the shares, as they are
+    rng = np.random.default_rng(0)
+    X = rng.uniform(size=(300, 3))
+    y = rng.uniform(-1, 1, 300)
+    spec = LearnerSpec(kind="random_forest", seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = feature_importance(train(spec, X, 6e153 * y, Task.REGRESSION))
+    small = feature_importance(train(spec, X, 6e153 / 2 ** 10 * y, Task.REGRESSION))
+    assert big.tobytes() == small.tobytes()
+    assert (big > 0).all()
+
+
+@pytest.mark.parametrize("kind", ["decision_tree", "random_forest", "logistic"])
+def test_every_classifier_fits_a_single_class(kind):
+    # a training fold, or a pool to prune, may hold one class: it is predicted
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(20, 3))
+    model = train(LearnerSpec(kind=kind, n_trees=5), X, np.ones(20), Task.CLASSIFICATION)
+    assert (predict(model, rng.normal(size=(7, 3))) == 1.0).all()
+    assert np.isfinite(feature_importance(model)).all()
 
 
 def test_logistic_separable():
