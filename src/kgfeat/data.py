@@ -14,8 +14,6 @@ import numpy as np
 EPOCH = date(1970, 1, 1)
 
 _BOOL_TOKENS = {"true": 1.0, "1": 1.0, "yes": 1.0, "false": 0.0, "0": 0.0, "no": 0.0}
-_MISSING_LEVEL = "⟂missing"
-_OTHER_LEVEL = "⟂other"
 
 
 class Kind(str, Enum):
@@ -62,7 +60,7 @@ class Dataset:
         for c in self.columns:
             if c.name == name:
                 return c
-        raise KeyError(name)
+        raise DataError(f"dataset has no column {name!r}")
 
     @property
     def target_column(self) -> Column:

@@ -146,14 +146,11 @@ def compute_reward(prev: float, new: float) -> float:
 
 
 def encode_feature(entry: CandidateFeature) -> np.ndarray:
-    """One numeric matrix column: categoricals as level codes with a dedicated
-    missing level, everything else as floats with NaN at missing cells."""
+    """One numeric matrix column: categoricals as their
+    `transform.categorical_codes`, everything else as floats with NaN at
+    missing cells."""
     if entry.kind == Kind.CATEGORICAL:
-        present = ~entry.missing
-        codes, levels = learn.encode_labels(entry.values[present])
-        out = np.full(len(entry.values), float(len(levels)))
-        out[present] = codes
-        return out
+        return transform.categorical_codes(entry)[0].astype(float)
     out = np.asarray(entry.values, dtype=float).copy()
     out[entry.missing] = np.nan
     return out

@@ -407,21 +407,23 @@ def train(spec: LearnerSpec, X: np.ndarray, y: np.ndarray, task: Task) -> Model:
                      importances=importances)
 
     if spec.kind == "linear":
-        A = np.hstack([X, np.ones((n, 1))])
-        reg = RIDGE_LAMBDA * np.eye(p + 1)
-        reg[p, p] = 0.0  # leave the intercept unregularized
+        # the ridge normal equations of the centred columns, scaled to a unit
+        # diagonal, so an offset or badly scaled column keeps its digits
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = A.T @ A
-            normal = gram + reg
-            # |coef_j|·std(x_j) ranks the features; std from the fit's Σx_j² and Σx_j
-            std = np.sqrt(np.maximum(gram.diagonal()[:p] / n - (gram[p, :p] / n) ** 2, 0))
-        # lstsq on an inf or NaN matrix raises or never returns
-        if not np.isfinite(normal).all():
-            raise LearnError("the linear learner cannot fit: a feature's sum of "
-                             "squares overflows")
-        # least squares, so a singular system (collinear columns) still solves
-        coef = np.linalg.lstsq(normal, A.T @ y, rcond=None)[0]
-        return Model("linear", task, p, coef=coef, importances=np.abs(coef[:p]) * std)
+            mean, y_mean = np.ones(n) @ X / n, y.mean()  # a matmul beats X.mean(axis=0)
+            Z = X - mean
+            gram, rhs = Z.T @ Z, Z.T @ (y - y_mean)
+            # lstsq on an inf or NaN matrix raises or never returns
+            if not np.isfinite(gram).all():
+                raise LearnError("the linear learner cannot fit: a feature's sum of "
+                                 "squares overflows")
+            d = np.sqrt(gram.diagonal() + RIDGE_LAMBDA)
+            # least squares, so a singular system (collinear columns) still solves
+            coef = np.linalg.lstsq((gram + RIDGE_LAMBDA * np.eye(p)) / d / d[:, None],
+                                   rhs / d, rcond=None)[0] / d
+            # |coef_j|·std(x_j) ranks the features
+            return Model("linear", task, p, coef=np.append(coef, y_mean - mean @ coef),
+                         importances=np.abs(coef) * np.sqrt(gram.diagonal() / n))
 
     if spec.kind == "logistic":
         mean = X.mean(axis=0)
@@ -459,7 +461,7 @@ def predict(model: Model, X: np.ndarray) -> np.ndarray:
         tally = np.bincount(votes.ravel(), minlength=n * n_classes)
         return np.argmax(tally.reshape(n, n_classes), axis=1).astype(float)
     if model.kind == "linear":
-        return np.hstack([X, np.ones((n, 1))]) @ model.coef
+        return X @ model.coef[:-1] + model.coef[-1]
     if model.kind == "logistic":
         mean, std = model.scaler
         Z = np.hstack([(X - mean) / std, np.ones((n, 1))])

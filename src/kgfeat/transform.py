@@ -11,7 +11,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .data import Dataset, Kind, _MISSING_LEVEL, _OTHER_LEVEL
+from . import learn
+from .data import Dataset, Kind
 
 
 class Arity(str, Enum):
@@ -81,6 +82,7 @@ _PAIRS = {"add": combinations_with_replacement, "mul": combinations_with_replace
           "and": combinations, "or": combinations}
 
 ONE_HOT_MAX_LEVELS = 20
+_OTHER_LEVEL = "⟂other"           # the level rare values fold into
 MAX_MISSING_FRACTION = 0.5
 
 
@@ -186,32 +188,30 @@ class CandidateFeature:
     display_name: str
 
 
+def categorical_codes(f):
+    """Integer codes of a categorical feature (a Column or CandidateFeature),
+    and its distinct present values in sorted order: a present cell's code is
+    its value's index in that list, a missing cell's is the list's length."""
+    present = ~f.missing
+    codes, values = learn.encode_labels(f.values[present])
+    out = np.full(len(present), len(values), dtype=np.int64)
+    out[present] = codes
+    return out, values
+
+
 def categorical_levels(f):
-    """Distinct levels of a categorical feature (a Column or CandidateFeature)
-    kept for one-hot / grouping; rare levels fold into a shared bucket once
-    the cap of ONE_HOT_MAX_LEVELS is exceeded."""
-    counts = {}
-    for v, m in zip(f.values, f.missing):
-        if m:
-            continue
-        counts[str(v)] = counts.get(str(v), 0) + 1
-    ordered = sorted(counts, key=lambda lv: (-counts[lv], lv))
-    if len(ordered) <= ONE_HOT_MAX_LEVELS:
-        return ordered
-    return ordered[: ONE_HOT_MAX_LEVELS - 1] + [_OTHER_LEVEL]
-
-
-def _categorical_keys(f) -> np.ndarray:
-    """Group keys as strings with rare-level folding and a missing level."""
-    kept = set(categorical_levels(f))
-    keys = np.empty(len(f.values), dtype=object)
-    for i, (v, m) in enumerate(zip(f.values, f.missing)):
-        if m:
-            keys[i] = _MISSING_LEVEL
-        else:
-            s = str(v)
-            keys[i] = s if s in kept else _OTHER_LEVEL
-    return keys
+    """The levels one-hot and grouping see in a categorical feature, most
+    frequent first (ties in value order), mapped to their `categorical_codes`,
+    and each row's level code. Past ONE_HOT_MAX_LEVELS values, all but the
+    ONE_HOT_MAX_LEVELS - 1 most frequent fold into one code, _OTHER_LEVEL's."""
+    codes, values = categorical_codes(f)
+    n = len(values)
+    top = np.argsort(-np.bincount(codes, minlength=n + 1)[:n], kind="stable")
+    if n <= ONE_HOT_MAX_LEVELS:
+        return {values[i]: i for i in top}, codes
+    top = top[:ONE_HOT_MAX_LEVELS - 1]
+    rare = (codes < n) & ~np.isin(codes, top)
+    return {**{values[i]: i for i in top}, _OTHER_LEVEL: n + 1}, np.where(rare, n + 1, codes)
 
 
 # Element-wise transforms. A domain violation (log or sqrt of a negative,
@@ -233,13 +233,13 @@ def _finite(out: np.ndarray, bad: np.ndarray):
     return out, bad
 
 
-def _agg_values(op: str, keys: np.ndarray, vv: np.ndarray, vm: np.ndarray):
+def _agg_values(op: str, groups: np.ndarray, vv: np.ndarray, vm: np.ndarray):
+    """Each row's aggregate of its group's present values, in row order."""
     out = np.full_like(vv, np.nan, dtype=float)
     bad = np.zeros(len(vv), dtype=bool)
-    fns = {"group_min": np.min, "group_max": np.max, "group_mean": np.mean, "group_sum": np.sum}
-    fn = fns[op]
-    for key in sorted(set(keys.tolist())):
-        sel = keys == key
+    fn = getattr(np, op.removeprefix("group_"))  # np.min, max, mean or sum
+    for g in np.flatnonzero(np.bincount(groups)):
+        sel = groups == g
         member = vv[sel & ~vm]
         if len(member) == 0:
             bad |= sel
@@ -274,7 +274,8 @@ def _derive(expr: Expr, operands) -> CandidateFeature:
     with np.errstate(all="ignore"):
         if op.name == "one_hot":
             (f,) = operands
-            values = (_categorical_keys(f) == expr.level).astype(float)
+            levels, codes = categorical_levels(f)
+            values = (codes == levels.get(expr.level, -1)).astype(float)
             values[f.missing] = np.nan
             missing = f.missing.copy()
         elif op.arity == Arity.UNARY:
@@ -286,7 +287,7 @@ def _derive(expr: Expr, operands) -> CandidateFeature:
                                       a.missing | b.missing)
         elif op.arity == Arity.AGGREGATION:
             k, v = operands
-            values, missing = _agg_values(op.name, _categorical_keys(k), v.values, v.missing)
+            values, missing = _agg_values(op.name, categorical_levels(k)[1], v.values, v.missing)
         else:
             (f,) = operands
             values, missing = _date_values(op.name, np.where(f.missing, 0, f.values),
@@ -353,7 +354,7 @@ def _operand_tuples(op: TransformOp, pool, max_order: int):
         tuples = product(*eligible)
     for operands in tuples:
         args = tuple(f.expr for f in operands)
-        for level in categorical_levels(operands[0]) if op.name == "one_hot" else [None]:
+        for level in categorical_levels(operands[0])[0] if op.name == "one_hot" else [None]:
             yield Node(op.name, args, level), operands
 
 

@@ -300,6 +300,17 @@ def test_report_writes_importance(tmp_path, planted_paths):
     assert os.path.exists(os.path.join(out_dir, "order_sweep.csv"))
 
 
+def test_report_names_a_column_the_dataset_lost(tmp_path, planted_paths, capsys):
+    _, out_dir = run_manifest(tmp_path, planted_paths)
+    with open(planted_paths["csv"], newline="") as fh:
+        rows = [r[1:] for r in csv.reader(fh)]  # drop x1
+    with open(planted_paths["csv"], "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    assert main(["report", os.path.join(out_dir, "result.json")]) == 1
+    assert capsys.readouterr().err == "error: dataset has no column 'x1'\n"
+
+
 def test_run_missing_classification_target_exits_one(tmp_path, capsys):
     # an empty target cell is an error for classification as for regression
     csv_path = tmp_path / "labels.csv"

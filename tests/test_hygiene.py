@@ -1,6 +1,7 @@
-"""Source hygiene: every name a kgfeat module imports is used in it, every
-module-level private name is read somewhere in the package, and every local
-a function assigns is read in it."""
+"""Source hygiene: every name a kgfeat module imports is used in it, no
+module imports another's private name, every module-level private name is
+read somewhere in the package, and every local a function assigns is read
+in it."""
 import ast
 import glob
 import os
@@ -34,6 +35,26 @@ def test_no_module_imports_an_unused_name():
         with open(path) as fh:
             unused = unused_imports(fh.read())
         assert not unused, f"{os.path.basename(path)} never uses {unused}"
+
+
+def private_imports(source):
+    """`module.name` for each private name a `from ... import` takes."""
+    return ["." * node.level + ".".join(filter(None, [node.module, a.name]))
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
+            for a in node.names if a.name.startswith("_")]
+
+
+def test_private_imports_are_found():
+    source = ("from __future__ import annotations\nfrom .data import Kind, _LEVEL\n"
+              "from . import _grow\nfrom os import path as _path\nimport _thread\n")
+    assert private_imports(source) == [".data._LEVEL", "._grow"]
+
+
+def test_no_module_imports_a_private_name():
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            taken = private_imports(fh.read())
+        assert not taken, f"{os.path.basename(path)} imports {taken}"
 
 
 def private_definitions(source):

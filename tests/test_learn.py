@@ -118,8 +118,23 @@ def test_linear_fits_collinear_badly_scaled_columns():
     rng = np.random.default_rng(0)
     x = rng.normal(size=50)
     X = np.column_stack([1e12 * x, 1e12 * x, rng.normal(size=50)])
-    model = train(LearnerSpec(kind="linear"), X, 2.0 * x + 1.0, Task.REGRESSION)
-    assert np.isfinite(predict(model, X)).all()
+    y = 2.0 * x + 1.0
+    model = train(LearnerSpec(kind="linear"), X, y, Task.REGRESSION)
+    assert np.abs(predict(model, X) - y).max() < 1e-4
+
+
+@pytest.mark.parametrize("offset", [1e6, 2.0 ** 30])
+def test_linear_fits_a_column_far_from_zero_against_its_spread(offset):
+    # the uncentred normal equations lost x1's coefficient (1e-6 at 1e6) and,
+    # at 2^30, x0's too
+    rng = np.random.default_rng(3)
+    x0 = rng.normal(size=2000)
+    k = rng.integers(-40, 60, 2000).astype(float)
+    y = 3.0 * x0 + 0.1 * k + 0.01 * rng.normal(size=2000)
+    X = np.column_stack([x0, offset + k])
+    model = train(LearnerSpec(kind="linear"), X, y, Task.REGRESSION)
+    assert model.coef[:2] == pytest.approx([3.0, 0.1], abs=1e-3)
+    assert np.abs(predict(model, X) - y).max() < 0.1
 
 
 def test_decision_tree_fits_threshold_rule():
@@ -591,7 +606,8 @@ def test_feature_importance_ranks_the_signal_first_for_every_kind(kind):
 
 
 def test_feature_importance_rejects_non_finite_importances():
-    # Aᵀy overflows, so the linear fit's coefficients, and importances, are NaN
+    # the target's mean overflows, so the linear fit's coefficients, and
+    # importances, are NaN
     X = np.arange(8.0)[:, None]
     y = np.array([1e308, 1e308, 1e308, 0.0, 1.0, 2.0, 3.0, 4.0])
     with np.errstate(over="ignore"):
@@ -735,8 +751,9 @@ def test_evaluate_cv_deterministic():
 def test_evaluate_cv_score_is_finite(kind, data):
     # targets near the float limit make a fold's absolute errors, or its
     # deviations, overflow (numpy warns); 1 - rae was then -inf or nan. The
-    # linear learner's Aᵀy overflows on such targets, and it predicts NaN;
-    # features beyond about 1e154 overflow its AᵀA, and it cannot fit.
+    # linear learner's target mean overflows on such targets, and it predicts
+    # NaN; features spread beyond about 1e154 overflow its ZᵀZ, and it cannot
+    # fit.
     n = data.draw(st.integers(4, 16))
     y = data.draw(arrays(float, n, elements=st.floats(-1e308, 1e308)))
     X = data.draw(arrays(float, (n, 2),
@@ -772,7 +789,8 @@ def test_one_minus_rae_overflowing_deviations_raise():
 
 
 def test_evaluate_cv_raises_where_the_learner_predicts_nan():
-    # Aᵀy overflows, so the linear fit is NaN; that is not a score of 0
+    # the target's mean overflows, so the linear fit is NaN; that is not a
+    # score of 0
     X = np.arange(8.0)[:, None]
     y = np.array([1e308, 1e308, 1e308, 0.0, 1.0, 2.0, 3.0, 4.0])
     with np.errstate(all="ignore"), pytest.raises(LearnError, match="NaN"):

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from kgfeat.data import Column, Dataset, Kind, Task
 from kgfeat.engine import target_codes
-from kgfeat.transform import (MAX_MISSING_FRACTION, Arity, Node, RawRef, TransformError,
-                              _abs_pearson, _centred, _derive, _operand_tuples, apply,
-                              catalog, catalog_op, expand_action, expr_from_json,
-                              expr_to_json, order, render_name, search_space_size)
+from kgfeat.transform import (MAX_MISSING_FRACTION, ONE_HOT_MAX_LEVELS, Arity, Node,
+                              RawRef, TransformError, _abs_pearson, _centred, _derive,
+                              _operand_tuples, apply, catalog, catalog_op,
+                              categorical_codes, categorical_levels, expand_action,
+                              expr_from_json, expr_to_json, order, render_name,
+                              search_space_size)
 
 
 def num_col(name, vals, missing=None):
@@ -258,6 +260,75 @@ def test_one_hot(d):
     f = apply(Node("one_hot", (RawRef("city"),), "paris"), d)
     assert f.values.tolist() == [1.0, 0.0, 1.0, 0.0]
     assert f.kind == Kind.BOOLEAN
+
+
+def test_group_by_a_cell_reading_the_missing_sentinel():
+    # the string keys gave a present cell reading "⟂missing" the missing
+    # cells' group: 82.5 on all four of the last rows
+    d = make_dataset([cat_col("k", ["a", "⟂missing", "", "a", "⟂missing", ""],
+                              [False, False, True, False, False, True]),
+                      num_col("v", [1, 10, 100, 3, 20, 200]),
+                      num_col("y", [0, 1, 2, 3, 4, 5])], target="y")
+    mean = apply(Node("group_mean", (RawRef("k"), RawRef("v"))), d)
+    assert mean.values.tolist() == [2.0, 15.0, 150.0, 2.0, 15.0, 150.0]
+
+
+def test_one_hot_of_a_level_the_column_lacks_is_zero_with_nan_at_missing():
+    d = make_dataset([cat_col("city", ["paris", "", "rome"], [False, True, False]),
+                      num_col("y", [0, 1, 2])], target="y")
+    for level in ("oslo", "⟂other"):
+        f = apply(Node("one_hot", (RawRef("city"),), level), d)
+        assert f.missing.tolist() == [False, True, False]
+        np.testing.assert_array_equal(f.values, [0.0, np.nan, 0.0])
+
+
+def _string_keys_oracle(f):
+    """Levels and per-row group keys as strings, as they were computed
+    before categorical codes: a per-row loop with sentinel strings."""
+    counts = {}
+    for v, m in zip(f.values, f.missing):
+        if not m:
+            counts[str(v)] = counts.get(str(v), 0) + 1
+    levels = sorted(counts, key=lambda lv: (-counts[lv], lv))
+    if len(levels) > ONE_HOT_MAX_LEVELS:
+        levels = levels[: ONE_HOT_MAX_LEVELS - 1] + ["⟂other"]
+    keys = np.array(["⟂missing" if m else str(v) if str(v) in levels else "⟂other"
+                     for v, m in zip(f.values, f.missing)], dtype=object)
+    return levels, keys
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_categorical_codes_match_the_string_keys_oracle(data):
+    n = data.draw(st.integers(1, 60))
+    names = st.text("abcXY_é", max_size=3) | st.sampled_from([f"v{i}" for i in range(30)])
+    cells = data.draw(st.lists(names, min_size=n, max_size=n))
+    missing = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    key = cat_col("k", cells, missing)
+    value = num_col("v", data.draw(st.lists(
+        st.floats(-1e6, 1e6) | st.just(math.nan), min_size=n, max_size=n)))
+    value.missing = np.isnan(value.values)
+    d = make_dataset([key, value, num_col("y", np.arange(n))], target="y")
+    codes, values = categorical_codes(key)
+    present = ~key.missing
+    assert values == sorted(set(key.values[present].tolist()))
+    assert codes[present].tolist() == [values.index(v) for v in key.values[present]]
+    assert (codes[key.missing] == len(values)).all()
+    levels, keys = _string_keys_oracle(key)
+    assert list(categorical_levels(key)[0]) == levels
+    for level in levels + ["absent"]:
+        got = apply(Node("one_hot", (RawRef("k"),), level), d)
+        want = (keys == level).astype(float)
+        want[key.missing] = np.nan
+        np.testing.assert_array_equal(got.values, want)
+    for op, fn in (("group_min", np.min), ("group_max", np.max),
+                   ("group_mean", np.mean), ("group_sum", np.sum)):
+        got = apply(Node(op, (RawRef("k"), RawRef("v"))), d)
+        for k in set(keys.tolist()):
+            sel = keys == k
+            member = value.values[sel & ~value.missing]
+            want = fn(member) if len(member) else np.nan
+            np.testing.assert_array_equal(got.values[sel], want)  # bit for bit
 
 
 def test_date_extractors():
