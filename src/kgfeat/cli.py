@@ -11,8 +11,6 @@ import re
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import engine as eng
 from . import kg as kgmod
 from . import learn
@@ -80,19 +78,24 @@ def _csv_line(fields) -> str:
     return (",".join(fields) or '""' * (len(fields) == 1)) + "\r\n"
 
 
+_CSV_BLOCK_ROWS = 4096  # features.csv rows formatted at a time; bounds the cells held
+
+
 def _write_result_files(result, d, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "result.json"), "w") as fh:
         json.dump(result.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    headers, columns = eng.feature_matrix(d, result.best_features)
+    headers, X = eng.feature_matrix(d, result.best_features)
     tcol = d.target_column
-    cells = [[repr(v) if v == v else "" for v in col.tolist()] for col in columns]
-    cells.append(["" if m else _csv_field(str(v))
-                  for v, m in zip(tcol.values.tolist(), tcol.missing.tolist())])
     with open(os.path.join(out_dir, "features.csv"), "w", newline="") as fh:
         fh.write(_csv_line([_csv_field(h) for h in headers + [d.target]]))
-        fh.writelines(_csv_line(row) for row in zip(*cells))
+        for a in range(0, d.n_rows, _CSV_BLOCK_ROWS):
+            b = a + _CSV_BLOCK_ROWS
+            cells = [[repr(v) if v == v else "" for v in col.tolist()] for col in X[a:b].T]
+            cells.append(["" if m else _csv_field(str(v)) for v, m in
+                          zip(tcol.values[a:b].tolist(), tcol.missing[a:b].tolist())])
+            fh.writelines(_csv_line(row) for row in zip(*cells))
     with open(os.path.join(out_dir, "log.txt"), "w") as fh:
         for trace in result.traces:
             for i, s in enumerate(trace.steps):
@@ -217,8 +220,7 @@ def cmd_report(args) -> int:
     d = load_csv(result.config["dataset_path"], schema)
 
     raw = [f for f in result.best_features if f["raw"]]
-    headers, columns = eng.feature_matrix(d, result.best_features)
-    X = np.column_stack(columns)
+    headers, X = eng.feature_matrix(d, result.best_features)
     y = eng.target_codes(d)
     spec = learn.LearnerSpec(kind="random_forest", seed=result.config.get("seed", 0))
 

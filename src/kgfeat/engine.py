@@ -156,6 +156,16 @@ def encode_feature(entry: CandidateFeature) -> np.ndarray:
     return out
 
 
+def stack_features(features, shape) -> np.ndarray:
+    """The encode_feature columns of `features`, any iterable of
+    `shape[1]` of them, filled into one preallocated `shape` matrix, so no
+    list of column copies is held to stack."""
+    X = np.empty(shape)
+    for j, feat in enumerate(features):
+        X[:, j] = encode_feature(feat)
+    return X
+
+
 def target_codes(d: Dataset) -> np.ndarray:
     """The target as one float vector: class codes in natural label order for
     classification, the values for regression. A missing cell is an error."""
@@ -196,7 +206,7 @@ class _Evaluator:
     def score(self, pool) -> float:
         key = frozenset(e.feature.expr for e in pool)
         if key not in self.cache:
-            X = np.column_stack([encode_feature(e.feature) for e in pool])
+            X = stack_features((e.feature for e in pool), (len(self.y), len(pool)))
             self.cache[key] = learn.evaluate_cv(
                 self.cfg.learner, X, self.y, self.task, self.cfg.k_folds, self.cfg.seed
             )
@@ -207,7 +217,7 @@ def _prune_to_budget(pool, cfg: EngineConfig, evaluator: _Evaluator):
     """Drop the generated features cfg.learner ranks lowest until the budget holds."""
     if len(pool) <= cfg.feature_budget:
         return pool
-    X = np.column_stack([encode_feature(e.feature) for e in pool])
+    X = stack_features((e.feature for e in pool), (len(evaluator.y), len(pool)))
     imp = importance(cfg.learner, X, evaluator.y, evaluator.task)
     order = sorted(range(len(pool)),
                    key=lambda i: (imp[i], pool[i].feature.display_name))
@@ -371,7 +381,7 @@ def max_order_sweep(cfg: EngineConfig, d: Dataset, kg: KnowledgeGraph, orders):
 
 
 def feature_matrix(d: Dataset, feature_docs):
-    """Re-evaluate a serialized feature set into (headers, columns)."""
+    """Re-evaluate a serialized feature set into (headers, matrix)."""
     return ([doc["display_name"] for doc in feature_docs],
-            [encode_feature(transform.apply(expr_from_json(doc["expr"]), d))
-             for doc in feature_docs])
+            stack_features((transform.apply(expr_from_json(doc["expr"]), d)
+                            for doc in feature_docs), (d.n_rows, len(feature_docs))))

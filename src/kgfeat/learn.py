@@ -2,6 +2,7 @@
 feature importance."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -58,7 +59,7 @@ class Model:
     n_features: int
     trees: Optional[_Forest] = None
     coef: Optional[np.ndarray] = None            # linear / per-class logistic
-    scaler: Optional[tuple] = None               # logistic (mean, std)
+    scaler: Optional[tuple] = None               # logistic (mean, std); linear (mean, ȳ)
     classes: Optional[np.ndarray] = None         # encoded labels, sorted
     importances: Optional[np.ndarray] = None
 
@@ -374,6 +375,58 @@ def _forest_leaves(forest: _Forest, X) -> np.ndarray:
         node = np.where(inner, forest.left[node] + right, node)
 
 
+class _FitOverflow(LearnError):
+    """The linear learner's sums overflow; evaluate_cv scores the fold 0."""
+
+
+def _centred_sums(X, y):
+    """(rows, Gram matrix of the columns centred on their means, its products
+    with the centred target, column sums, target sum): all a ridge fit reads
+    of a row set. An overflow gives inf or NaN, which _ridge turns into an
+    error."""
+    n = X.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        total, y_total = np.ones(n) @ X, y.sum()  # a matmul beats X.sum(axis=0)
+        Z = X - total / n
+        return n, Z.T @ Z, Z.T @ (y - y_total / n), total, y_total
+
+
+def _merged_sums(a, b):
+    """The _centred_sums of two disjoint row sets' union, from theirs: the
+    pairwise update of Chan, Golub & LeVeque (1979). Each part is centred on
+    its own means, so no large sum is subtracted from another."""
+    na, Ga, ra, sa, ta = a
+    nb, Gb, rb, sb, tb = b
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the parts' mean difference, rounded once: na·sb − nb·sa is exact for
+        # integer sums below 2**53, so a column at 2**30 merges exactly
+        dm, dy = (na * sb - nb * sa) / (na * nb), (na * tb - nb * ta) / (na * nb)
+        w = na * nb / (na + nb)
+        return (na + nb, Ga + Gb + w * np.outer(dm, dm), ra + rb + w * dm * dy,
+                sa + sb, ta + tb)
+
+
+def _ridge(n, gram, rhs, total, y_total):
+    """The ridge fit of a row set from its _centred_sums. The normal
+    equations are scaled to a unit diagonal, and the model predicts from the
+    centred columns, so an offset or badly scaled column keeps its digits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, y_mean = total / n, y_total / n
+        # lstsq on an inf or NaN matrix raises or never returns
+        if not np.isfinite(gram).all():
+            raise _FitOverflow("the linear learner cannot fit: a feature's sum of "
+                               "squares overflows")
+        p = len(gram)
+        d = np.sqrt(gram.diagonal() + RIDGE_LAMBDA)
+        # least squares, so a singular system (collinear columns) still solves
+        coef = np.linalg.lstsq((gram + RIDGE_LAMBDA * np.eye(p)) / d / d[:, None],
+                               rhs / d, rcond=None)[0] / d
+        # |coef_j|·std(x_j) ranks the features
+        return Model("linear", Task.REGRESSION, p,
+                     coef=np.append(coef, y_mean - mean @ coef), scaler=(mean, y_mean),
+                     importances=np.abs(coef) * np.sqrt(gram.diagonal() / n))
+
+
 def train(spec: LearnerSpec, X: np.ndarray, y: np.ndarray, task: Task) -> Model:
     """Fit a learner; X is a fully numeric, imputed matrix, y is encoded
     (class codes for classification). Deterministic for a fixed seed."""
@@ -407,23 +460,7 @@ def train(spec: LearnerSpec, X: np.ndarray, y: np.ndarray, task: Task) -> Model:
                      importances=importances)
 
     if spec.kind == "linear":
-        # the ridge normal equations of the centred columns, scaled to a unit
-        # diagonal, so an offset or badly scaled column keeps its digits
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean, y_mean = np.ones(n) @ X / n, y.mean()  # a matmul beats X.mean(axis=0)
-            Z = X - mean
-            gram, rhs = Z.T @ Z, Z.T @ (y - y_mean)
-            # lstsq on an inf or NaN matrix raises or never returns
-            if not np.isfinite(gram).all():
-                raise LearnError("the linear learner cannot fit: a feature's sum of "
-                                 "squares overflows")
-            d = np.sqrt(gram.diagonal() + RIDGE_LAMBDA)
-            # least squares, so a singular system (collinear columns) still solves
-            coef = np.linalg.lstsq((gram + RIDGE_LAMBDA * np.eye(p)) / d / d[:, None],
-                                   rhs / d, rcond=None)[0] / d
-            # |coef_j|·std(x_j) ranks the features
-            return Model("linear", task, p, coef=np.append(coef, y_mean - mean @ coef),
-                         importances=np.abs(coef) * np.sqrt(gram.diagonal() / n))
+        return _ridge(*_centred_sums(X, y))
 
     if spec.kind == "logistic":
         mean = X.mean(axis=0)
@@ -461,7 +498,9 @@ def predict(model: Model, X: np.ndarray) -> np.ndarray:
         tally = np.bincount(votes.ravel(), minlength=n * n_classes)
         return np.argmax(tally.reshape(n, n_classes), axis=1).astype(float)
     if model.kind == "linear":
-        return X @ model.coef[:-1] + model.coef[-1]
+        mean, y_mean = model.scaler
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (X - mean) @ model.coef[:-1] + y_mean
     if model.kind == "logistic":
         mean, std = model.scaler
         Z = np.hstack([(X - mean) / std, np.ones((n, 1))])
@@ -552,10 +591,13 @@ def evaluate_cv(spec: LearnerSpec, X: np.ndarray, y, task: Task, k: int,
     """Mean k-fold score: F1 for classification, 1-rae for regression.
 
     Missing cells are median-imputed per training fold; a matrix without
-    gaps skips imputation. Degenerate folds, where 1-rae is undefined (see
-    _rae_denominator), contribute 0, as do folds whose absolute errors
-    overflow, where 1-rae is -inf. A learner that predicts NaN raises
-    LearnError.
+    gaps skips imputation. The linear learner on a gapless matrix (and a
+    finite target) fits each training fold from the other folds'
+    _centred_sums, merged, so no training matrix is gathered; its scores can
+    differ from a per-fold fit in the last bits. Degenerate folds, where
+    1-rae is undefined (see _rae_denominator), contribute 0, as do folds
+    whose linear fit overflows and folds whose absolute errors overflow,
+    where 1-rae is -inf. A learner that predicts NaN raises LearnError.
     """
     X = np.asarray(X, dtype=float)
     if task == Task.CLASSIFICATION:
@@ -565,25 +607,40 @@ def evaluate_cv(spec: LearnerSpec, X: np.ndarray, y, task: Task, k: int,
         y_codes = np.asarray(y, dtype=float)
         folds = kfold_indices(len(y_codes), k, seed)
     gaps = np.isnan(X).any()
+    # train rejects an empty matrix and a non-finite target, and per-fold
+    # imputation gives each fold other values: those cases, like every other
+    # learner, fit each training fold as gathered
+    sums = None
+    if (spec.kind == "linear" and task == Task.REGRESSION and X.size and not gaps
+            and np.isfinite(y_codes).all()):
+        sums = [_centred_sums(X[valid_idx], y_codes[valid_idx])
+                for _, valid_idx in folds]
     scores = []
-    for train_idx, valid_idx in folds:
-        Xtr, Xva = X[train_idx], X[valid_idx]
-        if gaps:
-            Xtr, Xva = impute_columns(Xtr, Xva)
-        ytr, yva = y_codes[train_idx], y_codes[valid_idx]
+    for f, (train_idx, valid_idx) in enumerate(folds):
+        yva = y_codes[valid_idx]
+        if task == Task.REGRESSION and _rae_denominator(yva) is None:
+            scores.append(0.0)
+            continue
+        try:
+            if sums is not None:
+                fit = _ridge(*functools.reduce(_merged_sums, sums[:f] + sums[f + 1:]))
+                pred = predict(fit, X[valid_idx])
+            else:
+                Xtr, Xva = X[train_idx], X[valid_idx]
+                if gaps:
+                    Xtr, Xva = impute_columns(Xtr, Xva)
+                pred = predict(train(spec, Xtr, y_codes[train_idx], task), Xva)
+        except _FitOverflow:
+            scores.append(0.0)
+            continue
         if task == Task.CLASSIFICATION:
-            pred = predict(train(spec, Xtr, ytr, task), Xva)
             scores.append(metric_f1(yva, pred, positive=float(len(labels) - 1)))
-        else:
-            if _rae_denominator(yva) is None:
-                scores.append(0.0)
-                continue
-            pred = predict(train(spec, Xtr, ytr, task), Xva)
-            if np.isnan(pred).any():
-                raise LearnError(f"the {spec.kind} learner predicted NaN")
-            with np.errstate(over="ignore"):
-                score = metric_one_minus_rae(yva, pred)
-            scores.append(0.0 if score == -math.inf else score)
+            continue
+        if np.isnan(pred).any():
+            raise LearnError(f"the {spec.kind} learner predicted NaN")
+        with np.errstate(over="ignore"):
+            score = metric_one_minus_rae(yva, pred)
+        scores.append(0.0 if score == -math.inf else score)
     return float(np.mean(scores))
 
 
