@@ -55,7 +55,7 @@ def _build_config(doc, args):
         raise eng.EngineError(f"unknown engine options: {sorted(bad)}")
     cfg = replace(eng.EngineConfig(), **overrides)
     kind = args.learner or learner_kind or cfg.learner.kind
-    return replace(cfg, learner=replace(cfg.learner, kind=kind, seed=cfg.seed))
+    return replace(cfg, learner=replace(cfg.learner, kind=kind))
 
 
 def _check_exists(path, what):
@@ -177,7 +177,7 @@ def _print_tree(expr, kg, nodes, indent=1):
     if isinstance(expr, RawRef):
         entry = kg.column_concepts.get(expr.name)
         cls, token = entry if entry else ("(unmapped)", None)
-        print(f"{pad}{expr.name.upper()}  class={cls} unit={token or 'unknown'}")
+        print(f"{pad}{expr.name}  class={cls} unit={token or 'unknown'}")
         return
     print(f"{pad}{expr.op.upper()}  unit={kgmod.unit_token(kg, nodes[expr][1]) or 'unknown'}")
     for child in children(expr):

@@ -29,7 +29,7 @@ class EngineConfig:
     max_order: int = 5
     k_folds: int = 5
     learner: learn.LearnerSpec = field(default_factory=learn.LearnerSpec)
-    seed: int = 0
+    seed: int = 0                     # the agent's, the folds' and the learner's
     patience: int = 10                # episodes without a new best before stopping
     policy: str = "dqn"               # dqn | random (uniform actions, no training)
     agent: ag.AgentConfig = field(default_factory=ag.AgentConfig)
@@ -44,6 +44,7 @@ class EngineConfig:
             raise EngineError(f"steps per episode capped at {MAX_STEPS_PER_EPISODE}")
         if self.policy not in ("dqn", "random"):
             raise EngineError("policy must be 'dqn' or 'random'")
+        self.learner = replace(self.learner, seed=self.seed)
 
     def to_json(self) -> dict:
         doc = {name: getattr(self, name) for name in ENGINE_OPTIONS}

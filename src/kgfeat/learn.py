@@ -125,24 +125,6 @@ def _draw_features(tree, rngs, n_sub, p):
     return np.sort(np.argsort(keys, axis=1)[:, :n_sub], axis=1)
 
 
-def _row_sums(cols):
-    """Sum of the equal-length arrays `cols`, added in the order numpy's
-    pairwise summation adds a row, so it equals
-    np.sum(np.column_stack(cols), axis=1) bit for bit. Over a few columns
-    that reduction takes about 50 times as long as these additions."""
-    n = len(cols)
-    if n > 128:  # numpy's block size: halves, the first a multiple of 8
-        h = n // 2 - n // 2 % 8
-        return _row_sums(cols[:h]) + _row_sums(cols[h:])
-    if n < 8:
-        return sum(cols)
-    r = list(cols[:8])  # eight accumulators, then the tail in order
-    for i in range(8, n - n % 8):
-        r[i % 8] = r[i % 8] + cols[i]
-    return sum(cols[n - n % 8:], ((r[0] + r[1]) + (r[2] + r[3]))
-               + ((r[4] + r[5]) + (r[6] + r[7])))
-
-
 def _best_splits(codes, lo, hi, rows, ys, w, sk, F, stats, task, n_classes, tol):
     """Best split of each open node over its features F (m, f).
 
@@ -192,13 +174,13 @@ def _best_splits(codes, lo, hi, rows, ys, w, sk, F, stats, task, n_classes, tol)
     n = stats[0][node]
     nr = n - nl
     if task == Task.CLASSIFICATION:
-        # 1 - sum over classes of (weight / n)**2, the node impurity's np.sum
-        # order; the count completes the last class exactly (integer weights)
+        # 1 - sum over classes of (weight / n)**2, added in class order; the
+        # count completes the last class exactly (integer weights)
         left = [left_sum(w * (ys == c)) for c in range(n_classes - 1)]
         left.append(nl - sum(left))
-        gini_l = 1.0 - _row_sums([(lc / nl) ** 2 for lc in left])
-        gini_r = 1.0 - _row_sums([((stats[1][node, c] - lc) / nr) ** 2
-                                  for c, lc in enumerate(left)])
+        gini_l = 1.0 - sum((lc / nl) ** 2 for lc in left)
+        gini_r = 1.0 - sum(((stats[1][node, c] - lc) / nr) ** 2
+                           for c, lc in enumerate(left))
         score = (nl * gini_l + nr * gini_r) / n
     else:
         # (nl * var_l + nr * var_r) / n, each variance at least 0
@@ -335,8 +317,8 @@ def _fit_trees(X, y, task, n_classes, rngs, n_sub, max_depth):
     """One tree per generator in `rngs` (see _bootstraps). Each node searches
     a subset of n_sub features drawn from its tree's generator, or all of
     them when n_sub >= p. Returns the forest and its summed impurity
-    decreases in the target's units, or, where their sum overflows (a target
-    beyond about 1e153), in the scaled target's, which keeps their ratios."""
+    decreases, in the scaled target's units: a power of two, so their shares
+    are those of the unscaled target's."""
     n, p = X.shape
     codes, lo, hi = _bin_columns(X)
     if task == Task.CLASSIFICATION:
@@ -353,11 +335,8 @@ def _fit_trees(X, y, task, n_classes, rngs, n_sub, max_depth):
         parts.append((feature, threshold, np.where(left >= 0, left + n_nodes, -1),
                       value))
         n_nodes += len(feature)
-    forest = _Forest(np.concatenate(roots),
-                     *(np.concatenate(a) for a in zip(*parts)))
-    with np.errstate(over="ignore"):
-        unscaled = np.ldexp(importances, 2 * e)
-        return forest, unscaled if np.isfinite(unscaled.sum()) else importances
+    return _Forest(np.concatenate(roots),
+                   *(np.concatenate(a) for a in zip(*parts))), importances
 
 
 def _forest_leaves(forest: _Forest, X) -> np.ndarray:
@@ -375,15 +354,10 @@ def _forest_leaves(forest: _Forest, X) -> np.ndarray:
         node = np.where(inner, forest.left[node] + right, node)
 
 
-class _FitOverflow(LearnError):
-    """The linear learner's sums overflow; evaluate_cv scores the fold 0."""
-
-
 def _centred_sums(X, y):
     """(rows, Gram matrix of the columns centred on their means, its products
     with the centred target, column sums, target sum): all a ridge fit reads
-    of a row set. An overflow gives inf or NaN, which _ridge turns into an
-    error."""
+    of a row set. An overflow gives inf or NaN."""
     n = X.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         total, y_total = np.ones(n) @ X, y.sum()  # a matmul beats X.sum(axis=0)
@@ -409,14 +383,17 @@ def _merged_sums(a, b):
 def _ridge(n, gram, rhs, total, y_total):
     """The ridge fit of a row set from its _centred_sums. The normal
     equations are scaled to a unit diagonal, and the model predicts from the
-    centred columns, so an offset or badly scaled column keeps its digits."""
+    centred columns, so an offset or badly scaled column keeps its digits.
+    Where the Gram matrix overflows, which lstsq cannot solve (it raises or
+    never returns), the model predicts the target's mean: coefficients,
+    centre and importances 0."""
+    p = len(gram)
     with np.errstate(over="ignore", invalid="ignore"):
         mean, y_mean = total / n, y_total / n
-        # lstsq on an inf or NaN matrix raises or never returns
         if not np.isfinite(gram).all():
-            raise _FitOverflow("the linear learner cannot fit: a feature's sum of "
-                               "squares overflows")
-        p = len(gram)
+            zero = np.zeros(p)
+            return Model("linear", Task.REGRESSION, p, coef=np.append(zero, y_mean),
+                         scaler=(zero, y_mean), importances=zero)
         d = np.sqrt(gram.diagonal() + RIDGE_LAMBDA)
         # least squares, so a singular system (collinear columns) still solves
         coef = np.linalg.lstsq((gram + RIDGE_LAMBDA * np.eye(p)) / d / d[:, None],
@@ -594,10 +571,10 @@ def evaluate_cv(spec: LearnerSpec, X: np.ndarray, y, task: Task, k: int,
     gaps skips imputation. The linear learner on a gapless matrix (and a
     finite target) fits each training fold from the other folds'
     _centred_sums, merged, so no training matrix is gathered; its scores can
-    differ from a per-fold fit in the last bits. Degenerate folds, where
-    1-rae is undefined (see _rae_denominator), contribute 0, as do folds
-    whose linear fit overflows and folds whose absolute errors overflow,
-    where 1-rae is -inf. A learner that predicts NaN raises LearnError.
+    differ from a per-fold fit in the last bits. A regression fold scores
+    max(0, 1-rae), and 0 where 1-rae is undefined (see _rae_denominator), so
+    every score, and every difference of two, lies in [-1, 1]. A learner
+    that predicts NaN raises LearnError.
     """
     X = np.asarray(X, dtype=float)
     if task == Task.CLASSIFICATION:
@@ -621,26 +598,21 @@ def evaluate_cv(spec: LearnerSpec, X: np.ndarray, y, task: Task, k: int,
         if task == Task.REGRESSION and _rae_denominator(yva) is None:
             scores.append(0.0)
             continue
-        try:
-            if sums is not None:
-                fit = _ridge(*functools.reduce(_merged_sums, sums[:f] + sums[f + 1:]))
-                pred = predict(fit, X[valid_idx])
-            else:
-                Xtr, Xva = X[train_idx], X[valid_idx]
-                if gaps:
-                    Xtr, Xva = impute_columns(Xtr, Xva)
-                pred = predict(train(spec, Xtr, y_codes[train_idx], task), Xva)
-        except _FitOverflow:
-            scores.append(0.0)
-            continue
+        if sums is not None:
+            fit = _ridge(*functools.reduce(_merged_sums, sums[:f] + sums[f + 1:]))
+            pred = predict(fit, X[valid_idx])
+        else:
+            Xtr, Xva = X[train_idx], X[valid_idx]
+            if gaps:
+                Xtr, Xva = impute_columns(Xtr, Xva)
+            pred = predict(train(spec, Xtr, y_codes[train_idx], task), Xva)
         if task == Task.CLASSIFICATION:
             scores.append(metric_f1(yva, pred, positive=float(len(labels) - 1)))
             continue
         if np.isnan(pred).any():
             raise LearnError(f"the {spec.kind} learner predicted NaN")
         with np.errstate(over="ignore"):
-            score = metric_one_minus_rae(yva, pred)
-        scores.append(0.0 if score == -math.inf else score)
+            scores.append(max(0.0, metric_one_minus_rae(yva, pred)))
     return float(np.mean(scores))
 
 

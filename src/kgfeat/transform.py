@@ -82,7 +82,7 @@ _PAIRS = {"add": combinations_with_replacement, "mul": combinations_with_replace
           "and": combinations, "or": combinations}
 
 ONE_HOT_MAX_LEVELS = 20
-_OTHER_LEVEL = "⟂other"           # the level rare values fold into
+_OTHER_LEVEL = ""  # the level rare values fold into; load_csv reads no cell as ""
 MAX_MISSING_FRACTION = 0.5
 
 
@@ -120,16 +120,17 @@ def order(expr: Expr) -> int:
 
 
 def render_name(expr: Expr) -> str:
-    """Humanly readable infix rendering, fully parenthesized for binary ops."""
+    """Humanly readable infix rendering, fully parenthesized for binary ops;
+    column names and one-hot levels read as written."""
     if isinstance(expr, RawRef):
-        return expr.name.upper()
+        return expr.name
     return _node_name(expr, [render_name(c) for c in expr.args])
 
 
 def _node_name(expr: Node, names: list) -> str:
     """`render_name` of a node whose operands render as `names`."""
     if expr.op == "one_hot":
-        return f"ONE_HOT({names[0]}={expr.level.upper()})"
+        return f"ONE_HOT({names[0]}={expr.level})"
     if expr.op in _BINARY_SYMBOL:
         return f"({names[0]} {_BINARY_SYMBOL[expr.op]} {names[1]})"
     if catalog_op(expr.op).arity == Arity.AGGREGATION:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -206,12 +207,12 @@ def test_kg_check_deep_subclass_chain(tmp_path, capsys):
 def test_explain_known_and_unknown_feature(tmp_path, planted_paths, capsys):
     _, out_dir = run_manifest(tmp_path, planted_paths)
     result_path = os.path.join(out_dir, "result.json")
-    code = main(["explain", result_path, "X1"])
+    code = main(["explain", result_path, "x1"])
     assert code == 0
     out = capsys.readouterr().out
     assert "verdict: interpretable" in out
     assert "class=Weight" in out and "unit=kg" in out
-    code = main(["explain", result_path, "X1 PLUS X2"])
+    code = main(["explain", result_path, "x1 PLUS x2"])
     assert code == 1
     assert "unknown feature" in capsys.readouterr().err
 
@@ -237,11 +238,11 @@ def test_explain_derived_feature_tree(tmp_path, capsys):
         "BMI BY STORE",
         "verdict: interpretable",
         "  GROUP_MEAN  unit=kg_per_m2",
-        "    STORE  class=(unmapped) unit=unknown",
+        "    store  class=(unmapped) unit=unknown",
         "    DIV  unit=kg_per_m2",
-        "      WEIGHT  class=Weight unit=kg",
+        "      weight  class=Weight unit=kg",
         "      SQUARE  unit=m2",
-        "        HEIGHT  class=Height unit=m",
+        "        height  class=Height unit=m",
     ]
 
 
@@ -412,7 +413,7 @@ def test_features_csv_quotes_header_and_categorical_target(tmp_path):
 
 
 def _result_of_raw_columns(names):
-    return FEResult(best_features=[{"display_name": name.upper(),
+    return FEResult(best_features=[{"display_name": name,
                                     "expr": expr_to_json(RawRef(name))} for name in names],
                     best_score=0.0, baseline_score=0.0, episode_scores=[],
                     best_trajectory=[], discard_log=[], config={}, seed=0)
@@ -435,7 +436,7 @@ def test_features_csv_is_csv_writer_bytes_across_a_block_boundary(tmp_path, n):
     _write_result_files(_result_of_raw_columns(["a", "b"]), d, str(tmp_path))
     buf = io.StringIO(newline="")
     csv.writer(buf).writerows(
-        [["A", "B", "lab"]]
+        [["a", "b", "lab"]]
         + [["" if u != u else repr(u), "" if v != v else repr(v), "" if m else lab]
            for u, v, lab, m in zip(a.tolist(), b.tolist(), labels, gone)])
     assert (tmp_path / "features.csv").read_bytes() == buf.getvalue().encode()
@@ -501,8 +502,94 @@ def test_run_linear_survives_a_candidate_whose_fit_overflows(tmp_path, seed):
     assert math.isfinite(result["best_score"])
 
 
+def test_run_linear_keeps_every_reward_in_unit_range_past_an_outlier(tmp_path):
+    # the fold that validates z = 1e100 scored -2.5e97, so the baseline was
+    # -1.24e97 and the TD loss overflowed (exit 2 under -W error)
+    z = [str(0.5 * i) for i in range(40)]
+    z[7] = "1e100"
+    argv = write_regression(tmp_path, z, [str(1.5 * i + (i % 3)) for i in range(40)])
+    (tmp_path / "map.json").write_text("{}")
+    argv += ["--mapping", str(tmp_path / "map.json"), "--episodes", "10", "--steps", "5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 0
+    with open(tmp_path / "out" / "result.json") as fh:
+        result = json.load(fh)
+    assert 0.0 <= result["baseline_score"] <= result["best_score"] <= 1.0
+    rewards = [float(line.split("reward=")[1])
+               for line in (tmp_path / "out" / "log.txt").read_text().splitlines()
+               if "reward=" in line]
+    assert len(rewards) == 50 and all(-1.0 <= r <= 1.0 for r in rewards)
+
+
+def test_run_linear_prunes_a_pool_whose_fit_overflows(tmp_path, capsys):
+    # c near 1e160 overflows the whole pool's sum of squares: pruning, which
+    # fits it, ended the run with "the linear learner cannot fit"
+    rng = np.random.default_rng(0)
+    a, b = rng.uniform(1, 2, 60), rng.uniform(1, 2, 60)
+    c = rng.uniform(1, 2, 60) * 1e160
+    y = 3 * a + b
+    csv_path = tmp_path / "wide.csv"
+    csv_path.write_text("a,b,c,y\n" + "".join(
+        f"{p!r},{q!r},{r!r},{t!r}\n" for p, q, r, t in
+        zip(a.tolist(), b.tolist(), c.tolist(), y.tolist())))
+    schema_path = tmp_path / "wide.schema.json"
+    schema_path.write_text(json.dumps({"target_name": "y", "task": "regression"}))
+    out = tmp_path / "out"
+    assert main(["run", "--dataset", str(csv_path), "--schema", str(schema_path),
+                 "--kg", kgfeat.resource_path("default_kg.json"), "--learner", "linear",
+                 "--k", "2", "--episodes", "3", "--steps", "5", "--budget", "3",
+                 "--out", str(out)]) == 0, capsys.readouterr().err
+    result = json.loads((out / "result.json").read_text())
+    assert len(result["best_features"]) <= 3
+
+
+def test_run_writes_column_names_as_written(tmp_path, capsys):
+    # columns `a` and `A` both rendered as "A": the header read A,A,y and
+    # explain reached one of them
+    rng = np.random.default_rng(0)
+    a, big_a = rng.uniform(1, 2, 40), rng.uniform(1, 2, 40)
+    csv_path = tmp_path / "case.csv"
+    csv_path.write_text("a,A,y\n" + "".join(
+        f"{p!r},{q!r},{3 * p + q!r}\n" for p, q in zip(a.tolist(), big_a.tolist())))
+    schema_path = tmp_path / "case.schema.json"
+    schema_path.write_text(json.dumps({"target_name": "y", "task": "regression"}))
+    out = tmp_path / "out"
+    assert main(["run", "--dataset", str(csv_path), "--schema", str(schema_path),
+                 "--kg", kgfeat.resource_path("default_kg.json"), "--learner", "linear",
+                 "--episodes", "1", "--steps", "1", "--k", "2", "--out", str(out)]) == 0
+    with open(out / "features.csv", newline="") as fh:
+        header = next(csv.reader(fh))
+    assert header[:2] == ["a", "A"] and header[-1] == "y"
+    assert len(set(header)) == len(header)
+    capsys.readouterr()
+    for name in ("a", "A"):
+        assert main(["explain", str(out / "result.json"), name]) == 0
+        assert f"  {name}  class=(unmapped)" in capsys.readouterr().out
+
+
+def test_run_seeds_the_learner_alike_from_the_cli_and_the_engine(tmp_path):
+    # engine.run fitted its forests with seed 0 whatever the run's seed; only
+    # the CLI copied the run's seed into the learner
+    d, kg, paths = make_planted_dataset(tmp_path, n=60)
+    options = dict(episodes=1, steps=2, cap=4, k_folds=2)
+    direct = eng.run(eng.EngineConfig(seed=3, learner=LearnerSpec(kind="random_forest"),
+                                      **options), d, kg).to_json()
+    out = tmp_path / "out"
+    assert main(["run", "--dataset", paths["csv"], "--schema", paths["schema"],
+                 "--kg", kgfeat.resource_path("default_kg.json"), "--seed", "3",
+                 "--learner", "random_forest", "--episodes", "1", "--steps", "2",
+                 "--cap", "4", "--k", "2", "--out", str(out)]) == 0
+    via_cli = json.loads((out / "result.json").read_text())
+    for key in ("baseline_score", "best_score", "episode_scores", "best_trajectory",
+                "best_features"):
+        assert via_cli[key] == direct[key], key
+    assert via_cli["config"]["learner"]["seed"] == direct["config"]["learner"]["seed"] == 3
+
+
 def test_run_linear_on_a_feature_whose_square_overflows_exits_zero(tmp_path):
-    # the fold that trains on row 7 scores 0; the run exited 1
+    # the fold that trains on row 7 predicts its training mean; the run
+    # exited 1
     z = [str(0.5 * i) for i in range(40)]
     z[7] = "1e200"
     argv = write_regression(tmp_path, z, [str(1.5 * i + (i % 3)) for i in range(40)])

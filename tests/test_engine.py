@@ -59,9 +59,9 @@ def test_raw_pool_marks_raw_and_units(planted):
     assert len(pool) == 5
     assert all(e.is_raw for e in pool)
     by_name = {e.feature.display_name: e for e in pool}
-    assert by_name["X1"].verdict.unit.name == "kg"
-    assert by_name["X3"].verdict.unit is None
-    assert by_name["X3"].verdict.status == VerdictStatus.UNCOVERED
+    assert by_name["x1"].verdict.unit.name == "kg"
+    assert by_name["x3"].verdict.unit is None
+    assert by_name["x3"].verdict.status == VerdictStatus.UNCOVERED
 
 
 def test_each_raw_column_is_judged_once_per_run(planted, monkeypatch):
@@ -139,7 +139,7 @@ def test_feature_budget_enforced(planted, monkeypatch):
         assert len(result.best_features) <= 6
         # raw features always survive pruning
         raw_names = {f["display_name"] for f in result.best_features if f["raw"]}
-        assert raw_names == {"X1", "X2", "X3", "X4", "X5"}
+        assert raw_names == {"x1", "x2", "x3", "x4", "x5"}
 
 
 @pytest.mark.parametrize("spec", [
@@ -200,16 +200,21 @@ def test_empty_kg_runs_with_dqn(planted):
 
 
 def test_evaluator_cache_tells_apart_columns_with_one_display_name():
-    # raw columns `a` (the signal) and `A` (noise) both render as "A"
+    # a column named `SQUARE(a)` (noise) and the square of column `a` (the
+    # signal) both render as "SQUARE(a)"
     rng = np.random.default_rng(0)
-    y = rng.normal(size=60)
+    a = rng.uniform(-2, 2, 60)
+    y = a ** 2 + rng.normal(0, 0.05, 60)
     no_missing = np.zeros(60, dtype=bool)
-    d = Dataset([Column("a", Kind.NUMERIC, y + rng.normal(0, 0.05, 60), no_missing),
-                 Column("A", Kind.NUMERIC, rng.normal(size=60), no_missing),
+    d = Dataset([Column("a", Kind.NUMERIC, a, no_missing),
+                 Column("SQUARE(a)", Kind.NUMERIC, rng.normal(size=60), no_missing),
                  Column("y", Kind.NUMERIC, y, no_missing)],
                 target="y", task=Task.REGRESSION, n_rows=60)
     evaluator = _Evaluator(small_cfg(), d.task, target_codes(d))
-    signal, noise = raw_pool(d, empty_kg())
+    noise = raw_pool(d, empty_kg())[1]
+    square = Node("square", (RawRef("a"),))
+    signal = PoolEntry(transform.apply(square, d), judge(empty_kg(), square), False,
+                       noise.concepts)
     assert signal.feature.display_name == noise.feature.display_name
     assert evaluator.score([signal]) > 0.9
     assert evaluator.score([noise]) < 0.5

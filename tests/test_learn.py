@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from kgfeat import learn
 from kgfeat.data import Task, kfold_indices
 from kgfeat.learn import (LearnError, LearnerSpec, Model, _bin_columns, _Forest,
-                          _positions, _rae_denominator, _row_sums, encode_labels,
+                          _positions, _rae_denominator, encode_labels,
                           evaluate_cv, feature_importance, impute_columns,
                           metric_f1, metric_one_minus_rae, predict, train)
 
@@ -257,6 +257,13 @@ def _exact_tree(X, y, task, n_classes, depth, importances, n_total):
                         importances, n_total))
 
 
+def _shares(importances):
+    """feature_importance of raw impurity decreases: the learner's are in its
+    scaled target's units, so only their shares compare."""
+    return feature_importance(Model("decision_tree", Task.REGRESSION, len(importances),
+                                    importances=importances))
+
+
 def _exact_predict(tree, x):
     while isinstance(tree, tuple):
         j, thr, left, right = tree
@@ -297,7 +304,8 @@ def test_histogram_trees_match_exact_greedy_search(case):
                              for col in leaves.T], dtype=float)
     assert predict(model, X).tolist() == expected.tolist()
     # node impurities are summed in another order: equal up to rounding
-    assert model.importances == pytest.approx(importances, rel=1e-9, abs=1e-9)
+    assert feature_importance(model) == pytest.approx(_shares(importances),
+                                                      rel=1e-9, abs=1e-12)
 
 
 # The learner as it was before it grew trees on distinct bootstrap rows with
@@ -341,8 +349,8 @@ def _rr_best_splits(codes, lo, hi, rows, ys, sk, F, stats, task, n_classes):
         hist = np.bincount(onehot, minlength=U * n_classes).reshape(U, n_classes)
         left = _rr_segment_cumsum(hist, starts, seg)[v]
         right = stats[1][node] - left
-        gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
-        gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
+        gini_l = 1.0 - sum((left[:, c] / nl) ** 2 for c in range(n_classes))
+        gini_r = 1.0 - sum((right[:, c] / nr) ** 2 for c in range(n_classes))
         score_v = (nl * gini_l + nr * gini_r) / n
     else:
         s1 = _rr_segment_cumsum(np.bincount(inv, np.repeat(ys, f), U), starts, seg)[v]
@@ -474,15 +482,16 @@ def _rr_fit(spec, X, y, task, batch_rows):
        batch_rows=st.sampled_from([1, 64, learn._BATCH_ROWS]))
 @example(seed=109, n=309, p=3, levels=7, ties="none", target="8 classes",
          kind="random_forest", depth=6, n_trees=4, subsample=None,
-         batch_rows=learn._BATCH_ROWS)  # class-order sums split elsewhere
+         batch_rows=learn._BATCH_ROWS)  # np.sum's order splits elsewhere
 def test_weighted_trees_match_repeated_row_trees(seed, n, p, levels, ties, target,
                                                  kind, depth, n_trees, subsample,
                                                  batch_rows):
     # Columns of up to 255 distinct values keep one bin per value, more merge
     # bins; copied and negated columns and few levels tie cells. Counts and
     # integer targets sum exactly in any order, so weighting the distinct
-    # rows must grow the very trees the repeated rows grew. From 8 classes
-    # on, numpy's np.sum adds a row's squares pairwise, not in class order.
+    # rows must grow the very trees the repeated rows grew. Both add a
+    # split's Gini terms in class order; from 8 classes on, np.sum would add
+    # them pairwise.
     rng = np.random.default_rng(seed)
     X = rng.integers(0, levels, (n, p)) * 0.37
     if p > 1 and ties == "copy":
@@ -505,7 +514,8 @@ def test_weighted_trees_match_repeated_row_trees(seed, n, p, levels, ties, targe
     oracle = Model(kind, task, p, trees=forest, classes=model.classes)
     assert predict(model, X).tobytes() == predict(oracle, X).tobytes()
     # decreases are summed in the same order but from weighted sums
-    assert model.importances == pytest.approx(importances, rel=1e-9, abs=1e-9)
+    assert feature_importance(model) == pytest.approx(_shares(importances),
+                                                      rel=1e-9, abs=1e-12)
 
 
 def test_root_level_scores_each_distinct_bootstrap_row_once(monkeypatch):
@@ -548,8 +558,8 @@ def test_regression_tree_splits_a_target_near_1e200():
 
 
 def test_importance_shares_do_not_depend_on_the_target_scale():
-    # the impurity decreases of a target near 1e200 overflow; their shares
-    # must still be those of the same target near 1
+    # the shares of a target near 1e200 must be those of the same target
+    # near 1
     rng = np.random.default_rng(4)
     X = rng.uniform(size=(200, 3))
     y = 3.0 * (X[:, 0] > 0.5) + (X[:, 1] > 0.3) + 0.1 * rng.normal(size=200)
@@ -558,14 +568,6 @@ def test_importance_shares_do_not_depend_on_the_target_scale():
     big = feature_importance(train(spec, X, 1e200 * y, Task.REGRESSION))
     assert small[0] > small[1] > small[2] > 0
     assert big == pytest.approx(small, rel=1e-9)
-
-
-@pytest.mark.parametrize("n", [*range(1, 20), 64, 127, 128, 129, 200, 300])
-def test_row_sums_add_in_numpy_order(n):
-    # the split search sums class columns as np.sum sums a node's row
-    rng = np.random.default_rng(n)
-    A = rng.uniform(size=(50, n)) ** 3 * rng.choice([1.0, 1e-8, 1e8, -1.0], (50, n))
-    assert _row_sums(list(A.T)).tobytes() == np.sum(A, axis=1).tobytes()
 
 
 def test_random_forest_deterministic_and_importance():
@@ -625,8 +627,9 @@ def test_feature_importance_rejects_non_finite_importances():
 
 def test_forest_importances_whose_sum_overflows_keep_their_shares():
     # each impurity decrease of a target near 6e153 is finite but their sum
-    # overflows; the shares were all 0. A power of two leaves the splits, and
-    # so the shares, as they are
+    # overflowed; the shares were all 0. The decreases are now in the scaled
+    # target's units, and a power of two leaves the splits, and so the
+    # shares, as they are
     rng = np.random.default_rng(0)
     X = rng.uniform(size=(300, 3))
     y = rng.uniform(-1, 1, 300)
@@ -754,7 +757,7 @@ def test_evaluate_cv_score_is_finite(kind, data):
     # deviations, overflow (numpy warns); 1 - rae was then -inf or nan. The
     # linear learner's target mean overflows on such targets, and it predicts
     # NaN; a fold whose features spread beyond about 1e154, which overflow
-    # its ZᵀZ, scores 0.
+    # its ZᵀZ, predicts its training mean. Each fold scores at least 0.
     n = data.draw(st.integers(4, 16))
     y = data.draw(arrays(float, n, elements=st.floats(-1e308, 1e308)))
     X = data.draw(arrays(float, (n, 2),
@@ -767,7 +770,7 @@ def test_evaluate_cv_score_is_finite(kind, data):
             assert kind == "linear"
             assert "predicted NaN" in str(e)
             return
-    assert math.isfinite(score)
+    assert 0.0 <= score <= 1.0
 
 
 def test_evaluate_cv_scores_an_overflowing_fold_zero():
@@ -778,6 +781,22 @@ def test_evaluate_cv_scores_an_overflowing_fold_zero():
         for kind in ("decision_tree", "random_forest"):
             assert evaluate_cv(LearnerSpec(kind=kind, n_trees=3), X, y,
                                Task.REGRESSION, k=2, seed=0) == 0.0
+
+
+def test_evaluate_cv_floors_a_fold_that_validates_an_outlier_at_zero():
+    # the fold that validates z = 1e60 predicts about 1e60 there: it scored
+    # -2.5e57, and the CV score, a reward the agent trains on, -1.24e57
+    x = np.arange(40.0)
+    z = 0.5 * x
+    z[7] = 1e60
+    y = 1.5 * x + x % 3
+    X = np.column_stack([x, z])
+    score = evaluate_cv(LearnerSpec(kind="linear"), X, y, Task.REGRESSION, k=2, seed=0)
+    train_idx, valid_idx = next(f for f in kfold_indices(40, 2, 0) if 7 not in f[1])
+    fit = train(LearnerSpec(kind="linear"), X[train_idx], y[train_idx], Task.REGRESSION)
+    want = metric_one_minus_rae(y[valid_idx], predict(fit, X[valid_idx])) / 2
+    assert want > 0
+    assert score == pytest.approx(want, rel=1e-9)
 
 
 def test_one_minus_rae_overflowing_deviations_raise():
@@ -859,8 +878,7 @@ def _linear_cv_oracle(X, y, k, seed):
         if np.isnan(pred).any():
             raise LearnError("the linear learner predicted NaN")
         with np.errstate(over="ignore"):
-            score = metric_one_minus_rae(yva, pred)
-        scores.append(0.0 if score == -math.inf else score)
+            scores.append(max(0.0, metric_one_minus_rae(yva, pred)))
     return float(np.mean(scores))
 
 
@@ -933,37 +951,56 @@ def test_evaluate_cv_linear_allocates_at_most_one_matrix_above_its_inputs():
     assert peak <= 1.0 * X.nbytes, f"peak {peak / X.nbytes:.2f} times X"
 
 
-def test_evaluate_cv_scores_a_fold_whose_linear_fit_overflows_zero():
+def test_linear_fit_that_overflows_predicts_the_training_mean():
     # AᵀA holds inf; lstsq on it raised LinAlgError or ran for minutes, and
-    # then the fit raised, which ended the whole run. The folds that train on
-    # row 3 score 0; the one that validates it scores its 1 - rae
+    # pruning, which fits the whole pool, ended the run
+    X = np.column_stack([np.arange(8.0), np.arange(8.0) ** 2])
+    X[3, 0] = 1e200
+    y = np.arange(8.0) * 1.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = train(LearnerSpec(kind="linear"), X, y, Task.REGRESSION)
+        assert predict(model, X).tolist() == [y.mean()] * 8
+    assert model.coef.tolist() == [0.0, 0.0, y.mean()]
+    assert model.importances.tolist() == [0.0, 0.0]
+    assert feature_importance(model).tolist() == [0.5, 0.5]
+
+
+def test_evaluate_cv_fits_the_training_mean_where_a_linear_fit_overflows():
+    # The folds that train on row 3 predict their training mean and score
+    # its 1 - rae, at least 0; the one that validates it predicts near
+    # 1e200 and scores 0, where it scored about -1e200
     rng = np.random.default_rng(0)
     X = rng.normal(size=(40, 2))
     X[3, 0] = 1e200
     y = rng.normal(size=40)
     spec = LearnerSpec(kind="linear")
 
-    def per_fold(X):
+    def per_fold(X, k):
         scores = []
-        for train_idx, valid_idx in kfold_indices(40, 5, 0):
-            if 3 in valid_idx:
+        for train_idx, valid_idx in kfold_indices(40, k, 0):
+            pred = np.full(len(valid_idx), y[train_idx].mean())
+            if X[train_idx].max() < 1e200:
                 Xtr, Xva = impute_columns(X[train_idx], X[valid_idx])
                 pred = predict(train(spec, Xtr, y[train_idx], Task.REGRESSION), Xva)
-                scores.append(metric_one_minus_rae(y[valid_idx], pred))
-            else:
-                scores.append(0.0)
+                assert metric_one_minus_rae(y[valid_idx], pred) < -1e100
+            scores.append(max(0.0, metric_one_minus_rae(y[valid_idx], pred)))
         return np.mean(scores)
 
     start = time.perf_counter()
+    want = per_fold(X, 5)
+    assert want > 0
     assert evaluate_cv(spec, X, y, Task.REGRESSION, k=5, seed=0) == pytest.approx(
-        per_fold(X), rel=1e-9)
+        want, rel=1e-9)
     assert time.perf_counter() - start < 1.0
     gapped = X.copy()
     gapped[5, 1] = np.nan  # fits each training fold as gathered
-    assert evaluate_cv(spec, gapped, y, Task.REGRESSION, k=5, seed=0) == per_fold(gapped)
+    assert evaluate_cv(spec, gapped, y, Task.REGRESSION, k=5, seed=0) == pytest.approx(
+        per_fold(gapped, 5), rel=1e-9)
     (_, fold_a), (_, fold_b) = kfold_indices(40, 2, 0)
     X[[fold_a[0], fold_b[0]], 0] = 1e200  # every training fold holds one
-    assert evaluate_cv(spec, X, y, Task.REGRESSION, k=2, seed=0) == 0.0
+    assert evaluate_cv(spec, X, y, Task.REGRESSION, k=2, seed=0) == pytest.approx(
+        per_fold(X, 2), rel=1e-9)
 
 
 def test_evaluate_cv_skips_imputation_without_gaps(monkeypatch):

@@ -79,12 +79,12 @@ def test_render_name():
     w = RawRef("weight")
     h = RawRef("height")
     bmi = Node("div", (w, Node("square", (h,))))
-    assert render_name(bmi) == "(WEIGHT / SQUARE(HEIGHT))"
-    assert render_name(Node("group_mean", (RawRef("city"), w))) == \
-        "GROUP_MEAN(WEIGHT BY CITY)"
-    assert render_name(Node("one_hot", (RawRef("city"),), "paris")) == \
-        "ONE_HOT(CITY=PARIS)"
-    assert render_name(Node("is_weekend", (RawRef("when"),))) == "IS_WEEKEND(WHEN)"
+    assert render_name(bmi) == "(weight / SQUARE(height))"
+    assert render_name(Node("group_mean", (RawRef("City"), w))) == \
+        "GROUP_MEAN(weight BY City)"
+    assert render_name(Node("one_hot", (RawRef("city"),), "Paris")) == \
+        "ONE_HOT(city=Paris)"
+    assert render_name(Node("is_weekend", (RawRef("when"),))) == "IS_WEEKEND(when)"
 
 
 def test_json_round_trip():
@@ -101,16 +101,16 @@ def test_json_round_trip():
 
 _RAW_A = {"type": "raw", "name": "a"}
 _PINNED_DOCS = [
-    (_RAW_A, "A"),
-    ({"type": "unary", "op": "log", "child": _RAW_A}, "LOG(A)"),
+    (_RAW_A, "a"),
+    ({"type": "unary", "op": "log", "child": _RAW_A}, "LOG(a)"),
     ({"type": "unary", "op": "one_hot", "child": {"type": "raw", "name": "c"},
-      "level": "x"}, "ONE_HOT(C=X)"),
+      "level": "x"}, "ONE_HOT(c=x)"),
     ({"type": "binary", "op": "sub", "left": _RAW_A,
-      "right": {"type": "raw", "name": "b"}}, "(A - B)"),
+      "right": {"type": "raw", "name": "b"}}, "(a - b)"),
     ({"type": "agg", "op": "group_max", "key": {"type": "raw", "name": "c"},
       "value": {"type": "binary", "op": "mul", "left": _RAW_A, "right": _RAW_A}},
-     "GROUP_MAX((A * A) BY C)"),
-    ({"type": "date", "op": "month", "child": {"type": "raw", "name": "d"}}, "MONTH(D)"),
+     "GROUP_MAX((a * a) BY c)"),
+    ({"type": "date", "op": "month", "child": {"type": "raw", "name": "d"}}, "MONTH(d)"),
 ]
 
 
@@ -276,10 +276,27 @@ def test_group_by_a_cell_reading_the_missing_sentinel():
 def test_one_hot_of_a_level_the_column_lacks_is_zero_with_nan_at_missing():
     d = make_dataset([cat_col("city", ["paris", "", "rome"], [False, True, False]),
                       num_col("y", [0, 1, 2])], target="y")
-    for level in ("oslo", "⟂other"):
+    for level in ("oslo", "⟂other", ""):
         f = apply(Node("one_hot", (RawRef("city"),), level), d)
         assert f.missing.tolist() == [False, True, False]
         np.testing.assert_array_equal(f.values, [0.0, np.nan, 0.0])
+
+
+def test_a_cell_reading_the_fold_level_name_keeps_its_own_one_hot():
+    # 30 cells read "⟂other", the fold level's old name, and 25 values two
+    # cells each: ONE_HOT(k=⟂other) summed to 0 over the literal cells and
+    # to 14 over the folded ones, and the level list had 19 entries
+    cells = ["⟂other"] * 30 + [f"v{i:02d}" for i in range(25)] * 2
+    d = make_dataset([cat_col("k", cells), num_col("y", np.arange(80.0))], target="y")
+    levels = categorical_levels(d.column("k"))[0]
+    assert len(levels) == ONE_HOT_MAX_LEVELS and "⟂other" in levels
+    literal = np.array(cells) == "⟂other"
+    one_hot = apply(Node("one_hot", (RawRef("k"),), "⟂other"), d).values
+    assert one_hot.sum() == one_hot[literal].sum() == 30
+    folded = apply(Node("one_hot", (RawRef("k"),), ""), d)
+    assert folded.display_name == "ONE_HOT(k=)"
+    assert folded.values.sum() == 2 * (25 - (ONE_HOT_MAX_LEVELS - 2))
+    assert folded.values[literal].sum() == 0
 
 
 def _string_keys_oracle(f):
@@ -291,8 +308,8 @@ def _string_keys_oracle(f):
             counts[str(v)] = counts.get(str(v), 0) + 1
     levels = sorted(counts, key=lambda lv: (-counts[lv], lv))
     if len(levels) > ONE_HOT_MAX_LEVELS:
-        levels = levels[: ONE_HOT_MAX_LEVELS - 1] + ["⟂other"]
-    keys = np.array(["⟂missing" if m else str(v) if str(v) in levels else "⟂other"
+        levels = levels[: ONE_HOT_MAX_LEVELS - 1] + [""]
+    keys = np.array(["⟂missing" if m else str(v) if str(v) in levels else ""
                      for v, m in zip(f.values, f.missing)], dtype=object)
     return levels, keys
 
@@ -301,9 +318,12 @@ def _string_keys_oracle(f):
 @given(st.data())
 def test_categorical_codes_match_the_string_keys_oracle(data):
     n = data.draw(st.integers(1, 60))
-    names = st.text("abcXY_é", max_size=3) | st.sampled_from([f"v{i}" for i in range(30)])
+    names = (st.text("abcXY_é", max_size=3) | st.just("⟂other")
+             | st.sampled_from([f"v{i}" for i in range(30)]))
     cells = data.draw(st.lists(names, min_size=n, max_size=n))
-    missing = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    # an empty cell is missing, as load_csv reads it
+    missing = [m or not c for m, c in
+               zip(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), cells)]
     key = cat_col("k", cells, missing)
     value = num_col("v", data.draw(st.lists(
         st.floats(-1e6, 1e6) | st.just(math.nan), min_size=n, max_size=n)))
@@ -351,7 +371,7 @@ def test_raw_reference_is_its_column_of_its_own_kind(d):
     f = apply(RawRef("city"), d)
     assert f.kind == Kind.CATEGORICAL
     assert f.values is col.values and f.missing is col.missing
-    assert f.display_name == "CITY"
+    assert f.display_name == "city"
 
 
 def test_expand_action_dedup_and_cap(d):
@@ -365,7 +385,7 @@ def test_expand_action_dedup_and_cap(d):
                           cap=50, max_order=5)
     assert len(cands) == 3
     names = {c.display_name for c in cands}
-    assert "(WEIGHT + HEIGHT)" in names and "(HEIGHT + WEIGHT)" not in names
+    assert "(weight + height)" in names and "(height + weight)" not in names
     # non-commutative sub: ordered distinct pairs = 2
     cands = expand_action(catalog_op("sub"), numeric, target_codes(d),
                           cap=50, max_order=5)
@@ -542,7 +562,7 @@ def test_abs_pearson_matches_oracle(n, seed, scale, tscale, offset, gaps):
 
 
 def test_expand_action_ranks_as_the_oracle_on_planted_data(planted):
-    # SQRT(SQUARE(X2)) near-ties X2, so a rounding change in the score
+    # SQRT(SQUARE(x2)) near-ties x2, so a rounding change in the score
     # reorders the div and mul candidates built from them
     from kgfeat.engine import raw_pool
 
@@ -556,7 +576,7 @@ def test_expand_action_ranks_as_the_oracle_on_planted_data(planted):
         assert [c.display_name for c in cands] == [c.display_name for c in want]
         if name in ("square", "sqrt"):
             pool = pool + cands
-    assert "SQRT(SQUARE(X2))" in {f.display_name for f in pool}
+    assert "SQRT(SQUARE(x2))" in {f.display_name for f in pool}
 
 
 def _expand_action_oracle(op, pool, y, cap, max_order):
@@ -669,6 +689,31 @@ def test_derived_display_name_is_the_rendered_name(ops, cap):
             assert cand.display_name == render_name(cand.expr)
             assert apply(cand.expr, d).display_name == cand.display_name
         pool = pool + cands
+
+
+# identifier-like names over few letters of both cases, so that distinct
+# expressions often differ in case alone
+identifiers = st.text("aAbB_", min_size=1, max_size=2)
+
+
+def _well_formed(sub):
+    """A node of any catalog op over operand expressions drawn from `sub`."""
+    def node(op):
+        args = st.tuples(*[sub] * (2 if op.arity in (Arity.BINARY, Arity.AGGREGATION) else 1))
+        level = identifiers if op.name == "one_hot" else st.none()
+        return st.builds(Node, st.just(op.name), args, level)
+    return st.sampled_from(catalog()).flatmap(node)
+
+
+expression_trees = st.recursive(identifiers.map(RawRef), _well_formed, max_leaves=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exprs=st.lists(expression_trees, min_size=2, max_size=6, unique=True))
+def test_distinct_expressions_have_distinct_display_names(exprs):
+    # leaves and levels were upper-cased, so columns `a` and `A` both read "A"
+    names = [render_name(e) for e in exprs]
+    assert len(set(names)) == len(names), names
 
 
 def rebuilt(expr):
