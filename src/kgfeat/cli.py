@@ -87,14 +87,13 @@ def _write_result_files(result, d, out_dir):
         json.dump(result.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     headers, X = eng.feature_matrix(d, result.best_features)
-    tcol = d.target_column
+    target = d.target_column.values  # a run refuses a target with a missing cell
     with open(os.path.join(out_dir, "features.csv"), "w", newline="") as fh:
         fh.write(_csv_line([_csv_field(h) for h in headers + [d.target]]))
         for a in range(0, d.n_rows, _CSV_BLOCK_ROWS):
             b = a + _CSV_BLOCK_ROWS
             cells = [[repr(v) if v == v else "" for v in col.tolist()] for col in X[a:b].T]
-            cells.append(["" if m else _csv_field(str(v)) for v, m in
-                          zip(tcol.values[a:b].tolist(), tcol.missing[a:b].tolist())])
+            cells.append([_csv_field(str(v)) for v in target[a:b].tolist()])
             fh.writelines(_csv_line(row) for row in zip(*cells))
     with open(os.path.join(out_dir, "log.txt"), "w") as fh:
         for trace in result.traces:
@@ -170,16 +169,16 @@ def cmd_kg_check(args) -> int:
 
 
 def _print_tree(expr, kg, nodes, indent=1):
-    """One line per node; `nodes` holds each node's (id, unit) as the verdict
-    computed them (kg.materialize_facts). A leaf prints its mapped unit, a
-    derived node the unit token its hasUnit fact names."""
+    """One line per node; `nodes` holds each node's (id, unit, unit name) as
+    the verdict computed them (kg.materialize_facts), and a node prints the
+    unit name its hasUnit fact uses."""
     pad = "  " * indent
+    unit = f"unit={nodes[expr][2] or 'unknown'}"
     if isinstance(expr, RawRef):
-        entry = kg.column_concepts.get(expr.name)
-        cls, token = entry if entry else ("(unmapped)", None)
-        print(f"{pad}{expr.name}  class={cls} unit={token or 'unknown'}")
+        cls = kg.column_concepts.get(expr.name, ("(unmapped)",))[0]
+        print(f"{pad}{expr.name}  class={cls} {unit}")
         return
-    print(f"{pad}{expr.op.upper()}  unit={kgmod.unit_token(kg, nodes[expr][1]) or 'unknown'}")
+    print(f"{pad}{expr.op.upper()}  {unit}")
     for child in children(expr):
         _print_tree(child, kg, nodes, indent + 1)
 

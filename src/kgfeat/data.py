@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
@@ -34,19 +33,25 @@ class DataError(ValueError):
 
 @dataclass
 class Column:
-    """A single typed column; `missing` flags cells that did not carry a value.
+    """A single typed column.
 
     Numeric/Boolean/Date values are stored as float64 (Boolean as 0/1, Date as
-    days since 1970-01-01); Categorical values are stored as strings.
+    days since 1970-01-01) with NaN at a missing cell; Categorical values are
+    stored as strings, with "" at a missing cell.
     """
 
     name: str
     kind: Kind
     values: np.ndarray
-    missing: np.ndarray
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def missing_cells(f) -> np.ndarray:
+    """The missing cells of a feature (a Column or CandidateFeature): ""
+    in a categorical one, NaN in any other."""
+    return f.values == "" if f.kind == Kind.CATEGORICAL else np.isnan(f.values)
 
 
 @dataclass
@@ -80,15 +85,22 @@ class SchemaConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "SchemaConfig":
+        """Parse a schema file; a missing required field or an unknown task
+        or column kind is a DataError naming the file and the field or value."""
         with open(path) as fh:
             doc = json.load(fh)
-        overrides = {k: Kind(v) for k, v in doc.get("column_kind_overrides", {}).items()}
-        return cls(
-            target_name=doc["target_name"],
-            task=Task(doc["task"]),
-            column_kind_overrides=overrides,
-            concept_map_path=doc.get("concept_map_path"),
-        )
+        try:
+            return cls(
+                target_name=doc["target_name"],
+                task=Task(doc["task"]),
+                column_kind_overrides={k: Kind(v) for k, v in
+                                       doc.get("column_kind_overrides", {}).items()},
+                concept_map_path=doc.get("concept_map_path"),
+            )
+        except KeyError as exc:
+            raise DataError(f"{path}: schema has no {exc.args[0]!r} field") from None
+        except ValueError as exc:  # an unknown task or kind: "'x' is not a valid Task"
+            raise DataError(f"{path}: {exc}") from None
 
 
 def _parse_date(text: str) -> int:
@@ -126,7 +138,6 @@ def _build_column(name: str, cells: list, kind: Optional[Kind]) -> Column:
     (at most two distinct tokens) that every present cell parses as, else
     Categorical; an all-empty column is Categorical.
     """
-    missing = np.fromiter(map(operator.not_, cells), bool, len(cells))
     present = list(filter(None, cells))
     parsed = None
     if kind is None:
@@ -142,14 +153,13 @@ def _build_column(name: str, cells: list, kind: Optional[Kind]) -> Column:
         if parsed is None:
             raise DataError(f"column {name!r}: cell {bad!r} is not {_PARSERS[kind][1]}")
     if kind == Kind.CATEGORICAL:
-        return Column(name, kind, np.array(cells, dtype=object), missing)
+        return Column(name, kind, np.array(cells, dtype=object))
     values = np.full(len(cells), np.nan)
-    values[~missing] = parsed
+    values[np.fromiter(map(bool, cells), bool, len(cells))] = parsed
     if kind == Kind.NUMERIC:
         # a cell reading inf or nan is missing, the rule transform outputs follow
-        missing = ~np.isfinite(values)
-        values[missing] = np.nan
-    return Column(name, kind, values, missing)
+        values[~np.isfinite(values)] = np.nan
+    return Column(name, kind, values)
 
 
 def load_csv(path: str, schema: SchemaConfig) -> Dataset:
@@ -158,7 +168,7 @@ def load_csv(path: str, schema: SchemaConfig) -> Dataset:
     Column kinds come from schema overrides when given, otherwise from
     inference: all-numeric -> Numeric, all-ISO-date -> Date, at most two
     distinct boolean tokens -> Boolean, anything else -> Categorical.
-    Empty cells are flagged missing.
+    Empty cells are missing.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -8,8 +8,8 @@ import numpy as np
 
 from . import agent as ag
 from . import learn, transform
-from .data import Dataset, Kind, Task
-from .kg import KnowledgeGraph, Unit, Verdict, VerdictStatus, judge, unit_token
+from .data import Dataset, Kind, Task, missing_cells
+from .kg import KnowledgeGraph, Verdict, VerdictStatus, judge
 from .transform import (CandidateFeature, Expr, RawRef, catalog, expand_action,
                         expr_from_json, expr_to_json, leaves)
 
@@ -66,28 +66,25 @@ ENGINE_OPTIONS = tuple(f.name for f in fields(EngineConfig)
 class PoolEntry:
     feature: CandidateFeature
     verdict: Verdict
-    is_raw: bool
     concepts: np.ndarray              # phi_feature, built when the entry is made
 
 
-def phi_feature(kg: KnowledgeGraph, expr: Expr, unit: Optional[Unit]) -> np.ndarray:
+def phi_feature(kg: KnowledgeGraph, expr: Expr, unit_name: Optional[str]) -> np.ndarray:
     """0/1 vector over the KG's concept order: each mapped leaf lights up its
-    class, the class ancestors, and its unit; a derived feature adds its root
-    unit's (the verdict's) kg.unit_token when that names a concept, so a
-    dimensionless one lights no `count`. Unmapped leaves contribute nothing."""
+    class, the class ancestors, and its unit; the feature adds the name its
+    root's hasUnit fact uses (the verdict's unit_name) when that is a
+    concept, so a dimensionless derived feature (`dim:1`) lights no `count`
+    and a raw `mm` column no `m`. Unmapped leaves contribute nothing."""
     index = {name: i for i, name in enumerate(kg.concept_order)}
     vec = np.zeros(len(kg.concept_order), dtype=np.int64)
     for leaf in leaves(expr):
         if leaf.name in kg.column_concepts:
-            cls, unit_name = kg.column_concepts[leaf.name]
-            for concept in [cls, unit_name] + kg.ancestors(cls):
+            cls, leaf_unit = kg.column_concepts[leaf.name]
+            for concept in [cls, leaf_unit] + kg.ancestors(cls):
                 if concept in index:
                     vec[index[concept]] = 1
-    # a raw leaf shows only its mapped unit: `mm` must not light up `m`
-    if not isinstance(expr, RawRef):
-        name = unit_token(kg, unit)
-        if name in index:
-            vec[index[name]] = 1
+    if unit_name in index:
+        vec[index[unit_name]] = 1
     return vec
 
 
@@ -148,13 +145,11 @@ def compute_reward(prev: float, new: float) -> float:
 
 def encode_feature(entry: CandidateFeature) -> np.ndarray:
     """One numeric matrix column: categoricals as their
-    `transform.categorical_codes`, everything else as floats with NaN at
-    missing cells."""
+    `transform.categorical_codes`, everything else as its values (NaN at a
+    missing cell)."""
     if entry.kind == Kind.CATEGORICAL:
         return transform.categorical_codes(entry)[0].astype(float)
-    out = np.asarray(entry.values, dtype=float).copy()
-    out[entry.missing] = np.nan
-    return out
+    return entry.values
 
 
 def stack_features(features, shape) -> np.ndarray:
@@ -171,7 +166,7 @@ def target_codes(d: Dataset) -> np.ndarray:
     """The target as one float vector: class codes in natural label order for
     classification, the values for regression. A missing cell is an error."""
     tcol = d.target_column
-    if tcol.missing.any():
+    if missing_cells(tcol).any():
         raise EngineError("target column has missing values")
     if d.task == Task.CLASSIFICATION:
         return learn.encode_labels(tcol.values)[0]
@@ -190,7 +185,7 @@ def raw_pool(d: Dataset, kg: KnowledgeGraph):
     for col in d.feature_columns:
         feat = transform.apply(RawRef(col.name), d)
         verdict = judge(kg, feat.expr)
-        pool.append(PoolEntry(feat, verdict, True, phi_feature(kg, feat.expr, verdict.unit)))
+        pool.append(PoolEntry(feat, verdict, phi_feature(kg, feat.expr, verdict.unit_name)))
     return pool
 
 
@@ -226,7 +221,7 @@ def _prune_to_budget(pool, cfg: EngineConfig, evaluator: _Evaluator):
     for i in order:
         if len(pool) - len(drop) <= cfg.feature_budget:
             break
-        if not pool[i].is_raw:
+        if not isinstance(pool[i].feature.expr, RawRef):
             drop.add(i)
     return [e for i, e in enumerate(pool) if i not in drop]
 
@@ -285,8 +280,8 @@ def run_episode(raw, kg: KnowledgeGraph, state: _AgentState,
                     "reason": verdict.reason,
                 })
             else:
-                kept.append(PoolEntry(cand, verdict, False,
-                                      phi_feature(kg, cand.expr, verdict.unit)))
+                kept.append(PoolEntry(cand, verdict,
+                                      phi_feature(kg, cand.expr, verdict.unit_name)))
         pool = pool + kept
         pool = _prune_to_budget(pool, cfg, evaluator)
 
@@ -329,8 +324,8 @@ def _snapshot(pool):
             "expr": expr_to_json(e.feature.expr),
             "verdict": e.verdict.status.value,
             "unit": unit.dims_token() if unit is not None else None,
-            "unit_name": unit.name if unit is not None else None,
-            "raw": e.is_raw,
+            "unit_name": e.verdict.unit_name,
+            "raw": isinstance(e.feature.expr, RawRef),
         })
     return out
 

@@ -28,11 +28,10 @@ class Unit:
     """
 
     dims: tuple = ()
-    name: Optional[str] = None
 
     @classmethod
-    def of(cls, name: Optional[str] = None, **exponents) -> "Unit":
-        return cls(dims=_normalize(dict(exponents)), name=name)
+    def of(cls, **exponents) -> "Unit":
+        return cls(dims=_normalize(dict(exponents)))
 
     @property
     def dimensionless(self) -> bool:
@@ -79,11 +78,13 @@ class VerdictStatus(str, Enum):
 
 @dataclass(frozen=True)
 class Verdict:
-    """A feature's status, the rule or check behind a discard, and the unit
-    propagated to its root (None when unknown)."""
+    """A feature's status, the rule or check behind a discard, the unit
+    propagated to its root (None when unknown), and the name its root's
+    hasUnit fact uses (None when it has none)."""
     status: VerdictStatus
     reason: Optional[str] = None
     unit: Optional[Unit] = None
+    unit_name: Optional[str] = None
 
     @property
     def interpretable(self) -> bool:
@@ -117,18 +118,20 @@ TRANSFORM_CLASS = {
 @dataclass
 class KnowledgeGraph:
     classes: list
-    subclass_edges: list              # (child, parent) pairs forming a DAG
     unit_registry: dict               # unit name -> Unit
     unit_class: dict                  # unit name -> asserted class
     column_concepts: dict             # column -> (class, unit name or None)
     rules: list
     concept_order: list               # fixed index of classes + unit names
-    _parents: dict = field(default_factory=dict)
+    _parents: dict = field(default_factory=dict)  # class -> its direct parents
     _ancestors: dict = field(default_factory=dict)
     class_set: frozenset = field(init=False)  # `classes`, for membership tests
+    unit_names: dict = field(init=False)      # dims -> first registered name
 
     def __post_init__(self):
         self.class_set = frozenset(self.classes)
+        # in reverse, so the first name registered for some dims is kept
+        self.unit_names = {u.dims: name for name, u in reversed(self.unit_registry.items())}
 
     def _ancestor_walk(self, cls: str) -> dict:
         """cls's ancestors as the keys of a dict, in depth-first order; the
@@ -149,15 +152,9 @@ class KnowledgeGraph:
         depth-first order."""
         return list(self._ancestor_walk(cls))
 
-    def registered_name_for(self, unit: Unit):
-        for name, u in self.unit_registry.items():
-            if u.dims == unit.dims:
-                return name
-        return None
-
 
 def empty_kg() -> KnowledgeGraph:
-    return KnowledgeGraph([], [], {}, {}, {}, [], [])
+    return KnowledgeGraph([], {}, {}, {}, [], [])
 
 
 def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
@@ -167,15 +164,12 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
         doc = json.load(fh)
     classes = list(doc.get("classes", []))
     class_set = set(classes)
-    edges = []
+    parents = {}
     for pair in doc.get("subclass_of", []):
         child, parent = pair
         for c in (child, parent):
             if c not in class_set:
                 raise KGError(f"subclass edge references unknown class {c!r}")
-        edges.append((child, parent))
-    parents = {}
-    for child, parent in edges:
         parents.setdefault(child, []).append(parent)
     try:
         graphlib.TopologicalSorter(parents).prepare()
@@ -191,7 +185,7 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
         cls = u.get("class", "Units")
         if cls not in class_set:
             raise KGError(f"unit {name!r} references unknown class {cls!r}")
-        unit_registry[name] = Unit(dims=_normalize(u.get("dims", {})), name=name)
+        unit_registry[name] = Unit(dims=_normalize(u.get("dims", {})))
         unit_class[name] = cls
 
     for name, q in doc.get("quantities", {}).items():
@@ -226,7 +220,6 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
     concept_order = classes + list(unit_registry)
     return KnowledgeGraph(
         classes=classes,
-        subclass_edges=edges,
         unit_registry=unit_registry,
         unit_class=unit_class,
         column_concepts=column_concepts,
@@ -269,7 +262,7 @@ def propagate_unit(op_name: str, input_units) -> Optional[Unit]:
         return None
     if op_name in ("add", "sub"):
         a, b = units
-        return Unit(dims=a.dims) if a.dims == b.dims else None
+        return a if a == b else None
     if op_name == "mul":
         a, b = units
         return _combine(a, b, 1)
@@ -285,7 +278,7 @@ def propagate_unit(op_name: str, input_units) -> Optional[Unit]:
     if op_name == "log":
         return DIMENSIONLESS if units[0].dimensionless else None
     if op_name in ("group_min", "group_max", "group_mean", "group_sum"):
-        return Unit(dims=units[0].dims)
+        return units[0]
     raise KGError(f"unknown transform {op_name!r}")
 
 
@@ -306,18 +299,12 @@ def _operands(expr: Expr) -> tuple:
 
 
 def _token_dims(kg: KnowledgeGraph, token: str):
-    """Dims behind a unit token; unresolvable tokens compare as themselves."""
+    """Dims behind a registered unit name, () behind `dim:1`; any other token
+    compares as itself. A derived node's token is the registered name of its
+    dims wherever one exists, so equal dims give equal tokens."""
     if token in kg.unit_registry:
         return kg.unit_registry[token].dims
-    if token == "dim:1":
-        return ()
-    if token.startswith("dim:"):
-        pairs = []
-        for part in token[4:].split(","):
-            d, e = part.split("=")
-            pairs.append((d, Fraction(e)))
-        return tuple(sorted(pairs))
-    return token
+    return () if token == "dim:1" else token
 
 
 def _add_class_fact(kg: KnowledgeGraph, facts: set, cls: str, individual):
@@ -408,7 +395,7 @@ def unit_token(kg: KnowledgeGraph, unit: Optional[Unit]):
     its dims, else its dims token; `dim:1` when it is dimensionless."""
     if unit is None:
         return None
-    name = kg.registered_name_for(unit) if unit.dims else None
+    name = kg.unit_names.get(unit.dims) if unit.dims else None
     return name if name is not None else unit.dims_token()
 
 
@@ -417,11 +404,12 @@ def materialize_facts(kg: KnowledgeGraph, expr: Expr):
 
     One post-order walk numbers the nodes n0, n1, ... and propagates units
     bottom-up; it returns the facts and a map from each distinct node to its
-    (first id, unit). It is the only unit walk: verdicts and `explain` read
-    their units from that map. Leaves contribute their mapped class and unit;
-    each transform application contributes hasInput/hasOutput and its
-    transform-class atom; propagated units attach to derived nodes. A repeated
-    input refers to the id of its first node.
+    (first id, unit, the unit name its hasUnit fact uses or None). It is the
+    only unit walk: verdicts and `explain` read their units from that map.
+    Leaves contribute their mapped class and unit; each transform application
+    contributes hasInput/hasOutput and its transform-class atom; propagated
+    units attach to derived nodes by `unit_token`. A repeated input refers to
+    the id of its first node.
     """
     facts, seen, ids = set(), {}, count()
 
@@ -434,8 +422,6 @@ def materialize_facts(kg: KnowledgeGraph, expr: Expr):
             cls, unit_name = kg.column_concepts.get(node.name, (None, None))
             if cls is not None:
                 _add_class_fact(kg, facts, cls, nid)
-            if unit_name is not None:
-                facts.add(("hasUnit", nid, unit_name))
             unit = kg.unit_registry.get(unit_name)
         else:
             fid = f"t_{nid}"
@@ -444,10 +430,10 @@ def materialize_facts(kg: KnowledgeGraph, expr: Expr):
             for child in _operands(node):
                 facts.add(("hasInput", fid, seen[child][0]))
             unit = propagate_unit(node.op, [seen[c][1] for c in _operands(node)])
-            token = unit_token(kg, unit)
-            if token is not None:
-                facts.add(("hasUnit", nid, token))
-        seen.setdefault(node, (nid, unit))
+            unit_name = unit_token(kg, unit)
+        if unit_name is not None:
+            facts.add(("hasUnit", nid, unit_name))
+        seen.setdefault(node, (nid, unit, unit_name))
 
     walk(expr)
     return facts, seen
@@ -459,26 +445,26 @@ def judge(kg: KnowledgeGraph, expr: Expr) -> Verdict:
     Features whose leaves are all unmapped are Uncovered (retained by the
     fallback rule); rule-derived non-interpretability and unknown units are
     discarded; everything else is Interpretable. Every verdict carries the
-    root unit.
+    root unit and its name.
     """
     facts, nodes = materialize_facts(kg, expr)
-    root_id, unit = nodes[expr]
+    root_id, unit, name = nodes[expr]
     if not any(leaf.name in kg.column_concepts for leaf in leaves(expr)):
-        return Verdict(VerdictStatus.UNCOVERED, unit=unit)
+        return Verdict(VerdictStatus.UNCOVERED, None, unit, name)
     if isinstance(expr, RawRef):
-        return Verdict(VerdictStatus.INTERPRETABLE, unit=unit)
+        return Verdict(VerdictStatus.INTERPRETABLE, None, unit, name)
     fixpoint, provenance = forward_chain(kg, facts)
     bad = ("nonInterpretable", root_id)
     if bad in fixpoint:
         reason = provenance.get(bad, "rule")
-        return Verdict(VerdictStatus.NON_INTERPRETABLE, reason, unit)
+        return Verdict(VerdictStatus.NON_INTERPRETABLE, reason, unit, name)
     # Any derived node judged non-interpretable taints the whole feature.
     for fact in sorted(provenance):
         if fact[0] == "nonInterpretable":
-            return Verdict(VerdictStatus.NON_INTERPRETABLE, provenance[fact], unit)
-    if unit is None or (not unit.dimensionless and kg.registered_name_for(unit) is None):
-        return Verdict(VerdictStatus.NON_INTERPRETABLE, "unknown unit", unit)
-    return Verdict(VerdictStatus.INTERPRETABLE, unit=unit)
+            return Verdict(VerdictStatus.NON_INTERPRETABLE, provenance[fact], unit, name)
+    if unit is None or (unit.dims and unit.dims not in kg.unit_names):
+        return Verdict(VerdictStatus.NON_INTERPRETABLE, "unknown unit", unit, name)
+    return Verdict(VerdictStatus.INTERPRETABLE, None, unit, name)
 
 
 def coverage(kg: KnowledgeGraph, columns) -> float:

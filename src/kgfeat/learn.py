@@ -384,24 +384,26 @@ def _ridge(n, gram, rhs, total, y_total):
     """The ridge fit of a row set from its _centred_sums. The normal
     equations are scaled to a unit diagonal, and the model predicts from the
     centred columns, so an offset or badly scaled column keeps its digits.
-    Where the Gram matrix overflows, which lstsq cannot solve (it raises or
-    never returns), the model predicts the target's mean: coefficients,
-    centre and importances 0."""
+    A column whose centred sum of squares overflows, which lstsq cannot
+    solve (it raises or never returns), gets coefficient, centre and
+    importance 0, and the other columns are solved; with none left the model
+    predicts the target's mean."""
     p = len(gram)
+    coef, mean, imp = np.zeros(p), np.zeros(p), np.zeros(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, y_mean = total / n, y_total / n
-        if not np.isfinite(gram).all():
-            zero = np.zeros(p)
-            return Model("linear", Task.REGRESSION, p, coef=np.append(zero, y_mean),
-                         scaler=(zero, y_mean), importances=zero)
-        d = np.sqrt(gram.diagonal() + RIDGE_LAMBDA)
+        y_mean = y_total / n
+        ok = np.isfinite(gram.diagonal())
+        g = gram[np.ix_(ok, ok)]
+        d = np.sqrt(g.diagonal() + RIDGE_LAMBDA)
         # least squares, so a singular system (collinear columns) still solves
-        coef = np.linalg.lstsq((gram + RIDGE_LAMBDA * np.eye(p)) / d / d[:, None],
-                               rhs / d, rcond=None)[0] / d
+        coef[ok] = np.linalg.lstsq((g + RIDGE_LAMBDA * np.eye(len(g))) / d / d[:, None],
+                                   rhs[ok] / d, rcond=None)[0] / d
+        mean[ok] = total[ok] / n
         # |coef_j|·std(x_j) ranks the features
+        imp[ok] = np.abs(coef[ok]) * np.sqrt(g.diagonal() / n)
         return Model("linear", Task.REGRESSION, p,
                      coef=np.append(coef, y_mean - mean @ coef), scaler=(mean, y_mean),
-                     importances=np.abs(coef) * np.sqrt(gram.diagonal() / n))
+                     importances=imp)
 
 
 def train(spec: LearnerSpec, X: np.ndarray, y: np.ndarray, task: Task) -> Model:

@@ -12,7 +12,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import learn
-from .data import Dataset, Kind
+from .data import Dataset, Kind, missing_cells
 
 
 class Arity(str, Enum):
@@ -178,13 +178,13 @@ def expr_from_json(doc: dict) -> Expr:
 class CandidateFeature:
     """A concrete feature: an expression plus its evaluated column.
 
-    Numeric values with a missing mask; `kind` is the result kind (Boolean for
-    logical/one-hot/is_weekend results).
+    Values as a Column of `kind` holds them, NaN (or "") at a missing cell;
+    `kind` is the result kind (Boolean for logical/one-hot/is_weekend
+    results).
     """
 
     expr: Expr
     values: np.ndarray
-    missing: np.ndarray
     kind: Kind
     display_name: str
 
@@ -193,7 +193,7 @@ def categorical_codes(f):
     """Integer codes of a categorical feature (a Column or CandidateFeature),
     and its distinct present values in sorted order: a present cell's code is
     its value's index in that list, a missing cell's is the list's length."""
-    present = ~f.missing
+    present = ~missing_cells(f)
     codes, values = learn.encode_labels(f.values[present])
     out = np.full(len(present), len(values), dtype=np.int64)
     out[present] = codes
@@ -215,43 +215,38 @@ def categorical_levels(f):
     return {**{values[i]: i for i in top}, _OTHER_LEVEL: n + 1}, np.where(rare, n + 1, codes)
 
 
-# Element-wise transforms. A domain violation (log or sqrt of a negative,
-# division by zero) or an overflow gives inf or NaN, which _finite flags.
-# `_derive` computes them under one np.errstate(all="ignore").
+def _logical(fn):
+    """A logical op on 0/1 operands, NaN where either operand is NaN."""
+    return lambda a, b: np.where(np.isnan(a) | np.isnan(b), np.nan, fn(a != 0, b != 0))
+
+
+# Element-wise transforms; a NaN operand gives a NaN cell. A domain violation
+# (log or sqrt of a negative, division by zero) or an overflow gives inf or
+# NaN, and `_derive`, which computes them under one np.errstate(all="ignore"),
+# makes inf NaN.
 _UNARY_FNS = {"log": np.log, "sqrt": np.sqrt, "square": lambda v: v ** 2,
               "reciprocal": lambda v: 1.0 / v}
 _BINARY_FNS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide,
-               "and": lambda a, b: ((a != 0) & (b != 0)).astype(float),
-               "or": lambda a, b: ((a != 0) | (b != 0)).astype(float)}
+               "and": _logical(np.logical_and), "or": _logical(np.logical_or)}
 
 
-def _finite(out: np.ndarray, bad: np.ndarray):
-    """Flag cells that are missing on input, or came out inf or NaN, as
-    missing, with NaN values."""
-    bad = bad | ~np.isfinite(out)
-    if bad.any():
-        out[bad] = np.nan
-    return out, bad
-
-
-def _agg_values(op: str, groups: np.ndarray, vv: np.ndarray, vm: np.ndarray):
-    """Each row's aggregate of its group's present values, in row order."""
+def _agg_values(op: str, groups: np.ndarray, vv: np.ndarray):
+    """Each row's aggregate of its group's present values, in row order; NaN
+    where the group has none."""
     out = np.full_like(vv, np.nan, dtype=float)
-    bad = np.zeros(len(vv), dtype=bool)
+    present = ~np.isnan(vv)
     fn = getattr(np, op.removeprefix("group_"))  # np.min, max, mean or sum
     for g in np.flatnonzero(np.bincount(groups)):
         sel = groups == g
-        member = vv[sel & ~vm]
-        if len(member) == 0:
-            bad |= sel
-        else:
+        member = vv[sel & present]
+        if len(member):
             out[sel] = fn(member)
-    return _finite(out, bad)
+    return out
 
 
-def _date_values(op: str, days: np.ndarray, miss: np.ndarray):
+def _date_values(op: str, days: np.ndarray):
     out = np.full_like(days, np.nan, dtype=float)
-    ok = ~miss
+    ok = ~np.isnan(days)
     d64 = days[ok].astype("int64").astype("datetime64[D]")
     if op == "day":
         out[ok] = (d64 - d64.astype("datetime64[M]")).astype(int) + 1
@@ -261,12 +256,12 @@ def _date_values(op: str, days: np.ndarray, miss: np.ndarray):
         out[ok] = d64.astype("datetime64[Y]").astype(int) + 1970
     else:  # is_weekend; 1970-01-01 was a Thursday (weekday index 3, Monday = 0)
         out[ok] = (((days[ok].astype("int64") + 3) % 7) >= 5).astype(float)
-    return out, miss.copy()
+    return out
 
 
 def _derive(expr: Expr, operands) -> CandidateFeature:
     """Compute one expression node from its operands' features (values,
-    missing, kind, display name), given in `children(expr)` order."""
+    kind, display name), given in `children(expr)` order."""
     op = catalog_op(expr.op)
     kinds = tuple(f.kind for f in operands)
     if kinds != op.inputs:
@@ -277,23 +272,21 @@ def _derive(expr: Expr, operands) -> CandidateFeature:
             (f,) = operands
             levels, codes = categorical_levels(f)
             values = (codes == levels.get(expr.level, -1)).astype(float)
-            values[f.missing] = np.nan
-            missing = f.missing.copy()
+            values[missing_cells(f)] = np.nan
         elif op.arity == Arity.UNARY:
             (f,) = operands
-            values, missing = _finite(_UNARY_FNS[op.name](f.values), f.missing)
+            values = _UNARY_FNS[op.name](f.values)
         elif op.arity == Arity.BINARY:
             a, b = operands
-            values, missing = _finite(_BINARY_FNS[op.name](a.values, b.values),
-                                      a.missing | b.missing)
+            values = _BINARY_FNS[op.name](a.values, b.values)
         elif op.arity == Arity.AGGREGATION:
             k, v = operands
-            values, missing = _agg_values(op.name, categorical_levels(k)[1], v.values, v.missing)
+            values = _agg_values(op.name, categorical_levels(k)[1], v.values)
         else:
             (f,) = operands
-            values, missing = _date_values(op.name, np.where(f.missing, 0, f.values),
-                                           f.missing)
-    return CandidateFeature(expr, values, missing, op.output,
+            values = _date_values(op.name, f.values)
+    values[np.isinf(values)] = np.nan  # an overflow or a division by zero
+    return CandidateFeature(expr, values, op.output,
                             _node_name(expr, [f.display_name for f in operands]))
 
 
@@ -302,11 +295,11 @@ def apply(expr: Expr, d: Dataset) -> CandidateFeature:
 
     A raw reference is its column, of the column's kind, sharing its arrays.
     Domain violations on individual cells (log of non-positives, division by
-    zero) flag the cell missing rather than inventing a value.
+    zero) make the cell missing rather than inventing a value.
     """
     if isinstance(expr, RawRef):
         col = d.column(expr.name)
-        return CandidateFeature(expr, col.values, col.missing, col.kind, render_name(expr))
+        return CandidateFeature(expr, col.values, col.kind, render_name(expr))
     return _derive(expr, [apply(c, d) for c in expr.args])
 
 
@@ -382,9 +375,10 @@ def expand_action(op: TransformOp, pool, y: np.ndarray, cap: int, max_order: int
                 continue
             seen.add(expr)
             cand = _derive(expr, operands)
-            if np.count_nonzero(cand.missing) > MAX_MISSING_FRACTION * len(cand.missing):
+            miss = np.isnan(cand.values)  # no operator returns a Categorical
+            if np.count_nonzero(miss) > MAX_MISSING_FRACTION * len(miss):
                 continue
-            yield _abs_pearson(cand.values, cand.missing, y, yc, sy), cand
+            yield _abs_pearson(cand.values, miss, y, yc, sy), cand
 
     # nsmallest is a stable sorted()[:cap] that holds only `cap` candidates.
     best = heapq.nsmallest(cap, scored(), key=lambda sc: (-sc[0], sc[1].display_name))

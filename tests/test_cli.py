@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import kgfeat
 from kgfeat.cli import (_CSV_BLOCK_ROWS, _build_config, _csv_field, _csv_line,
                         _write_result_files, build_parser, main)
-from kgfeat.data import Column, Dataset, Kind, Task
+from kgfeat.data import Column, Dataset, Kind, Task, missing_cells
 from kgfeat.engine import FEResult
 from kgfeat.learn import LearnerSpec
 from kgfeat import engine as eng
@@ -246,6 +246,28 @@ def test_explain_derived_feature_tree(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("name, options", [
+    ("diabetes", ["--episodes", "7", "--learner", "random_forest"]),
+    ("sales", ["--episodes", "2"]),
+])
+def test_result_unit_name_is_the_unit_explain_prints(tmp_path, capsys, name, options):
+    # result.json gave every derived feature a null unit_name, while explain
+    # printed the KG's name for its unit
+    out = tmp_path / "out"
+    assert main(["run", "--manifest", kgfeat.resource_path(f"{name}.manifest.json"),
+                 "--steps", "5", "--k", "2", "--out", str(out)] + options) == 0
+    features = json.loads((out / "result.json").read_text())["best_features"]
+    assert any(not f["raw"] for f in features)
+    capsys.readouterr()
+    for f in features:
+        assert main(["explain", str(out / "result.json"), f["display_name"]]) == 0
+        root = capsys.readouterr().out.splitlines()[2]  # the tree's first line
+        assert root.endswith(f" unit={f['unit_name'] or 'unknown'}"), (f, root)
+    units = {f["display_name"]: f["unit_name"] for f in features}
+    if name == "diabetes":  # mm has the dims of m, the first name registered for them
+        assert units["SKIN_THICKNESS"] == "mm"
+
+
 def test_explain_malformed_expression_exits_one(tmp_path, capsys):
     # a hand-edited result.json whose node type disagrees with its op
     feature = {"display_name": "LOG(WEIGHT)", "verdict": "interpretable",
@@ -313,6 +335,22 @@ def test_report_names_a_column_the_dataset_lost(tmp_path, planted_paths, capsys)
     assert capsys.readouterr().err == "error: dataset has no column 'x1'\n"
 
 
+@pytest.mark.parametrize("schema, named", [
+    ({"target_name": "y", "task": "regresion"}, "'regresion' is not a valid Task"),
+    ({"target_name": "y", "task": "regression", "column_kind_overrides": {"x": "numerik"}},
+     "'numerik' is not a valid Kind"),
+    ({"task": "regression"}, "no 'target_name' field"),
+])
+def test_run_malformed_schema_exits_one_naming_the_field(tmp_path, capsys, schema, named):
+    # an unknown task or kind was an internal error (exit 2), and a missing
+    # target_name printed only "error: 'target_name'"
+    argv = write_regression(tmp_path, ["1", "2", "3", "4"], ["1", "2", "3", "5"])
+    (tmp_path / "reg.schema.json").write_text(json.dumps(schema))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "reg.schema.json" in err and named in err
+
+
 def test_run_missing_classification_target_exits_one(tmp_path, capsys):
     # an empty target cell is an error for classification as for regression
     csv_path = tmp_path / "labels.csv"
@@ -368,8 +406,8 @@ def test_run_nan_regression_target_exits_one(tmp_path, capsys):
 
 def test_features_csv_cells_are_repr_or_empty(tmp_path):
     vals = [math.nan, -0.0, 0.1, 1e-310, 1e300, 3.0]
-    d = Dataset(columns=[Column("v", Kind.NUMERIC, np.array(vals), np.isnan(vals)),
-                         Column("y", Kind.NUMERIC, np.arange(6.0), np.zeros(6, bool))],
+    d = Dataset(columns=[Column("v", Kind.NUMERIC, np.array(vals)),
+                         Column("y", Kind.NUMERIC, np.arange(6.0))],
                 target="y", task=Task.REGRESSION, n_rows=6)
     result = FEResult(best_features=[{"display_name": "V",
                                       "expr": expr_to_json(RawRef("v"))}],
@@ -397,9 +435,8 @@ def test_csv_line_matches_csv_writer(row):
 
 def test_features_csv_quotes_header_and_categorical_target(tmp_path):
     labels = ["a,b", 'say "hi"', "two\nlines", "", "plain"]
-    d = Dataset(columns=[Column("v", Kind.NUMERIC, np.arange(5.0), np.zeros(5, bool)),
-                         Column("lab,el", Kind.CATEGORICAL, np.array(labels, dtype=object),
-                                np.array([False, False, False, True, False]))],
+    d = Dataset(columns=[Column("v", Kind.NUMERIC, np.arange(5.0)),
+                         Column("lab,el", Kind.CATEGORICAL, np.array(labels, dtype=object))],
                 target="lab,el", task=Task.CLASSIFICATION, n_rows=5)
     result = FEResult(best_features=[{"display_name": 'V "1"',
                                       "expr": expr_to_json(RawRef("v"))}],
@@ -429,9 +466,10 @@ def test_features_csv_is_csv_writer_bytes_across_a_block_boundary(tmp_path, n):
     labels = np.array(["a,b", 'say "hi"', "two\nlines", "plain"], dtype=object)[
         rng.integers(0, 4, n)]
     gone = rng.random(n) < 0.05
-    d = Dataset(columns=[Column("a", Kind.NUMERIC, a, np.isnan(a)),
-                         Column("b", Kind.NUMERIC, b, np.isnan(b)),
-                         Column("lab", Kind.CATEGORICAL, labels, gone)],
+    labels[gone] = ""  # a missing label
+    d = Dataset(columns=[Column("a", Kind.NUMERIC, a),
+                         Column("b", Kind.NUMERIC, b),
+                         Column("lab", Kind.CATEGORICAL, labels)],
                 target="lab", task=Task.CLASSIFICATION, n_rows=n)
     _write_result_files(_result_of_raw_columns(["a", "b"]), d, str(tmp_path))
     buf = io.StringIO(newline="")
@@ -450,7 +488,7 @@ def _features_csv_in_one_block(result, d, path):
     tcol = d.target_column
     cells = [[repr(v) if v == v else "" for v in col.tolist()] for col in columns]
     cells.append(["" if m else _csv_field(str(v))
-                  for v, m in zip(tcol.values.tolist(), tcol.missing.tolist())])
+                  for v, m in zip(tcol.values.tolist(), missing_cells(tcol).tolist())])
     with open(path, "w", newline="") as fh:
         fh.write(_csv_line([_csv_field(doc["display_name"]) for doc in result.best_features]
                            + [d.target]))
@@ -461,7 +499,7 @@ def test_features_csv_writer_holds_under_half_the_one_block_peak(tmp_path):
     n = 20000
     rng = np.random.default_rng(0)
     names = [f"x{i}" for i in range(10)]
-    d = Dataset(columns=[Column(name, Kind.NUMERIC, rng.normal(size=n), np.zeros(n, bool))
+    d = Dataset(columns=[Column(name, Kind.NUMERIC, rng.normal(size=n))
                          for name in names + ["y"]],
                 target="y", task=Task.REGRESSION, n_rows=n)
     result = _result_of_raw_columns(names)
@@ -588,8 +626,8 @@ def test_run_seeds_the_learner_alike_from_the_cli_and_the_engine(tmp_path):
 
 
 def test_run_linear_on_a_feature_whose_square_overflows_exits_zero(tmp_path):
-    # the fold that trains on row 7 predicts its training mean; the run
-    # exited 1
+    # the fold that trains on row 7 fits x alone, giving z coefficient 0;
+    # the run exited 1
     z = [str(0.5 * i) for i in range(40)]
     z[7] = "1e200"
     argv = write_regression(tmp_path, z, [str(1.5 * i + (i % 3)) for i in range(40)])

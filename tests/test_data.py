@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgfeat.data import (Column, DataError, Kind, SchemaConfig, Task, _build_column,
-                         kfold_indices, load_csv)
+                         kfold_indices, load_csv, missing_cells)
 
 
 def write_csv(path, header, rows):
@@ -56,8 +56,12 @@ def test_missing_cells_flagged(tmp_path):
     )
     d = load_csv(path, SchemaConfig(target_name="y", task=Task.REGRESSION))
     col = d.column("a")
-    assert col.missing.tolist() == [False, True, False]
+    assert missing_cells(col).tolist() == [False, True, False]
     assert np.isnan(col.values[1])
+    path = write_csv(tmp_path / "c.csv", ["a", "y"], [["x", "0"], ["", "1"], ["z", "0"]])
+    col = load_csv(path, SchemaConfig(target_name="y", task=Task.REGRESSION)).column("a")
+    assert col.kind == Kind.CATEGORICAL and col.values.tolist() == ["x", "", "z"]
+    assert missing_cells(col).tolist() == [False, True, False]
 
 
 def test_kind_override_forces_categorical(tmp_path):
@@ -155,7 +159,7 @@ def test_non_finite_numeric_cells_flagged_missing(tmp_path):
     d = load_csv(path, SchemaConfig(target_name="y", task=Task.REGRESSION))
     col = d.column("a")
     assert col.kind == Kind.NUMERIC
-    assert col.missing.tolist() == [False, True, True, True, False]
+    assert missing_cells(col).tolist() == [False, True, True, True, False]
     assert np.isnan(col.values[1:4]).all()
 
 
@@ -193,6 +197,7 @@ def oracle_kind(cells):
 
 
 def oracle_column(name, cells, kind):
+    """The column and its missing cells."""
     missing = np.array([c == "" for c in cells], dtype=bool)
     values = np.full(len(cells), np.nan)
     if kind == Kind.NUMERIC:
@@ -217,7 +222,7 @@ def oracle_column(name, cells, kind):
                 values[i] = 1.0 if c.lower() in _ORACLE_TRUE else 0.0
     else:
         values = np.array(cells, dtype=object)
-    return Column(name, kind, values, missing)
+    return Column(name, kind, values), missing
 
 
 NUMBER_CELLS = ["0", "1", "-0", "2.5", "1e3", "-3E-2", "1_000", "20210301",
@@ -239,7 +244,7 @@ def typed_cells(draw):
 @given(cells=typed_cells(), override=st.one_of(st.none(), st.sampled_from(list(Kind))))
 def test_column_typing_matches_inference_then_parse(cells, override):
     try:
-        want = oracle_column("c", cells, override or oracle_kind(cells))
+        want, want_missing = oracle_column("c", cells, override or oracle_kind(cells))
     except DataError as err:
         with pytest.raises(DataError) as got:
             _build_column("c", cells, override)
@@ -247,7 +252,7 @@ def test_column_typing_matches_inference_then_parse(cells, override):
         return
     got = _build_column("c", cells, override)
     assert got.kind == want.kind
-    assert got.missing.tolist() == want.missing.tolist()
+    assert missing_cells(got).tolist() == want_missing.tolist()
     if want.kind == Kind.CATEGORICAL:
         assert got.values.tolist() == want.values.tolist()
     else:
@@ -268,10 +273,11 @@ def test_load_csv_reads_ragged_rows_as_the_row_loop(tmp_path_factory, rows):
         read = list(csv.reader(fh))[1:]
     for j, name in enumerate(header):
         cells = [r[j].strip() if j < len(r) else "" for r in read]
-        want = oracle_column(name, cells, Kind.CATEGORICAL if name == "y"
-                             else oracle_kind(cells))
+        want, want_missing = oracle_column(name, cells, Kind.CATEGORICAL if name == "y"
+                                           else oracle_kind(cells))
         got = d.column(name)
-        assert got.kind == want.kind and got.missing.tolist() == want.missing.tolist()
+        assert got.kind == want.kind
+        assert missing_cells(got).tolist() == want_missing.tolist()
         if want.kind == Kind.CATEGORICAL:
             assert got.values.tolist() == want.values.tolist()
         else:

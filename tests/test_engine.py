@@ -38,17 +38,15 @@ def test_compute_reward_is_score_delta():
 
 
 def test_encode_feature_categorical_codes():
-    values = np.array(["b", "a", "b", "c"], dtype=object)
-    missing = np.array([False, False, True, False])
-    feat = CandidateFeature(RawRef("c"), values, missing, Kind.CATEGORICAL, "C")
+    values = np.array(["b", "a", "", "c"], dtype=object)  # "" is a missing cell
+    feat = CandidateFeature(RawRef("c"), values, Kind.CATEGORICAL, "C")
     out = encode_feature(feat)
     # levels sorted: a=0, b=1, c=2; missing cells get the extra code 3
     assert out.tolist() == [1.0, 0.0, 3.0, 2.0]
 
 
 def test_encode_feature_numeric_nan_for_missing():
-    feat = CandidateFeature(RawRef("n"), np.array([1.0, 2.0]),
-                            np.array([False, True]), Kind.NUMERIC, "N")
+    feat = CandidateFeature(RawRef("n"), np.array([1.0, np.nan]), Kind.NUMERIC, "N")
     out = encode_feature(feat)
     assert out[0] == 1.0 and np.isnan(out[1])
 
@@ -57,10 +55,12 @@ def test_raw_pool_marks_raw_and_units(planted):
     d, kg, _ = planted
     pool = raw_pool(d, kg)
     assert len(pool) == 5
-    assert all(e.is_raw for e in pool)
+    assert all(f["raw"] for f in engine._snapshot(pool))
     by_name = {e.feature.display_name: e for e in pool}
-    assert by_name["x1"].verdict.unit.name == "kg"
+    assert by_name["x1"].verdict.unit == kg.unit_registry["kg"]
+    assert by_name["x1"].verdict.unit_name == "kg"
     assert by_name["x3"].verdict.unit is None
+    assert by_name["x3"].verdict.unit_name is None
     assert by_name["x3"].verdict.status == VerdictStatus.UNCOVERED
 
 
@@ -118,8 +118,7 @@ def test_best_score_never_below_baseline(planted):
 def classified(d):
     """The planted data with its target split at the median into two classes."""
     y = d.target_column
-    label = Column("y", Kind.NUMERIC, (y.values > np.median(y.values)).astype(float),
-                   y.missing)
+    label = Column("y", Kind.NUMERIC, (y.values > np.median(y.values)).astype(float))
     return Dataset(d.feature_columns + [label], target="y", task=Task.CLASSIFICATION,
                    n_rows=d.n_rows)
 
@@ -155,7 +154,7 @@ def test_prune_trains_the_run_learner_once(planted, monkeypatch, spec):
                  Node("square", (RawRef("x4"),))):
         feat = transform.apply(expr, d)
         verdict = judge(kg, expr)
-        pool.append(PoolEntry(feat, verdict, False, phi_feature(kg, expr, verdict.unit)))
+        pool.append(PoolEntry(feat, verdict, phi_feature(kg, expr, verdict.unit_name)))
     trained = []
     train = learn.train
     monkeypatch.setattr(learn, "train", lambda s, *a: trained.append(s) or train(s, *a))
@@ -205,15 +204,14 @@ def test_evaluator_cache_tells_apart_columns_with_one_display_name():
     rng = np.random.default_rng(0)
     a = rng.uniform(-2, 2, 60)
     y = a ** 2 + rng.normal(0, 0.05, 60)
-    no_missing = np.zeros(60, dtype=bool)
-    d = Dataset([Column("a", Kind.NUMERIC, a, no_missing),
-                 Column("SQUARE(a)", Kind.NUMERIC, rng.normal(size=60), no_missing),
-                 Column("y", Kind.NUMERIC, y, no_missing)],
+    d = Dataset([Column("a", Kind.NUMERIC, a),
+                 Column("SQUARE(a)", Kind.NUMERIC, rng.normal(size=60)),
+                 Column("y", Kind.NUMERIC, y)],
                 target="y", task=Task.REGRESSION, n_rows=60)
     evaluator = _Evaluator(small_cfg(), d.task, target_codes(d))
     noise = raw_pool(d, empty_kg())[1]
     square = Node("square", (RawRef("a"),))
-    signal = PoolEntry(transform.apply(square, d), judge(empty_kg(), square), False,
+    signal = PoolEntry(transform.apply(square, d), judge(empty_kg(), square),
                        noise.concepts)
     assert signal.feature.display_name == noise.feature.display_name
     assert evaluator.score([signal]) > 0.9

@@ -1,7 +1,7 @@
 """Source hygiene: every name a kgfeat module imports is used in it, no
 module imports another's private name, every module-level private name is
-read somewhere in the package, and every local a function assigns is read
-in it."""
+read somewhere in the package, every local a function assigns is read in
+it, and every dataclass field is read somewhere in the package."""
 import ast
 import glob
 import os
@@ -128,3 +128,53 @@ def test_no_function_assigns_an_unread_local():
         with open(path) as fh:
             unread = unread_locals(fh.read())
         assert not unread, f"{os.path.basename(path)} never reads {unread}"
+
+
+def _called_name(node):
+    """The name of a Name node, or the attribute of an Attribute node."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def dataclass_fields(source):
+    """(class, field) for each field a `@dataclass` class declares."""
+    return [(node.name, stmt.target.id) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            and any(_called_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+                    for d in node.decorator_list)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+
+
+def unread_fields(sources):
+    """`Class.field` for each dataclass field no source reads as an attribute;
+    every field of a class passed to `fields(...)` counts as read, since such
+    a class is serialized field by field."""
+    read, serialized = set(), set()
+    for source in sources:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif (isinstance(n, ast.Call) and _called_name(n.func) == "fields"
+                  and n.args and isinstance(n.args[0], ast.Name)):
+                serialized.add(n.args[0].id)
+    return sorted(f"{cls}.{name}" for source in sources
+                  for cls, name in dataclass_fields(source)
+                  if name not in read and cls not in serialized)
+
+
+def test_unread_fields_are_found():
+    a = ("from dataclasses import dataclass, fields\n"
+         "@dataclass\nclass A:\n    x: int\n    y: int = 0\n    z: int = 0\n"
+         "@dataclass(frozen=True)\nclass B:\n    w: int\n"
+         "class C:\n    v: int\n"
+         "KEYS = [f.name for f in fields(B)]\n")
+    b = "def f(a):\n    a.z = 1\n    return a.x\n"
+    assert unread_fields([a, b]) == ["A.y", "A.z"]
+
+
+def test_every_dataclass_field_is_read():
+    sources = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            sources.append(fh.read())
+    assert unread_fields(sources) == []

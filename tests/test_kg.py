@@ -18,8 +18,7 @@ from kgfeat.transform import Arity, Node, RawRef, catalog, catalog_op, leaves
 
 
 def num_col(name, vals):
-    vals = np.asarray(vals, dtype=float)
-    return Column(name, Kind.NUMERIC, vals, np.zeros(len(vals), dtype=bool))
+    return Column(name, Kind.NUMERIC, np.asarray(vals, dtype=float))
 
 
 def make_dataset(columns, target):
@@ -55,8 +54,7 @@ def body_kg(tmp_path, default_kg_path):
 @pytest.fixture()
 def body_data():
     store = Column("store", Kind.CATEGORICAL,
-                   np.array(["a", "b", "a", "b"], dtype=object),
-                   np.zeros(4, dtype=bool))
+                   np.array(["a", "b", "a", "b"], dtype=object))
     return make_dataset(
         [num_col("weight", [70, 80, 60, 90]),
          num_col("height", [1.75, 1.8, 1.6, 2.0]),
@@ -159,10 +157,10 @@ def bfs_reachable(edges, start):
     return seen
 
 
-def test_subsumes_matches_bfs_oracle(default_kg_path):
+def test_subsumes_matches_bfs_oracle(default_kg_path, kg_doc):
     kg = load_kg(default_kg_path)
     for sub in kg.classes:
-        reach = bfs_reachable(kg.subclass_edges, sub)
+        reach = bfs_reachable(kg_doc["subclass_of"], sub)
         for sup in kg.classes:
             assert subsumes(kg, sub, sup) == (sup in reach), (sub, sup)
 
@@ -297,7 +295,8 @@ def test_judge_body_mass_ratio_interpretable(body_kg, body_data):
     bmi = Node("div", (RawRef("weight"), Node("square", (RawRef("height"),))))
     v = judge(body_kg, bmi)
     assert v.status == VerdictStatus.INTERPRETABLE
-    assert body_kg.registered_name_for(v.unit) == "kg_per_m2"
+    assert v.unit == body_kg.unit_registry["kg_per_m2"]
+    assert v.unit_name == "kg_per_m2"
 
 
 def test_judge_mixed_unit_addition(body_kg, body_data):
@@ -411,12 +410,12 @@ def test_dimensionless_derived_features_light_no_count(sales_kg):
     # prices or a day of the month is not a count
     count = sales_kg.concept_order.index("count")
     sold = RawRef("UNITS_SOLD")
-    assert phi_feature(sales_kg, sold, judge(sales_kg, sold).unit)[count] == 1
+    assert phi_feature(sales_kg, sold, judge(sales_kg, sold).unit_name)[count] == 1
     for expr in (Node("day", (RawRef("DATE"),)),
                  Node("div", (RawRef("PRICE"), RawRef("PRICE")))):
-        unit = judge(sales_kg, expr).unit
-        assert unit is not None and unit.dimensionless
-        assert phi_feature(sales_kg, expr, unit)[count] == 0
+        verdict = judge(sales_kg, expr)
+        assert verdict.unit is not None and verdict.unit.dimensionless
+        assert phi_feature(sales_kg, expr, verdict.unit_name)[count] == 0
 
 
 def draw_kg_and_expression(data, diabetes_kg, sales_kg):
@@ -437,7 +436,7 @@ def test_concept_vector_from_the_verdict_unit_matches_the_oracle(diabetes_kg, sa
                                                                  data):
     kg, expr = draw_kg_and_expression(data, diabetes_kg, sales_kg)
     expected = oracle_phi_feature(kg, expr)
-    assert (phi_feature(kg, expr, judge(kg, expr).unit) == expected).all()
+    assert (phi_feature(kg, expr, judge(kg, expr).unit_name) == expected).all()
 
 
 # ------------------------------------------- the rule join against a scan
@@ -500,30 +499,54 @@ def forward_chain_scan(kg, facts):
     return facts, provenance
 
 
+def registered_name_scan(kg, unit):
+    """Oracle: the first registered unit name with `unit`'s dims, by a scan
+    of the registry, as the KG named units before it kept a map."""
+    for name, u in kg.unit_registry.items():
+        if u.dims == unit.dims:
+            return name
+    return None
+
+
+def unit_name_oracle(kg, expr, unit):
+    """Oracle: the name a feature's root hasUnit fact uses: a raw column's
+    mapped unit; for a derived one the registered name of its dims, else its
+    dims token, `dim:1` where it has no dims."""
+    if isinstance(expr, RawRef):
+        return kg.column_concepts.get(expr.name, (None, None))[1]
+    if unit is None:
+        return None
+    if unit.dimensionless:
+        return "dim:1"
+    return registered_name_scan(kg, unit) or unit.dims_token()
+
+
 def judge_scan(kg, expr):
     """Oracle: judge as it was before the facts were indexed and before a
     dimensionless derived node's hasUnit fact named `dim:1` instead of the
     first registered unit without dims."""
     facts, nodes = kgmod.materialize_facts(kg, expr)
-    named = kg.registered_name_for(DIMENSIONLESS) or "dim:1"
+    named = registered_name_scan(kg, DIMENSIONLESS) or "dim:1"
     facts = {(f[0], f[1], named) if f[0] == "hasUnit" and f[2] == "dim:1" else f
              for f in facts}
-    root_id, unit = nodes[expr]
+    root_id, unit = nodes[expr][:2]
+    name = unit_name_oracle(kg, expr, unit)
     if not any(leaf.name in kg.column_concepts for leaf in leaves(expr)):
-        return kgmod.Verdict(VerdictStatus.UNCOVERED, unit=unit)
+        return kgmod.Verdict(VerdictStatus.UNCOVERED, None, unit, name)
     if isinstance(expr, RawRef):
-        return kgmod.Verdict(VerdictStatus.INTERPRETABLE, unit=unit)
+        return kgmod.Verdict(VerdictStatus.INTERPRETABLE, None, unit, name)
     fixpoint, provenance = forward_chain_scan(kg, facts)
     bad = ("nonInterpretable", root_id)
     if bad in fixpoint:
         return kgmod.Verdict(VerdictStatus.NON_INTERPRETABLE,
-                             provenance.get(bad, "rule"), unit)
+                             provenance.get(bad, "rule"), unit, name)
     for fact in sorted(provenance):
         if fact[0] == "nonInterpretable":
-            return kgmod.Verdict(VerdictStatus.NON_INTERPRETABLE, provenance[fact], unit)
-    if unit is None or (not unit.dimensionless and kg.registered_name_for(unit) is None):
-        return kgmod.Verdict(VerdictStatus.NON_INTERPRETABLE, "unknown unit", unit)
-    return kgmod.Verdict(VerdictStatus.INTERPRETABLE, unit=unit)
+            return kgmod.Verdict(VerdictStatus.NON_INTERPRETABLE, provenance[fact], unit,
+                                 name)
+    if unit is None or (not unit.dimensionless and registered_name_scan(kg, unit) is None):
+        return kgmod.Verdict(VerdictStatus.NON_INTERPRETABLE, "unknown unit", unit, name)
+    return kgmod.Verdict(VerdictStatus.INTERPRETABLE, None, unit, name)
 
 
 @pytest.fixture(scope="module")
@@ -576,8 +599,7 @@ def test_indexed_join_matches_the_scan_oracle(diabetes_kg, sales_kg, temperature
     expr = decode_expression(sorted(kg.column_concepts) + ["UNMAPPED"], codes)
     facts, _ = kgmod.materialize_facts(kg, expr)
     assert forward_chain(kg, facts) == forward_chain_scan(kg, facts)
-    got, want = judge(kg, expr), judge_scan(kg, expr)
-    assert (got.status, got.reason, got.unit) == (want.status, want.reason, want.unit)
+    assert judge(kg, expr) == judge_scan(kg, expr)
 
 
 def test_indexed_join_matches_the_scan_on_constants_and_repeats(tmp_path):
@@ -616,13 +638,29 @@ def test_dimensionless_derived_nodes_name_dim_1(sales_kg):
     ratio = Node("div", (RawRef("PRICE"), RawRef("PRICE")))
     for expr in (day, ratio):
         facts, nodes = kgmod.materialize_facts(sales_kg, expr)
-        root_id, unit = nodes[expr]
+        root_id, unit, name = nodes[expr]
         assert unit == DIMENSIONLESS
-        assert kgmod.unit_token(sales_kg, unit) == "dim:1"
+        assert kgmod.unit_token(sales_kg, unit) == name == "dim:1"
         assert ("hasUnit", root_id, "dim:1") in facts
         assert judge(sales_kg, expr).status == VerdictStatus.INTERPRETABLE
+        assert judge(sales_kg, expr).unit_name == "dim:1"
     squared = Node("mul", (RawRef("PRICE"), RawRef("PRICE")))
     assert kgmod.unit_token(sales_kg, judge(sales_kg, squared).unit) == "usd2"
+    assert judge(sales_kg, squared).unit_name == "usd2"
     # a leaf keeps its mapped name, `count` included
     facts, nodes = kgmod.materialize_facts(sales_kg, RawRef("UNITS_SOLD"))
     assert ("hasUnit", nodes[RawRef("UNITS_SOLD")][0], "count") in facts
+
+
+def test_unit_names_map_each_dims_to_its_first_registered_name(diabetes_kg):
+    # `m` and `mm` share their dims, and `m` is registered first
+    for unit in list(diabetes_kg.unit_registry.values()) + [Unit.of(mass=3)]:
+        assert diabetes_kg.unit_names.get(unit.dims) == registered_name_scan(diabetes_kg, unit)
+    assert diabetes_kg.unit_names[diabetes_kg.unit_registry["mm"].dims] == "m"
+    assert kgmod._token_dims(diabetes_kg, "mm") == kgmod._token_dims(diabetes_kg, "m")
+    assert kgmod._token_dims(diabetes_kg, "dim:1") == ()
+    assert kgmod._token_dims(diabetes_kg, "count") == ()
+    # a derived node names registered dims by name, so a dims token is never
+    # one of them and compares as itself
+    assert kgmod.unit_token(diabetes_kg, Unit.of(mass=1)) == "kg"
+    assert kgmod._token_dims(diabetes_kg, "dim:mass=1") == "dim:mass=1"

@@ -756,8 +756,8 @@ def test_evaluate_cv_score_is_finite(kind, data):
     # targets near the float limit make a fold's absolute errors, or its
     # deviations, overflow (numpy warns); 1 - rae was then -inf or nan. The
     # linear learner's target mean overflows on such targets, and it predicts
-    # NaN; a fold whose features spread beyond about 1e154, which overflow
-    # its ZᵀZ, predicts its training mean. Each fold scores at least 0.
+    # NaN; a feature that spreads beyond about 1e154, which overflows its
+    # fold's ZᵀZ, gets coefficient 0. Each fold scores at least 0.
     n = data.draw(st.integers(4, 16))
     y = data.draw(arrays(float, n, elements=st.floats(-1e308, 1e308)))
     X = data.draw(arrays(float, (n, 2),
@@ -951,45 +951,69 @@ def test_evaluate_cv_linear_allocates_at_most_one_matrix_above_its_inputs():
     assert peak <= 1.0 * X.nbytes, f"peak {peak / X.nbytes:.2f} times X"
 
 
-def test_linear_fit_that_overflows_predicts_the_training_mean():
-    # AᵀA holds inf; lstsq on it raised LinAlgError or ran for minutes, and
-    # pruning, which fits the whole pool, ended the run
+def test_linear_fit_solves_the_columns_whose_sum_of_squares_is_finite():
+    # AᵀA holds inf; lstsq on it raised LinAlgError or ran for minutes, so the
+    # whole fit predicted the training mean, blind to the columns that fit.
+    # A column whose centred sum of squares overflows gets coefficient,
+    # centre and importance 0, and the others are solved without it
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=60), rng.normal(size=60)
+    c = rng.uniform(1, 2, 60) * 1e160
+    y = 3 * a + b
+    spec = LearnerSpec(kind="linear")
+    X = np.column_stack([a, c, b])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = train(spec, X, y, Task.REGRESSION)
+        want = train(spec, X[:, [0, 2]], y, Task.REGRESSION)
+        assert predict(model, X) == pytest.approx(predict(want, X[:, [0, 2]]), rel=1e-12)
+    assert model.coef[1] == model.scaler[0][1] == model.importances[1] == 0.0
+    assert model.coef[[0, 2, 3]] == pytest.approx(want.coef, rel=1e-12)
+    assert model.scaler[0][[0, 2]] == pytest.approx(want.scaler[0], rel=1e-12)
+    assert model.importances[[0, 2]] == pytest.approx(want.importances, rel=1e-12)
+    # with every column overflowing, the model predicts the training mean
     X = np.column_stack([np.arange(8.0), np.arange(8.0) ** 2])
-    X[3, 0] = 1e200
+    X[3] = 1e200
     y = np.arange(8.0) * 1.5
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        model = train(LearnerSpec(kind="linear"), X, y, Task.REGRESSION)
+        model = train(spec, X, y, Task.REGRESSION)
         assert predict(model, X).tolist() == [y.mean()] * 8
     assert model.coef.tolist() == [0.0, 0.0, y.mean()]
     assert model.importances.tolist() == [0.0, 0.0]
     assert feature_importance(model).tolist() == [0.5, 0.5]
 
 
-def test_evaluate_cv_fits_the_training_mean_where_a_linear_fit_overflows():
-    # The folds that train on row 3 predict their training mean and score
-    # its 1 - rae, at least 0; the one that validates it predicts near
-    # 1e200 and scores 0, where it scored about -1e200
+def test_evaluate_cv_fits_the_other_columns_where_one_overflows():
+    # One column near 1e160 scored the pool 0.0, however well the others fit
     rng = np.random.default_rng(0)
+    a, b = rng.normal(size=60), rng.normal(size=60)
+    c = rng.uniform(1, 2, 60) * 1e160
+    spec = LearnerSpec(kind="linear")
+    assert evaluate_cv(spec, np.column_stack([a, b, c]), 3 * a + b, Task.REGRESSION,
+                       k=2, seed=0) >= 0.9999
+    # The folds that train on row 3 fit column 1 alone, where they predicted
+    # their training mean; the one that validates it predicts near 1e200 and
+    # scores 0, where it scored about -1e200
     X = rng.normal(size=(40, 2))
     X[3, 0] = 1e200
-    y = rng.normal(size=40)
-    spec = LearnerSpec(kind="linear")
+    y = X[:, 1] + rng.normal(0, 0.1, size=40)
 
     def per_fold(X, k):
         scores = []
         for train_idx, valid_idx in kfold_indices(40, k, 0):
-            pred = np.full(len(valid_idx), y[train_idx].mean())
-            if X[train_idx].max() < 1e200:
-                Xtr, Xva = impute_columns(X[train_idx], X[valid_idx])
-                pred = predict(train(spec, Xtr, y[train_idx], Task.REGRESSION), Xva)
+            Xtr, Xva = impute_columns(X[train_idx], X[valid_idx])
+            cols = [1] if Xtr[:, 0].max() >= 1e200 else [0, 1]
+            pred = predict(train(spec, Xtr[:, cols], y[train_idx], Task.REGRESSION),
+                           Xva[:, cols])
+            if cols == [0, 1] and Xva[:, 0].max() >= 1e200:
                 assert metric_one_minus_rae(y[valid_idx], pred) < -1e100
             scores.append(max(0.0, metric_one_minus_rae(y[valid_idx], pred)))
         return np.mean(scores)
 
     start = time.perf_counter()
     want = per_fold(X, 5)
-    assert want > 0
+    assert want > 0.5
     assert evaluate_cv(spec, X, y, Task.REGRESSION, k=5, seed=0) == pytest.approx(
         want, rel=1e-9)
     assert time.perf_counter() - start < 1.0

@@ -25,7 +25,7 @@ def idx(kg, name):
 
 
 def phi(kg, expr):
-    return phi_feature(kg, expr, judge(kg, expr).unit)
+    return phi_feature(kg, expr, judge(kg, expr).unit_name)
 
 
 def test_phi_raw_feature_sets_class_ancestors_unit(kg):
@@ -50,7 +50,7 @@ def test_phi_derived_feature_adds_propagated_unit(kg):
 
 
 def test_phi_state_is_sum_of_feature_vectors(kg):
-    cols = [Column(name, Kind.NUMERIC, np.ones(3), np.zeros(3, dtype=bool))
+    cols = [Column(name, Kind.NUMERIC, np.ones(3))
             for name in ("weight", "height", "y")]
     weight, height = raw_pool(Dataset(cols, "y", Task.REGRESSION, 3), kg)
     total = phi_state(kg, [weight, height, weight])
