@@ -85,16 +85,21 @@ class SchemaConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "SchemaConfig":
-        """Parse a schema file; a missing required field or an unknown task
-        or column kind is a DataError naming the file and the field or value."""
+        """Parse a schema file; a document or overrides that are not JSON
+        objects, a missing required field, or an unknown task or column kind
+        is a DataError naming the file and the field or value."""
         with open(path) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise DataError(f"{path}: the schema is not a JSON object")
+        overrides = doc.get("column_kind_overrides", {})
+        if not isinstance(overrides, dict):
+            raise DataError(f"{path}: column_kind_overrides is not a JSON object")
         try:
             return cls(
                 target_name=doc["target_name"],
                 task=Task(doc["task"]),
-                column_kind_overrides={k: Kind(v) for k, v in
-                                       doc.get("column_kind_overrides", {}).items()},
+                column_kind_overrides={k: Kind(v) for k, v in overrides.items()},
                 concept_map_path=doc.get("concept_map_path"),
             )
         except KeyError as exc:

@@ -157,15 +157,38 @@ def empty_kg() -> KnowledgeGraph:
     return KnowledgeGraph([], {}, {}, {}, [], [])
 
 
-def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
-    """Load a KG document (classes, subclass_of, units, quantities, rules)
-    plus an optional column-to-concept mapping document."""
+def _read_object(path):
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise KGError(f"{path}: the document is not a JSON object")
+    return doc
+
+
+def _field(entry, key, where):
+    """entry[key], or a KGError naming `where` when entry is not a JSON
+    object or has no such field."""
+    if not isinstance(entry, dict) or key not in entry:
+        raise KGError(f"{where} has no {key!r} field")
+    return entry[key]
+
+
+def _atom(entry, where):
+    return Atom(_field(entry, "pred", where), tuple(_field(entry, "args", where)))
+
+
+def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
+    """Load a KG document (classes, subclass_of, units, quantities, rules)
+    plus an optional column-to-concept mapping document. A document or entry
+    of the wrong shape is a KGError naming the file and the entry."""
+    doc = _read_object(path)
     classes = list(doc.get("classes", []))
     class_set = set(classes)
     parents = {}
     for pair in doc.get("subclass_of", []):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(c, str) for c in pair)):
+            raise KGError(f"{path}: subclass_of entry {pair!r} is not two class names")
         child, parent = pair
         for c in (child, parent):
             if c not in class_set:
@@ -178,8 +201,8 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
 
     unit_registry = {}
     unit_class = {}
-    for u in doc.get("units", []):
-        name = u["name"]
+    for i, u in enumerate(doc.get("units", [])):
+        name = _field(u, "name", f"{path}: unit {i}")
         if name in unit_registry:
             raise KGError(f"duplicate unit name {name!r}")
         cls = u.get("class", "Units")
@@ -196,8 +219,9 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
 
     rules = []
     for i, r in enumerate(doc.get("rules", [])):
-        body = tuple(Atom(a["pred"], tuple(a["args"])) for a in r["body"])
-        head = Atom(r["head"]["pred"], tuple(r["head"]["args"]))
+        where = f"{path}: rule {i}"
+        body = tuple(_atom(a, where) for a in _field(r, "body", where))
+        head = _atom(_field(r, "head", where), where)
         head_vars = {a for a in head.args if a.startswith("?")}
         body_vars = {a for atom in body for a in atom.args if a.startswith("?")}
         if not head_vars <= body_vars:
@@ -206,10 +230,8 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
 
     column_concepts = {}
     if mapping_path is not None:
-        with open(mapping_path) as fh:
-            mapping = json.load(fh)
-        for col, entry in mapping.items():
-            cls = entry["class"]
+        for col, entry in _read_object(mapping_path).items():
+            cls = _field(entry, "class", f"{mapping_path}: mapping for {col!r}")
             if cls not in class_set:
                 raise KGError(f"mapping for {col!r} references unknown class {cls!r}")
             unit = entry.get("unit")

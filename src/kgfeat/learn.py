@@ -43,13 +43,15 @@ class LearnerSpec:
 class _Forest:
     """Flat node arrays of all the trees of a model, in level order within
     each batch of trees grown together. Tree t starts at node roots[t]. A
-    node with feature -1 is a leaf that predicts value; otherwise rows with
-    x <= threshold go to node left[i] and the others to left[i] + 1."""
+    node with feature -1 is a leaf that predicts ldexp(value, scale);
+    otherwise rows with x <= threshold go to node left[i] and the others to
+    left[i] + 1."""
     roots: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     value: np.ndarray
+    scale: int
 
 
 @dataclass
@@ -130,7 +132,7 @@ def _best_splits(codes, lo, hi, rows, ys, w, sk, F, stats, task, n_classes, tol)
 
     Distinct samples (rows, ys) of weight w are in open node sk. stats holds
     the nodes' weighted counts and class counts, or counts, sums of y and
-    sums of y**2. Ties break toward the lowest feature unless a later one is
+    impurities. Ties break toward the lowest feature unless a later one is
     better by more than tol, then toward the lowest threshold. Returns
     (weighted child impurity, feature, threshold, last left bin); the
     impurity is inf where a node has no split.
@@ -183,14 +185,11 @@ def _best_splits(codes, lo, hi, rows, ys, w, sk, F, stats, task, n_classes, tol)
                            for c, lc in enumerate(left))
         score = (nl * gini_l + nr * gini_r) / n
     else:
-        # (nl * var_l + nr * var_r) / n, each variance at least 0
-        wy = w * ys
-        s1 = left_sum(wy)
-        s2 = left_sum(wy * ys)
-        score = nl * np.maximum(s2 / nl - (s1 / nl) ** 2, 0)
-        s1, s2 = stats[1][node] - s1, stats[2][node] - s2  # the right side's
-        score += nr * np.maximum(s2 / nr - (s1 / nr) ** 2, 0)
-        score /= n
+        # the node's impurity less nl·nr/n²·(mean_l − mean_r)², which is
+        # d²/(n²·nl·nr); d is exact while the integer sums stay below 2**53,
+        # so an offset the target holds exactly leaves it as it is
+        d = n * left_sum(w * ys) - nl * stats[1][node]
+        score = stats[2][node] - d * d / (n * n * nl * nr)
     # the lowest threshold of each (node, feature) segment reaching its minimum
     first = np.flatnonzero(np.concatenate([[True], g[1:] != g[:-1]]))
     seg_min = np.full(m * f, np.inf)
@@ -225,22 +224,18 @@ def _positions(subset, K):
     return pos
 
 
-def _grow(codes, lo, hi, y, e, task, n_classes, batch, n_sub, max_depth,
+def _grow(codes, lo, hi, y, tol, task, n_classes, batch, n_sub, max_depth,
           importances, n_total):
     """Grow one tree on each (generator, distinct rows, weights) of `batch`,
     all together, one depth level per pass; tree t's generator draws its
-    per-node feature subsets. y is the class codes (e = 0), or the
-    regression target scaled by 2**-e as _scaled_target returns it.
+    per-node feature subsets. y is the class codes, or the regression target
+    as _scaled_target scales it; a node splits where that lowers its
+    impurity by more than tol.
 
     Returns the batch's node arrays (feature, threshold, left, value) in
-    level order, with tree t's root at node t. Leaf values are in the
-    target's units; the impurity decreases added to `importances` are in
-    the scaled target's, and the 1e-15 impurity tolerance in the target's.
+    level order, with tree t's root at node t. Leaf values, and the impurity
+    decreases added to `importances`, are in y's units.
     """
-    # the 1e-15 tolerance in the scaled target's units; inf for a target
-    # below about 2e-162, which never splits
-    with np.errstate(over="ignore"):
-        tol = np.ldexp(1e-15, -2 * e)
     p = codes.shape[0]
     rngs, rows, w = zip(*batch)
     k = np.repeat(np.arange(len(batch)), [len(r) for r in rows])
@@ -259,12 +254,10 @@ def _grow(codes, lo, hi, y, e, task, n_classes, batch, n_sub, max_depth,
             value = np.argmax(counts, axis=1).astype(float)  # lowest code on ties
             stats = (cnt, counts)
         else:
-            wy = w * ys
-            t1 = np.bincount(k, wy, K)
-            mean = t1 / cnt
-            imp = np.bincount(k, w * (ys - mean[k]) ** 2, K) / cnt
-            value = np.ldexp(mean, e)
-            stats = (cnt, t1, np.bincount(k, wy * ys, K))
+            t1 = np.bincount(k, w * ys, K)
+            value = t1 / cnt
+            imp = np.bincount(k, w * (ys - value[k]) ** 2, K) / cnt
+            stats = (cnt, t1, imp)
         feature = np.full(K, -1)
         threshold = np.zeros(K)
         left = np.full(K, -1)
@@ -322,21 +315,24 @@ def _fit_trees(X, y, task, n_classes, rngs, n_sub, max_depth):
     n, p = X.shape
     codes, lo, hi = _bin_columns(X)
     if task == Task.CLASSIFICATION:
-        y, e = y.astype(np.int64), 0
+        y, e, tol = y.astype(np.int64), 0, 1e-15
     else:
         y, e = _scaled_target(y)
+        # relative to the target's range; a constant one's sums still round,
+        # so it never splits
+        tol = 1e-15 * ((y.max() - y.min()) / 2) ** 2 or np.inf
     importances = np.zeros(p)
     roots, parts, n_nodes = [], [], 0
     for batch in _bootstraps(rngs, n):
         feature, threshold, left, value = _grow(
-            codes, lo, hi, y, e, task, n_classes, batch, n_sub, max_depth,
+            codes, lo, hi, y, tol, task, n_classes, batch, n_sub, max_depth,
             importances, n)
         roots.append(n_nodes + np.arange(len(batch)))
         parts.append((feature, threshold, np.where(left >= 0, left + n_nodes, -1),
                       value))
         n_nodes += len(feature)
     return _Forest(np.concatenate(roots),
-                   *(np.concatenate(a) for a in zip(*parts))), importances
+                   *(np.concatenate(a) for a in zip(*parts)), e), importances
 
 
 def _forest_leaves(forest: _Forest, X) -> np.ndarray:
@@ -470,7 +466,7 @@ def predict(model: Model, X: np.ndarray) -> np.ndarray:
     if model.kind in ("decision_tree", "random_forest"):
         leaves = _forest_leaves(model.trees, X)
         if model.task == Task.REGRESSION:
-            return leaves.mean(axis=0)
+            return np.ldexp(leaves.mean(axis=0), model.trees.scale)
         # majority vote, the lowest code on ties, as one bincount over (row, class)
         n_classes = int(model.classes.max()) + 1
         votes = leaves.astype(np.int64) + n_classes * np.arange(n)

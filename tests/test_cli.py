@@ -204,6 +204,40 @@ def test_kg_check_deep_subclass_chain(tmp_path, capsys):
     assert f"classes: {n}" in capsys.readouterr().out
 
 
+_HEAD = {"pred": "p", "args": ["?x"]}
+
+
+@pytest.mark.parametrize("kg, mapping, named", [
+    ([], None, "kg.json: the document is not a JSON object"),
+    ({"classes": ["A"], "subclass_of": [["A"]]}, None,
+     "kg.json: subclass_of entry ['A'] is not two class names"),
+    ({"classes": ["Units"], "units": [{"dims": {}}]}, None,
+     "kg.json: unit 0 has no 'name' field"),
+    ({"rules": [{"head": _HEAD}]}, None, "kg.json: rule 0 has no 'body' field"),
+    ({"rules": [{"body": [_HEAD]}]}, None, "kg.json: rule 0 has no 'head' field"),
+    ({"rules": [{"body": [{"args": ["?x"]}], "head": _HEAD}]}, None,
+     "kg.json: rule 0 has no 'pred' field"),
+    ({"rules": [{"body": [_HEAD], "head": {"pred": "q"}}]}, None,
+     "kg.json: rule 0 has no 'args' field"),
+    ({}, [], "map.json: the document is not a JSON object"),
+    ({"classes": ["Weight"]}, {"a": {"unit": "kg"}},
+     "map.json: mapping for 'a' has no 'class' field"),
+])
+def test_kg_check_malformed_kg_or_mapping_exits_one_naming_the_entry(
+        tmp_path, capsys, kg, mapping, named):
+    # each was an internal error (exit 2), or a bare "error: 'class'"
+    (tmp_path / "kg.json").write_text(json.dumps(kg))
+    (tmp_path / "data.csv").write_text("a,b\n1,2\n")
+    argv = ["kg-check", "--kg", str(tmp_path / "kg.json"),
+            "--dataset", str(tmp_path / "data.csv")]
+    if mapping is not None:
+        (tmp_path / "map.json").write_text(json.dumps(mapping))
+        argv += ["--mapping", str(tmp_path / "map.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
 def test_explain_known_and_unknown_feature(tmp_path, planted_paths, capsys):
     _, out_dir = run_manifest(tmp_path, planted_paths)
     result_path = os.path.join(out_dir, "result.json")
@@ -340,10 +374,14 @@ def test_report_names_a_column_the_dataset_lost(tmp_path, planted_paths, capsys)
     ({"target_name": "y", "task": "regression", "column_kind_overrides": {"x": "numerik"}},
      "'numerik' is not a valid Kind"),
     ({"task": "regression"}, "no 'target_name' field"),
+    ([], "the schema is not a JSON object"),
+    ({"target_name": "y", "task": "regression", "column_kind_overrides": []},
+     "column_kind_overrides is not a JSON object"),
 ])
 def test_run_malformed_schema_exits_one_naming_the_field(tmp_path, capsys, schema, named):
-    # an unknown task or kind was an internal error (exit 2), and a missing
-    # target_name printed only "error: 'target_name'"
+    # an unknown task or kind, or a document or overrides that are not
+    # objects, was an internal error (exit 2), and a missing target_name
+    # printed only "error: 'target_name'"
     argv = write_regression(tmp_path, ["1", "2", "3", "4"], ["1", "2", "3", "5"])
     (tmp_path / "reg.schema.json").write_text(json.dumps(schema))
     assert main(argv) == 1

@@ -178,3 +178,35 @@ def test_every_dataclass_field_is_read():
         with open(path) as fh:
             sources.append(fh.read())
     assert unread_fields(sources) == []
+
+
+def unread_parameters(source):
+    """`function.name` for each parameter a function never reads, counting
+    reads in its nested functions; names starting with `_` are exempt."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                  + [a.vararg, a.kwarg] if p is not None]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(fn, "name", "<lambda>")
+        found += [f"{name}.{p}" for p in params if p not in read and not p.startswith("_")]
+    return found
+
+
+def test_unread_parameters_are_found():
+    source = ("def f(a, b, *c, d=1, **e):\n    return a + d\n"
+              "def g(x, _y):\n    def h():\n        return x\n    return h\n"
+              "k = lambda u, v: u\n")
+    assert unread_parameters(source) == ["f.b", "f.c", "f.e", "<lambda>.v"]
+
+
+def test_every_parameter_is_read():
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            unread = unread_parameters(fh.read())
+        assert not unread, f"{os.path.basename(path)} never reads {unread}"

@@ -306,6 +306,15 @@ def test_histogram_trees_match_exact_greedy_search(case):
     # node impurities are summed in another order: equal up to rounding
     assert feature_importance(model) == pytest.approx(_shares(importances),
                                                       rel=1e-9, abs=1e-12)
+    if task == Task.REGRESSION:
+        # an offset the target holds exactly grows the same trees; the leaf
+        # means round to the offset's ulp (2.4e-7 at 2**30), while other
+        # trees' predictions would differ by at least 1 / (4 · 300²)
+        shift = [1e3, 2.0 ** 30][case // 4 % 2]
+        shifted = train(spec, X, y + shift, task)
+        assert predict(shifted, X) - shift == pytest.approx(expected, rel=0, abs=1e-6)
+        assert feature_importance(shifted) == pytest.approx(_shares(importances),
+                                                            rel=1e-6, abs=1e-9)
 
 
 # The learner as it was before it grew trees on distinct bootstrap rows with
@@ -466,7 +475,7 @@ def _rr_fit(spec, X, y, task, batch_rows):
         parts.append((feature, threshold, np.where(left >= 0, left + n_nodes, -1),
                       value))
         n_nodes += len(feature)
-    forest = _Forest(np.concatenate(roots), *(np.concatenate(a) for a in zip(*parts)))
+    forest = _Forest(np.concatenate(roots), *(np.concatenate(a) for a in zip(*parts)), 0)
     return forest, importances
 
 
@@ -508,9 +517,12 @@ def test_weighted_trees_match_repeated_row_trees(seed, n, p, levels, ties, targe
     with mock.patch.object(learn, "_BATCH_ROWS", batch_rows):
         model = train(spec, X, y, task)
     forest, importances = _rr_fit(spec, X, y, task, batch_rows)
-    for name in ("roots", "feature", "threshold", "left", "value"):
+    for name in ("roots", "feature", "threshold", "left"):
         got, want = getattr(model.trees, name), getattr(forest, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    # the learner's leaves are in its scaled target's units
+    got = np.ldexp(model.trees.value, model.trees.scale)
+    assert got.tobytes() == forest.value.tobytes()
     oracle = Model(kind, task, p, trees=forest, classes=model.classes)
     assert predict(model, X).tobytes() == predict(oracle, X).tobytes()
     # decreases are summed in the same order but from weighted sums
@@ -555,6 +567,70 @@ def test_regression_tree_splits_a_target_near_1e200():
     assert model.trees.feature[0] == 0
     assert predict(model, X) == pytest.approx(y, rel=1e-12)
     assert model.importances[0] > 0
+
+
+def test_regression_trees_split_a_tiny_target_and_never_a_constant():
+    # the 1e-15 tolerance was absolute, in the target's squared units, so a
+    # target below about 1e-8 never split. It is now relative to the
+    # target's range; a constant target's sums still round, so it never
+    # splits at all
+    X = np.linspace(0.0, 1.0, 40)[:, None]
+    for scale in (1e-8, 1e-12):
+        y = scale * (X[:, 0] > 0.5)
+        model = train(LearnerSpec(kind="decision_tree"), X, y, Task.REGRESSION)
+        assert model.trees.feature[0] == 0
+        assert predict(model, X) == pytest.approx(y, rel=1e-12)
+    X = np.random.default_rng(0).uniform(size=(200, 3))
+    for c in (0.1, 1e9 + 0.37):
+        model = train(LearnerSpec(kind="random_forest", n_trees=10), X,
+                      np.full(200, c), Task.REGRESSION)
+        assert model.trees.feature.tolist() == [-1] * 10
+
+
+@pytest.mark.parametrize("shift", [1e3, 2.0 ** 30])
+def test_an_exact_target_offset_grows_the_same_trees(shift):
+    # each side's variance was Σy²/n − (Σy/n)², which cancels when the mean
+    # is large against the spread; the split scores now take the children's
+    # mean difference from one exact prefix sum
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(200, 4))
+        y = rng.integers(-40, 60, 200).astype(float)
+        spec = LearnerSpec(kind="random_forest", n_trees=5, seed=seed)
+        plain = train(spec, X, y, Task.REGRESSION).trees
+        moved = train(spec, X, y + shift, Task.REGRESSION).trees
+        for name in ("feature", "threshold", "left"):
+            assert getattr(moved, name).tobytes() == getattr(plain, name).tobytes(), \
+                (seed, name)
+
+
+def test_a_large_inexact_target_offset_grows_the_unshifted_trees():
+    # 1e9 plus two-decimal values: the sums round, but the tolerance
+    # follows the target's range, not its size (the variance formula grew
+    # 20 nodes here against 602)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(200, 3))
+        y = np.round(rng.uniform(0, 10, 200), 2)
+        spec = LearnerSpec(kind="random_forest", n_trees=10, seed=seed)
+        plain = train(spec, X, y, Task.REGRESSION).trees
+        moved = train(spec, X, 1e9 + y, Task.REGRESSION).trees
+        for name in ("feature", "threshold", "left"):
+            assert getattr(moved, name).tobytes() == getattr(plain, name).tobytes(), \
+                (seed, name)
+
+
+def test_a_forest_on_targets_near_the_largest_float_predicts_finite_values():
+    # leaves were unscaled before the forest's mean, which overflowed
+    rng = np.random.default_rng(0)
+    X = rng.uniform(size=(200, 3))
+    y = np.where(X[:, 0] > 0.5, 1.0, -1.0) * rng.uniform(0.9, 1.0, 200) * 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pred = predict(train(LearnerSpec(kind="random_forest", seed=0), X, y,
+                             Task.REGRESSION), X)
+    assert np.isfinite(pred).all()
+    assert (np.sign(pred) == np.sign(y)).mean() > 0.9
 
 
 def test_importance_shares_do_not_depend_on_the_target_scale():
