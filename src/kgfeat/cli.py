@@ -11,21 +11,31 @@ import re
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import engine as eng
 from . import kg as kgmod
 from . import learn
 from .agent import AgentError
-from .data import DataError, SchemaConfig, load_csv
-from .kg import KGError, RawRef
+from .data import DataError, Kind, RawRef, SchemaConfig, load_csv
+from .kg import KGError
 from .learn import LearnError
-from .transform import TransformError, children, expr_from_json
+from .transform import TransformError, categorical_codes, children, expr_from_json
 
 EXIT_OK = 0
 EXIT_USER = 1
 EXIT_INTERNAL = 2
 
 _USER_ERRORS = (DataError, KGError, TransformError, LearnError, AgentError,
-                eng.EngineError, FileNotFoundError, json.JSONDecodeError, KeyError)
+                eng.EngineError, FileNotFoundError, json.JSONDecodeError)
+_PATH_KEYS = ("dataset", "schema", "kg", "mapping", "out")  # a manifest's file fields
+# The fields of a result file's config, best features and discarded
+# entries that explain and report read, with their JSON types.
+_EXPLAIN_READS = ({"kg_path": str, "mapping_path": (str, type(None))},
+                  {"display_name": str, "expr": object, "verdict": object},
+                  {"display_name": str, "expr": object, "reason": object})
+_REPORT_READS = ({"dataset_path": str, "schema_path": str, "seed": (int, type(None))},
+                 {"display_name": str, "expr": object, "raw": bool}, {})
 
 
 def _resolve(base_dir, path):
@@ -37,15 +47,33 @@ def _resolve(base_dir, path):
 def _load_manifest(path):
     with open(path) as fh:
         doc = json.load(fh)
+    eng.check_fields(doc, {**dict.fromkeys(_PATH_KEYS, (str, type(None))),
+                           "engine": (dict, type(None))}, f"{path}: manifest")
     base = os.path.dirname(os.path.abspath(path))
-    for key in ("dataset", "schema", "kg", "mapping", "out"):
+    for key in _PATH_KEYS:
         if doc.get(key):
             doc[key] = _resolve(base, doc[key])
     return doc
 
 
+def _load_result(path, reads):
+    """The FEResult in a result file, whose config, best features and
+    discarded entries hold the fields `reads` gives; see check_fields for
+    the errors, which name the file."""
+    _check_exists(path, "result file")
+    with open(path) as fh:
+        result = eng.FEResult.from_json(json.load(fh), f"{path}: result")
+    config, feature, discarded = reads
+    eng.check_fields(result.config, config, f"{path}: config")
+    for i, doc in enumerate(result.best_features):
+        eng.check_fields(doc, feature, f"{path}: best_features[{i}]")
+    for i, doc in enumerate(result.discard_log):
+        eng.check_fields(doc, discarded, f"{path}: discard_log[{i}]")
+    return result
+
+
 def _build_config(doc, args):
-    overrides = dict(doc.get("engine", {}))
+    overrides = dict(doc.get("engine") or {})
     for key in eng.ENGINE_OPTIONS:
         if getattr(args, key, None) is not None:
             overrides[key] = getattr(args, key)
@@ -87,7 +115,9 @@ def _write_result_files(result, d, out_dir):
         json.dump(result.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     headers, X = eng.feature_matrix(d, result.best_features)
-    target = d.target_column.values  # a run refuses a target with a missing cell
+    tcol = d.target_column  # a categorical one reads back as its cells, "" where missing
+    target = (np.array(tcol.levels + ("",), dtype=object)[categorical_codes(tcol)]
+              if tcol.kind == Kind.CATEGORICAL else tcol.values)
     with open(os.path.join(out_dir, "features.csv"), "w", newline="") as fh:
         fh.write(_csv_line([_csv_field(h) for h in headers + [d.target]]))
         for a in range(0, d.n_rows, _CSV_BLOCK_ROWS):
@@ -154,7 +184,9 @@ def cmd_kg_check(args) -> int:
         _check_exists(args.mapping, "mapping")
     kg = kgmod.load_kg(args.kg, args.mapping)
     with open(args.dataset, newline="") as fh:
-        header = next(csv.reader(fh))
+        header = next(csv.reader(fh), None)
+    if header is None:
+        raise DataError(f"{args.dataset}: empty file")
     target = None
     if args.schema:
         target = SchemaConfig.from_json(args.schema).target_name
@@ -184,9 +216,7 @@ def _print_tree(expr, kg, nodes, indent=1):
 
 
 def cmd_explain(args) -> int:
-    _check_exists(args.result, "result file")
-    with open(args.result) as fh:
-        result = eng.FEResult.from_json(json.load(fh))
+    result = _load_result(args.result, _EXPLAIN_READS)
     known = {f["display_name"]: f for f in result.best_features}
     discarded = {e["display_name"]: e for e in result.discard_log}
     name = args.feature
@@ -209,9 +239,12 @@ def cmd_explain(args) -> int:
 
 
 def cmd_report(args) -> int:
-    _check_exists(args.result, "result file")
-    with open(args.result) as fh:
-        result = eng.FEResult.from_json(json.load(fh))
+    result = _load_result(args.result, _REPORT_READS)
+    for i, pair in enumerate(result.order_sweep or []):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(v, (int, float)) for v in pair)):
+            raise eng.EngineError(f"{args.result}: order_sweep[{i}] is not a "
+                                  "[max_order, best_score] pair")
     out_dir = args.out or os.path.dirname(os.path.abspath(args.result))
     os.makedirs(out_dir, exist_ok=True)
 
@@ -221,7 +254,7 @@ def cmd_report(args) -> int:
     raw = [f for f in result.best_features if f["raw"]]
     headers, X = eng.feature_matrix(d, result.best_features)
     y = eng.target_codes(d)
-    spec = learn.LearnerSpec(kind="random_forest", seed=result.config.get("seed", 0))
+    spec = learn.LearnerSpec(kind="random_forest", seed=result.config.get("seed") or 0)
 
     # rank generated features, then rebuild raw + top-n for the report forest
     imp = eng.importance(spec, X, y, d.task)

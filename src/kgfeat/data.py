@@ -31,27 +31,26 @@ class DataError(ValueError):
     """Raised for malformed input files or invalid split requests."""
 
 
-@dataclass
-class Column:
-    """A single typed column.
+@dataclass(frozen=True)
+class RawRef:
+    name: str
 
-    Numeric/Boolean/Date values are stored as float64 (Boolean as 0/1, Date as
-    days since 1970-01-01) with NaN at a missing cell; Categorical values are
-    stored as strings, with "" at a missing cell.
+
+@dataclass
+class Feature:
+    """A feature: an expression and its values, a float64 array with NaN at
+    a missing cell of every kind; `name` renders the expression.
+
+    Boolean values are 0/1 and Date values days since 1970-01-01. A
+    Categorical's values are codes into `levels`, its distinct present cells
+    in sorted order. A dataset column is the raw feature `RawRef(name)`.
     """
 
-    name: str
-    kind: Kind
+    expr: object
     values: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def missing_cells(f) -> np.ndarray:
-    """The missing cells of a feature (a Column or CandidateFeature): ""
-    in a categorical one, NaN in any other."""
-    return f.values == "" if f.kind == Kind.CATEGORICAL else np.isnan(f.values)
+    kind: Kind
+    name: str
+    levels: tuple = ()
 
 
 @dataclass
@@ -61,14 +60,14 @@ class Dataset:
     task: Task
     n_rows: int
 
-    def column(self, name: str) -> Column:
+    def column(self, name: str) -> Feature:
         for c in self.columns:
             if c.name == name:
                 return c
         raise DataError(f"dataset has no column {name!r}")
 
     @property
-    def target_column(self) -> Column:
+    def target_column(self) -> Feature:
         return self.column(self.target)
 
     @property
@@ -136,7 +135,7 @@ def _parse(kind: Kind, present: list):
         raise
 
 
-def _build_column(name: str, cells: list, kind: Optional[Kind]) -> Column:
+def _build_column(name: str, cells: list, kind: Optional[Kind]) -> Feature:
     """A typed column from stripped cells; empty cells are missing.
 
     With no `kind`, the column takes the first of Numeric, Date and Boolean
@@ -144,7 +143,7 @@ def _build_column(name: str, cells: list, kind: Optional[Kind]) -> Column:
     Categorical; an all-empty column is Categorical.
     """
     present = list(filter(None, cells))
-    parsed = None
+    parsed, levels = None, ()
     if kind is None:
         kind = Kind.CATEGORICAL
         for k in _PARSERS if present else ():
@@ -158,13 +157,15 @@ def _build_column(name: str, cells: list, kind: Optional[Kind]) -> Column:
         if parsed is None:
             raise DataError(f"column {name!r}: cell {bad!r} is not {_PARSERS[kind][1]}")
     if kind == Kind.CATEGORICAL:
-        return Column(name, kind, np.array(cells, dtype=object))
+        levels = tuple(sorted(set(present)))
+        code = {level: float(i) for i, level in enumerate(levels)}
+        parsed = np.fromiter(map(code.__getitem__, present), float, len(present))
     values = np.full(len(cells), np.nan)
     values[np.fromiter(map(bool, cells), bool, len(cells))] = parsed
     if kind == Kind.NUMERIC:
         # a cell reading inf or nan is missing, the rule transform outputs follow
         values[~np.isfinite(values)] = np.nan
-    return Column(name, kind, values)
+    return Feature(RawRef(name), values, kind, name, levels)
 
 
 def load_csv(path: str, schema: SchemaConfig) -> Dataset:

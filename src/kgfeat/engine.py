@@ -8,16 +8,34 @@ import numpy as np
 
 from . import agent as ag
 from . import learn, transform
-from .data import Dataset, Kind, Task, missing_cells
+from .data import Dataset, Feature, Kind, Task
 from .kg import KnowledgeGraph, Verdict, VerdictStatus, judge
-from .transform import (CandidateFeature, Expr, RawRef, catalog, expand_action,
-                        expr_from_json, expr_to_json, leaves)
+from .transform import (Expr, RawRef, catalog, expand_action, expr_from_json, expr_to_json,
+                        leaves)
 
 MAX_STEPS_PER_EPISODE = 20
 
 
 class EngineError(ValueError):
     pass
+
+
+_JSON_TYPE_NAMES = {dict: "a JSON object", list: "a JSON array", str: "a string",
+                    bool: "a boolean", int: "an integer"}
+
+
+def check_fields(doc, types: dict, where: str):
+    """Raise an EngineError naming `where` and the field where `doc` is not
+    a JSON object, lacks a field of `types` (name -> type or tuple of types)
+    or holds another type in it; a field that may be null may be absent."""
+    if not isinstance(doc, dict):
+        raise EngineError(f"{where} is not a JSON object")
+    for key, kind in types.items():
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        if key not in doc and type(None) not in kinds:
+            raise EngineError(f"{where} has no {key!r} field")
+        if not isinstance(doc.get(key), kinds):
+            raise EngineError(f"{where}: {key!r} is not {_JSON_TYPE_NAMES[kinds[0]]}")
 
 
 @dataclass
@@ -64,7 +82,7 @@ ENGINE_OPTIONS = tuple(f.name for f in fields(EngineConfig)
 
 @dataclass
 class PoolEntry:
-    feature: CandidateFeature
+    feature: Feature
     verdict: Verdict
     concepts: np.ndarray              # phi_feature, built when the entry is made
 
@@ -129,13 +147,19 @@ class FEResult:
         return {key: getattr(self, key) for key in _RESULT_KEYS}
 
     @classmethod
-    def from_json(cls, doc: dict) -> "FEResult":
-        return cls(**{key: doc[key] for key in _RESULT_KEYS if key != "order_sweep"},
-                   order_sweep=doc.get("order_sweep"))
+    def from_json(cls, doc, where: str = "result") -> "FEResult":
+        """Parse a result document; see check_fields for the errors, which
+        name `where`."""
+        check_fields(doc, {key: _RESULT_TYPES.get(key, object) for key in _RESULT_KEYS}, where)
+        return cls(**{key: doc.get(key) for key in _RESULT_KEYS})
 
 
 # The keys of result.json: every FEResult field but the in-memory traces.
 _RESULT_KEYS = tuple(f.name for f in fields(FEResult) if f.name != "traces")
+# The JSON types of the fields readers iterate or index; order_sweep may be
+# null or absent.
+_RESULT_TYPES = {"best_features": list, "discard_log": list, "config": dict,
+                 "order_sweep": (list, type(None))}
 
 
 def compute_reward(prev: float, new: float) -> float:
@@ -143,12 +167,12 @@ def compute_reward(prev: float, new: float) -> float:
     return new - prev
 
 
-def encode_feature(entry: CandidateFeature) -> np.ndarray:
+def encode_feature(entry: Feature) -> np.ndarray:
     """One numeric matrix column: categoricals as their
     `transform.categorical_codes`, everything else as its values (NaN at a
     missing cell)."""
     if entry.kind == Kind.CATEGORICAL:
-        return transform.categorical_codes(entry)[0].astype(float)
+        return transform.categorical_codes(entry).astype(float)
     return entry.values
 
 
@@ -166,7 +190,7 @@ def target_codes(d: Dataset) -> np.ndarray:
     """The target as one float vector: class codes in natural label order for
     classification, the values for regression. A missing cell is an error."""
     tcol = d.target_column
-    if missing_cells(tcol).any():
+    if np.isnan(tcol.values).any():
         raise EngineError("target column has missing values")
     if d.task == Task.CLASSIFICATION:
         return learn.encode_labels(tcol.values)[0]
@@ -182,8 +206,7 @@ def importance(spec: learn.LearnerSpec, X: np.ndarray, y: np.ndarray,
 
 def raw_pool(d: Dataset, kg: KnowledgeGraph):
     pool = []
-    for col in d.feature_columns:
-        feat = transform.apply(RawRef(col.name), d)
+    for feat in d.feature_columns:
         verdict = judge(kg, feat.expr)
         pool.append(PoolEntry(feat, verdict, phi_feature(kg, feat.expr, verdict.unit_name)))
     return pool
@@ -216,7 +239,7 @@ def _prune_to_budget(pool, cfg: EngineConfig, evaluator: _Evaluator):
     X = stack_features((e.feature for e in pool), (len(evaluator.y), len(pool)))
     imp = importance(cfg.learner, X, evaluator.y, evaluator.task)
     order = sorted(range(len(pool)),
-                   key=lambda i: (imp[i], pool[i].feature.display_name))
+                   key=lambda i: (imp[i], pool[i].feature.name))
     drop = set()
     for i in order:
         if len(pool) - len(drop) <= cfg.feature_budget:
@@ -275,7 +298,7 @@ def run_episode(raw, kg: KnowledgeGraph, state: _AgentState,
                 discarded.append({
                     "episode": episode_index,
                     "step": i,
-                    "display_name": cand.display_name,
+                    "display_name": cand.name,
                     "expr": expr_to_json(cand.expr),
                     "reason": verdict.reason,
                 })
@@ -320,7 +343,7 @@ def _snapshot(pool):
     for e in pool:
         unit = e.verdict.unit
         out.append({
-            "display_name": e.feature.display_name,
+            "display_name": e.feature.name,
             "expr": expr_to_json(e.feature.expr),
             "verdict": e.verdict.status.value,
             "unit": unit.dims_token() if unit is not None else None,

@@ -257,6 +257,12 @@ def _grow(codes, lo, hi, y, tol, task, n_classes, batch, n_sub, max_depth,
             t1 = np.bincount(k, w * ys, K)
             value = t1 / cnt
             imp = np.bincount(k, w * (ys - value[k]) ** 2, K) / cnt
+            # a node whose samples all equal its first has impurity exactly
+            # 0, though its mean may round off that value; one sort of
+            # (node, sample) keys finds each node's first sample
+            n_k = np.bincount(k, minlength=K)
+            first = np.sort(k * len(k) + np.arange(len(k)))[np.cumsum(n_k) - n_k] % len(k)
+            imp[np.bincount(k, ys != ys[first][k], K) == 0] = 0.0
             stats = (cnt, t1, imp)
         feature = np.full(K, -1)
         threshold = np.zeros(K)

@@ -11,8 +11,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import learn
-from .data import Dataset, Kind, missing_cells
+from .data import Dataset, Feature, Kind, RawRef
 
 
 class Arity(str, Enum):
@@ -28,11 +27,6 @@ class TransformOp:
     arity: Arity
     inputs: tuple                     # operand kinds, an aggregation's key first
     output: Kind
-
-
-@dataclass(frozen=True)
-class RawRef:
-    name: str
 
 
 @dataclass(frozen=True)
@@ -174,30 +168,10 @@ def expr_from_json(doc: dict) -> Expr:
     return Node(op.name, tuple(expr_from_json(_json_field(doc, f)) for f in fields), level)
 
 
-@dataclass
-class CandidateFeature:
-    """A concrete feature: an expression plus its evaluated column.
-
-    Values as a Column of `kind` holds them, NaN (or "") at a missing cell;
-    `kind` is the result kind (Boolean for logical/one-hot/is_weekend
-    results).
-    """
-
-    expr: Expr
-    values: np.ndarray
-    kind: Kind
-    display_name: str
-
-
-def categorical_codes(f):
-    """Integer codes of a categorical feature (a Column or CandidateFeature),
-    and its distinct present values in sorted order: a present cell's code is
-    its value's index in that list, a missing cell's is the list's length."""
-    present = ~missing_cells(f)
-    codes, values = learn.encode_labels(f.values[present])
-    out = np.full(len(present), len(values), dtype=np.int64)
-    out[present] = codes
-    return out, values
+def categorical_codes(f: Feature) -> np.ndarray:
+    """Integer codes of a categorical feature: a present cell's index in
+    `f.levels`, and a missing cell's len(f.levels)."""
+    return np.where(np.isnan(f.values), len(f.levels), f.values).astype(np.int64)
 
 
 def categorical_levels(f):
@@ -205,7 +179,7 @@ def categorical_levels(f):
     frequent first (ties in value order), mapped to their `categorical_codes`,
     and each row's level code. Past ONE_HOT_MAX_LEVELS values, all but the
     ONE_HOT_MAX_LEVELS - 1 most frequent fold into one code, _OTHER_LEVEL's."""
-    codes, values = categorical_codes(f)
+    codes, values = categorical_codes(f), f.levels
     n = len(values)
     top = np.argsort(-np.bincount(codes, minlength=n + 1)[:n], kind="stable")
     if n <= ONE_HOT_MAX_LEVELS:
@@ -259,9 +233,9 @@ def _date_values(op: str, days: np.ndarray):
     return out
 
 
-def _derive(expr: Expr, operands) -> CandidateFeature:
-    """Compute one expression node from its operands' features (values,
-    kind, display name), given in `children(expr)` order."""
+def _derive(expr: Expr, operands) -> Feature:
+    """Compute one expression node from its operands' features, given in
+    `children(expr)` order."""
     op = catalog_op(expr.op)
     kinds = tuple(f.kind for f in operands)
     if kinds != op.inputs:
@@ -272,7 +246,7 @@ def _derive(expr: Expr, operands) -> CandidateFeature:
             (f,) = operands
             levels, codes = categorical_levels(f)
             values = (codes == levels.get(expr.level, -1)).astype(float)
-            values[missing_cells(f)] = np.nan
+            values[np.isnan(f.values)] = np.nan
         elif op.arity == Arity.UNARY:
             (f,) = operands
             values = _UNARY_FNS[op.name](f.values)
@@ -286,20 +260,18 @@ def _derive(expr: Expr, operands) -> CandidateFeature:
             (f,) = operands
             values = _date_values(op.name, f.values)
     values[np.isinf(values)] = np.nan  # an overflow or a division by zero
-    return CandidateFeature(expr, values, op.output,
-                            _node_name(expr, [f.display_name for f in operands]))
+    return Feature(expr, values, op.output, _node_name(expr, [f.name for f in operands]))
 
 
-def apply(expr: Expr, d: Dataset) -> CandidateFeature:
+def apply(expr: Expr, d: Dataset) -> Feature:
     """Evaluate an expression row-wise from the dataset's raw columns.
 
-    A raw reference is its column, of the column's kind, sharing its arrays.
-    Domain violations on individual cells (log of non-positives, division by
-    zero) make the cell missing rather than inventing a value.
+    A raw reference is its column itself. Domain violations on individual
+    cells (log of non-positives, division by zero) make the cell missing
+    rather than inventing a value.
     """
     if isinstance(expr, RawRef):
-        col = d.column(expr.name)
-        return CandidateFeature(expr, col.values, col.kind, render_name(expr))
+        return d.column(expr.name)
     return _derive(expr, [apply(c, d) for c in expr.args])
 
 
@@ -375,13 +347,13 @@ def expand_action(op: TransformOp, pool, y: np.ndarray, cap: int, max_order: int
                 continue
             seen.add(expr)
             cand = _derive(expr, operands)
-            miss = np.isnan(cand.values)  # no operator returns a Categorical
+            miss = np.isnan(cand.values)
             if np.count_nonzero(miss) > MAX_MISSING_FRACTION * len(miss):
                 continue
             yield _abs_pearson(cand.values, miss, y, yc, sy), cand
 
     # nsmallest is a stable sorted()[:cap] that holds only `cap` candidates.
-    best = heapq.nsmallest(cap, scored(), key=lambda sc: (-sc[0], sc[1].display_name))
+    best = heapq.nsmallest(cap, scored(), key=lambda sc: (-sc[0], sc[1].name))
     return [cand for _, cand in best]
 
 

@@ -7,7 +7,36 @@ import pytest
 
 import kgfeat
 from kgfeat import kg as kgmod
-from kgfeat.data import SchemaConfig, Task, load_csv
+from kgfeat.data import (Dataset, Feature, Kind, RawRef, SchemaConfig, Task, _build_column,
+                         load_csv)
+
+
+def num_col(name, vals, missing=None, kind=Kind.NUMERIC):
+    """A numeric (or Boolean or Date) column, NaN at the `missing` cells."""
+    vals = np.array(vals, dtype=float)
+    if missing is not None:
+        vals[np.asarray(missing, dtype=bool)] = np.nan
+    return Feature(RawRef(name), vals, kind, name)
+
+
+def cat_col(name, cells, missing=None):
+    """A categorical column coded as load_csv codes it, missing at the
+    `missing` cells and at empty ones."""
+    cells = [str(c) for c in cells]
+    if missing is not None:
+        cells = ["" if m else c for c, m in zip(cells, missing)]
+    return _build_column(name, cells, Kind.CATEGORICAL)
+
+
+def cells_of(col):
+    """A categorical column's cells read back through its levels, "" where
+    missing."""
+    return [col.levels[int(v)] if v == v else "" for v in col.values.tolist()]
+
+
+def make_dataset(columns, target, task=Task.REGRESSION):
+    return Dataset(columns=columns, target=target, task=task,
+                   n_rows=len(columns[0].values))
 
 
 @pytest.fixture(scope="session")

@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 import kgfeat
 from kgfeat.cli import (_CSV_BLOCK_ROWS, _build_config, _csv_field, _csv_line,
                         _write_result_files, build_parser, main)
-from kgfeat.data import Column, Dataset, Kind, Task, missing_cells
+from kgfeat.data import Dataset, Task
 from kgfeat.engine import FEResult
 from kgfeat.learn import LearnerSpec
 from kgfeat import engine as eng
 from kgfeat.transform import Node, RawRef, apply, expr_from_json, expr_to_json
 
-from conftest import make_planted_dataset
+from conftest import cat_col, make_planted_dataset, num_col
 
 
 def run_manifest(tmp_path, planted_paths, out_name="out", extra=None):
@@ -409,6 +409,108 @@ def test_report_missing_result_exits_one(tmp_path):
     assert main(["report", str(tmp_path / "absent.json")]) == 1
 
 
+def test_kg_check_empty_dataset_exits_one_naming_the_file(tmp_path, capsys):
+    # a bare StopIteration was an internal error (exit 2) printing nothing
+    (tmp_path / "empty.csv").write_text("")
+    assert main(["kg-check", "--kg", kgfeat.resource_path("default_kg.json"),
+                 "--dataset", str(tmp_path / "empty.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'empty.csv'}: empty file\n"
+
+
+@pytest.mark.parametrize("manifest, named", [
+    ([], "manifest is not a JSON object"),
+    ({"engine": [["episodes", 1]]}, "manifest: 'engine' is not a JSON object"),
+    ({"engine": "fast"}, "manifest: 'engine' is not a JSON object"),
+    ({"dataset": 5}, "manifest: 'dataset' is not a string"),
+])
+def test_run_malformed_manifest_exits_one_naming_the_field(tmp_path, capsys, manifest, named):
+    # a manifest or engine block that was not an object was an internal
+    # error (exit 2): "'list' object has no attribute 'get'"
+    path = tmp_path / "bad.manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["run", "--manifest", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {named}\n"
+
+
+def _complete_result(planted_paths):
+    """A hand-made result.json holding every field explain and report read."""
+    raw = {"type": "raw", "name": "x1"}
+    return {"best_features": [{"display_name": "x1", "expr": raw, "verdict": "interpretable",
+                               "raw": True, "unit": "kg", "unit_name": "kg"}],
+            "best_score": 0.5, "baseline_score": 0.5, "episode_scores": [0.5],
+            "best_trajectory": [0.5], "seed": 0, "order_sweep": [[1, 0.5]],
+            "discard_log": [{"episode": 0, "step": 0, "display_name": "LOG(x1)",
+                             "expr": {"type": "unary", "op": "log", "child": raw},
+                             "reason": "a rule"}],
+            "config": {"dataset_path": planted_paths["csv"],
+                       "schema_path": planted_paths["schema"],
+                       "kg_path": kgfeat.resource_path("default_kg.json"),
+                       "mapping_path": planted_paths["mapping"], "seed": 0}}
+
+
+_GONE = object()  # a mutation that deletes the field
+
+
+@pytest.mark.parametrize("command, at, value, named", [
+    ("explain", (), [], "result is not a JSON object"),
+    ("report", (), [], "result is not a JSON object"),
+    ("explain", ("best_score",), _GONE, "result has no 'best_score' field"),
+    ("report", ("seed",), _GONE, "result has no 'seed' field"),
+    ("explain", ("best_features",), {}, "result: 'best_features' is not a JSON array"),
+    ("report", ("best_features",), _GONE, "result has no 'best_features' field"),
+    ("explain", ("discard_log",), None, "result: 'discard_log' is not a JSON array"),
+    ("explain", ("config",), [], "result: 'config' is not a JSON object"),
+    ("report", ("order_sweep",), 3, "result: 'order_sweep' is not a JSON array"),
+    ("explain", ("config", "kg_path"), _GONE, "config has no 'kg_path' field"),
+    ("explain", ("config", "mapping_path"), 5, "config: 'mapping_path' is not a string"),
+    ("report", ("config", "dataset_path"), _GONE, "config has no 'dataset_path' field"),
+    ("report", ("config", "schema_path"), ["s.json"], "config: 'schema_path' is not a string"),
+    ("report", ("config", "seed"), "0", "config: 'seed' is not an integer"),
+    ("explain", ("best_features", 0), "x1", "best_features[0] is not a JSON object"),
+    ("explain", ("best_features", 0, "display_name"), _GONE,
+     "best_features[0] has no 'display_name' field"),
+    ("report", ("best_features", 0, "display_name"), 1,
+     "best_features[0]: 'display_name' is not a string"),
+    ("explain", ("best_features", 0, "expr"), _GONE, "best_features[0] has no 'expr' field"),
+    ("report", ("best_features", 0, "expr"), _GONE, "best_features[0] has no 'expr' field"),
+    ("explain", ("best_features", 0, "verdict"), _GONE,
+     "best_features[0] has no 'verdict' field"),
+    ("report", ("best_features", 0, "raw"), _GONE, "best_features[0] has no 'raw' field"),
+    ("report", ("best_features", 0, "raw"), "yes", "best_features[0]: 'raw' is not a boolean"),
+    ("explain", ("discard_log", 0), 7, "discard_log[0] is not a JSON object"),
+    ("explain", ("discard_log", 0, "display_name"), _GONE,
+     "discard_log[0] has no 'display_name' field"),
+    ("explain", ("discard_log", 0, "expr"), _GONE, "discard_log[0] has no 'expr' field"),
+    ("explain", ("discard_log", 0, "reason"), _GONE, "discard_log[0] has no 'reason' field"),
+    ("report", ("order_sweep", 0), [1], "order_sweep[0] is not a [max_order, best_score] pair"),
+    ("report", ("order_sweep", 0), [1, "0.5"],
+     "order_sweep[0] is not a [max_order, best_score] pair"),
+])
+def test_malformed_result_exits_one_naming_the_file_and_field(tmp_path, planted_paths, capsys,
+                                                              command, at, value, named):
+    # a result of [] was an internal error (exit 2), and one lacking a field
+    # printed only the bare key, e.g. "error: 'best_score'"
+    doc = _complete_result(planted_paths)
+    path = tmp_path / "result.json"
+    argv = [command, str(path)] + (["x1"] if command == "explain" else [])
+    path.write_text(json.dumps(doc))
+    assert main(argv) == 0  # complete, the result explains and reports
+    capsys.readouterr()
+    if not at:
+        doc = value
+    else:
+        parent = doc
+        for key in at[:-1]:
+            parent = parent[key]
+        if value is _GONE:
+            del parent[at[-1]]
+        else:
+            parent[at[-1]] = value
+    path.write_text(json.dumps(doc))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: {named}\n"
+
+
 def write_regression(tmp_path, feature_cells, target_cells):
     csv_path = tmp_path / "reg.csv"
     rows = ["x,z,y"] + [f"{i},{f},{t}" for i, (f, t) in
@@ -444,8 +546,7 @@ def test_run_nan_regression_target_exits_one(tmp_path, capsys):
 
 def test_features_csv_cells_are_repr_or_empty(tmp_path):
     vals = [math.nan, -0.0, 0.1, 1e-310, 1e300, 3.0]
-    d = Dataset(columns=[Column("v", Kind.NUMERIC, np.array(vals)),
-                         Column("y", Kind.NUMERIC, np.arange(6.0))],
+    d = Dataset(columns=[num_col("v", vals), num_col("y", np.arange(6.0))],
                 target="y", task=Task.REGRESSION, n_rows=6)
     result = FEResult(best_features=[{"display_name": "V",
                                       "expr": expr_to_json(RawRef("v"))}],
@@ -473,8 +574,7 @@ def test_csv_line_matches_csv_writer(row):
 
 def test_features_csv_quotes_header_and_categorical_target(tmp_path):
     labels = ["a,b", 'say "hi"', "two\nlines", "", "plain"]
-    d = Dataset(columns=[Column("v", Kind.NUMERIC, np.arange(5.0)),
-                         Column("lab,el", Kind.CATEGORICAL, np.array(labels, dtype=object))],
+    d = Dataset(columns=[num_col("v", np.arange(5.0)), cat_col("lab,el", labels)],
                 target="lab,el", task=Task.CLASSIFICATION, n_rows=5)
     result = FEResult(best_features=[{"display_name": 'V "1"',
                                       "expr": expr_to_json(RawRef("v"))}],
@@ -505,9 +605,7 @@ def test_features_csv_is_csv_writer_bytes_across_a_block_boundary(tmp_path, n):
         rng.integers(0, 4, n)]
     gone = rng.random(n) < 0.05
     labels[gone] = ""  # a missing label
-    d = Dataset(columns=[Column("a", Kind.NUMERIC, a),
-                         Column("b", Kind.NUMERIC, b),
-                         Column("lab", Kind.CATEGORICAL, labels)],
+    d = Dataset(columns=[num_col("a", a), num_col("b", b), cat_col("lab", labels)],
                 target="lab", task=Task.CLASSIFICATION, n_rows=n)
     _write_result_files(_result_of_raw_columns(["a", "b"]), d, str(tmp_path))
     buf = io.StringIO(newline="")
@@ -526,7 +624,7 @@ def _features_csv_in_one_block(result, d, path):
     tcol = d.target_column
     cells = [[repr(v) if v == v else "" for v in col.tolist()] for col in columns]
     cells.append(["" if m else _csv_field(str(v))
-                  for v, m in zip(tcol.values.tolist(), missing_cells(tcol).tolist())])
+                  for v, m in zip(tcol.values.tolist(), np.isnan(tcol.values).tolist())])
     with open(path, "w", newline="") as fh:
         fh.write(_csv_line([_csv_field(doc["display_name"]) for doc in result.best_features]
                            + [d.target]))
@@ -537,8 +635,7 @@ def test_features_csv_writer_holds_under_half_the_one_block_peak(tmp_path):
     n = 20000
     rng = np.random.default_rng(0)
     names = [f"x{i}" for i in range(10)]
-    d = Dataset(columns=[Column(name, Kind.NUMERIC, rng.normal(size=n))
-                         for name in names + ["y"]],
+    d = Dataset(columns=[num_col(name, rng.normal(size=n)) for name in names + ["y"]],
                 target="y", task=Task.REGRESSION, n_rows=n)
     result = _result_of_raw_columns(names)
     peaks = []

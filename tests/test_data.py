@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgfeat.data import (Column, DataError, Kind, SchemaConfig, Task, _build_column,
-                         kfold_indices, load_csv, missing_cells)
+from kgfeat.data import (DataError, Kind, SchemaConfig, Task, _build_column, kfold_indices,
+                         load_csv)
+
+from conftest import cells_of
 
 
 def write_csv(path, header, rows):
@@ -56,12 +58,11 @@ def test_missing_cells_flagged(tmp_path):
     )
     d = load_csv(path, SchemaConfig(target_name="y", task=Task.REGRESSION))
     col = d.column("a")
-    assert missing_cells(col).tolist() == [False, True, False]
-    assert np.isnan(col.values[1])
+    assert np.isnan(col.values).tolist() == [False, True, False]
     path = write_csv(tmp_path / "c.csv", ["a", "y"], [["x", "0"], ["", "1"], ["z", "0"]])
     col = load_csv(path, SchemaConfig(target_name="y", task=Task.REGRESSION)).column("a")
-    assert col.kind == Kind.CATEGORICAL and col.values.tolist() == ["x", "", "z"]
-    assert missing_cells(col).tolist() == [False, True, False]
+    assert col.kind == Kind.CATEGORICAL and col.levels == ("x", "z")
+    np.testing.assert_array_equal(col.values, [0.0, np.nan, 1.0])
 
 
 def test_kind_override_forces_categorical(tmp_path):
@@ -70,7 +71,7 @@ def test_kind_override_forces_categorical(tmp_path):
                           column_kind_overrides={"code": Kind.CATEGORICAL})
     d = load_csv(path, schema)
     assert d.column("code").kind == Kind.CATEGORICAL
-    assert list(d.column("code").values) == ["1", "2"]
+    assert cells_of(d.column("code")) == ["1", "2"]
 
 
 def test_override_unparseable_cell_errors(tmp_path):
@@ -159,8 +160,7 @@ def test_non_finite_numeric_cells_flagged_missing(tmp_path):
     d = load_csv(path, SchemaConfig(target_name="y", task=Task.REGRESSION))
     col = d.column("a")
     assert col.kind == Kind.NUMERIC
-    assert missing_cells(col).tolist() == [False, True, True, True, False]
-    assert np.isnan(col.values[1:4]).all()
+    assert np.isnan(col.values).tolist() == [False, True, True, True, False]
 
 
 # Oracle: column typing as two passes, kind inference then a parse per kind.
@@ -197,7 +197,8 @@ def oracle_kind(cells):
 
 
 def oracle_column(name, cells, kind):
-    """The column and its missing cells."""
+    """The column's kind, its values (the cells of a categorical one) and
+    its missing cells."""
     missing = np.array([c == "" for c in cells], dtype=bool)
     values = np.full(len(cells), np.nan)
     if kind == Kind.NUMERIC:
@@ -221,8 +222,8 @@ def oracle_column(name, cells, kind):
                     raise DataError(f"column {name!r}: cell {c!r} is not boolean")
                 values[i] = 1.0 if c.lower() in _ORACLE_TRUE else 0.0
     else:
-        values = np.array(cells, dtype=object)
-    return Column(name, kind, values), missing
+        values = list(cells)
+    return kind, values, missing
 
 
 NUMBER_CELLS = ["0", "1", "-0", "2.5", "1e3", "-3E-2", "1_000", "20210301",
@@ -244,19 +245,19 @@ def typed_cells(draw):
 @given(cells=typed_cells(), override=st.one_of(st.none(), st.sampled_from(list(Kind))))
 def test_column_typing_matches_inference_then_parse(cells, override):
     try:
-        want, want_missing = oracle_column("c", cells, override or oracle_kind(cells))
+        kind, want, want_missing = oracle_column("c", cells, override or oracle_kind(cells))
     except DataError as err:
         with pytest.raises(DataError) as got:
             _build_column("c", cells, override)
         assert str(got.value) == str(err)
         return
     got = _build_column("c", cells, override)
-    assert got.kind == want.kind
-    assert missing_cells(got).tolist() == want_missing.tolist()
-    if want.kind == Kind.CATEGORICAL:
-        assert got.values.tolist() == want.values.tolist()
+    assert got.kind == kind
+    assert np.isnan(got.values).tolist() == want_missing.tolist()
+    if kind == Kind.CATEGORICAL:
+        assert cells_of(got) == want
     else:
-        np.testing.assert_array_equal(got.values, want.values)  # NaN equals NaN
+        np.testing.assert_array_equal(got.values, want)  # NaN equals NaN
 
 
 @settings(max_examples=100, deadline=None)
@@ -273,15 +274,43 @@ def test_load_csv_reads_ragged_rows_as_the_row_loop(tmp_path_factory, rows):
         read = list(csv.reader(fh))[1:]
     for j, name in enumerate(header):
         cells = [r[j].strip() if j < len(r) else "" for r in read]
-        want, want_missing = oracle_column(name, cells, Kind.CATEGORICAL if name == "y"
-                                           else oracle_kind(cells))
+        kind, want, want_missing = oracle_column(name, cells, Kind.CATEGORICAL if name == "y"
+                                                 else oracle_kind(cells))
         got = d.column(name)
-        assert got.kind == want.kind
-        assert missing_cells(got).tolist() == want_missing.tolist()
-        if want.kind == Kind.CATEGORICAL:
-            assert got.values.tolist() == want.values.tolist()
+        assert got.kind == kind
+        assert np.isnan(got.values).tolist() == want_missing.tolist()
+        if kind == Kind.CATEGORICAL:
+            assert cells_of(got) == want
         else:
-            assert got.values.tobytes() == want.values.tobytes()
+            assert got.values.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=typed_cells(), override=st.one_of(st.none(), st.sampled_from(list(Kind))),
+       data=st.data())
+def test_loaded_column_is_float_with_nan_exactly_at_its_missing_cells(tmp_path_factory, cells,
+                                                                      override, data):
+    # every kind holds float64 values, NaN exactly where a cell is empty once
+    # stripped or, numeric, reads inf or nan; a categorical's codes read back
+    # each present cell through its sorted distinct cells
+    pads = st.sampled_from(["", " ", "  ", "\t "])
+    padded = [data.draw(pads) + c + data.draw(pads) for c in cells]
+    path = write_csv(tmp_path_factory.mktemp("csv") / "t.csv", ["c", "y"],
+                     [[c, "0"] for c in padded])
+    schema = SchemaConfig(target_name="y", task=Task.REGRESSION,
+                          column_kind_overrides={"c": override} if override else {})
+    kind = override or oracle_kind(cells)
+    try:
+        col = load_csv(path, schema).column("c")
+    except DataError:
+        assert override is not None  # a forced kind some cell does not parse as
+        return
+    assert col.kind == kind and col.values.dtype == np.float64
+    missing = [not c or (kind == Kind.NUMERIC and not np.isfinite(float(c))) for c in cells]
+    assert np.isnan(col.values).tolist() == missing
+    if kind == Kind.CATEGORICAL:
+        assert col.levels == tuple(sorted(set(filter(None, cells))))
+        assert cells_of(col) == cells
 
 
 def dealt_folds(n, k, seed, labels=None):

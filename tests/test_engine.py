@@ -5,13 +5,15 @@ import pytest
 
 from kgfeat import engine, learn, transform
 from kgfeat.agent import AgentConfig
-from kgfeat.data import Column, Dataset, Kind, Task
+from kgfeat.data import Dataset, Task
 from kgfeat.engine import (EngineConfig, EngineError, FEResult, PoolEntry, _Evaluator,
                            compute_reward, encode_feature, max_order_sweep,
                            phi_feature, raw_pool, run, target_codes)
 from kgfeat.kg import VerdictStatus, empty_kg, judge, load_kg
 from kgfeat.learn import LearnerSpec
-from kgfeat.transform import CandidateFeature, Node, RawRef
+from kgfeat.transform import Node, RawRef
+
+from conftest import cat_col, num_col
 
 
 def small_cfg(**kw):
@@ -38,15 +40,14 @@ def test_compute_reward_is_score_delta():
 
 
 def test_encode_feature_categorical_codes():
-    values = np.array(["b", "a", "", "c"], dtype=object)  # "" is a missing cell
-    feat = CandidateFeature(RawRef("c"), values, Kind.CATEGORICAL, "C")
+    feat = cat_col("c", ["b", "a", "", "c"])  # "" is a missing cell
     out = encode_feature(feat)
     # levels sorted: a=0, b=1, c=2; missing cells get the extra code 3
     assert out.tolist() == [1.0, 0.0, 3.0, 2.0]
 
 
 def test_encode_feature_numeric_nan_for_missing():
-    feat = CandidateFeature(RawRef("n"), np.array([1.0, np.nan]), Kind.NUMERIC, "N")
+    feat = num_col("n", [1.0, np.nan])
     out = encode_feature(feat)
     assert out[0] == 1.0 and np.isnan(out[1])
 
@@ -56,7 +57,7 @@ def test_raw_pool_marks_raw_and_units(planted):
     pool = raw_pool(d, kg)
     assert len(pool) == 5
     assert all(f["raw"] for f in engine._snapshot(pool))
-    by_name = {e.feature.display_name: e for e in pool}
+    by_name = {e.feature.name: e for e in pool}
     assert by_name["x1"].verdict.unit == kg.unit_registry["kg"]
     assert by_name["x1"].verdict.unit_name == "kg"
     assert by_name["x3"].verdict.unit is None
@@ -118,7 +119,7 @@ def test_best_score_never_below_baseline(planted):
 def classified(d):
     """The planted data with its target split at the median into two classes."""
     y = d.target_column
-    label = Column("y", Kind.NUMERIC, (y.values > np.median(y.values)).astype(float))
+    label = num_col("y", y.values > np.median(y.values))
     return Dataset(d.feature_columns + [label], target="y", task=Task.CLASSIFICATION,
                    n_rows=d.n_rows)
 
@@ -204,16 +205,14 @@ def test_evaluator_cache_tells_apart_columns_with_one_display_name():
     rng = np.random.default_rng(0)
     a = rng.uniform(-2, 2, 60)
     y = a ** 2 + rng.normal(0, 0.05, 60)
-    d = Dataset([Column("a", Kind.NUMERIC, a),
-                 Column("SQUARE(a)", Kind.NUMERIC, rng.normal(size=60)),
-                 Column("y", Kind.NUMERIC, y)],
+    d = Dataset([num_col("a", a), num_col("SQUARE(a)", rng.normal(size=60)), num_col("y", y)],
                 target="y", task=Task.REGRESSION, n_rows=60)
     evaluator = _Evaluator(small_cfg(), d.task, target_codes(d))
     noise = raw_pool(d, empty_kg())[1]
     square = Node("square", (RawRef("a"),))
     signal = PoolEntry(transform.apply(square, d), judge(empty_kg(), square),
                        noise.concepts)
-    assert signal.feature.display_name == noise.feature.display_name
+    assert signal.feature.name == noise.feature.name
     assert evaluator.score([signal]) > 0.9
     assert evaluator.score([noise]) < 0.5
 

@@ -1,12 +1,63 @@
-"""Source hygiene: every name a kgfeat module imports is used in it, no
-module imports another's private name, every module-level private name is
-read somewhere in the package, every local a function assigns is read in
-it, and every dataclass field is read somewhere in the package."""
+"""Source hygiene: each kgfeat module imports only the sibling modules its
+layer allows, every name a module imports is used in it, no module imports
+another's private name, every module-level private name is read somewhere
+in the package, every local a function assigns is read in it, and every
+dataclass field is read somewhere in the package."""
 import ast
 import glob
 import os
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "kgfeat")
+
+
+# The architecture: the sibling modules each kgfeat module may import. Data
+# loading and the DQN agent stand alone; transforms and learners build on
+# the data; the KG reasons over transform expressions; the engine ties them
+# together and the CLI drives it.
+LAYERS = {
+    "__init__": set(),
+    "data": set(),
+    "agent": set(),
+    "transform": {"data"},
+    "kg": {"transform"},
+    "learn": {"data"},
+    "engine": {"agent", "data", "kg", "learn", "transform"},
+    "cli": {"agent", "data", "engine", "kg", "learn", "transform"},
+}
+
+
+def sibling_imports(source):
+    """The kgfeat modules a module imports, relatively or by package name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] == "kgfeat":
+                parts = parts[1:]
+            elif node.level == 0:
+                continue
+            found |= {parts[0]} if parts[0] else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("kgfeat.")}
+    return found
+
+
+def test_sibling_imports_are_found():
+    source = ("from __future__ import annotations\nimport numpy as np\n"
+              "from . import learn, transform as t\nfrom .data import Kind\n"
+              "from kgfeat.kg import judge\nimport kgfeat.agent\nfrom os import path\n")
+    assert sibling_imports(source) == {"learn", "transform", "data", "kg", "agent"}
+
+
+def test_each_module_imports_only_the_layers_it_may():
+    paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
+    assert {os.path.basename(p)[:-3] for p in paths} == set(LAYERS)
+    for path in paths:
+        name = os.path.basename(path)[:-3]
+        with open(path) as fh:
+            extra = sibling_imports(fh.read()) - LAYERS[name]
+        assert not extra, f"{name} imports {sorted(extra)}"
 
 
 def unused_imports(source):

@@ -9,21 +9,13 @@ from hypothesis import strategies as st
 
 import kgfeat
 from kgfeat import kg as kgmod
-from kgfeat.data import Column, Dataset, Kind, Task
 from kgfeat.engine import phi_feature
 from kgfeat.kg import (DIMENSIONLESS, KGError, Unit, VerdictStatus, coverage,
                        forward_chain, is_instance, judge, load_kg, propagate_unit,
                        subsumes)
 from kgfeat.transform import Arity, Node, RawRef, catalog, catalog_op, leaves
 
-
-def num_col(name, vals):
-    return Column(name, Kind.NUMERIC, np.asarray(vals, dtype=float))
-
-
-def make_dataset(columns, target):
-    return Dataset(columns=columns, target=target, task=Task.REGRESSION,
-                   n_rows=len(columns[0]))
+from conftest import cat_col, make_dataset, num_col
 
 
 @pytest.fixture(scope="module")
@@ -53,8 +45,7 @@ def body_kg(tmp_path, default_kg_path):
 
 @pytest.fixture()
 def body_data():
-    store = Column("store", Kind.CATEGORICAL,
-                   np.array(["a", "b", "a", "b"], dtype=object))
+    store = cat_col("store", ["a", "b", "a", "b"])
     return make_dataset(
         [num_col("weight", [70, 80, 60, 90]),
          num_col("height", [1.75, 1.8, 1.6, 2.0]),

@@ -340,7 +340,7 @@ def _rr_draw_features(tree, rngs, n_sub, p):
     return F
 
 
-def _rr_best_splits(codes, lo, hi, rows, ys, sk, F, stats, task, n_classes):
+def _rr_best_splits(codes, lo, hi, rows, ys, sk, F, stats, task, n_classes, tol):
     m, f = F.shape
     b = codes[F[sk], rows[:, None]]
     cell = ((sk[:, None] * f + np.arange(f)) << 8) + b
@@ -362,12 +362,10 @@ def _rr_best_splits(codes, lo, hi, rows, ys, sk, F, stats, task, n_classes):
         gini_r = 1.0 - sum((right[:, c] / nr) ** 2 for c in range(n_classes))
         score_v = (nl * gini_l + nr * gini_r) / n
     else:
+        # the node's impurity less d²/(n²·nl·nr), the learner's score
         s1 = _rr_segment_cumsum(np.bincount(inv, np.repeat(ys, f), U), starts, seg)[v]
-        s2 = _rr_segment_cumsum(np.bincount(inv, np.repeat(ys * ys, f), U), starts, seg)[v]
-        t1, t2 = stats[1][node], stats[2][node]
-        var_l = s2 / nl - (s1 / nl) ** 2
-        var_r = (t2 - s2) / nr - ((t1 - s1) / nr) ** 2
-        score_v = (nl * np.maximum(var_l, 0) + nr * np.maximum(var_r, 0)) / n
+        d = n * s1 - nl * stats[1][node]
+        score_v = stats[2][node] - d * d / (n * n * nl * nr)
     score = np.full(U, np.inf)
     score[v] = np.where(np.isnan(score_v), np.inf, score_v)
     seg_min = np.minimum.reduceat(score, starts)
@@ -377,7 +375,7 @@ def _rr_best_splits(codes, lo, hi, rows, ys, sk, F, stats, task, n_classes):
     best, cell_at = seg_min[:, 0].copy(), seg_cell[:, 0].copy()
     slot = np.zeros(m, dtype=np.int64)
     for k in range(1, f):
-        better = seg_min[:, k] < best - 1e-15
+        better = seg_min[:, k] < best - tol
         best[better] = seg_min[better, k]
         cell_at[better] = seg_cell[better, k]
         slot[better] = k
@@ -391,7 +389,7 @@ def _rr_best_splits(codes, lo, hi, rows, ys, sk, F, stats, task, n_classes):
 
 
 def _rr_grow(codes, lo, hi, y, task, n_classes, boots, rngs, n_sub, max_depth,
-             importances, n_total):
+             importances, n_total, tol):
     p = codes.shape[0]
     rows = np.concatenate(boots)
     node = np.repeat(np.arange(len(boots)), [len(b) for b in boots])
@@ -413,12 +411,12 @@ def _rr_grow(codes, lo, hi, y, task, n_classes, boots, rngs, n_sub, max_depth,
             t1 = np.bincount(k, ys, K)
             value = t1 / cnt
             imp = np.bincount(k, (ys - value[k]) ** 2, K) / cnt
-            stats = (cnt, t1, np.bincount(k, ys * ys, K))
+            stats = (cnt, t1, imp)
         feature = np.full(K, -1)
         threshold = np.zeros(K)
         left = np.full(K, -1)
         levels.append((feature, threshold, left, value))
-        open_ = np.flatnonzero((cnt >= 2) & (imp > 1e-15))
+        open_ = np.flatnonzero((cnt >= 2) & (imp > tol))
         if depth == max_depth or not len(open_):
             break
         s = _positions(open_, K)[k]
@@ -426,8 +424,8 @@ def _rr_grow(codes, lo, hi, y, task, n_classes, boots, rngs, n_sub, max_depth,
         F = _rr_draw_features(tree[open_], rngs, n_sub, p)
         best, j, thr, split_bin = _rr_best_splits(
             codes, lo, hi, rows[inside], ys[inside], s[inside], F,
-            tuple(a[open_] for a in stats), task, n_classes)
-        gain = best < imp[open_] - 1e-15
+            tuple(a[open_] for a in stats), task, n_classes, tol)
+        gain = best < imp[open_] - tol
         split = open_[gain]
         j, split_bin = j[gain], split_bin[gain]
         feature[split] = j
@@ -465,12 +463,16 @@ def _rr_fit(spec, X, y, task, batch_rows):
         batches[-1].append(t)
         size += distinct
     codes, lo, hi = _bin_columns(X)
+    # the learner's tolerances; its regression tolerance, taken on the target
+    # it scales by a power of two, is this one scaled alike
+    tol = (1e-15 if task == Task.CLASSIFICATION
+           else 1e-15 * ((y.max() - y.min()) / 2) ** 2 or np.inf)
     importances = np.zeros(p)
     roots, parts, n_nodes = [], [], 0
     for batch in batches:
         feature, threshold, left, value = _rr_grow(
             codes, lo, hi, y, task, n_classes, [boots[t] for t in batch],
-            [rngs[t] for t in batch], n_sub, spec.max_depth, importances, n)
+            [rngs[t] for t in batch], n_sub, spec.max_depth, importances, n, tol)
         roots.append(n_nodes + np.arange(len(batch)))
         parts.append((feature, threshold, np.where(left >= 0, left + n_nodes, -1),
                       value))
@@ -618,6 +620,19 @@ def test_a_large_inexact_target_offset_grows_the_unshifted_trees():
         for name in ("feature", "threshold", "left"):
             assert getattr(moved, name).tobytes() == getattr(plain, name).tobytes(), \
                 (seed, name)
+
+
+def test_pure_regression_nodes_far_from_zero_stay_leaves():
+    # a node holding one value has a mean that may round off it, and so
+    # had an impurity above the range-relative tolerance: these forests grew
+    # 203.2 and 214.0 nodes on average at offsets 1e6 and 1e9 against 30.0
+    X = np.random.default_rng(0).uniform(size=(300, 3))
+    step = 0.37 + 0.01 * (X[:, 0] > 0.5)
+    for off in (0.0, 1e6, 1e9):
+        sizes = [len(train(LearnerSpec(kind="random_forest", n_trees=10, feature_subsample=1.0,
+                                       seed=seed), X, off + step, Task.REGRESSION).trees.feature)
+                 for seed in range(10)]
+        assert np.mean(sizes) == 30.0, off
 
 
 def test_a_forest_on_targets_near_the_largest_float_predicts_finite_values():

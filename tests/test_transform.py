@@ -7,35 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgfeat.data import Column, Dataset, Kind, Task, missing_cells
+from kgfeat.data import Kind
 from kgfeat.engine import target_codes
 from kgfeat.transform import (MAX_MISSING_FRACTION, ONE_HOT_MAX_LEVELS, Arity,
-                              CandidateFeature, Node, RawRef, TransformError, _abs_pearson, _centred, _derive,
+                              Node, RawRef, TransformError, _abs_pearson, _centred, _derive,
                               _operand_tuples, apply, catalog, catalog_op,
                               categorical_codes, categorical_levels, expand_action,
                               expr_from_json, expr_to_json, order, render_name,
                               search_space_size)
 
-
-def num_col(name, vals, missing=None):
-    """A numeric column, NaN at the `missing` cells."""
-    vals = np.array(vals, dtype=float)
-    if missing is not None:
-        vals[np.asarray(missing, dtype=bool)] = np.nan
-    return Column(name, Kind.NUMERIC, vals)
-
-
-def cat_col(name, vals, missing=None):
-    """A categorical column, "" at the `missing` cells."""
-    vals = np.array(vals, dtype=object)
-    if missing is not None:
-        vals[np.asarray(missing, dtype=bool)] = ""
-    return Column(name, Kind.CATEGORICAL, vals)
-
-
-def make_dataset(columns, target, task=Task.REGRESSION):
-    return Dataset(columns=columns, target=target, task=task,
-                   n_rows=len(columns[0]))
+from conftest import cat_col, make_dataset, num_col
 
 
 @pytest.fixture()
@@ -234,8 +215,8 @@ def test_logical_ops_require_boolean():
 
 
 def test_logical_ops_on_booleans():
-    f1 = Column("f1", Kind.BOOLEAN, np.array([1.0, 1.0, 0.0, 0.0]))
-    f2 = Column("f2", Kind.BOOLEAN, np.array([1.0, 0.0, 1.0, 0.0]))
+    f1 = num_col("f1", [1.0, 1.0, 0.0, 0.0], kind=Kind.BOOLEAN)
+    f2 = num_col("f2", [1.0, 0.0, 1.0, 0.0], kind=Kind.BOOLEAN)
     d = make_dataset([f1, f2, num_col("y", [0, 1, 2, 3])], target="y")
     a = apply(Node("and", (RawRef("f1"), RawRef("f2"))), d)
     o = apply(Node("or", (RawRef("f1"), RawRef("f2"))), d)
@@ -293,23 +274,23 @@ def test_a_cell_reading_the_fold_level_name_keeps_its_own_one_hot():
     one_hot = apply(Node("one_hot", (RawRef("k"),), "⟂other"), d).values
     assert one_hot.sum() == one_hot[literal].sum() == 30
     folded = apply(Node("one_hot", (RawRef("k"),), ""), d)
-    assert folded.display_name == "ONE_HOT(k=)"
+    assert folded.name == "ONE_HOT(k=)"
     assert folded.values.sum() == 2 * (25 - (ONE_HOT_MAX_LEVELS - 2))
     assert folded.values[literal].sum() == 0
 
 
-def _string_keys_oracle(f):
+def _string_keys_oracle(cells):
     """Levels and per-row group keys as strings, as they were computed
-    before categorical codes: a per-row loop with sentinel strings."""
+    before categorical codes: a per-row loop over the cells, an empty one
+    missing, with sentinel strings."""
     counts = {}
-    for v, m in zip(f.values, missing_cells(f)):
-        if not m:
-            counts[str(v)] = counts.get(str(v), 0) + 1
+    for c in filter(None, cells):
+        counts[c] = counts.get(c, 0) + 1
     levels = sorted(counts, key=lambda lv: (-counts[lv], lv))
     if len(levels) > ONE_HOT_MAX_LEVELS:
         levels = levels[: ONE_HOT_MAX_LEVELS - 1] + [""]
-    keys = np.array(["⟂missing" if m else str(v) if str(v) in levels else ""
-                     for v, m in zip(f.values, missing_cells(f))], dtype=object)
+    keys = np.array(["⟂missing" if not c else c if c in levels else ""
+                     for c in cells], dtype=object)
     return levels, keys
 
 
@@ -320,19 +301,20 @@ def test_categorical_codes_match_the_string_keys_oracle(data):
     names = (st.text("abcXY_é", max_size=3) | st.just("⟂other")
              | st.sampled_from([f"v{i}" for i in range(30)]))
     cells = data.draw(st.lists(names, min_size=n, max_size=n))
-    # an empty cell is missing, as load_csv reads it
-    missing = [m or not c for m, c in
-               zip(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), cells)]
-    key = cat_col("k", cells, missing)
+    cells = ["" if m else c for m, c in
+             zip(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), cells)]
+    # the key coded as load_csv codes it; an empty cell is missing
+    key = cat_col("k", cells)
     value = num_col("v", data.draw(st.lists(
         st.floats(-1e6, 1e6) | st.just(math.nan), min_size=n, max_size=n)))
     d = make_dataset([key, value, num_col("y", np.arange(n))], target="y")
-    codes, values = categorical_codes(key)
-    present = ~missing_cells(key)
-    assert values == sorted(set(key.values[present].tolist()))
-    assert codes[present].tolist() == [values.index(v) for v in key.values[present]]
-    assert (codes[~present] == len(values)).all()
-    levels, keys = _string_keys_oracle(key)
+    present = np.array([c != "" for c in cells], dtype=bool)
+    codes = categorical_codes(key)
+    assert key.levels == tuple(sorted(set(filter(None, cells))))
+    assert codes[present].tolist() == [key.levels.index(c) for c in filter(None, cells)]
+    assert (codes[~present] == len(key.levels)).all()
+    assert np.isnan(key.values).tolist() == (~present).tolist()
+    levels, keys = _string_keys_oracle(cells)
     assert list(categorical_levels(key)[0]) == levels
     for level in levels + ["absent"]:
         got = apply(Node("one_hot", (RawRef("k"),), level), d)
@@ -352,7 +334,7 @@ def test_categorical_codes_match_the_string_keys_oracle(data):
 def _derive_with_masks_oracle(expr, operands):
     """`_derive` as it was while features carried a missing mask beside
     their values: (values, mask) of one node from operands given as
-    (values, mask, kind) triples, the mask propagated op by op."""
+    (feature, mask) pairs, the mask propagated op by op."""
     def finite(out, bad):
         bad = bad | ~np.isfinite(out)
         out[bad] = np.nan
@@ -360,25 +342,27 @@ def _derive_with_masks_oracle(expr, operands):
 
     op = catalog_op(expr.op)
     if op.name == "one_hot":
-        (vals, miss, kind), = operands
-        levels, codes = categorical_levels(Column("k", kind, vals))
+        (f, miss), = operands
+        levels, codes = categorical_levels(f)
         out = (codes == levels.get(expr.level, -1)).astype(float)
         out[miss] = np.nan
         return out, miss.copy()
     if op.arity == Arity.UNARY:
-        (vals, miss, _), = operands
+        (f, miss), = operands
+        vals = f.values
         fn = {"log": np.log, "sqrt": np.sqrt, "square": lambda v: v ** 2,
               "reciprocal": lambda v: 1.0 / v}[op.name]
         return finite(fn(vals), miss)
     if op.arity == Arity.BINARY:
-        (a, am, _), (b, bm, _) = operands
+        (a, am), (b, bm) = operands
+        a, b = a.values, b.values
         fn = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide,
               "and": lambda a, b: ((a != 0) & (b != 0)).astype(float),
               "or": lambda a, b: ((a != 0) | (b != 0)).astype(float)}[op.name]
         return finite(fn(a, b), am | bm)
     if op.arity == Arity.AGGREGATION:
-        (kv, _, kk), (vv, vm, _) = operands
-        groups = categorical_levels(Column("k", kk, kv))[1]
+        (k, _), (v, vm) = operands
+        groups, vv = categorical_levels(k)[1], v.values
         out, bad = np.full(len(vv), np.nan), np.zeros(len(vv), dtype=bool)
         fn = getattr(np, op.name.removeprefix("group_"))
         for g in np.flatnonzero(np.bincount(groups)):
@@ -389,8 +373,8 @@ def _derive_with_masks_oracle(expr, operands):
             else:
                 out[sel] = fn(member)
         return finite(out, bad)
-    (days, miss, _), = operands
-    days = np.where(miss, 0, days)
+    (f, miss), = operands
+    days = np.where(miss, 0, f.values)
     out, ok = np.full(len(days), np.nan), ~miss
     d64 = days[ok].astype("int64").astype("datetime64[D]")
     if op.name == "day":
@@ -413,18 +397,16 @@ _CELL = {Kind.NUMERIC: st.floats(-1e200, 1e200) | st.sampled_from([0.0, -1.0, 1e
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_derive_missing_cells_match_the_mask_oracle(data):
-    # a missing cell is NaN (or "") in its values; every op's output cells
-    # are missing exactly where the mask it used to propagate said so
+    # a missing cell is NaN in its values, of every kind; every op's output
+    # cells are missing exactly where the mask it used to propagate said so
     n = data.draw(st.integers(1, 12), label="n")
 
     def operand(kind):
         cells = data.draw(st.lists(_CELL[kind], min_size=n, max_size=n))
         miss = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
         if kind == Kind.CATEGORICAL:
-            return cat_col("c", cells, miss)
-        vals = np.array(cells)
-        vals[miss] = np.nan
-        return Column("x", kind, vals)
+            return cat_col("c", cells, miss), miss
+        return num_col("x", cells, miss, kind=kind), miss
 
     # two operands of each kind; an op takes its i-th input from the i-th
     cols = {kind: [operand(kind), operand(kind)] for kind in _CELL}
@@ -434,10 +416,8 @@ def test_derive_missing_cells_match_the_mask_oracle(data):
             if op.name == "one_hot" else None
         expr = Node(op.name, tuple(RawRef(f"a{i}") for i in range(len(feats))), level)
         with np.errstate(all="ignore"):
-            got = _derive(expr, [CandidateFeature(RawRef(f.name), f.values, f.kind, f.name)
-                                 for f in feats])
-            want, mask = _derive_with_masks_oracle(
-                expr, [(f.values, missing_cells(f), f.kind) for f in feats])
+            got = _derive(expr, [f for f, _ in feats])
+            want, mask = _derive_with_masks_oracle(expr, feats)
         assert np.isnan(got.values).tolist() == mask.tolist(), op.name
         np.testing.assert_array_equal(got.values, want, err_msg=op.name)
 
@@ -446,7 +426,7 @@ def test_date_extractors():
     # 1970-01-01: Thursday; 1970-01-03: Saturday; 1970-02-01: Sunday;
     # 1971-01-01: Friday
     days = np.array([0.0, 2.0, 31.0, 365.0])
-    col = Column("when", Kind.DATE, days)
+    col = num_col("when", days, kind=Kind.DATE)
     d = make_dataset([col, num_col("y", [0, 1, 2, 3])], target="y")
     assert apply(Node("day", (RawRef("when"),)), d).values.tolist() == [1, 3, 1, 1]
     assert apply(Node("month", (RawRef("when"),)), d).values.tolist() == [1, 1, 2, 1]
@@ -457,12 +437,12 @@ def test_date_extractors():
 
 
 def test_raw_reference_is_its_column_of_its_own_kind(d):
-    # a categorical column comes back categorical, sharing the column's values
-    col = d.column("city")
+    # a raw reference evaluates to the dataset's column itself
+    for col in d.columns:
+        assert apply(RawRef(col.name), d) is d.column(col.name)
     f = apply(RawRef("city"), d)
     assert f.kind == Kind.CATEGORICAL
-    assert f.values is col.values
-    assert f.display_name == "city"
+    assert f.name == "city" and f.expr == RawRef("city")
 
 
 def test_expand_action_dedup_and_cap(d):
@@ -475,7 +455,7 @@ def test_expand_action_dedup_and_cap(d):
     cands = expand_action(catalog_op("add"), numeric, target_codes(d),
                           cap=50, max_order=5)
     assert len(cands) == 3
-    names = {c.display_name for c in cands}
+    names = {c.name for c in cands}
     assert "(weight + height)" in names and "(height + weight)" not in names
     # non-commutative sub: ordered distinct pairs = 2
     cands = expand_action(catalog_op("sub"), numeric, target_codes(d),
@@ -498,8 +478,8 @@ def test_expand_action_skips_existing(d):
     assert len(first) == 2
     again = expand_action(catalog_op("square"), numeric + first,
                           target_codes(d), cap=10, max_order=5)
-    assert {c.display_name for c in again}.isdisjoint(
-        {c.display_name for c in first})
+    assert {c.name for c in again}.isdisjoint(
+        {c.name for c in first})
 
 
 def test_expand_action_respects_max_order(d):
@@ -534,7 +514,7 @@ def test_expand_action_deterministic(d):
                       cap=4, max_order=5)
     b = expand_action(catalog_op("mul"), numeric, target_codes(d),
                       cap=4, max_order=5)
-    assert [c.display_name for c in a] == [c.display_name for c in b]
+    assert [c.name for c in a] == [c.name for c in b]
 
 
 def brute_force_count(p, arities):
@@ -584,7 +564,7 @@ def mixed_dataset():
     one_missing = np.arange(n) == 3
 
     def bool_col(name, p):
-        return Column(name, Kind.BOOLEAN, (rng.random(n) < p).astype(float))
+        return num_col(name, rng.random(n) < p, kind=Kind.BOOLEAN)
 
     return make_dataset(
         [num_col("a", rng.normal(size=n)),
@@ -594,7 +574,7 @@ def mixed_dataset():
          bool_col("f2", 0.3),
          cat_col("city", np.where(one_missing, "", rng.choice(["oslo", "rome", "lima"], n)),
                  missing=one_missing),
-         Column("when", Kind.DATE, rng.integers(0, 20000, n).astype(float)),
+         num_col("when", rng.integers(0, 20000, n), kind=Kind.DATE),
          num_col("y", rng.normal(size=n))],
         target="y",
     )
@@ -615,7 +595,7 @@ def test_incremental_evaluation_matches_cold_apply():
     for cand in first + second:
         cold = apply(cand.expr, d)
         assert cand.kind == cold.kind, render_name(cand.expr)
-        assert cand.display_name == cold.display_name
+        assert cand.name == cold.name
         assert np.isnan(cand.values).tolist() == np.isnan(cold.values).tolist()
         np.testing.assert_array_equal(cand.values, cold.values)  # NaN equals NaN
 
@@ -661,11 +641,11 @@ def test_expand_action_ranks_as_the_oracle_on_planted_data(planted):
     for name in ("square", "sqrt", "div", "mul"):
         cands = expand_action(catalog_op(name), pool, y, cap=10_000, max_order=5)
         want = sorted(cands, key=lambda c: (
-            -_abs_pearson_oracle(c.values, np.isnan(c.values), y), c.display_name))
-        assert [c.display_name for c in cands] == [c.display_name for c in want]
+            -_abs_pearson_oracle(c.values, np.isnan(c.values), y), c.name))
+        assert [c.name for c in cands] == [c.name for c in want]
         if name in ("square", "sqrt"):
             pool = pool + cands
-    assert "SQRT(SQUARE(x2))" in {f.display_name for f in pool}
+    assert "SQRT(SQUARE(x2))" in {f.name for f in pool}
 
 
 def _expand_action_oracle(op, pool, y, cap, max_order):
@@ -683,7 +663,7 @@ def _expand_action_oracle(op, pool, y, cap, max_order):
         if miss.mean() > MAX_MISSING_FRACTION:
             continue
         scored.append((_abs_pearson(cand.values, miss, y, yc, sy), cand))
-    scored.sort(key=lambda sc: (-sc[0], sc[1].display_name))
+    scored.sort(key=lambda sc: (-sc[0], sc[1].name))
     return [cand for _, cand in scored[:cap]]
 
 
@@ -705,9 +685,9 @@ def test_expand_action_matches_the_sort_all_oracle(n, seed, n_num, dup, const, s
         miss = np.arange(n) < n // 2 + 1
         cols.append(num_col("sparse", np.where(miss, np.nan, rng.uniform(1, 2, n)), miss))
     cols += [cat_col("city", rng.choice(["oslo", "rome", "lima"], n)),
-             Column("f1", Kind.BOOLEAN, (rng.random(n) < 0.5).astype(float)),
-             Column("f2", Kind.BOOLEAN, (rng.random(n) < 0.5).astype(float)),
-             Column("when", Kind.DATE, rng.integers(0, 20000, n).astype(float)),
+             num_col("f1", rng.random(n) < 0.5, kind=Kind.BOOLEAN),
+             num_col("f2", rng.random(n) < 0.5, kind=Kind.BOOLEAN),
+             num_col("when", rng.integers(0, 20000, n), kind=Kind.DATE),
              num_col("y", rng.normal(size=n).round(1))]
     d = make_dataset(cols, target="y")
     y = target_codes(d)
@@ -716,9 +696,9 @@ def test_expand_action_matches_the_sort_all_oracle(n, seed, n_num, dup, const, s
     cap = data.draw(st.integers(1, len(every) + 2), label="cap")
     got = expand_action(op, pool, y, cap=cap, max_order=5)
     want = every[:cap]
-    assert [c.display_name for c in got] == [c.display_name for c in want]
+    assert [c.name for c in got] == [c.name for c in want]
     for g, w in zip(got, want):
-        assert np.array_equal(g.values, w.values, equal_nan=True), g.display_name
+        assert np.array_equal(g.values, w.values, equal_nan=True), g.name
 
 
 def test_expand_action_holds_only_the_top_candidates():
@@ -772,8 +752,8 @@ def test_derived_display_name_is_the_rendered_name(ops, cap):
     for op in ops + ops:
         cands = expand_action(op, pool, y, cap=cap, max_order=5)
         for cand in cands:
-            assert cand.display_name == render_name(cand.expr)
-            assert apply(cand.expr, d).display_name == cand.display_name
+            assert cand.name == render_name(cand.expr)
+            assert apply(cand.expr, d).name == cand.name
         pool = pool + cands
 
 

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from kgfeat.data import Column, Dataset, Kind, Task
+from kgfeat.data import Dataset, Task
 from kgfeat.engine import phi_feature, phi_state, raw_pool
 from kgfeat.kg import judge, load_kg
 from kgfeat.transform import Node, RawRef
+
+from conftest import num_col
 
 
 @pytest.fixture()
@@ -50,8 +52,7 @@ def test_phi_derived_feature_adds_propagated_unit(kg):
 
 
 def test_phi_state_is_sum_of_feature_vectors(kg):
-    cols = [Column(name, Kind.NUMERIC, np.ones(3))
-            for name in ("weight", "height", "y")]
+    cols = [num_col(name, np.ones(3)) for name in ("weight", "height", "y")]
     weight, height = raw_pool(Dataset(cols, "y", Task.REGRESSION, 3), kg)
     total = phi_state(kg, [weight, height, weight])
     manual = sum(phi(kg, RawRef(name)) for name in ("weight", "height", "weight"))
