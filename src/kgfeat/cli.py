@@ -81,7 +81,10 @@ def _build_config(doc, args):
     bad = set(overrides) - set(eng.ENGINE_OPTIONS)
     if bad:
         raise eng.EngineError(f"unknown engine options: {sorted(bad)}")
-    cfg = replace(eng.EngineConfig(), **overrides)
+    defaults = eng.EngineConfig()
+    eng.check_fields(overrides, {key: type(getattr(defaults, key)) for key in overrides},
+                     "engine options")
+    cfg = replace(defaults, **overrides)
     kind = args.learner or learner_kind or cfg.learner.kind
     return replace(cfg, learner=replace(cfg.learner, kind=kind))
 

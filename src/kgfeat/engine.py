@@ -34,7 +34,9 @@ def check_fields(doc, types: dict, where: str):
         kinds = kind if isinstance(kind, tuple) else (kind,)
         if key not in doc and type(None) not in kinds:
             raise EngineError(f"{where} has no {key!r} field")
-        if not isinstance(doc.get(key), kinds):
+        value = doc.get(key)
+        # a JSON true is no integer, though Python's bool is an int
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
             raise EngineError(f"{where}: {key!r} is not {_JSON_TYPE_NAMES[kinds[0]]}")
 
 

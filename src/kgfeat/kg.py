@@ -173,6 +173,15 @@ def _field(entry, key, where):
     return entry[key]
 
 
+def _container(doc, key, kind, path):
+    """doc[key], an empty `kind` (list or dict) when absent, or a KGError
+    naming the file and the field when it is another JSON type."""
+    value = doc.get(key, kind())
+    if not isinstance(value, kind):
+        raise KGError(f"{path}: {key!r} is not a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
 def _atom(entry, where):
     return Atom(_field(entry, "pred", where), tuple(_field(entry, "args", where)))
 
@@ -182,10 +191,12 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
     plus an optional column-to-concept mapping document. A document or entry
     of the wrong shape is a KGError naming the file and the entry."""
     doc = _read_object(path)
-    classes = list(doc.get("classes", []))
+    classes = _container(doc, "classes", list, path)
+    if not all(isinstance(c, str) for c in classes):
+        raise KGError(f"{path}: 'classes' is not an array of class names")
     class_set = set(classes)
     parents = {}
-    for pair in doc.get("subclass_of", []):
+    for pair in _container(doc, "subclass_of", list, path):
         if not (isinstance(pair, list) and len(pair) == 2
                 and all(isinstance(c, str) for c in pair)):
             raise KGError(f"{path}: subclass_of entry {pair!r} is not two class names")
@@ -201,7 +212,7 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
 
     unit_registry = {}
     unit_class = {}
-    for i, u in enumerate(doc.get("units", [])):
+    for i, u in enumerate(_container(doc, "units", list, path)):
         name = _field(u, "name", f"{path}: unit {i}")
         if name in unit_registry:
             raise KGError(f"duplicate unit name {name!r}")
@@ -211,14 +222,14 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
         unit_registry[name] = Unit(dims=_normalize(u.get("dims", {})))
         unit_class[name] = cls
 
-    for name, q in doc.get("quantities", {}).items():
+    for name, q in _container(doc, "quantities", dict, path).items():
         if name not in unit_registry:
             raise KGError(f"quantity entry for unknown unit {name!r}")
         if q not in class_set:
             raise KGError(f"quantity entry references unknown class {q!r}")
 
     rules = []
-    for i, r in enumerate(doc.get("rules", [])):
+    for i, r in enumerate(_container(doc, "rules", list, path)):
         where = f"{path}: rule {i}"
         body = tuple(_atom(a, where) for a in _field(r, "body", where))
         head = _atom(_field(r, "head", where), where)

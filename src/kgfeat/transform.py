@@ -5,8 +5,8 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from itertools import combinations, combinations_with_replacement, permutations, product
+from functools import cached_property, lru_cache
+from itertools import combinations, combinations_with_replacement, permutations, product, starmap
 from typing import Optional, Union
 
 import numpy as np
@@ -285,7 +285,7 @@ def _centred(v: np.ndarray):
     `v.std()`). An overflow gives a non-finite moment, which ranks 0; the
     caller ignores floating-point errors."""
     d = v - _mean(v)
-    return d, np.sqrt(_mean(d * d))
+    return d, math.sqrt(_mean(d * d))
 
 
 def _abs_pearson(vals: np.ndarray, miss: np.ndarray, y: np.ndarray,
@@ -295,7 +295,7 @@ def _abs_pearson(vals: np.ndarray, miss: np.ndarray, y: np.ndarray,
     rows, with the target's moments over those rows. 0 where either side is
     constant or a moment is not finite."""
     with np.errstate(all="ignore"):
-        if miss.any():
+        if np.count_nonzero(miss):
             vals, y = vals[~miss], y[~miss]
             if len(vals) < 2:
                 return 0.0
@@ -303,10 +303,10 @@ def _abs_pearson(vals: np.ndarray, miss: np.ndarray, y: np.ndarray,
         elif len(vals) < 2:
             return 0.0
         d, sa = _centred(vals)
-        if sa == 0 or sy == 0 or not np.isfinite(sa):
+        if sa == 0 or sy == 0 or not math.isfinite(sa):
             return 0.0
         c = float(_mean(d * yc) / (sa * sy))
-    return abs(c) if np.isfinite(c) else 0.0
+    return abs(c) if math.isfinite(c) else 0.0
 
 
 def _operand_tuples(op: TransformOp, pool, max_order: int):
@@ -324,6 +324,57 @@ def _operand_tuples(op: TransformOp, pool, max_order: int):
             yield Node(op.name, args, level), operands
 
 
+_RANK_ROWS = 2048  # rows a long table's candidates are screened on
+_FINALISTS = 4     # screened candidates confirmed on all rows, per kept one
+# Sample scores this close tie: they differ by rounding, as algebraic twins
+# such as (x2 * x2) and ((x2 + x2) + x2) * x2 do, so all rows must order them.
+_SAMPLE_TIE = 1e-9
+
+
+@lru_cache(maxsize=None)
+def _rank_rows(n: int) -> np.ndarray:
+    """The sorted rows of an n-row table that its candidates are screened on."""
+    rows = np.sort(np.random.default_rng(0).choice(n, _RANK_ROWS, replace=False))
+    rows.flags.writeable = False
+    return rows
+
+
+def _by_sample_rank(new, y: np.ndarray):
+    """(|r|, expression, operands) for each (expression, operands) pair of
+    `new`, where r is the candidate's Pearson r with `y` on the `_rank_rows`
+    sample; highest first, ties by name. Holds the sampled operand columns,
+    never the sampled candidates."""
+    rows = _rank_rows(len(y))
+    ys = y[rows]
+    distinct = {id(f): f for _, operands in new for f in operands}
+    at_rows = {k: Feature(f.expr, f.values[rows], f.kind, f.name, f.levels)
+               for k, f in distinct.items()}
+    with np.errstate(all="ignore"):
+        yc, sy = _centred(ys)
+    keys = []
+    for i, (expr, operands) in enumerate(new):
+        cand = _derive(expr, [at_rows[id(f)] for f in operands])
+        keys.append((-_abs_pearson(cand.values, np.isnan(cand.values), ys, yc, sy),
+                     cand.name, i))
+    return [(-r, *new[i]) for r, _, i in sorted(keys)]
+
+
+def _confirmed(score, screened, limit: int):
+    """`score` of the screened candidates in sample order, until `limit` of
+    them pass the missing rule, then of those whose sample |r| ties the last
+    of them within `_SAMPLE_TIE`."""
+    floor = -math.inf
+    for r, expr, operands in screened:
+        if r < floor:
+            return
+        sc = score(expr, operands)
+        if sc is not None:
+            yield sc
+            limit -= 1
+            if limit == 0:
+                floor = r - _SAMPLE_TIE
+
+
 def expand_action(op: TransformOp, pool, y: np.ndarray, cap: int, max_order: int):
     """Expand one action into the top-`cap` candidate features.
 
@@ -333,6 +384,15 @@ def expand_action(op: TransformOp, pool, y: np.ndarray, cap: int, max_order: int
     missing, and ranks by absolute Pearson correlation with the encoded
     target `y` (class codes for classification, finite), on the rows where
     the candidate has a value. Deterministic.
+
+    A table of at most `_RANK_ROWS` (2,048) rows is ranked exactly so, as is
+    an op that reads whole columns (one_hot, group_*). On a longer table a
+    row-wise op with more than `_FINALISTS` * cap new candidates screens them
+    first: each is derived and ranked as above on the same 2,048 rows, a
+    sample that depends only on the row count. Then, in sample order, the
+    candidates are derived on all rows and put through the missing rule
+    until `_FINALISTS` * cap pass it (with any tied with the last of those
+    on the sample), and only these are ranked exactly for the top `cap`.
     """
     if cap < 1:
         raise TransformError("cap must be >= 1")
@@ -340,20 +400,31 @@ def expand_action(op: TransformOp, pool, y: np.ndarray, cap: int, max_order: int
     with np.errstate(all="ignore"):
         yc, sy = _centred(y)
 
-    def scored():
+    def new_candidates():
         seen = set()
         for expr, operands in _operand_tuples(op, pool, max_order):
-            if expr in existing or expr in seen:
-                continue
-            seen.add(expr)
-            cand = _derive(expr, operands)
-            miss = np.isnan(cand.values)
-            if np.count_nonzero(miss) > MAX_MISSING_FRACTION * len(miss):
-                continue
-            yield _abs_pearson(cand.values, miss, y, yc, sy), cand
+            if expr not in existing and expr not in seen:
+                seen.add(expr)
+                yield expr, operands
 
+    def score(expr, operands):
+        """(|r|, candidate), or None for a candidate with over half its cells missing."""
+        cand = _derive(expr, operands)
+        miss = np.isnan(cand.values)
+        if np.count_nonzero(miss) > MAX_MISSING_FRACTION * len(miss):
+            return None
+        return _abs_pearson(cand.values, miss, y, yc, sy), cand
+
+    new = new_candidates()
+    ranked = None
+    if len(y) > _RANK_ROWS and op.name != "one_hot" and op.arity != Arity.AGGREGATION:
+        new = list(new)
+        if len(new) > _FINALISTS * cap:
+            ranked = _confirmed(score, _by_sample_rank(new, y), _FINALISTS * cap)
+    if ranked is None:
+        ranked = filter(None, starmap(score, new))
     # nsmallest is a stable sorted()[:cap] that holds only `cap` candidates.
-    best = heapq.nsmallest(cap, scored(), key=lambda sc: (-sc[0], sc[1].name))
+    best = heapq.nsmallest(cap, ranked, key=lambda sc: (-sc[0], sc[1].name))
     return [cand for _, cand in best]
 
 

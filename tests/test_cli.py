@@ -138,6 +138,31 @@ def test_run_unknown_engine_option_exits_one(tmp_path, planted_paths, capsys):
     assert "unknown engine options" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, named", [
+    ("steps", "2", "'steps' is not an integer"),
+    ("steps", 2.5, "'steps' is not an integer"),
+    ("steps", True, "'steps' is not an integer"),
+    ("steps", "dqn", "'steps' is not an integer"),
+    ("policy", 1, "'policy' is not a string"),
+])
+def test_run_engine_option_of_the_wrong_type_exits_one(tmp_path, planted_paths, capsys,
+                                                       key, value, named):
+    # a string was an internal error (exit 2) from EngineConfig's range check
+    manifest = {
+        "dataset": planted_paths["csv"],
+        "schema": planted_paths["schema"],
+        "kg": kgfeat.resource_path("default_kg.json"),
+        "engine": {key: value},
+        "out": str(tmp_path / "never"),
+    }
+    path = tmp_path / "bad.manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["run", "--manifest", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: engine options") and named in err
+    assert not (tmp_path / "never").exists()
+
+
 def test_run_sets_every_engine_option_from_the_manifest(tmp_path, planted_paths):
     options = {"episodes": 2, "steps": 2, "cap": 3, "feature_budget": 7, "max_order": 2,
                "k_folds": 3, "seed": 5, "patience": 4, "policy": "random"}
@@ -222,6 +247,12 @@ _HEAD = {"pred": "p", "args": ["?x"]}
     ({}, [], "map.json: the document is not a JSON object"),
     ({"classes": ["Weight"]}, {"a": {"unit": "kg"}},
      "map.json: mapping for 'a' has no 'class' field"),
+    ({"quantities": []}, None, "kg.json: 'quantities' is not a JSON object"),
+    ({"classes": {"A": 1}}, None, "kg.json: 'classes' is not a JSON array"),
+    ({"classes": [["A"]]}, None, "kg.json: 'classes' is not an array of class names"),
+    ({"subclass_of": {}}, None, "kg.json: 'subclass_of' is not a JSON array"),
+    ({"units": "kg"}, None, "kg.json: 'units' is not a JSON array"),
+    ({"rules": {}}, None, "kg.json: 'rules' is not a JSON array"),
 ])
 def test_kg_check_malformed_kg_or_mapping_exits_one_naming_the_entry(
         tmp_path, capsys, kg, mapping, named):
@@ -236,6 +267,17 @@ def test_kg_check_malformed_kg_or_mapping_exits_one_naming_the_entry(
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("field, value", [("quantities", []), ("rules", {})])
+def test_run_with_a_kg_container_of_the_wrong_type_exits_one(tmp_path, planted_paths, capsys,
+                                                             field, value):
+    kg = json.loads(open(kgfeat.resource_path("default_kg.json")).read())
+    kg[field] = value
+    (tmp_path / "kg.json").write_text(json.dumps(kg))
+    assert main(["run", "--dataset", planted_paths["csv"], "--schema", planted_paths["schema"],
+                 "--kg", str(tmp_path / "kg.json"), "--out", str(tmp_path / "never")]) == 1
+    assert f"kg.json: {field!r} is not a JSON" in capsys.readouterr().err
 
 
 def test_explain_known_and_unknown_feature(tmp_path, planted_paths, capsys):

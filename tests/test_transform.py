@@ -1,3 +1,4 @@
+import datetime
 import itertools
 import math
 import tracemalloc
@@ -9,14 +10,16 @@ from hypothesis import strategies as st
 
 from kgfeat.data import Kind
 from kgfeat.engine import target_codes
-from kgfeat.transform import (MAX_MISSING_FRACTION, ONE_HOT_MAX_LEVELS, Arity,
-                              Node, RawRef, TransformError, _abs_pearson, _centred, _derive,
-                              _operand_tuples, apply, catalog, catalog_op,
+from kgfeat import transform
+from kgfeat.transform import (_FINALISTS, _RANK_ROWS, MAX_MISSING_FRACTION,
+                              ONE_HOT_MAX_LEVELS, Arity, Node, RawRef, TransformError,
+                              _abs_pearson, _centred, _confirmed, _derive, _operand_tuples,
+                              _rank_rows, apply, catalog, catalog_op,
                               categorical_codes, categorical_levels, expand_action,
                               expr_from_json, expr_to_json, order, render_name,
                               search_space_size)
 
-from conftest import cat_col, make_dataset, num_col
+from conftest import cat_col, make_dataset, make_planted_dataset, num_col
 
 
 @pytest.fixture()
@@ -717,6 +720,144 @@ def test_expand_action_holds_only_the_top_candidates():
         tracemalloc.stop()
     assert len(cands) == cap
     assert peak < 40 * n * 9, f"peak {peak / (n * 9):.0f} candidate columns"
+
+
+def _screened_pool(p=15, seed=0):
+    """A pool of 4,096 rows whose other 2,048 rows repeat the sampled ones,
+    so a candidate with no gaps scores the same on the sample as on all rows
+    but for rounding; and its target. Numeric, Boolean and date columns
+    track the target with noise that grows with the index. Besides them: x2's
+    exact twin SQRT(SQUARE(x2)), x0 times odd numbers (ties but for
+    rounding), constant columns, `sparse_*` columns missing on more than
+    half of all rows but 10 sampled ones, and `gappy_*` columns missing on
+    three quarters of the sampled rows but 37.5% of all."""
+    n = 2 * _RANK_ROWS
+    rows = _rank_rows(n)
+    rng = np.random.default_rng(seed)
+
+    def table(sampled):
+        out = np.empty(n)
+        out[rows] = sampled
+        out[np.setdiff1d(np.arange(n), rows)] = sampled
+        return out
+
+    u = rng.uniform(1, 2, _RANK_ROWS)
+    y = table(u)
+
+    def noisy(i):
+        return table(u * np.exp(0.05 * 1.4 ** i * rng.standard_normal(_RANK_ROWS)))
+
+    def date_days(z):  # the year, month and day of a date all grow with z in [0, 1]
+        return [(datetime.date(2000 + round(9 * v), 1 + round(11 * v), 1 + round(27 * v))
+                 - datetime.date(1970, 1, 1)).days for v in z]
+
+    monday = (datetime.date(2001, 1, 1) - datetime.date(1970, 1, 1)).days
+    cols = [num_col(f"x{i}", noisy(i)) for i in range(p)]
+    cols += [num_col(f"w{i}", 1 / noisy(i)) for i in range(p)]
+    cols += [num_col(f"b{i}", noisy(i) > 1.5, kind=Kind.BOOLEAN) for i in range(p)]
+    cols += [num_col(f"c{i}", noisy(i) < 1.5, kind=Kind.BOOLEAN) for i in range(p)]
+    for i in range(p):
+        cols.append(num_col(f"d{i}", date_days(np.clip(noisy(i), 1, 2) - 1), kind=Kind.DATE))
+        # a Saturday where the column reads high, else the Monday before
+        weeks = table(monday + 7 * rng.integers(0, 500, _RANK_ROWS))
+        cols.append(num_col(f"e{i}", weeks + 5 * (noisy(i) > 1.5), kind=Kind.DATE))
+    sparse = np.ones(n, dtype=bool)
+    sparse[rows[10:]] = False
+    gappy = np.zeros(n, dtype=bool)
+    gappy[rows[:3 * _RANK_ROWS // 4]] = True
+    for name, miss, v in (("sparse", sparse, y), ("gappy", gappy, noisy(2))):
+        cols += [num_col(f"{name}_x", v, miss),
+                 num_col(f"{name}_b", v > 1.5, miss, kind=Kind.BOOLEAN),
+                 num_col(f"{name}_d", (v * 1000).round(), miss, kind=Kind.DATE)]
+    cols += [num_col(f"x0_{k}", k * cols[0].values) for k in (3, 5, 7, 9, 11)]
+    cols += [num_col("const_x", np.full(n, 2.0)),
+             num_col("const_b", np.ones(n), kind=Kind.BOOLEAN),
+             num_col("const_d", np.full(n, 11000.0), kind=Kind.DATE),
+             num_col("y", y)]
+    d = make_dataset(cols, target="y")
+    pool = [apply(RawRef(c.name), d) for c in d.feature_columns]
+    pool.append(apply(Node("sqrt", (Node("square", (RawRef("x2"),)),)), d))
+    return pool, y
+
+
+_ROW_WISE = [op for op in catalog() if op.name != "one_hot" and op.arity != Arity.AGGREGATION]
+
+
+@pytest.mark.parametrize("op", _ROW_WISE, ids=lambda op: op.name)
+def test_screened_ranking_matches_the_sort_all_oracle(monkeypatch, op):
+    pool, y = _screened_pool()
+    screened = []
+    by_sample_rank = transform._by_sample_rank
+    monkeypatch.setattr(transform, "_by_sample_rank",
+                        lambda new, y: screened.append(len(new)) or by_sample_rank(new, y))
+    every = _expand_action_oracle(op, pool, y, cap=10_000, max_order=5)
+    new = len({expr for expr, _ in _operand_tuples(op, pool, max_order=5)})
+    for cap in (1, 8, 40):
+        screened.clear()
+        got = expand_action(op, pool, y, cap=cap, max_order=5)
+        assert [c.name for c in got] == [c.name for c in every[:cap]], cap
+        for g, w in zip(got, every):
+            assert np.array_equal(g.values, w.values, equal_nan=True), g.name
+        # more new candidates than the finalists are screened, and only then
+        assert screened == ([new] if new > _FINALISTS * cap else []), cap
+    # sparse_* candidates lead on the sample but are mostly missing on all rows
+    assert not any("sparse" in c.name for c in every)
+
+
+def test_confirmed_takes_survivors_and_sample_ties_past_the_limit():
+    # b is mostly missing on all rows; c and d tie a on the sample but for rounding
+    def score(expr, operands):
+        return None if expr == "b" else (operands, expr)
+
+    screened = [(0.9, "a", 1.0), (0.9, "b", 1.0), (0.5, "c", 0.2), (0.5 - 1e-12, "d", 0.3),
+                (0.49, "e", 0.9)]
+    assert [e for _, e in _confirmed(score, screened, 2)] == ["a", "c", "d"]
+    assert [e for _, e in _confirmed(score, screened, 10)] == ["a", "c", "d", "e"]
+
+
+def test_short_tables_derive_each_candidate_once(monkeypatch):
+    # a table of _RANK_ROWS rows is ranked exactly, never on a sample
+    n = _RANK_ROWS
+    rng = np.random.default_rng(0)
+    d = make_dataset([num_col(f"x{i}", rng.normal(size=n)) for i in range(6)]
+                     + [num_col(f"f{i}", rng.random(n) < 0.5, kind=Kind.BOOLEAN)
+                        for i in range(6)]
+                     + [num_col(f"t{i}", rng.integers(0, 20000, n), kind=Kind.DATE)
+                        for i in range(6)]
+                     + [cat_col("city", rng.choice(["oslo", "rome"], n)),
+                        num_col("y", rng.normal(size=n))], target="y")
+    y = target_codes(d)
+    pool = [apply(RawRef(c.name), d) for c in d.feature_columns]
+    derived = []
+
+    def counted(expr, operands):
+        derived.append(expr)
+        return _derive(expr, operands)
+
+    monkeypatch.setattr(transform, "_derive", counted)
+    monkeypatch.setattr(transform, "_by_sample_rank", None)
+    for op in catalog():
+        derived.clear()
+        expand_action(op, pool, y, cap=1, max_order=5)
+        assert len(derived) == len(set(derived)) == len(set(
+            expr for expr, _ in _operand_tuples(op, pool, max_order=5))), op.name
+
+
+def test_planted_ratio_leads_the_screened_div_ranking(tmp_path):
+    d, _, _ = make_planted_dataset(tmp_path, n=20_000)
+    y = target_codes(d)
+    pool = [apply(RawRef(c.name), d) for c in d.feature_columns]
+    div = catalog_op("div")
+    squared = pool + [apply(Node("square", (RawRef("x2"),)), d)]
+    names = [c.name for c in expand_action(div, squared, y, cap=8, max_order=5)]
+    assert names[:2] == ["(x1 / SQUARE(x2))", "(x1 / x2)"]
+    # with every unary of every column, the 600 ratios are screened on a sample
+    pool += [apply(Node(op, (RawRef(c.name),)), d) for c in d.feature_columns
+             for op in ("square", "sqrt", "log", "reciprocal")]
+    got = expand_action(div, pool, y, cap=8, max_order=5)
+    assert got[0].name == "(x1 / SQUARE(x2))"
+    want = _expand_action_oracle(div, pool, y, cap=8, max_order=5)
+    assert [c.name for c in got] == [c.name for c in want]
 
 
 @pytest.mark.parametrize("expr", [
