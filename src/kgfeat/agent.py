@@ -46,7 +46,6 @@ class ReplayBuffer:
         self.capacity = capacity
         self._items = []
         self._cursor = 0
-        self.inserted = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -57,7 +56,6 @@ class ReplayBuffer:
         else:
             self._items[self._cursor] = t
             self._cursor = (self._cursor + 1) % self.capacity
-        self.inserted += 1
 
     def sample(self, size: int, rng: np.random.Generator):
         if size < 1:
@@ -66,9 +64,6 @@ class ReplayBuffer:
             raise AgentError("cannot sample from an empty buffer")
         idx = rng.integers(0, len(self._items), size=size)
         return [self._items[i] for i in idx]
-
-    def items(self):
-        return list(self._items)
 
 
 class QNetwork:
@@ -89,10 +84,6 @@ class QNetwork:
     @property
     def n_inputs(self) -> int:
         return self.layer_sizes[0]
-
-    @property
-    def n_actions(self) -> int:
-        return self.layer_sizes[-1]
 
     def copy(self) -> "QNetwork":
         other = QNetwork(self.layer_sizes)

@@ -17,7 +17,7 @@ from . import engine as eng
 from . import kg as kgmod
 from . import learn
 from .agent import AgentError
-from .data import DataError, Kind, RawRef, SchemaConfig, load_csv
+from .data import DataError, Kind, RawRef, SchemaConfig, load_csv, read_json
 from .kg import KGError
 from .learn import LearnError
 from .transform import TransformError, categorical_codes, children, expr_from_json
@@ -29,47 +29,33 @@ EXIT_INTERNAL = 2
 _USER_ERRORS = (DataError, KGError, TransformError, LearnError, AgentError,
                 eng.EngineError, FileNotFoundError, json.JSONDecodeError)
 _PATH_KEYS = ("dataset", "schema", "kg", "mapping", "out")  # a manifest's file fields
-# The fields of a result file's config, best features and discarded
-# entries that explain and report read, with their JSON types.
-_EXPLAIN_READS = ({"kg_path": str, "mapping_path": (str, type(None))},
-                  {"display_name": str, "expr": object, "verdict": object},
-                  {"display_name": str, "expr": object, "reason": object})
-_REPORT_READS = ({"dataset_path": str, "schema_path": str, "seed": (int, type(None))},
-                 {"display_name": str, "expr": object, "raw": bool}, {})
-
-
-def _resolve(base_dir, path):
-    if path is None:
-        return None
-    return path if os.path.isabs(path) else os.path.join(base_dir, path)
+# A manifest: its file fields, and engine options typed as EngineConfig's
+# fields (a null option is absent).
+_MANIFEST_SHAPE = {**dict.fromkeys(_PATH_KEYS, (str, None)), "engine": (
+    {"learner": (str, None), **{key: (t, None) for key, t in eng.ENGINE_OPTIONS.items()}}, None)}
+# The fields of result.json that explain and report read; each expr is
+# checked as it is parsed.
+_EXPLAIN_READS = {"config": {"kg_path": str, "mapping_path": (str, None)},
+                  "best_features": [{"display_name": str, "expr": object, "verdict": object}],
+                  "discard_log": [{"display_name": str, "expr": object, "reason": object}]}
+_REPORT_READS = {"config": {"dataset_path": str, "schema_path": str, "seed": (int, None)},
+                 "best_features": [{"display_name": str, "expr": object, "raw": bool}],
+                 "order_sweep": ([[float]], None)}
 
 
 def _load_manifest(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    eng.check_fields(doc, {**dict.fromkeys(_PATH_KEYS, (str, type(None))),
-                           "engine": (dict, type(None))}, f"{path}: manifest")
+    doc = read_json(path, _MANIFEST_SHAPE, eng.EngineError)
     base = os.path.dirname(os.path.abspath(path))
     for key in _PATH_KEYS:
         if doc.get(key):
-            doc[key] = _resolve(base, doc[key])
+            doc[key] = os.path.join(base, doc[key])  # an absolute path stays as it is
     return doc
 
 
 def _load_result(path, reads):
-    """The FEResult in a result file, whose config, best features and
-    discarded entries hold the fields `reads` gives; see check_fields for
-    the errors, which name the file."""
+    """The FEResult in a result file, checked for the fields `reads` gives."""
     _check_exists(path, "result file")
-    with open(path) as fh:
-        result = eng.FEResult.from_json(json.load(fh), f"{path}: result")
-    config, feature, discarded = reads
-    eng.check_fields(result.config, config, f"{path}: config")
-    for i, doc in enumerate(result.best_features):
-        eng.check_fields(doc, feature, f"{path}: best_features[{i}]")
-    for i, doc in enumerate(result.discard_log):
-        eng.check_fields(doc, discarded, f"{path}: discard_log[{i}]")
-    return result
+    return eng.FEResult.from_json(read_json(path, reads, eng.EngineError), path)
 
 
 def _build_config(doc, args):
@@ -81,10 +67,7 @@ def _build_config(doc, args):
     bad = set(overrides) - set(eng.ENGINE_OPTIONS)
     if bad:
         raise eng.EngineError(f"unknown engine options: {sorted(bad)}")
-    defaults = eng.EngineConfig()
-    eng.check_fields(overrides, {key: type(getattr(defaults, key)) for key in overrides},
-                     "engine options")
-    cfg = replace(defaults, **overrides)
+    cfg = replace(eng.EngineConfig(), **{k: v for k, v in overrides.items() if v is not None})
     kind = args.learner or learner_kind or cfg.learner.kind
     return replace(cfg, learner=replace(cfg.learner, kind=kind))
 
@@ -119,14 +102,16 @@ def _write_result_files(result, d, out_dir):
         fh.write("\n")
     headers, X = eng.feature_matrix(d, result.best_features)
     tcol = d.target_column  # a categorical one reads back as its cells, "" where missing
-    target = (np.array(tcol.levels + ("",), dtype=object)[categorical_codes(tcol)]
-              if tcol.kind == Kind.CATEGORICAL else tcol.values)
+    numeric = list(X.T) + ([] if tcol.kind == Kind.CATEGORICAL else [tcol.values])
+    labels = (np.array(tcol.levels + ("",), dtype=object)[categorical_codes(tcol)]
+              if tcol.kind == Kind.CATEGORICAL else None)
     with open(os.path.join(out_dir, "features.csv"), "w", newline="") as fh:
         fh.write(_csv_line([_csv_field(h) for h in headers + [d.target]]))
         for a in range(0, d.n_rows, _CSV_BLOCK_ROWS):
             b = a + _CSV_BLOCK_ROWS
-            cells = [[repr(v) if v == v else "" for v in col.tolist()] for col in X[a:b].T]
-            cells.append([_csv_field(str(v)) for v in target[a:b].tolist()])
+            cells = [[repr(v) if v == v else "" for v in col[a:b].tolist()] for col in numeric]
+            if labels is not None:
+                cells.append([_csv_field(v) for v in labels[a:b].tolist()])
             fh.writelines(_csv_line(row) for row in zip(*cells))
     with open(os.path.join(out_dir, "log.txt"), "w") as fh:
         for trace in result.traces:
@@ -163,8 +148,8 @@ def cmd_run(args) -> int:
     schema = SchemaConfig.from_json(schema_path)
     d = load_csv(dataset_path, schema)
     if mapping_path is None and schema.concept_map_path:
-        mapping_path = _resolve(os.path.dirname(os.path.abspath(schema_path)),
-                                schema.concept_map_path)
+        mapping_path = os.path.join(os.path.dirname(os.path.abspath(schema_path)),
+                                    schema.concept_map_path)
     kg = kgmod.load_kg(kg_path, mapping_path)
     result = eng.run(cfg, d, kg)
     result.config["dataset_path"] = os.path.abspath(dataset_path)
@@ -220,8 +205,8 @@ def _print_tree(expr, kg, nodes, indent=1):
 
 def cmd_explain(args) -> int:
     result = _load_result(args.result, _EXPLAIN_READS)
-    known = {f["display_name"]: f for f in result.best_features}
-    discarded = {e["display_name"]: e for e in result.discard_log}
+    known = {f["display_name"]: i for i, f in enumerate(result.best_features)}
+    discarded = {e["display_name"]: i for i, e in enumerate(result.discard_log)}
     name = args.feature
     if name not in known and name not in discarded:
         near = difflib.get_close_matches(name, list(known) + list(discarded), n=3)
@@ -229,8 +214,9 @@ def cmd_explain(args) -> int:
         print(f"error: unknown feature {name!r}{hint}", file=sys.stderr)
         return EXIT_USER
     kg = kgmod.load_kg(result.config["kg_path"], result.config.get("mapping_path"))
-    doc = known.get(name) or discarded[name]
-    expr = expr_from_json(doc["expr"])
+    at = ("best_features", known[name]) if name in known else ("discard_log", discarded[name])
+    doc = getattr(result, at[0])[at[1]]
+    expr = expr_from_json(doc["expr"], args.result, (*at, "expr"))
     print(f"{name}")
     if name in known:
         print(f"verdict: {doc['verdict']}")
@@ -243,19 +229,18 @@ def cmd_explain(args) -> int:
 
 def cmd_report(args) -> int:
     result = _load_result(args.result, _REPORT_READS)
-    for i, pair in enumerate(result.order_sweep or []):
-        if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(v, (int, float)) for v in pair)):
-            raise eng.EngineError(f"{args.result}: order_sweep[{i}] is not a "
-                                  "[max_order, best_score] pair")
+    unpaired = [i for i, pair in enumerate(result.order_sweep or []) if len(pair) != 2]
+    if unpaired:
+        raise eng.EngineError(f"{args.result}: order_sweep[{unpaired[0]}] is not a "
+                              "[max_order, best_score] pair")
     out_dir = args.out or os.path.dirname(os.path.abspath(args.result))
     os.makedirs(out_dir, exist_ok=True)
 
     schema = SchemaConfig.from_json(result.config["schema_path"])
     d = load_csv(result.config["dataset_path"], schema)
 
-    raw = [f for f in result.best_features if f["raw"]]
-    headers, X = eng.feature_matrix(d, result.best_features)
+    raw = [i for i, f in enumerate(result.best_features) if f["raw"]]
+    headers, X = eng.feature_matrix(d, result.best_features, args.result)
     y = eng.target_codes(d)
     spec = learn.LearnerSpec(kind="random_forest", seed=result.config.get("seed") or 0)
 
@@ -264,7 +249,7 @@ def cmd_report(args) -> int:
     gen_idx = [i for i, f in enumerate(result.best_features) if not f["raw"]]
     gen_idx.sort(key=lambda i: (-imp[i], headers[i]))
     top_gen = gen_idx[: len(raw)] if raw else gen_idx
-    keep = [i for i, f in enumerate(result.best_features) if f["raw"]] + top_gen
+    keep = raw + top_gen
     imp2 = eng.importance(spec, X[:, keep], y, d.task)
     with open(os.path.join(out_dir, "importance.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

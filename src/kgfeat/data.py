@@ -31,6 +31,67 @@ class DataError(ValueError):
     """Raised for malformed input files or invalid split requests."""
 
 
+# Each JSON type of a shape: the Python types it admits (a number is an int or
+# a float, an integer an int, and neither is a bool), and its name.
+_JSON_TYPES = {str: ((str,), "a string"), bool: ((bool,), "a boolean"),
+               int: ((int,), "an integer"), float: ((int, float), "a number"),
+               dict: ((dict,), "a JSON object"), list: ((list,), "a JSON array"),
+               type(None): ((type(None),), "null")}
+
+
+def json_path(keys) -> str:
+    """The JSON path along `keys` from a document's root, `the document`."""
+    path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" if k.isidentifier()
+                   else f"[{json.dumps(k)}]" for k in keys)
+    return path.removeprefix(".") or "the document"
+
+
+def check(doc, shape, where: str, error=DataError, path=()):
+    """Raise `error` naming `where` (the file) and the JSON path of the first
+    value in `doc` that does not have `shape`, e.g. `kg.json: units[3].dims.mass
+    is not a number`; `path` holds the keys that lead to `doc` in the file. A
+    shape is a JSON type (str, bool, int, float for any number, dict, list, or
+    object for any value); a tuple of shapes of distinct JSON types, any one of
+    them, where None lets a value be null and a field absent; a dict of field
+    -> shape; {str: shape}, for an object of such values; or [shape], for an
+    array of such entries. The path is built only when the check fails."""
+
+    def walk(value, shape, at):
+        alternatives = shape if type(shape) is tuple else (shape,)
+        for s in alternatives:  # the one of the value's JSON type
+            if s is object or type(value) in _JSON_TYPES[s if type(s) is type else type(s)][0]:
+                break
+        else:  # named as the first alternative
+            s = alternatives[0]
+            raise error(f"{where}: {json_path(at)} is not "
+                        f"{_JSON_TYPES[s if type(s) is type else type(s)][1]}")
+        if type(s) is dict and str not in s:
+            for k, f in s.items():
+                if k not in value:
+                    if not (type(f) is tuple and None in f):
+                        raise error(f"{where}: {json_path(at)} has no {k!r} field")
+                elif not (type(f) is type and (f is object
+                                               or type(value[k]) in _JSON_TYPES[f][0])):
+                    walk(value[k], f, (*at, k))
+        elif type(s) is list or type(s) is dict:  # one shape for every entry
+            entry = s[0] if type(s) is list else s[str]
+            if not (type(entry) is type and (entry is object or all(map(
+                    _JSON_TYPES[entry][0].__contains__,
+                    map(type, value if type(s) is list else value.values()))))):
+                for k, v in enumerate(value) if type(s) is list else value.items():
+                    walk(v, entry, (*at, k))
+
+    walk(doc, shape, path)
+
+
+def read_json(path: str, shape, error=DataError):
+    """The JSON document in a file, checked to have `shape` (see check)."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    check(doc, shape, path, error)
+    return doc
+
+
 @dataclass(frozen=True)
 class RawRef:
     name: str
@@ -84,27 +145,24 @@ class SchemaConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "SchemaConfig":
-        """Parse a schema file; a document or overrides that are not JSON
-        objects, a missing required field, or an unknown task or column kind
-        is a DataError naming the file and the field or value."""
-        with open(path) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise DataError(f"{path}: the schema is not a JSON object")
-        overrides = doc.get("column_kind_overrides", {})
-        if not isinstance(overrides, dict):
-            raise DataError(f"{path}: column_kind_overrides is not a JSON object")
+        """Parse a schema file; a document of the wrong shape (_SCHEMA_SHAPE)
+        or an unknown task or column kind is a DataError naming the file and
+        the JSON path or value."""
+        doc = read_json(path, _SCHEMA_SHAPE)
         try:
             return cls(
                 target_name=doc["target_name"],
                 task=Task(doc["task"]),
-                column_kind_overrides={k: Kind(v) for k, v in overrides.items()},
+                column_kind_overrides={k: Kind(v) for k, v in
+                                       (doc.get("column_kind_overrides") or {}).items()},
                 concept_map_path=doc.get("concept_map_path"),
             )
-        except KeyError as exc:
-            raise DataError(f"{path}: schema has no {exc.args[0]!r} field") from None
         except ValueError as exc:  # an unknown task or kind: "'x' is not a valid Task"
             raise DataError(f"{path}: {exc}") from None
+
+
+_SCHEMA_SHAPE = {"target_name": str, "task": str, "column_kind_overrides": ({str: str}, None),
+                 "concept_map_path": (str, None)}
 
 
 def _parse_date(text: str) -> int:

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import agent as ag
 from . import learn, transform
-from .data import Dataset, Feature, Kind, Task
+from .data import Dataset, Feature, Kind, Task, check
 from .kg import KnowledgeGraph, Verdict, VerdictStatus, judge
 from .transform import (Expr, RawRef, catalog, expand_action, expr_from_json, expr_to_json,
                         leaves)
@@ -18,26 +18,6 @@ MAX_STEPS_PER_EPISODE = 20
 
 class EngineError(ValueError):
     pass
-
-
-_JSON_TYPE_NAMES = {dict: "a JSON object", list: "a JSON array", str: "a string",
-                    bool: "a boolean", int: "an integer"}
-
-
-def check_fields(doc, types: dict, where: str):
-    """Raise an EngineError naming `where` and the field where `doc` is not
-    a JSON object, lacks a field of `types` (name -> type or tuple of types)
-    or holds another type in it; a field that may be null may be absent."""
-    if not isinstance(doc, dict):
-        raise EngineError(f"{where} is not a JSON object")
-    for key, kind in types.items():
-        kinds = kind if isinstance(kind, tuple) else (kind,)
-        if key not in doc and type(None) not in kinds:
-            raise EngineError(f"{where} has no {key!r} field")
-        value = doc.get(key)
-        # a JSON true is no integer, though Python's bool is an int
-        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-            raise EngineError(f"{where}: {key!r} is not {_JSON_TYPE_NAMES[kinds[0]]}")
 
 
 @dataclass
@@ -77,9 +57,9 @@ class EngineConfig:
         return doc
 
 
-# The scalar options a manifest's `engine` block may set.
-ENGINE_OPTIONS = tuple(f.name for f in fields(EngineConfig)
-                       if f.name not in ("learner", "agent"))
+# The scalar options a manifest's `engine` block may set, with their types.
+ENGINE_OPTIONS = {f.name: type(f.default) for f in fields(EngineConfig)
+                  if f.name not in ("learner", "agent")}
 
 
 @dataclass
@@ -150,18 +130,18 @@ class FEResult:
 
     @classmethod
     def from_json(cls, doc, where: str = "result") -> "FEResult":
-        """Parse a result document; see check_fields for the errors, which
-        name `where`."""
-        check_fields(doc, {key: _RESULT_TYPES.get(key, object) for key in _RESULT_KEYS}, where)
+        """Parse a result document; one of the wrong shape (_RESULT_SHAPE) is
+        an EngineError naming `where` and the JSON path."""
+        check(doc, _RESULT_SHAPE, where, EngineError)
         return cls(**{key: doc.get(key) for key in _RESULT_KEYS})
 
 
 # The keys of result.json: every FEResult field but the in-memory traces.
 _RESULT_KEYS = tuple(f.name for f in fields(FEResult) if f.name != "traces")
-# The JSON types of the fields readers iterate or index; order_sweep may be
-# null or absent.
-_RESULT_TYPES = {"best_features": list, "discard_log": list, "config": dict,
-                 "order_sweep": (list, type(None))}
+# Every key is present, and the fields readers iterate or index are typed;
+# order_sweep may be null or absent.
+_RESULT_SHAPE = {**dict.fromkeys(_RESULT_KEYS, object), "best_features": [dict],
+                 "discard_log": [dict], "config": dict, "order_sweep": ([list], None)}
 
 
 def compute_reward(prev: float, new: float) -> float:
@@ -240,14 +220,9 @@ def _prune_to_budget(pool, cfg: EngineConfig, evaluator: _Evaluator):
         return pool
     X = stack_features((e.feature for e in pool), (len(evaluator.y), len(pool)))
     imp = importance(cfg.learner, X, evaluator.y, evaluator.task)
-    order = sorted(range(len(pool)),
-                   key=lambda i: (imp[i], pool[i].feature.name))
-    drop = set()
-    for i in order:
-        if len(pool) - len(drop) <= cfg.feature_budget:
-            break
-        if not isinstance(pool[i].feature.expr, RawRef):
-            drop.add(i)
+    ranked = sorted(range(len(pool)), key=lambda i: (imp[i], pool[i].feature.name))
+    generated = [i for i in ranked if not isinstance(pool[i].feature.expr, RawRef)]
+    drop = set(generated[:len(pool) - cfg.feature_budget])
     return [e for i, e in enumerate(pool) if i not in drop]
 
 
@@ -401,8 +376,10 @@ def max_order_sweep(cfg: EngineConfig, d: Dataset, kg: KnowledgeGraph, orders):
     return [(c.max_order, run(c, d, kg).best_score) for c in sweep_configs(cfg, orders)]
 
 
-def feature_matrix(d: Dataset, feature_docs):
-    """Re-evaluate a serialized feature set into (headers, matrix)."""
+def feature_matrix(d: Dataset, feature_docs, where: str = "result"):
+    """Re-evaluate a result's best features into (headers, matrix); `where`
+    names the result file in errors."""
     return ([doc["display_name"] for doc in feature_docs],
-            stack_features((transform.apply(expr_from_json(doc["expr"]), d)
-                            for doc in feature_docs), (d.n_rows, len(feature_docs))))
+            stack_features((transform.apply(
+                expr_from_json(doc["expr"], where, ("best_features", i, "expr")), d)
+                for i, doc in enumerate(feature_docs)), (d.n_rows, len(feature_docs))))

@@ -3,13 +3,13 @@ interpretability verdict used to filter generated features."""
 from __future__ import annotations
 
 import graphlib
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import count
 from typing import Optional
 
+from .data import read_json
 from .transform import Arity, Expr, RawRef, catalog_op, children, leaves
 
 BASE_DIMENSIONS = ("mass", "length", "time", "temperature", "currency", "count")
@@ -157,82 +157,64 @@ def empty_kg() -> KnowledgeGraph:
     return KnowledgeGraph([], {}, {}, {}, [], [])
 
 
-def _read_object(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise KGError(f"{path}: the document is not a JSON object")
-    return doc
-
-
-def _field(entry, key, where):
-    """entry[key], or a KGError naming `where` when entry is not a JSON
-    object or has no such field."""
-    if not isinstance(entry, dict) or key not in entry:
-        raise KGError(f"{where} has no {key!r} field")
-    return entry[key]
-
-
-def _container(doc, key, kind, path):
-    """doc[key], an empty `kind` (list or dict) when absent, or a KGError
-    naming the file and the field when it is another JSON type."""
-    value = doc.get(key, kind())
-    if not isinstance(value, kind):
-        raise KGError(f"{path}: {key!r} is not a JSON {'object' if kind is dict else 'array'}")
-    return value
-
-
-def _atom(entry, where):
-    return Atom(_field(entry, "pred", where), tuple(_field(entry, "args", where)))
+# The shapes of a KG document and of a column-to-concept mapping document.
+_ATOM = {"pred": str, "args": [str]}
+_KG_SHAPE = {
+    "classes": ([str], None),
+    "subclass_of": ([[str]], None),
+    "units": ([{"name": str, "class": (str, None), "dims": ({str: (float, str)}, None)}], None),
+    "quantities": ({str: str}, None),
+    "rules": ([{"name": (str, None), "body": [_ATOM], "head": _ATOM}], None),
+}
+_MAPPING_SHAPE = {str: {"class": str, "unit": (str, None)}}
 
 
 def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
     """Load a KG document (classes, subclass_of, units, quantities, rules)
-    plus an optional column-to-concept mapping document. A document or entry
-    of the wrong shape is a KGError naming the file and the entry."""
-    doc = _read_object(path)
-    classes = _container(doc, "classes", list, path)
-    if not all(isinstance(c, str) for c in classes):
-        raise KGError(f"{path}: 'classes' is not an array of class names")
+    plus an optional column-to-concept mapping document. A document of the
+    wrong shape (_KG_SHAPE, _MAPPING_SHAPE) is a KGError naming the file and
+    the JSON path; so is a dims exponent that is not a number."""
+    doc = read_json(path, _KG_SHAPE, KGError)
+    mapping = read_json(mapping_path, _MAPPING_SHAPE, KGError) if mapping_path is not None else {}
+    classes = doc.get("classes") or []
     class_set = set(classes)
     parents = {}
-    for pair in _container(doc, "subclass_of", list, path):
-        if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(c, str) for c in pair)):
+    for pair in doc.get("subclass_of") or []:
+        if len(pair) != 2:
             raise KGError(f"{path}: subclass_of entry {pair!r} is not two class names")
-        child, parent = pair
-        for c in (child, parent):
+        for c in pair:
             if c not in class_set:
                 raise KGError(f"subclass edge references unknown class {c!r}")
-        parents.setdefault(child, []).append(parent)
+        parents.setdefault(pair[0], []).append(pair[1])
     try:
         graphlib.TopologicalSorter(parents).prepare()
     except graphlib.CycleError as exc:
         raise KGError(f"cycle in subclass edges at {exc.args[1][0]!r}") from None
 
-    unit_registry = {}
-    unit_class = {}
-    for i, u in enumerate(_container(doc, "units", list, path)):
-        name = _field(u, "name", f"{path}: unit {i}")
+    unit_registry, unit_class = {}, {}
+    for i, u in enumerate(doc.get("units") or []):
+        name = u["name"]
         if name in unit_registry:
             raise KGError(f"duplicate unit name {name!r}")
         cls = u.get("class", "Units")
         if cls not in class_set:
             raise KGError(f"unit {name!r} references unknown class {cls!r}")
-        unit_registry[name] = Unit(dims=_normalize(u.get("dims", {})))
+        try:
+            unit_registry[name] = Unit(dims=_normalize(u.get("dims") or {}))
+        except (ValueError, ArithmeticError) as exc:  # a KGError, or an exponent Fraction rejects
+            raise KGError(f"{path}: units[{i}].dims of unit {name!r}: {exc}") from None
         unit_class[name] = cls
 
-    for name, q in _container(doc, "quantities", dict, path).items():
+    for name, q in (doc.get("quantities") or {}).items():
         if name not in unit_registry:
             raise KGError(f"quantity entry for unknown unit {name!r}")
         if q not in class_set:
             raise KGError(f"quantity entry references unknown class {q!r}")
 
     rules = []
-    for i, r in enumerate(_container(doc, "rules", list, path)):
-        where = f"{path}: rule {i}"
-        body = tuple(_atom(a, where) for a in _field(r, "body", where))
-        head = _atom(_field(r, "head", where), where)
+    for i, r in enumerate(doc.get("rules") or []):
+        body = tuple(Atom(a["pred"], tuple(a["args"])) for a in r["body"])
+        head = Atom(r["head"]["pred"], tuple(r["head"]["args"]))
         head_vars = {a for a in head.args if a.startswith("?")}
         body_vars = {a for atom in body for a in atom.args if a.startswith("?")}
         if not head_vars <= body_vars:
@@ -240,26 +222,16 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
         rules.append(Rule(name=r.get("name", f"rule {i + 1}"), body=body, head=head))
 
     column_concepts = {}
-    if mapping_path is not None:
-        for col, entry in _read_object(mapping_path).items():
-            cls = _field(entry, "class", f"{mapping_path}: mapping for {col!r}")
-            if cls not in class_set:
-                raise KGError(f"mapping for {col!r} references unknown class {cls!r}")
-            unit = entry.get("unit")
-            if unit is not None and unit not in unit_registry:
-                raise KGError(f"mapping for {col!r} references unknown unit {unit!r}")
-            column_concepts[col] = (cls, unit)
+    for col, entry in mapping.items():
+        cls, unit = entry["class"], entry.get("unit")
+        if cls not in class_set:
+            raise KGError(f"mapping for {col!r} references unknown class {cls!r}")
+        if unit is not None and unit not in unit_registry:
+            raise KGError(f"mapping for {col!r} references unknown unit {unit!r}")
+        column_concepts[col] = (cls, unit)
 
-    concept_order = classes + list(unit_registry)
-    return KnowledgeGraph(
-        classes=classes,
-        unit_registry=unit_registry,
-        unit_class=unit_class,
-        column_concepts=column_concepts,
-        rules=rules,
-        concept_order=concept_order,
-        _parents=parents,
-    )
+    return KnowledgeGraph(classes, unit_registry, unit_class, column_concepts, rules,
+                          concept_order=classes + list(unit_registry), _parents=parents)
 
 
 def subsumes(kg: KnowledgeGraph, sub: str, sup: str) -> bool:
@@ -366,11 +338,9 @@ def _match_body(kg, index, body, binding, i=0):
     atom = body[i]
     if atom.pred == "Different":
         u, v = (binding.get(a, a) for a in atom.args)
-        if not (isinstance(u, str) and u.startswith("?")) and not (
-            isinstance(v, str) and v.startswith("?")
-        ):
-            if _token_dims(kg, u) != _token_dims(kg, v):
-                yield from _match_body(kg, index, body, binding, i + 1)
+        if not u.startswith("?") and not v.startswith("?") and (
+                _token_dims(kg, u) != _token_dims(kg, v)):
+            yield from _match_body(kg, index, body, binding, i + 1)
         return
     first = binding.get(atom.args[0], atom.args[0]) if atom.args else "?"
     key = atom.pred if first.startswith("?") else (atom.pred, first)

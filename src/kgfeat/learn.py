@@ -424,7 +424,8 @@ def train(spec: LearnerSpec, X: np.ndarray, y: np.ndarray, task: Task) -> Model:
     classes = None
     n_classes = 0
     if task == Task.CLASSIFICATION:
-        classes = np.unique(y.astype(np.int64))
+        # return_counts keeps numpy 2.4's plain np.unique, which imports numpy.ma, away
+        classes = np.unique(y.astype(np.int64), return_counts=True)[0]
         n_classes = int(classes.max()) + 1 if len(classes) else 0
 
     if spec.kind in ("decision_tree", "random_forest"):
@@ -539,6 +540,13 @@ def metric_one_minus_rae(y_true, y_pred) -> float:
     return float(1.0 - np.abs(y_pred - y_true).sum() / denom)
 
 
+def _median(x: np.ndarray) -> float:
+    """np.median of a finite vector, bit for bit, without importing numpy.ma."""
+    n = len(x)
+    kth = [n // 2 - 1, n // 2, -1] if n % 2 == 0 else [n // 2, -1]
+    return np.mean(np.partition(x, kth)[(n - 1) // 2: n // 2 + 1])
+
+
 def impute_columns(train_X, other_X):
     """Median-impute both matrices using training-fold medians (0 for a
     column with no value in the training fold).
@@ -550,7 +558,7 @@ def impute_columns(train_X, other_X):
     med = np.zeros(train_X.shape[1])
     for j in np.flatnonzero(masks[0].any(axis=0) | masks[1].any(axis=0)):
         finite = train_X[~masks[0][:, j], j]
-        med[j] = np.median(finite) if len(finite) else 0.0
+        med[j] = _median(finite) if len(finite) else 0.0
     out = []
     for M, nanmask in zip((train_X, other_X), masks):
         if nanmask.any():

@@ -3,15 +3,15 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product, starmap
 from typing import Optional, Union
 
 import numpy as np
 
-from .data import Dataset, Feature, Kind, RawRef
+from .data import Dataset, Feature, Kind, RawRef, check, json_path
 
 
 class Arity(str, Enum):
@@ -33,18 +33,21 @@ class TransformOp:
 class Node:
     """One transform applied to its operands, given in the order of the op's
     `inputs` (an aggregation's key first); `level` is the category a one-hot
-    node encodes. Its hash is computed once and kept in the instance; a
-    pickle carries the fields only, so another process hashes it afresh."""
+    node encodes. Its hash and `order` are computed at construction and kept
+    in the instance; a pickle carries the fields only, so another process
+    computes them afresh."""
     op: str
     args: tuple
     level: Optional[str] = None
+    _hash: int = field(init=False, compare=False, repr=False)
+    order: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.op, self.args, self.level)))
+        object.__setattr__(self, "order", 1 + max(map(order, self.args), default=-1))
 
     def __hash__(self):
         return self._hash
-
-    @cached_property
-    def _hash(self):
-        return hash((self.op, self.args, self.level))
 
     def __reduce__(self):
         return Node, (self.op, self.args, self.level)
@@ -110,7 +113,7 @@ def leaves(expr: Expr) -> list:
 
 def order(expr: Expr) -> int:
     """Transform nodes on the deepest path; raw references have order 0."""
-    return 1 + max((order(c) for c in children(expr)), default=-1)
+    return 0 if isinstance(expr, RawRef) else expr.order
 
 
 def render_name(expr: Expr) -> str:
@@ -143,29 +146,35 @@ def expr_to_json(expr: Expr) -> dict:
     return doc
 
 
-def _json_field(doc: dict, name: str):
-    if name not in doc:
-        raise TransformError(f"expression node has no {name!r} field")
-    return doc[name]
+# A node's shape, by its `type`: a raw node names its column; any other names
+# its op, its operands and, on a one-hot node, the level.
+_NODE_SHAPES = {"raw": {"name": str}, **{
+    node_type: {"op": str, "level": (str, None), **dict.fromkeys(fields, object)}
+    for node_type, fields in _JSON_FIELDS.values()}}
+_NODE_TYPE = {"type": str}
 
 
-def expr_from_json(doc: dict) -> Expr:
-    """Parse a serialized expression; a node that is not a JSON object or
-    lacks a field, an unknown op, a `type` that is not its op's, or a `level`
-    missing on a one-hot node or present on another is an error."""
-    if not isinstance(doc, dict):
-        raise TransformError(f"expression node must be a JSON object, not {doc!r}")
-    if _json_field(doc, "type") == "raw":
-        return RawRef(_json_field(doc, "name"))
-    op = catalog_op(_json_field(doc, "op"))
+def expr_from_json(doc: dict, where: str = "expression", path=()) -> Expr:
+    """Parse a serialized expression, named in errors by `where` (the file)
+    and `path` (the keys that lead to it there). A node of the wrong shape
+    (_NODE_SHAPES), an unknown type or op, a `type` that is not its op's, or a
+    `level` missing on a one-hot node or present on another is an error."""
+    check(doc, _NODE_TYPE, where, TransformError, path)
+    if doc["type"] not in _NODE_SHAPES:
+        raise TransformError(f"{where}: {json_path(path)} has unknown type {doc['type']!r}")
+    check(doc, _NODE_SHAPES[doc["type"]], where, TransformError, path)
+    if doc["type"] == "raw":
+        return RawRef(doc["name"])
+    op = catalog_op(doc["op"])
     node_type, fields = _JSON_FIELDS[op.arity]
     if doc["type"] != node_type:
-        raise TransformError(f"transform {op.name!r} has node type {node_type!r}, "
-                             f"not {doc['type']!r}")
+        raise TransformError(f"{where}: {json_path(path)}: transform {op.name!r} has node "
+                             f"type {node_type!r}, not {doc['type']!r}")
     level = doc.get("level")
     if (op.name == "one_hot") != (level is not None):
-        raise TransformError(f"level {level!r} does not fit transform {op.name!r}")
-    return Node(op.name, tuple(expr_from_json(_json_field(doc, f)) for f in fields), level)
+        raise TransformError(f"{where}: {json_path(path)}: level {level!r} does not fit "
+                             f"transform {op.name!r}")
+    return Node(op.name, tuple(expr_from_json(doc[f], where, (*path, f)) for f in fields), level)
 
 
 def categorical_codes(f: Feature) -> np.ndarray:

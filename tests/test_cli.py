@@ -1,8 +1,12 @@
+import contextlib
+import copy
 import csv
 import io
 import json
 import math
 import os
+import pathlib
+import tempfile
 import tracemalloc
 import warnings
 
@@ -139,11 +143,17 @@ def test_run_unknown_engine_option_exits_one(tmp_path, planted_paths, capsys):
 
 
 @pytest.mark.parametrize("key, value, named", [
-    ("steps", "2", "'steps' is not an integer"),
-    ("steps", 2.5, "'steps' is not an integer"),
-    ("steps", True, "'steps' is not an integer"),
-    ("steps", "dqn", "'steps' is not an integer"),
-    ("policy", 1, "'policy' is not a string"),
+    pytest.param("steps", "2", "engine.steps is not an integer",
+                 id="steps-2-'steps' is not an integer"),
+    pytest.param("steps", 2.5, "engine.steps is not an integer",
+                 id="steps-2.5-'steps' is not an integer"),
+    pytest.param("steps", True, "engine.steps is not an integer",
+                 id="steps-True-'steps' is not an integer"),
+    pytest.param("steps", "dqn", "engine.steps is not an integer",
+                 id="steps-dqn-'steps' is not an integer"),
+    pytest.param("policy", 1, "engine.policy is not a string",
+                 id="policy-1-'policy' is not a string"),
+    ("learner", ["linear"], "engine.learner is not a string"),
 ])
 def test_run_engine_option_of_the_wrong_type_exits_one(tmp_path, planted_paths, capsys,
                                                        key, value, named):
@@ -158,8 +168,7 @@ def test_run_engine_option_of_the_wrong_type_exits_one(tmp_path, planted_paths, 
     path = tmp_path / "bad.manifest.json"
     path.write_text(json.dumps(manifest))
     assert main(["run", "--manifest", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: engine options") and named in err
+    assert capsys.readouterr().err == f"error: {path}: {named}\n"
     assert not (tmp_path / "never").exists()
 
 
@@ -236,27 +245,40 @@ _HEAD = {"pred": "p", "args": ["?x"]}
     ([], None, "kg.json: the document is not a JSON object"),
     ({"classes": ["A"], "subclass_of": [["A"]]}, None,
      "kg.json: subclass_of entry ['A'] is not two class names"),
-    ({"classes": ["Units"], "units": [{"dims": {}}]}, None,
-     "kg.json: unit 0 has no 'name' field"),
-    ({"rules": [{"head": _HEAD}]}, None, "kg.json: rule 0 has no 'body' field"),
-    ({"rules": [{"body": [_HEAD]}]}, None, "kg.json: rule 0 has no 'head' field"),
-    ({"rules": [{"body": [{"args": ["?x"]}], "head": _HEAD}]}, None,
-     "kg.json: rule 0 has no 'pred' field"),
-    ({"rules": [{"body": [_HEAD], "head": {"pred": "q"}}]}, None,
-     "kg.json: rule 0 has no 'args' field"),
+    pytest.param({"classes": ["Units"], "units": [{"dims": {}}]}, None,
+                 "kg.json: units[0] has no 'name' field",
+                 id="kg2-None-kg.json: unit 0 has no 'name' field"),
+    pytest.param({"rules": [{"head": _HEAD}]}, None, "kg.json: rules[0] has no 'body' field",
+                 id="kg3-None-kg.json: rule 0 has no 'body' field"),
+    pytest.param({"rules": [{"body": [_HEAD]}]}, None, "kg.json: rules[0] has no 'head' field",
+                 id="kg4-None-kg.json: rule 0 has no 'head' field"),
+    pytest.param({"rules": [{"body": [{"args": ["?x"]}], "head": _HEAD}]}, None,
+                 "kg.json: rules[0].body[0] has no 'pred' field",
+                 id="kg5-None-kg.json: rule 0 has no 'pred' field"),
+    pytest.param({"rules": [{"body": [_HEAD], "head": {"pred": "q"}}]}, None,
+                 "kg.json: rules[0].head has no 'args' field",
+                 id="kg6-None-kg.json: rule 0 has no 'args' field"),
     ({}, [], "map.json: the document is not a JSON object"),
-    ({"classes": ["Weight"]}, {"a": {"unit": "kg"}},
-     "map.json: mapping for 'a' has no 'class' field"),
-    ({"quantities": []}, None, "kg.json: 'quantities' is not a JSON object"),
-    ({"classes": {"A": 1}}, None, "kg.json: 'classes' is not a JSON array"),
-    ({"classes": [["A"]]}, None, "kg.json: 'classes' is not an array of class names"),
-    ({"subclass_of": {}}, None, "kg.json: 'subclass_of' is not a JSON array"),
-    ({"units": "kg"}, None, "kg.json: 'units' is not a JSON array"),
-    ({"rules": {}}, None, "kg.json: 'rules' is not a JSON array"),
+    pytest.param({"classes": ["Weight"]}, {"a": {"unit": "kg"}},
+                 "map.json: a has no 'class' field",
+                 id="kg8-mapping8-map.json: mapping for 'a' has no 'class' field"),
+    pytest.param({"quantities": []}, None, "kg.json: quantities is not a JSON object",
+                 id="kg9-None-kg.json: 'quantities' is not a JSON object"),
+    pytest.param({"classes": {"A": 1}}, None, "kg.json: classes is not a JSON array",
+                 id="kg10-None-kg.json: 'classes' is not a JSON array"),
+    pytest.param({"classes": [["A"]]}, None, "kg.json: classes[0] is not a string",
+                 id="kg11-None-kg.json: 'classes' is not an array of class names"),
+    pytest.param({"subclass_of": {}}, None, "kg.json: subclass_of is not a JSON array",
+                 id="kg12-None-kg.json: 'subclass_of' is not a JSON array"),
+    pytest.param({"units": "kg"}, None, "kg.json: units is not a JSON array",
+                 id="kg13-None-kg.json: 'units' is not a JSON array"),
+    pytest.param({"rules": {}}, None, "kg.json: rules is not a JSON array",
+                 id="kg14-None-kg.json: 'rules' is not a JSON array"),
 ])
 def test_kg_check_malformed_kg_or_mapping_exits_one_naming_the_entry(
         tmp_path, capsys, kg, mapping, named):
-    # each was an internal error (exit 2), or a bare "error: 'class'"
+    # each was an internal error (exit 2), or a bare "error: 'class'"; a
+    # case whose message is now a JSON path keeps the id of its old wording
     (tmp_path / "kg.json").write_text(json.dumps(kg))
     (tmp_path / "data.csv").write_text("a,b\n1,2\n")
     argv = ["kg-check", "--kg", str(tmp_path / "kg.json"),
@@ -269,6 +291,40 @@ def test_kg_check_malformed_kg_or_mapping_exits_one_naming_the_entry(
     assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize("kg, mapping, named", [
+    ({"classes": ["Units"], "units": [{"name": ["kg"]}]}, None,
+     "kg.json: units[0].name is not a string"),
+    ({"classes": ["Units"], "units": [{"name": "kg", "class": ["Units"]}]}, None,
+     "kg.json: units[0].class is not a string"),
+    ({"classes": ["Units"], "units": [{"name": "kg", "dims": [1]}]}, None,
+     "kg.json: units[0].dims is not a JSON object"),
+    ({"classes": ["Units"], "units": [{"name": "kg", "dims": {"mass": True}}]}, None,
+     "kg.json: units[0].dims.mass is not a number"),
+    ({"classes": ["Units"], "units": [{"name": "kg", "dims": {"mass": "x"}}]}, None,
+     "kg.json: units[0].dims of unit 'kg': Invalid literal for Fraction: 'x'"),
+    ({"rules": [{"body": 3, "head": _HEAD}]}, None, "kg.json: rules[0].body is not a JSON array"),
+    ({"rules": [{"body": [{"pred": "p", "args": [3]}], "head": _HEAD}]}, None,
+     "kg.json: rules[0].body[0].args[0] is not a string"),
+    ({"classes": ["Units", "Mass"], "units": [{"name": "kg"}], "quantities": {"kg": ["Mass"]}},
+     None, "kg.json: quantities.kg is not a string"),
+    ({"classes": ["Weight"]}, {"a": {"class": ["Weight"]}}, "map.json: a.class is not a string"),
+    ({"classes": ["Weight"]}, {"a b": {"class": "Weight", "unit": ["kg"]}},
+     'map.json: ["a b"].unit is not a string'),
+])
+def test_kg_check_wrong_json_type_exits_one_naming_the_file_and_path(tmp_path, capsys, kg,
+                                                                      mapping, named):
+    # each was an internal error (exit 2), or for dims as a list the
+    # misleading "unknown base dimension 1"
+    (tmp_path / "kg.json").write_text(json.dumps(kg))
+    (tmp_path / "data.csv").write_text("a,b\n1,2\n")
+    argv = ["kg-check", "--kg", str(tmp_path / "kg.json"), "--dataset", str(tmp_path / "data.csv")]
+    if mapping is not None:
+        (tmp_path / "map.json").write_text(json.dumps(mapping))
+        argv += ["--mapping", str(tmp_path / "map.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path}{os.sep}{named}\n"
+
+
 @pytest.mark.parametrize("field, value", [("quantities", []), ("rules", {})])
 def test_run_with_a_kg_container_of_the_wrong_type_exits_one(tmp_path, planted_paths, capsys,
                                                              field, value):
@@ -277,7 +333,7 @@ def test_run_with_a_kg_container_of_the_wrong_type_exits_one(tmp_path, planted_p
     (tmp_path / "kg.json").write_text(json.dumps(kg))
     assert main(["run", "--dataset", planted_paths["csv"], "--schema", planted_paths["schema"],
                  "--kg", str(tmp_path / "kg.json"), "--out", str(tmp_path / "never")]) == 1
-    assert f"kg.json: {field!r} is not a JSON" in capsys.readouterr().err
+    assert f"kg.json: {field} is not a JSON" in capsys.readouterr().err
 
 
 def test_explain_known_and_unknown_feature(tmp_path, planted_paths, capsys):
@@ -356,13 +412,20 @@ def test_explain_malformed_expression_exits_one(tmp_path, capsys):
     result_path.write_text(json.dumps(result.to_json()))
     assert main(["explain", str(result_path), "LOG(WEIGHT)"]) == 1
     captured = capsys.readouterr()
-    assert "error: transform 'log' has node type 'unary', not 'date'" in captured.err
+    assert captured.err == (f"error: {result_path}: best_features[0].expr: transform 'log' "
+                            "has node type 'unary', not 'date'\n")
     assert captured.out == ""
 
 
 @pytest.mark.parametrize("expr, message", [
-    (5, "expression node must be a JSON object, not 5"),
-    ({"type": "unary", "op": "log"}, "expression node has no 'child' field"),
+    pytest.param(5, "best_features[0].expr is not a JSON object",
+                 id='5-expression node must be a JSON object, not 5'),
+    pytest.param({"type": "unary", "op": "log"}, "best_features[0].expr has no 'child' field",
+                 id="expr1-expression node has no 'child' field"),
+    ({"type": "unary", "op": "log", "child": {"type": "raw", "name": ["weight"]}},
+     "best_features[0].expr.child.name is not a string"),
+    ({"type": "unary", "op": ["log"], "child": {"type": "raw", "name": "weight"}},
+     "best_features[0].expr.op is not a string"),
 ])
 def test_explain_incomplete_expression_exits_one(tmp_path, capsys, expr, message):
     feature = {"display_name": "LOG(WEIGHT)", "verdict": "interpretable", "expr": expr}
@@ -372,7 +435,7 @@ def test_explain_incomplete_expression_exits_one(tmp_path, capsys, expr, message
     result_path = tmp_path / "result.json"
     result_path.write_text(json.dumps(result.to_json()))
     assert main(["explain", str(result_path), "LOG(WEIGHT)"]) == 1
-    assert f"error: {message}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {result_path}: {message}\n"
 
 
 def test_report_does_not_read_the_kg(tmp_path, planted_paths):
@@ -416,9 +479,12 @@ def test_report_names_a_column_the_dataset_lost(tmp_path, planted_paths, capsys)
     ({"target_name": "y", "task": "regression", "column_kind_overrides": {"x": "numerik"}},
      "'numerik' is not a valid Kind"),
     ({"task": "regression"}, "no 'target_name' field"),
-    ([], "the schema is not a JSON object"),
+    pytest.param([], "the document is not a JSON object",
+                 id='schema3-the schema is not a JSON object'),
     ({"target_name": "y", "task": "regression", "column_kind_overrides": []},
      "column_kind_overrides is not a JSON object"),
+    ({"target_name": "y", "task": "regression", "concept_map_path": 3},
+     "concept_map_path is not a string"),
 ])
 def test_run_malformed_schema_exits_one_naming_the_field(tmp_path, capsys, schema, named):
     # an unknown task or kind, or a document or overrides that are not
@@ -460,10 +526,14 @@ def test_kg_check_empty_dataset_exits_one_naming_the_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("manifest, named", [
-    ([], "manifest is not a JSON object"),
-    ({"engine": [["episodes", 1]]}, "manifest: 'engine' is not a JSON object"),
-    ({"engine": "fast"}, "manifest: 'engine' is not a JSON object"),
-    ({"dataset": 5}, "manifest: 'dataset' is not a string"),
+    pytest.param([], "the document is not a JSON object",
+                 id='manifest0-manifest is not a JSON object'),
+    pytest.param({"engine": [["episodes", 1]]}, "engine is not a JSON object",
+                 id="manifest1-manifest: 'engine' is not a JSON object"),
+    pytest.param({"engine": "fast"}, "engine is not a JSON object",
+                 id="manifest2-manifest: 'engine' is not a JSON object"),
+    pytest.param({"dataset": 5}, "dataset is not a string",
+                 id="manifest3-manifest: 'dataset' is not a string"),
 ])
 def test_run_malformed_manifest_exits_one_naming_the_field(tmp_path, capsys, manifest, named):
     # a manifest or engine block that was not an object was an internal
@@ -494,44 +564,65 @@ _GONE = object()  # a mutation that deletes the field
 
 
 @pytest.mark.parametrize("command, at, value, named", [
-    ("explain", (), [], "result is not a JSON object"),
-    ("report", (), [], "result is not a JSON object"),
-    ("explain", ("best_score",), _GONE, "result has no 'best_score' field"),
-    ("report", ("seed",), _GONE, "result has no 'seed' field"),
-    ("explain", ("best_features",), {}, "result: 'best_features' is not a JSON array"),
-    ("report", ("best_features",), _GONE, "result has no 'best_features' field"),
-    ("explain", ("discard_log",), None, "result: 'discard_log' is not a JSON array"),
-    ("explain", ("config",), [], "result: 'config' is not a JSON object"),
-    ("report", ("order_sweep",), 3, "result: 'order_sweep' is not a JSON array"),
+    pytest.param("explain", (), [], "the document is not a JSON object",
+                 id='explain-at0-value0-result is not a JSON object'),
+    pytest.param("report", (), [], "the document is not a JSON object",
+                 id='report-at1-value1-result is not a JSON object'),
+    pytest.param("explain", ("best_score",), _GONE, "the document has no 'best_score' field",
+                 id="explain-at2-value2-result has no 'best_score' field"),
+    pytest.param("report", ("seed",), _GONE, "the document has no 'seed' field",
+                 id="report-at3-value3-result has no 'seed' field"),
+    pytest.param("explain", ("best_features",), {}, "best_features is not a JSON array",
+                 id="explain-at4-value4-result: 'best_features' is not a JSON array"),
+    pytest.param("report", ("best_features",), _GONE, "the document has no 'best_features' field",
+                 id="report-at5-value5-result has no 'best_features' field"),
+    pytest.param("explain", ("discard_log",), None, "discard_log is not a JSON array",
+                 id="explain-at6-None-result: 'discard_log' is not a JSON array"),
+    pytest.param("explain", ("config",), [], "config is not a JSON object",
+                 id="explain-at7-value7-result: 'config' is not a JSON object"),
+    pytest.param("report", ("order_sweep",), 3, "order_sweep is not a JSON array",
+                 id="report-at8-3-result: 'order_sweep' is not a JSON array"),
     ("explain", ("config", "kg_path"), _GONE, "config has no 'kg_path' field"),
-    ("explain", ("config", "mapping_path"), 5, "config: 'mapping_path' is not a string"),
+    pytest.param("explain", ("config", "mapping_path"), 5, "config.mapping_path is not a string",
+                 id="explain-at10-5-config: 'mapping_path' is not a string"),
     ("report", ("config", "dataset_path"), _GONE, "config has no 'dataset_path' field"),
-    ("report", ("config", "schema_path"), ["s.json"], "config: 'schema_path' is not a string"),
-    ("report", ("config", "seed"), "0", "config: 'seed' is not an integer"),
+    pytest.param("report", ("config", "schema_path"), ["s.json"],
+                 "config.schema_path is not a string",
+                 id="report-at12-value12-config: 'schema_path' is not a string"),
+    pytest.param("report", ("config", "seed"), "0", "config.seed is not an integer",
+                 id="report-at13-0-config: 'seed' is not an integer"),
     ("explain", ("best_features", 0), "x1", "best_features[0] is not a JSON object"),
     ("explain", ("best_features", 0, "display_name"), _GONE,
      "best_features[0] has no 'display_name' field"),
-    ("report", ("best_features", 0, "display_name"), 1,
-     "best_features[0]: 'display_name' is not a string"),
+    pytest.param("report", ("best_features", 0, "display_name"), 1,
+                 "best_features[0].display_name is not a string",
+                 id="report-at16-1-best_features[0]: 'display_name' is not a string"),
     ("explain", ("best_features", 0, "expr"), _GONE, "best_features[0] has no 'expr' field"),
     ("report", ("best_features", 0, "expr"), _GONE, "best_features[0] has no 'expr' field"),
     ("explain", ("best_features", 0, "verdict"), _GONE,
      "best_features[0] has no 'verdict' field"),
     ("report", ("best_features", 0, "raw"), _GONE, "best_features[0] has no 'raw' field"),
-    ("report", ("best_features", 0, "raw"), "yes", "best_features[0]: 'raw' is not a boolean"),
+    pytest.param("report", ("best_features", 0, "raw"), "yes",
+                 "best_features[0].raw is not a boolean",
+                 id="report-at21-yes-best_features[0]: 'raw' is not a boolean"),
     ("explain", ("discard_log", 0), 7, "discard_log[0] is not a JSON object"),
     ("explain", ("discard_log", 0, "display_name"), _GONE,
      "discard_log[0] has no 'display_name' field"),
     ("explain", ("discard_log", 0, "expr"), _GONE, "discard_log[0] has no 'expr' field"),
     ("explain", ("discard_log", 0, "reason"), _GONE, "discard_log[0] has no 'reason' field"),
     ("report", ("order_sweep", 0), [1], "order_sweep[0] is not a [max_order, best_score] pair"),
-    ("report", ("order_sweep", 0), [1, "0.5"],
-     "order_sweep[0] is not a [max_order, best_score] pair"),
+    pytest.param("report", ("order_sweep", 0), [1, "0.5"], "order_sweep[0][1] is not a number",
+                 id='report-at27-value27-order_sweep[0] is not a [max_order, best_score] pair'),
+    ("report", ("best_features", 0, "expr", "name"), 3,
+     "best_features[0].expr.name is not a string"),
+    ("explain", ("best_features", 0, "expr", "type"), ["raw"],
+     "best_features[0].expr.type is not a string"),
 ])
 def test_malformed_result_exits_one_naming_the_file_and_field(tmp_path, planted_paths, capsys,
                                                               command, at, value, named):
     # a result of [] was an internal error (exit 2), and one lacking a field
-    # printed only the bare key, e.g. "error: 'best_score'"
+    # printed only the bare key, e.g. "error: 'best_score'"; a case whose
+    # message is now a JSON path keeps the id of its old wording
     doc = _complete_result(planted_paths)
     path = tmp_path / "result.json"
     argv = [command, str(path)] + (["x1"] if command == "explain" else [])
@@ -813,3 +904,101 @@ def test_run_linear_on_a_feature_whose_square_overflows_exits_zero(tmp_path):
         result = json.load(fh)
     assert math.isfinite(result["baseline_score"])
     assert math.isfinite(result["best_score"])
+
+
+# ------------------------------------------- a wrong JSON type anywhere
+
+_SWAP_VALUES = [None, True, 0, 2.5, "", "x", [], ["x"], {}, {"x": 1}]
+# The commands that read each document of a run
+_READERS = {"kg.json": ("kg-check", "run", "explain"),
+            "mapping.json": ("kg-check", "run", "explain"),
+            "schema.json": ("kg-check", "run", "report"),
+            "manifest.json": ("run",), "result.json": ("explain", "report")}
+
+
+def _json_type(value):
+    return ("null" if value is None else "boolean" if isinstance(value, bool)
+            else "number" if isinstance(value, (int, float)) else type(value).__name__)
+
+
+def _json_paths(doc, at=()):
+    """The keys that lead to each value of a JSON document, the root's first."""
+    yield at
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _json_paths(value, at + (key,))
+
+
+def _at(doc, keys):
+    for key in keys:
+        doc = doc[key]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def run_documents(tmp_path_factory):
+    """The KG, mapping, schema, manifest and result.json of a small run on a
+    20-row planted table, by file name, with the table's text."""
+    base = tmp_path_factory.mktemp("documents")
+    _, _, paths = make_planted_dataset(base, n=20)
+    docs = {"kg.json": json.loads(open(kgfeat.resource_path("default_kg.json")).read()),
+            "mapping.json": json.loads(open(paths["mapping"]).read()),
+            "schema.json": {"target_name": "y", "task": "regression",
+                            "column_kind_overrides": {"x3": "numeric"},
+                            "concept_map_path": "mapping.json"},
+            "manifest.json": {"dataset": "data.csv", "schema": "schema.json", "kg": "kg.json",
+                              "mapping": "mapping.json", "out": "out",
+                              "engine": {"episodes": 3, "steps": 4, "k_folds": 2, "cap": 4,
+                                         "learner": "linear", "seed": 0, "policy": "dqn"}}}
+    table = open(paths["csv"]).read()
+    _write_documents(base, docs, table)
+    assert main(["run", "--manifest", str(base / "manifest.json")]) == 0
+    docs["result.json"] = json.loads((base / "out" / "result.json").read_text())
+    assert docs["result.json"]["discard_log"]
+    return docs, table
+
+
+def _write_documents(directory, docs, table):
+    (directory / "data.csv").write_text(table)
+    for name, doc in docs.items():
+        (directory / name).write_text(json.dumps(doc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_json_value_of_another_type_anywhere_exits_zero_or_one(run_documents, data):
+    # a wrong JSON type in a KG entry, or in a mapping, schema or result
+    # field no check covered, was an internal error (exit 2)
+    docs, table = run_documents
+    name = data.draw(st.sampled_from(sorted(docs)), label="document")
+    keys = data.draw(st.sampled_from(list(_json_paths(docs[name]))), label="path")
+    value = data.draw(st.sampled_from([v for v in _SWAP_VALUES if _json_type(v)
+                                       != _json_type(_at(docs[name], keys))]), label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        d = pathlib.Path(tmp)
+        docs = copy.deepcopy(docs)
+        result = docs["result.json"]
+        result["config"].update(dataset_path=str(d / "data.csv"), kg_path=str(d / "kg.json"),
+                                schema_path=str(d / "schema.json"),
+                                mapping_path=str(d / "mapping.json"))
+        names = [result["best_features"][-1]["display_name"],
+                 result["discard_log"][0]["display_name"]]
+        if keys:
+            _at(docs[name], keys[:-1])[keys[-1]] = value
+        else:
+            docs[name] = value
+        _write_documents(d, docs, table)
+        argvs = {"kg-check": [["kg-check", "--kg", str(d / "kg.json"), "--dataset",
+                               str(d / "data.csv"), "--mapping", str(d / "mapping.json"),
+                               "--schema", str(d / "schema.json")]],
+                 "run": [["run", "--manifest", str(d / "manifest.json"), "--episodes", "1",
+                          "--steps", "1", "--out", str(d / "out")]],
+                 "explain": [["explain", str(d / "result.json"), n] for n in names],
+                 "report": [["report", str(d / "result.json"), "--out", str(d / "report")]]}
+        for command in _READERS[name]:
+            for argv in argvs[command]:
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 1), (argv[0], err.getvalue())

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgfeat.data import (DataError, Kind, SchemaConfig, Task, _build_column, kfold_indices,
-                         load_csv)
+from kgfeat.data import (DataError, Kind, SchemaConfig, Task, _build_column, check,
+                         kfold_indices, load_csv)
 
 from conftest import cells_of
 
@@ -353,3 +353,27 @@ def test_kfold_matches_the_dealing_loop():
         assert len(got) == len(want)
         for (gt, gv), (wt, wv) in zip(got, want):
             assert gt.tolist() == wt.tolist() and gv.tolist() == wv.tolist()
+
+
+@pytest.mark.parametrize("doc, shape, message", [
+    ({"a": True}, {"a": int}, "f.json: a is not an integer"),
+    ({"a": 1}, {"a": float}, None),
+    ({"a": 1.5}, {"a": (int, None)}, "f.json: a is not an integer"),
+    ({}, {"a": (int, None)}, None),
+    ({"a": None}, {"a": (int, None)}, None),
+    ({"a": None}, {"a": object}, None),
+    ({}, {"a": object}, "f.json: the document has no 'a' field"),
+    ({"a b": {"c": [1, "x"]}}, {str: {"c": [float]}}, 'f.json: ["a b"].c[1] is not a number'),
+    ([{"k": [1]}], [{"k": ([str], None)}], "f.json: [0].k[0] is not a string"),
+    ({"k": {"x": 1}}, {"k": ([str], {str: int})}, None),
+    ({"k": {"x": "1"}}, {"k": ([str], {str: int})}, "f.json: k.x is not an integer"),
+    ({"k": 2}, {"k": ([str], {str: int})}, "f.json: k is not a JSON array"),
+    (3, [object], "f.json: the document is not a JSON array"),
+])
+def test_check_names_the_file_and_path_of_the_first_value_off_its_shape(doc, shape, message):
+    if message is None:
+        check(doc, shape, "f.json")
+    else:
+        with pytest.raises(DataError) as raised:
+            check(doc, shape, "f.json")
+        assert str(raised.value) == message

@@ -1,8 +1,9 @@
 """Source hygiene: each kgfeat module imports only the sibling modules its
 layer allows, every name a module imports is used in it, no module imports
 another's private name, every module-level private name is read somewhere
-in the package, every local a function assigns is read in it, and every
-dataclass field is read somewhere in the package."""
+in the package, every local a function assigns is read in it, every
+dataclass field is read somewhere in the package, and JSON shapes are tested
+only by `data.check`."""
 import ast
 import glob
 import os
@@ -11,15 +12,15 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src",
 
 
 # The architecture: the sibling modules each kgfeat module may import. Data
-# loading and the DQN agent stand alone; transforms and learners build on
-# the data; the KG reasons over transform expressions; the engine ties them
-# together and the CLI drives it.
+# loading (with the JSON shape check every reader uses) and the DQN agent
+# stand alone; transforms and learners build on the data; the KG reasons over
+# transform expressions; the engine ties them together and the CLI drives it.
 LAYERS = {
     "__init__": set(),
     "data": set(),
     "agent": set(),
     "transform": {"data"},
-    "kg": {"transform"},
+    "kg": {"data", "transform"},
     "learn": {"data"},
     "engine": {"agent", "data", "kg", "learn", "transform"},
     "cli": {"agent", "data", "engine", "kg", "learn", "transform"},
@@ -261,3 +262,36 @@ def test_every_parameter_is_read():
         with open(path) as fh:
             unread = unread_parameters(fh.read())
         assert not unread, f"{os.path.basename(path)} never reads {unread}"
+
+
+def json_type_tests(source):
+    """The top-level definition (or `<module>`) around each isinstance test
+    against dict or list, alone or in a tuple of classes."""
+    found = []
+    for stmt in ast.parse(source).body:
+        for n in ast.walk(stmt):
+            if (isinstance(n, ast.Call) and _called_name(n.func) == "isinstance"
+                    and len(n.args) == 2):
+                classes = n.args[1].elts if isinstance(n.args[1], ast.Tuple) else [n.args[1]]
+                if any(_called_name(c) in ("dict", "list") for c in classes):
+                    found.append(getattr(stmt, "name", "<module>"))
+    return found
+
+
+def test_json_type_tests_are_found():
+    source = ("def f(x):\n    return isinstance(x, dict)\n"
+              "class C:\n    def g(self, y):\n        return isinstance(y, (int, list))\n"
+              "def h(z):\n    return isinstance(z, (int, str)) or isinstance(z, Dict)\n"
+              "ok = isinstance(1, builtins.list)\n")
+    assert json_type_tests(source) == ["f", "C", "<module>"]
+
+
+def test_json_shapes_are_tested_only_by_data_check():
+    # each reader declares its document's shape and calls data.check, so no
+    # module tests a value against dict or list on its own
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            found = json_type_tests(fh.read())
+        if os.path.basename(path) == "data.py":
+            found = [name for name in found if name != "check"]
+        assert not found, f"{os.path.basename(path)} tests JSON types in {found}"

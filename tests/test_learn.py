@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -1131,3 +1134,30 @@ def test_evaluate_cv_skips_imputation_without_gaps(monkeypatch):
     X[4, 1] = np.nan
     gappy = evaluate_cv(spec, X, y, Task.REGRESSION, k=3, seed=0)
     assert len(calls) == 3 and gappy != clean
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40)
+       | st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), min_size=1, max_size=8))
+def test_median_is_numpys_bit_for_bit(values):
+    x = np.array(values)
+    with np.errstate(over="ignore"):  # two huge middle values sum to inf in both
+        got, want = learn._median(x), np.median(x)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (values, got, want)
+    assert np.array_equal(x, values)  # the input is not reordered
+
+
+def test_classification_cv_does_not_import_numpy_ma():
+    # in numpy 2.4 a plain np.unique and np.median import numpy.ma, which cost
+    # a classification run about 14 ms and 1 MB of peak RSS
+    code = ("import sys\nimport numpy as np\n"
+            "from kgfeat.data import Task\nfrom kgfeat.learn import LearnerSpec, evaluate_cv\n"
+            "X = np.random.default_rng(0).normal(size=(40, 3))\nX[3, 1] = np.nan\n"
+            "y = (X[:, 0] > 0).astype(float)\n"
+            "for kind in ('decision_tree', 'random_forest', 'logistic'):\n"
+            "    evaluate_cv(LearnerSpec(kind=kind, n_trees=3), X, y, Task.CLASSIFICATION, 2, 0)\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
