@@ -189,11 +189,11 @@ def cmd_kg_check(args) -> int:
 
 
 def _print_tree(expr, kg, nodes, indent=1):
-    """One line per node; `nodes` holds each node's (id, unit, unit name) as
+    """One line per node; `nodes` holds each node's (unit, unit name) as
     the verdict computed them (kg.materialize_facts), and a node prints the
     unit name its hasUnit fact uses."""
     pad = "  " * indent
-    unit = f"unit={nodes[expr][2] or 'unknown'}"
+    unit = f"unit={nodes[expr][1] or 'unknown'}"
     if isinstance(expr, RawRef):
         cls = kg.column_concepts.get(expr.name, ("(unmapped)",))[0]
         print(f"{pad}{expr.name}  class={cls} {unit}")

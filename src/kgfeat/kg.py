@@ -6,11 +6,10 @@ import graphlib
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import count
 from typing import Optional
 
 from .data import read_json
-from .transform import Arity, Expr, RawRef, catalog_op, children, leaves
+from .transform import Arity, Expr, RawRef, catalog_op, children
 
 BASE_DIMENSIONS = ("mass", "length", "time", "temperature", "currency", "count")
 
@@ -196,7 +195,7 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
         name = u["name"]
         if name in unit_registry:
             raise KGError(f"duplicate unit name {name!r}")
-        cls = u.get("class", "Units")
+        cls = "Units" if u.get("class") is None else u["class"]
         if cls not in class_set:
             raise KGError(f"unit {name!r} references unknown class {cls!r}")
         try:
@@ -213,13 +212,16 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
 
     rules = []
     for i, r in enumerate(doc.get("rules") or []):
+        name = f"rule {i + 1}" if r.get("name") is None else r["name"]
         body = tuple(Atom(a["pred"], tuple(a["args"])) for a in r["body"])
+        if any(a.pred == "Different" and len(a.args) != 2 for a in body):
+            raise KGError(f"{path}: rule {name!r}: Different takes exactly two arguments")
         head = Atom(r["head"]["pred"], tuple(r["head"]["args"]))
         head_vars = {a for a in head.args if a.startswith("?")}
         body_vars = {a for atom in body for a in atom.args if a.startswith("?")}
         if not head_vars <= body_vars:
             raise KGError(f"rule {i}: head variables must appear in the body")
-        rules.append(Rule(name=r.get("name", f"rule {i + 1}"), body=body, head=head))
+        rules.append(Rule(name=name, body=body, head=head))
 
     column_concepts = {}
     for col, entry in mapping.items():
@@ -313,9 +315,7 @@ def _token_dims(kg: KnowledgeGraph, token: str):
 
 
 def _add_class_fact(kg: KnowledgeGraph, facts: set, cls: str, individual):
-    facts.add((cls, individual))
-    for anc in kg._ancestor_walk(cls) if cls in kg.class_set else ():
-        facts.add((anc, individual))
+    facts.update((c, individual) for c in (cls, *kg._ancestor_walk(cls)))
 
 
 def _index(facts) -> dict:
@@ -338,12 +338,13 @@ def _match_body(kg, index, body, binding, i=0):
     atom = body[i]
     if atom.pred == "Different":
         u, v = (binding.get(a, a) for a in atom.args)
-        if not u.startswith("?") and not v.startswith("?") and (
+        if not any(a.startswith("?") and a not in binding for a in atom.args) and (
                 _token_dims(kg, u) != _token_dims(kg, v)):
             yield from _match_body(kg, index, body, binding, i + 1)
         return
-    first = binding.get(atom.args[0], atom.args[0]) if atom.args else "?"
-    key = atom.pred if first.startswith("?") else (atom.pred, first)
+    first = atom.args[0] if atom.args else "?"
+    key = atom.pred if first.startswith("?") and first not in binding else (
+        atom.pred, binding.get(first, first))
     for fact in index.get(key, ()):
         if len(fact) - 1 != len(atom.args):
             continue
@@ -369,11 +370,8 @@ def forward_chain(kg: KnowledgeGraph, facts):
     Each round matches the rules, in order, against an index of the facts
     the previous round ended with."""
     facts = set(facts)
-    closed = set()
-    for fact in list(facts):
-        if len(fact) == 2 and fact[0] in kg.class_set:
-            _add_class_fact(kg, closed, fact[0], fact[1])
-    facts |= closed
+    for fact in [f for f in facts if len(f) == 2 and f[0] in kg.class_set]:
+        _add_class_fact(kg, facts, *fact)
     provenance = {}
     changed = True
     while changed:
@@ -403,43 +401,42 @@ def unit_token(kg: KnowledgeGraph, unit: Optional[Unit]):
 
 
 def materialize_facts(kg: KnowledgeGraph, expr: Expr):
-    """Ground atoms describing every sub-expression of a feature.
+    """Ground atoms describing every distinct sub-expression of a feature.
 
-    One post-order walk numbers the nodes n0, n1, ... and propagates units
-    bottom-up; it returns the facts and a map from each distinct node to its
-    (first id, unit, the unit name its hasUnit fact uses or None). It is the
-    only unit walk: verdicts and `explain` read their units from that map.
-    Leaves contribute their mapped class and unit; each transform application
-    contributes hasInput/hasOutput and its transform-class atom; propagated
-    units attach to derived nodes by `unit_token`. A repeated input refers to
-    the id of its first node.
+    A node is its own individual, and ("t", N) is the transform application
+    that outputs node N. One post-order walk visits each distinct node once,
+    propagating units bottom-up, and returns the facts and a post-order map
+    from each node to its (unit, the unit name its hasUnit fact uses or None).
+    It is the only unit walk: verdicts and `explain` read units from that map.
+    A mapped leaf asserts its class and unit; a transform application asserts
+    hasInput/hasOutput and its transform class; a derived node's unit is named
+    by `unit_token`. Only `forward_chain` closes classes upward.
     """
-    facts, seen, ids = set(), {}, count()
+    facts, nodes = set(), {}
 
     def walk(node):
+        if node in nodes:
+            return
         for child in children(node):
             walk(child)
-        nid = f"n{next(ids)}"
-        facts.add(("Feature", nid))
+        facts.add(("Feature", node))
         if isinstance(node, RawRef):
             cls, unit_name = kg.column_concepts.get(node.name, (None, None))
             if cls is not None:
-                _add_class_fact(kg, facts, cls, nid)
+                facts.add((cls, node))
             unit = kg.unit_registry.get(unit_name)
         else:
-            fid = f"t_{nid}"
-            _add_class_fact(kg, facts, TRANSFORM_CLASS[node.op], fid)
-            facts.add(("hasOutput", fid, nid))
-            for child in _operands(node):
-                facts.add(("hasInput", fid, seen[child][0]))
-            unit = propagate_unit(node.op, [seen[c][1] for c in _operands(node)])
+            t = ("t", node)
+            facts.update({(TRANSFORM_CLASS[node.op], t), ("hasOutput", t, node)})
+            facts.update(("hasInput", t, child) for child in _operands(node))
+            unit = propagate_unit(node.op, [nodes[c][0] for c in _operands(node)])
             unit_name = unit_token(kg, unit)
         if unit_name is not None:
-            facts.add(("hasUnit", nid, unit_name))
-        seen.setdefault(node, (nid, unit, unit_name))
+            facts.add(("hasUnit", node, unit_name))
+        nodes[node] = (unit, unit_name)
 
     walk(expr)
-    return facts, seen
+    return facts, nodes
 
 
 def judge(kg: KnowledgeGraph, expr: Expr) -> Verdict:
@@ -451,20 +448,20 @@ def judge(kg: KnowledgeGraph, expr: Expr) -> Verdict:
     root unit and its name.
     """
     facts, nodes = materialize_facts(kg, expr)
-    root_id, unit, name = nodes[expr]
-    if not any(leaf.name in kg.column_concepts for leaf in leaves(expr)):
+    unit, name = nodes[expr]
+    if not any(isinstance(n, RawRef) and n.name in kg.column_concepts for n in nodes):
         return Verdict(VerdictStatus.UNCOVERED, None, unit, name)
     if isinstance(expr, RawRef):
         return Verdict(VerdictStatus.INTERPRETABLE, None, unit, name)
     fixpoint, provenance = forward_chain(kg, facts)
-    bad = ("nonInterpretable", root_id)
+    bad = ("nonInterpretable", expr)
     if bad in fixpoint:
-        reason = provenance.get(bad, "rule")
-        return Verdict(VerdictStatus.NON_INTERPRETABLE, reason, unit, name)
-    # Any derived node judged non-interpretable taints the whole feature.
-    for fact in sorted(provenance):
-        if fact[0] == "nonInterpretable":
-            return Verdict(VerdictStatus.NON_INTERPRETABLE, provenance[fact], unit, name)
+        return Verdict(VerdictStatus.NON_INTERPRETABLE, provenance.get(bad, "rule"), unit, name)
+    # Else the first sub-expression, in post-order, a rule rejected taints it.
+    for node in nodes:
+        reason = provenance.get(("nonInterpretable", node))
+        if reason is not None:
+            return Verdict(VerdictStatus.NON_INTERPRETABLE, reason, unit, name)
     if unit is None or (unit.dims and unit.dims not in kg.unit_names):
         return Verdict(VerdictStatus.NON_INTERPRETABLE, "unknown unit", unit, name)
     return Verdict(VerdictStatus.INTERPRETABLE, None, unit, name)

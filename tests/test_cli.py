@@ -336,6 +336,33 @@ def test_run_with_a_kg_container_of_the_wrong_type_exits_one(tmp_path, planted_p
     assert f"kg.json: {field} is not a JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["?u"], ["?u", "?v", "?w"]])
+def test_a_different_atom_without_two_arguments_exits_one(tmp_path, planted_paths, capsys,
+                                                          args):
+    # with one argument, a run that judged an addition of two mapped columns
+    # ended with an internal error (exit 2)
+    kg = json.loads(open(kgfeat.resource_path("default_kg.json")).read())
+    next(a for a in kg["rules"][0]["body"] if a["pred"] == "Different")["args"] = args
+    path = str(tmp_path / "kg.json")
+    pathlib.Path(path).write_text(json.dumps(kg))
+    named = f"error: {path}: rule 'mixed-unit addition': Different takes exactly two arguments\n"
+    assert main(["kg-check", "--kg", path, "--dataset", planted_paths["csv"]]) == 1
+    assert capsys.readouterr().err == named
+    assert main(["run", "--dataset", planted_paths["csv"], "--schema", planted_paths["schema"],
+                 "--kg", path, "--out", str(tmp_path / "never")]) == 1
+    assert capsys.readouterr().err == named
+
+
+def test_kg_check_reads_a_null_unit_class_as_absent(tmp_path, planted_paths, capsys):
+    # it exited 1 with "unit 'kg' references unknown class None"
+    kg = json.loads(open(kgfeat.resource_path("default_kg.json")).read())
+    kg["units"][0]["class"] = None
+    (tmp_path / "kg.json").write_text(json.dumps(kg))
+    assert main(["kg-check", "--kg", str(tmp_path / "kg.json"),
+                 "--dataset", planted_paths["csv"]]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_explain_known_and_unknown_feature(tmp_path, planted_paths, capsys):
     _, out_dir = run_manifest(tmp_path, planted_paths)
     result_path = os.path.join(out_dir, "result.json")

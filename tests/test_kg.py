@@ -1,6 +1,7 @@
 import json
 import time
 from fractions import Fraction
+from itertools import count
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from kgfeat.engine import phi_feature
 from kgfeat.kg import (DIMENSIONLESS, KGError, Unit, VerdictStatus, coverage,
                        forward_chain, is_instance, judge, load_kg, propagate_unit,
                        subsumes)
-from kgfeat.transform import Arity, Node, RawRef, catalog, catalog_op, leaves
+from kgfeat.transform import (Arity, Node, RawRef, catalog, catalog_op, children, leaves,
+                              render_name)
 
 from conftest import cat_col, make_dataset, num_col
 
@@ -512,11 +514,45 @@ def unit_name_oracle(kg, expr, unit):
     return registered_name_scan(kg, unit) or unit.dims_token()
 
 
+def materialize_facts_numbered(kg, expr):
+    """Oracle: materialize_facts as it was when one post-order walk named
+    every node n0, n1, ..., repeats included, closed each class fact upward,
+    and mapped each distinct node to its (first id, unit, unit name)."""
+    facts, seen, ids = set(), {}, count()
+
+    def walk(node):
+        for child in children(node):
+            walk(child)
+        nid = f"n{next(ids)}"
+        facts.add(("Feature", nid))
+        if isinstance(node, RawRef):
+            cls, unit_name = kg.column_concepts.get(node.name, (None, None))
+            if cls is not None:
+                kgmod._add_class_fact(kg, facts, cls, nid)
+            unit = kg.unit_registry.get(unit_name)
+        else:
+            fid = f"t_{nid}"
+            kgmod._add_class_fact(kg, facts, kgmod.TRANSFORM_CLASS[node.op], fid)
+            facts.add(("hasOutput", fid, nid))
+            for child in kgmod._operands(node):
+                facts.add(("hasInput", fid, seen[child][0]))
+            unit = propagate_unit(node.op, [seen[c][1] for c in kgmod._operands(node)])
+            unit_name = kgmod.unit_token(kg, unit)
+        if unit_name is not None:
+            facts.add(("hasUnit", nid, unit_name))
+        seen.setdefault(node, (nid, unit, unit_name))
+
+    walk(expr)
+    return facts, seen
+
+
 def judge_scan(kg, expr):
-    """Oracle: judge as it was before the facts were indexed and before a
+    """Oracle: judge as it was before the facts were indexed, before a
     dimensionless derived node's hasUnit fact named `dim:1` instead of the
-    first registered unit without dims."""
-    facts, nodes = kgmod.materialize_facts(kg, expr)
+    first registered unit without dims, and before each distinct node was its
+    own individual. Rejected sub-nodes are taken in the order of their ids,
+    which is post-order."""
+    facts, nodes = materialize_facts_numbered(kg, expr)
     named = registered_name_scan(kg, DIMENSIONLESS) or "dim:1"
     facts = {(f[0], f[1], named) if f[0] == "hasUnit" and f[2] == "dim:1" else f
              for f in facts}
@@ -531,10 +567,10 @@ def judge_scan(kg, expr):
     if bad in fixpoint:
         return kgmod.Verdict(VerdictStatus.NON_INTERPRETABLE,
                              provenance.get(bad, "rule"), unit, name)
-    for fact in sorted(provenance):
-        if fact[0] == "nonInterpretable":
-            return kgmod.Verdict(VerdictStatus.NON_INTERPRETABLE, provenance[fact], unit,
-                                 name)
+    rejected = sorted((int(f[1][1:]), reason) for f, reason in provenance.items()
+                      if f[0] == "nonInterpretable")
+    if rejected:
+        return kgmod.Verdict(VerdictStatus.NON_INTERPRETABLE, rejected[0][1], unit, name)
     if unit is None or (not unit.dimensionless and registered_name_scan(kg, unit) is None):
         return kgmod.Verdict(VerdictStatus.NON_INTERPRETABLE, "unknown unit", unit, name)
     return kgmod.Verdict(VerdictStatus.INTERPRETABLE, None, unit, name)
@@ -622,6 +658,29 @@ def test_indexed_join_matches_the_scan_on_constants_and_repeats(tmp_path):
     assert ("B", "c") not in got[0]
 
 
+def test_different_keeps_constants_and_compares_any_bound_value(tmp_path):
+    # a constant argument is compared as itself; a variable bound to an
+    # individual that is not a string is bound, not a pattern
+    doc = {"classes": ["Units"],
+           "units": [{"name": "kg", "dims": {"mass": 1}}, {"name": "m", "dims": {"length": 1}}],
+           "rules": [{"name": "not kg", "body": [{"pred": "hasUnit", "args": ["?x", "?u"]},
+                                                 {"pred": "Different", "args": ["?u", "kg"]}],
+                      "head": {"pred": "Light", "args": ["?x"]}},
+                     {"name": "pair", "body": [{"pred": "Feature", "args": ["?x"]},
+                                               {"pred": "Feature", "args": ["?y"]},
+                                               {"pred": "Different", "args": ["?x", "?y"]}],
+                      "head": {"pred": "Pair", "args": ["?x", "?y"]}}]}
+    path = tmp_path / "kg.json"
+    path.write_text(json.dumps(doc))
+    kg = load_kg(str(path))
+    a, b = RawRef("a"), Node("sqrt", (RawRef("a"),))
+    facts = {("hasUnit", a, "kg"), ("hasUnit", b, "m"), ("Feature", a), ("Feature", b)}
+    got = forward_chain(kg, facts)
+    assert got == forward_chain_scan(kg, facts)
+    assert {f for f in got[0] if f[0] in ("Light", "Pair")} == {
+        ("Light", b), ("Pair", a, b), ("Pair", b, a)}
+
+
 def test_dimensionless_derived_nodes_name_dim_1(sales_kg):
     # a day of the month and a usd/usd ratio have no dims; `count` is the
     # registered unit without dims, but naming it claimed a count
@@ -629,18 +688,63 @@ def test_dimensionless_derived_nodes_name_dim_1(sales_kg):
     ratio = Node("div", (RawRef("PRICE"), RawRef("PRICE")))
     for expr in (day, ratio):
         facts, nodes = kgmod.materialize_facts(sales_kg, expr)
-        root_id, unit, name = nodes[expr]
+        unit, name = nodes[expr]
         assert unit == DIMENSIONLESS
         assert kgmod.unit_token(sales_kg, unit) == name == "dim:1"
-        assert ("hasUnit", root_id, "dim:1") in facts
+        assert ("hasUnit", expr, "dim:1") in facts
         assert judge(sales_kg, expr).status == VerdictStatus.INTERPRETABLE
         assert judge(sales_kg, expr).unit_name == "dim:1"
     squared = Node("mul", (RawRef("PRICE"), RawRef("PRICE")))
     assert kgmod.unit_token(sales_kg, judge(sales_kg, squared).unit) == "usd2"
     assert judge(sales_kg, squared).unit_name == "usd2"
     # a leaf keeps its mapped name, `count` included
-    facts, nodes = kgmod.materialize_facts(sales_kg, RawRef("UNITS_SOLD"))
-    assert ("hasUnit", nodes[RawRef("UNITS_SOLD")][0], "count") in facts
+    facts, _ = kgmod.materialize_facts(sales_kg, RawRef("UNITS_SOLD"))
+    assert ("hasUnit", RawRef("UNITS_SOLD"), "count") in facts
+
+
+def test_a_repeated_sub_expression_is_one_individual(diabetes_kg):
+    # numbering every node of the tree asserted 2**13 - 1 = 8,191 Feature
+    # facts for these 13 distinct nodes
+    e = RawRef("WEIGHT")
+    for _ in range(12):
+        e = Node("add", (e, e))
+    facts, nodes = kgmod.materialize_facts(diabetes_kg, e)
+    assert len(nodes) == 13
+    assert sum(f[0] == "Feature" for f in facts) == 13
+    assert judge(diabetes_kg, e) == kgmod.Verdict(
+        VerdictStatus.INTERPRETABLE, None, diabetes_kg.unit_registry["kg"], "kg")
+
+
+def test_the_first_rejected_sub_expression_in_post_order_gives_the_reason(sales_kg):
+    # the inventory sum comes before the mixed-unit addition in post-order;
+    # ordering rejected node ids as strings put `n12` before `n2`
+    stock = RawRef("STOCK_LEVEL")
+    total = Node("group_sum", (stock, stock))
+    day = Node("day", (total,))
+    quartic_root = Node("sqrt", (Node("sqrt", (RawRef("PRICE"),)),))
+    expr = Node("reciprocal", (Node("add", (Node("mul", (day, day)), quartic_root)),))
+    assert render_name(expr) == (
+        "RECIPROCAL(((DAY(GROUP_SUM(STOCK_LEVEL BY STOCK_LEVEL)) * "
+        "DAY(GROUP_SUM(STOCK_LEVEL BY STOCK_LEVEL))) + SQRT(SQRT(PRICE))))")
+    verdict = judge(sales_kg, expr)
+    assert verdict.status == VerdictStatus.NON_INTERPRETABLE
+    assert verdict.reason == "inventory totals are not summable"
+    assert verdict == judge_scan(sales_kg, expr)
+    # the repeated sum is asserted once, not again as an orphan copy
+    facts, _ = kgmod.materialize_facts(sales_kg, expr)
+    assert [f for f in facts if f[0] == "aggregationSum"] == [("aggregationSum", ("t", total))]
+
+
+def test_a_null_unit_class_or_rule_name_reads_as_absent(tmp_path, kg_doc):
+    doc = json.loads(json.dumps(kg_doc))
+    doc["units"][0]["class"] = None
+    doc["rules"][0]["name"] = None
+    path = tmp_path / "kg.json"
+    path.write_text(json.dumps(doc))
+    kg = load_kg(str(path), kgfeat.resource_path("diabetes.mapping.json"))
+    assert kg.unit_class[doc["units"][0]["name"]] == "Units"
+    verdict = judge(kg, Node("add", (RawRef("WEIGHT"), RawRef("HEIGHT"))))
+    assert verdict.status == VerdictStatus.NON_INTERPRETABLE and verdict.reason == "rule 1"
 
 
 def test_unit_names_map_each_dims_to_its_first_registered_name(diabetes_kg):
