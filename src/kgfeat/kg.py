@@ -90,30 +90,6 @@ class Verdict:
         return self.status == VerdictStatus.INTERPRETABLE
 
 
-# Class asserted for each transform application node when rules are matched.
-TRANSFORM_CLASS = {
-    "log": "Logarithm",
-    "sqrt": "SquareRoot",
-    "square": "Square",
-    "reciprocal": "Reciprocal",
-    "one_hot": "OneHotEncoding",
-    "add": "Addition",
-    "sub": "Subtraction",
-    "mul": "Multiplication",
-    "div": "Division",
-    "and": "LogicalAnd",
-    "or": "LogicalOr",
-    "group_min": "aggregationMin",
-    "group_max": "aggregationMax",
-    "group_mean": "aggregationMean",
-    "group_sum": "aggregationSum",
-    "day": "DateDay",
-    "month": "DateMonth",
-    "year": "DateYear",
-    "is_weekend": "DateIsWeekend",
-}
-
-
 @dataclass
 class KnowledgeGraph:
     classes: list
@@ -210,17 +186,21 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
         if q not in class_set:
             raise KGError(f"quantity entry references unknown class {q!r}")
 
+    # The arity of each predicate the reasoner interprets, and its wording.
+    arity = {**dict.fromkeys(classes, (1, "one argument")), "Different": (2, "two arguments")}
     rules = []
     for i, r in enumerate(doc.get("rules") or []):
         name = f"rule {i + 1}" if r.get("name") is None else r["name"]
         body = tuple(Atom(a["pred"], tuple(a["args"])) for a in r["body"])
-        if any(a.pred == "Different" and len(a.args) != 2 for a in body):
-            raise KGError(f"{path}: rule {name!r}: Different takes exactly two arguments")
         head = Atom(r["head"]["pred"], tuple(r["head"]["args"]))
+        for a in (*body, head):
+            n, words = arity.get(a.pred, (len(a.args), ""))
+            if len(a.args) != n:
+                raise KGError(f"{path}: rule {name!r}: {a.pred} takes exactly {words}")
         head_vars = {a for a in head.args if a.startswith("?")}
         body_vars = {a for atom in body for a in atom.args if a.startswith("?")}
         if not head_vars <= body_vars:
-            raise KGError(f"rule {i}: head variables must appear in the body")
+            raise KGError(f"{path}: rule {name!r}: head variables must appear in the body")
         rules.append(Rule(name=name, body=body, head=head))
 
     column_concepts = {}
@@ -253,42 +233,6 @@ def is_instance(kg: KnowledgeGraph, unit_name: str, cls: str) -> bool:
     return subsumes(kg, kg.unit_class[unit_name], cls)
 
 
-_DIMENSIONLESS_OPS = {"one_hot", "and", "or", "is_weekend", "day", "month", "year"}
-
-
-def propagate_unit(op_name: str, input_units) -> Optional[Unit]:
-    """Unit algebra over one transform application; None means unknown.
-
-    Encoding/logical/date extractors yield dimensionless regardless of input;
-    for everything else any unknown input makes the result unknown.
-    """
-    if op_name in _DIMENSIONLESS_OPS:
-        return DIMENSIONLESS
-    units = list(input_units)
-    if any(u is None for u in units):
-        return None
-    if op_name in ("add", "sub"):
-        a, b = units
-        return a if a == b else None
-    if op_name == "mul":
-        a, b = units
-        return _combine(a, b, 1)
-    if op_name == "div":
-        a, b = units
-        return _combine(a, b, -1)
-    if op_name == "square":
-        return _scale(units[0], 2)
-    if op_name == "sqrt":
-        return _scale(units[0], Fraction(1, 2))
-    if op_name == "reciprocal":
-        return _scale(units[0], -1)
-    if op_name == "log":
-        return DIMENSIONLESS if units[0].dimensionless else None
-    if op_name in ("group_min", "group_max", "group_mean", "group_sum"):
-        return units[0]
-    raise KGError(f"unknown transform {op_name!r}")
-
-
 def _combine(a: Unit, b: Unit, sign: int) -> Unit:
     dims = a.dims_dict()
     for d, e in b.dims:
@@ -298,6 +242,49 @@ def _combine(a: Unit, b: Unit, sign: int) -> Unit:
 
 def _scale(a: Unit, factor) -> Unit:
     return Unit(dims=tuple((d, e * Fraction(factor)) for d, e in a.dims))
+
+
+def _same(a: Unit, b: Unit) -> Optional[Unit]:
+    return a if a == b else None
+
+
+# Each transform's KG meaning: the class its application asserts, and its
+# unit rule, a function of its operand units (an aggregation's value only);
+# a None rule makes the result dimensionless whatever the inputs are.
+TRANSFORMS = {
+    "log": ("Logarithm", lambda a: DIMENSIONLESS if a.dimensionless else None),
+    "sqrt": ("SquareRoot", lambda a: _scale(a, Fraction(1, 2))),
+    "square": ("Square", lambda a: _scale(a, 2)),
+    "reciprocal": ("Reciprocal", lambda a: _scale(a, -1)),
+    "one_hot": ("OneHotEncoding", None),
+    "add": ("Addition", _same),
+    "sub": ("Subtraction", _same),
+    "mul": ("Multiplication", lambda a, b: _combine(a, b, 1)),
+    "div": ("Division", lambda a, b: _combine(a, b, -1)),
+    "and": ("LogicalAnd", None),
+    "or": ("LogicalOr", None),
+    "group_min": ("aggregationMin", lambda a: a),
+    "group_max": ("aggregationMax", lambda a: a),
+    "group_mean": ("aggregationMean", lambda a: a),
+    "group_sum": ("aggregationSum", lambda a: a),
+    "day": ("DateDay", None),
+    "month": ("DateMonth", None),
+    "year": ("DateYear", None),
+    "is_weekend": ("DateIsWeekend", None),
+}
+
+
+def propagate_unit(op_name: str, input_units) -> Optional[Unit]:
+    """Unit algebra over one transform application, by the op's
+    `TRANSFORMS` rule; None means unknown. Unless the op's result is always
+    dimensionless, any unknown input makes the result unknown."""
+    if op_name not in TRANSFORMS:
+        raise KGError(f"unknown transform {op_name!r}")
+    rule = TRANSFORMS[op_name][1]
+    if rule is None:
+        return DIMENSIONLESS
+    units = list(input_units)
+    return None if any(u is None for u in units) else rule(*units)
 
 
 def _operands(expr: Expr) -> tuple:
@@ -312,10 +299,6 @@ def _token_dims(kg: KnowledgeGraph, token: str):
     if token in kg.unit_registry:
         return kg.unit_registry[token].dims
     return () if token == "dim:1" else token
-
-
-def _add_class_fact(kg: KnowledgeGraph, facts: set, cls: str, individual):
-    facts.update((c, individual) for c in (cls, *kg._ancestor_walk(cls)))
 
 
 def _index(facts) -> dict:
@@ -368,14 +351,15 @@ def forward_chain(kg: KnowledgeGraph, facts):
     (tuples of pred + args); returns (facts, provenance), where provenance
     maps each rule-derived fact to the name of the rule that derived it.
     Each round matches the rules, in order, against an index of the facts
-    the previous round ended with."""
+    the previous round ended with, after closing each class fact up the
+    class hierarchy."""
     facts = set(facts)
-    for fact in [f for f in facts if len(f) == 2 and f[0] in kg.class_set]:
-        _add_class_fact(kg, facts, *fact)
     provenance = {}
     changed = True
     while changed:
         changed = False
+        facts.update([(c, f[1]) for f in facts if len(f) == 2 and f[0] in kg.class_set
+                      for c in kg._ancestor_walk(f[0])])
         index = _index(facts)
         for rule in kg.rules:
             for binding in _match_body(kg, index, rule.body, {}):
@@ -385,8 +369,6 @@ def forward_chain(kg: KnowledgeGraph, facts):
                 if head not in facts:
                     facts.add(head)
                     provenance[head] = rule.name
-                    if rule.head.pred in kg.class_set:
-                        _add_class_fact(kg, facts, head[0], head[1])
                     changed = True
     return facts, provenance
 
@@ -427,7 +409,7 @@ def materialize_facts(kg: KnowledgeGraph, expr: Expr):
             unit = kg.unit_registry.get(unit_name)
         else:
             t = ("t", node)
-            facts.update({(TRANSFORM_CLASS[node.op], t), ("hasOutput", t, node)})
+            facts.update({(TRANSFORMS[node.op][0], t), ("hasOutput", t, node)})
             facts.update(("hasInput", t, child) for child in _operands(node))
             unit = propagate_unit(node.op, [nodes[c][0] for c in _operands(node)])
             unit_name = unit_token(kg, unit)
@@ -453,12 +435,9 @@ def judge(kg: KnowledgeGraph, expr: Expr) -> Verdict:
         return Verdict(VerdictStatus.UNCOVERED, None, unit, name)
     if isinstance(expr, RawRef):
         return Verdict(VerdictStatus.INTERPRETABLE, None, unit, name)
-    fixpoint, provenance = forward_chain(kg, facts)
-    bad = ("nonInterpretable", expr)
-    if bad in fixpoint:
-        return Verdict(VerdictStatus.NON_INTERPRETABLE, provenance.get(bad, "rule"), unit, name)
-    # Else the first sub-expression, in post-order, a rule rejected taints it.
-    for node in nodes:
+    _, provenance = forward_chain(kg, facts)
+    # The root, else the first sub-expression in post-order, a rule rejected.
+    for node in (expr, *nodes):
         reason = provenance.get(("nonInterpretable", node))
         if reason is not None:
             return Verdict(VerdictStatus.NON_INTERPRETABLE, reason, unit, name)

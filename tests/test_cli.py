@@ -274,6 +274,9 @@ _HEAD = {"pred": "p", "args": ["?x"]}
                  id="kg13-None-kg.json: 'units' is not a JSON array"),
     pytest.param({"rules": {}}, None, "kg.json: rules is not a JSON array",
                  id="kg14-None-kg.json: 'rules' is not a JSON array"),
+    ({"classes": ["P"], "rules": [{"body": [{"pred": "P", "args": ["?x"]}],
+                                   "head": {"pred": "Q", "args": ["?y"]}}]}, None,
+     "kg.json: rule 'rule 1': head variables must appear in the body"),
 ])
 def test_kg_check_malformed_kg_or_mapping_exits_one_naming_the_entry(
         tmp_path, capsys, kg, mapping, named):
@@ -346,6 +349,24 @@ def test_a_different_atom_without_two_arguments_exits_one(tmp_path, planted_path
     path = str(tmp_path / "kg.json")
     pathlib.Path(path).write_text(json.dumps(kg))
     named = f"error: {path}: rule 'mixed-unit addition': Different takes exactly two arguments\n"
+    assert main(["kg-check", "--kg", path, "--dataset", planted_paths["csv"]]) == 1
+    assert capsys.readouterr().err == named
+    assert main(["run", "--dataset", planted_paths["csv"], "--schema", planted_paths["schema"],
+                 "--kg", path, "--out", str(tmp_path / "never")]) == 1
+    assert capsys.readouterr().err == named
+
+
+@pytest.mark.parametrize("args", [[], ["?f", "?f"]])
+def test_a_class_atom_without_one_argument_exits_one(tmp_path, planted_paths, capsys, args):
+    # with no argument, a run that judged an addition of two mapped columns
+    # ended with an internal error (exit 2); with two, the class was closed
+    # upward for the first argument only
+    kg = json.loads(open(kgfeat.resource_path("default_kg.json")).read())
+    kg["rules"].append({"name": "sum is mass", "body": [{"pred": "Addition", "args": ["?f"]}],
+                        "head": {"pred": "Mass", "args": args}})
+    path = str(tmp_path / "kg.json")
+    pathlib.Path(path).write_text(json.dumps(kg))
+    named = f"error: {path}: rule 'sum is mass': Mass takes exactly one argument\n"
     assert main(["kg-check", "--kg", path, "--dataset", planted_paths["csv"]]) == 1
     assert capsys.readouterr().err == named
     assert main(["run", "--dataset", planted_paths["csv"], "--schema", planted_paths["schema"],

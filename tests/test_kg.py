@@ -270,6 +270,24 @@ def test_class_facts_close_upward(body_kg):
     assert ("PhysicalQuantity", "n0") in facts
 
 
+def test_a_derived_class_fact_is_closed_upward_in_the_next_round(tmp_path):
+    # Weight is a subclass of Mass, so a rule on Mass matches what a rule
+    # derived as Weight
+    doc = {"classes": ["Addition", "Mass", "Weight", "Heavy"],
+           "subclass_of": [["Weight", "Mass"]],
+           "rules": [{"name": "sum", "body": [{"pred": "Addition", "args": ["?f"]}],
+                      "head": {"pred": "Weight", "args": ["?f"]}},
+                     {"name": "heavy", "body": [{"pred": "Mass", "args": ["?f"]}],
+                      "head": {"pred": "Heavy", "args": ["?f"]}}]}
+    path = tmp_path / "kg.json"
+    path.write_text(json.dumps(doc))
+    kg = load_kg(str(path))
+    facts, provenance = forward_chain(kg, {("Addition", "t")})
+    assert {("Weight", "t"), ("Mass", "t"), ("Heavy", "t")} <= facts
+    assert provenance == {("Weight", "t"): "sum", ("Heavy", "t"): "heavy"}
+    assert (facts, provenance) == forward_chain_scan(kg, {("Addition", "t")})
+
+
 def test_rule_head_variable_validation(tmp_path):
     doc = {
         "classes": ["P"],
@@ -467,13 +485,19 @@ def _match_body_scan(kg, facts, body, binding, i=0):
             yield from _match_body_scan(kg, facts, body, new, i + 1)
 
 
+def _add_class_fact(kg, facts, cls, individual):
+    """A class fact and every ancestor of it, as the oracles assert them."""
+    facts.update((c, individual) for c in (cls, *kg.ancestors(cls)))
+
+
 def forward_chain_scan(kg, facts):
-    """Oracle: forward_chain as it was before the facts were indexed."""
+    """Oracle: forward_chain as it was before the facts were indexed, when
+    each class a rule derived was closed upward as it was derived."""
     facts = set(facts)
     closed = set()
     for fact in list(facts):
         if len(fact) == 2 and fact[0] in kg.class_set:
-            kgmod._add_class_fact(kg, closed, fact[0], fact[1])
+            _add_class_fact(kg, closed, fact[0], fact[1])
     facts |= closed
     provenance = {}
     changed = True
@@ -487,7 +511,7 @@ def forward_chain_scan(kg, facts):
                     facts.add(head)
                     provenance[head] = rule.name
                     if rule.head.pred in kg.class_set:
-                        kgmod._add_class_fact(kg, facts, head[0], head[1])
+                        _add_class_fact(kg, facts, head[0], head[1])
                     changed = True
     return facts, provenance
 
@@ -528,11 +552,11 @@ def materialize_facts_numbered(kg, expr):
         if isinstance(node, RawRef):
             cls, unit_name = kg.column_concepts.get(node.name, (None, None))
             if cls is not None:
-                kgmod._add_class_fact(kg, facts, cls, nid)
+                _add_class_fact(kg, facts, cls, nid)
             unit = kg.unit_registry.get(unit_name)
         else:
             fid = f"t_{nid}"
-            kgmod._add_class_fact(kg, facts, kgmod.TRANSFORM_CLASS[node.op], fid)
+            _add_class_fact(kg, facts, kgmod.TRANSFORMS[node.op][0], fid)
             facts.add(("hasOutput", fid, nid))
             for child in kgmod._operands(node):
                 facts.add(("hasInput", fid, seen[child][0]))

@@ -875,7 +875,7 @@ def test_apply_rejects_operands_of_the_wrong_kind(expr):
 def test_kg_tables_cover_the_catalog():
     from kgfeat import kg
 
-    assert set(kg.TRANSFORM_CLASS) == {op.name for op in catalog()}
+    assert set(kg.TRANSFORMS) == {op.name for op in catalog()}
     for op in catalog():
         # an aggregation's group key carries no unit into the result
         n_units = 1 if op.arity == Arity.AGGREGATION else len(op.inputs)
