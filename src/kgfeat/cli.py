@@ -9,7 +9,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -54,27 +53,32 @@ def _load_manifest(path):
 
 def _load_result(path, reads):
     """The FEResult in a result file, checked for the fields `reads` gives."""
-    _check_exists(path, "result file")
+    _check_inputs({"result file": path})
     return eng.FEResult.from_json(read_json(path, reads, eng.EngineError), path)
 
 
 def _build_config(doc, args):
-    overrides = dict(doc.get("engine") or {})
-    for key in eng.ENGINE_OPTIONS:
-        if getattr(args, key, None) is not None:
-            overrides[key] = getattr(args, key)
-    learner_kind = overrides.pop("learner", None)
-    bad = set(overrides) - set(eng.ENGINE_OPTIONS)
+    """The run's EngineConfig: each engine option, the learner kind among
+    them, is the flag, else the manifest's, else the default."""
+    options = dict(doc.get("engine") or {})
+    bad = set(options) - {"learner", *eng.ENGINE_OPTIONS}
     if bad:
         raise eng.EngineError(f"unknown engine options: {sorted(bad)}")
-    cfg = replace(eng.EngineConfig(), **{k: v for k, v in overrides.items() if v is not None})
-    kind = args.learner or learner_kind or cfg.learner.kind
-    return replace(cfg, learner=replace(cfg.learner, kind=kind))
+    for key in ("learner", *eng.ENGINE_OPTIONS):
+        if getattr(args, key, None) is not None:
+            options[key] = getattr(args, key)
+    kind = options.pop("learner", None) or learn.LearnerSpec.kind
+    return eng.EngineConfig(**{k: v for k, v in options.items() if v is not None},
+                            learner=learn.LearnerSpec(kind=kind))
 
 
-def _check_exists(path, what):
-    if path is None or not os.path.exists(path):
-        raise FileNotFoundError(f"{what} not found: {path}")
+def _check_inputs(paths):
+    """Raise FileNotFoundError naming the first input file in `paths` (what ->
+    path) that does not exist; a mapping may be absent, and `out` is no input."""
+    for what, path in paths.items():
+        if what != "out" and not (what == "mapping" and path is None) and not (
+                path and os.path.exists(path)):
+            raise FileNotFoundError(f"{what} not found: {path}")
 
 
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')
@@ -128,16 +132,8 @@ def _write_result_files(result, d, out_dir):
 
 def cmd_run(args) -> int:
     doc = _load_manifest(args.manifest) if args.manifest else {}
-    dataset_path = args.dataset or doc.get("dataset")
-    schema_path = args.schema or doc.get("schema")
-    kg_path = args.kg or doc.get("kg")
-    mapping_path = args.mapping or doc.get("mapping")
-    out_dir = args.out or doc.get("out") or "."
-    _check_exists(dataset_path, "dataset")
-    _check_exists(schema_path, "schema")
-    _check_exists(kg_path, "kg")
-    if mapping_path is not None:
-        _check_exists(mapping_path, "mapping")
+    paths = {key: getattr(args, key) or doc.get(key) for key in _PATH_KEYS}
+    _check_inputs(paths)
     cfg = _build_config(doc, args)
     try:
         orders = [int(x) for x in args.sweep.split(",")] if args.sweep else []
@@ -145,20 +141,18 @@ def cmd_run(args) -> int:
         raise eng.EngineError(f"invalid --sweep value {args.sweep!r}") from None
     eng.sweep_configs(cfg, orders)  # a bad list fails before the run
 
-    schema = SchemaConfig.from_json(schema_path)
-    d = load_csv(dataset_path, schema)
-    if mapping_path is None and schema.concept_map_path:
-        mapping_path = os.path.join(os.path.dirname(os.path.abspath(schema_path)),
-                                    schema.concept_map_path)
-    kg = kgmod.load_kg(kg_path, mapping_path)
+    schema = SchemaConfig.from_json(paths["schema"])
+    d = load_csv(paths["dataset"], schema)
+    if paths["mapping"] is None and schema.concept_map_path:
+        paths["mapping"] = os.path.join(os.path.dirname(os.path.abspath(paths["schema"])),
+                                        schema.concept_map_path)
+    kg = kgmod.load_kg(paths["kg"], paths["mapping"])
     result = eng.run(cfg, d, kg)
-    result.config["dataset_path"] = os.path.abspath(dataset_path)
-    result.config["schema_path"] = os.path.abspath(schema_path)
-    result.config["kg_path"] = os.path.abspath(kg_path)
-    result.config["mapping_path"] = (os.path.abspath(mapping_path)
-                                     if mapping_path else None)
+    for key in ("dataset", "schema", "kg", "mapping"):
+        result.config[f"{key}_path"] = paths[key] and os.path.abspath(paths[key])
     if orders:
         result.order_sweep = [[o, s] for o, s in eng.max_order_sweep(cfg, d, kg, orders)]
+    out_dir = paths["out"] or "."
     _write_result_files(result, d, out_dir)
     print(f"best score {result.best_score:.6f} (baseline {result.baseline_score:.6f}); "
           f"outputs in {out_dir}")
@@ -166,10 +160,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_kg_check(args) -> int:
-    _check_exists(args.kg, "kg")
-    _check_exists(args.dataset, "dataset")
-    if args.mapping is not None:
-        _check_exists(args.mapping, "mapping")
+    _check_inputs({"kg": args.kg, "dataset": args.dataset, "mapping": args.mapping})
     kg = kgmod.load_kg(args.kg, args.mapping)
     with open(args.dataset, newline="") as fh:
         header = next(csv.reader(fh), None)
@@ -211,8 +202,7 @@ def cmd_explain(args) -> int:
     if name not in known and name not in discarded:
         near = difflib.get_close_matches(name, list(known) + list(discarded), n=3)
         hint = f"; closest matches: {', '.join(near)}" if near else ""
-        print(f"error: unknown feature {name!r}{hint}", file=sys.stderr)
-        return EXIT_USER
+        raise eng.EngineError(f"unknown feature {name!r}{hint}")
     kg = kgmod.load_kg(result.config["kg_path"], result.config.get("mapping_path"))
     at = ("best_features", known[name]) if name in known else ("discard_log", discarded[name])
     doc = getattr(result, at[0])[at[1]]
@@ -252,18 +242,16 @@ def cmd_report(args) -> int:
     keep = raw + top_gen
     imp2 = eng.importance(spec, X[:, keep], y, d.task)
     with open(os.path.join(out_dir, "importance.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "importance", "origin"])
+        fh.write(_csv_line(["feature", "importance", "origin"]))
         for pos, i in enumerate(keep):
             origin = "raw" if result.best_features[i]["raw"] else "generated"
-            writer.writerow([headers[i], repr(float(imp2[pos])), origin])
+            fh.write(_csv_line([_csv_field(headers[i]), repr(float(imp2[pos])), origin]))
 
     if result.order_sweep:
         with open(os.path.join(out_dir, "order_sweep.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["max_order", "best_score"])
-            for order, score in result.order_sweep:
-                writer.writerow([order, repr(float(score))])
+            fh.write(_csv_line(["max_order", "best_score"]))
+            fh.writelines(_csv_line([str(order), repr(float(score))])
+                          for order, score in result.order_sweep)
     print(f"report written to {out_dir}")
     return EXIT_OK
 

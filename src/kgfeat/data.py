@@ -67,19 +67,14 @@ def check(doc, shape, where: str, error=DataError, path=()):
                         f"{_JSON_TYPES[s if type(s) is type else type(s)][1]}")
         if type(s) is dict and str not in s:
             for k, f in s.items():
-                if k not in value:
-                    if not (type(f) is tuple and None in f):
-                        raise error(f"{where}: {json_path(at)} has no {k!r} field")
-                elif not (type(f) is type and (f is object
-                                               or type(value[k]) in _JSON_TYPES[f][0])):
+                if k in value:
                     walk(value[k], f, (*at, k))
+                elif not (type(f) is tuple and None in f):
+                    raise error(f"{where}: {json_path(at)} has no {k!r} field")
         elif type(s) is list or type(s) is dict:  # one shape for every entry
             entry = s[0] if type(s) is list else s[str]
-            if not (type(entry) is type and (entry is object or all(map(
-                    _JSON_TYPES[entry][0].__contains__,
-                    map(type, value if type(s) is list else value.values()))))):
-                for k, v in enumerate(value) if type(s) is list else value.items():
-                    walk(v, entry, (*at, k))
+            for k, v in enumerate(value) if type(s) is list else value.items():
+                walk(v, entry, (*at, k))
 
     walk(doc, shape, path)
 

@@ -197,9 +197,14 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
             n, words = arity.get(a.pred, (len(a.args), ""))
             if len(a.args) != n:
                 raise KGError(f"{path}: rule {name!r}: {a.pred} takes exactly {words}")
-        head_vars = {a for a in head.args if a.startswith("?")}
-        body_vars = {a for atom in body for a in atom.args if a.startswith("?")}
-        if not head_vars <= body_vars:
+        bound = set()  # the body's variables so far; `Different` compares, binding none
+        for a in body:
+            free = [v for v in a.args if v.startswith("?") and v not in bound]
+            if a.pred == "Different" and free:
+                raise KGError(f"{path}: rule {name!r}: Different's {free[0]} is not bound "
+                              "by an earlier atom")
+            bound.update(free)
+        if not {a for a in head.args if a.startswith("?")} <= bound:
             raise KGError(f"{path}: rule {name!r}: head variables must appear in the body")
         rules.append(Rule(name=name, body=body, head=head))
 
@@ -320,9 +325,8 @@ def _match_body(kg, index, body, binding, i=0):
         return
     atom = body[i]
     if atom.pred == "Different":
-        u, v = (binding.get(a, a) for a in atom.args)
-        if not any(a.startswith("?") and a not in binding for a in atom.args) and (
-                _token_dims(kg, u) != _token_dims(kg, v)):
+        u, v = (binding.get(a, a) for a in atom.args)  # bound: load_kg checks
+        if _token_dims(kg, u) != _token_dims(kg, v):
             yield from _match_body(kg, index, body, binding, i + 1)
         return
     first = atom.args[0] if atom.args else "?"
@@ -436,11 +440,14 @@ def judge(kg: KnowledgeGraph, expr: Expr) -> Verdict:
     if isinstance(expr, RawRef):
         return Verdict(VerdictStatus.INTERPRETABLE, None, unit, name)
     _, provenance = forward_chain(kg, facts)
+    # A rule rejects a node by deriving nonInterpretable, or a class below it,
+    # for the node; the first such fact in provenance order gives the reason.
+    rejected = {f[1]: rule for f, rule in reversed(provenance.items()) if len(f) == 2 and (
+        f[0] == "nonInterpretable" or "nonInterpretable" in kg._ancestor_walk(f[0]))}
     # The root, else the first sub-expression in post-order, a rule rejected.
     for node in (expr, *nodes):
-        reason = provenance.get(("nonInterpretable", node))
-        if reason is not None:
-            return Verdict(VerdictStatus.NON_INTERPRETABLE, reason, unit, name)
+        if node in rejected:
+            return Verdict(VerdictStatus.NON_INTERPRETABLE, rejected[node], unit, name)
     if unit is None or (unit.dims and unit.dims not in kg.unit_names):
         return Verdict(VerdictStatus.NON_INTERPRETABLE, "unknown unit", unit, name)
     return Verdict(VerdictStatus.INTERPRETABLE, None, unit, name)

@@ -502,18 +502,20 @@ def metric_f1(y_true, y_pred, positive=None) -> float:
         raise LearnError("length mismatch")
     labels = sorted(set(y_true.tolist()), key=str)
     if len(labels) <= 2:
-        pos = positive if positive is not None else labels[-1]
-        return _binary_f1(y_true, y_pred, pos)
-    return float(np.mean([_binary_f1(y_true, y_pred, lab) for lab in labels]))
+        labels = [positive if positive is not None else labels[-1]]
+    return _mean_f1(y_true, y_pred, labels)
 
 
-def _binary_f1(y_true, y_pred, positive) -> float:
-    tp = int(np.sum((y_pred == positive) & (y_true == positive)))
-    fp = int(np.sum((y_pred == positive) & (y_true != positive)))
-    fn = int(np.sum((y_pred != positive) & (y_true == positive)))
-    if 2 * tp + fp + fn == 0:
-        return 0.0
-    return 2 * tp / (2 * tp + fp + fn)
+def _mean_f1(y_true, y_pred, labels) -> float:
+    """The mean over `labels` of each one's binary F1, 0 for a label neither
+    true nor predicted anywhere."""
+    scores = []
+    for lab in labels:
+        tp = int(np.sum((y_pred == lab) & (y_true == lab)))
+        fp = int(np.sum((y_pred == lab) & (y_true != lab)))
+        fn = int(np.sum((y_pred != lab) & (y_true == lab)))
+        scores.append(2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0)
+    return float(np.mean(scores))
 
 
 def _rae_denominator(y_true):
@@ -577,7 +579,9 @@ def encode_labels(y):
 
 def evaluate_cv(spec: LearnerSpec, X: np.ndarray, y, task: Task, k: int,
                 seed: int) -> float:
-    """Mean k-fold score: F1 for classification, 1-rae for regression.
+    """Mean k-fold score: F1 for classification (binary F1 of the last class
+    for a target of at most two classes, else every fold's macro F1 over the
+    classes in its targets), 1-rae for regression.
 
     Missing cells are median-imputed per training fold; a matrix without
     gaps skips imputation. The linear learner on a gapless matrix (and a
@@ -619,7 +623,8 @@ def evaluate_cv(spec: LearnerSpec, X: np.ndarray, y, task: Task, k: int,
                 Xtr, Xva = impute_columns(Xtr, Xva)
             pred = predict(train(spec, Xtr, y_codes[train_idx], task), Xva)
         if task == Task.CLASSIFICATION:
-            scores.append(metric_f1(yva, pred, positive=float(len(labels) - 1)))
+            scores.append(_mean_f1(yva, pred, [float(len(labels) - 1)] if len(labels) <= 2
+                                   else sorted(set(yva.tolist()), key=str)))
             continue
         if np.isnan(pred).any():
             raise LearnError(f"the {spec.kind} learner predicted NaN")

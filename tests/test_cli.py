@@ -6,6 +6,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -349,6 +351,24 @@ def test_a_different_atom_without_two_arguments_exits_one(tmp_path, planted_path
     path = str(tmp_path / "kg.json")
     pathlib.Path(path).write_text(json.dumps(kg))
     named = f"error: {path}: rule 'mixed-unit addition': Different takes exactly two arguments\n"
+    assert main(["kg-check", "--kg", path, "--dataset", planted_paths["csv"]]) == 1
+    assert capsys.readouterr().err == named
+    assert main(["run", "--dataset", planted_paths["csv"], "--schema", planted_paths["schema"],
+                 "--kg", path, "--out", str(tmp_path / "never")]) == 1
+    assert capsys.readouterr().err == named
+
+
+def test_a_different_atom_before_its_binding_atoms_exits_one(tmp_path, planted_paths,
+                                                             capsys):
+    # the KG loaded, and judge(GLUCOSE + INSULIN) under the diabetes mapping
+    # said `unknown unit`: the rule never fired
+    kg = json.loads(open(kgfeat.resource_path("default_kg.json")).read())
+    body = kg["rules"][0]["body"]
+    body.insert(0, body.pop(next(i for i, a in enumerate(body) if a["pred"] == "Different")))
+    path = str(tmp_path / "kg.json")
+    pathlib.Path(path).write_text(json.dumps(kg))
+    named = (f"error: {path}: rule 'mixed-unit addition': Different's ?u is not bound "
+             "by an earlier atom\n")
     assert main(["kg-check", "--kg", path, "--dataset", planted_paths["csv"]]) == 1
     assert capsys.readouterr().err == named
     assert main(["run", "--dataset", planted_paths["csv"], "--schema", planted_paths["schema"],
@@ -1050,3 +1070,30 @@ def test_a_json_value_of_another_type_anywhere_exits_zero_or_one(run_documents, 
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                     code = main(argv)
                 assert code in (0, 1), (argv[0], err.getvalue())
+
+
+@pytest.mark.parametrize("name, rules", [
+    ("diabetes", {"mixed-unit addition"}),
+    ("sales", {"inventory totals are not summable", "mixed-unit addition"}),
+])
+def test_a_run_that_fires_rules_writes_the_same_bytes_under_any_hash_seed(tmp_path, name,
+                                                                           rules):
+    # a verdict's reason is the first rule in provenance order, and sets of
+    # facts iterate in hash order: string hashing must not reach the outputs
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        done = subprocess.run(
+            [sys.executable, "-m", "kgfeat.cli", "run", "--manifest",
+             kgfeat.resource_path(f"{name}.manifest.json"), "--episodes", "4", "--steps", "5",
+             "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outputs.append([(out / f).read_bytes()
+                        for f in ("result.json", "features.csv", "log.txt")])
+    assert outputs[0] == outputs[1]
+    fired = {line.rsplit(": ", 1)[1] for line in outputs[0][2].decode().splitlines()
+             if line.startswith("  discarded ")}
+    assert rules <= fired

@@ -2,8 +2,9 @@
 layer allows, every name a module imports is used in it, no module imports
 another's private name, every module-level private name is read somewhere
 in the package, every local a function assigns is read in it, every
-dataclass field is read somewhere in the package, and JSON shapes are tested
-only by `data.check`."""
+dataclass field is read somewhere in the package, JSON shapes are tested
+only by `data.check`, no module calls `csv.writer`, and only `cli.main`
+reads `EXIT_USER`."""
 import ast
 import glob
 import os
@@ -295,3 +296,67 @@ def test_json_shapes_are_tested_only_by_data_check():
         if os.path.basename(path) == "data.py":
             found = [name for name in found if name != "check"]
         assert not found, f"{os.path.basename(path)} tests JSON types in {found}"
+
+
+def csv_writer_calls(source):
+    """The top-level definition (or `<module>`) around each call of
+    `csv.writer`, or of a `writer` imported from csv."""
+    tree = ast.parse(source)
+    imported = {a.asname or a.name for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom) and n.module == "csv"
+                for a in n.names if a.name == "writer"}
+    found = []
+    for stmt in tree.body:
+        for n in ast.walk(stmt):
+            if isinstance(n, ast.Call) and (
+                    (isinstance(n.func, ast.Attribute) and n.func.attr == "writer"
+                     and _called_name(n.func.value) == "csv")
+                    or (isinstance(n.func, ast.Name) and n.func.id in imported)):
+                found.append(getattr(stmt, "name", "<module>"))
+    return found
+
+
+def test_csv_writer_calls_are_found():
+    source = ("import csv\nfrom csv import writer as w\n"
+              "def f(fh):\n    csv.writer(fh).writerow([1])\n"
+              "def g(fh):\n    return w(fh)\n"
+              "def h(fh):\n    return csv.reader(fh), fh.writer\n"
+              "W = csv.writer\n")
+    assert csv_writer_calls(source) == ["f", "g"]
+
+
+def test_every_csv_file_is_written_by_one_writer():
+    # cli's _csv_field/_csv_line write features.csv and the report files
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            found = csv_writer_calls(fh.read())
+        assert not found, f"{os.path.basename(path)} calls csv.writer in {found}"
+
+
+def reads_outside(source, name, function):
+    """The line of each read of `name`, as a bare name or an attribute,
+    outside the top-level function `function`."""
+    tree = ast.parse(source)
+    inside = {id(n) for stmt in tree.body
+              if isinstance(stmt, ast.FunctionDef) and stmt.name == function
+              for n in ast.walk(stmt)}
+    return [n.lineno for n in ast.walk(tree) if id(n) not in inside and (
+        (isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load))
+        or (isinstance(n, ast.Attribute) and n.attr == name))]
+
+
+def test_reads_outside_a_function_are_found():
+    source = ("X = 1\ndef main():\n    return X\n"
+              "def f():\n    return X\n"
+              "def g(m):\n    return m.X\n"
+              "class C:\n    def main(self):\n        return X\n")
+    assert reads_outside(source, "X", "main") == [5, 7, 10]
+
+
+def test_only_cli_main_reads_exit_user():
+    # every command raises a user error, and main alone prints it and exits 1
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            found = reads_outside(fh.read(), "EXIT_USER",
+                                  "main" if os.path.basename(path) == "cli.py" else None)
+        assert not found, f"{os.path.basename(path)} reads EXIT_USER at lines {found}"

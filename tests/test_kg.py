@@ -783,3 +783,66 @@ def test_unit_names_map_each_dims_to_its_first_registered_name(diabetes_kg):
     # one of them and compares as itself
     assert kgmod.unit_token(diabetes_kg, Unit.of(mass=1)) == "kg"
     assert kgmod._token_dims(diabetes_kg, "dim:mass=1") == "dim:mass=1"
+
+
+def test_judge_rejects_a_class_a_rule_derives_below_non_interpretable(tmp_path, kg_doc):
+    # a rule that derives a subclass of nonInterpretable rejects the node;
+    # judge read only nonInterpretable facts, so WEIGHT + WEIGHT passed and
+    # SQRT(WEIGHT + WEIGHT) was discarded as an unknown unit
+    doc = json.loads(json.dumps(kg_doc))
+    doc["classes"].append("Unsummable")
+    doc["subclass_of"].append(["Unsummable", "nonInterpretable"])
+    doc["rules"].append({"name": "sums are unsummable",
+                         "body": [{"pred": "Addition", "args": ["?t"]},
+                                  {"pred": "hasOutput", "args": ["?t", "?z"]}],
+                         "head": {"pred": "Unsummable", "args": ["?z"]}})
+    path = tmp_path / "kg.json"
+    path.write_text(json.dumps(doc))
+    kg = load_kg(str(path), kgfeat.resource_path("diabetes.mapping.json"))
+    total = Node("add", (RawRef("WEIGHT"), RawRef("WEIGHT")))
+    for expr in (total, Node("sqrt", (total,))):
+        verdict = judge(kg, expr)
+        assert verdict.status == VerdictStatus.NON_INTERPRETABLE
+        assert verdict.reason == "sums are unsummable"
+    assert judge(kg, RawRef("WEIGHT")).interpretable  # raw columns skip the rules
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_the_first_rule_deriving_a_rejecting_class_is_the_reason(tmp_path, kg_doc, first):
+    # two rules derive classes below nonInterpretable for the same node, one
+    # of them two levels below: the earlier rule in the KG's order is the reason
+    doc = json.loads(json.dumps(kg_doc))
+    doc["classes"] += ["Unsummable", "Unwanted"]
+    doc["subclass_of"] += [["Unsummable", "nonInterpretable"], ["Unwanted", "Unsummable"]]
+    rules = [{"name": f"sums are {cls.lower()}",
+              "body": [{"pred": "Addition", "args": ["?t"]},
+                       {"pred": "hasOutput", "args": ["?t", "?z"]}],
+              "head": {"pred": cls, "args": ["?z"]}} for cls in ("Unsummable", "Unwanted")]
+    doc["rules"] += rules[first:] + rules[:first]
+    path = tmp_path / "kg.json"
+    path.write_text(json.dumps(doc))
+    kg = load_kg(str(path), kgfeat.resource_path("diabetes.mapping.json"))
+    verdict = judge(kg, Node("add", (RawRef("WEIGHT"), RawRef("WEIGHT"))))
+    assert verdict.status == VerdictStatus.NON_INTERPRETABLE
+    assert verdict.reason == rules[first]["name"]
+
+
+@pytest.mark.parametrize("body, unbound", [
+    ([{"pred": "Different", "args": ["?u", "?v"]},
+      {"pred": "hasUnit", "args": ["?x", "?u"]}, {"pred": "hasUnit", "args": ["?y", "?v"]}],
+     "?u"),
+    ([{"pred": "hasUnit", "args": ["?x", "?u"]}, {"pred": "Different", "args": ["?u", "?v"]},
+      {"pred": "hasUnit", "args": ["?y", "?v"]}], "?v"),
+    ([{"pred": "hasUnit", "args": ["?x", "?u"]}, {"pred": "Different", "args": ["?u", "?w"]},
+      {"pred": "Different", "args": ["?w", "?u"]}], "?w"),
+])
+def test_different_follows_the_atoms_binding_its_variables(tmp_path, body, unbound):
+    # such a rule loaded, and its join dropped every binding, so it never fired
+    doc = {"classes": ["Light"],
+           "rules": [{"name": "apart", "body": body, "head": {"pred": "Light", "args": ["?x"]}}]}
+    path = tmp_path / "kg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(KGError) as exc:
+        load_kg(str(path))
+    assert str(exc.value) == (f"{path}: rule 'apart': Different's {unbound} is not bound "
+                              "by an earlier atom")

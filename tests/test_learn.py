@@ -834,6 +834,26 @@ def test_evaluate_cv_classification():
     assert score > 0.9
 
 
+
+def test_evaluate_cv_scores_every_fold_of_a_multiclass_target_by_macro_f1():
+    # class 0 is on 2 of 60 rows, so 2 of 5 folds hold all three classes; the
+    # others were scored as binary F1 of class 2, not as macro F1
+    rng = np.random.default_rng(8)
+    y = np.array([0.0] * 2 + [1.0] * 29 + [2.0] * 29)
+    X = np.column_stack([y + rng.normal(0, 0.8, 60), rng.uniform(0, 1, 60)])
+    spec = LearnerSpec(kind="decision_tree", max_depth=3)
+    folds = kfold_indices(60, 5, 0, labels=y)
+    assert [len(set(y[va].tolist())) for _, va in folds] == [3, 3, 2, 2, 2]
+
+    def macro_f1(t, p):
+        return np.mean([2 * np.sum((t == c) & (p == c))
+                        / (np.sum(t == c) + np.sum(p == c)) for c in np.unique(t)])
+
+    scores = [macro_f1(y[va], predict(train(spec, X[tr], y[tr], Task.CLASSIFICATION), X[va]))
+              for tr, va in folds]
+    assert evaluate_cv(spec, X, y, Task.CLASSIFICATION, k=5, seed=0) == pytest.approx(
+        np.mean(scores), abs=1e-12)
+
 def test_evaluate_cv_deterministic():
     rng = np.random.default_rng(7)
     X = rng.uniform(0, 1, (50, 3))
