@@ -3,7 +3,6 @@ and emit plot-ready report files."""
 from __future__ import annotations
 
 import argparse
-import csv
 import difflib
 import json
 import os
@@ -16,7 +15,7 @@ from . import engine as eng
 from . import kg as kgmod
 from . import learn
 from .agent import AgentError
-from .data import DataError, Kind, RawRef, SchemaConfig, load_csv, read_json
+from .data import DataError, Kind, RawRef, SchemaConfig, load_csv, read_header, read_json
 from .kg import KGError
 from .learn import LearnError
 from .transform import TransformError, categorical_codes, children, expr_from_json
@@ -160,15 +159,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_kg_check(args) -> int:
-    _check_inputs({"kg": args.kg, "dataset": args.dataset, "mapping": args.mapping})
-    kg = kgmod.load_kg(args.kg, args.mapping)
-    with open(args.dataset, newline="") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None:
-        raise DataError(f"{args.dataset}: empty file")
-    target = None
+    inputs = {"kg": args.kg, "dataset": args.dataset, "mapping": args.mapping}
     if args.schema:
-        target = SchemaConfig.from_json(args.schema).target_name
+        inputs["schema"] = args.schema
+    _check_inputs(inputs)
+    kg = kgmod.load_kg(args.kg, args.mapping)
+    header = read_header(args.dataset)
+    target = SchemaConfig.from_json(args.schema).target_name if args.schema else None
     cols = [c for c in header if c != target]
     print(f"coverage: {kgmod.coverage(kg, cols):.2f}")
     unmapped = [c for c in cols if c not in kg.column_concepts]

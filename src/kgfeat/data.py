@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
+from itertools import chain, islice
 from typing import Optional
 
 import numpy as np
@@ -221,41 +222,92 @@ def _build_column(name: str, cells: list, kind: Optional[Kind]) -> Feature:
     return Feature(RawRef(name), values, kind, name, levels)
 
 
+def _records(fh, path: str):
+    """The records of a CSV file open for reading; a malformed record (one
+    with a field past `csv.field_size_limit()`, say) is a DataError naming
+    the file and the line the reader stopped at."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _header(records, path: str) -> list:
+    header = next(records, None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    return header
+
+
+def read_header(path: str) -> list:
+    """The column names in a CSV file's first record."""
+    with open(path, newline="") as fh:
+        return _header(_records(fh, path), path)
+
+
+def _numeric_columns(header: list, rows) -> Optional[list]:
+    """Numeric columns read in one pass from `rows`, when every row has the
+    header's width and every cell reads as a float; else None, after reading
+    up to the first row that does not. The columns equal `_build_column`'s."""
+    width = len(header)
+
+    def full(row):
+        if len(row) != width:
+            raise ValueError
+        return row
+
+    try:
+        matrix = np.fromiter(map(float, chain.from_iterable(map(full, rows))), float)
+    except DataError:  # a malformed record, which is a ValueError too
+        raise
+    except ValueError:  # a row of another width, or a cell float() rejects
+        return None
+    matrix = matrix.reshape(-1, width)
+    matrix[~np.isfinite(matrix)] = np.nan
+    return [Feature(RawRef(name), matrix[:, j].copy(), Kind.NUMERIC, name)
+            for j, name in enumerate(header)]
+
+
 def load_csv(path: str, schema: SchemaConfig) -> Dataset:
     """Load an RFC-4180 CSV into a typed Dataset.
 
     Column kinds come from schema overrides when given, otherwise from
     inference: all-numeric -> Numeric, all-ISO-date -> Date, at most two
     distinct boolean tokens -> Boolean, anything else -> Categorical.
-    Empty cells are missing.
+    Empty cells are missing. A table whose rows all have the header's width
+    and whose cells all read as numbers, with no override but `numeric`, is
+    read in one pass into one float matrix; any other is read column by
+    column, with the same result.
     """
+    overrides = schema.column_kind_overrides
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = [r for r in reader]
-    if len(set(header)) != len(header):
-        raise DataError(f"{path}: duplicate column names in header")
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    if schema.target_name not in header:
-        raise DataError(f"{path}: target column {schema.target_name!r} not found")
-    for name in schema.column_kind_overrides:
-        if name not in header:
-            raise DataError(f"override references unknown column {name!r}")
+        records = _records(fh, path)
+        header = _header(records, path)
+        if len(set(header)) != len(header):
+            raise DataError(f"{path}: duplicate column names in header")
+        first = next(records, None)
+        if first is None:
+            raise DataError(f"{path}: no data rows")
+        if schema.target_name not in header:
+            raise DataError(f"{path}: target column {schema.target_name!r} not found")
+        for name in overrides:
+            if name not in header:
+                raise DataError(f"override references unknown column {name!r}")
+        columns = None
+        if set(overrides.values()) <= {Kind.NUMERIC}:
+            columns = _numeric_columns(header, chain([first], records))
+        if columns is None:
+            fh.seek(0)
+            rows = list(islice(_records(fh, path), 1, None))
+            # a short row reads "" in the columns it lacks
+            width = len(header)
+            rows = [r if len(r) >= width else r + [""] * (width - len(r)) for r in rows]
+            columns = [_build_column(name, list(map(str.strip, cells)), overrides.get(name))
+                       for name, cells in zip(header, zip(*rows))]
 
-    n = len(rows)
-    columns = []
-    # a short row reads "" in the columns it lacks
-    width = len(header)
-    rows = [r if len(r) >= width else r + [""] * (width - len(r)) for r in rows]
-    for name, cells in zip(header, zip(*rows)):
-        cells = list(map(str.strip, cells))
-        columns.append(_build_column(name, cells, schema.column_kind_overrides.get(name)))
-
-    d = Dataset(columns=columns, target=schema.target_name, task=schema.task, n_rows=n)
+    d = Dataset(columns=columns, target=schema.target_name, task=schema.task,
+                n_rows=len(columns[0].values))
     tcol = d.target_column
     if schema.task == Task.CLASSIFICATION and tcol.kind not in (Kind.CATEGORICAL, Kind.BOOLEAN):
         raise DataError("classification target must be Categorical or Boolean")

@@ -593,6 +593,36 @@ def test_kg_check_empty_dataset_exits_one_naming_the_file(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {tmp_path / 'empty.csv'}: empty file\n"
 
 
+def test_kg_check_missing_schema_exits_one_naming_it(tmp_path, planted_paths, capsys):
+    # the schema was opened unchecked: "error: [Errno 2] No such file or directory"
+    argv = ["kg-check", "--kg", kgfeat.resource_path("default_kg.json"),
+            "--dataset", planted_paths["csv"]]
+    missing = str(tmp_path / "absent.schema.json")
+    assert main(argv + ["--schema", missing]) == 1
+    assert capsys.readouterr().err == f"error: schema not found: {missing}\n"
+    assert main(argv) == 0  # the schema stays optional
+
+
+_LONG_FIELD = "x" * (csv.field_size_limit() + 1)
+
+
+def test_run_csv_field_past_the_limit_exits_one_naming_the_line(tmp_path, capsys):
+    # csv.Error was an internal error (exit 2): "field larger than field limit"
+    argv = write_regression(tmp_path, ["1", "2", _LONG_FIELD], ["0.5", "1.5", "2.5"])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'reg.csv'}: line 4: field larger "
+                                       f"than field limit ({csv.field_size_limit()})\n")
+
+
+def test_kg_check_csv_field_past_the_limit_exits_one_naming_the_line(tmp_path, capsys):
+    path = tmp_path / "wide.csv"
+    path.write_text(f"a,{_LONG_FIELD}\n1,2\n")
+    assert main(["kg-check", "--kg", kgfeat.resource_path("default_kg.json"),
+                 "--dataset", str(path)]) == 1
+    assert capsys.readouterr().err == (f"error: {path}: line 1: field larger than field "
+                                       f"limit ({csv.field_size_limit()})\n")
+
+
 @pytest.mark.parametrize("manifest, named", [
     pytest.param([], "the document is not a JSON object",
                  id='manifest0-manifest is not a JSON object'),

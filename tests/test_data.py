@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgfeat import data as datamod
 from kgfeat.data import (DataError, Kind, SchemaConfig, Task, _build_column, check,
                          kfold_indices, load_csv)
 
-from conftest import cells_of
+from conftest import cells_of, make_planted_dataset
 
 
 def write_csv(path, header, rows):
@@ -311,6 +312,112 @@ def test_loaded_column_is_float_with_nan_exactly_at_its_missing_cells(tmp_path_f
     if kind == Kind.CATEGORICAL:
         assert col.levels == tuple(sorted(set(filter(None, cells))))
         assert cells_of(col) == cells
+
+
+def load_column_by_column(path, schema):
+    """load_csv with the one-pass numeric path turned off."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(datamod, "_numeric_columns", lambda header, rows: None)
+        return load_csv(path, schema)
+
+
+def loaded(load, path, schema):
+    """What `load` reads from a CSV file: its row count and each column's
+    name, kind, value bytes, levels and expression, or its DataError message."""
+    try:
+        d = load(path, schema)
+    except DataError as exc:
+        return str(exc)
+    return d.n_rows, [(c.name, c.kind, c.values.tobytes(), c.levels, c.expr) for c in d.columns]
+
+
+N, C = Kind.NUMERIC, Kind.CATEGORICAL
+LONG_FIELD = "x" * (csv.field_size_limit() + 1)
+
+
+@pytest.mark.parametrize("text, task, overrides, want", [
+    pytest.param("a,y\n1,2\n3,4\n5,\n", Task.REGRESSION, {}, [N, N],
+                 id="an empty cell in the last row"),
+    pytest.param("a,y\n1,2\n3,4\n5,6,7\n", Task.REGRESSION, {}, [N, N],
+                 id="a long last row"),
+    pytest.param("a,y\n", Task.REGRESSION, {}, "{path}: no data rows", id="header only"),
+    pytest.param("a,a,y\n1,2,3\n", Task.REGRESSION, {},
+                 "{path}: duplicate column names in header", id="duplicate header names"),
+    pytest.param("a,y\n1,2\n3,4\n", Task.CLASSIFICATION, {},
+                 "classification target must be Categorical or Boolean",
+                 id="a classification schema"),
+    pytest.param("a,b,y\n1,2,3\n4,5,6\n", Task.REGRESSION, {"a": N}, [N, N, N],
+                 id="a numeric override"),
+    pytest.param("a,b,y\n1,2,3\n4,5,6\n", Task.REGRESSION, {"a": C}, [C, N, N],
+                 id="a categorical override"),
+    pytest.param(f"a,y\n1,2\n3,4\n{LONG_FIELD},5\n", Task.REGRESSION, {},
+                 f"{{path}}: line 4: field larger than field limit ({csv.field_size_limit()})",
+                 id="a field past the limit"),
+])
+def test_numeric_path_edges_read_as_the_per_column_path(tmp_path, text, task, overrides, want):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    schema = SchemaConfig(target_name="y", task=task, column_kind_overrides=overrides)
+    got = loaded(load_csv, str(path), schema)
+    assert got == loaded(load_column_by_column, str(path), schema)
+    if isinstance(want, str):
+        assert got == want.format(path=path)
+    else:
+        assert [kind for _, kind, *_ in got[1]] == want
+
+
+def test_planted_table_is_read_in_one_pass(tmp_path, monkeypatch):
+    def per_column(*args):
+        raise AssertionError("read column by column")
+
+    monkeypatch.setattr(datamod, "_build_column", per_column)
+    d, _, _ = make_planted_dataset(tmp_path)
+    assert d.n_rows == 200 and {c.kind for c in d.columns} == {Kind.NUMERIC}
+
+
+@st.composite
+def numeric_tables(draw):
+    """CSV text of a table of NUMBER_CELLS at the header's width, padded and
+    sometimes quoted; some draws add one flaw at any row: an empty cell, a
+    short, long or blank row, or a cell that is not a number."""
+    width = draw(st.integers(1, 4))
+    header = [f"x{j}" for j in range(width - 1)] + ["y"]
+    pad = st.sampled_from(["", " ", "\t ", "  "])
+
+    def cell(text):
+        text = draw(pad) + text + draw(pad)
+        return f'"{text}"' if draw(st.booleans()) else text
+
+    rows = [[cell(draw(st.sampled_from(NUMBER_CELLS))) for _ in range(width)]
+            for _ in range(draw(st.integers(1, 6)))]
+    i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, width - 1))
+    flaw = draw(st.sampled_from(["empty", "short", "long", "blank", "junk"])
+                if draw(st.booleans()) else st.none())
+    if flaw == "empty":
+        rows[i][j] = cell("")
+    elif flaw == "short":
+        rows[i] = rows[i][:j]
+    elif flaw == "long":
+        rows[i].append(cell(draw(st.sampled_from(NUMBER_CELLS + [""]))))
+    elif flaw == "blank":
+        rows.insert(i, [])
+    elif flaw == "junk":
+        rows[i][j] = cell(draw(st.sampled_from(JUNK_CELLS + DATE_CELLS + BOOL_CELLS)))
+    return header, "".join(",".join(r) + "\r\n" for r in [header] + rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=numeric_tables(), task=st.sampled_from(list(Task)),
+       kind=st.one_of(st.none(), st.just(Kind.NUMERIC),
+                      st.sampled_from([Kind.CATEGORICAL, Kind.BOOLEAN, Kind.DATE])),
+       data=st.data())
+def test_load_csv_reads_as_the_per_column_path(tmp_path_factory, table, task, kind, data):
+    header, text = table
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_text(text, newline="")
+    overrides = {data.draw(st.sampled_from(header)): kind} if kind else {}
+    schema = SchemaConfig(target_name="y", task=task, column_kind_overrides=overrides)
+    assert loaded(load_csv, str(path), schema) == loaded(load_column_by_column, str(path), schema)
 
 
 def dealt_folds(n, k, seed, labels=None):

@@ -3,8 +3,8 @@ layer allows, every name a module imports is used in it, no module imports
 another's private name, every module-level private name is read somewhere
 in the package, every local a function assigns is read in it, every
 dataclass field is read somewhere in the package, JSON shapes are tested
-only by `data.check`, no module calls `csv.writer`, and only `cli.main`
-reads `EXIT_USER`."""
+only by `data.check`, no module calls `csv.writer`, only `data` calls
+`csv.reader`, and only `cli.main` reads `EXIT_USER`."""
 import ast
 import glob
 import os
@@ -298,18 +298,18 @@ def test_json_shapes_are_tested_only_by_data_check():
         assert not found, f"{os.path.basename(path)} tests JSON types in {found}"
 
 
-def csv_writer_calls(source):
+def csv_calls(source, name):
     """The top-level definition (or `<module>`) around each call of
-    `csv.writer`, or of a `writer` imported from csv."""
+    `csv.<name>`, or of a `<name>` imported from csv."""
     tree = ast.parse(source)
     imported = {a.asname or a.name for n in ast.walk(tree)
                 if isinstance(n, ast.ImportFrom) and n.module == "csv"
-                for a in n.names if a.name == "writer"}
+                for a in n.names if a.name == name}
     found = []
     for stmt in tree.body:
         for n in ast.walk(stmt):
             if isinstance(n, ast.Call) and (
-                    (isinstance(n.func, ast.Attribute) and n.func.attr == "writer"
+                    (isinstance(n.func, ast.Attribute) and n.func.attr == name
                      and _called_name(n.func.value) == "csv")
                     or (isinstance(n.func, ast.Name) and n.func.id in imported)):
                 found.append(getattr(stmt, "name", "<module>"))
@@ -322,15 +322,34 @@ def test_csv_writer_calls_are_found():
               "def g(fh):\n    return w(fh)\n"
               "def h(fh):\n    return csv.reader(fh), fh.writer\n"
               "W = csv.writer\n")
-    assert csv_writer_calls(source) == ["f", "g"]
+    assert csv_calls(source, "writer") == ["f", "g"]
 
 
 def test_every_csv_file_is_written_by_one_writer():
     # cli's _csv_field/_csv_line write features.csv and the report files
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         with open(path) as fh:
-            found = csv_writer_calls(fh.read())
+            found = csv_calls(fh.read(), "writer")
         assert not found, f"{os.path.basename(path)} calls csv.writer in {found}"
+
+
+def test_csv_reader_calls_are_found():
+    source = ("import csv\nfrom csv import reader\n"
+              "def f(fh):\n    return list(csv.reader(fh))\n"
+              "def g(fh):\n    return csv.writer(fh), fh.reader()\n"
+              "R = [reader(fh) for fh in ()]\n")
+    assert csv_calls(source, "reader") == ["f", "<module>"]
+
+
+def test_only_data_reads_csv_files():
+    # data._records maps a malformed record to a DataError naming its line
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            found = csv_calls(fh.read(), "reader")
+        if os.path.basename(path) == "data.py":
+            assert found == ["_records"]
+        else:
+            assert not found, f"{os.path.basename(path)} calls csv.reader in {found}"
 
 
 def reads_outside(source, name, function):
