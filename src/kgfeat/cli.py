@@ -200,7 +200,9 @@ def cmd_explain(args) -> int:
         near = difflib.get_close_matches(name, list(known) + list(discarded), n=3)
         hint = f"; closest matches: {', '.join(near)}" if near else ""
         raise eng.EngineError(f"unknown feature {name!r}{hint}")
-    kg = kgmod.load_kg(result.config["kg_path"], result.config.get("mapping_path"))
+    paths = {"kg": result.config["kg_path"], "mapping": result.config.get("mapping_path")}
+    _check_inputs(paths)
+    kg = kgmod.load_kg(paths["kg"], paths["mapping"])
     at = ("best_features", known[name]) if name in known else ("discard_log", discarded[name])
     doc = getattr(result, at[0])[at[1]]
     expr = expr_from_json(doc["expr"], args.result, (*at, "expr"))
@@ -223,8 +225,9 @@ def cmd_report(args) -> int:
     out_dir = args.out or os.path.dirname(os.path.abspath(args.result))
     os.makedirs(out_dir, exist_ok=True)
 
-    schema = SchemaConfig.from_json(result.config["schema_path"])
-    d = load_csv(result.config["dataset_path"], schema)
+    paths = {"schema": result.config["schema_path"], "dataset": result.config["dataset_path"]}
+    _check_inputs(paths)
+    d = load_csv(paths["dataset"], SchemaConfig.from_json(paths["schema"]))
 
     raw = [i for i, f in enumerate(result.best_features) if f["raw"]]
     headers, X = eng.feature_matrix(d, result.best_features, args.result)

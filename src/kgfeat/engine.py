@@ -158,16 +158,6 @@ def encode_feature(entry: Feature) -> np.ndarray:
     return entry.values
 
 
-def stack_features(features, shape) -> np.ndarray:
-    """The encode_feature columns of `features`, any iterable of
-    `shape[1]` of them, filled into one preallocated `shape` matrix, so no
-    list of column copies is held to stack."""
-    X = np.empty(shape)
-    for j, feat in enumerate(features):
-        X[:, j] = encode_feature(feat)
-    return X
-
-
 def target_codes(d: Dataset) -> np.ndarray:
     """The target as one float vector: class codes in natural label order for
     classification, the values for regression. A missing cell is an error."""
@@ -207,10 +197,9 @@ class _Evaluator:
     def score(self, pool) -> float:
         key = frozenset(e.feature.expr for e in pool)
         if key not in self.cache:
-            X = stack_features((e.feature for e in pool), (len(self.y), len(pool)))
             self.cache[key] = learn.evaluate_cv(
-                self.cfg.learner, X, self.y, self.task, self.cfg.k_folds, self.cfg.seed
-            )
+                self.cfg.learner, [encode_feature(e.feature) for e in pool], self.y,
+                self.task, self.cfg.k_folds, self.cfg.seed)
         return self.cache[key]
 
 
@@ -218,7 +207,7 @@ def _prune_to_budget(pool, cfg: EngineConfig, evaluator: _Evaluator):
     """Drop the generated features cfg.learner ranks lowest until the budget holds."""
     if len(pool) <= cfg.feature_budget:
         return pool
-    X = stack_features((e.feature for e in pool), (len(evaluator.y), len(pool)))
+    X = learn.gather([encode_feature(e.feature) for e in pool], np.arange(len(evaluator.y)))
     imp = importance(cfg.learner, X, evaluator.y, evaluator.task)
     ranked = sorted(range(len(pool)), key=lambda i: (imp[i], pool[i].feature.name))
     generated = [i for i in ranked if not isinstance(pool[i].feature.expr, RawRef)]
@@ -380,6 +369,7 @@ def feature_matrix(d: Dataset, feature_docs, where: str = "result"):
     """Re-evaluate a result's best features into (headers, matrix); `where`
     names the result file in errors."""
     return ([doc["display_name"] for doc in feature_docs],
-            stack_features((transform.apply(
-                expr_from_json(doc["expr"], where, ("best_features", i, "expr")), d)
-                for i, doc in enumerate(feature_docs)), (d.n_rows, len(feature_docs))))
+            learn.gather((encode_feature(transform.apply(
+                expr_from_json(doc["expr"], where, ("best_features", i, "expr")), d))
+                for i, doc in enumerate(feature_docs)), np.arange(d.n_rows),
+                len(feature_docs)))

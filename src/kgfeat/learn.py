@@ -359,12 +359,12 @@ def _forest_leaves(forest: _Forest, X) -> np.ndarray:
 def _centred_sums(X, y):
     """(rows, Gram matrix of the columns centred on their means, its products
     with the centred target, column sums, target sum): all a ridge fit reads
-    of a row set. An overflow gives inf or NaN."""
+    of a row set. X is centred in place. An overflow gives inf or NaN."""
     n = X.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         total, y_total = np.ones(n) @ X, y.sum()  # a matmul beats X.sum(axis=0)
-        Z = X - total / n
-        return n, Z.T @ Z, Z.T @ (y - y_total / n), total, y_total
+        X -= total / n
+        return n, X.T @ X, X.T @ (y - y_total / n), total, y_total
 
 
 def _merged_sums(a, b):
@@ -442,7 +442,7 @@ def train(spec: LearnerSpec, X: np.ndarray, y: np.ndarray, task: Task) -> Model:
                      importances=importances)
 
     if spec.kind == "linear":
-        return _ridge(*_centred_sums(X, y))
+        return _ridge(*_centred_sums(X.copy(order="K"), y))
 
     if spec.kind == "logistic":
         mean = X.mean(axis=0)
@@ -480,9 +480,7 @@ def predict(model: Model, X: np.ndarray) -> np.ndarray:
         tally = np.bincount(votes.ravel(), minlength=n * n_classes)
         return np.argmax(tally.reshape(n, n_classes), axis=1).astype(float)
     if model.kind == "linear":
-        mean, y_mean = model.scaler
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (X - mean) @ model.coef[:-1] + y_mean
+        return _predict_centred(model, X.copy(order="K"))
     if model.kind == "logistic":
         mean, std = model.scaler
         Z = np.hstack([(X - mean) / std, np.ones((n, 1))])
@@ -491,6 +489,14 @@ def predict(model: Model, X: np.ndarray) -> np.ndarray:
         # with the lower encoded index, which argmax already guarantees
         return model.classes[np.argmax(scores, axis=1)].astype(float)
     raise LearnError(f"unknown model {model.kind!r}")
+
+
+def _predict_centred(model: Model, X: np.ndarray) -> np.ndarray:
+    """A linear model's predictions on X, which is centred in place."""
+    mean, y_mean = model.scaler
+    with np.errstate(over="ignore", invalid="ignore"):
+        X -= mean
+        return X @ model.coef[:-1] + y_mean
 
 
 def metric_f1(y_true, y_pred, positive=None) -> float:
@@ -577,36 +583,52 @@ def encode_labels(y):
     return codes.astype(float), labels.tolist()
 
 
-def evaluate_cv(spec: LearnerSpec, X: np.ndarray, y, task: Task, k: int,
-                seed: int) -> float:
-    """Mean k-fold score: F1 for classification (binary F1 of the last class
-    for a target of at most two classes, else every fold's macro F1 over the
-    classes in its targets), 1-rae for regression.
+def gather(cols, rows, p=None) -> np.ndarray:
+    """The columns `cols` at the index array `rows`, as one new C-ordered
+    (len(rows), p) matrix: the values and layout of X[rows] for the matrix X
+    of those columns. `cols` is p float arrays (an (n, p) matrix's .T
+    works), or, where `p` is given, any iterable of p of them, so that each
+    column may be built as it is read."""
+    M = np.empty((len(rows), len(cols) if p is None else p))
+    for j, col in enumerate(cols):
+        M[:, j] = col[rows]
+    return M
 
-    Missing cells are median-imputed per training fold; a matrix without
-    gaps skips imputation. The linear learner on a gapless matrix (and a
-    finite target) fits each training fold from the other folds'
-    _centred_sums, merged, so no training matrix is gathered; its scores can
+
+def evaluate_cv(spec: LearnerSpec, cols, y, task: Task, k: int, seed: int) -> float:
+    """Mean k-fold score of the columns `cols` (p float arrays of length n, or
+    an (n, p) matrix's .T): F1 for classification (binary F1 of the last
+    class for a target of at most two classes, else every fold's macro F1
+    over the classes in its targets), 1-rae for regression.
+
+    Every fold matrix is gathered from the columns, so no n × p matrix is
+    built. Missing cells are median-imputed per training fold; columns
+    without gaps skip imputation. The linear learner on gapless columns (and
+    a finite target) fits each training fold from the other folds'
+    _centred_sums, merged, so no training matrix is gathered: one
+    validation fold is held at a time, centred in place. Its scores can
     differ from a per-fold fit in the last bits. A regression fold scores
     max(0, 1-rae), and 0 where 1-rae is undefined (see _rae_denominator), so
     every score, and every difference of two, lies in [-1, 1]. A learner
     that predicts NaN raises LearnError.
     """
-    X = np.asarray(X, dtype=float)
+    cols = [np.asarray(c, dtype=float) for c in cols]
     if task == Task.CLASSIFICATION:
         y_codes, labels = encode_labels(y)
         folds = kfold_indices(len(y_codes), k, seed, labels=y_codes)
     else:
         y_codes = np.asarray(y, dtype=float)
         folds = kfold_indices(len(y_codes), k, seed)
-    gaps = np.isnan(X).any()
+    if any(c.shape != y_codes.shape for c in cols):
+        raise LearnError("every column must hold one value per target row")
+    gaps = any(np.isnan(c).any() for c in cols)
     # train rejects an empty matrix and a non-finite target, and per-fold
     # imputation gives each fold other values: those cases, like every other
     # learner, fit each training fold as gathered
     sums = None
-    if (spec.kind == "linear" and task == Task.REGRESSION and X.size and not gaps
+    if (spec.kind == "linear" and task == Task.REGRESSION and cols and not gaps
             and np.isfinite(y_codes).all()):
-        sums = [_centred_sums(X[valid_idx], y_codes[valid_idx])
+        sums = [_centred_sums(gather(cols, valid_idx), y_codes[valid_idx])
                 for _, valid_idx in folds]
     scores = []
     for f, (train_idx, valid_idx) in enumerate(folds):
@@ -616,9 +638,9 @@ def evaluate_cv(spec: LearnerSpec, X: np.ndarray, y, task: Task, k: int,
             continue
         if sums is not None:
             fit = _ridge(*functools.reduce(_merged_sums, sums[:f] + sums[f + 1:]))
-            pred = predict(fit, X[valid_idx])
+            pred = _predict_centred(fit, gather(cols, valid_idx))
         else:
-            Xtr, Xva = X[train_idx], X[valid_idx]
+            Xtr, Xva = gather(cols, train_idx), gather(cols, valid_idx)
             if gaps:
                 Xtr, Xva = impute_columns(Xtr, Xva)
             pred = predict(train(spec, Xtr, y_codes[train_idx], task), Xva)

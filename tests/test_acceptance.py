@@ -230,10 +230,10 @@ def test_criterion_07_planted_signal_uplift(planted):
         X_raw = np.column_stack([cols[f"x{i}"] for i in range(1, 6)])
         y = d.target_column.values
         spec = LearnerSpec(kind="linear")
-        base = evaluate_cv(spec, X_raw, y, Task.REGRESSION, k=5, seed=0)
+        base = evaluate_cv(spec, X_raw.T, y, Task.REGRESSION, k=5, seed=0)
         # oracle: the hand-built planted feature bounds the achievable uplift
         handmade = cols["x1"] / cols["x2"] ** 2
-        oracle = evaluate_cv(spec, np.column_stack([X_raw, handmade]), y,
+        oracle = evaluate_cv(spec, [*X_raw.T, handmade], y,
                              Task.REGRESSION, k=5, seed=0)
         assert oracle - base >= 0.15
 

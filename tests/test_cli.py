@@ -585,6 +585,31 @@ def test_report_missing_result_exits_one(tmp_path):
     assert main(["report", str(tmp_path / "absent.json")]) == 1
 
 
+@pytest.mark.parametrize("command, key, what", [
+    ("explain", "kg_path", "kg"), ("explain", "mapping_path", "mapping"),
+    ("report", "dataset_path", "dataset"), ("report", "schema_path", "schema")])
+def test_explain_and_report_name_a_moved_input(tmp_path, planted_paths, capsys,
+                                               command, key, what):
+    # the file was opened unchecked: "error: [Errno 2] No such file or directory: '…'"
+    _, out_dir = run_manifest(tmp_path, planted_paths)
+    result_path = os.path.join(out_dir, "result.json")
+    doc = json.loads(open(result_path).read())
+    moved = str(tmp_path / "moved.json")
+    doc["config"][key] = moved
+    with open(result_path, "w") as fh:
+        json.dump(doc, fh)
+    argv = [command, result_path] + (["x1"] if command == "explain" else [])
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {what} not found: {moved}\n"
+    if key == "mapping_path":  # a run without a mapping explains its columns unmapped
+        doc["config"][key] = None
+        with open(result_path, "w") as fh:
+            json.dump(doc, fh)
+        assert main(argv) == 0
+        assert "x1  class=(unmapped)" in capsys.readouterr().out
+
+
 def test_kg_check_empty_dataset_exits_one_naming_the_file(tmp_path, capsys):
     # a bare StopIteration was an internal error (exit 2) printing nothing
     (tmp_path / "empty.csv").write_text("")

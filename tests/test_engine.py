@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,25 @@ def test_evaluator_cache_tells_apart_columns_with_one_display_name():
     assert signal.feature.name == noise.feature.name
     assert evaluator.score([signal]) > 0.9
     assert evaluator.score([noise]) < 0.5
+
+
+def test_evaluator_scores_a_pool_within_half_its_matrix():
+    # the pool was stacked into one n × p matrix (1.0 times its bytes) before
+    # cross-validation gathered and centred copies of each fold
+    rng = np.random.default_rng(0)
+    n, p = 20000, 45
+    pool = [PoolEntry(num_col(f"x{j}", rng.uniform(0.5, 2.0, n)), None, None)
+            for j in range(p)]
+    y = pool[0].feature.values / pool[1].feature.values ** 2 + rng.normal(0, 0.05, n)
+    evaluator = _Evaluator(small_cfg(k_folds=5), Task.REGRESSION, y)
+    tracemalloc.start()
+    try:
+        score = evaluator.score(pool)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < score <= 1.0
+    assert peak < 0.5 * n * p * 8, f"peak {peak / (n * p * 8):.2f} times the pool's matrix"
 
 
 def test_random_policy_runs(planted):

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -78,7 +79,7 @@ def test_evaluate_cv_subnormal_target_folds_score_zero():
     # fold is degenerate and scores 0 instead of aborting the run
     y = np.array([0.0, 1e-320] * 6)
     X = np.arange(12.0)[:, None]
-    assert evaluate_cv(LearnerSpec(kind="linear"), X, y, Task.REGRESSION,
+    assert evaluate_cv(LearnerSpec(kind="linear"), X.T, y, Task.REGRESSION,
                        k=3, seed=0) == 0.0
 
 
@@ -809,7 +810,7 @@ def test_evaluate_cv_perfect_feature_scores_one():
     rng = np.random.default_rng(4)
     y = rng.uniform(0, 10, 60)
     X = np.column_stack([y, rng.uniform(0, 1, 60)])
-    score = evaluate_cv(LearnerSpec(kind="linear"), X, y, Task.REGRESSION,
+    score = evaluate_cv(LearnerSpec(kind="linear"), X.T, y, Task.REGRESSION,
                         k=5, seed=0)
     assert score == pytest.approx(1.0, abs=1e-6)
 
@@ -819,7 +820,7 @@ def test_evaluate_cv_handles_missing_cells():
     y = rng.uniform(0, 10, 60)
     X = np.column_stack([y, rng.uniform(0, 1, 60)])
     X[::7, 1] = np.nan
-    score = evaluate_cv(LearnerSpec(kind="linear"), X, y, Task.REGRESSION,
+    score = evaluate_cv(LearnerSpec(kind="linear"), X.T, y, Task.REGRESSION,
                         k=5, seed=0)
     assert np.isfinite(score)
     assert score > 0.9
@@ -829,7 +830,7 @@ def test_evaluate_cv_classification():
     rng = np.random.default_rng(6)
     X = rng.uniform(0, 1, (80, 2))
     y = np.where(X[:, 0] > 0.5, "yes", "no")
-    score = evaluate_cv(LearnerSpec(kind="decision_tree"), X, y,
+    score = evaluate_cv(LearnerSpec(kind="decision_tree"), X.T, y,
                         Task.CLASSIFICATION, k=4, seed=0)
     assert score > 0.9
 
@@ -851,7 +852,7 @@ def test_evaluate_cv_scores_every_fold_of_a_multiclass_target_by_macro_f1():
 
     scores = [macro_f1(y[va], predict(train(spec, X[tr], y[tr], Task.CLASSIFICATION), X[va]))
               for tr, va in folds]
-    assert evaluate_cv(spec, X, y, Task.CLASSIFICATION, k=5, seed=0) == pytest.approx(
+    assert evaluate_cv(spec, X.T, y, Task.CLASSIFICATION, k=5, seed=0) == pytest.approx(
         np.mean(scores), abs=1e-12)
 
 def test_evaluate_cv_deterministic():
@@ -859,8 +860,8 @@ def test_evaluate_cv_deterministic():
     X = rng.uniform(0, 1, (50, 3))
     y = rng.uniform(0, 1, 50)
     spec = LearnerSpec(kind="random_forest", n_trees=5, seed=1)
-    a = evaluate_cv(spec, X, y, Task.REGRESSION, k=3, seed=2)
-    b = evaluate_cv(spec, X, y, Task.REGRESSION, k=3, seed=2)
+    a = evaluate_cv(spec, X.T, y, Task.REGRESSION, k=3, seed=2)
+    b = evaluate_cv(spec, X.T, y, Task.REGRESSION, k=3, seed=2)
     assert a == b
 
 
@@ -879,7 +880,7 @@ def test_evaluate_cv_score_is_finite(kind, data):
     spec = LearnerSpec(kind=kind, n_trees=3, max_depth=3)
     with np.errstate(all="ignore"):
         try:
-            score = evaluate_cv(spec, X, y, Task.REGRESSION, k=2, seed=0)
+            score = evaluate_cv(spec, X.T, y, Task.REGRESSION, k=2, seed=0)
         except LearnError as e:
             assert kind == "linear"
             assert "predicted NaN" in str(e)
@@ -893,7 +894,7 @@ def test_evaluate_cv_scores_an_overflowing_fold_zero():
     with np.errstate(all="ignore"):
         assert metric_one_minus_rae([0.0, 1.0], [1e308, -1e308]) == -np.inf
         for kind in ("decision_tree", "random_forest"):
-            assert evaluate_cv(LearnerSpec(kind=kind, n_trees=3), X, y,
+            assert evaluate_cv(LearnerSpec(kind=kind, n_trees=3), X.T, y,
                                Task.REGRESSION, k=2, seed=0) == 0.0
 
 
@@ -905,7 +906,7 @@ def test_evaluate_cv_floors_a_fold_that_validates_an_outlier_at_zero():
     z[7] = 1e60
     y = 1.5 * x + x % 3
     X = np.column_stack([x, z])
-    score = evaluate_cv(LearnerSpec(kind="linear"), X, y, Task.REGRESSION, k=2, seed=0)
+    score = evaluate_cv(LearnerSpec(kind="linear"), X.T, y, Task.REGRESSION, k=2, seed=0)
     train_idx, valid_idx = next(f for f in kfold_indices(40, 2, 0) if 7 not in f[1])
     fit = train(LearnerSpec(kind="linear"), X[train_idx], y[train_idx], Task.REGRESSION)
     want = metric_one_minus_rae(y[valid_idx], predict(fit, X[valid_idx])) / 2
@@ -918,7 +919,7 @@ def test_one_minus_rae_overflowing_deviations_raise():
     with pytest.raises(LearnError):
         metric_one_minus_rae([1e308, -1e308, 1e308], [0.0, 0.0, 0.0])
     y = np.array([1e308, -1e308, 1e308] * 4)
-    assert evaluate_cv(LearnerSpec(kind="decision_tree"), np.arange(12.0)[:, None],
+    assert evaluate_cv(LearnerSpec(kind="decision_tree"), [np.arange(12.0)],
                        y, Task.REGRESSION, k=3, seed=0) == 0.0
 
 
@@ -928,7 +929,7 @@ def test_evaluate_cv_raises_where_the_learner_predicts_nan():
     X = np.arange(8.0)[:, None]
     y = np.array([1e308, 1e308, 1e308, 0.0, 1.0, 2.0, 3.0, 4.0])
     with np.errstate(all="ignore"), pytest.raises(LearnError, match="NaN"):
-        evaluate_cv(LearnerSpec(kind="linear"), X, y, Task.REGRESSION, k=2, seed=0)
+        evaluate_cv(LearnerSpec(kind="linear"), X.T, y, Task.REGRESSION, k=2, seed=0)
 
 
 def _impute_columns_oracle(train_X, other_X):
@@ -1042,10 +1043,10 @@ def test_linear_cv_from_fold_sums_matches_per_fold_fits(case, seed):
         want = _linear_cv_oracle(X, y, k, seed)
     except LearnError as e:
         with pytest.raises(LearnError) as got:
-            evaluate_cv(spec, X, y, Task.REGRESSION, k=k, seed=seed)
+            evaluate_cv(spec, X.T, y, Task.REGRESSION, k=k, seed=seed)
         assert str(got.value) == str(e)
         return
-    got = evaluate_cv(spec, X, y, Task.REGRESSION, k=k, seed=seed)
+    got = evaluate_cv(spec, X.T, y, Task.REGRESSION, k=k, seed=seed)
     # 1 - rae, so the tolerance is relative to the larger of 1 and the score
     assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
@@ -1058,11 +1059,161 @@ def test_evaluate_cv_linear_allocates_at_most_one_matrix_above_its_inputs():
     y = X[:, 0] / X[:, 1] ** 2 + rng.normal(0, 0.05, 20000)
     tracemalloc.start()
     try:
-        evaluate_cv(LearnerSpec(kind="linear"), X, y, Task.REGRESSION, k=5, seed=0)
+        evaluate_cv(LearnerSpec(kind="linear"), X.T, y, Task.REGRESSION, k=5, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.0 * X.nbytes, f"peak {peak / X.nbytes:.2f} times X"
+
+
+def _matrix_cv_oracle(spec, X, y, task, k, seed):
+    """evaluate_cv as it was when it took an n × p matrix: each fold
+    gathered as X[rows], the fold sums taken of a centred copy, and the
+    validation fold predicted from another."""
+    def centred_sums(X, y):
+        n = X.shape[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            total, y_total = np.ones(n) @ X, y.sum()
+            Z = X - total / n
+            return n, Z.T @ Z, Z.T @ (y - y_total / n), total, y_total
+
+    X = np.asarray(X, dtype=float)
+    if task == Task.CLASSIFICATION:
+        y_codes, labels = encode_labels(y)
+        folds = kfold_indices(len(y_codes), k, seed, labels=y_codes)
+    else:
+        y_codes = np.asarray(y, dtype=float)
+        folds = kfold_indices(len(y_codes), k, seed)
+    gaps = np.isnan(X).any()
+    sums = None
+    if (spec.kind == "linear" and task == Task.REGRESSION and X.size and not gaps
+            and np.isfinite(y_codes).all()):
+        sums = [centred_sums(X[valid_idx], y_codes[valid_idx]) for _, valid_idx in folds]
+    scores = []
+    for f, (train_idx, valid_idx) in enumerate(folds):
+        yva = y_codes[valid_idx]
+        if task == Task.REGRESSION and _rae_denominator(yva) is None:
+            scores.append(0.0)
+            continue
+        if sums is not None:
+            fit = learn._ridge(*functools.reduce(learn._merged_sums,
+                                                 sums[:f] + sums[f + 1:]))
+            mean, y_mean = fit.scaler
+            with np.errstate(over="ignore", invalid="ignore"):
+                pred = (X[valid_idx] - mean) @ fit.coef[:-1] + y_mean
+        else:
+            Xtr, Xva = X[train_idx], X[valid_idx]
+            if gaps:
+                Xtr, Xva = impute_columns(Xtr, Xva)
+            pred = predict(train(spec, Xtr, y_codes[train_idx], task), Xva)
+        if task == Task.CLASSIFICATION:
+            scores.append(learn._mean_f1(yva, pred, [float(len(labels) - 1)]
+                                         if len(labels) <= 2
+                                         else sorted(set(yva.tolist()), key=str)))
+            continue
+        if np.isnan(pred).any():
+            raise LearnError(f"the {spec.kind} learner predicted NaN")
+        with np.errstate(over="ignore"):
+            scores.append(max(0.0, metric_one_minus_rae(yva, pred)))
+    return float(np.mean(scores))
+
+
+def _assert_cv_matches_the_matrix_oracle(spec, X, y, task, k, seed):
+    """evaluate_cv on X's columns gives the oracle's score exactly, or its
+    LearnError, and leaves X as it was."""
+    before = X.tobytes()
+    try:
+        want = _matrix_cv_oracle(spec, X, y, task, k, seed)
+    except LearnError as e:
+        with pytest.raises(LearnError) as got:
+            evaluate_cv(spec, X.T, y, task, k=k, seed=seed)
+        assert str(got.value) == str(e)
+    else:
+        assert evaluate_cv(spec, X.T, y, task, k=k, seed=seed) == want
+    assert X.tobytes() == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_cv_cases(), st.integers(0, 3), st.data())
+def test_linear_cv_on_columns_matches_the_matrix_oracle(case, seed, data):
+    X, y, k = case
+    if data.draw(st.booleans()):  # gaps: every training fold is fit as gathered
+        cells = data.draw(st.lists(st.tuples(st.integers(0, X.shape[0] - 1),
+                                             st.integers(0, X.shape[1] - 1)),
+                                   min_size=1, max_size=4))
+        for i, j in cells:
+            X[i, j] = np.nan
+    _assert_cv_matches_the_matrix_oracle(LearnerSpec(kind="linear"), X, y,
+                                         Task.REGRESSION, k, seed)
+
+
+@st.composite
+def cv_cases(draw, kinds):
+    """(spec, X, y, task, k): a learner drawn from `kinds` and a small
+    matrix, now and then with gaps, a constant or an integer column, with a
+    noisy regression target or a two- or three-class one from its first
+    column. The logistic learner gets a classification target."""
+    kind = draw(st.sampled_from(kinds))
+    task = (Task.CLASSIFICATION if kind == "logistic"
+            else draw(st.sampled_from([Task.REGRESSION, Task.CLASSIFICATION])))
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(3 * k, 40))
+    p = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, p)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    for j in range(p):
+        shape = draw(st.sampled_from(["float", "integer", "constant"]))
+        if shape == "integer":
+            X[:, j] = rng.integers(-3, 4, n)
+        elif shape == "constant":
+            X[:, j] = draw(st.floats(-10, 10))
+    if task == Task.CLASSIFICATION:
+        y = np.digitize(X[:, 0] + rng.normal(0, 0.5, n), [-0.3, 0.3][:draw(st.integers(1, 2))])
+    else:
+        y = X[:, 0] + rng.normal(size=n)
+    if draw(st.integers(0, 3)) == 0:
+        X[rng.random((n, p)) < 0.1] = np.nan
+    spec = LearnerSpec(kind=kind, n_trees=3, max_depth=draw(st.integers(1, 4)),
+                       seed=draw(st.integers(0, 3)))
+    return spec, X, y, task, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(cv_cases(["decision_tree", "random_forest", "logistic"]), st.integers(0, 3))
+def test_cv_on_columns_matches_the_matrix_oracle(case, seed):
+    spec, X, y, task, k = case
+    _assert_cv_matches_the_matrix_oracle(spec, X, y, task, k, seed)
+
+
+@pytest.mark.parametrize("kind", ["linear", "decision_tree"])
+def test_evaluate_cv_of_no_columns_raises_as_the_matrix_oracle(kind):
+    y = np.arange(12.0) % 5
+    with pytest.raises(LearnError) as want:
+        _matrix_cv_oracle(LearnerSpec(kind=kind), np.empty((12, 0)), y, Task.REGRESSION, 3, 0)
+    with pytest.raises(LearnError) as got:
+        evaluate_cv(LearnerSpec(kind=kind), [], y, Task.REGRESSION, k=3, seed=0)
+    assert str(got.value) == str(want.value) == "empty training matrix"
+
+
+def test_evaluate_cv_rejects_rows_for_columns():
+    X = np.random.default_rng(0).normal(size=(12, 3))
+    with pytest.raises(LearnError, match="one value per target row"):
+        evaluate_cv(LearnerSpec(kind="linear"), X, X[:, 0], Task.REGRESSION, k=3, seed=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cv_cases(["linear", "decision_tree", "random_forest", "logistic"]))
+def test_train_and_predict_leave_their_matrix_as_it_was(case):
+    spec, X, y, task, _ = case
+    if spec.kind == "linear":
+        task = Task.REGRESSION
+    X = impute_columns(X, X[:0])[0]
+    y = encode_labels(y)[0] if task == Task.CLASSIFICATION else y
+    before = X.tobytes()
+    model = train(spec, X, y, task)
+    assert X.tobytes() == before
+    predict(model, X)
+    assert X.tobytes() == before
 
 
 def test_linear_fit_solves_the_columns_whose_sum_of_squares_is_finite():
@@ -1104,7 +1255,7 @@ def test_evaluate_cv_fits_the_other_columns_where_one_overflows():
     a, b = rng.normal(size=60), rng.normal(size=60)
     c = rng.uniform(1, 2, 60) * 1e160
     spec = LearnerSpec(kind="linear")
-    assert evaluate_cv(spec, np.column_stack([a, b, c]), 3 * a + b, Task.REGRESSION,
+    assert evaluate_cv(spec, [a, b, c], 3 * a + b, Task.REGRESSION,
                        k=2, seed=0) >= 0.9999
     # The folds that train on row 3 fit column 1 alone, where they predicted
     # their training mean; the one that validates it predicts near 1e200 and
@@ -1128,16 +1279,16 @@ def test_evaluate_cv_fits_the_other_columns_where_one_overflows():
     start = time.perf_counter()
     want = per_fold(X, 5)
     assert want > 0.5
-    assert evaluate_cv(spec, X, y, Task.REGRESSION, k=5, seed=0) == pytest.approx(
+    assert evaluate_cv(spec, X.T, y, Task.REGRESSION, k=5, seed=0) == pytest.approx(
         want, rel=1e-9)
     assert time.perf_counter() - start < 1.0
     gapped = X.copy()
     gapped[5, 1] = np.nan  # fits each training fold as gathered
-    assert evaluate_cv(spec, gapped, y, Task.REGRESSION, k=5, seed=0) == pytest.approx(
+    assert evaluate_cv(spec, gapped.T, y, Task.REGRESSION, k=5, seed=0) == pytest.approx(
         per_fold(gapped, 5), rel=1e-9)
     (_, fold_a), (_, fold_b) = kfold_indices(40, 2, 0)
     X[[fold_a[0], fold_b[0]], 0] = 1e200  # every training fold holds one
-    assert evaluate_cv(spec, X, y, Task.REGRESSION, k=2, seed=0) == pytest.approx(
+    assert evaluate_cv(spec, X.T, y, Task.REGRESSION, k=2, seed=0) == pytest.approx(
         per_fold(X, 2), rel=1e-9)
 
 
@@ -1149,10 +1300,10 @@ def test_evaluate_cv_skips_imputation_without_gaps(monkeypatch):
     X = rng.normal(size=(30, 3))
     y = X[:, 0] + rng.normal(size=30)
     spec = LearnerSpec(kind="linear")
-    clean = evaluate_cv(spec, X, y, Task.REGRESSION, k=3, seed=0)
+    clean = evaluate_cv(spec, X.T, y, Task.REGRESSION, k=3, seed=0)
     assert calls == []
     X[4, 1] = np.nan
-    gappy = evaluate_cv(spec, X, y, Task.REGRESSION, k=3, seed=0)
+    gappy = evaluate_cv(spec, X.T, y, Task.REGRESSION, k=3, seed=0)
     assert len(calls) == 3 and gappy != clean
 
 
@@ -1175,7 +1326,7 @@ def test_classification_cv_does_not_import_numpy_ma():
             "X = np.random.default_rng(0).normal(size=(40, 3))\nX[3, 1] = np.nan\n"
             "y = (X[:, 0] > 0).astype(float)\n"
             "for kind in ('decision_tree', 'random_forest', 'logistic'):\n"
-            "    evaluate_cv(LearnerSpec(kind=kind, n_trees=3), X, y, Task.CLASSIFICATION, 2, 0)\n"
+            "    evaluate_cv(LearnerSpec(kind=kind, n_trees=3), X.T, y, Task.CLASSIFICATION, 2, 0)\n"
             "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
