@@ -1,7 +1,9 @@
-"""DQN machinery: Q-network with manual backprop, replay buffer, epsilon
-schedule, and the TD training step."""
+"""The DQN learner (Mnih et al., Nature 2015): Q-network with manual
+backprop, replay buffer, epsilon schedule, the TD training step, and the
+`Agent` that acts and learns with them."""
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,8 @@ class AgentConfig:
             raise AgentError("epsilon bounds must satisfy 0 <= end <= start <= 1")
         if self.minibatch_size < 1:
             raise AgentError("minibatch size must be >= 1")
+        if self.target_sync_period < 1:
+            raise AgentError("target sync period must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -43,19 +47,13 @@ class ReplayBuffer:
     """Bounded ring of transitions with oldest-first eviction."""
 
     def __init__(self, capacity: int = 10_000):
-        self.capacity = capacity
-        self._items = []
-        self._cursor = 0
+        self._items = deque(maxlen=capacity)
 
     def __len__(self) -> int:
         return len(self._items)
 
     def push(self, t: Transition):
-        if len(self._items) < self.capacity:
-            self._items.append(t)
-        else:
-            self._items[self._cursor] = t
-            self._cursor = (self._cursor + 1) % self.capacity
+        self._items.append(t)
 
     def sample(self, size: int, rng: np.random.Generator):
         if size < 1:
@@ -81,10 +79,6 @@ class QNetwork:
             self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
             self.biases.append(np.zeros(fan_out))
 
-    @property
-    def n_inputs(self) -> int:
-        return self.layer_sizes[0]
-
     def copy(self) -> "QNetwork":
         other = QNetwork(self.layer_sizes)
         other.load_from(self)
@@ -99,23 +93,19 @@ class QNetwork:
 
 def _forward_cached(net: QNetwork, X: np.ndarray):
     """Batch forward pass keeping pre-activations for backprop."""
-    acts = [X]
-    pre = []
-    h = X
-    last = len(net.weights) - 1
+    acts, pre = [X], []
     for i, (W, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ W + b
-        pre.append(z)
-        h = z if i == last else np.maximum(z, 0.0)
-        acts.append(h)
+        pre.append(acts[-1] @ W + b)
+        acts.append(pre[-1] if i == len(net.weights) - 1 else np.maximum(pre[-1], 0.0))
     return acts, pre
 
 
 def q_forward(net: QNetwork, s: np.ndarray) -> np.ndarray:
     """Q-values for one state vector (callers scale inputs as needed)."""
     s = np.asarray(s, dtype=float)
-    if s.shape != (net.n_inputs,):
-        raise AgentError(f"state length {s.shape} does not match input size {net.n_inputs}")
+    if s.shape != (net.layer_sizes[0],):
+        raise AgentError(f"state length {s.shape} does not match input size "
+                         f"{net.layer_sizes[0]}")
     acts, _ = _forward_cached(net, s[None, :])
     return acts[-1][0]
 
@@ -147,16 +137,12 @@ def td_train_step(net: QNetwork, target_net: QNetwork, batch, cfg: AgentConfig) 
     # Backprop of d(loss)/d(q_sa) = 2 * residual / B through the net.
     delta = np.zeros_like(q_all)
     delta[np.arange(len(batch)), actions] = 2.0 * residual / len(batch)
-    grads_w = [None] * len(net.weights)
-    grads_b = [None] * len(net.biases)
     for i in range(len(net.weights) - 1, -1, -1):
-        grads_w[i] = acts[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ net.weights[i].T) * (pre[i - 1] > 0)
-    for i in range(len(net.weights)):
-        net.weights[i] -= cfg.learning_rate * grads_w[i]
-        net.biases[i] -= cfg.learning_rate * grads_b[i]
+        # the layer below takes its delta through this layer's weights before the step
+        below = (delta @ net.weights[i].T) * (pre[i - 1] > 0) if i else None
+        net.weights[i] -= cfg.learning_rate * (acts[i].T @ delta)
+        net.biases[i] -= cfg.learning_rate * delta.sum(axis=0)
+        delta = below
     return loss
 
 
@@ -181,3 +167,41 @@ def epsilon_at(step: int, cfg: AgentConfig) -> float:
 def sync_target(net: QNetwork, target_net: QNetwork):
     """Copy the main network's parameters into the target network."""
     target_net.load_from(net)
+
+
+class Agent:
+    """A run's learner: online and target nets [n_inputs, 64, 64, n_actions],
+    replay, and generators for the weights, actions and replay draws spawned
+    from `seed`. Unless it `learns`, it acts uniformly and never trains."""
+
+    def __init__(self, cfg: AgentConfig, n_inputs: int, n_actions: int, seed: int,
+                 learns: bool):
+        seeds = np.random.SeedSequence(seed).spawn(3)
+        self.cfg, self.learns = cfg, learns
+        self.net = QNetwork([n_inputs, 64, 64, n_actions], seed=seeds[0].generate_state(1)[0])
+        self.target = self.net.copy()
+        self.action_rng, self.replay_rng = map(np.random.default_rng, seeds[1:])
+        self.buffer = ReplayBuffer()
+        self.selections = self.td_steps = 0
+
+    def act(self, state: np.ndarray) -> int:
+        """Epsilon-greedy on the online net's Q-values, epsilon decayed per
+        selection; uniform for a random agent."""
+        if not self.learns:
+            return int(self.action_rng.integers(0, self.net.layer_sizes[-1]))
+        eps = epsilon_at(self.selections, self.cfg)
+        self.selections += 1
+        return select_action(q_forward(self.net, state), eps, self.action_rng)
+
+    def observe(self, t: Transition):
+        """Store a step; once replay holds a minibatch, one TD step on a
+        sampled one, and a target sync every `target_sync_period` of them."""
+        if not self.learns:
+            return
+        self.buffer.push(t)
+        if len(self.buffer) >= self.cfg.minibatch_size:
+            td_train_step(self.net, self.target,
+                          self.buffer.sample(self.cfg.minibatch_size, self.replay_rng), self.cfg)
+            self.td_steps += 1
+            if self.td_steps % self.cfg.target_sync_period == 0:
+                sync_target(self.net, self.target)

@@ -100,7 +100,7 @@ _CSV_BLOCK_ROWS = 4096  # features.csv rows formatted at a time; bounds the cell
 
 def _write_result_files(result, d, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "result.json"), "w") as fh:
+    with open(os.path.join(out_dir, "result.json"), "w", encoding="utf-8") as fh:
         json.dump(result.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     headers, X = eng.feature_matrix(d, result.best_features)
@@ -108,7 +108,7 @@ def _write_result_files(result, d, out_dir):
     numeric = list(X.T) + ([] if tcol.kind == Kind.CATEGORICAL else [tcol.values])
     labels = (np.array(tcol.levels + ("",), dtype=object)[categorical_codes(tcol)]
               if tcol.kind == Kind.CATEGORICAL else None)
-    with open(os.path.join(out_dir, "features.csv"), "w", newline="") as fh:
+    with open(os.path.join(out_dir, "features.csv"), "w", newline="", encoding="utf-8") as fh:
         fh.write(_csv_line([_csv_field(h) for h in headers + [d.target]]))
         for a in range(0, d.n_rows, _CSV_BLOCK_ROWS):
             b = a + _CSV_BLOCK_ROWS
@@ -116,7 +116,7 @@ def _write_result_files(result, d, out_dir):
             if labels is not None:
                 cells.append([_csv_field(v) for v in labels[a:b].tolist()])
             fh.writelines(_csv_line(row) for row in zip(*cells))
-    with open(os.path.join(out_dir, "log.txt"), "w") as fh:
+    with open(os.path.join(out_dir, "log.txt"), "w", encoding="utf-8") as fh:
         for trace in result.traces:
             for i, s in enumerate(trace.steps):
                 fh.write(
@@ -241,14 +241,15 @@ def cmd_report(args) -> int:
     top_gen = gen_idx[: len(raw)] if raw else gen_idx
     keep = raw + top_gen
     imp2 = eng.importance(spec, X[:, keep], y, d.task)
-    with open(os.path.join(out_dir, "importance.csv"), "w", newline="") as fh:
+    with open(os.path.join(out_dir, "importance.csv"), "w", newline="", encoding="utf-8") as fh:
         fh.write(_csv_line(["feature", "importance", "origin"]))
         for pos, i in enumerate(keep):
             origin = "raw" if result.best_features[i]["raw"] else "generated"
             fh.write(_csv_line([_csv_field(headers[i]), repr(float(imp2[pos])), origin]))
 
     if result.order_sweep:
-        with open(os.path.join(out_dir, "order_sweep.csv"), "w", newline="") as fh:
+        with open(os.path.join(out_dir, "order_sweep.csv"), "w", newline="",
+                  encoding="utf-8") as fh:
             fh.write(_csv_line(["max_order", "best_score"]))
             fh.writelines(_csv_line([str(order), repr(float(score))])
                           for order, score in result.order_sweep)

@@ -80,10 +80,27 @@ def check(doc, shape, where: str, error=DataError, path=()):
     walk(doc, shape, path)
 
 
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> str:
+    """The error for a file that is not UTF-8 text: `path: line N: ...` for
+    its first line that does not decode (no UTF-8 sequence holds a newline
+    byte, so the file's lines decode one at a time as the whole does)."""
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                return f"{path}: line {number}: {bad}"
+    return f"{path}: {exc}"
+
+
 def read_json(path: str, shape, error=DataError):
-    """The JSON document in a file, checked to have `shape` (see check)."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    """The JSON document in a UTF-8 file (a byte-order mark is skipped),
+    checked to have `shape` (see check)."""
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise error(_not_utf8(path, exc)) from None
     check(doc, shape, path, error)
     return doc
 
@@ -224,13 +241,15 @@ def _build_column(name: str, cells: list, kind: Optional[Kind]) -> Feature:
 
 def _records(fh, path: str):
     """The records of a CSV file open for reading; a malformed record (one
-    with a field past `csv.field_size_limit()`, say) is a DataError naming
-    the file and the line the reader stopped at."""
+    with a field past `csv.field_size_limit()`, say) or text that is not
+    UTF-8 is a DataError naming the file and the line."""
     reader = csv.reader(fh)
     try:
         yield from reader
     except csv.Error as exc:
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(_not_utf8(path, exc)) from None
 
 
 def _header(records, path: str) -> list:
@@ -242,7 +261,7 @@ def _header(records, path: str) -> list:
 
 def read_header(path: str) -> list:
     """The column names in a CSV file's first record."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         return _header(_records(fh, path), path)
 
 
@@ -281,7 +300,7 @@ def load_csv(path: str, schema: SchemaConfig) -> Dataset:
     column, with the same result.
     """
     overrides = schema.column_kind_overrides
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         records = _records(fh, path)
         header = _header(records, path)
         if len(set(header)) != len(header):
@@ -316,12 +335,12 @@ def load_csv(path: str, schema: SchemaConfig) -> Dataset:
     return d
 
 
-def kfold_indices(n: int, k: int, seed: int, labels=None):
-    """Deterministic k-fold index pairs; `labels` switches to stratified dealing.
+def kfold_indices(n: int, k: int, seed: int, labels=None) -> np.ndarray:
+    """Each row's fold number in range(k), one int64 array of length n,
+    dealt deterministically; `labels` switches to stratified dealing.
 
-    Valid folds partition range(n) with sizes differing by at most one; with
-    labels, each class is dealt round-robin so per-fold class counts stay
-    within one of each other.
+    Fold sizes differ by at most one; with labels, each class is dealt
+    round-robin so per-fold class counts stay within one of each other.
     """
     if k < 2 or k > n:
         raise DataError(f"k={k} invalid for n={n}")
@@ -334,5 +353,5 @@ def kfold_indices(n: int, k: int, seed: int, labels=None):
                                 for lab in sorted(set(labels.tolist()), key=str)])
     fold = np.empty(n, dtype=np.int64)
     fold[dealt] = np.arange(n) % k
-    return [(np.flatnonzero(fold != f), np.flatnonzero(fold == f)) for f in range(k)]
+    return fold
 

@@ -215,25 +215,12 @@ def _prune_to_budget(pool, cfg: EngineConfig, evaluator: _Evaluator):
     return [e for i, e in enumerate(pool) if i not in drop]
 
 
-class _AgentState:
-    def __init__(self, cfg: EngineConfig, n_inputs: int, n_actions: int):
-        seeds = np.random.SeedSequence(cfg.seed).spawn(3)
-        self.net = ag.QNetwork([n_inputs, 64, 64, n_actions],
-                               seed=seeds[0].generate_state(1)[0])
-        self.target = self.net.copy()
-        self.action_rng = np.random.default_rng(seeds[1])
-        self.sample_rng = np.random.default_rng(seeds[2])
-        self.buffer = ag.ReplayBuffer()
-        self.selections = 0
-        self.train_steps = 0
-
-
 def _state(kg: KnowledgeGraph, pool) -> np.ndarray:
     """The agent's view of a pool: its concept vector over 1 + pool size."""
     return phi_state(kg, pool).astype(float) / (1.0 + len(pool))
 
 
-def run_episode(raw, kg: KnowledgeGraph, state: _AgentState,
+def run_episode(raw, kg: KnowledgeGraph, agent: ag.Agent,
                 cfg: EngineConfig, evaluator: _Evaluator, episode_index: int, best):
     """One pass of the generation loop starting from the judged raw pool.
 
@@ -246,13 +233,7 @@ def run_episode(raw, kg: KnowledgeGraph, state: _AgentState,
     s_vec = _state(kg, pool)
     steps = []
     for i in range(cfg.steps):
-        if cfg.policy == "random":
-            action = int(state.action_rng.integers(0, len(ops)))
-        else:
-            eps = ag.epsilon_at(state.selections, cfg.agent)
-            q = ag.q_forward(state.net, s_vec)
-            action = ag.select_action(q, eps, state.action_rng)
-        state.selections += 1
+        action = agent.act(s_vec)
         op = ops[action]
 
         candidates = expand_action(op, [e.feature for e in pool], evaluator.y,
@@ -276,17 +257,8 @@ def run_episode(raw, kg: KnowledgeGraph, state: _AgentState,
 
         new_score = evaluator.score(pool)
         reward = compute_reward(score, new_score)
-        terminal = i == cfg.steps - 1
         s_next = _state(kg, pool)
-
-        if cfg.policy == "dqn":
-            state.buffer.push(ag.Transition(s_vec, action, reward, s_next, terminal))
-            if len(state.buffer) >= cfg.agent.minibatch_size:
-                batch = state.buffer.sample(cfg.agent.minibatch_size, state.sample_rng)
-                ag.td_train_step(state.net, state.target, batch, cfg.agent)
-                state.train_steps += 1
-                if state.train_steps % cfg.agent.target_sync_period == 0:
-                    ag.sync_target(state.net, state.target)
+        agent.observe(ag.Transition(s_vec, action, reward, s_next, i == cfg.steps - 1))
 
         steps.append(StepRecord(
             action=op.name,
@@ -322,7 +294,8 @@ def _snapshot(pool):
 def run(cfg: EngineConfig, d: Dataset, kg: KnowledgeGraph) -> FEResult:
     """Full training run; stops at the episode budget or once the best score
     has not improved for `patience` episodes."""
-    state = _AgentState(cfg, len(kg.concept_order), len(catalog()))
+    agent = ag.Agent(cfg.agent, len(kg.concept_order), len(catalog()), cfg.seed,
+                     cfg.policy == "dqn")
     evaluator = _Evaluator(cfg, d.task, target_codes(d))
     raw = raw_pool(d, kg)
     baseline = evaluator.score(raw)
@@ -332,7 +305,7 @@ def run(cfg: EngineConfig, d: Dataset, kg: KnowledgeGraph) -> FEResult:
     stale = 0
     for ep in range(cfg.episodes):
         before = best[0]
-        traces.append(run_episode(raw, kg, state, cfg, evaluator, ep, best))
+        traces.append(run_episode(raw, kg, agent, cfg, evaluator, ep, best))
         best_trajectory.append(best[0])
         if best[0] > before + 1e-12:
             stale = 0

@@ -615,12 +615,13 @@ def evaluate_cv(spec: LearnerSpec, cols, y, task: Task, k: int, seed: int) -> fl
     cols = [np.asarray(c, dtype=float) for c in cols]
     if task == Task.CLASSIFICATION:
         y_codes, labels = encode_labels(y)
-        folds = kfold_indices(len(y_codes), k, seed, labels=y_codes)
+        fold = kfold_indices(len(y_codes), k, seed, labels=y_codes)
     else:
         y_codes = np.asarray(y, dtype=float)
-        folds = kfold_indices(len(y_codes), k, seed)
+        fold = kfold_indices(len(y_codes), k, seed)
     if any(c.shape != y_codes.shape for c in cols):
         raise LearnError("every column must hold one value per target row")
+    valid = [np.flatnonzero(fold == f) for f in range(k)]
     gaps = any(np.isnan(c).any() for c in cols)
     # train rejects an empty matrix and a non-finite target, and per-fold
     # imputation gives each fold other values: those cases, like every other
@@ -629,9 +630,9 @@ def evaluate_cv(spec: LearnerSpec, cols, y, task: Task, k: int, seed: int) -> fl
     if (spec.kind == "linear" and task == Task.REGRESSION and cols and not gaps
             and np.isfinite(y_codes).all()):
         sums = [_centred_sums(gather(cols, valid_idx), y_codes[valid_idx])
-                for _, valid_idx in folds]
+                for valid_idx in valid]
     scores = []
-    for f, (train_idx, valid_idx) in enumerate(folds):
+    for f, valid_idx in enumerate(valid):
         yva = y_codes[valid_idx]
         if task == Task.REGRESSION and _rae_denominator(yva) is None:
             scores.append(0.0)
@@ -640,6 +641,7 @@ def evaluate_cv(spec: LearnerSpec, cols, y, task: Task, k: int, seed: int) -> fl
             fit = _ridge(*functools.reduce(_merged_sums, sums[:f] + sums[f + 1:]))
             pred = _predict_centred(fit, gather(cols, valid_idx))
         else:
+            train_idx = np.flatnonzero(fold != f)  # only this path gathers training rows
             Xtr, Xva = gather(cols, train_idx), gather(cols, valid_idx)
             if gaps:
                 Xtr, Xva = impute_columns(Xtr, Xva)

@@ -34,6 +34,12 @@ def cells_of(col):
     return [col.levels[int(v)] if v == v else "" for v in col.values.tolist()]
 
 
+def fold_pairs(fold, k):
+    """The (train, valid) index pairs of kfold_indices' fold numbers, fold by
+    fold, each in ascending row order."""
+    return [(np.flatnonzero(fold != f), np.flatnonzero(fold == f)) for f in range(k)]
+
+
 def make_dataset(columns, target, task=Task.REGRESSION):
     return Dataset(columns=columns, target=target, task=task,
                    n_rows=len(columns[0].values))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from kgfeat.agent import (AgentConfig, AgentError, QNetwork, ReplayBuffer,
+from kgfeat import agent as agent_mod
+from kgfeat.agent import (Agent, AgentConfig, AgentError, QNetwork, ReplayBuffer,
                           Transition, epsilon_at, q_forward, select_action,
                           sync_target, td_train_step)
 
@@ -38,6 +39,13 @@ def test_config_validation():
         AgentConfig(epsilon_start=0.1, epsilon_end=0.5)
     with pytest.raises(AgentError):
         AgentConfig(minibatch_size=0)
+
+
+def test_config_rejects_a_target_sync_period_below_one():
+    # a period of 0 ran until the first TD step and died of ZeroDivisionError
+    for period in (0, -1):
+        with pytest.raises(AgentError, match="target sync period"):
+            AgentConfig(minibatch_size=2, target_sync_period=period)
 
 
 def test_epsilon_schedule():
@@ -200,3 +208,52 @@ def test_select_action_validation():
         select_action(np.array([]), 0.5, rng)
     with pytest.raises(AgentError):
         select_action(np.array([1.0]), 1.5, rng)
+
+
+# ---------------------------------------------------------------- the agent
+
+def same_net(a, b):
+    return all((x == y).all() for x, y in zip(a.weights + a.biases, b.weights + b.biases))
+
+
+def counted(monkeypatch, name, calls):
+    """Count the agent's calls of agent.<name>, as perfbench's tracer does by
+    replacing the module attribute."""
+    fn = getattr(agent_mod, name)
+
+    def wrapper(*args):
+        calls.append(name)
+        return fn(*args)
+    monkeypatch.setattr(agent_mod, name, wrapper)
+
+
+def test_agent_trains_once_replay_holds_a_minibatch_and_syncs_every_period(monkeypatch):
+    calls = []
+    for name in ("q_forward", "td_train_step", "sync_target"):
+        counted(monkeypatch, name, calls)
+    agent = Agent(AgentConfig(minibatch_size=2, target_sync_period=3), 4, 3, seed=0,
+                  learns=True)
+    for n, t in enumerate(random_batch(np.random.default_rng(0), 10, 4, 3), 1):
+        assert agent.act(t.s) in range(3)
+        agent.observe(t)
+        td_steps = n - 1  # the first at the second transition
+        assert calls.count("q_forward") == n and calls.count("td_train_step") == td_steps
+        assert calls.count("sync_target") == td_steps // 3
+        # the target equals the online net right after the 3rd, 6th, ... TD step
+        assert same_net(agent.net, agent.target) == (td_steps % 3 == 0), n
+    assert len(agent.buffer) == 10
+
+
+def test_a_random_agent_draws_from_its_action_stream_and_never_trains(monkeypatch):
+    calls = []
+    for name in ("q_forward", "td_train_step", "sync_target"):
+        counted(monkeypatch, name, calls)
+    agent = Agent(AgentConfig(minibatch_size=1, target_sync_period=1), 4, 19, seed=5,
+                  learns=False)
+    net = agent.net.copy()
+    actions = np.random.default_rng(np.random.SeedSequence(5).spawn(3)[1])
+    for t in random_batch(np.random.default_rng(1), 50, 4, 19):
+        assert agent.act(t.s) == int(actions.integers(0, 19))
+        agent.observe(t)
+    assert calls == [] and len(agent.buffer) == 0
+    assert same_net(agent.net, net) and same_net(agent.target, net)

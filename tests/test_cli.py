@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import copy
 import csv
@@ -646,6 +647,32 @@ def test_kg_check_csv_field_past_the_limit_exits_one_naming_the_line(tmp_path, c
                  "--dataset", str(path)]) == 1
     assert capsys.readouterr().err == (f"error: {path}: line 1: field larger than field "
                                        f"limit ({csv.field_size_limit()})\n")
+
+
+def test_run_and_kg_check_of_a_csv_that_is_not_utf8_exit_one_naming_the_line(tmp_path, capsys):
+    # a Latin-1 header was an internal error (exit 2): "'utf-8' codec can't decode ..."
+    argv = write_regression(tmp_path, ["1", "2", "3"], ["0.5", "1.5", "2.5"])
+    path = tmp_path / "reg.csv"
+    path.write_bytes(path.read_bytes().replace(b"x,", "caf\xe9,".encode("latin-1"), 1))
+    want = (f"error: {path}: line 1: 'utf-8' codec can't decode byte 0xe9 in position 3: "
+            "invalid continuation byte\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == want
+    assert main(["kg-check", "--kg", kgfeat.resource_path("default_kg.json"),
+                 "--dataset", str(path)]) == 1
+    assert capsys.readouterr().err == want
+
+
+def test_run_of_a_csv_with_a_byte_order_mark_finds_its_first_column(tmp_path, capsys):
+    # the target, first in the file, was read as "\ufeffy": "target column 'y' not found"
+    argv = write_regression(tmp_path, ["1", "2", "3", "4"], ["0.5", "1.5", "2.5", "3.5"])
+    path = tmp_path / "reg.csv"
+    lines = path.read_text().splitlines()
+    path.write_bytes(codecs.BOM_UTF8 + "\n".join(
+        ",".join(line.split(",")[::-1]) for line in lines).encode() + b"\n")
+    assert main(argv) == 0, capsys.readouterr().err
+    assert json.loads((tmp_path / "out" / "result.json").read_text())["best_features"][0][
+        "display_name"] == "z"
 
 
 @pytest.mark.parametrize("manifest, named", [

@@ -1,3 +1,4 @@
+import codecs
 import csv
 from datetime import date
 
@@ -10,7 +11,7 @@ from kgfeat import data as datamod
 from kgfeat.data import (DataError, Kind, SchemaConfig, Task, _build_column, check,
                          kfold_indices, load_csv)
 
-from conftest import cells_of, make_planted_dataset
+from conftest import cells_of, fold_pairs, make_planted_dataset
 
 
 def write_csv(path, header, rows):
@@ -108,7 +109,7 @@ def test_duplicate_header_errors(tmp_path):
 
 
 def test_kfold_partition_and_sizes():
-    folds = kfold_indices(23, 5, seed=7)
+    folds = fold_pairs(kfold_indices(23, 5, seed=7), 5)
     all_valid = np.concatenate([v for _, v in folds])
     assert sorted(all_valid.tolist()) == list(range(23))
     sizes = [len(v) for _, v in folds]
@@ -119,15 +120,15 @@ def test_kfold_partition_and_sizes():
 
 
 def test_kfold_deterministic():
-    a = kfold_indices(50, 4, seed=3)
-    b = kfold_indices(50, 4, seed=3)
+    a = fold_pairs(kfold_indices(50, 4, seed=3), 4)
+    b = fold_pairs(kfold_indices(50, 4, seed=3), 4)
     for (ta, va), (tb, vb) in zip(a, b):
         assert ta.tolist() == tb.tolist() and va.tolist() == vb.tolist()
 
 
 def test_kfold_stratified_class_balance():
     labels = np.array([0] * 30 + [1] * 12)
-    folds = kfold_indices(42, 3, seed=0, labels=labels)
+    folds = fold_pairs(kfold_indices(42, 3, seed=0, labels=labels), 3)
     for cls, total in ((0, 30), (1, 12)):
         counts = [int(np.sum(labels[v] == cls)) for _, v in folds]
         assert max(counts) - min(counts) <= 1
@@ -142,9 +143,19 @@ def test_kfold_invalid_k():
 
 
 @settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 80), k=st.integers(2, 4), seed=st.integers(0, 1000),
+       stratified=st.booleans())
+def test_kfold_indices_are_each_rows_fold_number(n, k, seed, stratified):
+    labels = np.arange(n) % 3 if stratified else None
+    fold = kfold_indices(n, k, seed, labels=labels)
+    assert fold.dtype == np.int64 and fold.shape == (n,)
+    assert set(fold.tolist()) == set(range(k))
+
+
+@settings(max_examples=40, deadline=None)
 @given(n=st.integers(4, 80), k=st.integers(2, 4), seed=st.integers(0, 1000))
 def test_kfold_partition_property(n, k, seed):
-    folds = kfold_indices(n, k, seed)
+    folds = fold_pairs(kfold_indices(n, k, seed), k)
     assert len(folds) == k
     valid = np.concatenate([v for _, v in folds])
     assert sorted(valid.tolist()) == list(range(n))
@@ -366,6 +377,56 @@ def test_numeric_path_edges_read_as_the_per_column_path(tmp_path, text, task, ov
         assert [kind for _, kind, *_ in got[1]] == want
 
 
+_LATIN1_CELL = "x\xe9".encode("latin-1")  # "xé", not UTF-8
+
+
+@pytest.mark.parametrize("raw, line, position", [
+    pytest.param("caf\xe9,y\n1,2\n3,4\n".encode("latin-1"), 1, 3, id="a Latin-1 header"),
+    pytest.param(b"a,y\n1,2\n" + _LATIN1_CELL + b",4\n", 3, 1, id="a Latin-1 cell"),
+    pytest.param(b"a,y\n" + b"1,2\n" * 5000 + _LATIN1_CELL + b",4\n", 5002, 1,
+                 id="a Latin-1 cell past the first block the reader decodes"),
+])
+def test_a_csv_that_is_not_utf8_is_a_data_error_naming_the_line(tmp_path, raw, line, position):
+    # the decode error was an internal error (exit 2) that named no file
+    path = tmp_path / "t.csv"
+    path.write_bytes(raw)
+    want = (f"{path}: line {line}: 'utf-8' codec can't decode byte 0xe9 in position "
+            f"{position}: invalid continuation byte")
+    with pytest.raises(DataError) as raised:
+        load_csv(str(path), SchemaConfig(target_name="y", task=Task.REGRESSION))
+    assert str(raised.value) == want
+    if line == 1:
+        with pytest.raises(DataError) as raised:
+            datamod.read_header(str(path))
+        assert str(raised.value) == want
+
+
+@pytest.mark.parametrize("body, kinds", [
+    pytest.param("1,2\n3,4\n5,6\n", [Kind.NUMERIC, Kind.NUMERIC], id="read in one pass"),
+    pytest.param("1,u\n3,v\n5,u\n", [Kind.NUMERIC, Kind.CATEGORICAL],
+                 id="read column by column"),
+])
+def test_a_byte_order_mark_is_no_part_of_the_first_column_name(tmp_path, body, kinds):
+    # the first column was read as "\ufeffy", so target 'y' was not found
+    path = tmp_path / "t.csv"
+    path.write_bytes(codecs.BOM_UTF8 + f"y,a\n{body}".encode())
+    d = load_csv(str(path), SchemaConfig(target_name="y", task=Task.REGRESSION))
+    assert [(c.name, c.kind) for c in d.columns] == list(zip(["y", "a"], kinds))
+    assert d.target_column.values.tolist() == [1.0, 3.0, 5.0]
+    assert datamod.read_header(str(path)) == ["y", "a"]
+
+
+def test_read_json_skips_a_byte_order_mark_and_names_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_bytes(codecs.BOM_UTF8 + b'{"target_name": "y", "task": "regression"}')
+    assert SchemaConfig.from_json(str(path)).target_name == "y"
+    path.write_bytes(b'{"target_name":\n "caf' + "\xe9".encode("latin-1") + b'"}')
+    with pytest.raises(DataError) as raised:
+        datamod.read_json(str(path), dict)
+    assert str(raised.value) == (f"{path}: line 2: 'utf-8' codec can't decode byte 0xe9 in "
+                                 "position 5: invalid continuation byte")
+
+
 def test_planted_table_is_read_in_one_pass(tmp_path, monkeypatch):
     def per_column(*args):
         raise AssertionError("read column by column")
@@ -455,7 +516,7 @@ def test_kfold_matches_the_dealing_loop():
         labels = None
         if rng.random() < 0.5:
             labels = rng.integers(0, int(rng.integers(1, 5)), n).astype(float)
-        got = kfold_indices(n, k, seed, labels=labels)
+        got = fold_pairs(kfold_indices(n, k, seed, labels=labels), k)
         want = dealt_folds(n, k, seed, labels=labels)
         assert len(got) == len(want)
         for (gt, gv), (wt, wv) in zip(got, want):

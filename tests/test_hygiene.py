@@ -4,7 +4,8 @@ another's private name, every module-level private name is read somewhere
 in the package, every local a function assigns is read in it, every
 dataclass field is read somewhere in the package, JSON shapes are tested
 only by `data.check`, no module calls `csv.writer`, only `data` calls
-`csv.reader`, and only `cli.main` reads `EXIT_USER`."""
+`csv.reader`, only `cli.main` reads `EXIT_USER`, and every text file is
+opened with an explicit encoding."""
 import ast
 import glob
 import os
@@ -379,3 +380,33 @@ def test_only_cli_main_reads_exit_user():
             found = reads_outside(fh.read(), "EXIT_USER",
                                   "main" if os.path.basename(path) == "cli.py" else None)
         assert not found, f"{os.path.basename(path)} reads EXIT_USER at lines {found}"
+
+
+def opens_without_encoding(source):
+    """The line of each `open(...)` call in text mode that names no encoding."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Call) and _called_name(n.func) == "open":
+            mode = n.args[1] if len(n.args) > 1 else next(
+                (k.value for k in n.keywords if k.arg == "mode"), None)
+            binary = isinstance(mode, ast.Constant) and "b" in mode.value
+            if not binary and not any(k.arg == "encoding" for k in n.keywords):
+                found.append(n.lineno)
+    return sorted(found)
+
+
+def test_opens_without_encoding_are_found():
+    source = ("with open(p) as fh:\n    pass\n"
+              "a = open(p, 'rb')\nb = open(p, mode='wb')\nc = open(p, 'w', newline='')\n"
+              "d = open(p, encoding='utf-8')\ne = io.open(p, 'r')\n")
+    assert opens_without_encoding(source) == [1, 5, 7]
+
+
+def test_every_text_file_is_opened_with_an_encoding():
+    # the locale's encoding is not UTF-8 everywhere; CI also runs the CLI
+    # with EncodingWarning as an error
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            found = opens_without_encoding(fh.read())
+        assert not found, f"{os.path.basename(path)} opens text files without an encoding " \
+                          f"at lines {found}"

@@ -21,6 +21,8 @@ from kgfeat.learn import (LearnError, LearnerSpec, Model, _bin_columns, _Forest,
                           evaluate_cv, feature_importance, impute_columns,
                           metric_f1, metric_one_minus_rae, predict, train)
 
+from conftest import fold_pairs
+
 
 # ---------------------------------------------------------------- metrics
 
@@ -843,7 +845,7 @@ def test_evaluate_cv_scores_every_fold_of_a_multiclass_target_by_macro_f1():
     y = np.array([0.0] * 2 + [1.0] * 29 + [2.0] * 29)
     X = np.column_stack([y + rng.normal(0, 0.8, 60), rng.uniform(0, 1, 60)])
     spec = LearnerSpec(kind="decision_tree", max_depth=3)
-    folds = kfold_indices(60, 5, 0, labels=y)
+    folds = fold_pairs(kfold_indices(60, 5, 0, labels=y), 5)
     assert [len(set(y[va].tolist())) for _, va in folds] == [3, 3, 2, 2, 2]
 
     def macro_f1(t, p):
@@ -907,7 +909,7 @@ def test_evaluate_cv_floors_a_fold_that_validates_an_outlier_at_zero():
     y = 1.5 * x + x % 3
     X = np.column_stack([x, z])
     score = evaluate_cv(LearnerSpec(kind="linear"), X.T, y, Task.REGRESSION, k=2, seed=0)
-    train_idx, valid_idx = next(f for f in kfold_indices(40, 2, 0) if 7 not in f[1])
+    train_idx, valid_idx = next(f for f in fold_pairs(kfold_indices(40, 2, 0), 2) if 7 not in f[1])
     fit = train(LearnerSpec(kind="linear"), X[train_idx], y[train_idx], Task.REGRESSION)
     want = metric_one_minus_rae(y[valid_idx], predict(fit, X[valid_idx])) / 2
     assert want > 0
@@ -982,7 +984,7 @@ def _linear_cv_oracle(X, y, k, seed):
     fold sums: gather each training fold, fit it with train and predict its
     validation fold."""
     scores = []
-    for train_idx, valid_idx in kfold_indices(len(y), k, seed):
+    for train_idx, valid_idx in fold_pairs(kfold_indices(len(y), k, seed), k):
         yva = y[valid_idx]
         if _rae_denominator(yva) is None:
             scores.append(0.0)
@@ -1080,10 +1082,10 @@ def _matrix_cv_oracle(spec, X, y, task, k, seed):
     X = np.asarray(X, dtype=float)
     if task == Task.CLASSIFICATION:
         y_codes, labels = encode_labels(y)
-        folds = kfold_indices(len(y_codes), k, seed, labels=y_codes)
+        folds = fold_pairs(kfold_indices(len(y_codes), k, seed, labels=y_codes), k)
     else:
         y_codes = np.asarray(y, dtype=float)
-        folds = kfold_indices(len(y_codes), k, seed)
+        folds = fold_pairs(kfold_indices(len(y_codes), k, seed), k)
     gaps = np.isnan(X).any()
     sums = None
     if (spec.kind == "linear" and task == Task.REGRESSION and X.size and not gaps
@@ -1266,7 +1268,7 @@ def test_evaluate_cv_fits_the_other_columns_where_one_overflows():
 
     def per_fold(X, k):
         scores = []
-        for train_idx, valid_idx in kfold_indices(40, k, 0):
+        for train_idx, valid_idx in fold_pairs(kfold_indices(40, k, 0), k):
             Xtr, Xva = impute_columns(X[train_idx], X[valid_idx])
             cols = [1] if Xtr[:, 0].max() >= 1e200 else [0, 1]
             pred = predict(train(spec, Xtr[:, cols], y[train_idx], Task.REGRESSION),
@@ -1286,7 +1288,7 @@ def test_evaluate_cv_fits_the_other_columns_where_one_overflows():
     gapped[5, 1] = np.nan  # fits each training fold as gathered
     assert evaluate_cv(spec, gapped.T, y, Task.REGRESSION, k=5, seed=0) == pytest.approx(
         per_fold(gapped, 5), rel=1e-9)
-    (_, fold_a), (_, fold_b) = kfold_indices(40, 2, 0)
+    (_, fold_a), (_, fold_b) = fold_pairs(kfold_indices(40, 2, 0), 2)
     X[[fold_a[0], fold_b[0]], 0] = 1e200  # every training fold holds one
     assert evaluate_cv(spec, X.T, y, Task.REGRESSION, k=2, seed=0) == pytest.approx(
         per_fold(X, 2), rel=1e-9)
