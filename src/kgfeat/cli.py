@@ -31,14 +31,6 @@ _PATH_KEYS = ("dataset", "schema", "kg", "mapping", "out")  # a manifest's file 
 # fields (a null option is absent).
 _MANIFEST_SHAPE = {**dict.fromkeys(_PATH_KEYS, (str, None)), "engine": (
     {"learner": (str, None), **{key: (t, None) for key, t in eng.ENGINE_OPTIONS.items()}}, None)}
-# The fields of result.json that explain and report read; each expr is
-# checked as it is parsed.
-_EXPLAIN_READS = {"config": {"kg_path": str, "mapping_path": (str, None)},
-                  "best_features": [{"display_name": str, "expr": object, "verdict": object}],
-                  "discard_log": [{"display_name": str, "expr": object, "reason": object}]}
-_REPORT_READS = {"config": {"dataset_path": str, "schema_path": str, "seed": (int, None)},
-                 "best_features": [{"display_name": str, "expr": object, "raw": bool}],
-                 "order_sweep": ([[float]], None)}
 
 
 def _load_manifest(path):
@@ -50,10 +42,10 @@ def _load_manifest(path):
     return doc
 
 
-def _load_result(path, reads):
-    """The FEResult in a result file, checked for the fields `reads` gives."""
+def _load_result(path):
+    """The FEResult in a result file (checked by `FEResult.from_json`)."""
     _check_inputs({"result file": path})
-    return eng.FEResult.from_json(read_json(path, reads, eng.EngineError), path)
+    return eng.FEResult.from_json(read_json(path, object, eng.EngineError), path)
 
 
 def _build_config(doc, args):
@@ -192,7 +184,7 @@ def _print_tree(expr, kg, nodes, indent=1):
 
 
 def cmd_explain(args) -> int:
-    result = _load_result(args.result, _EXPLAIN_READS)
+    result = _load_result(args.result)
     known = {f["display_name"]: i for i, f in enumerate(result.best_features)}
     discarded = {e["display_name"]: i for i, e in enumerate(result.discard_log)}
     name = args.feature
@@ -217,7 +209,7 @@ def cmd_explain(args) -> int:
 
 
 def cmd_report(args) -> int:
-    result = _load_result(args.result, _REPORT_READS)
+    result = _load_result(args.result)
     unpaired = [i for i, pair in enumerate(result.order_sweep or []) if len(pair) != 2]
     if unpaired:
         raise eng.EngineError(f"{args.result}: order_sweep[{unpaired[0]}] is not a "

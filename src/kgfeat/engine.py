@@ -138,10 +138,15 @@ class FEResult:
 
 # The keys of result.json: every FEResult field but the in-memory traces.
 _RESULT_KEYS = tuple(f.name for f in fields(FEResult) if f.name != "traces")
-# Every key is present, and the fields readers iterate or index are typed;
-# order_sweep may be null or absent.
-_RESULT_SHAPE = {**dict.fromkeys(_RESULT_KEYS, object), "best_features": [dict],
-                 "discard_log": [dict], "config": dict, "order_sweep": ([list], None)}
+# Every key is present, with the fields `explain` and `report` read typed;
+# order_sweep may be null or absent, and each expr is checked as it is parsed.
+_RESULT_SHAPE = {
+    **dict.fromkeys(_RESULT_KEYS, object),
+    "config": {"kg_path": str, "mapping_path": (str, None), "dataset_path": str,
+               "schema_path": str, "seed": (int, None)},
+    "best_features": [{"display_name": str, "expr": object, "verdict": object, "raw": bool}],
+    "discard_log": [{"display_name": str, "expr": object, "reason": object}],
+    "order_sweep": ([[float]], None)}
 
 
 def compute_reward(prev: float, new: float) -> float:

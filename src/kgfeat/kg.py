@@ -44,6 +44,18 @@ class Unit:
             return "dim:1"
         return "dim:" + ",".join(f"{d}={e}" for d, e in self.dims)
 
+    def __mul__(self, other: "Unit") -> "Unit":
+        dims = self.dims_dict()
+        for d, e in other.dims:
+            dims[d] = dims.get(d, 0) + e
+        return Unit(dims=tuple(sorted((d, e) for d, e in dims.items() if e != 0)))
+
+    def __truediv__(self, other: "Unit") -> "Unit":
+        return self * other ** -1
+
+    def __pow__(self, exponent) -> "Unit":
+        return Unit(dims=tuple((d, e * Fraction(exponent)) for d, e in self.dims if exponent))
+
 
 def _normalize(exponents: dict) -> tuple:
     for d in exponents:
@@ -97,14 +109,15 @@ class KnowledgeGraph:
     unit_class: dict                  # unit name -> asserted class
     column_concepts: dict             # column -> (class, unit name or None)
     rules: list
-    concept_order: list               # fixed index of classes + unit names
     _parents: dict = field(default_factory=dict)  # class -> its direct parents
     _ancestors: dict = field(default_factory=dict)
     class_set: frozenset = field(init=False)  # `classes`, for membership tests
     unit_names: dict = field(init=False)      # dims -> first registered name
+    concept_order: list = field(init=False)   # fixed index of classes + unit names
 
     def __post_init__(self):
         self.class_set = frozenset(self.classes)
+        self.concept_order = self.classes + list(self.unit_registry)
         # in reverse, so the first name registered for some dims is kept
         self.unit_names = {u.dims: name for name, u in reversed(self.unit_registry.items())}
 
@@ -129,7 +142,7 @@ class KnowledgeGraph:
 
 
 def empty_kg() -> KnowledgeGraph:
-    return KnowledgeGraph([], {}, {}, {}, [], [])
+    return KnowledgeGraph([], {}, {}, {}, [])
 
 
 # The shapes of a KG document and of a column-to-concept mapping document.
@@ -159,21 +172,21 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
             raise KGError(f"{path}: subclass_of entry {pair!r} is not two class names")
         for c in pair:
             if c not in class_set:
-                raise KGError(f"subclass edge references unknown class {c!r}")
+                raise KGError(f"{path}: subclass edge references unknown class {c!r}")
         parents.setdefault(pair[0], []).append(pair[1])
     try:
         graphlib.TopologicalSorter(parents).prepare()
     except graphlib.CycleError as exc:
-        raise KGError(f"cycle in subclass edges at {exc.args[1][0]!r}") from None
+        raise KGError(f"{path}: cycle in subclass edges at {exc.args[1][0]!r}") from None
 
     unit_registry, unit_class = {}, {}
     for i, u in enumerate(doc.get("units") or []):
         name = u["name"]
         if name in unit_registry:
-            raise KGError(f"duplicate unit name {name!r}")
+            raise KGError(f"{path}: duplicate unit name {name!r}")
         cls = "Units" if u.get("class") is None else u["class"]
         if cls not in class_set:
-            raise KGError(f"unit {name!r} references unknown class {cls!r}")
+            raise KGError(f"{path}: unit {name!r} references unknown class {cls!r}")
         try:
             unit_registry[name] = Unit(dims=_normalize(u.get("dims") or {}))
         except (ValueError, ArithmeticError) as exc:  # a KGError, or an exponent Fraction rejects
@@ -182,9 +195,9 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
 
     for name, q in (doc.get("quantities") or {}).items():
         if name not in unit_registry:
-            raise KGError(f"quantity entry for unknown unit {name!r}")
+            raise KGError(f"{path}: quantity entry for unknown unit {name!r}")
         if q not in class_set:
-            raise KGError(f"quantity entry references unknown class {q!r}")
+            raise KGError(f"{path}: quantity entry references unknown class {q!r}")
 
     # The arity of each predicate the reasoner interprets, and its wording.
     arity = {**dict.fromkeys(classes, (1, "one argument")), "Different": (2, "two arguments")}
@@ -212,13 +225,13 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
     for col, entry in mapping.items():
         cls, unit = entry["class"], entry.get("unit")
         if cls not in class_set:
-            raise KGError(f"mapping for {col!r} references unknown class {cls!r}")
+            raise KGError(f"{mapping_path}: mapping for {col!r} references unknown class {cls!r}")
         if unit is not None and unit not in unit_registry:
-            raise KGError(f"mapping for {col!r} references unknown unit {unit!r}")
+            raise KGError(f"{mapping_path}: mapping for {col!r} references unknown unit {unit!r}")
         column_concepts[col] = (cls, unit)
 
     return KnowledgeGraph(classes, unit_registry, unit_class, column_concepts, rules,
-                          concept_order=classes + list(unit_registry), _parents=parents)
+                          _parents=parents)
 
 
 def subsumes(kg: KnowledgeGraph, sub: str, sup: str) -> bool:
@@ -238,54 +251,11 @@ def is_instance(kg: KnowledgeGraph, unit_name: str, cls: str) -> bool:
     return subsumes(kg, kg.unit_class[unit_name], cls)
 
 
-def _combine(a: Unit, b: Unit, sign: int) -> Unit:
-    dims = a.dims_dict()
-    for d, e in b.dims:
-        dims[d] = dims.get(d, Fraction(0)) + sign * e
-    return Unit(dims=tuple(sorted((d, e) for d, e in dims.items() if e != 0)))
-
-
-def _scale(a: Unit, factor) -> Unit:
-    return Unit(dims=tuple((d, e * Fraction(factor)) for d, e in a.dims))
-
-
-def _same(a: Unit, b: Unit) -> Optional[Unit]:
-    return a if a == b else None
-
-
-# Each transform's KG meaning: the class its application asserts, and its
-# unit rule, a function of its operand units (an aggregation's value only);
-# a None rule makes the result dimensionless whatever the inputs are.
-TRANSFORMS = {
-    "log": ("Logarithm", lambda a: DIMENSIONLESS if a.dimensionless else None),
-    "sqrt": ("SquareRoot", lambda a: _scale(a, Fraction(1, 2))),
-    "square": ("Square", lambda a: _scale(a, 2)),
-    "reciprocal": ("Reciprocal", lambda a: _scale(a, -1)),
-    "one_hot": ("OneHotEncoding", None),
-    "add": ("Addition", _same),
-    "sub": ("Subtraction", _same),
-    "mul": ("Multiplication", lambda a, b: _combine(a, b, 1)),
-    "div": ("Division", lambda a, b: _combine(a, b, -1)),
-    "and": ("LogicalAnd", None),
-    "or": ("LogicalOr", None),
-    "group_min": ("aggregationMin", lambda a: a),
-    "group_max": ("aggregationMax", lambda a: a),
-    "group_mean": ("aggregationMean", lambda a: a),
-    "group_sum": ("aggregationSum", lambda a: a),
-    "day": ("DateDay", None),
-    "month": ("DateMonth", None),
-    "year": ("DateYear", None),
-    "is_weekend": ("DateIsWeekend", None),
-}
-
-
 def propagate_unit(op_name: str, input_units) -> Optional[Unit]:
-    """Unit algebra over one transform application, by the op's
-    `TRANSFORMS` rule; None means unknown. Unless the op's result is always
+    """Unit algebra over one transform application, by the unit rule of the
+    op's catalog row; None means unknown. Unless the op's result is always
     dimensionless, any unknown input makes the result unknown."""
-    if op_name not in TRANSFORMS:
-        raise KGError(f"unknown transform {op_name!r}")
-    rule = TRANSFORMS[op_name][1]
+    rule = catalog_op(op_name).unit
     if rule is None:
         return DIMENSIONLESS
     units = list(input_units)
@@ -413,7 +383,7 @@ def materialize_facts(kg: KnowledgeGraph, expr: Expr):
             unit = kg.unit_registry.get(unit_name)
         else:
             t = ("t", node)
-            facts.update({(TRANSFORMS[node.op][0], t), ("hasOutput", t, node)})
+            facts.update({(catalog_op(node.op).kg_class, t), ("hasOutput", t, node)})
             facts.update(("hasInput", t, child) for child in _operands(node))
             unit = propagate_unit(node.op, [nodes[c][0] for c in _operands(node)])
             unit_name = unit_token(kg, unit)

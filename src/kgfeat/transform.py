@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product, starmap
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -23,10 +23,16 @@ class Arity(str, Enum):
 
 @dataclass(frozen=True)
 class TransformOp:
+    """One operator, whole: what it takes and gives, computes, shows and means."""
     name: str
     arity: Arity
     inputs: tuple                     # operand kinds, an aggregation's key first
     output: Kind
+    values: Callable                  # (node, *operand features) -> the node's float64 cells
+    label: str                        # display name over operand names {0}, {1} and {level}
+    kg_class: str                     # the KG class its application asserts
+    # the rule over operand units (an aggregation's value only); None: always dimensionless
+    unit: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -55,24 +61,102 @@ class Node:
 
 Expr = Union[RawRef, Node]
 
+
+def _cells(fn):
+    """The `values` of an element-wise op: `fn` of its operands' cells."""
+    return lambda _node, *operands: fn(*[f.values for f in operands])
+
+
+def _logical(fn):
+    """A logical op on 0/1 operands, NaN where either operand is NaN."""
+    return _cells(lambda a, b: np.where(np.isnan(a) | np.isnan(b), np.nan, fn(a != 0, b != 0)))
+
+
+def _one_hot(node, f):
+    """1 where a row has the node's level, 0 where it has another; a missing
+    cell stays missing."""
+    levels, codes = categorical_levels(f)
+    values = (codes == levels.get(node.level, -1)).astype(float)
+    values[np.isnan(f.values)] = np.nan
+    return values
+
+
+def _group(fn):
+    """The `values` of an aggregation: each row's `fn` of its group's present
+    values, in row order; NaN where the group has none."""
+    def values(_node, key, value):
+        groups, vv = categorical_levels(key)[1], value.values
+        out = np.full_like(vv, np.nan, dtype=float)
+        present = ~np.isnan(vv)
+        for g in np.flatnonzero(np.bincount(groups)):
+            sel = groups == g
+            member = vv[sel & present]
+            if len(member):
+                out[sel] = fn(member)
+        return out
+    return values
+
+
+def _date(fn):
+    """The `values` of a date op: `fn` of the present cells as datetime64[D]."""
+    def values(_node, f):
+        out = np.full_like(f.values, np.nan, dtype=float)
+        ok = ~np.isnan(f.values)
+        out[ok] = fn(f.values[ok].astype("int64").astype("datetime64[D]"))
+        return out
+    return values
+
+
 _N, _B, _C, _D = Kind.NUMERIC, Kind.BOOLEAN, Kind.CATEGORICAL, Kind.DATE
+_U, _BI, _AG, _DT = Arity.UNARY, Arity.BINARY, Arity.AGGREGATION, Arity.DATE
+_MONTH, _YEAR = "datetime64[M]", "datetime64[Y]"
+# A NaN operand gives a NaN cell. A domain violation (log or sqrt of a negative,
+# division by zero) or an overflow gives inf or NaN, which `_derive` makes NaN.
 # No operator returns a Categorical or Date result, so a feature of either
 # kind is always a raw column.
 _CATALOG = {op.name: op for op in (
-    [TransformOp(n, Arity.UNARY, (_N,), _N) for n in ("log", "sqrt", "square", "reciprocal")]
-    + [TransformOp("one_hot", Arity.UNARY, (_C,), _B)]
-    + [TransformOp(n, Arity.BINARY, (_N, _N), _N) for n in ("add", "sub", "mul", "div")]
-    + [TransformOp(n, Arity.BINARY, (_B, _B), _B) for n in ("and", "or")]
-    + [TransformOp(n, Arity.AGGREGATION, (_C, _N), _N)
-       for n in ("group_min", "group_max", "group_mean", "group_sum")]
-    + [TransformOp(n, Arity.DATE, (_D,), _N) for n in ("day", "month", "year")]
-    + [TransformOp("is_weekend", Arity.DATE, (_D,), _B)]
+    TransformOp("log", _U, (_N,), _N, _cells(np.log), "LOG({0})", "Logarithm",
+                lambda a: a if a.dimensionless else None),
+    TransformOp("sqrt", _U, (_N,), _N, _cells(np.sqrt), "SQRT({0})", "SquareRoot",
+                lambda a: a ** 0.5),
+    TransformOp("square", _U, (_N,), _N, _cells(lambda v: v ** 2), "SQUARE({0})", "Square",
+                lambda a: a ** 2),
+    TransformOp("reciprocal", _U, (_N,), _N, _cells(lambda v: 1.0 / v), "RECIPROCAL({0})",
+                "Reciprocal", lambda a: a ** -1),
+    TransformOp("one_hot", _U, (_C,), _B, _one_hot, "ONE_HOT({0}={level})", "OneHotEncoding"),
+    TransformOp("add", _BI, (_N, _N), _N, _cells(np.add), "({0} + {1})", "Addition",
+                lambda a, b: a if a == b else None),
+    TransformOp("sub", _BI, (_N, _N), _N, _cells(np.subtract), "({0} - {1})", "Subtraction",
+                lambda a, b: a if a == b else None),
+    TransformOp("mul", _BI, (_N, _N), _N, _cells(np.multiply), "({0} * {1})", "Multiplication",
+                lambda a, b: a * b),
+    TransformOp("div", _BI, (_N, _N), _N, _cells(np.divide), "({0} / {1})", "Division",
+                lambda a, b: a / b),
+    TransformOp("and", _BI, (_B, _B), _B, _logical(np.logical_and), "({0} AND {1})",
+                "LogicalAnd"),
+    TransformOp("or", _BI, (_B, _B), _B, _logical(np.logical_or), "({0} OR {1})", "LogicalOr"),
+    TransformOp("group_min", _AG, (_C, _N), _N, _group(np.min), "GROUP_MIN({1} BY {0})",
+                "aggregationMin", lambda a: a),
+    TransformOp("group_max", _AG, (_C, _N), _N, _group(np.max), "GROUP_MAX({1} BY {0})",
+                "aggregationMax", lambda a: a),
+    TransformOp("group_mean", _AG, (_C, _N), _N, _group(np.mean), "GROUP_MEAN({1} BY {0})",
+                "aggregationMean", lambda a: a),
+    TransformOp("group_sum", _AG, (_C, _N), _N, _group(np.sum), "GROUP_SUM({1} BY {0})",
+                "aggregationSum", lambda a: a),
+    TransformOp("day", _DT, (_D,), _N, _date(lambda d: (d - d.astype(_MONTH)).astype(int) + 1),
+                "DAY({0})", "DateDay"),
+    TransformOp("month", _DT, (_D,), _N, _date(lambda d: d.astype(_MONTH).astype(int) % 12 + 1),
+                "MONTH({0})", "DateMonth"),
+    TransformOp("year", _DT, (_D,), _N, _date(lambda d: d.astype(_YEAR).astype(int) + 1970),
+                "YEAR({0})", "DateYear"),
+    # 1970-01-01 was a Thursday (weekday index 3, Monday = 0)
+    TransformOp("is_weekend", _DT, (_D,), _B, _date(lambda d: (d.astype(int) + 3) % 7 >= 5),
+                "IS_WEEKEND({0})", "DateIsWeekend"),
 )}
 # A node's `type` and operand fields in result.json, per arity.
 _JSON_FIELDS = {Arity.UNARY: ("unary", ("child",)), Arity.BINARY: ("binary", ("left", "right")),
                 Arity.AGGREGATION: ("agg", ("key", "value")), Arity.DATE: ("date", ("child",))}
 
-_BINARY_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/", "and": "AND", "or": "OR"}
 # Operand pairs per binary op: a commutative op takes each unordered pair once,
 # and a logical one never pairs a feature with itself.
 _PAIRS = {"add": combinations_with_replacement, "mul": combinations_with_replacement,
@@ -121,18 +205,7 @@ def render_name(expr: Expr) -> str:
     column names and one-hot levels read as written."""
     if isinstance(expr, RawRef):
         return expr.name
-    return _node_name(expr, [render_name(c) for c in expr.args])
-
-
-def _node_name(expr: Node, names: list) -> str:
-    """`render_name` of a node whose operands render as `names`."""
-    if expr.op == "one_hot":
-        return f"ONE_HOT({names[0]}={expr.level})"
-    if expr.op in _BINARY_SYMBOL:
-        return f"({names[0]} {_BINARY_SYMBOL[expr.op]} {names[1]})"
-    if catalog_op(expr.op).arity == Arity.AGGREGATION:
-        return f"{expr.op.upper()}({names[1]} BY {names[0]})"
-    return f"{expr.op.upper()}({names[0]})"
+    return catalog_op(expr.op).label.format(*map(render_name, expr.args), level=expr.level)
 
 
 def expr_to_json(expr: Expr) -> dict:
@@ -198,50 +271,6 @@ def categorical_levels(f):
     return {**{values[i]: i for i in top}, _OTHER_LEVEL: n + 1}, np.where(rare, n + 1, codes)
 
 
-def _logical(fn):
-    """A logical op on 0/1 operands, NaN where either operand is NaN."""
-    return lambda a, b: np.where(np.isnan(a) | np.isnan(b), np.nan, fn(a != 0, b != 0))
-
-
-# Element-wise transforms; a NaN operand gives a NaN cell. A domain violation
-# (log or sqrt of a negative, division by zero) or an overflow gives inf or
-# NaN, and `_derive`, which computes them under one np.errstate(all="ignore"),
-# makes inf NaN.
-_UNARY_FNS = {"log": np.log, "sqrt": np.sqrt, "square": lambda v: v ** 2,
-              "reciprocal": lambda v: 1.0 / v}
-_BINARY_FNS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide,
-               "and": _logical(np.logical_and), "or": _logical(np.logical_or)}
-
-
-def _agg_values(op: str, groups: np.ndarray, vv: np.ndarray):
-    """Each row's aggregate of its group's present values, in row order; NaN
-    where the group has none."""
-    out = np.full_like(vv, np.nan, dtype=float)
-    present = ~np.isnan(vv)
-    fn = getattr(np, op.removeprefix("group_"))  # np.min, max, mean or sum
-    for g in np.flatnonzero(np.bincount(groups)):
-        sel = groups == g
-        member = vv[sel & present]
-        if len(member):
-            out[sel] = fn(member)
-    return out
-
-
-def _date_values(op: str, days: np.ndarray):
-    out = np.full_like(days, np.nan, dtype=float)
-    ok = ~np.isnan(days)
-    d64 = days[ok].astype("int64").astype("datetime64[D]")
-    if op == "day":
-        out[ok] = (d64 - d64.astype("datetime64[M]")).astype(int) + 1
-    elif op == "month":
-        out[ok] = d64.astype("datetime64[M]").astype(int) % 12 + 1
-    elif op == "year":
-        out[ok] = d64.astype("datetime64[Y]").astype(int) + 1970
-    else:  # is_weekend; 1970-01-01 was a Thursday (weekday index 3, Monday = 0)
-        out[ok] = (((days[ok].astype("int64") + 3) % 7) >= 5).astype(float)
-    return out
-
-
 def _derive(expr: Expr, operands) -> Feature:
     """Compute one expression node from its operands' features, given in
     `children(expr)` order."""
@@ -251,25 +280,10 @@ def _derive(expr: Expr, operands) -> Feature:
         raise TransformError(f"{op.name} takes {[k.value for k in op.inputs]} "
                              f"input, got {[k.value for k in kinds]}")
     with np.errstate(all="ignore"):
-        if op.name == "one_hot":
-            (f,) = operands
-            levels, codes = categorical_levels(f)
-            values = (codes == levels.get(expr.level, -1)).astype(float)
-            values[np.isnan(f.values)] = np.nan
-        elif op.arity == Arity.UNARY:
-            (f,) = operands
-            values = _UNARY_FNS[op.name](f.values)
-        elif op.arity == Arity.BINARY:
-            a, b = operands
-            values = _BINARY_FNS[op.name](a.values, b.values)
-        elif op.arity == Arity.AGGREGATION:
-            k, v = operands
-            values = _agg_values(op.name, categorical_levels(k)[1], v.values)
-        else:
-            (f,) = operands
-            values = _date_values(op.name, f.values)
+        values = op.values(expr, *operands)
     values[np.isinf(values)] = np.nan  # an overflow or a division by zero
-    return Feature(expr, values, op.output, _node_name(expr, [f.name for f in operands]))
+    name = op.label.format(*[f.name for f in operands], level=expr.level)
+    return Feature(expr, values, op.output, name)
 
 
 def apply(expr: Expr, d: Dataset) -> Feature:
@@ -426,7 +440,9 @@ def expand_action(op: TransformOp, pool, y: np.ndarray, cap: int, max_order: int
 
     new = new_candidates()
     ranked = None
-    if len(y) > _RANK_ROWS and op.name != "one_hot" and op.arity != Arity.AGGREGATION:
+    # An op that reads a categorical sees its levels counted over all rows,
+    # which a sample of the rows would not count alike.
+    if len(y) > _RANK_ROWS and Kind.CATEGORICAL not in op.inputs:
         new = list(new)
         if len(new) > _FINALISTS * cap:
             ranked = _confirmed(score, _by_sample_rank(new, y), _FINALISTS * cap)

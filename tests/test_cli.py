@@ -331,6 +331,37 @@ def test_kg_check_wrong_json_type_exits_one_naming_the_file_and_path(tmp_path, c
     assert capsys.readouterr().err == f"error: {tmp_path}{os.sep}{named}\n"
 
 
+@pytest.mark.parametrize("kg, mapping, named", [
+    ({"classes": ["A"], "subclass_of": [["A", "B"]]}, None,
+     "kg.json: subclass edge references unknown class 'B'"),
+    ({"classes": ["A", "B"], "subclass_of": [["A", "B"], ["B", "A"]]}, None,
+     "kg.json: cycle in subclass edges at 'A'"),
+    ({"classes": ["Units"], "units": [{"name": "kg"}, {"name": "kg"}]}, None,
+     "kg.json: duplicate unit name 'kg'"),
+    ({"classes": ["Units"], "units": [{"name": "kg", "class": "Foo"}]}, None,
+     "kg.json: unit 'kg' references unknown class 'Foo'"),
+    ({"classes": ["Mass"], "quantities": {"kg": "Mass"}}, None,
+     "kg.json: quantity entry for unknown unit 'kg'"),
+    ({"classes": ["Units"], "units": [{"name": "kg"}], "quantities": {"kg": "Mass"}}, None,
+     "kg.json: quantity entry references unknown class 'Mass'"),
+    ({"classes": ["Weight"]}, {"x": {"class": "Foo"}},
+     "map.json: mapping for 'x' references unknown class 'Foo'"),
+    ({"classes": ["Weight"]}, {"x": {"class": "Weight", "unit": "kg"}},
+     "map.json: mapping for 'x' references unknown unit 'kg'"),
+])
+def test_kg_check_unknown_or_inconsistent_entry_exits_one_naming_the_file(tmp_path, capsys, kg,
+                                                                        mapping, named):
+    # each named the entry but not the file it is in
+    (tmp_path / "kg.json").write_text(json.dumps(kg))
+    (tmp_path / "data.csv").write_text("a,b\n1,2\n")
+    argv = ["kg-check", "--kg", str(tmp_path / "kg.json"), "--dataset", str(tmp_path / "data.csv")]
+    if mapping is not None:
+        (tmp_path / "map.json").write_text(json.dumps(mapping))
+        argv += ["--mapping", str(tmp_path / "map.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path}{os.sep}{named}\n"
+
+
 @pytest.mark.parametrize("field, value", [("quantities", []), ("rules", {})])
 def test_run_with_a_kg_container_of_the_wrong_type_exits_one(tmp_path, planted_paths, capsys,
                                                              field, value):
@@ -418,6 +449,12 @@ def test_explain_known_and_unknown_feature(tmp_path, planted_paths, capsys):
     assert "unknown feature" in capsys.readouterr().err
 
 
+# The inputs every result.json names; explain reads only the KG files.
+_RESULT_INPUTS = {"kg_path": kgfeat.resource_path("default_kg.json"),
+                  "dataset_path": kgfeat.resource_path("diabetes.csv"),
+                  "schema_path": kgfeat.resource_path("diabetes.schema.json")}
+
+
 def test_explain_derived_feature_tree(tmp_path, capsys):
     # a leaf prints its mapped unit, a derived node the unit its hasUnit fact
     # names (the registered name for its dims, else the dims token), an
@@ -426,12 +463,11 @@ def test_explain_derived_feature_tree(tmp_path, capsys):
     mapping.write_text(json.dumps({"weight": {"class": "Weight", "unit": "kg"},
                                    "height": {"class": "Height", "unit": "m"}}))
     bmi = Node("div", (RawRef("weight"), Node("square", (RawRef("height"),))))
-    feature = {"display_name": "BMI BY STORE", "verdict": "interpretable",
+    feature = {"display_name": "BMI BY STORE", "verdict": "interpretable", "raw": False,
                "expr": expr_to_json(Node("group_mean", (RawRef("store"), bmi)))}
     result = FEResult(best_features=[feature], best_score=0.0, baseline_score=0.0,
                       episode_scores=[], best_trajectory=[], discard_log=[],
-                      config={"kg_path": kgfeat.resource_path("default_kg.json"),
-                              "mapping_path": str(mapping)}, seed=0)
+                      config={**_RESULT_INPUTS, "mapping_path": str(mapping)}, seed=0)
     result_path = tmp_path / "result.json"
     result_path.write_text(json.dumps(result.to_json()))
     assert main(["explain", str(result_path), "BMI BY STORE"]) == 0
@@ -471,12 +507,12 @@ def test_result_unit_name_is_the_unit_explain_prints(tmp_path, capsys, name, opt
 
 def test_explain_malformed_expression_exits_one(tmp_path, capsys):
     # a hand-edited result.json whose node type disagrees with its op
-    feature = {"display_name": "LOG(WEIGHT)", "verdict": "interpretable",
+    feature = {"display_name": "LOG(WEIGHT)", "verdict": "interpretable", "raw": False,
                "expr": {"type": "date", "op": "log",
                         "child": {"type": "raw", "name": "weight"}}}
     result = FEResult(best_features=[feature], best_score=0.0, baseline_score=0.0,
                       episode_scores=[], best_trajectory=[], discard_log=[],
-                      config={"kg_path": kgfeat.resource_path("default_kg.json")}, seed=0)
+                      config=dict(_RESULT_INPUTS), seed=0)
     result_path = tmp_path / "result.json"
     result_path.write_text(json.dumps(result.to_json()))
     assert main(["explain", str(result_path), "LOG(WEIGHT)"]) == 1
@@ -497,10 +533,11 @@ def test_explain_malformed_expression_exits_one(tmp_path, capsys):
      "best_features[0].expr.op is not a string"),
 ])
 def test_explain_incomplete_expression_exits_one(tmp_path, capsys, expr, message):
-    feature = {"display_name": "LOG(WEIGHT)", "verdict": "interpretable", "expr": expr}
+    feature = {"display_name": "LOG(WEIGHT)", "verdict": "interpretable", "raw": False,
+               "expr": expr}
     result = FEResult(best_features=[feature], best_score=0.0, baseline_score=0.0,
                       episode_scores=[], best_trajectory=[], discard_log=[],
-                      config={"kg_path": kgfeat.resource_path("default_kg.json")}, seed=0)
+                      config=dict(_RESULT_INPUTS), seed=0)
     result_path = tmp_path / "result.json"
     result_path.write_text(json.dumps(result.to_json()))
     assert main(["explain", str(result_path), "LOG(WEIGHT)"]) == 1

@@ -264,6 +264,9 @@ def test_max_order_sweep_orders_validated(planted):
 def test_result_json_round_trip(planted):
     d, kg, _ = planted
     result = run(small_cfg(), d, kg)
+    # a result file names its inputs, as `kgfeat run` writes them
+    result.config.update(kg_path="kg.json", mapping_path=None, dataset_path="d.csv",
+                         schema_path="s.json")
     doc = json.loads(json.dumps(result.to_json()))
     back = FEResult.from_json(doc)
     assert back.best_score == result.best_score

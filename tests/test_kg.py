@@ -556,7 +556,7 @@ def materialize_facts_numbered(kg, expr):
             unit = kg.unit_registry.get(unit_name)
         else:
             fid = f"t_{nid}"
-            _add_class_fact(kg, facts, kgmod.TRANSFORMS[node.op][0], fid)
+            _add_class_fact(kg, facts, catalog_op(node.op).kg_class, fid)
             facts.add(("hasOutput", fid, nid))
             for child in kgmod._operands(node):
                 facts.add(("hasInput", fid, seen[child][0]))

@@ -875,11 +875,59 @@ def test_apply_rejects_operands_of_the_wrong_kind(expr):
 def test_kg_tables_cover_the_catalog():
     from kgfeat import kg
 
-    assert set(kg.TRANSFORMS) == {op.name for op in catalog()}
     for op in catalog():
         # an aggregation's group key carries no unit into the result
         n_units = 1 if op.arity == Arity.AGGREGATION else len(op.inputs)
         kg.propagate_unit(op.name, [kg.DIMENSIONLESS] * n_units)
+
+
+# Each op over operands a and b (numeric in kg and m, or Boolean), k (a
+# categorical, one-hot at level x) and d (a date): its display name, KG class,
+# output kind and the dims token of its unit (None where it is unknown).
+_CATALOG_ROWS = [
+    ("log", "LOG(a)", "Logarithm", Kind.NUMERIC, None),
+    ("sqrt", "SQRT(a)", "SquareRoot", Kind.NUMERIC, "dim:mass=1/2"),
+    ("square", "SQUARE(a)", "Square", Kind.NUMERIC, "dim:mass=2"),
+    ("reciprocal", "RECIPROCAL(a)", "Reciprocal", Kind.NUMERIC, "dim:mass=-1"),
+    ("one_hot", "ONE_HOT(k=x)", "OneHotEncoding", Kind.BOOLEAN, "dim:1"),
+    ("add", "(a + b)", "Addition", Kind.NUMERIC, None),
+    ("sub", "(a - b)", "Subtraction", Kind.NUMERIC, None),
+    ("mul", "(a * b)", "Multiplication", Kind.NUMERIC, "dim:length=1,mass=1"),
+    ("div", "(a / b)", "Division", Kind.NUMERIC, "dim:length=-1,mass=1"),
+    ("and", "(a AND b)", "LogicalAnd", Kind.BOOLEAN, "dim:1"),
+    ("or", "(a OR b)", "LogicalOr", Kind.BOOLEAN, "dim:1"),
+    ("group_min", "GROUP_MIN(a BY k)", "aggregationMin", Kind.NUMERIC, "dim:mass=1"),
+    ("group_max", "GROUP_MAX(a BY k)", "aggregationMax", Kind.NUMERIC, "dim:mass=1"),
+    ("group_mean", "GROUP_MEAN(a BY k)", "aggregationMean", Kind.NUMERIC, "dim:mass=1"),
+    ("group_sum", "GROUP_SUM(a BY k)", "aggregationSum", Kind.NUMERIC, "dim:mass=1"),
+    ("day", "DAY(d)", "DateDay", Kind.NUMERIC, "dim:1"),
+    ("month", "MONTH(d)", "DateMonth", Kind.NUMERIC, "dim:1"),
+    ("year", "YEAR(d)", "DateYear", Kind.NUMERIC, "dim:1"),
+    ("is_weekend", "IS_WEEKEND(d)", "DateIsWeekend", Kind.BOOLEAN, "dim:1"),
+]
+
+
+def test_catalog_rows_read_as_written():
+    import kgfeat
+    from kgfeat import kg as kgmod
+
+    kg = kgmod.load_kg(kgfeat.resource_path("default_kg.json"))
+    kg.column_concepts.update(a=("Weight", "kg"), b=("Height", "m"))
+    assert [row[0] for row in _CATALOG_ROWS] == [op.name for op in catalog()]
+    operands = {Kind.NUMERIC: [num_col("a", [1.0, 2.0]), num_col("b", [3.0, 4.0])],
+                Kind.BOOLEAN: [num_col(n, [0.0, 1.0], kind=Kind.BOOLEAN) for n in "ab"],
+                Kind.CATEGORICAL: [cat_col("k", ["x", "y"])],
+                Kind.DATE: [num_col("d", [0.0, 1.0], kind=Kind.DATE)]}
+    for name, label, kg_class, output, unit in _CATALOG_ROWS:
+        op = catalog_op(name)
+        args = [operands[kind][op.inputs[:i].count(kind)] for i, kind in enumerate(op.inputs)]
+        expr = Node(name, tuple(f.expr for f in args), "x" if name == "one_hot" else None)
+        assert render_name(expr) == label
+        assert _derive(expr, args).name == label
+        assert (op.kg_class, op.output) == (kg_class, output)
+        assert op.kg_class in kg.class_set  # a class of the shipped KG
+        got = kgmod.materialize_facts(kg, expr)[1][expr][0]
+        assert (got and got.dims_token()) == unit, name
 
 
 @settings(max_examples=40, deadline=None)
