@@ -28,6 +28,10 @@ class AgentConfig:
             raise AgentError("gamma must lie in [0, 1]")
         if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
             raise AgentError("epsilon bounds must satisfy 0 <= end <= start <= 1")
+        if not 0.0 <= self.epsilon_decay <= 1.0:
+            raise AgentError("epsilon decay must lie in [0, 1]")
+        if not 0.0 <= self.learning_rate < float("inf"):  # 0 freezes the net
+            raise AgentError("learning rate must be a finite number >= 0")
         if self.minibatch_size < 1:
             raise AgentError("minibatch size must be >= 1")
         if self.target_sync_period < 1:

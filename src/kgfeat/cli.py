@@ -25,7 +25,7 @@ EXIT_USER = 1
 EXIT_INTERNAL = 2
 
 _USER_ERRORS = (DataError, KGError, TransformError, LearnError, AgentError,
-                eng.EngineError, FileNotFoundError, json.JSONDecodeError)
+                eng.EngineError, OSError, json.JSONDecodeError)
 _PATH_KEYS = ("dataset", "schema", "kg", "mapping", "out")  # a manifest's file fields
 # A manifest: its file fields, and engine options typed as EngineConfig's
 # fields (a null option is absent).
@@ -64,12 +64,19 @@ def _build_config(doc, args):
 
 
 def _check_inputs(paths):
-    """Raise FileNotFoundError naming the first input file in `paths` (what ->
-    path) that does not exist; a mapping may be absent, and `out` is no input."""
+    """Raise an OSError naming the first path in `paths` (what -> path) that
+    is no file, or, for `out`, that is no directory or lies under a file; a
+    mapping may be absent, and an absent `out` is the working directory."""
     for what, path in paths.items():
-        if what != "out" and not (what == "mapping" and path is None) and not (
-                path and os.path.exists(path)):
-            raise FileNotFoundError(f"{what} not found: {path}")
+        if what == "out":
+            head = os.path.abspath(path or ".")
+            while not os.path.exists(head):  # the directory it would be made in
+                head = os.path.dirname(head)
+            if not os.path.isdir(head):
+                raise NotADirectoryError(f"out is not a directory: {path}")
+        elif not (what == "mapping" and path is None) and not (path and os.path.isfile(path)):
+            problem = "is not a file" if path and os.path.exists(path) else "not found"
+            raise FileNotFoundError(f"{what} {problem}: {path}")
 
 
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')
@@ -215,10 +222,9 @@ def cmd_report(args) -> int:
         raise eng.EngineError(f"{args.result}: order_sweep[{unpaired[0]}] is not a "
                               "[max_order, best_score] pair")
     out_dir = args.out or os.path.dirname(os.path.abspath(args.result))
-    os.makedirs(out_dir, exist_ok=True)
-
     paths = {"schema": result.config["schema_path"], "dataset": result.config["dataset_path"]}
-    _check_inputs(paths)
+    _check_inputs({**paths, "out": out_dir})
+    os.makedirs(out_dir, exist_ok=True)
     d = load_csv(paths["dataset"], SchemaConfig.from_json(paths["schema"]))
 
     raw = [i for i, f in enumerate(result.best_features) if f["raw"]]

@@ -10,8 +10,7 @@ from . import agent as ag
 from . import learn, transform
 from .data import Dataset, Feature, Kind, Task, check
 from .kg import KnowledgeGraph, Verdict, VerdictStatus, judge
-from .transform import (Expr, RawRef, catalog, expand_action, expr_from_json, expr_to_json,
-                        leaves)
+from .transform import RawRef, catalog, expand_action, expr_from_json, expr_to_json
 
 MAX_STEPS_PER_EPISODE = 20
 
@@ -66,32 +65,13 @@ ENGINE_OPTIONS = {f.name: type(f.default) for f in fields(EngineConfig)
 class PoolEntry:
     feature: Feature
     verdict: Verdict
-    concepts: np.ndarray              # phi_feature, built when the entry is made
-
-
-def phi_feature(kg: KnowledgeGraph, expr: Expr, unit_name: Optional[str]) -> np.ndarray:
-    """0/1 vector over the KG's concept order: each mapped leaf lights up its
-    class, the class ancestors, and its unit; the feature adds the name its
-    root's hasUnit fact uses (the verdict's unit_name) when that is a
-    concept, so a dimensionless derived feature (`dim:1`) lights no `count`
-    and a raw `mm` column no `m`. Unmapped leaves contribute nothing."""
-    index = {name: i for i, name in enumerate(kg.concept_order)}
-    vec = np.zeros(len(kg.concept_order), dtype=np.int64)
-    for leaf in leaves(expr):
-        if leaf.name in kg.column_concepts:
-            cls, leaf_unit = kg.column_concepts[leaf.name]
-            for concept in [cls, leaf_unit] + kg.ancestors(cls):
-                if concept in index:
-                    vec[index[concept]] = 1
-    if unit_name in index:
-        vec[index[unit_name]] = 1
-    return vec
 
 
 def phi_state(kg: KnowledgeGraph, pool) -> np.ndarray:
-    """Element-wise sum of the entries' concept vectors; fixed length
-    regardless of how many entries the pool holds."""
-    return sum((e.concepts for e in pool), np.zeros(len(kg.concept_order), dtype=np.int64))
+    """How many of the pool's entries light each concept, by their verdicts'
+    concepts; fixed length regardless of how many entries the pool holds."""
+    return np.bincount([i for e in pool for i in e.verdict.concepts],
+                       minlength=len(kg.concept_order))
 
 
 @dataclass
@@ -182,11 +162,7 @@ def importance(spec: learn.LearnerSpec, X: np.ndarray, y: np.ndarray,
 
 
 def raw_pool(d: Dataset, kg: KnowledgeGraph):
-    pool = []
-    for feat in d.feature_columns:
-        verdict = judge(kg, feat.expr)
-        pool.append(PoolEntry(feat, verdict, phi_feature(kg, feat.expr, verdict.unit_name)))
-    return pool
+    return [PoolEntry(feat, judge(kg, feat.expr)) for feat in d.feature_columns]
 
 
 class _Evaluator:
@@ -255,8 +231,7 @@ def run_episode(raw, kg: KnowledgeGraph, agent: ag.Agent,
                     "reason": verdict.reason,
                 })
             else:
-                kept.append(PoolEntry(cand, verdict,
-                                      phi_feature(kg, cand.expr, verdict.unit_name)))
+                kept.append(PoolEntry(cand, verdict))
         pool = pool + kept
         pool = _prune_to_budget(pool, cfg, evaluator)
 

@@ -6,10 +6,11 @@ import graphlib
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .data import read_json
-from .transform import Arity, Expr, RawRef, catalog_op, children
+from .transform import Arity, Expr, RawRef, catalog, catalog_op, children
 
 BASE_DIMENSIONS = ("mass", "length", "time", "temperature", "currency", "count")
 
@@ -90,12 +91,14 @@ class VerdictStatus(str, Enum):
 @dataclass(frozen=True)
 class Verdict:
     """A feature's status, the rule or check behind a discard, the unit
-    propagated to its root (None when unknown), and the name its root's
-    hasUnit fact uses (None when it has none)."""
+    propagated to its root (None when unknown), the name its root's hasUnit
+    fact uses (None when it has none), and the concepts it lights: sorted
+    indices into the KG's concept_order."""
     status: VerdictStatus
     reason: Optional[str] = None
     unit: Optional[Unit] = None
     unit_name: Optional[str] = None
+    concepts: tuple = ()
 
     @property
     def interpretable(self) -> bool:
@@ -114,10 +117,12 @@ class KnowledgeGraph:
     class_set: frozenset = field(init=False)  # `classes`, for membership tests
     unit_names: dict = field(init=False)      # dims -> first registered name
     concept_order: list = field(init=False)   # fixed index of classes + unit names
+    concept_index: dict = field(init=False)   # concept name -> its concept_order index
 
     def __post_init__(self):
         self.class_set = frozenset(self.classes)
         self.concept_order = self.classes + list(self.unit_registry)
+        self.concept_index = {name: i for i, name in enumerate(self.concept_order)}
         # in reverse, so the first name registered for some dims is kept
         self.unit_names = {u.dims: name for name, u in reversed(self.unit_registry.items())}
 
@@ -200,13 +205,20 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
             raise KGError(f"{path}: quantity entry references unknown class {q!r}")
 
     # The arity of each predicate the reasoner interprets, and its wording.
-    arity = {**dict.fromkeys(classes, (1, "one argument")), "Different": (2, "two arguments")}
+    arity = {**dict.fromkeys([*classes, "Feature", *(op.kg_class for op in catalog())],
+                             (1, "one argument")),
+             **dict.fromkeys(("Different", "hasInput", "hasOutput", "hasUnit"),
+                             (2, "two arguments"))}
+    # The predicates a fact can carry: those, and every rule's head.
+    known = {*arity, *(r["head"]["pred"] for r in doc.get("rules") or [])}
     rules = []
     for i, r in enumerate(doc.get("rules") or []):
         name = f"rule {i + 1}" if r.get("name") is None else r["name"]
         body = tuple(Atom(a["pred"], tuple(a["args"])) for a in r["body"])
         head = Atom(r["head"]["pred"], tuple(r["head"]["args"]))
         for a in (*body, head):
+            if a.pred not in known:
+                raise KGError(f"{path}: rule {name!r}: unknown predicate {a.pred!r}")
             n, words = arity.get(a.pred, (len(a.args), ""))
             if len(a.args) != n:
                 raise KGError(f"{path}: rule {name!r}: {a.pred} takes exactly {words}")
@@ -401,14 +413,22 @@ def judge(kg: KnowledgeGraph, expr: Expr) -> Verdict:
     Features whose leaves are all unmapped are Uncovered (retained by the
     fallback rule); rule-derived non-interpretability and unknown units are
     discarded; everything else is Interpretable. Every verdict carries the
-    root unit and its name.
+    root unit, its name and the feature's concepts: each mapped leaf's class,
+    that class's ancestors and the leaf's unit, plus the root's unit name
+    where it is a concept, so a dimensionless derived feature (`dim:1`)
+    lights no `count` and a raw `mm` column no `m`.
     """
     facts, nodes = materialize_facts(kg, expr)
     unit, name = nodes[expr]
-    if not any(isinstance(n, RawRef) and n.name in kg.column_concepts for n in nodes):
-        return Verdict(VerdictStatus.UNCOVERED, None, unit, name)
+    mapped = [kg.column_concepts[n.name] for n in nodes
+              if isinstance(n, RawRef) and n.name in kg.column_concepts]
+    lit = {name}.union(*((cls, u, *kg._ancestor_walk(cls)) for cls, u in mapped))
+    verdict = partial(Verdict, unit=unit, unit_name=name, concepts=tuple(sorted(
+        kg.concept_index[c] for c in lit if c in kg.concept_index)))
+    if not mapped:
+        return verdict(VerdictStatus.UNCOVERED)
     if isinstance(expr, RawRef):
-        return Verdict(VerdictStatus.INTERPRETABLE, None, unit, name)
+        return verdict(VerdictStatus.INTERPRETABLE)
     _, provenance = forward_chain(kg, facts)
     # A rule rejects a node by deriving nonInterpretable, or a class below it,
     # for the node; the first such fact in provenance order gives the reason.
@@ -417,10 +437,10 @@ def judge(kg: KnowledgeGraph, expr: Expr) -> Verdict:
     # The root, else the first sub-expression in post-order, a rule rejected.
     for node in (expr, *nodes):
         if node in rejected:
-            return Verdict(VerdictStatus.NON_INTERPRETABLE, rejected[node], unit, name)
+            return verdict(VerdictStatus.NON_INTERPRETABLE, rejected[node])
     if unit is None or (unit.dims and unit.dims not in kg.unit_names):
-        return Verdict(VerdictStatus.NON_INTERPRETABLE, "unknown unit", unit, name)
-    return Verdict(VerdictStatus.INTERPRETABLE, None, unit, name)
+        return verdict(VerdictStatus.NON_INTERPRETABLE, "unknown unit")
+    return verdict(VerdictStatus.INTERPRETABLE)
 
 
 def coverage(kg: KnowledgeGraph, columns) -> float:

@@ -188,13 +188,6 @@ def children(expr: Expr) -> tuple:
     return () if isinstance(expr, RawRef) else expr.args
 
 
-def leaves(expr: Expr) -> list:
-    """The raw references of an expression, left to right, repeats included."""
-    if isinstance(expr, RawRef):
-        return [expr]
-    return [leaf for c in children(expr) for leaf in leaves(c)]
-
-
 def order(expr: Expr) -> int:
     """Transform nodes on the deepest path; raw references have order 0."""
     return 0 if isinstance(expr, RawRef) else expr.order

@@ -48,6 +48,24 @@ def test_config_rejects_a_target_sync_period_below_one():
             AgentConfig(minibatch_size=2, target_sync_period=period)
 
 
+def test_config_rejects_an_epsilon_decay_outside_zero_and_one():
+    # a decay of 1.5 failed at the second selection: "epsilon must lie in [0, 1]"
+    for decay in (1.5, -0.1, float("nan")):
+        with pytest.raises(AgentError, match="epsilon decay"):
+            AgentConfig(epsilon_decay=decay)
+    for decay in (0.0, 1.0):
+        AgentConfig(epsilon_decay=decay)
+
+
+def test_config_rejects_a_learning_rate_that_is_not_finite_and_non_negative():
+    # a NaN rate trained the net to NaN Q-values, so the greedy branch
+    # always picked action 0; a rate of 0 keeps the net as it is
+    for rate in (float("nan"), float("inf"), -1e-3):
+        with pytest.raises(AgentError, match="learning rate"):
+            AgentConfig(learning_rate=rate)
+    AgentConfig(learning_rate=0.0)
+
+
 def test_epsilon_schedule():
     cfg = AgentConfig()
     assert epsilon_at(0, cfg) == 1.0

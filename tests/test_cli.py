@@ -666,6 +666,43 @@ def test_kg_check_missing_schema_exits_one_naming_it(tmp_path, planted_paths, ca
     assert main(argv) == 0  # the schema stays optional
 
 
+def _run_argv(planted_paths, out, dataset=None):
+    return ["run", "--dataset", dataset or planted_paths["csv"],
+            "--schema", planted_paths["schema"], "--kg", kgfeat.resource_path("default_kg.json"),
+            "--episodes", "1", "--steps", "1", "--learner", "linear", "--out", out]
+
+
+@pytest.mark.parametrize("out", ["taken", os.path.join("taken", "sub")],
+                         ids=["a-file", "under-a-file"])
+def test_run_out_that_is_no_directory_exits_one_before_loading(tmp_path, planted_paths,
+                                                               capsys, monkeypatch, out):
+    # the whole search ran, and then writing the outputs failed: "internal
+    # error: [Errno 17] File exists" (exit 2), or "[Errno 20] Not a directory"
+    (tmp_path / "taken").write_text("")
+    monkeypatch.setattr("kgfeat.cli.load_csv", lambda *a: pytest.fail("the dataset was read"))
+    bad = str(tmp_path / out)
+    assert main(_run_argv(planted_paths, bad)) == 1
+    assert capsys.readouterr().err == f"error: out is not a directory: {bad}\n"
+    assert (tmp_path / "taken").read_text() == ""
+
+
+def test_run_dataset_that_is_a_directory_exits_one_naming_it(tmp_path, planted_paths, capsys):
+    # "internal error: [Errno 21] Is a directory" (exit 2)
+    assert main(_run_argv(planted_paths, str(tmp_path / "never"), str(tmp_path))) == 1
+    assert capsys.readouterr().err == f"error: dataset is not a file: {tmp_path}\n"
+    assert not (tmp_path / "never").exists()
+
+
+def test_report_out_that_is_a_file_exits_one_naming_it(tmp_path, planted_paths, capsys):
+    # "internal error: [Errno 17] File exists" (exit 2)
+    _, out_dir = run_manifest(tmp_path, planted_paths)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    capsys.readouterr()
+    assert main(["report", os.path.join(out_dir, "result.json"), "--out", str(taken)]) == 1
+    assert capsys.readouterr().err == f"error: out is not a directory: {taken}\n"
+
+
 _LONG_FIELD = "x" * (csv.field_size_limit() + 1)
 
 

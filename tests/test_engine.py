@@ -8,8 +8,8 @@ from kgfeat import engine, learn, transform
 from kgfeat.agent import AgentConfig
 from kgfeat.data import Dataset, Task
 from kgfeat.engine import (EngineConfig, EngineError, FEResult, PoolEntry, _Evaluator,
-                           compute_reward, encode_feature, max_order_sweep,
-                           phi_feature, raw_pool, run, target_codes)
+                           compute_reward, encode_feature, max_order_sweep, raw_pool, run,
+                           target_codes)
 from kgfeat.kg import VerdictStatus, empty_kg, judge, load_kg
 from kgfeat.learn import LearnerSpec
 from kgfeat.transform import Node, RawRef
@@ -154,9 +154,7 @@ def test_prune_trains_the_run_learner_once(planted, monkeypatch, spec):
     pool = raw_pool(d, kg)
     for expr in (Node("square", (RawRef("x3"),)), signal,
                  Node("square", (RawRef("x4"),))):
-        feat = transform.apply(expr, d)
-        verdict = judge(kg, expr)
-        pool.append(PoolEntry(feat, verdict, phi_feature(kg, expr, verdict.unit_name)))
+        pool.append(PoolEntry(transform.apply(expr, d), judge(kg, expr)))
     trained = []
     train = learn.train
     monkeypatch.setattr(learn, "train", lambda s, *a: trained.append(s) or train(s, *a))
@@ -211,8 +209,7 @@ def test_evaluator_cache_tells_apart_columns_with_one_display_name():
     evaluator = _Evaluator(small_cfg(), d.task, target_codes(d))
     noise = raw_pool(d, empty_kg())[1]
     square = Node("square", (RawRef("a"),))
-    signal = PoolEntry(transform.apply(square, d), judge(empty_kg(), square),
-                       noise.concepts)
+    signal = PoolEntry(transform.apply(square, d), judge(empty_kg(), square))
     assert signal.feature.name == noise.feature.name
     assert evaluator.score([signal]) > 0.9
     assert evaluator.score([noise]) < 0.5
@@ -223,7 +220,7 @@ def test_evaluator_scores_a_pool_within_half_its_matrix():
     # cross-validation gathered and centred copies of each fold
     rng = np.random.default_rng(0)
     n, p = 20000, 45
-    pool = [PoolEntry(num_col(f"x{j}", rng.uniform(0.5, 2.0, n)), None, None)
+    pool = [PoolEntry(num_col(f"x{j}", rng.uniform(0.5, 2.0, n)), None)
             for j in range(p)]
     y = pool[0].feature.values / pool[1].feature.values ** 2 + rng.normal(0, 0.05, n)
     evaluator = _Evaluator(small_cfg(k_folds=5), Task.REGRESSION, y)

@@ -4,8 +4,9 @@ another's private name, every module-level private name is read somewhere
 in the package, every local a function assigns is read in it, every
 dataclass field is read somewhere in the package, JSON shapes are tested
 only by `data.check`, no module calls `csv.writer`, only `data` calls
-`csv.reader`, only `cli.main` reads `EXIT_USER`, and every text file is
-opened with an explicit encoding."""
+`csv.reader`, only `cli.main` reads `EXIT_USER`, every text file is
+opened with an explicit encoding, and a feature's concepts come from its
+verdict alone."""
 import ast
 import glob
 import os
@@ -410,3 +411,49 @@ def test_every_text_file_is_opened_with_an_encoding():
             found = opens_without_encoding(fh.read())
         assert not found, f"{os.path.basename(path)} opens text files without an encoding " \
                           f"at lines {found}"
+
+
+def identifiers(source):
+    """Each name a module reads, assigns or imports, and each attribute it reads."""
+    found = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.alias):
+            found.add(n.asname or n.name)
+    return found
+
+
+def definitions(source):
+    """The functions and classes a module defines, at any depth, and the
+    names it assigns at module level."""
+    tree = ast.parse(source)
+    found = {n.name for n in ast.walk(tree)
+             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    for stmt in tree.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+            [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+        found |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return found
+
+
+def test_identifiers_and_definitions_are_found():
+    source = ("from .kg import judge as j\nX: int = 1\nY = kg.ancestors(c)\n"
+              "def f(v):\n    leaves = v.column_concepts\n    class C:\n        pass\n")
+    assert identifiers(source) == {"j", "X", "int", "Y", "kg", "ancestors", "c", "leaves",
+                                   "v", "column_concepts"}
+    assert definitions(source) == {"X", "Y", "f", "C"}
+
+
+def test_concepts_come_from_the_verdict_alone():
+    # `kg.judge` walks an expression once and returns its concepts with the
+    # verdict; the engine walked it again, reading the KG's tables behind them
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            source = fh.read()
+        name = os.path.basename(path)
+        assert not definitions(source) & {"phi_feature", "leaves"}, name
+        if name == "engine.py":
+            assert not identifiers(source) & {"column_concepts", "ancestors", "concept_index"}

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 import kgfeat
 from kgfeat import kg as kgmod
-from kgfeat.engine import phi_feature
 from kgfeat.kg import (DIMENSIONLESS, KGError, Unit, VerdictStatus, coverage,
                        forward_chain, is_instance, judge, load_kg, propagate_unit,
                        subsumes)
-from kgfeat.transform import (Arity, Node, RawRef, catalog, catalog_op, children, leaves,
+from kgfeat.transform import (Arity, Node, RawRef, catalog, catalog_op, children,
                               render_name)
 
 from conftest import cat_col, make_dataset, num_col
@@ -219,6 +218,44 @@ def test_load_kg_validates_references(tmp_path):
         load_kg(str(path))
 
 
+def test_load_kg_refuses_a_body_predicate_no_fact_can_carry(tmp_path, kg_doc):
+    # misspelt, the rule loaded and never fired: WEIGHT + HEIGHT was
+    # discarded as an "unknown unit", not as a "mixed-unit addition"
+    doc = json.loads(json.dumps(kg_doc))
+    rule = next(r for r in doc["rules"] if r["name"] == "mixed-unit addition")
+    next(a for a in rule["body"] if a["pred"] == "hasUnit")["pred"] = "hasUnits"
+    path = tmp_path / "kg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(KGError) as exc:
+        load_kg(str(path))
+    assert str(exc.value) == f"{path}: rule 'mixed-unit addition': unknown predicate 'hasUnits'"
+
+
+def test_load_kg_knows_every_predicate_a_fact_can_carry(tmp_path):
+    # a KG class, a catalog row's transform class, Feature, the three
+    # relations, Different, and the head of a later rule
+    def atom(pred, *args):
+        return {"pred": pred, "args": list(args)}
+    rules = [{"name": "all", "body": [atom("A", "?x"), atom("Addition", "?t"),
+                                      atom("Feature", "?x"), atom("hasInput", "?t", "?x"),
+                                      atom("hasOutput", "?t", "?z"), atom("hasUnit", "?x", "?u"),
+                                      atom("Different", "?u", "kg"), atom("Marked", "?z")],
+              "head": atom("B", "?z")},
+             {"name": "mark", "body": [atom("Feature", "?z")], "head": atom("Marked", "?z")}]
+    path = tmp_path / "kg.json"
+    path.write_text(json.dumps({"classes": ["A", "B"], "rules": rules}))
+    assert [r.name for r in load_kg(str(path)).rules] == ["all", "mark"]
+    for pred, args, words in [("hasInput", ["?z"], "two arguments"),
+                              ("hasOutput", ["?z"], "two arguments"),
+                              ("hasUnit", ["?z"], "two arguments"),
+                              ("Feature", ["?z", "?z"], "one argument"),
+                              ("Addition", ["?z", "?z"], "one argument")]:
+        rules[1]["body"] = [atom(pred, *args)]
+        path.write_text(json.dumps({"classes": ["A", "B"], "rules": rules}))
+        with pytest.raises(KGError, match=f"rule 'mark': {pred} takes exactly {words}"):
+            load_kg(str(path))
+
+
 def test_ancestors_transitive_property(default_kg_path):
     kg = load_kg(default_kg_path)
     for a in kg.classes:
@@ -395,11 +432,19 @@ def expr_unit(kg, expr):
     return propagate_unit(expr.op, [expr_unit(kg, c) for c in operands])
 
 
+def raw_refs(expr):
+    """Oracle: the raw references of an expression, left to right, repeats
+    included."""
+    if isinstance(expr, RawRef):
+        return [expr]
+    return [leaf for c in children(expr) for leaf in raw_refs(c)]
+
+
 def oracle_phi_feature(kg, expr):
     """Oracle: a feature's concept vector with the unit from expr_unit."""
     index = {name: i for i, name in enumerate(kg.concept_order)}
     vec = np.zeros(len(kg.concept_order), dtype=np.int64)
-    for leaf in leaves(expr):
+    for leaf in raw_refs(expr):
         entry = kg.column_concepts.get(leaf.name)
         if entry is None:
             continue
@@ -416,17 +461,22 @@ def oracle_phi_feature(kg, expr):
     return vec
 
 
+def oracle_concepts(kg, expr):
+    """Oracle: the concepts a feature's verdict carries, as the sorted
+    indices oracle_phi_feature lights."""
+    return tuple(np.flatnonzero(oracle_phi_feature(kg, expr)).tolist())
+
+
 def test_dimensionless_derived_features_light_no_count(sales_kg):
     # `count` is the first registered unit without dims, but a ratio of
     # prices or a day of the month is not a count
     count = sales_kg.concept_order.index("count")
-    sold = RawRef("UNITS_SOLD")
-    assert phi_feature(sales_kg, sold, judge(sales_kg, sold).unit_name)[count] == 1
+    assert count in judge(sales_kg, RawRef("UNITS_SOLD")).concepts
     for expr in (Node("day", (RawRef("DATE"),)),
                  Node("div", (RawRef("PRICE"), RawRef("PRICE")))):
         verdict = judge(sales_kg, expr)
         assert verdict.unit is not None and verdict.unit.dimensionless
-        assert phi_feature(sales_kg, expr, verdict.unit_name)[count] == 0
+        assert count not in verdict.concepts
 
 
 def draw_kg_and_expression(data, diabetes_kg, sales_kg):
@@ -446,8 +496,7 @@ def test_judge_unit_is_the_expression_unit(diabetes_kg, sales_kg, data):
 def test_concept_vector_from_the_verdict_unit_matches_the_oracle(diabetes_kg, sales_kg,
                                                                  data):
     kg, expr = draw_kg_and_expression(data, diabetes_kg, sales_kg)
-    expected = oracle_phi_feature(kg, expr)
-    assert (phi_feature(kg, expr, judge(kg, expr).unit_name) == expected).all()
+    assert judge(kg, expr).concepts == oracle_concepts(kg, expr)
 
 
 # ------------------------------------------- the rule join against a scan
@@ -582,22 +631,25 @@ def judge_scan(kg, expr):
              for f in facts}
     root_id, unit = nodes[expr][:2]
     name = unit_name_oracle(kg, expr, unit)
-    if not any(leaf.name in kg.column_concepts for leaf in leaves(expr)):
-        return kgmod.Verdict(VerdictStatus.UNCOVERED, None, unit, name)
+    concepts = oracle_concepts(kg, expr)
+    if not any(leaf.name in kg.column_concepts for leaf in raw_refs(expr)):
+        return kgmod.Verdict(VerdictStatus.UNCOVERED, None, unit, name, concepts)
     if isinstance(expr, RawRef):
-        return kgmod.Verdict(VerdictStatus.INTERPRETABLE, None, unit, name)
+        return kgmod.Verdict(VerdictStatus.INTERPRETABLE, None, unit, name, concepts)
     fixpoint, provenance = forward_chain_scan(kg, facts)
     bad = ("nonInterpretable", root_id)
     if bad in fixpoint:
         return kgmod.Verdict(VerdictStatus.NON_INTERPRETABLE,
-                             provenance.get(bad, "rule"), unit, name)
+                             provenance.get(bad, "rule"), unit, name, concepts)
     rejected = sorted((int(f[1][1:]), reason) for f, reason in provenance.items()
                       if f[0] == "nonInterpretable")
     if rejected:
-        return kgmod.Verdict(VerdictStatus.NON_INTERPRETABLE, rejected[0][1], unit, name)
+        return kgmod.Verdict(VerdictStatus.NON_INTERPRETABLE, rejected[0][1], unit, name,
+                             concepts)
     if unit is None or (not unit.dimensionless and registered_name_scan(kg, unit) is None):
-        return kgmod.Verdict(VerdictStatus.NON_INTERPRETABLE, "unknown unit", unit, name)
-    return kgmod.Verdict(VerdictStatus.INTERPRETABLE, None, unit, name)
+        return kgmod.Verdict(VerdictStatus.NON_INTERPRETABLE, "unknown unit", unit, name,
+                             concepts)
+    return kgmod.Verdict(VerdictStatus.INTERPRETABLE, None, unit, name, concepts)
 
 
 @pytest.fixture(scope="module")
@@ -653,27 +705,19 @@ def test_indexed_join_matches_the_scan_oracle(diabetes_kg, sales_kg, temperature
     assert judge(kg, expr) == judge_scan(kg, expr)
 
 
-def test_indexed_join_matches_the_scan_on_constants_and_repeats(tmp_path):
+def test_indexed_join_matches_the_scan_on_constants_and_repeats():
     # constant and repeated arguments, a predicate used at two arities, a
-    # zero-argument atom, and a rule that feeds the next round
-    doc = {
-        "classes": ["A", "B"],
-        "rules": [
-            {"name": "const", "body": [{"pred": "R", "args": ["k", "?y"]},
-                                       {"pred": "R", "args": ["?y", "?y"]}],
-             "head": {"pred": "A", "args": ["?y"]}},
-            {"name": "chain", "body": [{"pred": "A", "args": ["?x"]},
-                                       {"pred": "R", "args": ["?x"]},
-                                       {"pred": "Go", "args": []}],
-             "head": {"pred": "S", "args": ["?x", "k"]}},
-            {"name": "back", "body": [{"pred": "S", "args": ["?x", "?c"]},
-                                      {"pred": "R", "args": ["?c", "?x"]}],
-             "head": {"pred": "B", "args": ["?x"]}},
-        ],
-    }
-    path = tmp_path / "kg.json"
-    path.write_text(json.dumps(doc))
-    kg = load_kg(str(path))
+    # zero-argument atom, and a rule that feeds the next round; no fact the
+    # engine asserts is an `R` or a `Go`, so load_kg refuses these rules, and
+    # the KG is built directly
+    Atom, Rule = kgmod.Atom, kgmod.Rule
+    rules = [
+        Rule("const", (Atom("R", ("k", "?y")), Atom("R", ("?y", "?y"))), Atom("A", ("?y",))),
+        Rule("chain", (Atom("A", ("?x",)), Atom("R", ("?x",)), Atom("Go", ())),
+             Atom("S", ("?x", "k"))),
+        Rule("back", (Atom("S", ("?x", "?c")), Atom("R", ("?c", "?x"))), Atom("B", ("?x",))),
+    ]
+    kg = kgmod.KnowledgeGraph(["A", "B"], {}, {}, {}, rules)
     facts = {("R", "k", "a"), ("R", "a", "a"), ("R", "k", "b"), ("R", "b", "c"),
              ("R", "a"), ("Go",), ("R", "c", "c"), ("R", "k", "c")}
     got = forward_chain(kg, facts)
@@ -736,7 +780,8 @@ def test_a_repeated_sub_expression_is_one_individual(diabetes_kg):
     assert len(nodes) == 13
     assert sum(f[0] == "Feature" for f in facts) == 13
     assert judge(diabetes_kg, e) == kgmod.Verdict(
-        VerdictStatus.INTERPRETABLE, None, diabetes_kg.unit_registry["kg"], "kg")
+        VerdictStatus.INTERPRETABLE, None, diabetes_kg.unit_registry["kg"], "kg",
+        oracle_concepts(diabetes_kg, e))
 
 
 def test_the_first_rejected_sub_expression_in_post_order_gives_the_reason(sales_kg):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kgfeat.data import Dataset, Task
-from kgfeat.engine import phi_feature, phi_state, raw_pool
+from kgfeat.engine import phi_state, raw_pool
 from kgfeat.kg import judge, load_kg
 from kgfeat.transform import Node, RawRef
 
@@ -27,7 +27,10 @@ def idx(kg, name):
 
 
 def phi(kg, expr):
-    return phi_feature(kg, expr, judge(kg, expr).unit_name)
+    """A feature's concept vector: 1 at each concept its verdict carries."""
+    vec = np.zeros(len(kg.concept_order), dtype=np.int64)
+    vec[list(judge(kg, expr).concepts)] = 1
+    return vec
 
 
 def test_phi_raw_feature_sets_class_ancestors_unit(kg):
@@ -56,7 +59,7 @@ def test_phi_state_is_sum_of_feature_vectors(kg):
     weight, height = raw_pool(Dataset(cols, "y", Task.REGRESSION, 3), kg)
     total = phi_state(kg, [weight, height, weight])
     manual = sum(phi(kg, RawRef(name)) for name in ("weight", "height", "weight"))
-    assert (total == manual).all()
+    assert total.dtype == np.int64 and (total == manual).all()
     # repeated concepts accumulate past one
     assert total[idx(kg, "Weight")] == 2
     assert total[idx(kg, "Quantity")] == 3
