@@ -1,6 +1,6 @@
 """The DQN learner (Mnih et al., Nature 2015): Q-network with manual
 backprop, replay buffer, epsilon schedule, the TD training step, and the
-`Agent` that acts and learns with them."""
+`Agent` that acts and trains with them."""
 from __future__ import annotations
 
 from collections import deque
@@ -176,12 +176,12 @@ def sync_target(net: QNetwork, target_net: QNetwork):
 class Agent:
     """A run's learner: online and target nets [n_inputs, 64, 64, n_actions],
     replay, and generators for the weights, actions and replay draws spawned
-    from `seed`. Unless it `learns`, it acts uniformly and never trains."""
+    from `seed`. With ε pinned at 1 it acts uniformly, and with learning
+    rate 0 its nets never move."""
 
-    def __init__(self, cfg: AgentConfig, n_inputs: int, n_actions: int, seed: int,
-                 learns: bool):
+    def __init__(self, cfg: AgentConfig, n_inputs: int, n_actions: int, seed: int):
         seeds = np.random.SeedSequence(seed).spawn(3)
-        self.cfg, self.learns = cfg, learns
+        self.cfg = cfg
         self.net = QNetwork([n_inputs, 64, 64, n_actions], seed=seeds[0].generate_state(1)[0])
         self.target = self.net.copy()
         self.action_rng, self.replay_rng = map(np.random.default_rng, seeds[1:])
@@ -190,9 +190,7 @@ class Agent:
 
     def act(self, state: np.ndarray) -> int:
         """Epsilon-greedy on the online net's Q-values, epsilon decayed per
-        selection; uniform for a random agent."""
-        if not self.learns:
-            return int(self.action_rng.integers(0, self.net.layer_sizes[-1]))
+        selection."""
         eps = epsilon_at(self.selections, self.cfg)
         self.selections += 1
         return select_action(q_forward(self.net, state), eps, self.action_rng)
@@ -200,8 +198,6 @@ class Agent:
     def observe(self, t: Transition):
         """Store a step; once replay holds a minibatch, one TD step on a
         sampled one, and a target sync every `target_sync_period` of them."""
-        if not self.learns:
-            return
         self.buffer.push(t)
         if len(self.buffer) >= self.cfg.minibatch_size:
             td_train_step(self.net, self.target,

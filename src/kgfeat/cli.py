@@ -272,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--budget", type=int, dest="feature_budget")
     p_run.add_argument("--max-order", type=int, dest="max_order")
     p_run.add_argument("--k", type=int, dest="k_folds")
-    p_run.add_argument("--learner",
-                       choices=["decision_tree", "random_forest", "linear", "logistic"])
+    p_run.add_argument("--learner", choices=learn.LEARNERS)
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--out")
     p_run.add_argument("--sweep", help="comma-separated max_order values to sweep")

@@ -30,7 +30,7 @@ class EngineConfig:
     learner: learn.LearnerSpec = field(default_factory=learn.LearnerSpec)
     seed: int = 0                     # the agent's, the folds' and the learner's
     patience: int = 10                # episodes without a new best before stopping
-    policy: str = "dqn"               # dqn | random (uniform actions, no training)
+    policy: str = "dqn"               # dqn | random (the agent with ε 1 and learning rate 0)
     agent: ag.AgentConfig = field(default_factory=ag.AgentConfig)
 
     def __post_init__(self):
@@ -274,8 +274,9 @@ def _snapshot(pool):
 def run(cfg: EngineConfig, d: Dataset, kg: KnowledgeGraph) -> FEResult:
     """Full training run; stops at the episode budget or once the best score
     has not improved for `patience` episodes."""
-    agent = ag.Agent(cfg.agent, len(kg.concept_order), len(catalog()), cfg.seed,
-                     cfg.policy == "dqn")
+    agent_cfg = cfg.agent if cfg.policy == "dqn" else replace(
+        cfg.agent, epsilon_start=1.0, epsilon_end=1.0, learning_rate=0.0)
+    agent = ag.Agent(agent_cfg, len(kg.concept_order), len(catalog()), cfg.seed)
     evaluator = _Evaluator(cfg, d.task, target_codes(d))
     raw = raw_pool(d, kg)
     baseline = evaluator.score(raw)

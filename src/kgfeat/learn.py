@@ -18,17 +18,20 @@ class LearnError(ValueError):
 
 RIDGE_LAMBDA = 1e-6      # L2 penalty of the linear and logistic learners
 LOGISTIC_ITERS = 200     # gradient steps per class of the logistic learner
+LEARNERS = ("decision_tree", "random_forest", "linear", "logistic")
 
 
 @dataclass
 class LearnerSpec:
-    kind: str = "random_forest"  # decision_tree | random_forest | linear | logistic
+    kind: str = "random_forest"  # one of LEARNERS
     max_depth: int = 6
     n_trees: int = 50
     feature_subsample: Optional[float] = None  # None -> sqrt(p)/p
     seed: int = 0
 
     def __post_init__(self):
+        if self.kind not in LEARNERS:
+            raise LearnError(f"unknown learner {self.kind!r}")
         if self.max_depth < 1 or self.n_trees < 1:
             raise LearnError("hyperparameters must be positive")
 
@@ -444,24 +447,26 @@ def train(spec: LearnerSpec, X: np.ndarray, y: np.ndarray, task: Task) -> Model:
     if spec.kind == "linear":
         return _ridge(*_centred_sums(X.copy(order="K"), y))
 
-    if spec.kind == "logistic":
-        mean = X.mean(axis=0)
-        std = X.std(axis=0)
-        std[std == 0] = 1.0
-        Z = np.hstack([(X - mean) / std, np.ones((n, 1))])
-        coefs = []
-        for c in classes:
-            t = (y == c).astype(float)
-            w = np.zeros(p + 1)
-            for _ in range(LOGISTIC_ITERS):
-                prob = 1.0 / (1.0 + np.exp(-(Z @ w)))
-                grad = Z.T @ (t - prob) / n - RIDGE_LAMBDA * w
-                w = w + 0.5 * grad
-            coefs.append(w)
-        return Model("logistic", task, p, coef=np.array(coefs), classes=classes,
-                     scaler=(mean, std), importances=sum(abs(w[:p]) for w in coefs))
-
-    raise LearnError(f"unknown learner {spec.kind!r}")
+    # logistic, on standardised columns. As in _ridge, a column whose mean
+    # or std overflows gets weight and importance 0: centre 0 and scale inf
+    # make its Z column 0, in training and in predict.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = X.mean(axis=0), X.std(axis=0)
+    overflow = ~(np.isfinite(mean) & np.isfinite(std))
+    mean[overflow], std[overflow] = 0.0, np.inf
+    std[std == 0] = 1.0
+    Z = np.hstack([(X - mean) / std, np.ones((n, 1))])
+    coefs = []
+    for c in classes:
+        t = (y == c).astype(float)
+        w = np.zeros(p + 1)
+        for _ in range(LOGISTIC_ITERS):
+            prob = 1.0 / (1.0 + np.exp(-(Z @ w)))
+            grad = Z.T @ (t - prob) / n - RIDGE_LAMBDA * w
+            w = w + 0.5 * grad
+        coefs.append(w)
+    return Model("logistic", task, p, coef=np.array(coefs), classes=classes,
+                 scaler=(mean, std), importances=sum(abs(w[:p]) for w in coefs))
 
 
 def predict(model: Model, X: np.ndarray) -> np.ndarray:
@@ -549,10 +554,15 @@ def metric_one_minus_rae(y_true, y_pred) -> float:
 
 
 def _median(x: np.ndarray) -> float:
-    """np.median of a finite vector, bit for bit, without importing numpy.ma."""
+    """np.median of a finite vector, bit for bit, without importing numpy.ma;
+    but where the sum of the middle pair a, b overflows, where np.median
+    gives ±inf, it is a/2 + b/2."""
     n = len(x)
     kth = [n // 2 - 1, n // 2, -1] if n % 2 == 0 else [n // 2, -1]
-    return np.mean(np.partition(x, kth)[(n - 1) // 2: n // 2 + 1])
+    mid = np.partition(x, kth)[(n - 1) // 2: n // 2 + 1]
+    with np.errstate(over="ignore"):
+        m = np.mean(mid)
+    return m if np.isfinite(m) else mid[0] / 2 + mid[-1] / 2
 
 
 def impute_columns(train_X, other_X):

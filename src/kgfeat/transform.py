@@ -33,6 +33,9 @@ class TransformOp:
     kg_class: str                     # the KG class its application asserts
     # the rule over operand units (an aggregation's value only); None: always dimensionless
     unit: Optional[Callable] = None
+    # (eligible features per input) -> operand tuples; a binary op's is one of `_pairs`
+    tuples: Callable = product
+    per_level: bool = False           # one node per level of its operand, which it names
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,16 @@ def _date(fn):
     return values
 
 
+def _pairs(pairing):
+    """A binary op's `tuples`: `pairing` (an itertools function) of the
+    features eligible as its operands, which are one list for both."""
+    return lambda eligible, _same: pairing(eligible, 2)
+
+
+# A commutative op takes each unordered pair once, and a logical one never
+# pairs a feature with itself.
+_UNORDERED, _DISTINCT = _pairs(combinations_with_replacement), _pairs(combinations)
+_ORDERED = _pairs(permutations)
 _N, _B, _C, _D = Kind.NUMERIC, Kind.BOOLEAN, Kind.CATEGORICAL, Kind.DATE
 _U, _BI, _AG, _DT = Arity.UNARY, Arity.BINARY, Arity.AGGREGATION, Arity.DATE
 _MONTH, _YEAR = "datetime64[M]", "datetime64[Y]"
@@ -123,18 +136,20 @@ _CATALOG = {op.name: op for op in (
                 lambda a: a ** 2),
     TransformOp("reciprocal", _U, (_N,), _N, _cells(lambda v: 1.0 / v), "RECIPROCAL({0})",
                 "Reciprocal", lambda a: a ** -1),
-    TransformOp("one_hot", _U, (_C,), _B, _one_hot, "ONE_HOT({0}={level})", "OneHotEncoding"),
+    TransformOp("one_hot", _U, (_C,), _B, _one_hot, "ONE_HOT({0}={level})", "OneHotEncoding",
+                per_level=True),
     TransformOp("add", _BI, (_N, _N), _N, _cells(np.add), "({0} + {1})", "Addition",
-                lambda a, b: a if a == b else None),
+                lambda a, b: a if a == b else None, tuples=_UNORDERED),
     TransformOp("sub", _BI, (_N, _N), _N, _cells(np.subtract), "({0} - {1})", "Subtraction",
-                lambda a, b: a if a == b else None),
+                lambda a, b: a if a == b else None, tuples=_ORDERED),
     TransformOp("mul", _BI, (_N, _N), _N, _cells(np.multiply), "({0} * {1})", "Multiplication",
-                lambda a, b: a * b),
+                lambda a, b: a * b, tuples=_UNORDERED),
     TransformOp("div", _BI, (_N, _N), _N, _cells(np.divide), "({0} / {1})", "Division",
-                lambda a, b: a / b),
+                lambda a, b: a / b, tuples=_ORDERED),
     TransformOp("and", _BI, (_B, _B), _B, _logical(np.logical_and), "({0} AND {1})",
-                "LogicalAnd"),
-    TransformOp("or", _BI, (_B, _B), _B, _logical(np.logical_or), "({0} OR {1})", "LogicalOr"),
+                "LogicalAnd", tuples=_DISTINCT),
+    TransformOp("or", _BI, (_B, _B), _B, _logical(np.logical_or), "({0} OR {1})", "LogicalOr",
+                tuples=_DISTINCT),
     TransformOp("group_min", _AG, (_C, _N), _N, _group(np.min), "GROUP_MIN({1} BY {0})",
                 "aggregationMin", lambda a: a),
     TransformOp("group_max", _AG, (_C, _N), _N, _group(np.max), "GROUP_MAX({1} BY {0})",
@@ -156,11 +171,6 @@ _CATALOG = {op.name: op for op in (
 # A node's `type` and operand fields in result.json, per arity.
 _JSON_FIELDS = {Arity.UNARY: ("unary", ("child",)), Arity.BINARY: ("binary", ("left", "right")),
                 Arity.AGGREGATION: ("agg", ("key", "value")), Arity.DATE: ("date", ("child",))}
-
-# Operand pairs per binary op: a commutative op takes each unordered pair once,
-# and a logical one never pairs a feature with itself.
-_PAIRS = {"add": combinations_with_replacement, "mul": combinations_with_replacement,
-          "and": combinations, "or": combinations}
 
 ONE_HOT_MAX_LEVELS = 20
 _OTHER_LEVEL = ""  # the level rare values fold into; load_csv reads no cell as ""
@@ -237,7 +247,7 @@ def expr_from_json(doc: dict, where: str = "expression", path=()) -> Expr:
         raise TransformError(f"{where}: {json_path(path)}: transform {op.name!r} has node "
                              f"type {node_type!r}, not {doc['type']!r}")
     level = doc.get("level")
-    if (op.name == "one_hot") != (level is not None):
+    if op.per_level != (level is not None):
         raise TransformError(f"{where}: {json_path(path)}: level {level!r} does not fit "
                              f"transform {op.name!r}")
     return Node(op.name, tuple(expr_from_json(doc[f], where, (*path, f)) for f in fields), level)
@@ -330,13 +340,9 @@ def _operand_tuples(op: TransformOp, pool, max_order: int):
     taking operands of the kinds in `op.inputs`."""
     eligible = [[f for f in pool if f.kind == k and order(f.expr) < max_order]
                 for k in op.inputs]
-    if op.arity == Arity.BINARY:
-        tuples = _PAIRS.get(op.name, permutations)(eligible[0], 2)
-    else:
-        tuples = product(*eligible)
-    for operands in tuples:
+    for operands in op.tuples(*eligible):
         args = tuple(f.expr for f in operands)
-        for level in categorical_levels(operands[0])[0] if op.name == "one_hot" else [None]:
+        for level in categorical_levels(operands[0])[0] if op.per_level else [None]:
             yield Node(op.name, args, level), operands
 
 

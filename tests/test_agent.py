@@ -249,8 +249,7 @@ def test_agent_trains_once_replay_holds_a_minibatch_and_syncs_every_period(monke
     calls = []
     for name in ("q_forward", "td_train_step", "sync_target"):
         counted(monkeypatch, name, calls)
-    agent = Agent(AgentConfig(minibatch_size=2, target_sync_period=3), 4, 3, seed=0,
-                  learns=True)
+    agent = Agent(AgentConfig(minibatch_size=2, target_sync_period=3), 4, 3, seed=0)
     for n, t in enumerate(random_batch(np.random.default_rng(0), 10, 4, 3), 1):
         assert agent.act(t.s) in range(3)
         agent.observe(t)
@@ -262,16 +261,27 @@ def test_agent_trains_once_replay_holds_a_minibatch_and_syncs_every_period(monke
     assert len(agent.buffer) == 10
 
 
-def test_a_random_agent_draws_from_its_action_stream_and_never_trains(monkeypatch):
-    calls = []
-    for name in ("q_forward", "td_train_step", "sync_target"):
-        counted(monkeypatch, name, calls)
-    agent = Agent(AgentConfig(minibatch_size=1, target_sync_period=1), 4, 19, seed=5,
-                  learns=False)
-    net = agent.net.copy()
+@pytest.mark.parametrize("scale", [0.0, 1.0, 1e6])
+def test_an_agent_with_epsilon_pinned_at_one_draws_uniformly_whatever_its_net(scale):
+    # the random arm reads its action stream through select_action's ε branch,
+    # as the DQN does, so its actions do not depend on the net's weights
+    cfg = AgentConfig(epsilon_start=1.0, epsilon_end=1.0, learning_rate=0.0, minibatch_size=1)
+    agent = Agent(cfg, 4, 19, seed=5)
+    agent.net.weights = [w * scale for w in agent.net.weights]
     actions = np.random.default_rng(np.random.SeedSequence(5).spawn(3)[1])
     for t in random_batch(np.random.default_rng(1), 50, 4, 19):
-        assert agent.act(t.s) == int(actions.integers(0, 19))
+        assert agent.act(t.s) == select_action(np.zeros(19), 1.0, actions)
         agent.observe(t)
-    assert calls == [] and len(agent.buffer) == 0
+
+
+def test_an_agent_with_learning_rate_zero_trains_without_moving_its_nets(monkeypatch):
+    calls = []
+    counted(monkeypatch, "td_train_step", calls)
+    agent = Agent(AgentConfig(learning_rate=0.0, minibatch_size=1, target_sync_period=1),
+                  4, 19, seed=5)
+    net = agent.net.copy()
+    for t in random_batch(np.random.default_rng(1), 50, 4, 19):
+        agent.act(t.s)
+        agent.observe(t)
+    assert len(calls) == 50 and len(agent.buffer) == 50
     assert same_net(agent.net, net) and same_net(agent.target, net)

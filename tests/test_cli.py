@@ -175,6 +175,25 @@ def test_run_engine_option_of_the_wrong_type_exits_one(tmp_path, planted_paths, 
     assert not (tmp_path / "never").exists()
 
 
+def test_run_with_an_unknown_learner_exits_one_before_reading_the_dataset(
+        tmp_path, planted_paths, capsys, monkeypatch):
+    # it used to load the CSV and the KG and fail only in the engine
+    read = []
+    monkeypatch.setattr("kgfeat.cli.load_csv", lambda *a: read.append(a))
+    manifest = {
+        "dataset": planted_paths["csv"],
+        "schema": planted_paths["schema"],
+        "kg": kgfeat.resource_path("default_kg.json"),
+        "engine": {"learner": "foo"},
+        "out": str(tmp_path / "never"),
+    }
+    path = tmp_path / "foo.manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["run", "--manifest", str(path)]) == 1
+    assert capsys.readouterr().err == "error: unknown learner 'foo'\n"
+    assert read == [] and not (tmp_path / "never").exists()
+
+
 def test_run_sets_every_engine_option_from_the_manifest(tmp_path, planted_paths):
     options = {"episodes": 2, "steps": 2, "cap": 3, "feature_budget": 7, "max_order": 2,
                "k_folds": 3, "seed": 5, "patience": 4, "policy": "random"}

@@ -1,5 +1,7 @@
 import json
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from kgfeat import engine, learn, transform
 from kgfeat.agent import AgentConfig
 from kgfeat.data import Dataset, Task
 from kgfeat.engine import (EngineConfig, EngineError, FEResult, PoolEntry, _Evaluator,
-                           compute_reward, encode_feature, max_order_sweep, raw_pool, run,
-                           target_codes)
+                           compute_reward, encode_feature, importance, max_order_sweep,
+                           raw_pool, run, target_codes)
 from kgfeat.kg import VerdictStatus, empty_kg, judge, load_kg
 from kgfeat.learn import LearnerSpec
 from kgfeat.transform import Node, RawRef
@@ -234,11 +236,41 @@ def test_evaluator_scores_a_pool_within_half_its_matrix():
     assert peak < 0.5 * n * p * 8, f"peak {peak / (n * p * 8):.2f} times the pool's matrix"
 
 
+def test_logistic_importance_gives_a_column_whose_moments_overflow_zero():
+    # the column's mean overflowed, so its standardised values, every weight
+    # and every importance were NaN, and pruning raised
+    rng = np.random.default_rng(0)
+    y = np.repeat([0.0, 1.0], 20)
+    X = np.column_stack([y + rng.normal(0, 0.3, 40), rng.uniform(1.4e308, 1.6e308, 40)])
+    spec = LearnerSpec(kind="logistic")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        imp = importance(spec, X, y, Task.CLASSIFICATION)
+        model = learn.train(spec, X, y, Task.CLASSIFICATION)
+        alone = learn.train(spec, X[:, :1], y, Task.CLASSIFICATION)
+        both = learn.evaluate_cv(spec, X.T, y, Task.CLASSIFICATION, 2, 0)
+    assert imp.tolist() == [1.0, 0.0]
+    assert (model.coef[:, 1] == 0).all()
+    assert model.coef[:, ::2] == pytest.approx(alone.coef, rel=1e-12)
+    assert (learn.predict(model, X) == learn.predict(alone, X[:, :1])).all()
+    assert both == learn.evaluate_cv(spec, X[:, :1].T, y, Task.CLASSIFICATION, 2, 0)
+
+
 def test_random_policy_runs(planted):
     d, kg, _ = planted
     result = run(small_cfg(policy="random"), d, kg)
     assert result.best_score >= result.baseline_score
     assert result.config["policy"] == "random"
+
+
+def test_the_random_policy_is_the_agent_with_epsilon_one_and_learning_rate_zero(planted):
+    # the arms differ only by the agent's config, not by how they act
+    d, kg, _ = planted
+    cfg = small_cfg(episodes=4, steps=5, agent=AgentConfig(minibatch_size=2))
+    pinned = replace(cfg.agent, epsilon_start=1.0, epsilon_end=1.0, learning_rate=0.0)
+    rnd = run(replace(cfg, policy="random"), d, kg).to_json()
+    same = run(replace(cfg, agent=pinned), d, kg).to_json()
+    assert rnd == {**same, "config": {**same["config"], "policy": "random"}}
 
 
 def test_patience_stops_early(planted):

@@ -5,11 +5,13 @@ in the package, every local a function assigns is read in it, every
 dataclass field is read somewhere in the package, JSON shapes are tested
 only by `data.check`, no module calls `csv.writer`, only `data` calls
 `csv.reader`, only `cli.main` reads `EXIT_USER`, every text file is
-opened with an explicit encoding, and a feature's concepts come from its
-verdict alone."""
+opened with an explicit encoding, a feature's concepts come from its
+verdict alone, and no module tests an operator by its name."""
 import ast
 import glob
 import os
+
+from kgfeat.transform import catalog
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "kgfeat")
 
@@ -457,3 +459,38 @@ def test_concepts_come_from_the_verdict_alone():
         assert not definitions(source) & {"phi_feature", "leaves"}, name
         if name == "engine.py":
             assert not identifiers(source) & {"column_concepts", "ancestors", "concept_index"}
+
+
+def operator_name_tests(source, names):
+    """The line of each comparison of a `.name` or `.op` attribute with a
+    string literal in `names`, alone or in a tuple, list or set."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if not isinstance(n, ast.Compare):
+            continue
+        sides = [n.left, *n.comparators]
+        literals = {c.value for side in sides
+                    for c in (side.elts if isinstance(side, (ast.Tuple, ast.List, ast.Set))
+                              else [side])
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+        if literals & names and any(isinstance(side, ast.Attribute)
+                                    and side.attr in ("name", "op") for side in sides):
+            found.append(n.lineno)
+    return found
+
+
+def test_operator_name_tests_are_found():
+    source = ("a = op.name == 'one_hot'\nb = 'add' != expr.op\nc = e.op in ('and', 'x')\n"
+              "d = f.name != 'traces'\ne = op.name == name\ng = op.kind == 'add'\n"
+              "h = op.per_level\ni = f.name not in ('learner', 'agent')\n")
+    assert operator_name_tests(source, {"one_hot", "add", "and"}) == [1, 2, 3]
+
+
+def test_no_module_tests_an_operator_by_its_name():
+    # what sets an operator apart (its pairing, its per-level nodes, its KG
+    # class) is a field of its catalog row, so a new operator is one row
+    names = {op.name for op in catalog()}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            found = operator_name_tests(fh.read(), names)
+        assert not found, f"{os.path.basename(path)} tests an operator's name at lines {found}"

@@ -757,6 +757,11 @@ def test_logistic_separable():
     assert (predict(model, X) == y).all()
 
 
+def test_learner_spec_rejects_an_unknown_kind():
+    with pytest.raises(LearnError, match="unknown learner 'foo'"):
+        LearnerSpec(kind="foo")
+
+
 def test_learner_task_mismatch():
     X = np.zeros((4, 1))
     with pytest.raises(LearnError):
@@ -977,6 +982,15 @@ def test_impute_columns_matches_oracle(mats):
         if not np.isnan(M).any():
             assert g is M  # a gapless matrix is not copied
     assert [M.tobytes() for M in mats] == before
+
+
+def test_impute_columns_fills_a_median_whose_middle_pair_sum_overflows():
+    # the mean of 1.6e308 and 1.7e308 was inf, with an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        filled, other = impute_columns(np.array([[1.6e308], [1.7e308], [1.0], [1.8e308],
+                                                 [np.nan]]), np.array([[np.nan]]))
+    assert filled[4, 0] == other[0, 0] == 1.6e308 / 2 + 1.7e308 / 2
 
 
 def _linear_cv_oracle(X, y, k, seed):
@@ -1312,10 +1326,16 @@ def test_evaluate_cv_skips_imputation_without_gaps(monkeypatch):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40)
        | st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), min_size=1, max_size=8))
+@example([1.6e308, 1.0, 1.7e308, 1.8e308])
+@example([-1.7e308, -1.6e308])
 def test_median_is_numpys_bit_for_bit(values):
     x = np.array(values)
-    with np.errstate(over="ignore"):  # two huge middle values sum to inf in both
+    with np.errstate(over="ignore"):
         got, want = learn._median(x), np.median(x)
+    if np.isinf(want):  # two huge middle values a, b sum to ±inf: a/2 + b/2
+        a, b = np.sort(x)[(len(x) - 1) // 2: len(x) // 2 + 1]
+        want = a / 2 + b / 2
+        assert np.isfinite(want)
     assert np.float64(got).tobytes() == np.float64(want).tobytes(), (values, got, want)
     assert np.array_equal(x, values)  # the input is not reordered
 
