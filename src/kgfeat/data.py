@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
-from itertools import chain, islice
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -265,24 +265,58 @@ def read_header(path: str) -> list:
         return _header(_records(fh, path), path)
 
 
-def _numeric_columns(header: list, rows) -> Optional[list]:
-    """Numeric columns read in one pass from `rows`, when every row has the
-    header's width and every cell reads as a float; else None, after reading
-    up to the first row that does not. The columns equal `_build_column`'s."""
+def _line_count(fh) -> Optional[int]:
+    """The number of lines from `fh`'s position on, each ended by \\n, \\r\\n
+    or \\r as csv.reader ends them, read in blocks; None when a line comes
+    within two characters of `csv.field_size_limit()`, since a field with an
+    unclosed quote holds the file's last line break too."""
+    limit = csv.field_size_limit() - 2
+    size = max(1, min(limit, 1 << 16))  # so a line longer than the limit spans blocks
+    lines, run, last = 0, 0, ""  # run: the length of the line read so far
+    while block := fh.read(size):
+        breaks = [i for i in (block.find("\n"), block.find("\r")) if i >= 0]
+        if breaks:
+            if run + min(breaks) > limit:
+                return None
+            run = len(block) - 1 - max(block.rfind("\n"), block.rfind("\r"))
+        else:
+            run += len(block)
+            if run > limit:
+                return None
+        lines += block.count("\n") + block.count("\r") - block.count("\r\n")
+        lines -= last == "\r" and block[0] == "\n"  # a \r\n split between blocks
+        last = block[-1]
+    return lines + (run > 0)
+
+
+def _numeric_columns(fh, header: list, first: list) -> Optional[list]:
+    """Numeric columns read by numpy's C parser from the CSV file `fh`,
+    whose header and first row csv.reader has read; None, to read the file
+    column by column, unless the header is one line and the first row holds
+    a float in each of the header's columns. The columns equal
+    `_build_column`'s, as each case where numpy and csv.reader with float()
+    part returns None too: a cell numpy rejects (`1_000`, Arabic-Indic
+    digits, an empty one), text that is not UTF-8, a row of another width, a
+    blank line numpy skips or a quoted line break (the matrix then has fewer
+    rows than the file has lines after the header), and a line near csv's
+    field size limit."""
     width = len(header)
-
-    def full(row):
-        if len(row) != width:
-            raise ValueError
-        return row
-
-    try:
-        matrix = np.fromiter(map(float, chain.from_iterable(map(full, rows))), float)
-    except DataError:  # a malformed record, which is a ValueError too
-        raise
-    except ValueError:  # a row of another width, or a cell float() rejects
+    if len(first) != width or any("\n" in h or "\r" in h for h in header):
         return None
-    matrix = matrix.reshape(-1, width)
+    try:
+        for cell in first:
+            float(cell)
+        fh.seek(0)
+        lines = _line_count(fh)
+        if lines is None:
+            return None
+        fh.seek(0)
+        matrix = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, skiprows=1,
+                            ndmin=2)
+    except ValueError:  # UnicodeDecodeError too
+        return None
+    if matrix.shape != (lines - 1, width):
+        return None
     matrix[~np.isfinite(matrix)] = np.nan
     return [Feature(RawRef(name), matrix[:, j].copy(), Kind.NUMERIC, name)
             for j, name in enumerate(header)]
@@ -294,10 +328,10 @@ def load_csv(path: str, schema: SchemaConfig) -> Dataset:
     Column kinds come from schema overrides when given, otherwise from
     inference: all-numeric -> Numeric, all-ISO-date -> Date, at most two
     distinct boolean tokens -> Boolean, anything else -> Categorical.
-    Empty cells are missing. A table whose rows all have the header's width
-    and whose cells all read as numbers, with no override but `numeric`, is
-    read in one pass into one float matrix; any other is read column by
-    column, with the same result.
+    Empty cells are missing. A table of numbers at the header's width, with
+    no override but `numeric`, is read into one float matrix by numpy's C
+    parser (see _numeric_columns); any other is read column by column, with
+    the same result.
     """
     overrides = schema.column_kind_overrides
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -315,7 +349,7 @@ def load_csv(path: str, schema: SchemaConfig) -> Dataset:
                 raise DataError(f"override references unknown column {name!r}")
         columns = None
         if set(overrides.values()) <= {Kind.NUMERIC}:
-            columns = _numeric_columns(header, chain([first], records))
+            columns = _numeric_columns(fh, header, first)
         if columns is None:
             fh.seek(0)
             rows = list(islice(_records(fh, path), 1, None))

@@ -109,7 +109,6 @@ class Verdict:
 class KnowledgeGraph:
     classes: list
     unit_registry: dict               # unit name -> Unit
-    unit_class: dict                  # unit name -> asserted class
     column_concepts: dict             # column -> (class, unit name or None)
     rules: list
     _parents: dict = field(default_factory=dict)  # class -> its direct parents
@@ -139,15 +138,6 @@ class KnowledgeGraph:
                     stack.extend(self._parents.get(c, ()))
             self._ancestors[cls] = seen
         return self._ancestors[cls]
-
-    def ancestors(self, cls: str):
-        """All classes reachable upward from cls, excluding cls itself, in
-        depth-first order."""
-        return list(self._ancestor_walk(cls))
-
-
-def empty_kg() -> KnowledgeGraph:
-    return KnowledgeGraph([], {}, {}, {}, [])
 
 
 # The shapes of a KG document and of a column-to-concept mapping document.
@@ -184,7 +174,7 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
     except graphlib.CycleError as exc:
         raise KGError(f"{path}: cycle in subclass edges at {exc.args[1][0]!r}") from None
 
-    unit_registry, unit_class = {}, {}
+    unit_registry = {}
     for i, u in enumerate(doc.get("units") or []):
         name = u["name"]
         if name in unit_registry:
@@ -196,7 +186,6 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
             unit_registry[name] = Unit(dims=_normalize(u.get("dims") or {}))
         except (ValueError, ArithmeticError) as exc:  # a KGError, or an exponent Fraction rejects
             raise KGError(f"{path}: units[{i}].dims of unit {name!r}: {exc}") from None
-        unit_class[name] = cls
 
     for name, q in (doc.get("quantities") or {}).items():
         if name not in unit_registry:
@@ -242,25 +231,8 @@ def load_kg(path: str, mapping_path: Optional[str] = None) -> KnowledgeGraph:
             raise KGError(f"{mapping_path}: mapping for {col!r} references unknown unit {unit!r}")
         column_concepts[col] = (cls, unit)
 
-    return KnowledgeGraph(classes, unit_registry, unit_class, column_concepts, rules,
+    return KnowledgeGraph(classes, unit_registry, column_concepts, rules,
                           _parents=parents)
-
-
-def subsumes(kg: KnowledgeGraph, sub: str, sup: str) -> bool:
-    """True iff sup is reachable from sub through subclass edges (reflexive)."""
-    for c in (sub, sup):
-        if c not in kg.class_set:
-            raise KGError(f"unknown class {c!r}")
-    return sub == sup or sup in kg._ancestor_walk(sub)
-
-
-def is_instance(kg: KnowledgeGraph, unit_name: str, cls: str) -> bool:
-    """Instance check: the unit's asserted class, or any ancestor, equals cls."""
-    if cls not in kg.class_set:
-        raise KGError(f"unknown class {cls!r}")
-    if unit_name not in kg.unit_registry:
-        return False
-    return subsumes(kg, kg.unit_class[unit_name], cls)
 
 
 def propagate_unit(op_name: str, input_units) -> Optional[Unit]:

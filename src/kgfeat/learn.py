@@ -488,7 +488,9 @@ def predict(model: Model, X: np.ndarray) -> np.ndarray:
         return _predict_centred(model, X.copy(order="K"))
     if model.kind == "logistic":
         mean, std = model.scaler
-        Z = np.hstack([(X - mean) / std, np.ones((n, 1))])
+        # a cell far outside its training column's spread standardises to ±inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            Z = np.hstack([(X - mean) / std, np.ones((n, 1))])
         scores = Z @ model.coef.T  # monotone in probability
         # ties (e.g. an all-zero model scores 0.5 everywhere) go to the class
         # with the lower encoded index, which argmax already guarantees

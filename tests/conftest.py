@@ -40,6 +40,11 @@ def fold_pairs(fold, k):
     return [(np.flatnonzero(fold != f), np.flatnonzero(fold == f)) for f in range(k)]
 
 
+def empty_kg():
+    """A KG with no classes, units, mappings or rules."""
+    return kgmod.KnowledgeGraph([], {}, {}, [])
+
+
 def make_dataset(columns, target, task=Task.REGRESSION):
     return Dataset(columns=columns, target=target, task=task,
                    n_rows=len(columns[0].values))

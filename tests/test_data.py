@@ -1,5 +1,6 @@
 import codecs
 import csv
+import io
 from datetime import date
 
 import numpy as np
@@ -328,7 +329,7 @@ def test_loaded_column_is_float_with_nan_exactly_at_its_missing_cells(tmp_path_f
 def load_column_by_column(path, schema):
     """load_csv with the one-pass numeric path turned off."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(datamod, "_numeric_columns", lambda header, rows: None)
+        m.setattr(datamod, "_numeric_columns", lambda *args: None)
         return load_csv(path, schema)
 
 
@@ -344,6 +345,7 @@ def loaded(load, path, schema):
 
 N, C = Kind.NUMERIC, Kind.CATEGORICAL
 LONG_FIELD = "x" * (csv.field_size_limit() + 1)
+LONG_NUMBER = "0" * csv.field_size_limit() + "1"  # numpy reads it as 1.0
 
 
 @pytest.mark.parametrize("text, task, overrides, want", [
@@ -364,6 +366,14 @@ LONG_FIELD = "x" * (csv.field_size_limit() + 1)
     pytest.param(f"a,y\n1,2\n3,4\n{LONG_FIELD},5\n", Task.REGRESSION, {},
                  f"{{path}}: line 4: field larger than field limit ({csv.field_size_limit()})",
                  id="a field past the limit"),
+    pytest.param(f"a,y\n1,2\n3,4\n{LONG_NUMBER},5\n", Task.REGRESSION, {},
+                 f"{{path}}: line 4: field larger than field limit ({csv.field_size_limit()})",
+                 id="a number past the limit"),
+    pytest.param('"a\nb",y\n1,2\n3,4\n', Task.REGRESSION, {}, [N, N],
+                 id="a header with a quoted line break"),
+    pytest.param("a,y\n1,2\n\n3,4\n", Task.REGRESSION, {}, [N, N], id="a blank line"),
+    pytest.param('a,y\n1,2\n"3\n",4\n', Task.REGRESSION, {}, [N, N],
+                 id="a quoted line break in a cell"),
 ])
 def test_numeric_path_edges_read_as_the_per_column_path(tmp_path, text, task, overrides, want):
     path = tmp_path / "t.csv"
@@ -375,6 +385,33 @@ def test_numeric_path_edges_read_as_the_per_column_path(tmp_path, text, task, ov
         assert got == want.format(path=path)
     else:
         assert [kind for _, kind, *_ in got[1]] == want
+
+
+def test_a_header_over_two_lines_is_read_column_by_column(tmp_path):
+    # numpy skips the header's first line only, and its second, `"1",5`,
+    # reads as a row of two numbers
+    path = tmp_path / "t.csv"
+    path.write_text('"a\n"1",5\n2,3\n4,6\n')
+    schema = SchemaConfig(target_name="5", task=Task.REGRESSION)
+    got = loaded(load_csv, str(path), schema)
+    assert got == loaded(load_column_by_column, str(path), schema)
+    assert got[0] == 2 and [name for name, *_ in got[1]] == ['a\n1"', "5"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(st.sampled_from(["1", ",", '"', "\r", "\n", "\r\n"])).map("".join),
+       limit=st.integers(2, 8))
+def test_line_count_counts_the_lines_csv_reader_sees(text, limit):
+    # blocks are no longer than the field size limit, so a small limit puts
+    # block boundaries inside lines and between the \r and \n of a line end
+    lines = io.StringIO(text, newline="").readlines()
+    longest = max((len(line.rstrip("\r\n")) for line in lines), default=0)
+    before = csv.field_size_limit(limit)
+    try:
+        got = datamod._line_count(io.StringIO(text, newline=""))
+    finally:
+        csv.field_size_limit(before)
+    assert got == (len(lines) if longest <= limit - 2 else None)
 
 
 _LATIN1_CELL = "x\xe9".encode("latin-1")  # "xé", not UTF-8
@@ -439,8 +476,14 @@ def test_planted_table_is_read_in_one_pass(tmp_path, monkeypatch):
 @st.composite
 def numeric_tables(draw):
     """CSV text of a table of NUMBER_CELLS at the header's width, padded and
-    sometimes quoted; some draws add one flaw at any row: an empty cell, a
-    short, long or blank row, or a cell that is not a number."""
+    sometimes quoted, with one line end (\\r\\n, \\n or \\r), maybe none
+    after the last row, and sometimes a byte-order mark; some draws add one
+    flaw at any row: an empty cell, a short, long, blank or whitespace-only
+    row, a cell that is not a number, a number in Arabic-Indic digits, or a
+    quoted cell holding a line break. Each is a place where numpy's reader
+    and csv.reader with float() part: float() reads `1_000` and Arabic-Indic
+    digits and numpy does not, numpy skips a blank line, and a quoted line
+    break joins two lines into one row."""
     width = draw(st.integers(1, 4))
     header = [f"x{j}" for j in range(width - 1)] + ["y"]
     pad = st.sampled_from(["", " ", "\t ", "  "])
@@ -452,7 +495,8 @@ def numeric_tables(draw):
     rows = [[cell(draw(st.sampled_from(NUMBER_CELLS))) for _ in range(width)]
             for _ in range(draw(st.integers(1, 6)))]
     i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, width - 1))
-    flaw = draw(st.sampled_from(["empty", "short", "long", "blank", "junk"])
+    flaw = draw(st.sampled_from(["empty", "short", "long", "blank", "spaces", "junk",
+                                 "digits", "line break"])
                 if draw(st.booleans()) else st.none())
     if flaw == "empty":
         rows[i][j] = cell("")
@@ -462,9 +506,19 @@ def numeric_tables(draw):
         rows[i].append(cell(draw(st.sampled_from(NUMBER_CELLS + [""]))))
     elif flaw == "blank":
         rows.insert(i, [])
+    elif flaw == "spaces":
+        rows.insert(i, [draw(st.sampled_from([" ", "\t", " \t "]))])
     elif flaw == "junk":
         rows[i][j] = cell(draw(st.sampled_from(JUNK_CELLS + DATE_CELLS + BOOL_CELLS)))
-    return header, "".join(",".join(r) + "\r\n" for r in [header] + rows)
+    elif flaw == "digits":
+        rows[i][j] = cell(draw(st.sampled_from(["\u0661\u0662", "-\u0663.\u0665"])))
+    elif flaw == "line break":
+        rows[i][j] = '"' + draw(st.sampled_from(["1\n", "\n2", "3\r", "4\r\n", "5\n6"])) + '"'
+    end = draw(st.sampled_from(["\r\n", "\n", "\r"]))
+    text = "".join(",".join(r) + end for r in [header] + rows)
+    if draw(st.booleans()):
+        text = text.removesuffix(end)
+    return header, ("\ufeff" if draw(st.booleans()) else "") + text
 
 
 @settings(max_examples=300, deadline=None)
@@ -475,7 +529,7 @@ def numeric_tables(draw):
 def test_load_csv_reads_as_the_per_column_path(tmp_path_factory, table, task, kind, data):
     header, text = table
     path = tmp_path_factory.mktemp("csv") / "t.csv"
-    path.write_text(text, newline="")
+    path.write_text(text, encoding="utf-8", newline="")
     overrides = {data.draw(st.sampled_from(header)): kind} if kind else {}
     schema = SchemaConfig(target_name="y", task=task, column_kind_overrides=overrides)
     assert loaded(load_csv, str(path), schema) == loaded(load_column_by_column, str(path), schema)

@@ -12,11 +12,11 @@ from kgfeat.data import Dataset, Task
 from kgfeat.engine import (EngineConfig, EngineError, FEResult, PoolEntry, _Evaluator,
                            compute_reward, encode_feature, importance, max_order_sweep,
                            raw_pool, run, target_codes)
-from kgfeat.kg import VerdictStatus, empty_kg, judge, load_kg
+from kgfeat.kg import VerdictStatus, judge, load_kg
 from kgfeat.learn import LearnerSpec
 from kgfeat.transform import Node, RawRef
 
-from conftest import cat_col, num_col
+from conftest import cat_col, empty_kg, num_col
 
 
 def small_cfg(**kw):

@@ -4,9 +4,10 @@ another's private name, every module-level private name is read somewhere
 in the package, every local a function assigns is read in it, every
 dataclass field is read somewhere in the package, JSON shapes are tested
 only by `data.check`, no module calls `csv.writer`, only `data` calls
-`csv.reader`, only `cli.main` reads `EXIT_USER`, every text file is
-opened with an explicit encoding, a feature's concepts come from its
-verdict alone, and no module tests an operator by its name."""
+`csv.reader`, only `data._numeric_columns` calls numpy's text readers,
+only `cli.main` reads `EXIT_USER`, every text file is opened with an
+explicit encoding, a feature's concepts come from its verdict alone, and
+no module tests an operator by its name."""
 import ast
 import glob
 import os
@@ -302,19 +303,22 @@ def test_json_shapes_are_tested_only_by_data_check():
         assert not found, f"{os.path.basename(path)} tests JSON types in {found}"
 
 
-def csv_calls(source, name):
+def module_calls(source, module, name):
     """The top-level definition (or `<module>`) around each call of
-    `csv.<name>`, or of a `<name>` imported from csv."""
+    `<module>.<name>`, through the name the source imports the module as,
+    or of a `<name>` imported from the module."""
     tree = ast.parse(source)
+    aliases = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+               for a in n.names if a.name == module}
     imported = {a.asname or a.name for n in ast.walk(tree)
-                if isinstance(n, ast.ImportFrom) and n.module == "csv"
+                if isinstance(n, ast.ImportFrom) and n.module == module
                 for a in n.names if a.name == name}
     found = []
     for stmt in tree.body:
         for n in ast.walk(stmt):
             if isinstance(n, ast.Call) and (
                     (isinstance(n.func, ast.Attribute) and n.func.attr == name
-                     and _called_name(n.func.value) == "csv")
+                     and _called_name(n.func.value) in aliases)
                     or (isinstance(n.func, ast.Name) and n.func.id in imported)):
                 found.append(getattr(stmt, "name", "<module>"))
     return found
@@ -326,14 +330,14 @@ def test_csv_writer_calls_are_found():
               "def g(fh):\n    return w(fh)\n"
               "def h(fh):\n    return csv.reader(fh), fh.writer\n"
               "W = csv.writer\n")
-    assert csv_calls(source, "writer") == ["f", "g"]
+    assert module_calls(source, "csv", "writer") == ["f", "g"]
 
 
 def test_every_csv_file_is_written_by_one_writer():
     # cli's _csv_field/_csv_line write features.csv and the report files
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         with open(path) as fh:
-            found = csv_calls(fh.read(), "writer")
+            found = module_calls(fh.read(), "csv", "writer")
         assert not found, f"{os.path.basename(path)} calls csv.writer in {found}"
 
 
@@ -342,18 +346,42 @@ def test_csv_reader_calls_are_found():
               "def f(fh):\n    return list(csv.reader(fh))\n"
               "def g(fh):\n    return csv.writer(fh), fh.reader()\n"
               "R = [reader(fh) for fh in ()]\n")
-    assert csv_calls(source, "reader") == ["f", "<module>"]
+    assert module_calls(source, "csv", "reader") == ["f", "<module>"]
 
 
 def test_only_data_reads_csv_files():
     # data._records maps a malformed record to a DataError naming its line
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         with open(path) as fh:
-            found = csv_calls(fh.read(), "reader")
+            found = module_calls(fh.read(), "csv", "reader")
         if os.path.basename(path) == "data.py":
             assert found == ["_records"]
         else:
             assert not found, f"{os.path.basename(path)} calls csv.reader in {found}"
+
+
+def test_numpy_text_reader_calls_are_found():
+    source = ("import numpy as np\nfrom numpy import genfromtxt as gen\n"
+              "def f(fh):\n    return np.loadtxt(fh)\n"
+              "def g(fh):\n    return gen(fh), np.savetxt(fh, [])\n"
+              "def h(fh):\n    return fh.loadtxt(), numpy.loadtxt(fh)\n"
+              "class C:\n    def m(self, fh):\n        return np.genfromtxt(fh)\n")
+    assert module_calls(source, "numpy", "loadtxt") == ["f"]
+    assert module_calls(source, "numpy", "genfromtxt") == ["g", "C"]
+
+
+def test_only_data_numeric_columns_calls_numpy_text_readers():
+    # data._numeric_columns reads with numpy only the tables it has checked
+    # csv.reader and float() read the same way
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            source = fh.read()
+        found = [where for name in ("loadtxt", "genfromtxt")
+                 for where in module_calls(source, "numpy", name)]
+        if os.path.basename(path) == "data.py":
+            assert found == ["_numeric_columns"]
+        else:
+            assert not found, f"{os.path.basename(path)} calls numpy's text readers in {found}"
 
 
 def reads_outside(source, name, function):

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 import kgfeat
 from kgfeat import kg as kgmod
 from kgfeat.kg import (DIMENSIONLESS, KGError, Unit, VerdictStatus, coverage,
-                       forward_chain, is_instance, judge, load_kg, propagate_unit,
-                       subsumes)
+                       forward_chain, judge, load_kg, propagate_unit)
 from kgfeat.transform import (Arity, Node, RawRef, catalog, catalog_op, children,
                               render_name)
 
@@ -149,6 +148,28 @@ def bfs_reachable(edges, start):
     return seen
 
 
+def ancestors(kg, cls):
+    """cls's ancestors, without cls, in the depth-first order judge walks."""
+    return list(kg._ancestor_walk(cls))
+
+
+def subsumes(kg, sub, sup):
+    """Whether sup is sub or one of its ancestors; an unknown class is a
+    KGError."""
+    for c in (sub, sup):
+        if c not in kg.class_set:
+            raise KGError(f"unknown class {c!r}")
+    return sub == sup or sup in kg._ancestor_walk(sub)
+
+
+def is_instance(kg, kg_doc, unit_name, cls):
+    """Whether the KG document gives unit_name a class (Units when it names
+    none) that is cls or below it."""
+    asserted = {u["name"]: "Units" if u.get("class") is None else u["class"]
+                for u in kg_doc["units"]}
+    return unit_name in asserted and subsumes(kg, asserted[unit_name], cls)
+
+
 def test_subsumes_matches_bfs_oracle(default_kg_path, kg_doc):
     kg = load_kg(default_kg_path)
     for sub in kg.classes:
@@ -167,12 +188,12 @@ def test_subsumes_reflexive_and_examples(default_kg_path):
         subsumes(kg, "Weight", "NoSuchClass")
 
 
-def test_is_instance(default_kg_path):
+def test_is_instance(default_kg_path, kg_doc):
     kg = load_kg(default_kg_path)
-    assert is_instance(kg, "kg", "MassUnit")
-    assert is_instance(kg, "kg", "Units")
-    assert not is_instance(kg, "kg", "LengthUnit")
-    assert not is_instance(kg, "nope", "Units")
+    assert is_instance(kg, kg_doc, "kg", "MassUnit")
+    assert is_instance(kg, kg_doc, "kg", "Units")
+    assert not is_instance(kg, kg_doc, "kg", "LengthUnit")
+    assert not is_instance(kg, kg_doc, "nope", "Units")
 
 
 def test_cycle_detection(tmp_path):
@@ -204,7 +225,7 @@ def test_subsumes_on_a_long_chain_is_fast(tmp_path):
     start = time.perf_counter()
     assert subsumes(kg, f"C{n - 1}", "C0")
     assert time.perf_counter() - start < 1.0
-    assert kg.ancestors(f"C{n - 1}")[:2] == [f"C{n - 2}", f"C{n - 3}"]
+    assert ancestors(kg, f"C{n - 1}")[:2] == [f"C{n - 2}", f"C{n - 3}"]
 
 
 def test_load_kg_validates_references(tmp_path):
@@ -259,9 +280,9 @@ def test_load_kg_knows_every_predicate_a_fact_can_carry(tmp_path):
 def test_ancestors_transitive_property(default_kg_path):
     kg = load_kg(default_kg_path)
     for a in kg.classes:
-        for b in kg.ancestors(a):
-            for c in kg.ancestors(b):
-                assert c in kg.ancestors(a), (a, b, c)
+        for b in ancestors(kg, a):
+            for c in ancestors(kg, b):
+                assert c in ancestors(kg, a), (a, b, c)
 
 
 # ---------------------------------------------------------------- rules
@@ -449,7 +470,7 @@ def oracle_phi_feature(kg, expr):
         if entry is None:
             continue
         cls, unit_name = entry
-        for concept in [cls] + kg.ancestors(cls):
+        for concept in [cls] + ancestors(kg, cls):
             if concept in index:
                 vec[index[concept]] = 1
         if unit_name is not None and unit_name in index:
@@ -536,7 +557,7 @@ def _match_body_scan(kg, facts, body, binding, i=0):
 
 def _add_class_fact(kg, facts, cls, individual):
     """A class fact and every ancestor of it, as the oracles assert them."""
-    facts.update((c, individual) for c in (cls, *kg.ancestors(cls)))
+    facts.update((c, individual) for c in (cls, *ancestors(kg, cls)))
 
 
 def forward_chain_scan(kg, facts):
@@ -717,7 +738,7 @@ def test_indexed_join_matches_the_scan_on_constants_and_repeats():
              Atom("S", ("?x", "k"))),
         Rule("back", (Atom("S", ("?x", "?c")), Atom("R", ("?c", "?x"))), Atom("B", ("?x",))),
     ]
-    kg = kgmod.KnowledgeGraph(["A", "B"], {}, {}, {}, rules)
+    kg = kgmod.KnowledgeGraph(["A", "B"], {}, {}, rules)
     facts = {("R", "k", "a"), ("R", "a", "a"), ("R", "k", "b"), ("R", "b", "c"),
              ("R", "a"), ("Go",), ("R", "c", "c"), ("R", "k", "c")}
     got = forward_chain(kg, facts)
@@ -811,7 +832,7 @@ def test_a_null_unit_class_or_rule_name_reads_as_absent(tmp_path, kg_doc):
     path = tmp_path / "kg.json"
     path.write_text(json.dumps(doc))
     kg = load_kg(str(path), kgfeat.resource_path("diabetes.mapping.json"))
-    assert kg.unit_class[doc["units"][0]["name"]] == "Units"
+    assert doc["units"][0]["name"] in kg.unit_registry  # its class is Units, not None
     verdict = judge(kg, Node("add", (RawRef("WEIGHT"), RawRef("HEIGHT"))))
     assert verdict.status == VerdictStatus.NON_INTERPRETABLE and verdict.reason == "rule 1"
 

@@ -757,6 +757,18 @@ def test_logistic_separable():
     assert (predict(model, X) == y).all()
 
 
+def test_logistic_predict_standardises_a_far_cell_without_a_warning():
+    # the cell 1.7e308 lies far outside the other fold's spread, so it
+    # standardises to inf; that printed "overflow encountered in divide",
+    # which the suite's warning filter turns into an error. The score is the
+    # one predict gave with warnings silenced.
+    rng = np.random.default_rng(0)
+    y = np.array([0.0, 1.0] * 20)
+    x = y + rng.normal(0, 0.3, 40)
+    x[3] = 1.7e308
+    assert evaluate_cv(LearnerSpec(kind="logistic"), [x], y, Task.CLASSIFICATION, 2, 0) == 0.5
+
+
 def test_learner_spec_rejects_an_unknown_kind():
     with pytest.raises(LearnError, match="unknown learner 'foo'"):
         LearnerSpec(kind="foo")

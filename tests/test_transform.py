@@ -19,7 +19,7 @@ from kgfeat.transform import (_FINALISTS, _RANK_ROWS, MAX_MISSING_FRACTION,
                               expr_from_json, expr_to_json, order, render_name,
                               search_space_size)
 
-from conftest import cat_col, make_dataset, make_planted_dataset, num_col
+from conftest import cat_col, empty_kg, make_dataset, make_planted_dataset, num_col
 
 
 @pytest.fixture()
@@ -450,7 +450,6 @@ def test_raw_reference_is_its_column_of_its_own_kind(d):
 
 def test_expand_action_dedup_and_cap(d):
     from kgfeat.engine import raw_pool
-    from kgfeat.kg import empty_kg
 
     pool = [e.feature for e in raw_pool(d, empty_kg())]
     numeric = [f for f in pool if f.kind == Kind.NUMERIC]
@@ -472,7 +471,6 @@ def test_expand_action_dedup_and_cap(d):
 
 def test_expand_action_skips_existing(d):
     from kgfeat.engine import raw_pool
-    from kgfeat.kg import empty_kg
 
     pool = [e.feature for e in raw_pool(d, empty_kg())]
     numeric = [f for f in pool if f.kind == Kind.NUMERIC]
@@ -487,7 +485,6 @@ def test_expand_action_skips_existing(d):
 
 def test_expand_action_respects_max_order(d):
     from kgfeat.engine import raw_pool
-    from kgfeat.kg import empty_kg
 
     pool = [e.feature for e in raw_pool(d, empty_kg())]
     numeric = [f for f in pool if f.kind == Kind.NUMERIC]
@@ -509,7 +506,6 @@ def test_expand_action_drops_mostly_missing():
 
 def test_expand_action_deterministic(d):
     from kgfeat.engine import raw_pool
-    from kgfeat.kg import empty_kg
 
     pool = [e.feature for e in raw_pool(d, empty_kg())]
     numeric = [f for f in pool if f.kind == Kind.NUMERIC]
@@ -585,7 +581,6 @@ def mixed_dataset():
 
 def test_incremental_evaluation_matches_cold_apply():
     from kgfeat.engine import raw_pool
-    from kgfeat.kg import empty_kg
 
     d = mixed_dataset()
     y = target_codes(d)
