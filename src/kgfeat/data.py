@@ -328,10 +328,11 @@ def load_csv(path: str, schema: SchemaConfig) -> Dataset:
     Column kinds come from schema overrides when given, otherwise from
     inference: all-numeric -> Numeric, all-ISO-date -> Date, at most two
     distinct boolean tokens -> Boolean, anything else -> Categorical.
-    Empty cells are missing. A table of numbers at the header's width, with
-    no override but `numeric`, is read into one float matrix by numpy's C
-    parser (see _numeric_columns); any other is read column by column, with
-    the same result.
+    Empty cells are missing, and blank lines are skipped, as csv.DictReader
+    skips them. A table of numbers at the header's width, with no override
+    but `numeric`, is read into one float matrix by numpy's C parser (see
+    _numeric_columns); any other is read column by column, with the same
+    result.
     """
     overrides = schema.column_kind_overrides
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -339,7 +340,7 @@ def load_csv(path: str, schema: SchemaConfig) -> Dataset:
         header = _header(records, path)
         if len(set(header)) != len(header):
             raise DataError(f"{path}: duplicate column names in header")
-        first = next(records, None)
+        first = next(filter(None, records), None)  # csv.reader reads a blank line as []
         if first is None:
             raise DataError(f"{path}: no data rows")
         if schema.target_name not in header:
@@ -352,7 +353,7 @@ def load_csv(path: str, schema: SchemaConfig) -> Dataset:
             columns = _numeric_columns(fh, header, first)
         if columns is None:
             fh.seek(0)
-            rows = list(islice(_records(fh, path), 1, None))
+            rows = list(filter(None, islice(_records(fh, path), 1, None)))
             # a short row reads "" in the columns it lacks
             width = len(header)
             rows = [r if len(r) >= width else r + [""] * (width - len(r)) for r in rows]

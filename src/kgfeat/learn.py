@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -119,15 +120,25 @@ def _scaled_target(y):
     return np.ldexp(y, -e), e
 
 
-def _draw_features(tree, rngs, n_sub, p):
+def _draw_features(tree, plan, at, n_sub, p):
     """Sorted feature subsets (len(tree), n_sub), one per open node; tree[i]
-    is the tree of node i, nodes of one tree are adjacent and in tree order,
-    and the tree's generator draws their subsets in node order."""
+    is the plan's tree of node i, and nodes of one tree are adjacent and in
+    tree order. A node keys the p features with the next p uniforms of its
+    tree's stream, read from the tree's cursor in `at`, which moves past
+    them, and takes the n_sub of the smallest keys."""
     if n_sub >= p:
         return np.broadcast_to(np.arange(p), (len(tree), p))
-    keys = np.concatenate([rngs[t].random((c, p))
-                           for t, c in enumerate(np.bincount(tree)) if c])
-    return np.sort(np.argsort(keys, axis=1)[:, :n_sub], axis=1)
+    c = np.bincount(tree, minlength=len(at))  # open nodes per tree
+    end = at + c * p
+    table = plan.stream(int(end.max()))
+    # node i is the (i - first[tree[i]])-th open node of its tree
+    first = np.cumsum(c) - c
+    start = tree * table.shape[1] + at[tree] + (np.arange(len(tree)) - first[tree]) * p
+    at[:] = end
+    keys = table.take(start[:, None] + np.arange(p))
+    F = np.argpartition(keys, n_sub - 1, axis=1)[:, :n_sub]
+    F.sort(axis=1)
+    return F
 
 
 def _best_splits(codes, lo, hi, rows, ys, w, sk, F, stats, task, n_classes, tol):
@@ -227,25 +238,23 @@ def _positions(subset, K):
     return pos
 
 
-def _grow(codes, lo, hi, y, tol, task, n_classes, batch, n_sub, max_depth,
-          importances, n_total):
-    """Grow one tree on each (generator, distinct rows, weights) of `batch`,
-    all together, one depth level per pass; tree t's generator draws its
-    per-node feature subsets. y is the class codes, or the regression target
-    as _scaled_target scales it; a node splits where that lowers its
-    impurity by more than tol.
+def _grow(codes, lo, hi, y, tol, task, n_classes, batch, plan, at, n_sub,
+          max_depth, importances, n_total):
+    """Grow the trees of `batch` (see _bootstraps) together, one depth level
+    per pass; a tree's nodes' feature subsets come from its stream in
+    `plan`, read from its cursor in `at` (see _draw_features). y is the
+    class codes, or the regression target as _scaled_target scales it; a
+    node splits where that lowers its impurity by more than tol.
 
     Returns the batch's node arrays (feature, threshold, left, value) in
-    level order, with tree t's root at node t. Leaf values, and the impurity
-    decreases added to `importances`, are in y's units.
+    level order, with the batch's i-th tree's root at node i. Leaf values,
+    and the impurity decreases added to `importances`, are in y's units.
     """
     p = codes.shape[0]
-    rngs, rows, w = zip(*batch)
-    k = np.repeat(np.arange(len(batch)), [len(r) for r in rows])
-    rows, w = np.concatenate(rows), np.concatenate(w).astype(float)
+    tree, k, rows, w = batch  # tree: the plan's tree of each node of this level
+    w = w.astype(float)
     ys = y[rows]
-    tree = np.arange(len(batch))  # tree of each node of this level
-    base = 0                      # id of this level's first node
+    base = 0  # id of this level's first node
     levels = []
     for depth in range(max_depth + 1):
         K = len(tree)
@@ -260,12 +269,11 @@ def _grow(codes, lo, hi, y, tol, task, n_classes, batch, n_sub, max_depth,
             t1 = np.bincount(k, w * ys, K)
             value = t1 / cnt
             imp = np.bincount(k, w * (ys - value[k]) ** 2, K) / cnt
-            # a node whose samples all equal its first has impurity exactly
-            # 0, though its mean may round off that value; one sort of
-            # (node, sample) keys finds each node's first sample
-            n_k = np.bincount(k, minlength=K)
-            first = np.sort(k * len(k) + np.arange(len(k)))[np.cumsum(n_k) - n_k] % len(k)
-            imp[np.bincount(k, ys != ys[first][k], K) == 0] = 0.0
+            # a node whose samples all equal any one of them has impurity
+            # exactly 0, though its mean may round off that value
+            kept = np.zeros(K)
+            kept[k] = ys
+            imp[np.bincount(k, ys != kept[k], K) == 0] = 0.0
             stats = (cnt, t1, imp)
         feature = np.full(K, -1)
         threshold = np.zeros(K)
@@ -277,7 +285,7 @@ def _grow(codes, lo, hi, y, tol, task, n_classes, batch, n_sub, max_depth,
         s = _positions(open_, K)[k]
         inside = s >= 0
         rows, ys, w, s = rows[inside], ys[inside], w[inside], s[inside]
-        F = _draw_features(tree[open_], rngs, n_sub, p)
+        F = _draw_features(tree[open_], plan, at, n_sub, p)
         best, j, thr, split_bin = _best_splits(
             codes, lo, hi, rows, ys, w, s, F, tuple(a[open_] for a in stats),
             task, n_classes, tol)
@@ -297,30 +305,73 @@ def _grow(codes, lo, hi, y, tol, task, n_classes, batch, n_sub, max_depth,
     return tuple(np.concatenate(a) for a in zip(*levels))
 
 
-def _bootstraps(rngs, n):
-    """Batches of (generator, distinct rows, weights): one tree per generator
-    in `rngs`, on a bootstrap of the n rows drawn from it, each distinct row
-    weighted by its number of draws, or on all rows where it is None. A batch
-    holds at most _BATCH_ROWS distinct rows, or one tree."""
-    batch, size = [], 0
-    for r in rngs:
-        draws = (np.ones(n, dtype=np.int64) if r is None
-                 else np.bincount(r.integers(0, n, size=n), minlength=n))
-        rows = np.flatnonzero(draws)
-        if batch and size + len(rows) > _BATCH_ROWS:
-            yield batch
-            batch, size = [], 0
-        batch.append((r, rows, draws[rows]))
-        size += len(rows)
-    yield batch
+class _Plan:
+    """The randomness of a forest: tree t grows on the bootstrap counts
+    draws[t] (n,) and keys its nodes' features with its stream, the uniforms
+    its generator yields after drawing them. Row t of `uniforms` holds the
+    first of them, as many as the fits have read so far. Fits in several
+    threads may share a plan: one at a time draws on the streams, and the
+    draws and every table handed out are read-only."""
+
+    def __init__(self, gens, draws):
+        self.gens, self.draws = gens, draws
+        self.uniforms = np.empty((len(gens), 0))
+        self._lock = threading.Lock()
+
+    def stream(self, length):
+        """The uniforms, each tree's stream drawn on to `length` if shorter."""
+        with self._lock:
+            have = self.uniforms.shape[1]
+            if length > have:
+                table = np.empty((len(self.gens), length))
+                table[:, :have] = self.uniforms
+                for gen, row in zip(self.gens, table):
+                    gen.random(out=row[have:])
+                table.setflags(write=False)
+                self.uniforms = table
+            return self.uniforms
 
 
-def _fit_trees(X, y, task, n_classes, rngs, n_sub, max_depth):
-    """One tree per generator in `rngs` (see _bootstraps). Each node searches
-    a subset of n_sub features drawn from its tree's generator, or all of
-    them when n_sub >= p. Returns the forest and its summed impurity
-    decreases, in the scaled target's units: a power of two, so their shares
-    are those of the unscaled target's."""
+_PLANS = 4  # forest plans kept per process: a run fits at a few fold sizes
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _forest_plan(seed, n_trees, n):
+    """The plan of a forest of n_trees on n rows: the trees' generators are
+    spawned from `seed`, and each draws its bootstrap of the n rows, kept as
+    each row's number of draws in the smallest unsigned type that holds them.
+    The plan is shared by every fit at (seed, n_trees, n), and a generator
+    draws a stream's uniforms only once, so a fit reads the values that fresh
+    generators would give it."""
+    gens = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(n_trees)]
+    draws = [np.bincount(g.integers(0, n, size=n), minlength=n) for g in gens]
+    draws = np.array(draws, dtype=np.min_scalar_type(max(int(d.max()) for d in draws)))
+    draws.setflags(write=False)
+    return _Plan(gens, draws)
+
+
+def _bootstraps(draws):
+    """Batches of trees, in tree order, each as (its trees, and for each of
+    its samples the sample's tree within the batch, row and weight): tree t
+    of `draws` (trees, n) grows on the rows it drew, each weighted by its
+    number of draws. A batch holds at most _BATCH_ROWS distinct rows, or one
+    tree."""
+    start, size = 0, 0
+    sizes = np.count_nonzero(draws, axis=1).tolist()
+    for t, s in enumerate(sizes + [0]):
+        if t == len(sizes) or (t > start and size + s > _BATCH_ROWS):
+            k, rows = np.nonzero(draws[start:t])
+            yield np.arange(start, t), k, rows, draws[start:t][k, rows]
+            start, size = t, 0
+        size += s
+
+
+def _fit_trees(X, y, task, n_classes, plan, n_sub, max_depth):
+    """One tree per row of plan.draws (see _bootstraps). Each node searches
+    a subset of n_sub features drawn from its tree's stream, or all of them
+    when n_sub >= p. Returns the forest and its summed impurity decreases,
+    in the scaled target's units: a power of two, so their shares are those
+    of the unscaled target's."""
     n, p = X.shape
     codes, lo, hi = _bin_columns(X)
     if task == Task.CLASSIFICATION:
@@ -331,12 +382,13 @@ def _fit_trees(X, y, task, n_classes, rngs, n_sub, max_depth):
         # so it never splits
         tol = 1e-15 * ((y.max() - y.min()) / 2) ** 2 or np.inf
     importances = np.zeros(p)
+    at = np.zeros(len(plan.draws), dtype=np.int64)  # each tree's stream cursor
     roots, parts, n_nodes = [], [], 0
-    for batch in _bootstraps(rngs, n):
+    for batch in _bootstraps(plan.draws):
         feature, threshold, left, value = _grow(
-            codes, lo, hi, y, tol, task, n_classes, batch, n_sub, max_depth,
-            importances, n)
-        roots.append(n_nodes + np.arange(len(batch)))
+            codes, lo, hi, y, tol, task, n_classes, batch, plan, at, n_sub,
+            max_depth, importances, n)
+        roots.append(n_nodes + np.arange(len(batch[0])))
         parts.append((feature, threshold, np.where(left >= 0, left + n_nodes, -1),
                       value))
         n_nodes += len(feature)
@@ -432,14 +484,13 @@ def train(spec: LearnerSpec, X: np.ndarray, y: np.ndarray, task: Task) -> Model:
         n_classes = int(classes.max()) + 1 if len(classes) else 0
 
     if spec.kind in ("decision_tree", "random_forest"):
-        if spec.kind == "decision_tree":
-            rngs, n_sub = [None], p
+        if spec.kind == "decision_tree":  # all rows once, all features
+            plan, n_sub = _Plan([], np.ones((1, n), dtype=np.uint8)), p
         else:
             frac = spec.feature_subsample
             n_sub = max(1, int(round(frac * p))) if frac is not None else max(1, int(math.isqrt(p)))
-            rngs = [np.random.default_rng(ss)
-                    for ss in np.random.SeedSequence(spec.seed).spawn(spec.n_trees)]
-        forest, importances = _fit_trees(X, y, task, n_classes, rngs, n_sub,
+            plan = _forest_plan(spec.seed, spec.n_trees, n)
+        forest, importances = _fit_trees(X, y, task, n_classes, plan, n_sub,
                                          spec.max_depth)
         return Model(spec.kind, task, p, trees=forest, classes=classes,
                      importances=importances)

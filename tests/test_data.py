@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgfeat
 from kgfeat import data as datamod
 from kgfeat.data import (DataError, Kind, SchemaConfig, Task, _build_column, check,
                          kfold_indices, load_csv)
@@ -278,13 +279,19 @@ def test_column_typing_matches_inference_then_parse(cells, override):
                               max_size=5), min_size=1, max_size=12))
 def test_load_csv_reads_ragged_rows_as_the_row_loop(tmp_path_factory, rows):
     # short rows read "" in the columns they lack, extra cells are ignored,
-    # and each cell is stripped, as a loop over the rows reads them
+    # and each cell is stripped, as a loop over the rows reads them; an empty
+    # row is a blank line, which the loop skips as csv.DictReader does
     header = ["a", "b", "c", "y"]
     path = write_csv(tmp_path_factory.mktemp("csv") / "t.csv", header, rows)
-    d = load_csv(path, SchemaConfig(target_name="y", task=Task.CLASSIFICATION,
-                                    column_kind_overrides={"y": Kind.CATEGORICAL}))
+    schema = SchemaConfig(target_name="y", task=Task.CLASSIFICATION,
+                          column_kind_overrides={"y": Kind.CATEGORICAL})
     with open(path, newline="") as fh:
-        read = list(csv.reader(fh))[1:]
+        read = list(filter(None, csv.reader(fh)))[1:]
+    if not read:
+        with pytest.raises(DataError, match="no data rows"):
+            load_csv(path, schema)
+        return
+    d = load_csv(path, schema)
     for j, name in enumerate(header):
         cells = [r[j].strip() if j < len(r) else "" for r in read]
         kind, want, want_missing = oracle_column(name, cells, Kind.CATEGORICAL if name == "y"
@@ -354,6 +361,8 @@ LONG_NUMBER = "0" * csv.field_size_limit() + "1"  # numpy reads it as 1.0
     pytest.param("a,y\n1,2\n3,4\n5,6,7\n", Task.REGRESSION, {}, [N, N],
                  id="a long last row"),
     pytest.param("a,y\n", Task.REGRESSION, {}, "{path}: no data rows", id="header only"),
+    pytest.param("a,y\n\n\r\n", Task.REGRESSION, {}, "{path}: no data rows",
+                 id="only blank data lines"),
     pytest.param("a,a,y\n1,2,3\n", Task.REGRESSION, {},
                  "{path}: duplicate column names in header", id="duplicate header names"),
     pytest.param("a,y\n1,2\n3,4\n", Task.CLASSIFICATION, {},
@@ -385,6 +394,34 @@ def test_numeric_path_edges_read_as_the_per_column_path(tmp_path, text, task, ov
         assert got == want.format(path=path)
     else:
         assert [kind for _, kind, *_ in got[1]] == want
+
+
+def dataset_bytes(d):
+    """Everything a Dataset holds, with each column's values as bytes."""
+    return (d.target, d.task, d.n_rows,
+            [(c.name, c.kind, c.values.tobytes(), c.levels, c.expr) for c in d.columns])
+
+
+def test_a_trailing_blank_line_adds_no_row(tmp_path, sales):
+    # csv.reader reads a blank line as []; it read as a row of missing cells,
+    # so sales with one more line end had 241 rows and a missing target
+    path = tmp_path / "sales.csv"
+    with open(kgfeat.resource_path("sales.csv"), newline="", encoding="utf-8") as fh:
+        path.write_text(fh.read() + "\r\n", encoding="utf-8", newline="")
+    schema = SchemaConfig.from_json(kgfeat.resource_path("sales.schema.json"))
+    assert dataset_bytes(load_csv(str(path), schema)) == dataset_bytes(sales)
+
+
+def test_a_blank_middle_line_reads_as_the_table_without_it_on_both_paths(tmp_path):
+    rows = ["x,y", "1.5,2", "-3,4e2", "7,8"]
+    schema = SchemaConfig(target_name="y", task=Task.REGRESSION)
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    plain.write_text("\n".join(rows) + "\n")
+    blank.write_text("\n".join(rows[:2] + [""] + rows[2:]) + "\n")
+    want = dataset_bytes(load_csv(str(plain), schema))  # numpy's reader
+    assert want[2] == 3
+    for load in (load_csv, load_column_by_column):
+        assert dataset_bytes(load(str(blank), schema)) == want
 
 
 def test_a_header_over_two_lines_is_read_column_by_column(tmp_path):

@@ -103,6 +103,17 @@ def test_run_deterministic(planted):
         json.dumps(b.to_json(), sort_keys=True)
 
 
+def test_a_forest_run_repeats_its_result_file_in_one_process(planted):
+    # the second run fits its forests from the plans the first one cached
+    d, kg, _ = planted
+    cfg = small_cfg(learner=LearnerSpec(kind="random_forest", n_trees=5, max_depth=3))
+    learn._forest_plan.cache_clear()
+    texts = [json.dumps(run(cfg, d, kg).to_json(), indent=2, sort_keys=True)
+             for _ in range(2)]
+    assert learn._forest_plan.cache_info().hits > 0
+    assert texts[0] == texts[1]
+
+
 def test_run_seed_changes_trajectory(planted):
     d, kg, _ = planted
     a = run(small_cfg(episodes=4), d, kg)

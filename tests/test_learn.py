@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -639,6 +640,96 @@ def test_pure_regression_nodes_far_from_zero_stay_leaves():
                                        seed=seed), X, off + step, Task.REGRESSION).trees.feature)
                  for seed in range(10)]
         assert np.mean(sizes) == 30.0, off
+
+
+@pytest.mark.parametrize("odd", [0, 49])
+def test_a_node_with_one_other_sample_than_the_kept_one_splits(odd):
+    # a node compares its samples with one of them, whichever numpy's
+    # scatter keeps; one value off the rest, first or last, makes the node
+    # impure whichever is kept, and the pure side stays a leaf at an offset
+    # where its mean rounds off its value
+    X = np.arange(50.0)[:, None]
+    y = np.full(50, 1e9 + 0.38)
+    y[odd] = 1e9 + 0.37
+    model = train(LearnerSpec(kind="decision_tree", max_depth=4), X, y, Task.REGRESSION)
+    assert model.trees.feature.tolist() == [0, -1, -1]
+    pred = predict(model, X)
+    assert pred[odd] == y[odd] and pred == pytest.approx(y, rel=0, abs=1e-6)
+
+
+def _forest_bytes(model):
+    """Every array of a forest model, as bytes, and its scale."""
+    f = model.trees
+    return ([a.tobytes() for a in (f.roots, f.feature, f.threshold, f.left, f.value,
+                                   model.importances)], f.scale)
+
+
+@pytest.mark.parametrize("task", [Task.CLASSIFICATION, Task.REGRESSION])
+def test_a_forest_does_not_depend_on_the_plans_cached_before_it(task):
+    # a forest's bootstraps and feature-draw streams are kept per (seed,
+    # n_trees, n) and shared by every fit there; each fit must read them
+    # from the start, whatever other fits did or drew before it
+    rng = np.random.default_rng(6)
+    n, p = 150, 9
+    X = rng.uniform(size=(n, p))
+    y = (X[:, 0] + X[:, 3] > 1).astype(float) if task == Task.CLASSIFICATION \
+        else np.round(X[:, 0] * 10 + rng.normal(size=n), 1)
+    spec = LearnerSpec(kind="random_forest", n_trees=7, max_depth=5, seed=11)
+    learn._forest_plan.cache_clear()
+    cold = _forest_bytes(train(spec, X, y, task))
+
+    hits = learn._forest_plan.cache_info().hits
+    assert _forest_bytes(train(spec, X, y, task)) == cold
+    assert learn._forest_plan.cache_info().hits == hits + 1
+
+    train(LearnerSpec(kind="random_forest", n_trees=7, max_depth=5, seed=12), X, y, task)
+    train(spec, X[:-10], y[:-10], task)
+    train(LearnerSpec(kind="random_forest", n_trees=9, max_depth=5, seed=11), X, y, task)
+    train(spec, X[:, :4], y, task)
+    assert _forest_bytes(train(spec, X, y, task)) == cold
+
+    # a fit of fewer features and levels reads a shorter stream, which this
+    # fit then draws on
+    learn._forest_plan.cache_clear()
+    train(LearnerSpec(kind="random_forest", n_trees=7, max_depth=2, seed=11), X[:, :4], y,
+          task)
+    short = learn._forest_plan(11, 7, n).uniforms.shape[1]
+    assert _forest_bytes(train(spec, X, y, task)) == cold
+    assert learn._forest_plan(11, 7, n).uniforms.shape[1] > short
+
+
+def test_threads_drawing_on_one_plan_read_the_fresh_generators_streams():
+    # fits in several threads may share a plan; a stream drawn on by two
+    # of them at once would skip or repeat uniforms
+    seed, n_trees, n = 5, 6, 40
+    fresh = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(n_trees)]
+    want = np.array([(g.integers(0, n, size=n), g.random(4000))[1] for g in fresh])
+    lengths = np.random.default_rng(0).integers(1, 4000, (16, 50))
+    bad = []
+    start = threading.Barrier(len(lengths))
+
+    def draw(row):
+        start.wait(timeout=60)
+        for length in row:
+            table = learn._forest_plan(seed, n_trees, n).stream(length)
+            if not np.array_equal(table[:, :length], want[:, :length]):
+                bad.append(length)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            learn._forest_plan.cache_clear()
+            learn._forest_plan(seed, n_trees, n)  # every thread shares it
+            threads = [threading.Thread(target=draw, args=(row,)) for row in lengths]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not bad
 
 
 def test_a_forest_on_targets_near_the_largest_float_predicts_finite_values():
