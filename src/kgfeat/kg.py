@@ -29,16 +29,9 @@ class Unit:
 
     dims: tuple = ()
 
-    @classmethod
-    def of(cls, **exponents) -> "Unit":
-        return cls(dims=_normalize(dict(exponents)))
-
     @property
     def dimensionless(self) -> bool:
         return not self.dims
-
-    def dims_dict(self) -> dict:
-        return {d: e for d, e in self.dims}
 
     def dims_token(self) -> str:
         if not self.dims:
@@ -46,7 +39,7 @@ class Unit:
         return "dim:" + ",".join(f"{d}={e}" for d, e in self.dims)
 
     def __mul__(self, other: "Unit") -> "Unit":
-        dims = self.dims_dict()
+        dims = dict(self.dims)
         for d, e in other.dims:
             dims[d] = dims.get(d, 0) + e
         return Unit(dims=tuple(sorted((d, e) for d, e in dims.items() if e != 0)))
@@ -99,10 +92,6 @@ class Verdict:
     unit: Optional[Unit] = None
     unit_name: Optional[str] = None
     concepts: tuple = ()
-
-    @property
-    def interpretable(self) -> bool:
-        return self.status == VerdictStatus.INTERPRETABLE
 
 
 @dataclass

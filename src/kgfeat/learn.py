@@ -458,8 +458,7 @@ def _ridge(n, gram, rhs, total, y_total):
         mean[ok] = total[ok] / n
         # |coef_j|·std(x_j) ranks the features
         imp[ok] = np.abs(coef[ok]) * np.sqrt(g.diagonal() / n)
-        return Model("linear", Task.REGRESSION, p,
-                     coef=np.append(coef, y_mean - mean @ coef), scaler=(mean, y_mean),
+        return Model("linear", Task.REGRESSION, p, coef=coef, scaler=(mean, y_mean),
                      importances=imp)
 
 
@@ -554,7 +553,7 @@ def _predict_centred(model: Model, X: np.ndarray) -> np.ndarray:
     mean, y_mean = model.scaler
     with np.errstate(over="ignore", invalid="ignore"):
         X -= mean
-        return X @ model.coef[:-1] + y_mean
+        return X @ model.coef + y_mean
 
 
 def metric_f1(y_true, y_pred, positive=None) -> float:

@@ -203,14 +203,6 @@ def order(expr: Expr) -> int:
     return 0 if isinstance(expr, RawRef) else expr.order
 
 
-def render_name(expr: Expr) -> str:
-    """Humanly readable infix rendering, fully parenthesized for binary ops;
-    column names and one-hot levels read as written."""
-    if isinstance(expr, RawRef):
-        return expr.name
-    return catalog_op(expr.op).label.format(*map(render_name, expr.args), level=expr.level)
-
-
 def expr_to_json(expr: Expr) -> dict:
     if isinstance(expr, RawRef):
         return {"type": "raw", "name": expr.name}

@@ -9,6 +9,8 @@ import kgfeat
 from kgfeat import kg as kgmod
 from kgfeat.data import (Dataset, Feature, Kind, RawRef, SchemaConfig, Task, _build_column,
                          load_csv)
+from kgfeat.kg import Unit
+from kgfeat.transform import catalog_op
 
 
 def num_col(name, vals, missing=None, kind=Kind.NUMERIC):
@@ -38,6 +40,20 @@ def fold_pairs(fold, k):
     """The (train, valid) index pairs of kfold_indices' fold numbers, fold by
     fold, each in ascending row order."""
     return [(np.flatnonzero(fold != f), np.flatnonzero(fold == f)) for f in range(k)]
+
+
+def render_name(expr):
+    """An expression's display name rendered from its tree: each node's
+    catalog label over its operands' names, column names and one-hot levels
+    as written."""
+    if isinstance(expr, RawRef):
+        return expr.name
+    return catalog_op(expr.op).label.format(*map(render_name, expr.args), level=expr.level)
+
+
+def unit(**exponents):
+    """The unit with these base-dimension exponents."""
+    return Unit(dims=kgmod._normalize(exponents))
 
 
 def empty_kg():

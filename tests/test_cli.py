@@ -2,6 +2,7 @@ import codecs
 import contextlib
 import copy
 import csv
+import datetime
 import io
 import json
 import math
@@ -15,7 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import kgfeat
@@ -23,7 +24,7 @@ from kgfeat.cli import (_CSV_BLOCK_ROWS, _build_config, _csv_field, _csv_line,
                         _write_result_files, build_parser, main)
 from kgfeat.data import Dataset, Task
 from kgfeat.engine import FEResult
-from kgfeat.learn import LearnerSpec
+from kgfeat.learn import LEARNERS, LearnerSpec
 from kgfeat import engine as eng
 from kgfeat.transform import Node, RawRef, apply, expr_from_json, expr_to_json
 
@@ -1272,3 +1273,89 @@ def test_a_run_that_fires_rules_writes_the_same_bytes_under_any_hash_seed(tmp_pa
     fired = {line.rsplit(": ", 1)[1] for line in outputs[0][2].decode().splitlines()
              if line.startswith("  discarded ")}
     assert rules <= fired
+
+
+with open(kgfeat.resource_path("default_kg.json"), encoding="utf-8") as _fh:
+    _SHIPPED_KG = json.load(_fh)
+# A column's present cells, by the kind load_csv infers from them; a cell is
+# empty one time in four.
+_CELLS = {
+    "numeric": st.one_of(st.integers(-50, 50).map(str), st.just("1e308"),
+                         st.floats(-1e3, 1e3, allow_nan=False).map(repr)),
+    "boolean": st.sampled_from(["true", "false", "yes", "no"]),
+    "categorical": st.sampled_from(["red", "green", "blue", "dark red"]),
+    "date": st.dates(datetime.date(2000, 1, 1), datetime.date(2030, 12, 31)).map(str),
+}
+_TARGETS = {"regression": st.one_of(st.floats(-1e3, 1e3, allow_nan=False).map(repr),
+                                    st.just("1e308")),
+            "classification": st.sampled_from(["a", "b", "c"])}
+_WRONG_LEARNER = {"regression": "logistic", "classification": "linear"}  # refused at once
+_CONCEPTS = st.one_of(st.none(), st.fixed_dictionaries(
+    {"class": st.sampled_from(_SHIPPED_KG["classes"])},
+    optional={"unit": st.sampled_from([u["name"] for u in _SHIPPED_KG["units"]])}))
+
+
+@st.composite
+def generated_runs(draw):
+    """A table of 2-30 rows with 1-5 columns of any kind and a complete
+    target, a random mapping of its columns onto the shipped KG, a schema,
+    and small engine options with any learner the task takes."""
+    n = draw(st.integers(2, 30), label="rows")
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=5),
+                 label="kinds")
+    columns = {f"c{i}": draw(st.lists(st.one_of(*[_CELLS[kind]] * 3, st.just("")),
+                                      min_size=n, max_size=n))
+               for i, kind in enumerate(kinds)}
+    task = draw(st.sampled_from(sorted(_TARGETS)), label="task")
+    columns["y"] = draw(st.lists(_TARGETS[task], min_size=n, max_size=n), label="target")
+    concepts = {name: draw(_CONCEPTS, label=f"{name} concept") for name in columns}
+    mapping = {name: concept for name, concept in concepts.items() if concept}
+    options = [("--episodes", st.integers(1, 2)), ("--steps", st.integers(1, 3)),
+               ("--cap", st.integers(1, 4)), ("--k", st.integers(2, 3)),
+               ("--max-order", st.integers(1, 3)),
+               ("--learner", st.sampled_from([k for k in LEARNERS if k != _WRONG_LEARNER[task]])),
+               ("--seed", st.integers(0, 3))]
+    flags = [str(v) for flag, values in options for v in (flag, draw(values, label=flag))]
+    table = "".join(_csv_line([_csv_field(c) for c in row]) for row in zip(*(
+        [name, *cells] for name, cells in columns.items())))
+    return table, {"target_name": "y", "task": task}, mapping, flags
+
+
+def _kgfeat(*argv):
+    """`kgfeat` run in-process: its exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(list(argv)), err.getvalue()
+
+
+@settings(max_examples=25, derandomize=True, database=None,
+          deadline=datetime.timedelta(seconds=20))
+@given(case=generated_runs())
+def test_run_on_a_generated_table_succeeds_or_exits_one(case):
+    # every table `run` accepts either gives a sound, repeatable result that
+    # `explain` and `report` read, or a user error; never an internal error
+    table, schema, mapping, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        d = pathlib.Path(tmp)
+        _write_documents(d, {"schema.json": schema, "mapping.json": mapping}, table)
+        argv = ["run", "--dataset", str(d / "data.csv"), "--schema", str(d / "schema.json"),
+                "--kg", kgfeat.resource_path("default_kg.json"),
+                "--mapping", str(d / "mapping.json"), *flags]
+        code, err = _kgfeat(*argv, "--out", str(d / "out"))
+        event(f"run exits {code}")
+        assert code in (0, 1), err
+        if code == 1:
+            return
+        result = (d / "out" / "result.json").read_bytes()
+        doc = json.loads(result)
+        scores = [doc["best_score"], doc["baseline_score"], *doc["episode_scores"]]
+        assert all(math.isfinite(s) for s in scores), scores
+        assert doc["best_score"] >= doc["baseline_score"]
+        assert all(f["verdict"] != "non_interpretable" for f in doc["best_features"])
+        assert _kgfeat(*argv, "--out", str(d / "again")) == (0, "")
+        assert (d / "again" / "result.json").read_bytes() == result
+        path = str(d / "out" / "result.json")
+        for entries in (doc["best_features"], doc["discard_log"]):
+            for entry in entries[:1]:
+                assert _kgfeat("explain", path, entry["display_name"]) == (0, "")
+        assert _kgfeat("report", path) == (0, "")

@@ -1,9 +1,10 @@
 """Source hygiene: each kgfeat module imports only the sibling modules its
 layer allows, every name a module imports is used in it, no module imports
 another's private name, every module-level private name is read somewhere
-in the package, every local a function assigns is read in it, every
-dataclass field is read somewhere in the package, JSON shapes are tested
-only by `data.check`, no module calls `csv.writer`, only `data` calls
+in the package, every public name is read in the package outside its own
+body or by the acceptance suite, every local a function assigns is read in
+it, every dataclass field is read somewhere in the package, JSON shapes are
+tested only by `data.check`, no module calls `csv.writer`, only `data` calls
 `csv.reader`, only `data._numeric_columns` calls numpy's text readers,
 only `cli.main` reads `EXIT_USER`, every text file is opened with an
 explicit encoding, a feature's concepts come from its verdict alone, and
@@ -154,6 +155,71 @@ def test_every_private_name_is_read():
         with open(path) as fh:
             sources.append(fh.read())
     assert unread_private_names(sources) == []
+
+
+def public_definitions(tree):
+    """(name, node, is_member) for each public top-level function and class,
+    and for each public method and property of a top-level class, named
+    `Class.name`; dunder names start with `_`, so they are exempt."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for stmt in tree.body:
+        if isinstance(stmt, (*defs, ast.ClassDef)) and not stmt.name.startswith("_"):
+            yield stmt.name, stmt, False
+        if isinstance(stmt, ast.ClassDef):
+            yield from ((f"{stmt.name}.{m.name}", m, True) for m in stmt.body
+                        if isinstance(m, defs) and not m.name.startswith("_"))
+
+
+def unread_public_names(sources, acceptance=()):
+    """Each public name the sources define that no source and no acceptance
+    source reads outside the definition's own body: a top-level name as a bare
+    name or an attribute, a method or property as an attribute."""
+    trees = [ast.parse(s) for s in sources]
+    names, attrs = {}, {}  # name -> the nodes that read it
+    for tree in trees + [ast.parse(s) for s in acceptance]:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                names.setdefault(n.id, []).append(n)
+            elif isinstance(n, ast.Attribute):
+                attrs.setdefault(n.attr, []).append(n)
+    unread = []
+    for tree in trees:
+        for qualified, node, is_member in public_definitions(tree):
+            inside = {id(n) for n in ast.walk(node)}
+            readers = attrs.get(node.name, []) + ([] if is_member else names.get(node.name, []))
+            if all(id(n) in inside for n in readers):
+                unread.append(qualified)
+    return sorted(unread)
+
+
+def test_unread_public_names_are_found():
+    a = ("def render(e):\n    return render(e.args)\n"
+         "def used():\n    pass\n"
+         "def api():\n    pass\n"
+         "class Unit:\n    @classmethod\n    def of(cls):\n        return cls()\n"
+         "    @property\n    def flag(self):\n        return self.dims\n"
+         "    def walk(self):\n        return self.walk()\n"
+         "    def __mul__(self, other):\n        return Unit()\n"
+         "class _Plan:\n    def stream(self):\n        return used()\n"
+         "class Loose:\n    pass\n")
+    b = "from . import a\nx = a.Unit().flag\ny = _Plan\n"
+    acceptance = "from kgfeat.a import api\napi()\n"
+    unread = ["Loose", "Unit.of", "Unit.walk", "_Plan.stream", "render"]
+    assert unread_public_names([a, b], [acceptance]) == unread
+    assert unread_public_names([a, b]) == sorted(unread + ["api"])
+
+
+def test_every_public_name_is_read():
+    # a name the program never reads is code nobody runs; the acceptance
+    # suite's reads are the paper's acceptance API (metric_f1,
+    # search_space_size, kgfeat.resource_path)
+    sources = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            sources.append(fh.read())
+    acceptance = os.path.join(os.path.dirname(os.path.abspath(__file__)), "test_acceptance.py")
+    with open(acceptance, encoding="utf-8") as fh:
+        assert unread_public_names(sources, [fh.read()]) == []
 
 
 def unread_locals(source):

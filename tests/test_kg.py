@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 
 import kgfeat
 from kgfeat import kg as kgmod
-from kgfeat.kg import (DIMENSIONLESS, KGError, Unit, VerdictStatus, coverage,
+from kgfeat.kg import (DIMENSIONLESS, KGError, VerdictStatus, coverage,
                        forward_chain, judge, load_kg, propagate_unit)
-from kgfeat.transform import (Arity, Node, RawRef, catalog, catalog_op, children,
-                              render_name)
+from kgfeat.transform import Arity, Node, RawRef, catalog, catalog_op, children
 
-from conftest import cat_col, make_dataset, num_col
+from conftest import cat_col, make_dataset, num_col, render_name, unit
 
 
 @pytest.fixture(scope="module")
@@ -61,21 +60,21 @@ def body_data():
 # ---------------------------------------------------------------- units
 
 def test_unit_normalization():
-    u = Unit.of(mass=1, length=0)
+    u = unit(mass=1, length=0)
     assert u.dims == (("mass", Fraction(1)),)
-    assert Unit.of().dimensionless
-    assert Unit.of().dims_token() == "dim:1"
-    assert Unit.of(mass=1, length=-2).dims_token() == "dim:length=-2,mass=1"
+    assert unit().dimensionless
+    assert unit().dims_token() == "dim:1"
+    assert unit(mass=1, length=-2).dims_token() == "dim:length=-2,mass=1"
 
 
 def test_unit_unknown_dimension():
     with pytest.raises(KGError):
-        Unit.of(flavor=1)
+        unit(flavor=1)
 
 
 def test_propagate_unit_algebra():
-    kg_u = Unit.of(mass=1)
-    m_u = Unit.of(length=1)
+    kg_u = unit(mass=1)
+    m_u = unit(length=1)
     # kg / m^2 = mass=1, length=-2
     m2 = propagate_unit("square", [m_u])
     assert m2.dims == (("length", Fraction(2)),)
@@ -89,15 +88,15 @@ def test_propagate_unit_algebra():
 
 
 def test_propagate_unit_add_sub():
-    kg_u = Unit.of(mass=1)
-    assert propagate_unit("add", [kg_u, Unit.of(mass=1)]) == kg_u
-    assert propagate_unit("add", [kg_u, Unit.of(length=1)]) is None
+    kg_u = unit(mass=1)
+    assert propagate_unit("add", [kg_u, unit(mass=1)]) == kg_u
+    assert propagate_unit("add", [kg_u, unit(length=1)]) is None
     assert propagate_unit("sub", [kg_u, kg_u]) == kg_u
 
 
 def test_propagate_unit_log():
     assert propagate_unit("log", [DIMENSIONLESS]) == DIMENSIONLESS
-    assert propagate_unit("log", [Unit.of(mass=1)]) is None
+    assert propagate_unit("log", [unit(mass=1)]) is None
 
 
 def test_propagate_unit_dimensionless_ops():
@@ -106,12 +105,12 @@ def test_propagate_unit_dimensionless_ops():
 
 
 def test_propagate_unit_unknown_inputs():
-    assert propagate_unit("add", [None, Unit.of(mass=1)]) is None
+    assert propagate_unit("add", [None, unit(mass=1)]) is None
     assert propagate_unit("mul", [None, None]) is None
 
 
 def test_propagate_unit_aggregation_passes_value_unit():
-    u = Unit.of(currency=1)
+    u = unit(currency=1)
     for op in ("group_min", "group_max", "group_mean", "group_sum"):
         assert propagate_unit(op, [u]).dims == u.dims
 
@@ -120,12 +119,12 @@ def test_propagate_unit_aggregation_passes_value_unit():
 @given(e1=st.fractions(min_value=-3, max_value=3, max_denominator=4),
        e2=st.fractions(min_value=-3, max_value=3, max_denominator=4))
 def test_unit_mul_div_exponent_property(e1, e2):
-    a = Unit.of(length=e1)
-    b = Unit.of(length=e2)
+    a = unit(length=e1)
+    b = unit(length=e2)
     prod = propagate_unit("mul", [a, b])
     quot = propagate_unit("div", [a, b])
-    assert prod.dims_dict().get("length", Fraction(0)) == e1 + e2
-    assert quot.dims_dict().get("length", Fraction(0)) == e1 - e2
+    assert dict(prod.dims).get("length", Fraction(0)) == e1 + e2
+    assert dict(quot.dims).get("length", Fraction(0)) == e1 - e2
 
 
 # ---------------------------------------------------------------- hierarchy
@@ -395,7 +394,7 @@ def test_judge_uncovered_when_no_leaf_mapped(body_kg, body_data):
 
 
 def test_judge_raw_mapped_interpretable(body_kg, body_data):
-    assert judge(body_kg, RawRef("weight")).interpretable
+    assert judge(body_kg, RawRef("weight")).status == VerdictStatus.INTERPRETABLE
 
 
 def test_judge_unknown_unit(body_kg, body_data):
@@ -415,7 +414,7 @@ def test_judge_log_of_dimensioned_value(body_kg, body_data):
 def test_judge_dimensionless_derivations_pass(body_kg, body_data):
     # a ratio of same-unit columns is dimensionless and needs no registry entry
     expr = Node("div", (RawRef("t1"), RawRef("t2")))
-    assert judge(body_kg, expr).interpretable
+    assert judge(body_kg, expr).status == VerdictStatus.INTERPRETABLE
 
 
 def test_coverage(body_kg, body_data, default_kg_path):
@@ -839,15 +838,15 @@ def test_a_null_unit_class_or_rule_name_reads_as_absent(tmp_path, kg_doc):
 
 def test_unit_names_map_each_dims_to_its_first_registered_name(diabetes_kg):
     # `m` and `mm` share their dims, and `m` is registered first
-    for unit in list(diabetes_kg.unit_registry.values()) + [Unit.of(mass=3)]:
-        assert diabetes_kg.unit_names.get(unit.dims) == registered_name_scan(diabetes_kg, unit)
+    for u in list(diabetes_kg.unit_registry.values()) + [unit(mass=3)]:
+        assert diabetes_kg.unit_names.get(u.dims) == registered_name_scan(diabetes_kg, u)
     assert diabetes_kg.unit_names[diabetes_kg.unit_registry["mm"].dims] == "m"
     assert kgmod._token_dims(diabetes_kg, "mm") == kgmod._token_dims(diabetes_kg, "m")
     assert kgmod._token_dims(diabetes_kg, "dim:1") == ()
     assert kgmod._token_dims(diabetes_kg, "count") == ()
     # a derived node names registered dims by name, so a dims token is never
     # one of them and compares as itself
-    assert kgmod.unit_token(diabetes_kg, Unit.of(mass=1)) == "kg"
+    assert kgmod.unit_token(diabetes_kg, unit(mass=1)) == "kg"
     assert kgmod._token_dims(diabetes_kg, "dim:mass=1") == "dim:mass=1"
 
 
@@ -870,7 +869,8 @@ def test_judge_rejects_a_class_a_rule_derives_below_non_interpretable(tmp_path, 
         verdict = judge(kg, expr)
         assert verdict.status == VerdictStatus.NON_INTERPRETABLE
         assert verdict.reason == "sums are unsummable"
-    assert judge(kg, RawRef("WEIGHT")).interpretable  # raw columns skip the rules
+    # raw columns skip the rules
+    assert judge(kg, RawRef("WEIGHT")).status == VerdictStatus.INTERPRETABLE
 
 
 @pytest.mark.parametrize("first", [0, 1])

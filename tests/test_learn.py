@@ -115,8 +115,9 @@ def test_linear_recovers_slope():
     X = rng.uniform(-1, 1, (100, 1))
     y = 2.0 * X[:, 0]
     model = train(LearnerSpec(kind="linear"), X, y, Task.REGRESSION)
-    assert model.coef[0] == pytest.approx(2.0, abs=1e-4)
-    assert model.coef[1] == pytest.approx(0.0, abs=1e-4)
+    assert model.coef.tolist() == [pytest.approx(2.0, abs=1e-4)]
+    mean, y_mean = model.scaler  # the intercept is ȳ − x̄·coef
+    assert y_mean - mean @ model.coef == pytest.approx(0.0, abs=1e-4)
     pred = predict(model, X)
     assert np.abs(pred - y).max() < 1e-4
 
@@ -1219,7 +1220,7 @@ def _matrix_cv_oracle(spec, X, y, task, k, seed):
                                                  sums[:f] + sums[f + 1:]))
             mean, y_mean = fit.scaler
             with np.errstate(over="ignore", invalid="ignore"):
-                pred = (X[valid_idx] - mean) @ fit.coef[:-1] + y_mean
+                pred = (X[valid_idx] - mean) @ fit.coef + y_mean
         else:
             Xtr, Xva = X[train_idx], X[valid_idx]
             if gaps:
@@ -1352,7 +1353,8 @@ def test_linear_fit_solves_the_columns_whose_sum_of_squares_is_finite():
         want = train(spec, X[:, [0, 2]], y, Task.REGRESSION)
         assert predict(model, X) == pytest.approx(predict(want, X[:, [0, 2]]), rel=1e-12)
     assert model.coef[1] == model.scaler[0][1] == model.importances[1] == 0.0
-    assert model.coef[[0, 2, 3]] == pytest.approx(want.coef, rel=1e-12)
+    assert model.coef[[0, 2]] == pytest.approx(want.coef, rel=1e-12)
+    assert model.scaler[1] == want.scaler[1]
     assert model.scaler[0][[0, 2]] == pytest.approx(want.scaler[0], rel=1e-12)
     assert model.importances[[0, 2]] == pytest.approx(want.importances, rel=1e-12)
     # with every column overflowing, the model predicts the training mean
@@ -1363,7 +1365,8 @@ def test_linear_fit_solves_the_columns_whose_sum_of_squares_is_finite():
         warnings.simplefilter("error")
         model = train(spec, X, y, Task.REGRESSION)
         assert predict(model, X).tolist() == [y.mean()] * 8
-    assert model.coef.tolist() == [0.0, 0.0, y.mean()]
+    assert model.coef.tolist() == [0.0, 0.0]
+    assert model.scaler[1] == y.mean()
     assert model.importances.tolist() == [0.0, 0.0]
     assert feature_importance(model).tolist() == [0.5, 0.5]
 

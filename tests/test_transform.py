@@ -16,10 +16,10 @@ from kgfeat.transform import (_FINALISTS, _RANK_ROWS, MAX_MISSING_FRACTION,
                               _abs_pearson, _centred, _confirmed, _derive, _operand_tuples,
                               _rank_rows, apply, catalog, catalog_op,
                               categorical_codes, categorical_levels, expand_action,
-                              expr_from_json, expr_to_json, order, render_name,
-                              search_space_size)
+                              expr_from_json, expr_to_json, order, search_space_size)
 
-from conftest import cat_col, empty_kg, make_dataset, make_planted_dataset, num_col
+from conftest import (cat_col, empty_kg, make_dataset, make_planted_dataset, num_col,
+                      render_name)
 
 
 @pytest.fixture()
@@ -62,15 +62,19 @@ def test_order():
 
 
 def test_render_name():
+    # a feature is named as _derive names it, from its operands' names
+    d = make_dataset([num_col("weight", [60.0, 80.0]), num_col("height", [1.6, 1.8]),
+                      cat_col("City", ["Oslo", "Rome"]), cat_col("city", ["Paris", "Rome"]),
+                      num_col("when", [0.0, 1.0], kind=Kind.DATE)], np.array([1.0, 2.0]))
     w = RawRef("weight")
     h = RawRef("height")
     bmi = Node("div", (w, Node("square", (h,))))
-    assert render_name(bmi) == "(weight / SQUARE(height))"
-    assert render_name(Node("group_mean", (RawRef("City"), w))) == \
+    assert apply(bmi, d).name == "(weight / SQUARE(height))"
+    assert apply(Node("group_mean", (RawRef("City"), w)), d).name == \
         "GROUP_MEAN(weight BY City)"
-    assert render_name(Node("one_hot", (RawRef("city"),), "Paris")) == \
+    assert apply(Node("one_hot", (RawRef("city"),), "Paris"), d).name == \
         "ONE_HOT(city=Paris)"
-    assert render_name(Node("is_weekend", (RawRef("when"),))) == "IS_WEEKEND(when)"
+    assert apply(Node("is_weekend", (RawRef("when"),)), d).name == "IS_WEEKEND(when)"
 
 
 def test_json_round_trip():
