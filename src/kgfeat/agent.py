@@ -197,9 +197,10 @@ class Agent:
 
     def observe(self, t: Transition):
         """Store a step; once replay holds a minibatch, one TD step on a
-        sampled one, and a target sync every `target_sync_period` of them."""
+        sampled one, and a target sync every `target_sync_period` of them.
+        At learning rate 0 a TD step moves no weight, so none is taken."""
         self.buffer.push(t)
-        if len(self.buffer) >= self.cfg.minibatch_size:
+        if self.cfg.learning_rate and len(self.buffer) >= self.cfg.minibatch_size:
             td_train_step(self.net, self.target,
                           self.buffer.sample(self.cfg.minibatch_size, self.replay_rng), self.cfg)
             self.td_steps += 1

@@ -265,30 +265,6 @@ def read_header(path: str) -> list:
         return _header(_records(fh, path), path)
 
 
-def _line_count(fh) -> Optional[int]:
-    """The number of lines from `fh`'s position on, each ended by \\n, \\r\\n
-    or \\r as csv.reader ends them, read in blocks; None when a line comes
-    within two characters of `csv.field_size_limit()`, since a field with an
-    unclosed quote holds the file's last line break too."""
-    limit = csv.field_size_limit() - 2
-    size = max(1, min(limit, 1 << 16))  # so a line longer than the limit spans blocks
-    lines, run, last = 0, 0, ""  # run: the length of the line read so far
-    while block := fh.read(size):
-        breaks = [i for i in (block.find("\n"), block.find("\r")) if i >= 0]
-        if breaks:
-            if run + min(breaks) > limit:
-                return None
-            run = len(block) - 1 - max(block.rfind("\n"), block.rfind("\r"))
-        else:
-            run += len(block)
-            if run > limit:
-                return None
-        lines += block.count("\n") + block.count("\r") - block.count("\r\n")
-        lines -= last == "\r" and block[0] == "\n"  # a \r\n split between blocks
-        last = block[-1]
-    return lines + (run > 0)
-
-
 def _numeric_columns(fh, header: list, first: list) -> Optional[list]:
     """Numeric columns read by numpy's C parser from the CSV file `fh`,
     whose header and first row csv.reader has read; None, to read the file
@@ -303,16 +279,21 @@ def _numeric_columns(fh, header: list, first: list) -> Optional[list]:
     width = len(header)
     if len(first) != width or any("\n" in h or "\r" in h for h in header):
         return None
+    limit, lines = csv.field_size_limit() - 2, 0
+
+    def counted():  # the lines, as csv.reader ends them, counted in `lines`
+        nonlocal lines
+        for lines, line in enumerate(fh, 1):
+            if len(line.rstrip("\r\n")) > limit:
+                raise ValueError("a line near csv's field size limit")
+            yield line
+
     try:
         for cell in first:
             float(cell)
         fh.seek(0)
-        lines = _line_count(fh)
-        if lines is None:
-            return None
-        fh.seek(0)
-        matrix = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, skiprows=1,
-                            ndmin=2)
+        matrix = np.loadtxt(counted(), delimiter=",", quotechar='"', comments=None,
+                            skiprows=1, ndmin=2)
     except ValueError:  # UnicodeDecodeError too
         return None
     if matrix.shape != (lines - 1, width):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -120,23 +119,13 @@ def _scaled_target(y):
     return np.ldexp(y, -e), e
 
 
-def _draw_features(tree, plan, at, n_sub, p):
-    """Sorted feature subsets (len(tree), n_sub), one per open node; tree[i]
-    is the plan's tree of node i, and nodes of one tree are adjacent and in
-    tree order. A node keys the p features with the next p uniforms of its
-    tree's stream, read from the tree's cursor in `at`, which moves past
-    them, and takes the n_sub of the smallest keys."""
+def _draw_features(m, rng, n_sub, p):
+    """Sorted feature subsets (m, n_sub), one per open node: each node keys
+    the p features with the next p uniforms of rng and takes the n_sub of
+    the smallest keys. Nothing is drawn when n_sub >= p."""
     if n_sub >= p:
-        return np.broadcast_to(np.arange(p), (len(tree), p))
-    c = np.bincount(tree, minlength=len(at))  # open nodes per tree
-    end = at + c * p
-    table = plan.stream(int(end.max()))
-    # node i is the (i - first[tree[i]])-th open node of its tree
-    first = np.cumsum(c) - c
-    start = tree * table.shape[1] + at[tree] + (np.arange(len(tree)) - first[tree]) * p
-    at[:] = end
-    keys = table.take(start[:, None] + np.arange(p))
-    F = np.argpartition(keys, n_sub - 1, axis=1)[:, :n_sub]
+        return np.broadcast_to(np.arange(p), (m, p))
+    F = np.argpartition(rng.random((m, p)), n_sub - 1, axis=1)[:, :n_sub]
     F.sort(axis=1)
     return F
 
@@ -238,11 +227,11 @@ def _positions(subset, K):
     return pos
 
 
-def _grow(codes, lo, hi, y, tol, task, n_classes, batch, plan, at, n_sub,
+def _grow(codes, lo, hi, y, tol, task, n_classes, batch, rng, n_sub,
           max_depth, importances, n_total):
     """Grow the trees of `batch` (see _bootstraps) together, one depth level
-    per pass; a tree's nodes' feature subsets come from its stream in
-    `plan`, read from its cursor in `at` (see _draw_features). y is the
+    per pass; each level's open nodes, which are in tree order, draw their
+    feature subsets from rng in that order (see _draw_features). y is the
     class codes, or the regression target as _scaled_target scales it; a
     node splits where that lowers its impurity by more than tol.
 
@@ -251,13 +240,12 @@ def _grow(codes, lo, hi, y, tol, task, n_classes, batch, plan, at, n_sub,
     and the impurity decreases added to `importances`, are in y's units.
     """
     p = codes.shape[0]
-    tree, k, rows, w = batch  # tree: the plan's tree of each node of this level
+    K, k, rows, w = batch  # K: the number of nodes of this level
     w = w.astype(float)
     ys = y[rows]
     base = 0  # id of this level's first node
     levels = []
     for depth in range(max_depth + 1):
-        K = len(tree)
         cnt = np.bincount(k, w, K)
         if task == Task.CLASSIFICATION:
             counts = np.bincount(k * n_classes + ys, w,
@@ -285,7 +273,7 @@ def _grow(codes, lo, hi, y, tol, task, n_classes, batch, plan, at, n_sub,
         s = _positions(open_, K)[k]
         inside = s >= 0
         rows, ys, w, s = rows[inside], ys[inside], w[inside], s[inside]
-        F = _draw_features(tree[open_], plan, at, n_sub, p)
+        F = _draw_features(len(open_), rng, n_sub, p)
         best, j, thr, split_bin = _best_splits(
             codes, lo, hi, rows, ys, w, s, F, tuple(a[open_] for a in stats),
             task, n_classes, tol)
@@ -300,78 +288,32 @@ def _grow(codes, lo, hi, y, tol, task, n_classes, batch, plan, at, n_sub,
         inside = s >= 0
         rows, ys, w, s = rows[inside], ys[inside], w[inside], s[inside]
         k = 2 * s + (codes[j[s], rows] > split_bin[s])
-        tree = np.repeat(tree[split], 2)
-        base += K
+        base, K = base + K, 2 * len(split)
     return tuple(np.concatenate(a) for a in zip(*levels))
 
 
-class _Plan:
-    """The randomness of a forest: tree t grows on the bootstrap counts
-    draws[t] (n,) and keys its nodes' features with its stream, the uniforms
-    its generator yields after drawing them. Row t of `uniforms` holds the
-    first of them, as many as the fits have read so far. Fits in several
-    threads may share a plan: one at a time draws on the streams, and the
-    draws and every table handed out are read-only."""
-
-    def __init__(self, gens, draws):
-        self.gens, self.draws = gens, draws
-        self.uniforms = np.empty((len(gens), 0))
-        self._lock = threading.Lock()
-
-    def stream(self, length):
-        """The uniforms, each tree's stream drawn on to `length` if shorter."""
-        with self._lock:
-            have = self.uniforms.shape[1]
-            if length > have:
-                table = np.empty((len(self.gens), length))
-                table[:, :have] = self.uniforms
-                for gen, row in zip(self.gens, table):
-                    gen.random(out=row[have:])
-                table.setflags(write=False)
-                self.uniforms = table
-            return self.uniforms
-
-
-_PLANS = 4  # forest plans kept per process: a run fits at a few fold sizes
-
-
-@functools.lru_cache(maxsize=_PLANS)
-def _forest_plan(seed, n_trees, n):
-    """The plan of a forest of n_trees on n rows: the trees' generators are
-    spawned from `seed`, and each draws its bootstrap of the n rows, kept as
-    each row's number of draws in the smallest unsigned type that holds them.
-    The plan is shared by every fit at (seed, n_trees, n), and a generator
-    draws a stream's uniforms only once, so a fit reads the values that fresh
-    generators would give it."""
-    gens = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(n_trees)]
-    draws = [np.bincount(g.integers(0, n, size=n), minlength=n) for g in gens]
-    draws = np.array(draws, dtype=np.min_scalar_type(max(int(d.max()) for d in draws)))
-    draws.setflags(write=False)
-    return _Plan(gens, draws)
-
-
 def _bootstraps(draws):
-    """Batches of trees, in tree order, each as (its trees, and for each of
-    its samples the sample's tree within the batch, row and weight): tree t
-    of `draws` (trees, n) grows on the rows it drew, each weighted by its
-    number of draws. A batch holds at most _BATCH_ROWS distinct rows, or one
-    tree."""
+    """Batches of trees, in tree order, each as (its number of trees, and for
+    each of its samples the sample's tree within the batch, row and weight):
+    tree t of `draws` (trees, n) grows on the rows it drew, each weighted by
+    its number of draws. A batch holds at most _BATCH_ROWS distinct rows, or
+    one tree."""
     start, size = 0, 0
     sizes = np.count_nonzero(draws, axis=1).tolist()
     for t, s in enumerate(sizes + [0]):
         if t == len(sizes) or (t > start and size + s > _BATCH_ROWS):
             k, rows = np.nonzero(draws[start:t])
-            yield np.arange(start, t), k, rows, draws[start:t][k, rows]
+            yield t - start, k, rows, draws[start:t][k, rows]
             start, size = t, 0
         size += s
 
 
-def _fit_trees(X, y, task, n_classes, plan, n_sub, max_depth):
-    """One tree per row of plan.draws (see _bootstraps). Each node searches
-    a subset of n_sub features drawn from its tree's stream, or all of them
-    when n_sub >= p. Returns the forest and its summed impurity decreases,
-    in the scaled target's units: a power of two, so their shares are those
-    of the unscaled target's."""
+def _fit_trees(X, y, task, n_classes, draws, rng, n_sub, max_depth):
+    """One tree per row of draws (see _bootstraps). Each node searches a
+    subset of n_sub features drawn from rng, or all of them when n_sub >= p.
+    Returns the forest and its summed impurity decreases, in the scaled
+    target's units: a power of two, so their shares are those of the
+    unscaled target's."""
     n, p = X.shape
     codes, lo, hi = _bin_columns(X)
     if task == Task.CLASSIFICATION:
@@ -382,13 +324,12 @@ def _fit_trees(X, y, task, n_classes, plan, n_sub, max_depth):
         # so it never splits
         tol = 1e-15 * ((y.max() - y.min()) / 2) ** 2 or np.inf
     importances = np.zeros(p)
-    at = np.zeros(len(plan.draws), dtype=np.int64)  # each tree's stream cursor
     roots, parts, n_nodes = [], [], 0
-    for batch in _bootstraps(plan.draws):
+    for batch in _bootstraps(draws):
         feature, threshold, left, value = _grow(
-            codes, lo, hi, y, tol, task, n_classes, batch, plan, at, n_sub,
+            codes, lo, hi, y, tol, task, n_classes, batch, rng, n_sub,
             max_depth, importances, n)
-        roots.append(n_nodes + np.arange(len(batch[0])))
+        roots.append(n_nodes + np.arange(batch[0]))
         parts.append((feature, threshold, np.where(left >= 0, left + n_nodes, -1),
                       value))
         n_nodes += len(feature)
@@ -484,12 +425,18 @@ def train(spec: LearnerSpec, X: np.ndarray, y: np.ndarray, task: Task) -> Model:
 
     if spec.kind in ("decision_tree", "random_forest"):
         if spec.kind == "decision_tree":  # all rows once, all features
-            plan, n_sub = _Plan([], np.ones((1, n), dtype=np.uint8)), p
+            draws, rng, n_sub = np.ones((1, n), dtype=np.int64), None, p
         else:
             frac = spec.feature_subsample
             n_sub = max(1, int(round(frac * p))) if frac is not None else max(1, int(math.isqrt(p)))
-            plan = _forest_plan(spec.seed, spec.n_trees, n)
-        forest, importances = _fit_trees(X, y, task, n_classes, plan, n_sub,
+            # the fit's own generator draws every bootstrap first, kept as
+            # each row's number of draws per tree, then the nodes' feature
+            # keys (see _grow)
+            rng = np.random.default_rng(spec.seed)
+            picks = rng.integers(0, n, size=(spec.n_trees, n))
+            picks += n * np.arange(spec.n_trees)[:, None]
+            draws = np.bincount(picks.ravel(), minlength=spec.n_trees * n).reshape(-1, n)
+        forest, importances = _fit_trees(X, y, task, n_classes, draws, rng, n_sub,
                                          spec.max_depth)
         return Model(spec.kind, task, p, trees=forest, classes=classes,
                      importances=importances)

@@ -274,14 +274,18 @@ def test_an_agent_with_epsilon_pinned_at_one_draws_uniformly_whatever_its_net(sc
         agent.observe(t)
 
 
-def test_an_agent_with_learning_rate_zero_trains_without_moving_its_nets(monkeypatch):
+def test_an_agent_with_learning_rate_zero_takes_no_td_step(monkeypatch):
+    # a step at learning rate 0 would move no weight, so none is taken and
+    # replay is never sampled
     calls = []
     counted(monkeypatch, "td_train_step", calls)
     agent = Agent(AgentConfig(learning_rate=0.0, minibatch_size=1, target_sync_period=1),
                   4, 19, seed=5)
     net = agent.net.copy()
+    replay = agent.replay_rng.bit_generator.state
     for t in random_batch(np.random.default_rng(1), 50, 4, 19):
         agent.act(t.s)
         agent.observe(t)
-    assert len(calls) == 50 and len(agent.buffer) == 50
+    assert calls == [] and agent.td_steps == 0 and len(agent.buffer) == 50
+    assert agent.replay_rng.bit_generator.state == replay
     assert same_net(agent.net, net) and same_net(agent.target, net)

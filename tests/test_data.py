@@ -1,11 +1,10 @@
 import codecs
 import csv
-import io
 from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kgfeat
@@ -436,19 +435,25 @@ def test_a_header_over_two_lines_is_read_column_by_column(tmp_path):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=st.lists(st.sampled_from(["1", ",", '"', "\r", "\n", "\r\n"])).map("".join),
+@given(header=st.sampled_from(["y", "a,y"]),
+       text=st.lists(st.sampled_from(["1", ",", '"', "\r", "\n", "\r\n"])).map("".join),
        limit=st.integers(2, 8))
-def test_line_count_counts_the_lines_csv_reader_sees(text, limit):
-    # blocks are no longer than the field size limit, so a small limit puts
-    # block boundaries inside lines and between the \r and \n of a line end
-    lines = io.StringIO(text, newline="").readlines()
-    longest = max((len(line.rstrip("\r\n")) for line in lines), default=0)
+@example(header="y", text="1\n1111", limit=3)  # numpy reads a field csv refuses
+@example(header="y", text='1\n"11\r\n', limit=3)  # an unclosed quote holds the \r\n too
+def test_lines_near_the_field_size_limit_read_as_the_per_column_path(tmp_path_factory, header,
+                                                                      text, limit):
+    # a small limit puts the text's lines on both sides of it, and line ends
+    # of each kind, quoted ones too, make numpy's rows differ from the lines
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_text(f"{header}\n{text}", encoding="utf-8", newline="")
+    schema = SchemaConfig(target_name="y", task=Task.REGRESSION)
     before = csv.field_size_limit(limit)
     try:
-        got = datamod._line_count(io.StringIO(text, newline=""))
+        got = loaded(load_csv, str(path), schema)
+        want = loaded(load_column_by_column, str(path), schema)
     finally:
         csv.field_size_limit(before)
-    assert got == (len(lines) if longest <= limit - 2 else None)
+    assert got == want
 
 
 _LATIN1_CELL = "x\xe9".encode("latin-1")  # "xé", not UTF-8

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kgfeat import engine, learn, transform
+from kgfeat import agent, engine, learn, transform
 from kgfeat.agent import AgentConfig
 from kgfeat.data import Dataset, Task
 from kgfeat.engine import (EngineConfig, EngineError, FEResult, PoolEntry, _Evaluator,
@@ -104,13 +104,12 @@ def test_run_deterministic(planted):
 
 
 def test_a_forest_run_repeats_its_result_file_in_one_process(planted):
-    # the second run fits its forests from the plans the first one cached
+    # each forest fit depends only on its inputs, so a second run in the
+    # same process writes the first one's file
     d, kg, _ = planted
     cfg = small_cfg(learner=LearnerSpec(kind="random_forest", n_trees=5, max_depth=3))
-    learn._forest_plan.cache_clear()
     texts = [json.dumps(run(cfg, d, kg).to_json(), indent=2, sort_keys=True)
              for _ in range(2)]
-    assert learn._forest_plan.cache_info().hits > 0
     assert texts[0] == texts[1]
 
 
@@ -272,6 +271,25 @@ def test_random_policy_runs(planted):
     result = run(small_cfg(policy="random"), d, kg)
     assert result.best_score >= result.baseline_score
     assert result.config["policy"] == "random"
+
+
+def test_a_random_policy_run_takes_no_td_step(planted, monkeypatch):
+    # its net cannot move, so the run pays for no TD step; the DQN arm of
+    # the same config takes some
+    d, kg, _ = planted
+    calls = []
+    step = agent.td_train_step
+
+    def spy(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(agent, "td_train_step", spy)
+    cfg = small_cfg(episodes=4, steps=5, agent=AgentConfig(minibatch_size=2))
+    run(replace(cfg, policy="random"), d, kg)
+    assert calls == []
+    run(cfg, d, kg)
+    assert calls
 
 
 def test_the_random_policy_is_the_agent_with_epsilon_one_and_learning_rate_zero(planted):

@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -174,11 +175,11 @@ def test_decision_tree_splits_adjacent_floats():
 
 
 def _tree_rows(kind, n, n_trees, seed):
-    """Training rows of each tree: all rows, or each tree's bootstrap."""
+    """Training rows of each tree: all rows, or each tree's bootstrap, all
+    drawn first from the fit's one generator."""
     if kind == "decision_tree":
         return [np.arange(n)]
-    return [np.random.default_rng(ss).integers(0, n, size=n)
-            for ss in np.random.SeedSequence(seed).spawn(n_trees)]
+    return list(np.random.default_rng(seed).integers(0, n, size=(n_trees, n)))
 
 
 _TIED = [-np.inf, -1.0, 0.0, np.nextafter(94.0, 0.0), 94.0, 1e308,
@@ -337,13 +338,15 @@ def _rr_segment_cumsum(a, starts, seg):
     return c - before[seg]
 
 
-def _rr_draw_features(tree, rngs, n_sub, p):
+def _rr_draw_features(tree, rng, n_sub, p):
+    """Tree by tree, in tree order, each open node's p keys from the fit's
+    one generator, and the n_sub features of the smallest."""
     if n_sub >= p:
         return np.broadcast_to(np.arange(p), (len(tree), p))
     F = np.empty((len(tree), n_sub), dtype=np.int64)
-    trees, starts = np.unique(tree, return_index=True)
-    for t, a, b in zip(trees, starts, np.append(starts[1:], len(tree))):
-        keys = rngs[t].random((b - a, p))
+    _, starts = np.unique(tree, return_index=True)
+    for a, b in zip(starts, np.append(starts[1:], len(tree))):
+        keys = rng.random((b - a, p))
         F[a:b] = np.sort(np.argsort(keys, axis=1)[:, :n_sub], axis=1)
     return F
 
@@ -396,7 +399,7 @@ def _rr_best_splits(codes, lo, hi, rows, ys, sk, F, stats, task, n_classes, tol)
     return best, j, np.where(mid < above, mid, below), split_bin
 
 
-def _rr_grow(codes, lo, hi, y, task, n_classes, boots, rngs, n_sub, max_depth,
+def _rr_grow(codes, lo, hi, y, task, n_classes, boots, rng, n_sub, max_depth,
              importances, n_total, tol):
     p = codes.shape[0]
     rows = np.concatenate(boots)
@@ -429,7 +432,7 @@ def _rr_grow(codes, lo, hi, y, task, n_classes, boots, rngs, n_sub, max_depth,
             break
         s = _positions(open_, K)[k]
         inside = s >= 0
-        F = _rr_draw_features(tree[open_], rngs, n_sub, p)
+        F = _rr_draw_features(tree[open_], rng, n_sub, p)
         best, j, thr, split_bin = _rr_best_splits(
             codes, lo, hi, rows[inside], ys[inside], s[inside], F,
             tuple(a[open_] for a in stats), task, n_classes, tol)
@@ -454,14 +457,13 @@ def _rr_fit(spec, X, y, task, batch_rows):
     batches them: up to batch_rows distinct rows, or one tree."""
     n, p = X.shape
     n_classes = int(y.max()) + 1 if task == Task.CLASSIFICATION else 0
+    rng = np.random.default_rng(spec.seed)
     if spec.kind == "decision_tree":
-        rngs, n_sub = [None], p
+        boots, n_sub = [np.arange(n)], p
     else:
         frac = spec.feature_subsample
         n_sub = max(1, int(round(frac * p))) if frac is not None else max(1, math.isqrt(p))
-        rngs = [np.random.default_rng(ss)
-                for ss in np.random.SeedSequence(spec.seed).spawn(spec.n_trees)]
-    boots = [np.arange(n) if r is None else r.integers(0, n, size=n) for r in rngs]
+        boots = [rng.integers(0, n, size=n) for _ in range(spec.n_trees)]
     batches, size = [[]], 0
     for t, boot in enumerate(boots):
         distinct = len(np.unique(boot))
@@ -480,7 +482,7 @@ def _rr_fit(spec, X, y, task, batch_rows):
     for batch in batches:
         feature, threshold, left, value = _rr_grow(
             codes, lo, hi, y, task, n_classes, [boots[t] for t in batch],
-            [rngs[t] for t in batch], n_sub, spec.max_depth, importances, n, tol)
+            rng, n_sub, spec.max_depth, importances, n, tol)
         roots.append(n_nodes + np.arange(len(batch)))
         parts.append((feature, threshold, np.where(left >= 0, left + n_nodes, -1),
                       value))
@@ -499,7 +501,7 @@ def _rr_fit(spec, X, y, task, batch_rows):
        depth=st.integers(1, 7), n_trees=st.integers(1, 6),
        subsample=st.sampled_from([None, 0.5, 1.0]),
        batch_rows=st.sampled_from([1, 64, learn._BATCH_ROWS]))
-@example(seed=109, n=309, p=3, levels=7, ties="none", target="8 classes",
+@example(seed=205, n=309, p=3, levels=7, ties="none", target="8 classes",
          kind="random_forest", depth=6, n_trees=4, subsample=None,
          batch_rows=learn._BATCH_ROWS)  # np.sum's order splits elsewhere
 def test_weighted_trees_match_repeated_row_trees(seed, n, p, levels, ties, target,
@@ -558,8 +560,7 @@ def test_root_level_scores_each_distinct_bootstrap_row_once(monkeypatch):
     train(LearnerSpec(kind="random_forest", n_trees=n_trees, seed=seed), X, y,
           Task.CLASSIFICATION)
     rows, w, sk = calls[0]  # the root level of the only batch
-    boots = [np.random.default_rng(ss).integers(0, n, size=n)
-             for ss in np.random.SeedSequence(seed).spawn(n_trees)]
+    boots = np.random.default_rng(seed).integers(0, n, size=(n_trees, n))
     assert len(rows) == sum(len(np.unique(b)) for b in boots) < n * n_trees
     for t, boot in enumerate(boots):
         distinct, draws = np.unique(boot, return_counts=True)
@@ -665,72 +666,58 @@ def _forest_bytes(model):
                                    model.importances)], f.scale)
 
 
-@pytest.mark.parametrize("task", [Task.CLASSIFICATION, Task.REGRESSION])
-def test_a_forest_does_not_depend_on_the_plans_cached_before_it(task):
-    # a forest's bootstraps and feature-draw streams are kept per (seed,
-    # n_trees, n) and shared by every fit there; each fit must read them
-    # from the start, whatever other fits did or drew before it
+def _forest_case(task):
+    """A table, target and forest spec whose nodes draw feature subsets."""
     rng = np.random.default_rng(6)
     n, p = 150, 9
     X = rng.uniform(size=(n, p))
     y = (X[:, 0] + X[:, 3] > 1).astype(float) if task == Task.CLASSIFICATION \
         else np.round(X[:, 0] * 10 + rng.normal(size=n), 1)
-    spec = LearnerSpec(kind="random_forest", n_trees=7, max_depth=5, seed=11)
-    learn._forest_plan.cache_clear()
+    return X, y, LearnerSpec(kind="random_forest", n_trees=7, max_depth=5, seed=11)
+
+
+@pytest.mark.parametrize("task", [Task.CLASSIFICATION, Task.REGRESSION])
+def test_a_forest_does_not_depend_on_the_fits_before_it(task):
+    # a fit draws from a generator of its own and keeps nothing, so fits at
+    # other seeds, row counts, tree counts and widths leave it as it is
+    X, y, spec = _forest_case(task)
     cold = _forest_bytes(train(spec, X, y, task))
-
-    hits = learn._forest_plan.cache_info().hits
-    assert _forest_bytes(train(spec, X, y, task)) == cold
-    assert learn._forest_plan.cache_info().hits == hits + 1
-
-    train(LearnerSpec(kind="random_forest", n_trees=7, max_depth=5, seed=12), X, y, task)
+    train(replace(spec, seed=12), X, y, task)
     train(spec, X[:-10], y[:-10], task)
-    train(LearnerSpec(kind="random_forest", n_trees=9, max_depth=5, seed=11), X, y, task)
+    train(replace(spec, n_trees=9), X, y, task)
     train(spec, X[:, :4], y, task)
+    train(replace(spec, max_depth=2), X[:, :4], y, task)
     assert _forest_bytes(train(spec, X, y, task)) == cold
 
-    # a fit of fewer features and levels reads a shorter stream, which this
-    # fit then draws on
-    learn._forest_plan.cache_clear()
-    train(LearnerSpec(kind="random_forest", n_trees=7, max_depth=2, seed=11), X[:, :4], y,
-          task)
-    short = learn._forest_plan(11, 7, n).uniforms.shape[1]
-    assert _forest_bytes(train(spec, X, y, task)) == cold
-    assert learn._forest_plan(11, 7, n).uniforms.shape[1] > short
 
+def test_forests_fit_in_threads_at_once_match_lone_fits():
+    # 8 fits at once, half of them classification and half regression
+    tasks = [Task.CLASSIFICATION, Task.REGRESSION] * 4
 
-def test_threads_drawing_on_one_plan_read_the_fresh_generators_streams():
-    # fits in several threads may share a plan; a stream drawn on by two
-    # of them at once would skip or repeat uniforms
-    seed, n_trees, n = 5, 6, 40
-    fresh = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(n_trees)]
-    want = np.array([(g.integers(0, n, size=n), g.random(4000))[1] for g in fresh])
-    lengths = np.random.default_rng(0).integers(1, 4000, (16, 50))
-    bad = []
-    start = threading.Barrier(len(lengths))
+    def lone(task):
+        X, y, spec = _forest_case(task)
+        return _forest_bytes(train(spec, X, y, task))
 
-    def draw(row):
+    want = {task: lone(task) for task in tasks[:2]}
+    got = [None] * len(tasks)
+    start = threading.Barrier(len(tasks))
+
+    def fit(i):
         start.wait(timeout=60)
-        for length in row:
-            table = learn._forest_plan(seed, n_trees, n).stream(length)
-            if not np.array_equal(table[:, :length], want[:, :length]):
-                bad.append(length)
+        got[i] = lone(tasks[i])
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(4):
-            learn._forest_plan.cache_clear()
-            learn._forest_plan(seed, n_trees, n)  # every thread shares it
-            threads = [threading.Thread(target=draw, args=(row,)) for row in lengths]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
+        threads = [threading.Thread(target=fit, args=(i,)) for i in range(len(tasks))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(switch)
-    assert not bad
+    assert got == [want[task] for task in tasks]
 
 
 def test_a_forest_on_targets_near_the_largest_float_predicts_finite_values():
